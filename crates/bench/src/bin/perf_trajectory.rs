@@ -28,9 +28,8 @@ use cluster::{
     AvailabilityTrace, ClusterEvent, ClusterNote, ClusterSim, JobId, JobKind, JobSpec, SlurmConfig,
 };
 use gateway::{
-    run_load, run_load_with_controller, ActionSpec, AdmissionPolicy, CapacityController,
-    ControllerConfig, Gateway, GatewayConfig, HarnessConfig, LeaseEvent, LeaseEventKind, LeasePlan,
-    TokenBucketCfg,
+    run_load, run_load_with_controller, ActionSpec, CapacityController, ControllerConfig, Gateway,
+    GatewayConfig, HarnessConfig, LeaseEvent, LeaseEventKind, LeasePlan,
 };
 use hpcwhisk_core::offline::{simulate, OfflineConfig};
 use hpcwhisk_core::{
@@ -72,36 +71,66 @@ fn estimate(xs: Vec<f64>) -> f64 {
     }
 }
 
-/// Parse the `ns_per_op` figures out of a previously written results
-/// file (the checked-in `BENCH_results.json`), so the run can print a
-/// delta column against it. Hand-rolled: the file is our own fixed
-/// shape, and the vendored serde shim has no JSON deserializer.
-fn read_baseline(path: &str) -> Vec<(String, f64)> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
+/// Strict reader of the trajectory file: exactly the layout
+/// [`render_trajectory`] writes — one `{"name": "…", "ns_per_op": N,
+/// "ops_per_sec": N.NN}` line per probe inside `{"probes": […]}` —
+/// with plain decimal numbers and a positive `ns_per_op`. Everything
+/// it accepts is JSON any parser reads (no `inf`, no `NaN`), so it
+/// serves as the `--check` baseline reader, as the writer's gate and
+/// as the test of the checked-in file. Returns `(name, ns_per_op)`
+/// per probe. Hand-rolled: the vendored serde shim has no JSON
+/// deserializer.
+fn parse_trajectory(text: &str) -> Result<Vec<(String, f64)>, String> {
+    let body = text
+        .strip_prefix("{\n  \"probes\": [\n")
+        .and_then(|t| t.strip_suffix("  ]\n}\n"))
+        .ok_or("not a {\"probes\": [...]} document in the writer's layout")?;
+    // A JSON integer: digits, no leading zero.
+    let int = |t: &str| {
+        !t.is_empty() && t.bytes().all(|b| b.is_ascii_digit()) && (t == "0" || !t.starts_with('0'))
     };
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let Some(name_at) = line.find("\"name\": \"") else {
-            continue;
+    let n = body.lines().count();
+    let mut out = Vec::with_capacity(n);
+    for (i, line) in body.lines().enumerate() {
+        let fields = || {
+            let rest = line.strip_prefix("    {\"name\": \"")?;
+            let (name, rest) = rest.split_once("\", \"ns_per_op\": ")?;
+            let (ns, rest) = rest.split_once(", \"ops_per_sec\": ")?;
+            let ops = rest.strip_suffix(if i + 1 < n { "}," } else { "}" })?;
+            let (whole, frac) = ops.split_once('.')?;
+            let ok = !name
+                .chars()
+                .any(|c| c == '"' || c == '\\' || c.is_control())
+                && int(ns)
+                && ns != "0"
+                && int(whole)
+                && !frac.is_empty()
+                && frac.bytes().all(|b| b.is_ascii_digit());
+            let ns: f64 = ns.parse().ok()?;
+            (ok && ns.is_finite()).then(|| (name.to_string(), ns))
         };
-        let rest = &line[name_at + 9..];
-        let Some(name_end) = rest.find('"') else {
-            continue;
-        };
-        let name = rest[..name_end].to_string();
-        let Some(ns_at) = rest.find("\"ns_per_op\": ") else {
-            continue;
-        };
-        let ns_text: String = rest[ns_at + 13..]
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.')
-            .collect();
-        if let Ok(ns) = ns_text.parse::<f64>() {
-            out.push((name, ns));
-        }
+        out.push(fields().ok_or_else(|| format!("line {}: `{line}`", i + 3))?);
     }
-    out
+    Ok(out)
+}
+
+/// Render the trajectory document. Refuses (instead of printing) any
+/// probe the strict parser would not read back — a non-finite figure, or
+/// one that rounds to a zero `ns_per_op` and so an infinite `ops_per_sec`.
+fn render_trajectory(probes: &[Probe]) -> Result<String, String> {
+    let mut json = String::from("{\n  \"probes\": [\n");
+    for (i, p) in probes.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"name\": \"{}\", \"ns_per_op\": {:.0}, \"ops_per_sec\": {:.2}}}{}\n",
+            p.name,
+            p.ns_per_op,
+            1e9 / p.ns_per_op,
+            if i + 1 < probes.len() { "," } else { "" }
+        ));
+    }
+    json.push_str("  ]\n}\n");
+    parse_trajectory(&json)?;
+    Ok(json)
 }
 
 /// Time `routine` on fresh `setup` output, `iters` ops per sample. The
@@ -161,33 +190,16 @@ fn gateway_run(
     telemetry: bool,
     submitters: usize,
 ) -> (f64, f64, f64) {
-    gateway_run_cfg(
-        samples,
-        &GatewayConfig {
-            drain_batch,
-            telemetry,
-            ..Default::default()
-        },
-        submit_batch,
-        submitters,
-    )
-}
-
-/// [`gateway_run`] over an explicit [`GatewayConfig`] — the sharded
-/// admission and contention probes vary more than the two knobs the
-/// plain signature exposes.
-fn gateway_run_cfg(
-    samples: usize,
-    cfg: &GatewayConfig,
-    submit_batch: usize,
-    submitters: usize,
-) -> (f64, f64, f64) {
     let mut best_ns = f64::MAX;
     let mut best_p50 = f64::MAX;
     let mut best_p99 = f64::MAX;
     for _ in 0..samples {
         let gw = Gateway::new(
-            cfg.clone(),
+            GatewayConfig {
+                drain_batch,
+                telemetry,
+                ..Default::default()
+            },
             (0..16)
                 .map(|i| ActionSpec::noop(&format!("fn-{i}")))
                 .collect(),
@@ -217,89 +229,6 @@ fn gateway_run_cfg(
         gw.shutdown();
     }
     (best_ns, best_p50, best_p99)
-}
-
-/// The shaper config of the sharded probes: the token line sits so far
-/// above the plane's reach that nothing is ever delayed or shed — what
-/// the probes pay for is the *cost* of the sharded admission path (the
-/// per-shard CAS line plus rebalance checks), never the shape it
-/// enforces. `shards == 1` with `legacy_queues` is exactly the PR 9
-/// submit path (single token line, mutex+condvar queues).
-fn shaped_cfg(shards: usize, legacy_queues: bool, telemetry: bool) -> GatewayConfig {
-    GatewayConfig {
-        telemetry,
-        admission: AdmissionPolicy::TokenBucket(TokenBucketCfg {
-            rate_per_invoker: 10_000_000.0,
-            burst: 4_096.0,
-            max_delay: std::time::Duration::from_millis(50),
-        }),
-        admission_shards: shards,
-        legacy_queues,
-        ..Default::default()
-    }
-}
-
-/// One contention measurement: the batched flat-out drive with the
-/// token-bucket shaper live and telemetry on, reporting
-/// `(shaper_cas + queue_wake) / completed` read back from the gateway's
-/// own `gateway_submit_contention_total` exposition — the per-op price
-/// of the shared submit-path lines, scaled to events **per 1000 ops**
-/// so the figure survives the integer `ns_per_op` JSON field. `legacy`
-/// selects the PR 9 shape; otherwise the sharded shaper + MPSC rings
-/// run. Minimum over samples (the least-disturbed run), like every
-/// throughput probe.
-fn gateway_contention_run(samples: usize, submitters: usize, legacy: bool) -> f64 {
-    let cfg = shaped_cfg(
-        if legacy {
-            1
-        } else {
-            GatewayConfig::default().admission_shards
-        },
-        legacy,
-        true,
-    );
-    let submit_batch = HarnessConfig::default().submit_batch;
-    let mut best = f64::MAX;
-    let mut best_ns = f64::MAX;
-    for _ in 0..samples {
-        let gw = Gateway::new(
-            cfg.clone(),
-            (0..16)
-                .map(|i| ActionSpec::noop(&format!("fn-{i}")))
-                .collect(),
-        );
-        for _ in 0..GATEWAY_PROBE_INVOKERS {
-            gw.start_invoker();
-        }
-        let arrivals = PoissonLoadGen::new(1_000.0, 16).arrivals(SimDuration::from_secs(200), 42);
-        let report = run_load(
-            &gw,
-            &arrivals,
-            &HarnessConfig {
-                speedup: 0.0,
-                max_inflight: 1_024,
-                submit_batch,
-                submitters,
-                ..Default::default()
-            },
-        );
-        assert_eq!(report.lost(), 0, "contention probe must be lossless");
-        let snap = gw.telemetry().expect("telemetry on").registry().snapshot();
-        let count = |src: &str| {
-            snap.counter("gateway_submit_contention_total", &[("source", src)])
-                .unwrap_or(0)
-        };
-        let per_kop =
-            (count("shaper_cas") + count("queue_wake")) as f64 * 1e3 / report.completed as f64;
-        best = best.min(per_kop);
-        best_ns = best_ns.min(1e9 / report.throughput);
-        gw.shutdown();
-    }
-    // The paired throughput, for the CI log: a contention win only
-    // counts if the shape also held (or improved) its ops/s.
-    let shape = if legacy { "legacy" } else { "sharded" };
-    eprintln!("  contention leg {submitters}sub/{shape}: {best_ns:.0} ns/op");
-    best
 }
 
 /// One churn measurement: the same flat-out drive as
@@ -541,80 +470,6 @@ fn gateway_submitter_probes(samples: usize, probes: &mut Vec<Probe>, filter: &Op
     }
 }
 
-/// ISSUE 10 curve extension. Two probe families:
-///
-/// - `gateway/throughput_batched_8inv_noop_{1,2,4}sub_sharded`: the
-///   submitter curve with the **sharded token-bucket shaper live** on
-///   the submit path (rate far above reach — the probes measure the
-///   shaper's cost, not its shape). The names share the
-///   `gateway/throughput_batched_8inv_noop_` prefix, so the multicore
-///   CI gate's existing `--filter` picks them up automatically.
-/// - `gateway/contention_{2,4}sub_{sharded,legacy}`: the A/B the
-///   tentpole exists for — `(shaper_cas + queue_wake)` events per op
-///   for the sharded shaper + MPSC rings vs the PR 9 single-line
-///   shaper + mutex queues, measured **paired** (alternating back to
-///   back, so both minima see the same ambient noise). Returned as
-///   `(n_sub, sharded, legacy)` triples; under `--check` main fails
-///   the run unless sharded ≤ legacy. The figures are events per 1000
-///   ops, not ns — they ride in the `ns_per_op` field as trajectory
-///   data and are exempt from the 25% gate (the A/B is their
-///   contract).
-fn gateway_sharded_probes(
-    samples: usize,
-    probes: &mut Vec<Probe>,
-    filter: &Option<String>,
-) -> Vec<(usize, f64, f64)> {
-    let submit_batch = HarnessConfig::default().submit_batch;
-    for (n_sub, name) in [
-        (1usize, "gateway/throughput_batched_8inv_noop_1sub_sharded"),
-        (2, "gateway/throughput_batched_8inv_noop_2sub_sharded"),
-        (4, "gateway/throughput_batched_8inv_noop_4sub_sharded"),
-    ] {
-        if !want(filter, name) {
-            continue;
-        }
-        let cfg = shaped_cfg(GatewayConfig::default().admission_shards, false, false);
-        let ns = gateway_run_cfg(samples, &cfg, submit_batch, n_sub).0;
-        eprintln!("{name:<36} {:>12.0} ns/op  ({:>10.1} ops/s)", ns, 1e9 / ns);
-        probes.push(Probe {
-            name,
-            ns_per_op: ns,
-        });
-    }
-    let mut pairs = Vec::new();
-    for (n_sub, sh_name, lg_name) in [
-        (
-            2usize,
-            "gateway/contention_2sub_sharded",
-            "gateway/contention_2sub_legacy",
-        ),
-        (
-            4,
-            "gateway/contention_4sub_sharded",
-            "gateway/contention_4sub_legacy",
-        ),
-    ] {
-        if !want(filter, sh_name) && !want(filter, lg_name) {
-            continue;
-        }
-        let mut sharded = f64::MAX;
-        let mut legacy = f64::MAX;
-        for _ in 0..samples {
-            sharded = sharded.min(gateway_contention_run(1, n_sub, false));
-            legacy = legacy.min(gateway_contention_run(1, n_sub, true));
-        }
-        for (name, per_kop) in [(sh_name, sharded), (lg_name, legacy)] {
-            eprintln!("{name:<36} {per_kop:>12.1} contention events/1000 ops");
-            probes.push(Probe {
-                name,
-                ns_per_op: per_kop,
-            });
-        }
-        pairs.push((n_sub, sharded, legacy));
-    }
-    pairs
-}
-
 /// The scheduler bench fixture: a 2,239-node cluster, ~95% occupied by
 /// pinned demand, with a full fib pilot queue pending (mirrors
 /// `benches/scheduler.rs`).
@@ -801,7 +656,13 @@ fn main() {
     // trajectory (read before the overwrite below when out_path is the
     // default), never against a previous run's scratch output — a
     // repeated run to the same path must not mask drift.
-    let baseline = read_baseline("BENCH_results.json");
+    let baseline = match std::fs::read_to_string("BENCH_results.json") {
+        Ok(text) => parse_trajectory(&text).unwrap_or_else(|e| {
+            eprintln!("error: BENCH_results.json is not a strict trajectory document: {e}");
+            std::process::exit(2);
+        }),
+        Err(_) => Vec::new(),
+    };
     if !check {
         // Fail fast on an unwritable destination — the probes below
         // take a while and their results would be lost.
@@ -998,7 +859,6 @@ fn main() {
         telem_pair = Some(gateway_probes(5, &mut probes));
     }
     gateway_submitter_probes(5, &mut probes, &filter);
-    let contention_pairs = gateway_sharded_probes(5, &mut probes, &filter);
     scaling_probes(3, &mut probes, &filter);
 
     if probes.is_empty() {
@@ -1007,17 +867,10 @@ fn main() {
     }
 
     if !check {
-        let mut json = String::from("{\n  \"probes\": [\n");
-        for (i, p) in probes.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"name\": \"{}\", \"ns_per_op\": {:.0}, \"ops_per_sec\": {:.2}}}{}\n",
-                p.name,
-                p.ns_per_op,
-                1e9 / p.ns_per_op,
-                if i + 1 < probes.len() { "," } else { "" }
-            ));
-        }
-        json.push_str("  ]\n}\n");
+        let json = render_trajectory(&probes).unwrap_or_else(|e| {
+            eprintln!("error: refusing to write {out_path}: {e}");
+            std::process::exit(1);
+        });
         std::fs::write(&out_path, json).expect("write results file");
     }
 
@@ -1045,15 +898,8 @@ fn main() {
                     // from the best-throughput run, and swings several
                     // x between idle-box runs — it is trajectory data,
                     // not a gateable contract (the throughput minima
-                    // gate the same code paths stably). Contention
-                    // probes are likewise exempt: their events/op
-                    // figures swing with box sharing, and their
-                    // contract is the in-run sharded≤legacy A/B below,
-                    // not the cross-PR trajectory.
-                    if p.ns_per_op > old * 1.25
-                        && !p.name.contains("/latency_")
-                        && !p.name.contains("/contention_")
-                    {
+                    // gate the same code paths stably).
+                    if p.ns_per_op > old * 1.25 && !p.name.contains("/latency_") {
                         regressions.push((p.name, *old, p.ns_per_op));
                     }
                 }
@@ -1077,24 +923,6 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        // The sharded-shaper contract: de-serializing the submit path
-        // must not *add* contention — the sharded plane's
-        // (shaper_cas + queue_wake) per op may not exceed the PR 9
-        // legacy shape measured back to back in this same run. A small
-        // absolute epsilon keeps near-zero single-core measurements
-        // (where both shapes are contention-free) from flaking.
-        for (n_sub, sharded, legacy) in &contention_pairs {
-            eprintln!(
-                "contention per 1000 ops ({n_sub}sub): sharded {sharded:.1} vs legacy {legacy:.1}"
-            );
-            if *sharded > legacy * 1.05 + 10.0 {
-                eprintln!(
-                    "contention gate failed ({n_sub}sub): sharded submit path has more \
-                     shaper_cas+queue_wake per op than the legacy shape"
-                );
-                std::process::exit(1);
-            }
-        }
         if !regressions.is_empty() {
             eprintln!("\n{} probe(s) regressed >25%:", regressions.len());
             for (name, old, new) in &regressions {
@@ -1106,4 +934,54 @@ fn main() {
         return;
     }
     eprintln!("\nwrote {out_path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn checked_in_trajectory_is_strict_json() {
+        let text = include_str!("../../../../BENCH_results.json");
+        let probes = parse_trajectory(text).expect("BENCH_results.json parses strictly");
+        assert!(probes.len() >= 20, "only {} probes", probes.len());
+        assert!(probes.iter().all(|(_, ns)| ns.is_finite() && *ns > 0.0));
+    }
+
+    #[test]
+    fn writer_and_parser_refuse_what_json_does_not_have() {
+        let doc = |ns: &str, ops: &str| {
+            format!(
+                "{{\n  \"probes\": [\n    {{\"name\": \"p\", \"ns_per_op\": {ns}, \"ops_per_sec\": {ops}}}\n  ]\n}}\n"
+            )
+        };
+        assert_eq!(
+            parse_trajectory(&doc("12", "83333333.33")),
+            Ok(vec![("p".to_string(), 12.0)])
+        );
+        // What the old writer printed for a 0-valued probe, and friends.
+        for (ns, ops) in [
+            ("0", "inf"),
+            ("0", "1.00"),
+            ("NaN", "1.00"),
+            ("inf", "0.00"),
+        ] {
+            assert!(parse_trajectory(&doc(ns, ops)).is_err(), "{ns} {ops}");
+        }
+        for ns in ["01", "1.5", "-1", "1e3", ""] {
+            assert!(parse_trajectory(&doc(ns, "1.00")).is_err(), "{ns}");
+        }
+        assert!(parse_trajectory(&(doc("1", "1.00") + "x")).is_err());
+        let probe = |ns_per_op| Probe {
+            name: "p",
+            ns_per_op,
+        };
+        assert_eq!(
+            render_trajectory(&[probe(339.4)]).as_deref(),
+            Ok(doc("339", "2946375.96").as_str())
+        );
+        for ns in [0.0, 0.2, f64::INFINITY, f64::NAN] {
+            assert!(render_trajectory(&[probe(ns)]).is_err(), "{ns}");
+        }
+    }
 }

@@ -8,11 +8,11 @@
 //!    instead of building unbounded queues.
 //! 2. **Routing** — one shard-local read lock, no global lock
 //!    ([`crate::route::Router`]).
-//! 3. **Queueing** — the home invoker's MPSC queue assigns the offset
-//!    ([`crate::queue::WorkQueue`], `mq` semantics).
+//! 3. **Queueing** — the home invoker's lock-free MPSC ring assigns
+//!    the offset ([`crate::ring::RingQueue`], `mq` semantics).
 //! 4. **Execution** — the invoker thread drains a **batch** of up to
-//!    `drain_batch` envelopes per lock acquisition, shared fast lane
-//!    first, topped up from its own queue; placement goes through its
+//!    `drain_batch` envelopes per pass, shared fast lane first, topped
+//!    up from its own ring; placement goes through its
 //!    private [`crate::pool::WarmPool`] (cold-start penalty,
 //!    keep-alive, LRU eviction) and the body runs for real.
 //! 5. **Completion** — one [`Completion`] per executed request,
@@ -31,7 +31,7 @@
 //! requests are never lost and never duplicated, at any batch size.
 
 use crate::action::{ActionId, ActionRegistry, ActionSpec};
-use crate::admission::{AdmissionPolicy, AdmissionShaper, Shape, ShardAdmission};
+use crate::admission::{AdmissionPolicy, AdmissionShaper, Shape};
 use crate::pool::{Placement, PoolStats, WarmPool};
 use crate::queue::{Envelope, Produce, ProduceBatch, Request, WorkQueue};
 use crate::ring::RingQueue;
@@ -162,10 +162,10 @@ pub struct GatewayConfig {
     pub park: Duration,
     /// Run the keep-alive sweep at least this often even under load.
     pub sweep_every_ops: u64,
-    /// Max envelopes an invoker pops per lock acquisition (fast lane
-    /// first, topped up from the home queue). 1 reproduces the
-    /// unbatched per-pop behaviour exactly; the drain-stress matrix
-    /// proves exactly-once at 1, 4 and 32.
+    /// Max envelopes an invoker pops per pass of its loop: the fast
+    /// lane first (one lock acquisition), topped up from the home ring.
+    /// 1 reproduces the unbatched per-pop behaviour exactly; the
+    /// drain-stress matrix proves exactly-once at 1, 4 and 32.
     pub drain_batch: usize,
     /// How admissions are shaped beyond the structural bounds:
     /// [`AdmissionPolicy::HardShed`] (default, the historical
@@ -178,25 +178,6 @@ pub struct GatewayConfig {
     /// atomic (or single-writer load+store) plus one array index per
     /// event; the bare leg of the overhead probe turns it off.
     pub telemetry: bool,
-    /// Shards of the token-bucket admission state (clamped to 1..=64).
-    /// Each submitter thread is affine to one shard and the shards
-    /// rebalance debt between themselves, so N submitters stop
-    /// CASing one shared `tat` cache line (see [`crate::admission`]).
-    /// 1 reproduces the single-line shaper exactly.
-    pub admission_shards: usize,
-    /// Drive the token bucket's per-invoker rate from an EWMA of
-    /// *measured* completion throughput instead of the configured
-    /// `rate_per_invoker` (first slice of adaptive admission). The
-    /// EWMA is fed by [`Gateway::observe_service_rate`] — the
-    /// capacity controller calls it on its feedback cadence. Until
-    /// the first observation the configured rate applies.
-    pub adaptive_rate: bool,
-    /// Use the Mutex+Condvar [`WorkQueue`] for the per-invoker home
-    /// queues instead of the lock-free [`RingQueue`] (the pre-ring
-    /// behaviour, kept as the differential/contention baseline). The
-    /// shared fast lane always uses `WorkQueue`: it is MPMC — every
-    /// invoker consumes it — which the MPSC ring does not support.
-    pub legacy_queues: bool,
 }
 
 impl Default for GatewayConfig {
@@ -210,9 +191,6 @@ impl Default for GatewayConfig {
             drain_batch: 32,
             admission: AdmissionPolicy::HardShed,
             telemetry: true,
-            admission_shards: 4,
-            adaptive_rate: false,
-            legacy_queues: false,
         }
     }
 }
@@ -221,66 +199,12 @@ const STATE_HEALTHY: u8 = 0;
 const STATE_DRAINING: u8 = 1;
 const STATE_GONE: u8 = 2;
 
-/// One invoker's home queue: the lock-free MPSC [`RingQueue`] by
-/// default, or the Mutex+Condvar [`WorkQueue`] under
-/// [`GatewayConfig::legacy_queues`] (kept as the differential and
-/// contention baseline). Both speak the same offset/`produced_at`
-/// protocol; the enum adapts the one difference — the ring's admission
-/// bound is fixed at construction while the legacy queue takes it per
-/// call.
-enum HomeQueue {
-    Ring(RingQueue),
-    Legacy(WorkQueue),
-}
-
-impl HomeQueue {
-    fn produce(&self, req: Request, produced_at: Instant, capacity: usize) -> Produce {
-        match self {
-            HomeQueue::Ring(q) => q.produce(req, produced_at),
-            HomeQueue::Legacy(q) => q.produce(req, produced_at, capacity),
-        }
-    }
-
-    fn produce_batch(
-        &self,
-        reqs: &[Request],
-        produced_at: Instant,
-        capacity: usize,
-    ) -> ProduceBatch {
-        match self {
-            HomeQueue::Ring(q) => q.produce_batch(reqs, produced_at),
-            HomeQueue::Legacy(q) => q.produce_batch(reqs, produced_at, capacity),
-        }
-    }
-
-    fn try_pop_batch(&self, out: &mut Vec<Envelope>, max: usize) -> usize {
-        match self {
-            HomeQueue::Ring(q) => q.try_pop_batch(out, max),
-            HomeQueue::Legacy(q) => q.try_pop_batch(out, max),
-        }
-    }
-
-    fn pop_timeout(&self, timeout: Duration) -> Option<Envelope> {
-        match self {
-            HomeQueue::Ring(q) => q.pop_timeout(timeout),
-            HomeQueue::Legacy(q) => q.pop_timeout(timeout),
-        }
-    }
-
-    fn close_and_drain(&self) -> Vec<Envelope> {
-        match self {
-            HomeQueue::Ring(q) => q.close_and_drain(),
-            HomeQueue::Legacy(q) => q.close_and_drain(),
-        }
-    }
-}
-
 /// The shared handle of one invoker: its state flag and its work queue.
 pub struct InvokerHandle {
     /// Stable invoker id (unique per gateway, never reused).
     pub id: u64,
     state: AtomicU8,
-    queue: HomeQueue,
+    queue: RingQueue,
 }
 
 impl InvokerHandle {
@@ -624,11 +548,10 @@ struct Bucket {
     target: Option<Arc<InvokerHandle>>,
     reqs: Vec<Request>,
     idx: Vec<usize>,
-    /// Per-request shaper charge and the bucket shard it landed on
-    /// (index-aligned with `reqs`), so a produce-pass refusal refunds
-    /// exactly what the admit pass charged, to the shard that carried
-    /// it, even if a capacity change landed in between.
-    costs: Vec<(u32, u64)>,
+    /// Per-request shaper charge (index-aligned with `reqs`), so a
+    /// produce-pass refusal refunds exactly what the admit pass
+    /// charged, even if a capacity change landed in between.
+    costs: Vec<u64>,
 }
 
 impl BurstScratch {
@@ -699,8 +622,8 @@ pub struct Gateway {
     spill: Mutex<VecDeque<Completion>>,
     spill_len: AtomicUsize,
     counters: Arc<Counters>,
-    /// The sharded token-bucket admission shaper (inert under
-    /// `HardShed`); capacity is re-fed on every router rebuild.
+    /// The token-bucket admission shaper (inert under `HardShed`);
+    /// capacity is re-fed on every router rebuild.
     shaper: AdmissionShaper,
     /// Full-ring refusals across every invoker ring (the `ring_full`
     /// contention source; shared so new rings keep one series).
@@ -718,12 +641,7 @@ impl Gateway {
     /// A gateway serving `actions`, with no invokers yet.
     pub fn new(cfg: GatewayConfig, actions: Vec<ActionSpec>) -> Self {
         let shards = cfg.shards;
-        let shaper = AdmissionShaper::with_shards(
-            &cfg.admission,
-            Instant::now(),
-            cfg.admission_shards,
-            cfg.adaptive_rate,
-        );
+        let shaper = AdmissionShaper::new(&cfg.admission, Instant::now());
         let ring_full = Arc::new(Counter::new());
         let action_names: Vec<String> = actions.iter().map(|a| a.name.clone()).collect();
         let actions = ActionRegistry::new(actions);
@@ -732,7 +650,6 @@ impl Gateway {
             t.register_shaper(shaper.charged_counter());
             t.register_contention(
                 shaper.cas_retry_counter(),
-                shaper.rebalance_counter(),
                 ring_full.clone(),
                 actions.clone(),
             );
@@ -794,34 +711,6 @@ impl Gateway {
         self.shaper.shaping()
     }
 
-    /// Pin the calling thread's admission-shard affinity to
-    /// `slot % admission_shards`. The harness calls this with the
-    /// submitter index so shard affinity == submitter index; threads
-    /// that never bind get a stable automatically-dealt slot. Affects
-    /// only the calling thread, across every gateway it submits to.
-    pub fn bind_submitter(&self, slot: usize) {
-        AdmissionShaper::bind_thread(slot);
-    }
-
-    /// Per-shard admission outcomes of the token-bucket shaper
-    /// (conservation: each shard's `admitted + delayed + shed` equals
-    /// the arrivals offered to it). Empty semantics under `HardShed`
-    /// (the shards exist but never count).
-    pub fn admission_shard_stats(&self) -> Vec<ShardAdmission> {
-        self.shaper.shard_stats()
-    }
-
-    /// Feed one window of measured completion throughput into the
-    /// adaptive admission rate (no-op unless
-    /// [`GatewayConfig::adaptive_rate`] is set): `completed_delta`
-    /// completions observed over `window` re-aim the token bucket at
-    /// the *measured* per-invoker service rate instead of the
-    /// configured one. The capacity controller calls this on its
-    /// feedback cadence.
-    pub fn observe_service_rate(&self, completed_delta: u64, window: Duration) {
-        self.shaper.observe_service_rate(completed_delta, window);
-    }
-
     /// Pending depth of the shared fast lane.
     pub fn fast_lane_depth(&self) -> usize {
         self.fast.depth()
@@ -848,21 +737,15 @@ impl Gateway {
     pub fn start_invoker(&self) -> InvokerToken {
         let id = self.next_invoker.fetch_add(1, Ordering::Relaxed);
         let cap = self.cfg.queue_capacity;
-        let queue = match (self.cfg.legacy_queues, &self.telem) {
-            (false, Some(t)) => HomeQueue::Ring(RingQueue::with_telem(
+        let queue = match &self.telem {
+            Some(t) => RingQueue::with_telem(
                 cap,
                 t.queue_highwater.clone(),
                 t.queue_wakes.clone(),
                 self.ring_full.clone(),
                 id,
-            )),
-            (false, None) => HomeQueue::Ring(RingQueue::new(cap)),
-            (true, Some(t)) => HomeQueue::Legacy(WorkQueue::with_telem(
-                t.queue_highwater.clone(),
-                t.queue_wakes.clone(),
-                id,
-            )),
-            (true, None) => HomeQueue::Legacy(WorkQueue::new()),
+            ),
+            None => RingQueue::new(cap),
         };
         let handle = Arc::new(InvokerHandle {
             id,
@@ -1158,8 +1041,8 @@ impl Gateway {
             }
             return Err(Shed::ActionSaturated);
         }
-        let (delay, shard, charged) = match self.shaper.admit(produced_at) {
-            Shape::Admit { delay, cost, shard } => (delay, shard, cost),
+        let (delay, charged) = match self.shaper.admit(produced_at) {
+            Shape::Admit { delay, cost } => (delay, cost),
             Shape::Shed => {
                 self.actions.release(action);
                 self.counters
@@ -1171,23 +1054,22 @@ impl Gateway {
                 return Err(Shed::DelayBudget);
             }
         };
-        // Produce under the shard's read lock (no target clone): the
-        // queue's own mutex still serializes with the owner's drain, so
-        // the close-vs-produce atomicity is untouched.
+        // Produce under the route shard's read lock (no target clone).
+        // Close-vs-produce atomicity is the ring's own: `CLOSED` shares
+        // the word producers claim their slot on, so a produce either
+        // lands before the owner's drain or is handed back.
         let mut id = 0;
         let produced = self.router.with_pick(key, |target| {
             id = self.next_request.fetch_add(1, Ordering::Relaxed);
             let req = Request { id, action, key };
-            target
-                .queue
-                .produce(req, produced_at, self.cfg.queue_capacity)
+            target.queue.produce(req, produced_at)
         });
         let Some(produced) = produced else {
             // Structural shed after the shaper said yes: return the
             // charge, or a plane shedding NoInvoker/QueueFull would
             // accumulate phantom bucket debt for work that never
             // entered a queue.
-            self.shaper.refund(shard, charged);
+            self.shaper.refund(charged);
             self.actions.release(action);
             self.counters
                 .shed_no_invoker
@@ -1200,7 +1082,7 @@ impl Gateway {
         match produced {
             Produce::Ok(_) => {}
             Produce::Full(_) => {
-                self.shaper.refund(shard, charged);
+                self.shaper.refund(charged);
                 self.actions.release(action);
                 self.counters
                     .shed_queue_full
@@ -1221,7 +1103,7 @@ impl Gateway {
                     req,
                 };
                 if self.fast.produce_moved(env).is_err() {
-                    self.shaper.refund(shard, charged);
+                    self.shaper.refund(charged);
                     self.actions.release(action);
                     self.counters
                         .shed_no_invoker
@@ -1260,8 +1142,8 @@ impl Gateway {
     /// individually (same shed semantics as
     /// [`invoke_at`](Gateway::invoke_at)), but the requests bound for
     /// one invoker are produced to its queue as a **single group** —
-    /// one lock acquisition and at most one consumer wake per target
-    /// queue per burst, instead of one per request. On an
+    /// one slot-range claim and at most one consumer wake per target
+    /// ring per burst, instead of one per request. On an
     /// oversubscribed machine that is the difference between a parked
     /// invoker preempting the submitter once per request and once per
     /// burst. Outcomes are appended to `out` in input order.
@@ -1303,8 +1185,8 @@ impl Gateway {
                 out.push(Err(Shed::ActionSaturated));
                 continue;
             }
-            let (delay, shard, charged) = match self.shaper.admit(produced_at) {
-                Shape::Admit { delay, cost, shard } => (delay, shard, cost),
+            let (delay, charged) = match self.shaper.admit(produced_at) {
+                Shape::Admit { delay, cost } => (delay, cost),
                 Shape::Shed => {
                     self.actions.release(action);
                     self.counters
@@ -1318,7 +1200,7 @@ impl Gateway {
                 }
             };
             let Some(target) = self.router.pick(key) else {
-                self.shaper.refund(shard, charged);
+                self.shaper.refund(charged);
                 self.actions.release(action);
                 self.counters
                     .shed_no_invoker
@@ -1333,7 +1215,7 @@ impl Gateway {
             let bucket = scratch.bucket_for(&target);
             bucket.reqs.push(Request { id, action, key });
             bucket.idx.push(i);
-            bucket.costs.push((shard, charged));
+            bucket.costs.push(charged);
             if telem.is_some() {
                 scratch.counts.note(action.0 as usize);
             }
@@ -1349,14 +1231,11 @@ impl Gateway {
         } = scratch;
         for bucket in &buckets[..*used] {
             let target = bucket.target.as_ref().expect("used bucket has a target");
-            match target
-                .queue
-                .produce_batch(&bucket.reqs, produced_at, self.cfg.queue_capacity)
-            {
+            match target.queue.produce_batch(&bucket.reqs, produced_at) {
                 ProduceBatch::Admitted(n) => {
                     accepted += n as u64;
-                    for (&i, &(shard, charged)) in bucket.idx[n..].iter().zip(&bucket.costs[n..]) {
-                        self.shaper.refund(shard, charged);
+                    for (&i, &charged) in bucket.idx[n..].iter().zip(&bucket.costs[n..]) {
+                        self.shaper.refund(charged);
                         self.actions.release(reqs[i].0);
                         self.counters
                             .shed_queue_full
@@ -1371,7 +1250,7 @@ impl Gateway {
                 ProduceBatch::Closed => {
                     // The target started draining after the pick: the
                     // whole group takes the fast-lane fallback.
-                    for ((req, &i), &(shard, charged)) in
+                    for ((req, &i), &charged) in
                         bucket.reqs.iter().zip(&bucket.idx).zip(&bucket.costs)
                     {
                         let env = Envelope {
@@ -1386,7 +1265,7 @@ impl Gateway {
                                 t.fastlane_moves.inc();
                             }
                         } else {
-                            self.shaper.refund(shard, charged);
+                            self.shaper.refund(charged);
                             self.actions.release(req.action);
                             self.counters
                                 .shed_no_invoker
@@ -1589,7 +1468,7 @@ impl InvokerCtx {
             }
             // §III-C ordering: drain the shared fast lane before the
             // private queue, so handed-off work is not starved — then
-            // top the batch up from the home queue, one lock each.
+            // top the batch up from the home ring.
             self.fast.try_pop_batch(&mut batch, self.drain_batch);
             if batch.len() < self.drain_batch {
                 let room = self.drain_batch - batch.len();

@@ -44,12 +44,11 @@ pub struct HarnessConfig {
     /// admitted per burst with **one** clock read shared as their
     /// admission timestamp. 1 reproduces the per-arrival submit loop.
     pub submit_batch: usize,
-    /// Parallel submitter threads. 1 (the default) is the historical
-    /// single-threaded loop, byte-for-byte. N > 1 partitions the
-    /// arrival stream **by action hash** across N scoped threads — all
-    /// invocations of one action go through one submitter, so per-action
-    /// ordering and per-action row sums match the single-threaded
-    /// replay exactly. Each submitter owns its own [`BurstScratch`],
+    /// Parallel submitter threads (0 is treated as 1). The arrival
+    /// stream is partitioned **by action hash** across N scoped threads
+    /// — all invocations of one action go through one submitter, so
+    /// per-action ordering and per-action row sums are the same at
+    /// every N. Each submitter owns its own [`BurstScratch`],
     /// clock reads and [`Collector`](crate::gateway::Collector) cursor,
     /// and doubles as a completion collector; per-thread reports are
     /// merged at the end (or, with telemetry on, the whole run is read
@@ -208,18 +207,6 @@ impl LoadReport {
     }
 }
 
-/// Replay `arrivals` against `gw`, mapping each arrival's function
-/// index onto the gateway's action catalogue modulo its size. With
-/// [`HarnessConfig::submitters`] > 1 the stream is partitioned by
-/// action hash across that many scoped submitter threads.
-pub fn run_load(gw: &Gateway, arrivals: &[Arrival], cfg: &HarnessConfig) -> LoadReport {
-    if cfg.submitters > 1 {
-        run_load_multi(gw, arrivals, cfg)
-    } else {
-        run_load_single(gw, arrivals, cfg)
-    }
-}
-
 /// A zeroed report with the per-action rows named from the catalogue.
 fn empty_report(gw: &Gateway, n_actions: u32) -> LoadReport {
     LoadReport {
@@ -242,159 +229,13 @@ fn empty_report(gw: &Gateway, n_actions: u32) -> LoadReport {
     }
 }
 
-/// The historical single-threaded submit/collect loop.
-fn run_load_single(gw: &Gateway, arrivals: &[Arrival], cfg: &HarnessConfig) -> LoadReport {
-    let n_actions = gw.actions().len() as u32;
-    // Registry mode: a start-of-run snapshot; every tally comes from
-    // the end-of-run diff against it. Legacy mode (telemetry off):
-    // count in the loop and record into local histograms.
-    let s0 = gw.telemetry().map(|t| t.registry().snapshot());
-    let registry_mode = s0.is_some();
-    let local_hists = (!registry_mode).then(|| (Histogram::new(), Histogram::new()));
-    let t0 = Instant::now();
-    let mut report = empty_report(gw, n_actions);
-    let submit_batch = cfg.submit_batch.max(1);
-    let mut inflight = 0usize;
-    let mut next = 0usize;
-    let mut last_progress = Instant::now();
-    let mut buf: Vec<crate::gateway::Completion> = Vec::with_capacity(submit_batch.max(64));
-    let mut burst_reqs: Vec<(ActionId, u64)> = Vec::with_capacity(submit_batch);
-    let mut burst_out: Vec<Result<crate::gateway::Admit, Shed>> = Vec::with_capacity(submit_batch);
-    // Caller-held bucket scratch: the per-target burst buckets allocate
-    // once per harness run, not once per burst.
-    let mut scratch = BurstScratch::default();
-
-    loop {
-        // Fold in everything already completed: one non-blocking
-        // round-robin sweep over the per-invoker completion shards. A
-        // completion with no submission of ours outstanding is a stray
-        // from traffic that predates this run (the caller invoked the
-        // gateway directly and did not collect its completions); it is
-        // discarded rather than corrupting this run's accounting.
-        buf.clear();
-        // Gate epoch *before* the sweep: a completion published while we
-        // sweep bumps the epoch, so the park below returns immediately
-        // instead of sleeping through it.
-        let epoch = gw.completion_epoch();
-        let collected = gw.collect_completions(&mut buf);
-        if collected > 0 {
-            for c in &buf {
-                if inflight > 0 {
-                    if let Some((lat, wait)) = &local_hists {
-                        record(&mut report, c, lat, wait);
-                    }
-                    inflight -= 1;
-                }
-            }
-            last_progress = Instant::now();
-        }
-        if next < arrivals.len() {
-            let window = cfg.max_inflight.saturating_sub(inflight);
-            if window > 0 {
-                // One clock read decides how many arrivals are due and
-                // serves as the shared admission timestamp of the
-                // whole burst.
-                let now = Instant::now();
-                let due = if cfg.speedup <= 0.0 {
-                    arrivals.len() - next
-                } else {
-                    let sim_now = now.duration_since(t0).as_secs_f64() * cfg.speedup;
-                    arrivals[next..].partition_point(|a| a.at.as_secs_f64() <= sim_now)
-                };
-                let burst = due.min(window).min(submit_batch);
-                if burst == 1 {
-                    // Degenerate burst: skip the grouping machinery
-                    // (this is also the submit_batch == 1 compatibility
-                    // shape — the old per-arrival submit loop).
-                    let a = arrivals[next];
-                    next += 1;
-                    let action = ActionId(a.function as u32 % n_actions);
-                    let outcome = gw.invoke_at(action, a.function as u64, now);
-                    inflight += if registry_mode {
-                        usize::from(outcome.is_ok())
-                    } else {
-                        note_submission(&mut report, action, &outcome)
-                    };
-                    continue;
-                }
-                if burst > 0 {
-                    burst_reqs.clear();
-                    burst_out.clear();
-                    for a in &arrivals[next..next + burst] {
-                        let action = ActionId(a.function as u32 % n_actions);
-                        burst_reqs.push((action, a.function as u64));
-                    }
-                    gw.invoke_burst(&burst_reqs, now, &mut burst_out, &mut scratch);
-                    if registry_mode {
-                        inflight += burst_out.iter().filter(|o| o.is_ok()).count();
-                    } else {
-                        for (outcome, &(action, _)) in burst_out.iter().zip(&burst_reqs) {
-                            inflight += note_submission(&mut report, action, outcome);
-                        }
-                    }
-                    next += burst;
-                    continue;
-                }
-            }
-        } else if inflight == 0 {
-            break;
-        }
-        // Nothing submittable right now: wait for completions (bounded,
-        // so schedule gaps and stalls both make progress).
-        if inflight > 0 {
-            if collected == 0 {
-                if last_progress.elapsed() > cfg.stall_timeout {
-                    break; // lost requests; report.lost() will be nonzero
-                }
-                // Park on the completion gate instead of poll-sleeping:
-                // an invoker flush wakes us the moment work lands, and
-                // the cap (shrunk to the next due arrival) keeps the
-                // schedule honest when completions are slow.
-                let mut park = Duration::from_millis(1);
-                if next < arrivals.len() && cfg.speedup > 0.0 {
-                    let due_in =
-                        arrivals[next].at.as_secs_f64() / cfg.speedup - t0.elapsed().as_secs_f64();
-                    if due_in > 0.0 {
-                        park = park.min(Duration::from_secs_f64(due_in));
-                    }
-                }
-                gw.wait_completions(epoch, park);
-            }
-        } else {
-            // Ahead of the schedule (speedup > 0 here, or we'd have
-            // submitted): sleep until the next arrival is due, capped
-            // so a late completion cannot stall the loop. Sleeping
-            // instead of spinning keeps the driver off the invokers'
-            // cores on small machines.
-            let due_in = arrivals[next].at.as_secs_f64() / cfg.speedup - t0.elapsed().as_secs_f64();
-            if due_in > 0.0 {
-                std::thread::sleep(Duration::from_secs_f64(due_in.min(0.001)));
-            }
-        }
-    }
-    report.wall = t0.elapsed();
-    if let Some(s0) = &s0 {
-        let s1 = gw
-            .telemetry()
-            .expect("telemetry still on")
-            .registry()
-            .snapshot();
-        fill_from_registry(&mut report, s0, &s1);
-    } else if let Some((lat, wait)) = &local_hists {
-        report.latency = lat.snapshot();
-        report.queue_wait = wait.snapshot();
-    }
-    report.throughput = report.completed as f64 / report.wall.as_secs_f64().max(1e-9);
-    report
-}
-
-/// Run-wide state shared by every submitter thread of a multi-submitter
-/// replay. The closed-loop window lives in `inflight`; `submitting`
-/// counts partitions still replaying so the last collector knows when
-/// the run is over; `progress_ns` is a watermark of the latest wall
-/// offset at which *any* thread made progress (stall detection must be
-/// global — one thread idling while another drains is healthy).
-struct MultiShared {
+/// Run-wide state shared by the submitter threads of one replay. The
+/// closed-loop window lives in `inflight`; `submitting` counts
+/// partitions still replaying so the last collector knows when the run
+/// is over; `progress_ns` is a watermark of the latest wall offset at
+/// which *any* thread made progress (stall detection must be global —
+/// one thread idling while another drains is healthy).
+struct Shared {
     inflight: AtomicUsize,
     submitting: AtomicUsize,
     stop: AtomicBool,
@@ -403,7 +244,8 @@ struct MultiShared {
 
 /// Decrement `n` by `by`, clamping at zero — stray completions from
 /// traffic predating the run must not underflow the shared window.
-fn dec_clamped(n: &AtomicUsize, by: usize) {
+/// Returns how much was actually taken off.
+fn dec_clamped(n: &AtomicUsize, by: usize) -> usize {
     let mut cur = n.load(Ordering::Relaxed);
     loop {
         match n.compare_exchange_weak(
@@ -412,7 +254,7 @@ fn dec_clamped(n: &AtomicUsize, by: usize) {
             Ordering::AcqRel,
             Ordering::Relaxed,
         ) {
-            Ok(_) => return,
+            Ok(_) => return cur.min(by),
             Err(seen) => cur = seen,
         }
     }
@@ -442,26 +284,31 @@ fn merge_report(into: &mut LoadReport, part: &LoadReport) {
     }
 }
 
-/// Multi-submitter replay: the arrival stream is partitioned **by
-/// action hash** across `cfg.submitters` scoped threads, each running
-/// the same submit/collect loop as [`run_load_single`] against the
-/// shared window. Any submitter may collect any completion (the shard
-/// table is claim-swept), so per-thread completion rows are partial —
-/// they only become the run's truth after [`merge_report`] (bare mode)
-/// or the registry-snapshot diff (telemetry mode).
-fn run_load_multi(gw: &Gateway, arrivals: &[Arrival], cfg: &HarnessConfig) -> LoadReport {
+/// Replay `arrivals` against `gw`, mapping each arrival's function
+/// index onto the gateway's action catalogue modulo its size. The
+/// stream is partitioned **by action hash** across
+/// [`HarnessConfig::submitters`] scoped threads, each running
+/// [`submitter_loop`] against the shared window. Any submitter may
+/// collect any completion (the shard table is claim-swept), so
+/// per-thread completion rows are partial — they only become the run's
+/// truth after [`merge_report`] (bare mode) or the registry-snapshot
+/// diff (telemetry mode).
+pub fn run_load(gw: &Gateway, arrivals: &[Arrival], cfg: &HarnessConfig) -> LoadReport {
     let n_actions = gw.actions().len() as u32;
-    let n_sub = cfg.submitters;
+    let n_sub = cfg.submitters.max(1);
+    // Registry mode: a start-of-run snapshot; every tally comes from
+    // the end-of-run diff against it. Bare mode (telemetry off): the
+    // submitters count in the loop and record into local histograms.
     let s0 = gw.telemetry().map(|t| t.registry().snapshot());
     let registry_mode = s0.is_some();
-    // All invocations of one action go through one submitter: per-action
-    // submission order and row sums match the single-threaded replay.
+    // All invocations of one action go through one submitter, so
+    // per-action submission order does not depend on the thread count.
     let mut parts: Vec<Vec<Arrival>> = vec![Vec::new(); n_sub];
     for a in arrivals {
         let action = a.function as u32 % n_actions;
         parts[(mix64(action as u64 + 1) % n_sub as u64) as usize].push(*a);
     }
-    let shared = MultiShared {
+    let shared = Shared {
         inflight: AtomicUsize::new(0),
         submitting: AtomicUsize::new(n_sub),
         stop: AtomicBool::new(false),
@@ -471,14 +318,9 @@ fn run_load_multi(gw: &Gateway, arrivals: &[Arrival], cfg: &HarnessConfig) -> Lo
     let thread_reports: Vec<LoadReport> = std::thread::scope(|scope| {
         let handles: Vec<_> = parts
             .iter()
-            .enumerate()
-            .map(|(idx, part)| {
+            .map(|part| {
                 let shared = &shared;
                 scope.spawn(move || {
-                    // Admission-shard affinity == submitter index: each
-                    // submitter sticks to one bucket shard, so the only
-                    // cross-thread shaper traffic is debt rebalancing.
-                    gw.bind_submitter(idx);
                     submitter_loop(gw, part, cfg, shared, t0, n_actions, registry_mode)
                 })
             })
@@ -515,7 +357,7 @@ fn submitter_loop(
     gw: &Gateway,
     part: &[Arrival],
     cfg: &HarnessConfig,
-    shared: &MultiShared,
+    shared: &Shared,
     t0: Instant,
     n_actions: u32,
     registry_mode: bool,
@@ -530,20 +372,30 @@ fn submitter_loop(
     let mut burst_reqs: Vec<(ActionId, u64)> = Vec::with_capacity(submit_batch);
     let mut burst_out: Vec<Result<crate::gateway::Admit, Shed>> = Vec::with_capacity(submit_batch);
     let mut scratch = BurstScratch::default();
+    let progress = |at: Instant| {
+        shared
+            .progress_ns
+            .fetch_max(at.duration_since(t0).as_nanos() as u64, Ordering::Relaxed)
+    };
     loop {
         buf.clear();
+        // Gate epoch *before* the sweep: a completion published while we
+        // sweep bumps the epoch, so the park below returns immediately
+        // instead of sleeping through it.
         let epoch = gw.completion_epoch();
         let collected = gw.collect_completions_with(&mut col, &mut buf);
         if collected > 0 {
+            // A completion with no submission of this run outstanding is
+            // a stray from traffic that predates it (the caller invoked
+            // the gateway directly and did not collect); the clamp keeps
+            // it out of the window and of this run's accounting.
+            let ours = dec_clamped(&shared.inflight, collected);
             if let Some((lat, wait)) = &local_hists {
-                for c in &buf {
+                for c in &buf[..ours] {
                     record(&mut report, c, lat, wait);
                 }
             }
-            dec_clamped(&shared.inflight, collected);
-            shared
-                .progress_ns
-                .fetch_max(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            progress(Instant::now());
         }
         if shared.stop.load(Ordering::Relaxed) {
             break;
@@ -553,6 +405,9 @@ fn submitter_loop(
                 .max_inflight
                 .saturating_sub(shared.inflight.load(Ordering::Acquire));
             if window > 0 {
+                // One clock read decides how many arrivals are due and
+                // serves as the shared admission timestamp of the
+                // whole burst.
                 let now = Instant::now();
                 let due = if cfg.speedup <= 0.0 {
                     part.len() - next
@@ -574,7 +429,10 @@ fn submitter_loop(
                     // even returns from `invoke_burst` — charging after
                     // the fact would leak those early decrements (they
                     // clamp at zero) and jam the window shut. Sheds are
-                    // refunded below; they never complete.
+                    // refunded below; they never complete. The progress
+                    // mark goes first so nobody sees the window open on
+                    // a watermark that predates a schedule gap.
+                    progress(now);
                     shared.inflight.fetch_add(burst, Ordering::AcqRel);
                     gw.invoke_burst(&burst_reqs, now, &mut burst_out, &mut scratch);
                     let ok = if registry_mode {
@@ -590,9 +448,6 @@ fn submitter_loop(
                         dec_clamped(&shared.inflight, burst - ok);
                     }
                     next += burst;
-                    shared
-                        .progress_ns
-                        .fetch_max(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                     continue;
                 }
             }
@@ -608,16 +463,25 @@ fn submitter_loop(
             }
         }
         if collected == 0 {
-            // Global stall check: any thread's progress resets the
-            // clock for all of them.
-            let idle = t0
-                .elapsed()
-                .as_nanos()
-                .saturating_sub(shared.progress_ns.load(Ordering::Relaxed) as u128);
-            if idle > cfg.stall_timeout.as_nanos() {
-                shared.stop.store(true, Ordering::Release);
-                break;
+            // Nothing submittable and nothing collected. With requests
+            // outstanding that is a stall once it lasts `stall_timeout`
+            // (lost requests; `report.lost()` will be nonzero) — any
+            // thread's progress resets the clock for all of them. With
+            // the window empty it is only a gap in the schedule.
+            if shared.inflight.load(Ordering::Acquire) > 0 {
+                let idle = t0
+                    .elapsed()
+                    .as_nanos()
+                    .saturating_sub(shared.progress_ns.load(Ordering::Relaxed) as u128);
+                if idle > cfg.stall_timeout.as_nanos() {
+                    shared.stop.store(true, Ordering::Release);
+                    break;
+                }
             }
+            // Park on the completion gate instead of poll-sleeping: an
+            // invoker flush wakes us the moment work lands, and the cap
+            // (shrunk to the next due arrival) keeps the schedule honest
+            // and the driver off the invokers' cores on small machines.
             let mut park = Duration::from_millis(1);
             if next < part.len() && cfg.speedup > 0.0 {
                 let due_in = part[next].at.as_secs_f64() / cfg.speedup - t0.elapsed().as_secs_f64();
@@ -754,7 +618,7 @@ mod tests {
     use super::*;
     use crate::action::ActionSpec;
     use crate::gateway::GatewayConfig;
-    use simcore::SimDuration;
+    use simcore::{SimDuration, SimTime};
     use workload::{DiurnalLoadGen, PoissonLoadGen};
 
     fn plane(n_invokers: usize, n_actions: usize) -> Gateway {
@@ -835,8 +699,8 @@ mod tests {
 
     #[test]
     fn submit_batch_one_matches_per_arrival_submission() {
-        // The batched submitter at batch size 1 is the old per-arrival
-        // loop; a run with it stays lossless and accounts every arrival.
+        // Bursts of one (the unbatched probe's shape): the run stays
+        // lossless and accounts every arrival.
         let gw = plane(2, 4);
         let arrivals = PoissonLoadGen::new(3_000.0, 4).arrivals(SimDuration::from_millis(100), 11);
         let mut r = run_load(
@@ -927,6 +791,34 @@ mod tests {
         // The merged histograms saw every completion.
         assert!(r.latency_quantile(0.5) >= 0.0);
         assert_eq!(gw.shutdown(), 0);
+    }
+
+    #[test]
+    fn schedule_gap_longer_than_stall_timeout_is_not_a_stall() {
+        // Two arrivals 100 ms apart, stall valve at 20 ms: with nothing
+        // outstanding the quiet stretch is the schedule, not a stall,
+        // at any submitter count (the gap used to stop a 2-submitter
+        // replay before its second arrival).
+        let arrivals =
+            [SimTime::ZERO, SimTime::from_millis(100)].map(|at| Arrival { at, function: 0 });
+        for submitters in [1usize, 2] {
+            let gw = plane(1, 1);
+            let r = run_load(
+                &gw,
+                &arrivals,
+                &HarnessConfig {
+                    stall_timeout: Duration::from_millis(20),
+                    submitters,
+                    ..Default::default()
+                },
+            );
+            assert_eq!(
+                (r.submitted, r.completed),
+                (2, 2),
+                "submitters={submitters}"
+            );
+            assert_eq!(gw.shutdown(), 0);
+        }
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //!   cold-start/keep-alive parameters and per-action in-flight caps;
 //! * [`route`] — a sharded, epoch-swapped routing table: the invoke hot
 //!   path takes one shard-local read lock, never a global one;
-//! * [`queue`] — per-invoker MPSC work queues plus the shared fast
-//!   lane, with the offset/`produced_at` semantics of `crates/mq`
-//!   (differentially tested against it);
+//! * [`ring`] / [`queue`] — the per-invoker lock-free MPSC rings and
+//!   the mutex-guarded MPMC queue of the shared fast lane, both with
+//!   the offset/`produced_at` semantics of `crates/mq` (differentially
+//!   tested against it and against each other);
 //! * [`pool`] — thread-private warm-container pools: cold-start
 //!   penalty, keep-alive eviction, LRU under capacity pressure;
 //! * [`admission`] — admission *shaping*: the default hard-shed policy,
@@ -24,7 +25,7 @@
 //!   shed cliff under overload and capacity dips);
 //! * [`gateway`] — admission control, the invoker threads with the
 //!   paper's §III-C fast-lane-first drain protocol (draining up to
-//!   `drain_batch` envelopes per lock), per-invoker **completion
+//!   `drain_batch` envelopes per pass), per-invoker **completion
 //!   shards** (single-producer lock-free segment stacks behind an
 //!   epoch-published shard table, swept round-robin by any number of
 //!   concurrent collectors without a mutex), and graceful sigterm/join
@@ -68,7 +69,6 @@ pub mod source;
 pub mod telem;
 
 pub use action::{ActionBody, ActionId, ActionRegistry, ActionSpec};
-pub use admission::ShardAdmission;
 pub use admission::{AdmissionPolicy, TokenBucketCfg};
 pub use controller::{CapacityController, ControllerConfig, LeaseStats};
 pub use gateway::{

@@ -1,5 +1,11 @@
-//! The live plane's message substrate: per-invoker MPSC work queues and
-//! the shared MPMC fast lane.
+//! The live plane's message vocabulary ([`Request`], [`Envelope`],
+//! [`Produce`]) and [`WorkQueue`], the Mutex+Condvar queue behind the
+//! shared MPMC fast lane. The per-invoker home queues are the lock-free
+//! rings of [`crate::ring`]; the fast lane is off the hot path (it only
+//! carries the backlog of a draining invoker), every invoker consumes
+//! it, and a mutex is the simplest thing that is correct there.
+//! `WorkQueue` is also the oracle the ring is differentially tested
+//! against (`tests/ring_equiv.rs`, `tests/batch_equiv.rs`).
 //!
 //! Semantics deliberately mirror `crates/mq`'s `Broker` (the DES-plane
 //! Kafka model), so the two planes implement *one* protocol:

@@ -37,7 +37,7 @@
 //! contention source: back-pressure that used to show up as lock wait
 //! now shows up as a typed, observable refusal.
 //!
-//! `tests/ring_equiv.rs` drives this ring, the old `WorkQueue`, and
+//! `tests/ring_equiv.rs` drives this ring, `WorkQueue`, and
 //! `mq::Broker` through identical schedules (batch sizes {1, 4, 32},
 //! the close-and-move hop, wraparound and full-ring interleavings) and
 //! asserts identical order/offset/outcome behaviour.

@@ -271,19 +271,17 @@ impl GatewayTelemetry {
     }
 
     /// Register `gateway_submit_contention_total{source}`: the CAS
-    /// retries of the lock-free submit-path structures (the sharded
-    /// GCRA bucket lines and the per-action in-flight caps), the debt
-    /// transfers between bucket shards, the consumer wakes producers
-    /// issued on the work queues, the full-ring refusals of the MPSC
-    /// rings, and the shard-claim skips on the collect side. Every
-    /// series is zero on an idle or single-submitter plane, so a flat
-    /// spot in the cores→ops/s curve is attributable from the
+    /// retries of the lock-free submit-path structures (the GCRA token
+    /// line and the per-action in-flight caps), the consumer wakes
+    /// producers issued on the work queues, the full-ring refusals of
+    /// the MPSC rings, and the shard-claim skips on the collect side.
+    /// Every series is zero on an idle or single-submitter plane, so a
+    /// flat spot in the cores→ops/s curve is attributable from the
     /// exposition alone: which shared line the extra cores actually
     /// fought over.
     pub(crate) fn register_contention(
         &self,
         shaper_cas: Arc<Counter>,
-        tat_rebalance: Arc<Counter>,
         ring_full: Arc<Counter>,
         actions: Arc<ActionRegistry>,
     ) {
@@ -291,17 +289,13 @@ impl GatewayTelemetry {
         let claim_skips = self.collect_claim_skips.clone();
         self.registry.register(
             "gateway_submit_contention_total",
-            "Submit/collect-path contention events (CAS retries, rebalances, wakes, full rings, claim skips)",
+            "Submit/collect-path contention events (CAS retries, wakes, full rings, claim skips)",
             MetricKind::Counter,
             Box::new(move || {
                 vec![
                     (
                         labels(&[("source", "shaper_cas")]),
                         Collected::Counter(shaper_cas.get()),
-                    ),
-                    (
-                        labels(&[("source", "tat_rebalance")]),
-                        Collected::Counter(tat_rebalance.get()),
                     ),
                     (
                         labels(&[("source", "admit_cas")]),

@@ -68,216 +68,97 @@ fn submitter_collector_matrix_exactly_once_under_churn() {
     for n_sub in [1usize, 2, 4] {
         for n_col in [1usize, 2] {
             for seed in 0..4u64 {
-                run_matrix_iteration(seed, n_sub, n_col);
+                run_matrix_iteration(seed, n_sub, n_col, AdmissionPolicy::HardShed);
             }
         }
     }
 }
 
-/// ISSUE 10: the sharded GCRA shaper under the same live churn. Each
-/// submitter thread binds its submitter index as its shard affinity, so
-/// with 4 shards and {1, 2, 4} submitters every submitter owns a
-/// distinct shard. Asserts, on top of exactly-once:
+/// The token-bucket shaper under the same live churn, {1, 2, 4}
+/// submitters racing on its one token line while capacity changes
+/// reprice it. Asserts, on top of the matrix cell's exactly-once:
 ///
-/// - **per-shard conservation** — each shard's
-///   `admitted + delayed + shed` equals exactly the number of arrivals
-///   its bound submitter offered (unused shards stay at zero), i.e. no
-///   arrival is double-counted or lost across the rebalancing CASes;
-/// - **global rate bound** — total admissions never exceed what the
-///   aggregate token line (max capacity × rate, plus burst and delay
-///   credit) could have issued in the measured wall-clock window: the
-///   sharded shaper never over-admits the single-line contract.
+/// - **conservation**, read from the gateway's own
+///   `gateway_requests_total`: `accepted + Σ shed_* == offered` and
+///   `delayed ≤ accepted` — no arrival is double-counted or lost across
+///   the admit CAS, the structural-shed refunds and the reprices;
+/// - **rate bound** — total admissions never exceed what the token line
+///   (max capacity × rate, plus burst and delay credit) could have
+///   issued in the measured wall-clock window.
 #[test]
-fn sharded_shaper_churn_conservation() {
-    for n_sub in [1usize, 2, 4] {
-        for seed in 0..3u64 {
-            run_sharded_iteration(seed, n_sub);
-        }
-    }
-}
-
-fn run_sharded_iteration(seed: u64, n_sub: usize) {
+fn token_bucket_churn_conservation() {
     const RATE: f64 = 1_000.0;
     const BURST: f64 = 48.0;
     const MAX_DELAY: Duration = Duration::from_millis(10);
-    const SHARDS: usize = 4;
-    let mut rng = SimRng::seed_from_u64(seed ^ 0x5bd1_e995 ^ ((n_sub as u64) << 48));
-    let n_requests = 300 + rng.index(200);
-    let gw = Gateway::new(
-        GatewayConfig {
-            queue_capacity: 16,
-            park: Duration::from_micros(200),
-            drain_batch: 8,
-            admission: AdmissionPolicy::TokenBucket(TokenBucketCfg {
-                rate_per_invoker: RATE,
-                burst: BURST,
-                max_delay: MAX_DELAY,
-            }),
-            admission_shards: SHARDS,
-            ..Default::default()
-        },
-        vec![
-            ActionSpec::noop("noop"),
-            ActionSpec::noop("spin").with_body(ActionBody::Spin(Duration::from_micros(
-                20 + rng.range_u64(0, 40),
-            ))),
-        ],
-    );
-    let horizon = Duration::from_millis(40);
-    let plan = LeasePlan::synthetic_churn(
-        &ChurnCfg {
-            horizon,
-            mean_hold: horizon / 5,
-            target_active: 3,
-            max_active: 6,
-            min_active: 1,
-            early_revoke_frac: 0.4,
-            extend_frac: 0.3,
-        },
-        seed,
-    );
-    let t0 = Instant::now();
-    let mut ctl = CapacityController::new(
-        &gw,
-        plan,
-        ControllerConfig {
-            drain_headroom: Duration::from_millis(2),
-            min_routable: 1,
-            ..Default::default()
-        },
-        t0,
-    );
-    ctl.poll(t0);
-
-    let stop = AtomicBool::new(false);
-    let submitting = AtomicUsize::new(n_sub);
-    let accepted_total = AtomicUsize::new(0);
-    let collected_total = AtomicUsize::new(0);
-    let submit_start = Instant::now();
-
-    let (per_sub, accepted) = std::thread::scope(|s| {
-        let gw = &gw;
-        let stop = &stop;
-        let submitting = &submitting;
-        let accepted_total = &accepted_total;
-        let collected_total = &collected_total;
-        let ctl_handle = s.spawn(move || {
-            ctl.run(stop);
-            ctl.finish()
-        });
-        let sub_handles: Vec<_> = (0..n_sub)
-            .map(|si| {
-                let share = n_requests / n_sub + usize::from(si < n_requests % n_sub);
-                let mut rng = SimRng::seed_from_u64(seed ^ (0xb5ad_4ece + si as u64));
-                s.spawn(move || {
-                    // Shard affinity = submitter index: all this
-                    // thread's arrivals land on shard `si % SHARDS`.
-                    gw.bind_submitter(si);
-                    let mut scratch = BurstScratch::default();
-                    let mut accepted = HashSet::new();
-                    let mut offered = 0usize;
-                    while offered < share {
-                        if rng.chance(0.25) {
-                            let n = (2 + rng.index(8)).min(share - offered);
-                            let reqs: Vec<_> = (0..n)
-                                .map(|_| (ActionId(rng.index(2) as u32), rng.next_u64()))
-                                .collect();
-                            let mut outcomes = Vec::new();
-                            gw.invoke_burst(&reqs, Instant::now(), &mut outcomes, &mut scratch);
-                            offered += n;
-                            for outcome in outcomes.into_iter().flatten() {
-                                assert!(accepted.insert(outcome.id), "duplicate admit id");
-                            }
-                        } else {
-                            offered += 1;
-                            if let Ok(admit) =
-                                gw.invoke(ActionId(rng.index(2) as u32), rng.next_u64())
-                            {
-                                assert!(accepted.insert(admit.id), "duplicate admit id");
-                            }
-                        }
-                    }
-                    accepted_total.fetch_add(accepted.len(), Ordering::AcqRel);
-                    submitting.fetch_sub(1, Ordering::AcqRel);
-                    (si, offered, accepted)
-                })
-            })
-            .collect();
-        let col_handle = s.spawn(move || {
-            let mut col = gw.collector();
-            let mut buf = Vec::new();
-            let deadline = Instant::now() + Duration::from_secs(20);
-            loop {
-                buf.clear();
-                let epoch = gw.completion_epoch();
-                let got = gw.collect_completions_with(&mut col, &mut buf);
-                if got > 0 {
-                    collected_total.fetch_add(got, Ordering::AcqRel);
-                    continue;
-                }
-                if submitting.load(Ordering::Acquire) == 0
-                    && collected_total.load(Ordering::Acquire)
-                        >= accepted_total.load(Ordering::Acquire)
-                {
-                    break;
-                }
-                assert!(
-                    Instant::now() < deadline,
-                    "seed {seed} {n_sub}sub sharded: lost requests ({}/{} collected)",
-                    collected_total.load(Ordering::Relaxed),
-                    accepted_total.load(Ordering::Relaxed),
-                );
-                gw.wait_completions(epoch, Duration::from_millis(1));
-            }
-        });
-        let per_sub: Vec<(usize, usize, HashSet<u64>)> = sub_handles
+    for n_sub in [1usize, 2, 4] {
+        for seed in 0..3u64 {
+            let run = run_matrix_iteration(
+                seed,
+                n_sub,
+                1,
+                AdmissionPolicy::TokenBucket(TokenBucketCfg {
+                    rate_per_invoker: RATE,
+                    burst: BURST,
+                    max_delay: MAX_DELAY,
+                }),
+            );
+            let snap = run
+                .gw
+                .telemetry()
+                .expect("telemetry on")
+                .registry()
+                .snapshot();
+            let outcome = |o: &str| snap.counter_sum("gateway_requests_total", &[("outcome", o)]);
+            let shed: u64 = [
+                "shed_queue_full",
+                "shed_action_saturated",
+                "shed_no_invoker",
+                "shed_delay_budget",
+            ]
             .into_iter()
-            .map(|h| h.join().expect("submitter"))
-            .collect();
-        col_handle.join().expect("collector");
-        stop.store(true, Ordering::Release);
-        ctl_handle.join().expect("controller");
-        let accepted: usize = per_sub.iter().map(|(_, _, a)| a.len()).sum();
-        (per_sub, accepted)
-    });
-    let elapsed = submit_start.elapsed();
-
-    // Per-shard conservation: with explicit affinity every submitter's
-    // offered count must reappear, exactly, as its shard's
-    // admitted + delayed + shed — and shards no submitter bound to must
-    // have seen nothing.
-    let stats = gw.admission_shard_stats();
-    assert_eq!(stats.len(), SHARDS);
-    let mut offered_by_shard = [0u64; SHARDS];
-    for (si, offered, _) in &per_sub {
-        offered_by_shard[si % SHARDS] += *offered as u64;
+            .map(outcome)
+            .sum();
+            assert_eq!(
+                outcome("accepted"),
+                run.accepted,
+                "seed {seed} {n_sub}sub: the books disagree with the submitters"
+            );
+            assert_eq!(
+                run.accepted + shed,
+                run.offered,
+                "seed {seed} {n_sub}sub: an arrival was lost or double-counted"
+            );
+            assert!(outcome("delayed") <= run.accepted, "seed {seed} {n_sub}sub");
+            // Even with every grant healthy for the whole window the
+            // token line could issue at most (elapsed + max_delay) ×
+            // max_capacity × rate admissions plus the burst — counted
+            // twice, because a reprice re-scales the allowance in place.
+            let bound = (run.elapsed + MAX_DELAY).as_secs_f64() * RATE * 6.0 + 2.0 * BURST;
+            assert!(
+                (run.accepted as f64) <= bound,
+                "seed {seed} {n_sub}sub: token bucket over-admitted: {} accepted > bound {bound:.0}",
+                run.accepted
+            );
+        }
     }
-    for (shard, st) in stats.iter().enumerate() {
-        assert_eq!(
-            st.admitted + st.delayed + st.shed,
-            offered_by_shard[shard],
-            "seed {seed} {n_sub}sub: shard {shard} lost or double-counted arrivals: {st:?}"
-        );
-    }
-
-    // Global sustained-rate bound: even with every grant healthy for
-    // the whole window the aggregate line could issue at most
-    // burst + (elapsed + max_delay) * max_capacity * rate admissions;
-    // a sharded shaper that over-admits past the single-line contract
-    // (plus one quantum of slack per line) fails here.
-    let bound = (elapsed + MAX_DELAY).as_secs_f64() * RATE * 6.0 + 2.0 * BURST + SHARDS as f64;
-    assert!(
-        (accepted as f64) <= bound,
-        "seed {seed} {n_sub}sub: sharded shaper over-admitted: {accepted} accepted > bound {bound:.0}"
-    );
-
-    assert_eq!(gw.shutdown(), 0, "seed {seed} {n_sub}sub sharded");
-    assert_eq!(gw.counters().outstanding(), 0);
-    let pools = gw.retired_pool_stats();
-    assert!(pools.containers_conserved(), "container leak: {pools:?}");
 }
 
-fn run_matrix_iteration(seed: u64, n_sub: usize, n_col: usize) {
+/// What one matrix cell leaves behind for further assertions: the
+/// (shut-down) gateway with its books, and the submit side's totals.
+struct MatrixRun {
+    gw: Gateway,
+    offered: u64,
+    accepted: u64,
+    /// Wall-clock span from the first submit to the last collect.
+    elapsed: Duration,
+}
+
+fn run_matrix_iteration(
+    seed: u64,
+    n_sub: usize,
+    n_col: usize,
+    admission: AdmissionPolicy,
+) -> MatrixRun {
     let cell = ((n_sub as u64) << 8) | n_col as u64;
     let mut rng = SimRng::seed_from_u64(seed ^ 0x9e37_79b9 ^ (cell << 40));
     let n_requests = 300 + rng.index(200); // 300..=499, split across submitters
@@ -286,6 +167,7 @@ fn run_matrix_iteration(seed: u64, n_sub: usize, n_col: usize) {
             queue_capacity: 16,
             park: Duration::from_micros(200),
             drain_batch: 8,
+            admission,
             ..Default::default()
         },
         vec![
@@ -330,6 +212,7 @@ fn run_matrix_iteration(seed: u64, n_sub: usize, n_col: usize) {
     let submitting = AtomicUsize::new(n_sub);
     let accepted_total = AtomicUsize::new(0);
     let collected_total = AtomicUsize::new(0);
+    let submit_start = Instant::now();
 
     let (accepted_sets, collected_sets, ctl_stats) = std::thread::scope(|s| {
         let gw = &gw;
@@ -435,6 +318,7 @@ fn run_matrix_iteration(seed: u64, n_sub: usize, n_col: usize) {
         let stats = ctl_handle.join().expect("controller");
         (accepted_sets, collected_sets, stats)
     });
+    let elapsed = submit_start.elapsed();
 
     // Accepted ids are globally unique across submitters.
     let mut accepted = HashSet::new();
@@ -467,6 +351,12 @@ fn run_matrix_iteration(seed: u64, n_sub: usize, n_col: usize) {
     assert!(gw.try_recv().is_none(), "stray completion");
     let pools = gw.retired_pool_stats();
     assert!(pools.containers_conserved(), "container leak: {pools:?}");
+    MatrixRun {
+        gw,
+        offered: n_requests as u64,
+        accepted: accepted.len() as u64,
+        elapsed,
+    }
 }
 
 fn run_iteration(seed: u64, drain_batch: usize) {

@@ -148,6 +148,28 @@ fn reports_are_deterministic_per_seed() {
 }
 
 #[test]
+fn with_load_day_repeats_exactly_in_process() {
+    // Regression: a drain used to re-fire the draining invoker's
+    // running activations in `HashSet` iteration order, which differs
+    // per set instance — so the paper's 10 QPS day did not even repeat
+    // inside one process. Everything the run reports must now be a
+    // function of (trace, config, seed) alone.
+    let trace = small_day();
+    let run = || {
+        let r = run_day(&trace, DayConfig::fib_paper(5));
+        assert!(r.whisk_counters.refired > 0, "no drain re-fired anything");
+        format!(
+            "{:?}\n{:?}\n{:?}",
+            r.cluster_counters, r.whisk_counters, r.latency_success_secs
+        )
+    };
+    let first = run();
+    for _ in 0..2 {
+        assert!(first == run(), "same (trace, config, seed), different day");
+    }
+}
+
+#[test]
 fn poll_reconstruction_roundtrips_through_facade() {
     let trace = small_day();
     let mut cfg = DayConfig::fib_paper(11);
