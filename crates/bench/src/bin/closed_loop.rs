@@ -216,7 +216,7 @@ fn main() {
     );
     println!("{}", cmp.render());
 
-    hpcwhisk_bench::write_scheduler_metrics_out(c);
+    hpcwhisk_bench::write_scheduler_metrics_out(c, None);
 }
 
 /// Pending HPC work in node-hours (declared limits), for the backlog

@@ -727,9 +727,10 @@ fn main() {
         ));
     }
     if want(&filter, "scheduler/poll_sample_2239_nodes") {
-        // One poll is ~10 µs — far too short a timed region to survive
-        // timer granularity and scheduling noise on shared runners, so
-        // run 64 per routine call and report the amortized figure.
+        // One poll is two bitset copies, ~60 ns — far too short a
+        // timed region to survive timer granularity and scheduling
+        // noise on shared runners, so run 64 per routine call and
+        // report the amortized figure.
         probes.push(probe_scaled(
             "scheduler/poll_sample_2239_nodes",
             9,

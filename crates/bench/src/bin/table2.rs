@@ -113,6 +113,9 @@ fn main() {
         "median response time of successes: {:.0} ms",
         med_rt * 1000.0
     );
+    let mut work = hpcwhisk_bench::DesWork::default();
+    work.absorb(&rep);
+    println!("{}", work.summary());
 
     section("Paper vs measured");
     let mut c = Comparison::new();

@@ -196,11 +196,13 @@ fn main() {
         days as f64 / secs
     );
     let mut week_counters = cluster::Counters::default();
+    let mut week_work = hpcwhisk_bench::DesWork::default();
     let results: Vec<(u64, f64, f64, f64, u64, u64, f64)> = reports
         .into_iter()
         .enumerate()
         .map(|(day, rep)| {
             week_counters.absorb(&rep.cluster_counters);
+            week_work.absorb(&rep);
             let slurm = rep.slurm_level();
             let sim = rep.simulation(lengths::A1.to_vec());
             (
@@ -238,6 +240,7 @@ fn main() {
         avail.mean(),
         avail.stddev()
     );
+    println!("{} over {days} days", week_work.summary());
     println!(
         "\nfinding: day-to-day idleness varies substantially (the paper's two \
          experiment days differed by ~40% in available surface), but fib \
@@ -245,7 +248,7 @@ fn main() {
          every day — the harvest is robust to the daily mix."
     );
 
-    // `--metrics-out <path>`: the week's scheduler counters, summed
-    // across days, as a Prometheus exposition.
-    hpcwhisk_bench::write_scheduler_metrics_out(&week_counters);
+    // `--metrics-out <path>`: the week's scheduler and DES work
+    // counters, summed across days, as a Prometheus exposition.
+    hpcwhisk_bench::write_scheduler_metrics_out(&week_counters, Some(&week_work));
 }

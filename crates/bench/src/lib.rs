@@ -88,14 +88,49 @@ pub fn write_metrics_out(gw: &gateway::Gateway) {
     println!("metrics exposition written to {path}");
 }
 
+/// The DES's own work over one or more simulated days: events the
+/// engine dispatched and, of those, the platform's poll and timeout-scan
+/// events — the counts to read next to a day's wall-clock.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DesWork {
+    /// `DayReport::events_dispatched`, summed.
+    pub events_dispatched: u64,
+    /// `WhiskCounters::polls`, summed.
+    pub polls: u64,
+    /// `WhiskCounters::polls_parked`, summed.
+    pub polls_parked: u64,
+    /// `WhiskCounters::timeout_scans`, summed.
+    pub timeout_scans: u64,
+}
+
+impl DesWork {
+    /// Fold one day's counts in.
+    pub fn absorb(&mut self, rep: &hpcwhisk_core::DayReport) {
+        self.events_dispatched += rep.events_dispatched;
+        self.polls += rep.whisk_counters.polls;
+        self.polls_parked += rep.whisk_counters.polls_parked;
+        self.timeout_scans += rep.whisk_counters.timeout_scans;
+    }
+
+    /// The one-line summary the day binaries print.
+    pub fn summary(&self) -> String {
+        format!(
+            "DES work: {} events dispatched, of which {} invoker polls ({} parked their loop) \
+             and {} timeout scans",
+            self.events_dispatched, self.polls, self.polls_parked, self.timeout_scans
+        )
+    }
+}
+
 /// Honor `--metrics-out <path>` for scheduler-plane binaries: render
-/// the pass counters as a Prometheus exposition (see
+/// the pass counters — and the DES work counters, for binaries that run
+/// whole days — as a Prometheus exposition (see
 /// [`scheduler_exposition`]) and write it to the path.
-pub fn write_scheduler_metrics_out(c: &cluster::Counters) {
+pub fn write_scheduler_metrics_out(c: &cluster::Counters, des: Option<&DesWork>) {
     let Some(path) = arg_value("--metrics-out") else {
         return;
     };
-    std::fs::write(&path, scheduler_exposition(c))
+    std::fs::write(&path, scheduler_exposition(c, des))
         .unwrap_or_else(|e| panic!("--metrics-out {path}: {e}"));
     println!("metrics exposition written to {path}");
 }
@@ -104,7 +139,7 @@ pub fn write_scheduler_metrics_out(c: &cluster::Counters) {
 /// telemetry registry — the scheduler plane's equivalent of scraping
 /// the gateway's live registry. Span families read zero unless the run
 /// called `ClusterSim::enable_pass_spans`.
-pub fn scheduler_exposition(c: &cluster::Counters) -> String {
+pub fn scheduler_exposition(c: &cluster::Counters, des: Option<&DesWork>) -> String {
     use metrics::telemetry::{labels, render_prometheus, Collected, Labels, MetricKind, Registry};
     let reg = Registry::new();
     let counter = |name: &str, help: &str, rows: Vec<(Labels, u64)>| {
@@ -179,6 +214,22 @@ pub fn scheduler_exposition(c: &cluster::Counters) -> String {
             (labels(&[("phase", "placement")]), c.span_placement_ns),
         ],
     );
+    if let Some(d) = des {
+        counter(
+            "des_events_dispatched_total",
+            "events the DES engine dispatched",
+            vec![(labels(&[]), d.events_dispatched)],
+        );
+        counter(
+            "des_whisk_events_total",
+            "platform housekeeping events executed, and poll loops parked",
+            vec![
+                (labels(&[("kind", "poll")]), d.polls),
+                (labels(&[("kind", "poll_parked")]), d.polls_parked),
+                (labels(&[("kind", "timeout_scan")]), d.timeout_scans),
+            ],
+        );
+    }
     render_prometheus(&reg.snapshot())
 }
 

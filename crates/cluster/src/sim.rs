@@ -218,6 +218,9 @@ pub struct ClusterSim {
     /// Bit `n` set iff node `n` is idle — intersected with the
     /// timeline's slot-0-free set for the eligible-node lookup.
     idle_bits: Vec<u64>,
+    /// Bit `n` set iff node `n` runs a pilot job (draining included) —
+    /// with `idle_bits`, the two sets a poll sample copies.
+    pilot_bits: Vec<u64>,
     /// Bumped on every scheduling-relevant mutation.
     epoch: u64,
     /// Epoch recorded by the last quick pass that completed without any
@@ -382,6 +385,7 @@ impl ClusterSim {
             proj_class: vec![PROJ_FREE; n_nodes],
             proj_until: vec![SimTime::ZERO; n_nodes],
             idle_bits,
+            pilot_bits: vec![0; words],
             epoch: 0,
             quick_clean_epoch: None,
             next_pinned_due: None,
@@ -725,11 +729,13 @@ impl ClusterSim {
     /// state. O(1); called on every transition affecting the node.
     fn refresh_node(&mut self, n: NodeId) {
         let i = n.0 as usize;
+        let mut runs_pilot = false;
         let p = match self.nodes[i].state {
             NodeState::Idle => NodeProjection::Free,
             NodeState::Down | NodeState::Reserved(_) => NodeProjection::Blocked,
             NodeState::Busy(j) => {
                 let job = &self.jobs[j.0 as usize];
+                runs_pilot = job.spec.kind == JobKind::Pilot;
                 let (pred_end, draining) = match &job.state {
                     JobState::Running { granted_end, .. } => (*granted_end, false),
                     JobState::Draining { kill_at, .. } => (*kill_at, true),
@@ -759,6 +765,11 @@ impl ClusterSim {
             self.idle_bits[i / 64] |= bit;
         } else {
             self.idle_bits[i / 64] &= !bit;
+        }
+        if runs_pilot {
+            self.pilot_bits[i / 64] |= bit;
+        } else {
+            self.pilot_bits[i / 64] &= !bit;
         }
         // The projection changed (or may have): the persistent plane's
         // masks for this node are stale until the next pass recomputes
@@ -2010,7 +2021,22 @@ impl ClusterSim {
         self.series.down.set(now, self.n_down as f64);
     }
 
+    /// A poll sample is two word-vector copies: both sets are maintained
+    /// per transition by [`refresh_node`](Self::refresh_node).
     fn take_poll_sample(&self, t: SimTime) -> PollSample {
+        #[cfg(debug_assertions)]
+        self.check_poll_bits();
+        PollSample {
+            t,
+            idle: self.idle_bits.clone(),
+            pilot: self.pilot_bits.clone(),
+        }
+    }
+
+    /// Test hook: assert the maintained idle/pilot bitsets equal a scan
+    /// of the node table, bit for bit. Panics on divergence.
+    #[doc(hidden)]
+    pub fn check_poll_bits(&self) {
         let words = self.nodes.len().div_ceil(64);
         let mut idle = vec![0u64; words];
         let mut pilot = vec![0u64; words];
@@ -2023,7 +2049,14 @@ impl ClusterSim {
                 _ => {}
             }
         }
-        PollSample { t, idle, pilot }
+        assert!(
+            idle == self.idle_bits,
+            "idle bitset diverged from the node table"
+        );
+        assert!(
+            pilot == self.pilot_bits,
+            "pilot bitset diverged from the node table"
+        );
     }
 
     /// Poll cadence with the jitter the paper measured (§IV-A): 76.43%

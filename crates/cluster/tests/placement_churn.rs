@@ -330,8 +330,10 @@ fn run_plane_churn(n_nodes: usize, steps: Vec<(u64, SimOp)>) {
         for (at, e) in out.drain() {
             engine.schedule(at, e);
         }
-        // The audit: persistent plane ≡ fresh rebuild, bit for bit.
+        // The audit: persistent plane ≡ fresh rebuild, bit for bit; and
+        // the poll sample's maintained bitsets ≡ a node-table scan.
         sim.check_plane(t);
+        sim.check_poll_bits();
     }
 
     // Drain the tail (timeouts, drains, repairs) and audit once more.
@@ -344,6 +346,7 @@ fn run_plane_churn(n_nodes: usize, steps: Vec<(u64, SimOp)>) {
         });
     }
     sim.check_plane(end);
+    sim.check_poll_bits();
 }
 
 proptest! {

@@ -188,6 +188,9 @@ pub struct DayReport {
     pub commercial_bins: MinuteBins,
     /// Commercial-path response times (seconds).
     pub commercial_latency_secs: Cdf,
+    /// Events the engine dispatched over the day — the DES's unit of
+    /// work, to read next to the day's wall-clock.
+    pub events_dispatched: u64,
 }
 
 impl DayReport {
@@ -258,6 +261,20 @@ struct DayState {
     timeout_bins: MinuteBins,
     rejected_bins: MinuteBins,
     latency_success_secs: Cdf,
+    /// Scratch outboxes and note buffers for calls into the two
+    /// subsystems (see [`DayState::with_cluster`]), kept across events
+    /// so dispatching one allocates nothing once they have grown.
+    cluster_out: Outbox<ClusterEvent>,
+    cluster_notes: Vec<ClusterNote>,
+    whisk_out: Outbox<WhiskEvent>,
+    whisk_notes: Vec<WhiskNote>,
+}
+
+/// Take a scratch outbox out of `DayState`, anchored at `now`.
+fn take_outbox<E>(slot: &mut Outbox<E>, now: SimTime) -> Outbox<E> {
+    let mut out = std::mem::replace(slot, Outbox::new(now));
+    out.reset(now);
+    out
 }
 
 impl DayState {
@@ -267,22 +284,55 @@ impl DayState {
             .add(self.commercial.latency(&mut self.rng).as_secs_f64());
     }
 
-    fn map_cluster(now: SimTime, co: &mut Outbox<ClusterEvent>, out: &mut Outbox<SysEvent>) {
-        let _ = now;
+    /// Call into the cluster with scratch buffers, forward the events
+    /// it scheduled and react to its notes. A call nested under another
+    /// (through `react_*`) finds the scratch taken and runs on fresh
+    /// buffers.
+    fn with_cluster<R>(
+        &mut self,
+        now: SimTime,
+        out: &mut Outbox<SysEvent>,
+        call: impl FnOnce(&mut ClusterSim, &mut Outbox<ClusterEvent>, &mut Vec<ClusterNote>) -> R,
+    ) -> R {
+        let mut co = take_outbox(&mut self.cluster_out, now);
+        let mut cn = std::mem::take(&mut self.cluster_notes);
+        let r = call(&mut self.cluster, &mut co, &mut cn);
         for (t, e) in co.drain() {
             out.at(t, SysEvent::Cluster(e));
         }
+        self.react_cluster(now, &mut cn, out);
+        self.cluster_out = co;
+        self.cluster_notes = cn;
+        r
     }
 
-    fn map_whisk(now: SimTime, wo: &mut Outbox<WhiskEvent>, out: &mut Outbox<SysEvent>) {
-        let _ = now;
+    /// [`with_cluster`](Self::with_cluster), for the FaaS platform.
+    fn with_whisk<R>(
+        &mut self,
+        now: SimTime,
+        out: &mut Outbox<SysEvent>,
+        call: impl FnOnce(&mut WhiskSys, &mut Outbox<WhiskEvent>, &mut Vec<WhiskNote>) -> R,
+    ) -> R {
+        let mut wo = take_outbox(&mut self.whisk_out, now);
+        let mut wn = std::mem::take(&mut self.whisk_notes);
+        let r = call(&mut self.whisk, &mut wo, &mut wn);
         for (t, e) in wo.drain() {
             out.at(t, SysEvent::Whisk(e));
         }
+        self.react_whisk(now, &mut wn, out);
+        self.whisk_out = wo;
+        self.whisk_notes = wn;
+        r
     }
 
-    fn react_cluster(&mut self, now: SimTime, notes: Vec<ClusterNote>, out: &mut Outbox<SysEvent>) {
-        for note in notes {
+    /// React to (and drain) the cluster's notes.
+    fn react_cluster(
+        &mut self,
+        now: SimTime,
+        notes: &mut Vec<ClusterNote>,
+        out: &mut Outbox<SysEvent>,
+    ) {
+        for note in notes.drain(..) {
             match note {
                 ClusterNote::JobStarted { job, .. } => {
                     if self.cluster.job(job).spec.kind == JobKind::Pilot {
@@ -304,12 +354,9 @@ impl DayState {
                         }
                         Some(PilotPhase::Serving) => {
                             self.pilots.on_draining(now, job);
-                            let mut wo = Outbox::new(now);
-                            let mut wn = Vec::new();
-                            self.whisk
-                                .sigterm_invoker(now, InvokerId(job.0), &mut wo, &mut wn);
-                            Self::map_whisk(now, &mut wo, out);
-                            self.react_whisk(now, wn, out);
+                            self.with_whisk(now, out, |w, wo, wn| {
+                                w.sigterm_invoker(now, InvokerId(job.0), wo, wn)
+                            });
                         }
                         _ => {}
                     }
@@ -319,12 +366,9 @@ impl DayState {
                         self.pilots.on_gone(now, job);
                         // SIGKILL / node failure with the invoker still
                         // up: hard death (no-op if already de-registered).
-                        let mut wo = Outbox::new(now);
-                        let mut wn = Vec::new();
-                        self.whisk
-                            .kill_invoker(now, InvokerId(job.0), &mut wo, &mut wn);
-                        Self::map_whisk(now, &mut wo, out);
-                        self.react_whisk(now, wn, out);
+                        self.with_whisk(now, out, |w, wo, wn| {
+                            w.kill_invoker(now, InvokerId(job.0), wo, wn)
+                        });
                     }
                 }
                 ClusterNote::Polled(s) => self.samples.push(s),
@@ -332,8 +376,14 @@ impl DayState {
         }
     }
 
-    fn react_whisk(&mut self, now: SimTime, notes: Vec<WhiskNote>, out: &mut Outbox<SysEvent>) {
-        for note in notes {
+    /// React to (and drain) the platform's notes.
+    fn react_whisk(
+        &mut self,
+        now: SimTime,
+        notes: &mut Vec<WhiskNote>,
+        out: &mut Outbox<SysEvent>,
+    ) {
+        for note in notes.drain(..) {
             match note {
                 WhiskNote::InvokerUp(inv) => {
                     self.pilots.on_serving(now, JobId(inv.0));
@@ -344,11 +394,7 @@ impl DayState {
                         // Drain finished: the pilot process exits and
                         // frees its node well before SIGKILL.
                         let job = JobId(inv.0);
-                        let mut co = Outbox::new(now);
-                        let mut cn = Vec::new();
-                        self.cluster.pilot_exited(now, job, &mut co, &mut cn);
-                        Self::map_cluster(now, &mut co, out);
-                        self.react_cluster(now, cn, out);
+                        self.with_cluster(now, out, |c, co, cn| c.pilot_exited(now, job, co, cn));
                     }
                 }
                 WhiskNote::ActivationDone {
@@ -375,51 +421,33 @@ impl Process<SysEvent> for DayState {
     fn handle(&mut self, now: SimTime, ev: SysEvent, out: &mut Outbox<SysEvent>) {
         match ev {
             SysEvent::Cluster(e) => {
-                let mut co = Outbox::new(now);
-                let mut cn = Vec::new();
-                self.cluster.handle(now, e, &mut co, &mut cn);
-                Self::map_cluster(now, &mut co, out);
-                self.react_cluster(now, cn, out);
+                self.with_cluster(now, out, |c, co, cn| c.handle(now, e, co, cn));
             }
             SysEvent::Whisk(e) => {
-                let mut wo = Outbox::new(now);
-                let mut wn = Vec::new();
-                self.whisk.handle(now, e, &mut wo, &mut wn);
-                Self::map_whisk(now, &mut wo, out);
-                self.react_whisk(now, wn, out);
+                self.with_whisk(now, out, |w, wo, wn| w.handle(now, e, wo, wn));
             }
             SysEvent::ManagerTick => {
                 let jobs = self.manager.replenish(&self.cluster);
-                let mut co = Outbox::new(now);
-                for spec in jobs {
-                    self.cluster.submit(now, spec, &mut co);
-                }
-                Self::map_cluster(now, &mut co, out);
+                self.with_cluster(now, out, |c, co, _| {
+                    for spec in jobs {
+                        c.submit(now, spec, co);
+                    }
+                });
                 out.after(REPLENISH_EVERY, SysEvent::ManagerTick);
             }
             SysEvent::SubmitClaim(i) => {
                 let spec = self.claims[i as usize].to_spec();
-                let mut co = Outbox::new(now);
-                self.cluster.submit(now, spec, &mut co);
-                Self::map_cluster(now, &mut co, out);
+                self.with_cluster(now, out, |c, co, _| c.submit(now, spec, co));
             }
             SysEvent::WarmupDone(job) => {
                 if self.pilots.phase(job) == Some(PilotPhase::Warming)
                     && self.cluster.job(job).is_active()
                 {
-                    let mut wo = Outbox::new(now);
-                    let mut wn = Vec::new();
-                    self.whisk.start_invoker(now, job.0, &mut wo, &mut wn);
-                    Self::map_whisk(now, &mut wo, out);
-                    self.react_whisk(now, wn, out);
+                    self.with_whisk(now, out, |w, wo, wn| w.start_invoker(now, job.0, wo, wn));
                 }
             }
             SysEvent::PilotExit(job) => {
-                let mut co = Outbox::new(now);
-                let mut cn = Vec::new();
-                self.cluster.pilot_exited(now, job, &mut co, &mut cn);
-                Self::map_cluster(now, &mut co, out);
-                self.react_cluster(now, cn, out);
+                self.with_cluster(now, out, |c, co, cn| c.pilot_exited(now, job, co, cn));
             }
             SysEvent::Load(i) => {
                 if let Some(load) = self.load.clone() {
@@ -429,11 +457,7 @@ impl Process<SysEvent> for DayState {
                         None => true,
                     };
                     if to_cluster {
-                        let mut wo = Outbox::new(now);
-                        let mut wn = Vec::new();
-                        let res = self.whisk.invoke(now, f, &mut wo, &mut wn);
-                        Self::map_whisk(now, &mut wo, out);
-                        self.react_whisk(now, wn, out);
+                        let res = self.with_whisk(now, out, |w, wo, wn| w.invoke(now, f, wo, wn));
                         if res == whisk::InvokeResult::Rejected503 {
                             if let Some(w) = self.wrapper.as_mut() {
                                 // Algorithm 1: retry commercially and
@@ -567,6 +591,10 @@ pub fn run_day(trace: &AvailabilityTrace, cfg: DayConfig) -> DayReport {
         timeout_bins: MinuteBins::new(trace.start, horizon_mins),
         rejected_bins: MinuteBins::new(trace.start, horizon_mins),
         latency_success_secs: Cdf::new(),
+        cluster_out: Outbox::new(trace.start),
+        cluster_notes: Vec::new(),
+        whisk_out: Outbox::new(trace.start),
+        whisk_notes: Vec::new(),
     };
 
     engine.run_until(trace.end, &mut state);
@@ -594,6 +622,7 @@ pub fn run_day(trace: &AvailabilityTrace, cfg: DayConfig) -> DayReport {
             .map(|w| (w.sent_local, w.sent_commercial, w.seen_503)),
         commercial_bins: state.commercial_bins,
         commercial_latency_secs: state.commercial_latency_secs,
+        events_dispatched: engine.steps(),
     }
 }
 

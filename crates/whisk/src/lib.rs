@@ -38,5 +38,5 @@ pub use config::{DynamicsMode, WhiskConfig};
 pub use container::{Acquire, ContainerPool};
 pub use events::{WhiskEvent, WhiskNote};
 pub use ids::{ActivationId, FunctionId, InvokerId};
-pub use invoker::{Invoker, InvokerState};
+pub use invoker::{Invoker, InvokerState, PollChain};
 pub use system::{WhiskCounters, WhiskSeries, WhiskSys};

@@ -15,6 +15,10 @@
 //!   flushes its internal buffer there too, and (for interruptible
 //!   functions) aborts running executions and re-routes them;
 //! * every invoker pulls the fast lane **before** its own topic;
+//! * an invoker's poll loop costs events only while there is work: a
+//!   poll that leaves nothing fetchable or buffered **parks** the loop,
+//!   and the next produce it could fetch wakes it on the tick its
+//!   jittered chain would have reached anyway (see [`PollChain`]);
 //! * a silently-dead invoker keeps receiving requests until its missed
 //!   health pings are noticed (`health_timeout`); in
 //!   [`DynamicsMode::HpcWhisk`] the orphaned topic is then recovered to
@@ -27,7 +31,7 @@ use crate::config::{DynamicsMode, WhiskConfig};
 use crate::container::Acquire;
 use crate::events::{WhiskEvent, WhiskNote};
 use crate::ids::{stable_hash, ActivationId, FunctionId, InvokerId};
-use crate::invoker::{Invoker, InvokerState};
+use crate::invoker::{Invoker, InvokerState, PollChain};
 use metrics::StepSeries;
 use mq::{Broker, TopicId};
 use simcore::{Outbox, SimRng, SimTime};
@@ -73,6 +77,13 @@ pub struct WhiskCounters {
     pub recovered_after_death: u64,
     /// Orphaned messages dropped after a noticed death (Baseline mode).
     pub dropped_after_death: u64,
+    /// `InvokerPoll` events executed.
+    pub polls: u64,
+    /// Polls that left nothing fetchable or buffered and parked their
+    /// loop.
+    pub polls_parked: u64,
+    /// `TimeoutScan` events executed.
+    pub timeout_scans: u64,
 }
 
 /// The FaaS platform state machine.
@@ -85,6 +96,13 @@ pub struct WhiskSys {
     invokers: HashMap<InvokerId, Invoker>,
     routable: Vec<InvokerId>,
     deadline_queue: VecDeque<(SimTime, ActivationId)>,
+    /// Origin of the timeout-scan grid (scans run at `scan_origin +
+    /// k * timeout_scan_every`, `k >= 1`).
+    scan_origin: SimTime,
+    /// A `TimeoutScan` is scheduled; true only while `deadline_queue`
+    /// is non-empty.
+    scan_armed: bool,
+    seed: u64,
     rng: SimRng,
     series: WhiskSeries,
     counters: WhiskCounters,
@@ -107,6 +125,9 @@ impl WhiskSys {
             invokers: HashMap::new(),
             routable: Vec::new(),
             deadline_queue: VecDeque::new(),
+            scan_origin: SimTime::ZERO,
+            scan_armed: false,
+            seed,
             rng: SimRng::seed_from_u64(seed ^ 0x7768_6973_6b00),
             series: WhiskSeries {
                 healthy: StepSeries::new(SimTime::ZERO, 0.0),
@@ -127,9 +148,33 @@ impl WhiskSys {
         self
     }
 
-    /// Schedule the controller's periodic work.
+    /// Anchor the controller's periodic work: timeout scans run on the
+    /// grid `now + k * timeout_scan_every`, and only at the ticks some
+    /// deadline is waiting for.
     pub fn bootstrap(&mut self, now: SimTime, out: &mut Outbox<WhiskEvent>) {
-        out.at(now + self.cfg.timeout_scan_every, WhiskEvent::TimeoutScan);
+        self.scan_origin = now;
+        self.arm_scan(out);
+    }
+
+    /// Schedule the timeout scan at the first grid tick at or after the
+    /// earliest deadline, unless one is scheduled or nothing is waiting.
+    /// Deadlines enter the queue in time order, so every activation is
+    /// declared timed out at the first grid tick at or after its
+    /// deadline — the instant a scan at every tick would find it.
+    fn arm_scan(&mut self, out: &mut Outbox<WhiskEvent>) {
+        if self.scan_armed {
+            return;
+        }
+        let Some(&(deadline, _)) = self.deadline_queue.front() else {
+            return;
+        };
+        let every = self.cfg.timeout_scan_every;
+        let k = (deadline - self.scan_origin)
+            .as_millis()
+            .div_ceil(every.as_millis().max(1))
+            .max(1);
+        self.scan_armed = true;
+        out.at(self.scan_origin + every * k, WhiskEvent::TimeoutScan);
     }
 
     /// Deploy a function.
@@ -169,6 +214,13 @@ impl WhiskSys {
         self.broker.depth(self.fast_lane)
     }
 
+    /// Lifecycle state and own-topic depth of a registered invoker
+    /// (tests/diagnostics).
+    pub fn invoker_status(&self, id: InvokerId) -> Option<(InvokerState, usize)> {
+        let inv = self.invokers.get(&id)?;
+        Some((inv.state, self.broker.depth(inv.topic)))
+    }
+
     // ------------------------------------------------------------------
     // Client API
     // ------------------------------------------------------------------
@@ -202,6 +254,7 @@ impl WhiskSys {
             attempts: 1,
         });
         self.deadline_queue.push_back((deadline, act));
+        self.arm_scan(out);
         if let Some(i) = self.invokers.get_mut(&inv) {
             i.ctrl_inflight += 1;
         }
@@ -249,17 +302,22 @@ impl WhiskSys {
             "invoker {id} already registered"
         );
         let topic = self.broker.create_topic(&format!("invoker-{key}"));
+        let poll = PollChain::new(self.seed, key, now, &self.cfg);
+        out.at(poll.tick(), WhiskEvent::InvokerPoll(id));
         self.invokers.insert(
             id,
-            Invoker::new(topic, self.cfg.container_slots, self.cfg.cold_concurrency),
+            Invoker::new(
+                topic,
+                self.cfg.container_slots,
+                self.cfg.cold_concurrency,
+                poll,
+            ),
         );
         let pos = self.routable.partition_point(|x| *x < id);
         self.routable.insert(pos, id);
         self.n_healthy += 1;
         self.push_series(now);
         notes.push(WhiskNote::InvokerUp(id));
-        let d = self.cfg.jitter(self.cfg.poll_interval, &mut self.rng);
-        out.after(d, WhiskEvent::InvokerPoll(id));
         id
     }
 
@@ -325,6 +383,7 @@ impl WhiskSys {
                 }
             }
         }
+        self.wake_fast_lane(now, out);
         let d = self.cfg.jitter(self.cfg.drain_flush, &mut self.rng);
         out.after(d, WhiskEvent::DrainComplete(id));
     }
@@ -356,7 +415,7 @@ impl WhiskSys {
             InvokerState::Draining => {
                 // The controller already stopped routing; tear down now.
                 self.counters.hard_deaths += 1;
-                self.remove_invoker(now, id, false, notes);
+                self.remove_invoker(now, id, false, out, notes);
             }
             InvokerState::DeadUnnoticed => {}
         }
@@ -375,7 +434,7 @@ impl WhiskSys {
         notes: &mut Vec<WhiskNote>,
     ) {
         match ev {
-            WhiskEvent::Enqueue { act, inv } => self.on_enqueue(now, act, inv),
+            WhiskEvent::Enqueue { act, inv } => self.on_enqueue(now, act, inv, out),
             WhiskEvent::InvokerPoll(id) => self.on_poll(now, id, out, notes),
             WhiskEvent::ColdStartDone { inv, act } => self.on_cold_done(now, inv, act, out),
             WhiskEvent::ExecDone { inv, act } => self.on_exec_done(now, inv, act, out, notes),
@@ -386,7 +445,7 @@ impl WhiskSys {
                     .is_some_and(|i| i.state == InvokerState::Draining)
                 {
                     self.counters.drains_clean += 1;
-                    self.remove_invoker(now, id, true, notes);
+                    self.remove_invoker(now, id, true, out, notes);
                 }
             }
             WhiskEvent::DeathNoticed(id) => {
@@ -396,10 +455,12 @@ impl WhiskSys {
                     .is_some_and(|i| i.state == InvokerState::DeadUnnoticed)
                 {
                     self.routable.retain(|x| *x != id);
-                    self.remove_invoker(now, id, false, notes);
+                    self.remove_invoker(now, id, false, out, notes);
                 }
             }
             WhiskEvent::TimeoutScan => {
+                self.counters.timeout_scans += 1;
+                self.scan_armed = false;
                 while let Some((deadline, act)) = self.deadline_queue.front().copied() {
                     if deadline > now {
                         break;
@@ -409,12 +470,18 @@ impl WhiskSys {
                         self.answer(now, act, Outcome::Timeout, notes);
                     }
                 }
-                out.after(self.cfg.timeout_scan_every, WhiskEvent::TimeoutScan);
+                self.arm_scan(out);
             }
         }
     }
 
-    fn on_enqueue(&mut self, _now: SimTime, act: ActivationId, inv: InvokerId) {
+    fn on_enqueue(
+        &mut self,
+        now: SimTime,
+        act: ActivationId,
+        inv: InvokerId,
+        out: &mut Outbox<WhiskEvent>,
+    ) {
         if !self.records[act.0 as usize].in_flight() {
             return;
         }
@@ -422,14 +489,44 @@ impl WhiskSys {
         match self.invokers.get(&inv) {
             Some(i) => {
                 // Delivered even to a dead-unnoticed invoker's topic:
-                // the controller does not know better yet.
+                // the controller does not know better yet (and a corpse
+                // is not woken — the health timeout recovers the topic).
                 self.broker.produce(i.topic, submitted, act);
+                self.wake(now, inv, out);
             }
             None => {
                 // The chosen invoker de-registered in flight; the fast
                 // lane guarantees any surviving invoker picks it up.
                 self.broker.produce(self.fast_lane, submitted, act);
+                self.wake_fast_lane(now, out);
             }
+        }
+    }
+
+    /// Resume `id`'s poll loop if it is parked (and still serving): one
+    /// `InvokerPoll` at the first tick of its chain at or after `now`.
+    /// The ticks skipped are the ones at which there was nothing to
+    /// fetch or dispatch. A tick on the very millisecond of the produce
+    /// runs after it.
+    fn wake(&mut self, now: SimTime, id: InvokerId, out: &mut Outbox<WhiskEvent>) {
+        let Some(inv) = self.invokers.get_mut(&id) else {
+            return;
+        };
+        if inv.parked && inv.state == InvokerState::Healthy {
+            inv.parked = false;
+            let tick = inv.poll.catch_up(now, &self.cfg);
+            out.at(tick, WhiskEvent::InvokerPoll(id));
+        }
+    }
+
+    /// After a produce into the fast lane: any healthy invoker may fetch
+    /// it and the first to poll wins, so every parked one is woken.
+    fn wake_fast_lane(&mut self, now: SimTime, out: &mut Outbox<WhiskEvent>) {
+        if self.broker.depth(self.fast_lane) == 0 {
+            return;
+        }
+        for i in 0..self.routable.len() {
+            self.wake(now, self.routable[i], out);
         }
     }
 
@@ -440,12 +537,17 @@ impl WhiskSys {
         out: &mut Outbox<WhiskEvent>,
         notes: &mut Vec<WhiskNote>,
     ) {
+        self.counters.polls += 1;
         let Some(inv) = self.invokers.get_mut(&id) else {
             return; // gone — the poll loop dies with it
         };
         if inv.state != InvokerState::Healthy {
             return;
         }
+        debug_assert!(
+            !inv.parked && inv.poll.tick() == now,
+            "poll off {id}'s chain"
+        );
         let room = self.cfg.buffer_max.saturating_sub(inv.buffer.len());
         if room > 0 {
             let topic = inv.topic;
@@ -464,8 +566,21 @@ impl WhiskSys {
             }
         }
         self.dispatch(now, id, out, notes);
-        let d = self.cfg.jitter(self.cfg.poll_interval, &mut self.rng);
-        out.after(d, WhiskEvent::InvokerPoll(id));
+        // Re-arm only while the next tick could do something: fetch (a
+        // topic it reads is non-empty) or dispatch (its buffer is; a
+        // full buffer is a non-empty one). Otherwise park until a
+        // produce wakes the loop.
+        let inv = self.invokers.get_mut(&id).expect("polling invoker");
+        let next = inv.poll.advance(&self.cfg);
+        if !inv.buffer.is_empty()
+            || self.broker.depth(inv.topic) > 0
+            || self.broker.depth(self.fast_lane) > 0
+        {
+            out.at(next, WhiskEvent::InvokerPoll(id));
+        } else {
+            inv.parked = true;
+            self.counters.polls_parked += 1;
+        }
     }
 
     /// Start buffered activations on containers until capacity runs out.
@@ -615,6 +730,7 @@ impl WhiskSys {
         now: SimTime,
         id: InvokerId,
         clean: bool,
+        out: &mut Outbox<WhiskEvent>,
         notes: &mut Vec<WhiskNote>,
     ) {
         let inv = self.invokers.remove(&id).expect("removing unknown invoker");
@@ -629,6 +745,7 @@ impl WhiskSys {
                     } else {
                         self.counters.recovered_after_death += n as u64;
                     }
+                    self.wake_fast_lane(now, out);
                 }
                 DynamicsMode::Baseline => {
                     let orphans = self.broker.delete_topic(inv.topic);

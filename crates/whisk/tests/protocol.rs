@@ -1,13 +1,17 @@
 //! Protocol-level tests of the FaaS platform: the invocation data path,
 //! 503 behaviour, the drain/fast-lane handoff (no request lost), the
 //! baseline-OpenWhisk ablation (requests lost), silent-death recovery,
-//! timeouts, and container-pool saturation failures.
+//! timeouts, container-pool saturation failures, and the parked poll
+//! loop (no lost wake-up, one poll outstanding, polls on the chain; the
+//! timeout scan armed only for the grid ticks a deadline waits for).
 
 use hpcwhisk_whisk::{
-    DynamicsMode, FunctionId, FunctionSpec, InvokeResult, InvokerId, Outcome, WhiskConfig,
-    WhiskEvent, WhiskNote, WhiskSys,
+    DynamicsMode, FunctionId, FunctionSpec, InvokeResult, InvokerId, InvokerState, Outcome,
+    PollChain, WhiskConfig, WhiskEvent, WhiskNote, WhiskSys,
 };
+use proptest::prelude::*;
 use simcore::{Engine, Outbox, SimDuration, SimTime};
+use std::collections::BTreeMap;
 
 struct Harness {
     sys: WhiskSys,
@@ -17,10 +21,14 @@ struct Harness {
 
 impl Harness {
     fn new(cfg: WhiskConfig) -> Self {
+        Self::bootstrapped_at(cfg, SimTime::ZERO)
+    }
+
+    fn bootstrapped_at(cfg: WhiskConfig, t0: SimTime) -> Self {
         let mut sys = WhiskSys::new(cfg, 7);
         let mut engine = Engine::new();
-        let mut out = Outbox::new(SimTime::ZERO);
-        sys.bootstrap(SimTime::ZERO, &mut out);
+        let mut out = Outbox::new(t0);
+        sys.bootstrap(t0, &mut out);
         for (t, e) in out.drain() {
             engine.schedule(t, e);
         }
@@ -454,4 +462,382 @@ fn non_interruptible_execution_completes_during_drain() {
     assert_eq!(outs.len(), 1);
     assert_eq!(outs[0].0, Outcome::Success);
     assert_eq!(h.sys.counters().refired, 0);
+}
+
+// ---------------------------------------------------------------------
+// Parked poll loops
+// ---------------------------------------------------------------------
+
+/// The function (of `fns`) whose next invocation the controller routes
+/// to `inv`, found by invoking until one lands there.
+fn invoke_routed_to(h: &mut Harness, t: SimTime, fns: &[FunctionId], inv: InvokerId) {
+    for &f in fns {
+        if let InvokeResult::Accepted(act) = h.invoke_at(t, f) {
+            if h.sys.record(act).assigned == Some(inv) {
+                return;
+            }
+        }
+    }
+    panic!("no function routes to {inv}");
+}
+
+fn twenty_fns(h: &mut Harness) -> Vec<FunctionId> {
+    (0..20)
+        .map(|i| {
+            h.sys.register_function(FunctionSpec::sleep(
+                &format!("f{i}"),
+                SimDuration::from_millis(10),
+            ))
+        })
+        .collect()
+}
+
+#[test]
+fn idle_invokers_park_after_one_poll_and_a_produce_wakes_only_its_target() {
+    let mut h = Harness::new(WhiskConfig::default());
+    let f = h
+        .sys
+        .register_function(FunctionSpec::sleep("f", SimDuration::from_millis(10)));
+    h.start_invoker_at(secs(0), 1);
+    h.start_invoker_at(secs(0), 2);
+    h.run_until(secs(3_600));
+    // An idle hour costs one poll per invoker and no scan at all.
+    assert_eq!(h.sys.counters().polls, 2);
+    assert_eq!(h.sys.counters().polls_parked, 2);
+    assert_eq!(h.sys.counters().timeout_scans, 0);
+    assert_eq!(h.engine.steps(), 2);
+
+    let r = h.invoke_at(secs(3_600), f);
+    assert!(matches!(r, InvokeResult::Accepted(_)));
+    h.run_until(secs(3_700));
+    let outs = h.outcomes();
+    assert_eq!(outs.len(), 1);
+    assert_eq!(outs[0].0, Outcome::Success);
+    // Picked up within one poll interval of becoming visible, as by a
+    // loop that never stopped: ctrl + kafka ≤ 75 ms, tick gap ≤ 230 ms.
+    let rtt = outs[0].2.since(outs[0].1).as_millis();
+    assert!(rtt < 75 + 230 + 450 + 400 + 10 + 110 + 330, "rtt {rtt} ms");
+    // The other invoker slept through it: one wake-up poll for the home
+    // invoker, which found the message, started it and parked again.
+    assert_eq!(h.sys.counters().polls, 3);
+    assert_eq!(h.sys.counters().polls_parked, 3);
+}
+
+#[test]
+fn produce_to_a_parked_corpse_wakes_nothing_and_the_health_timeout_recovers_it() {
+    let mut h = Harness::new(WhiskConfig::default());
+    let fns = twenty_fns(&mut h);
+    h.start_invoker_at(secs(0), 1);
+    h.start_invoker_at(secs(0), 2);
+    h.run_until(secs(5));
+    assert_eq!(h.sys.counters().polls_parked, 2);
+    h.apply(secs(5), |sys, now, out, notes| {
+        sys.kill_invoker(now, InvokerId(1), out, notes)
+    });
+    invoke_routed_to(&mut h, secs(6), &fns, InvokerId(1));
+    let accepted = h.sys.counters().submitted - h.sys.counters().rejected_503;
+    // Delivered to the corpse's topic; its loop stays dead. (Requests
+    // that went to invoker 2 on the way woke invoker 2 alone.)
+    h.run_until(secs(14));
+    let polls_before_notice = h.sys.counters().polls;
+    assert!(matches!(
+        h.sys.invoker_status(InvokerId(1)),
+        Some((InvokerState::DeadUnnoticed, 1))
+    ));
+    assert_eq!(h.outcomes().len() as u64, accepted - 1);
+    // Death noticed at 15 s: the orphan moves to the fast lane, which
+    // wakes the parked survivor.
+    h.run_until(secs(30));
+    assert_eq!(h.sys.invoker_status(InvokerId(1)), None);
+    assert_eq!(h.sys.counters().recovered_after_death, 1);
+    assert_eq!(h.sys.counters().polls, polls_before_notice + 1);
+    let outs = h.outcomes();
+    assert_eq!(outs.len() as u64, accepted);
+    assert!(outs.iter().all(|(o, _, _)| *o == Outcome::Success));
+}
+
+#[test]
+fn baseline_mode_parks_too_ignores_sigterm_and_times_the_orphan_out() {
+    let cfg = WhiskConfig {
+        mode: DynamicsMode::Baseline,
+        ..WhiskConfig::default()
+    };
+    let mut h = Harness::new(cfg);
+    let fns = twenty_fns(&mut h);
+    h.start_invoker_at(secs(0), 1);
+    h.start_invoker_at(secs(0), 2);
+    h.run_until(secs(5));
+    assert_eq!(h.sys.counters().polls_parked, 2);
+    // Stock OpenWhisk ignores SIGTERM: the parked invoker stays healthy
+    // and a later produce still wakes it.
+    h.apply(secs(5), |sys, now, out, notes| {
+        sys.sigterm_invoker(now, InvokerId(2), out, notes)
+    });
+    invoke_routed_to(&mut h, secs(6), &fns, InvokerId(2));
+    h.run_until(secs(10));
+    let served = h.outcomes();
+    assert!(!served.is_empty());
+    assert!(served.iter().all(|(o, _, _)| *o == Outcome::Success));
+    // A corpse's topic is dropped at the health timeout, nothing is
+    // woken for it, and the lazily armed scan declares the timeout.
+    h.apply(secs(10), |sys, now, out, notes| {
+        sys.kill_invoker(now, InvokerId(1), out, notes)
+    });
+    invoke_routed_to(&mut h, secs(11), &fns, InvokerId(1));
+    h.run_until(secs(120));
+    assert_eq!(h.sys.counters().dropped_after_death, 1);
+    let outs = h.outcomes();
+    let accepted = h.sys.counters().submitted - h.sys.counters().rejected_503;
+    assert_eq!(outs.len() as u64, accepted);
+    let timeouts = outs
+        .iter()
+        .filter(|(o, _, _)| *o == Outcome::Timeout)
+        .count();
+    assert_eq!(timeouts, 1);
+}
+
+#[test]
+fn lazy_timeout_scan_answers_on_the_grid_instant_an_always_armed_scan_would() {
+    // Grid anchored off the second: scans at 0.35 s + k * 1 s.
+    let t0 = SimTime::from_millis(350);
+    let mut h = Harness::bootstrapped_at(WhiskConfig::default(), t0);
+    let f = h
+        .sys
+        .register_function(FunctionSpec::sleep("f", SimDuration::from_millis(10)));
+    h.start_invoker_at(secs(1), 1);
+    h.run_until(secs(2));
+    h.apply(secs(2), |sys, now, out, notes| {
+        sys.kill_invoker(now, InvokerId(1), out, notes)
+    });
+    // Accepted by the corpse (Baseline-like loss: nobody else to recover
+    // to), deadlines 62.1 s, 62.3 s and 63.0 s.
+    for ms in [2_100, 2_300, 3_000] {
+        let r = h.invoke_at(SimTime::from_millis(ms), f);
+        assert!(matches!(r, InvokeResult::Accepted(_)));
+    }
+    h.run_until(secs(200));
+    let declared: Vec<SimTime> = h
+        .notes
+        .iter()
+        .filter_map(|(at, n)| match n {
+            WhiskNote::ActivationDone {
+                outcome: Outcome::Timeout,
+                ..
+            } => Some(*at),
+            _ => None,
+        })
+        .collect();
+    // First grid tick at or after each deadline.
+    assert_eq!(
+        declared,
+        vec![
+            SimTime::from_millis(62_350),
+            SimTime::from_millis(62_350),
+            SimTime::from_millis(63_350)
+        ]
+    );
+    // Two ticks had a deadline waiting; the other ~198 were never run.
+    assert_eq!(h.sys.counters().timeout_scans, 2);
+}
+
+/// One step of the park/wake audit, applied after advancing the clock.
+#[derive(Debug, Clone)]
+enum ParkOp {
+    Invoke { f: usize },
+    Start,
+    Sigterm { pick: usize },
+    Kill { pick: usize },
+    Wait,
+}
+
+fn park_op_strategy() -> impl Strategy<Value = (u64, ParkOp)> {
+    let dt = prop_oneof![0u64..40, 40u64..700, 1_000u64..14_000];
+    let op = prop_oneof![
+        (0usize..6).prop_map(|f| ParkOp::Invoke { f }),
+        (0usize..6).prop_map(|f| ParkOp::Invoke { f }),
+        (0usize..6).prop_map(|f| ParkOp::Invoke { f }),
+        Just(ParkOp::Start),
+        (0usize..8).prop_map(|pick| ParkOp::Sigterm { pick }),
+        (0usize..8).prop_map(|pick| ParkOp::Kill { pick }),
+        Just(ParkOp::Wait),
+    ];
+    (dt, op)
+}
+
+const AUDIT_SEED: u64 = 7; // the seed `Harness` gives `WhiskSys`
+
+/// The audit's own books: what it saw scheduled and dispatched, and each
+/// invoker's tick chain rebuilt from `(seed, key, start)` alone.
+struct ParkAudit {
+    cfg: WhiskConfig,
+    outstanding: BTreeMap<InvokerId, i64>,
+    chains: BTreeMap<InvokerId, PollChain>,
+}
+
+impl ParkAudit {
+    fn scheduled(&mut self, ev: &WhiskEvent) {
+        if let WhiskEvent::InvokerPoll(id) = ev {
+            *self.outstanding.entry(*id).or_default() += 1;
+        }
+    }
+
+    /// Register the next invoker and rebuild its chain independently.
+    fn start(
+        &mut self,
+        sys: &mut WhiskSys,
+        t: SimTime,
+        keys: &mut Vec<u64>,
+        out: &mut Outbox<WhiskEvent>,
+        notes: &mut Vec<WhiskNote>,
+    ) {
+        let key = keys.len() as u64 + 1;
+        keys.push(key);
+        sys.start_invoker(t, key, out, notes);
+        let chain = PollChain::new(AUDIT_SEED, key, t, &self.cfg);
+        self.chains.insert(InvokerId(key), chain);
+    }
+
+    /// (c): an executing poll sits on its invoker's chain.
+    fn dispatching(&mut self, now: SimTime, ev: &WhiskEvent) {
+        if let WhiskEvent::InvokerPoll(id) = ev {
+            *self.outstanding.get_mut(id).expect("poll never scheduled") -= 1;
+            let chain = self.chains.get_mut(id).expect("poll for unknown invoker");
+            assert_eq!(
+                chain.catch_up(now, &self.cfg),
+                now,
+                "{id} polled at {now}, off its chain"
+            );
+        }
+    }
+
+    /// (a) and (b), after every step.
+    fn check(&self, sys: &WhiskSys, now: SimTime) {
+        for (id, n) in &self.outstanding {
+            assert!((0..=1).contains(n), "{id}: {n} polls outstanding at {now}");
+            let Some((InvokerState::Healthy, depth)) = sys.invoker_status(*id) else {
+                continue;
+            };
+            if *n == 0 {
+                assert_eq!(depth, 0, "{id} sleeps on its own topic at {now}");
+                assert_eq!(
+                    sys.fast_lane_depth(),
+                    0,
+                    "{id} sleeps on the fast lane at {now}"
+                );
+            }
+        }
+    }
+}
+
+fn run_park_audit(mode: DynamicsMode, steps: Vec<(u64, ParkOp)>) {
+    let cfg = WhiskConfig {
+        mode,
+        ..WhiskConfig::default()
+    };
+    let mut h = Harness::new(cfg.clone());
+    let fns: Vec<FunctionId> = (0..6)
+        .map(|i| {
+            // Slow enough that drains catch running executions.
+            h.sys.register_function(FunctionSpec::sleep(
+                &format!("f{i}"),
+                SimDuration::from_millis(100 + 700 * (i % 2)),
+            ))
+        })
+        .collect();
+    let mut audit = ParkAudit {
+        cfg,
+        outstanding: BTreeMap::new(),
+        chains: BTreeMap::new(),
+    };
+    let mut keys: Vec<u64> = Vec::new();
+    let mut accepted = 0usize;
+    let mut t = SimTime::ZERO;
+
+    // Dispatch everything before `until`, auditing around each event.
+    fn drain_to(h: &mut Harness, audit: &mut ParkAudit, until: SimTime) {
+        let Harness { sys, engine, notes } = h;
+        engine.run_until(
+            until,
+            &mut |now: SimTime, ev: WhiskEvent, out: &mut Outbox<WhiskEvent>| {
+                audit.dispatching(now, &ev);
+                let mut staged = Outbox::new(now);
+                let mut local = Vec::new();
+                sys.handle(now, ev, &mut staged, &mut local);
+                notes.extend(local.into_iter().map(|n| (now, n)));
+                for (at, e) in staged.drain() {
+                    audit.scheduled(&e);
+                    out.at(at, e);
+                }
+                audit.check(sys, now);
+            },
+        );
+    }
+
+    for (dt_ms, op) in steps {
+        t += SimDuration::from_millis(dt_ms);
+        drain_to(&mut h, &mut audit, t);
+        let mut out = Outbox::new(t);
+        let mut local = Vec::new();
+        match op {
+            ParkOp::Invoke { f } => {
+                let r = h.sys.invoke(t, fns[f], &mut out, &mut local);
+                accepted += matches!(r, InvokeResult::Accepted(_)) as usize;
+            }
+            ParkOp::Start => audit.start(&mut h.sys, t, &mut keys, &mut out, &mut local),
+            ParkOp::Sigterm { pick } if !keys.is_empty() => {
+                let id = InvokerId(keys[pick % keys.len()]);
+                h.sys.sigterm_invoker(t, id, &mut out, &mut local);
+            }
+            ParkOp::Kill { pick } if !keys.is_empty() => {
+                let id = InvokerId(keys[pick % keys.len()]);
+                h.sys.kill_invoker(t, id, &mut out, &mut local);
+            }
+            _ => {}
+        }
+        h.notes.extend(local.into_iter().map(|n| (t, n)));
+        for (at, e) in out.drain() {
+            audit.scheduled(&e);
+            h.engine.schedule(at, e);
+        }
+        audit.check(&h.sys, t);
+    }
+
+    // A last invoker drains whatever waits in the fast lane; everything
+    // accepted is answered (served, failed or timed out — never lost).
+    t += SimDuration::from_secs(1);
+    drain_to(&mut h, &mut audit, t);
+    let mut out = Outbox::new(t);
+    audit.start(&mut h.sys, t, &mut keys, &mut out, &mut Vec::new());
+    for (at, e) in out.drain() {
+        audit.scheduled(&e);
+        h.engine.schedule(at, e);
+    }
+    drain_to(&mut h, &mut audit, t + SimDuration::from_secs(180));
+    assert_eq!(h.outcomes().len(), accepted, "an accepted request was lost");
+    assert_eq!(h.sys.fast_lane_depth(), 0);
+    // Quiescence: every loop is parked, no scan armed — nothing queued.
+    assert_eq!(h.engine.pending(), 0, "events left with no work to do");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random interleavings of client and lifecycle calls with event
+    /// dispatch: no lost wake-up, at most one poll outstanding per
+    /// invoker, every poll on its invoker's recomputed chain.
+    #[test]
+    fn prop_parked_loops_never_sleep_on_work(
+        steps in proptest::collection::vec(park_op_strategy(), 1..120),
+    ) {
+        run_park_audit(DynamicsMode::HpcWhisk, steps);
+    }
+
+    /// The same under stock-OpenWhisk dynamics (SIGTERM ignored, a
+    /// noticed corpse's topic dropped instead of recovered).
+    #[test]
+    fn prop_parked_loops_never_sleep_on_work_baseline(
+        steps in proptest::collection::vec(park_op_strategy(), 1..120),
+    ) {
+        run_park_audit(DynamicsMode::Baseline, steps);
+    }
 }

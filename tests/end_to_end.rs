@@ -170,6 +170,48 @@ fn with_load_day_repeats_exactly_in_process() {
 }
 
 #[test]
+fn coverage_only_day_dispatches_no_event_without_work() {
+    let trace = small_day();
+    let mut cfg = DayConfig::fib_paper(1);
+    cfg.load = None;
+    let rep = run_day(&trace, cfg);
+    let w = &rep.whisk_counters;
+    // No request ever enters the system: every invoker polls once, on
+    // its first tick, finds nothing and parks for life. The first tick
+    // falls at most 230 ms (poll interval + 15 %) after registration,
+    // so only an invoker registered that close to the horizon misses it.
+    let ups = |before: SimTime| -> u64 {
+        rep.healthy_series
+            .change_points()
+            .windows(2)
+            .filter(|w| w[1].0 < before)
+            .map(|w| (w[1].1 - w[0].1).max(0.0) as u64)
+            .sum()
+    };
+    let (surely, at_most) = (
+        ups(trace.end - SimDuration::from_millis(230)),
+        ups(trace.end),
+    );
+    assert!(surely > 50, "invokers registered: {surely}");
+    assert!(
+        (surely..=at_most).contains(&w.polls),
+        "{} polls for {surely}..={at_most} invokers reaching their first tick",
+        w.polls
+    );
+    // The few polls that did not park found their invoker already
+    // draining (SIGTERM inside its first 230 ms).
+    assert!(w.polls_parked <= w.polls && w.polls - w.polls_parked < 5);
+    assert_eq!(w.timeout_scans, 0);
+    // The always-armed loops and scan of the parent commit dispatched
+    // 129,899 events over this very day (same trace, same seed).
+    assert!(
+        rep.events_dispatched * 10 < 129_899,
+        "{} events dispatched",
+        rep.events_dispatched
+    );
+}
+
+#[test]
 fn poll_reconstruction_roundtrips_through_facade() {
     let trace = small_day();
     let mut cfg = DayConfig::fib_paper(11);
