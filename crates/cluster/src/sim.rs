@@ -503,16 +503,23 @@ impl ClusterSim {
             .collect()
     }
 
-    /// Pending *pilot* jobs per declared limit in minutes (fib manager).
-    pub fn pending_pilots_by_limit(&self) -> HashMap<u64, usize> {
-        let mut m = HashMap::new();
+    /// Pending *pilot* jobs per declared limit in minutes, as `(limit,
+    /// count)` pairs in order of first appearance in the queue (fib
+    /// manager). A managed queue holds a handful of distinct limits, so
+    /// the linear find beats hashing every pending job each tick.
+    pub fn pending_pilots_by_limit(&self) -> Vec<(u64, usize)> {
+        let mut counts: Vec<(u64, usize)> = Vec::new();
         for id in &self.pending {
             let j = &self.jobs[id.0 as usize];
             if j.is_pending() && j.spec.kind == JobKind::Pilot {
-                *m.entry(j.spec.time_limit.as_mins()).or_insert(0) += 1;
+                let mins = j.spec.time_limit.as_mins();
+                match counts.iter_mut().find(|(m, _)| *m == mins) {
+                    Some((_, n)) => *n += 1,
+                    None => counts.push((mins, 1)),
+                }
             }
         }
-        m
+        counts
     }
 
     /// Submit a job.

@@ -92,11 +92,14 @@ impl FibManager {
 impl PilotManager for FibManager {
     fn replenish(&mut self, cluster: &ClusterSim) -> Vec<JobSpec> {
         let pending = cluster.pending_pilots_by_limit();
-        let total_pending: usize = pending.values().sum();
+        let total_pending: usize = pending.iter().map(|(_, n)| n).sum();
         let mut budget = QUEUE_CAP.saturating_sub(total_pending);
         let mut jobs = Vec::new();
         for &len in &self.lengths_mins {
-            let have = pending.get(&len).copied().unwrap_or(0);
+            let have = pending
+                .iter()
+                .find(|(mins, _)| *mins == len)
+                .map_or(0, |(_, n)| *n);
             let want = self.per_length.saturating_sub(have).min(budget);
             let priority = if self.longest_first { len } else { 1 };
             for _ in 0..want {
@@ -140,7 +143,11 @@ impl VarManager {
 
 impl PilotManager for VarManager {
     fn replenish(&mut self, cluster: &ClusterSim) -> Vec<JobSpec> {
-        let pending: usize = cluster.pending_pilots_by_limit().values().sum();
+        let pending: usize = cluster
+            .pending_pilots_by_limit()
+            .iter()
+            .map(|(_, n)| n)
+            .sum();
         let want = self.target.min(QUEUE_CAP).saturating_sub(pending);
         (0..want)
             .map(|_| {

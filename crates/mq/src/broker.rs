@@ -163,11 +163,19 @@ impl<T> Broker<T> {
 
     /// Pull up to `max` messages in FIFO order, removing them from the
     /// topic (modelled as fetch+commit; the in-flight window lives in the
-    /// invoker's internal buffer, as in the paper).
-    pub fn fetch(&mut self, id: TopicId, max: usize) -> Vec<Message<T>> {
+    /// invoker's internal buffer, as in the paper). Allocates nothing:
+    /// the messages move out of the topic as the iterator is advanced,
+    /// and whatever of them it has not yielded when dropped is removed
+    /// all the same.
+    pub fn drain(&mut self, id: TopicId, max: usize) -> impl Iterator<Item = Message<T>> + '_ {
         let t = self.topic_mut(id);
         let n = max.min(t.queue.len());
-        t.queue.drain(..n).collect()
+        t.queue.drain(..n)
+    }
+
+    /// [`Broker::drain`] collected into a `Vec`.
+    pub fn fetch(&mut self, id: TopicId, max: usize) -> Vec<Message<T>> {
+        self.drain(id, max).collect()
     }
 
     /// Move every pending message from `from` to `to`, preserving order
@@ -191,24 +199,6 @@ impl<T> Broker<T> {
             });
         }
         n
-    }
-
-    /// Re-produce messages at the *front* of a topic, preserving their
-    /// relative order (used when a draining invoker flushes its internal
-    /// buffer to the fast lane: those must run before anything already
-    /// there? No — the paper appends; kept here for the interruption
-    /// path, where the in-flight request precedes buffered ones).
-    pub fn push_front(&mut self, id: TopicId, now: SimTime, payloads: Vec<T>) {
-        let t = self.topic_mut(id);
-        for payload in payloads.into_iter().rev() {
-            let offset = t.next_offset;
-            t.next_offset += 1;
-            t.queue.push_front(Message {
-                offset,
-                produced_at: now,
-                payload,
-            });
-        }
     }
 
     /// Depth/age diagnostics.
@@ -320,16 +310,15 @@ mod tests {
     }
 
     #[test]
-    fn push_front_prioritizes() {
-        let mut b: Broker<&str> = Broker::new();
-        let fast = b.create_topic("fast");
-        b.produce(fast, t0(), "later");
-        b.push_front(fast, t0(), vec!["first", "second"]);
-        let got = b.fetch(fast, 10);
-        assert_eq!(
-            got.iter().map(|m| m.payload).collect::<Vec<_>>(),
-            ["first", "second", "later"]
-        );
+    fn drain_dropped_early_removes_its_whole_range() {
+        let mut b: Broker<u32> = Broker::new();
+        let a = b.create_topic("a");
+        for v in 0..5 {
+            b.produce(a, t0(), v);
+        }
+        assert_eq!(b.drain(a, 3).next().map(|m| m.payload), Some(0));
+        assert_eq!(b.depth(a), 2);
+        assert_eq!(b.fetch(a, 10)[0].payload, 3);
     }
 
     #[test]
@@ -453,6 +442,43 @@ mod tests {
                     b.fetch(ids[t], usize::MAX).into_iter().map(|m| m.payload).collect();
                 let model_remaining: Vec<u16> = model[t].iter().copied().collect();
                 prop_assert_eq!(remaining, model_remaining);
+            }
+        }
+
+        /// `drain` is `fetch` without the `Vec`: over the same stream of
+        /// operations both hand out the same messages (payload, offset
+        /// and original `produced_at`, across moves too) and leave the
+        /// same depths.
+        #[test]
+        fn prop_drain_equals_fetch(ops in proptest::collection::vec(op_strategy(), 0..120)) {
+            let mut fetched: Broker<u16> = Broker::new();
+            let mut drained: Broker<u16> = Broker::new();
+            let f_ids = ["t0", "t1", "t2"].map(|n| fetched.create_topic(n));
+            let d_ids = ["t0", "t1", "t2"].map(|n| drained.create_topic(n));
+            for (step, op) in ops.into_iter().enumerate() {
+                let now = SimTime::from_millis(step as u64);
+                match op {
+                    Op::Produce(t, v) => {
+                        let offset = fetched.produce(f_ids[t as usize], now, v);
+                        prop_assert_eq!(drained.produce(d_ids[t as usize], now, v), offset);
+                    }
+                    Op::Fetch(t, n) => {
+                        let want = fetched.fetch(f_ids[t as usize], n as usize);
+                        let got: Vec<_> = drained.drain(d_ids[t as usize], n as usize).collect();
+                        prop_assert_eq!(got, want);
+                    }
+                    Op::MoveAll(a, b) if a != b => {
+                        let moved = fetched.move_all(f_ids[a as usize], f_ids[b as usize], now);
+                        prop_assert_eq!(
+                            drained.move_all(d_ids[a as usize], d_ids[b as usize], now),
+                            moved
+                        );
+                    }
+                    Op::MoveAll(..) => {}
+                }
+                for t in 0..3 {
+                    prop_assert_eq!(drained.depth(d_ids[t]), fetched.depth(f_ids[t]));
+                }
             }
         }
 

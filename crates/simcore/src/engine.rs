@@ -297,6 +297,16 @@ mod tests {
     /// runs the engine and folds every `(time, payload)` dispatch into
     /// an FNV-1a trace hash.
     fn event_trace_hash(seed: u64, segments: &[u64]) -> (u64, u64) {
+        event_trace_hash_with(seed, segments, |rng| rng.range_u64(0, 40))
+    }
+
+    /// [`event_trace_hash`] with the follow-up delay (ms) drawn by
+    /// `delay`.
+    fn event_trace_hash_with(
+        seed: u64,
+        segments: &[u64],
+        delay: impl Fn(&mut crate::SimRng) -> u64,
+    ) -> (u64, u64) {
         use crate::SimRng;
         let mut rng = SimRng::seed_from_u64(seed);
         let mut engine: Engine<u64> = Engine::with_queue_capacity(256);
@@ -318,7 +328,7 @@ mod tests {
             if dispatched < 4_000 {
                 for _ in 0..rng.range_u64(0, 3) {
                     out.after(
-                        SimDuration::from_millis(rng.range_u64(0, 40)),
+                        SimDuration::from_millis(delay(&mut rng)),
                         ev ^ rng.next_u64(),
                     );
                 }
@@ -351,6 +361,29 @@ mod tests {
     fn segmented_run_equals_one_shot() {
         let (whole, n_whole) = event_trace_hash(7, &[]);
         let (split, n_split) = event_trace_hash(7, &[10, 11, 50, 333, 2_000]);
+        assert_eq!(n_whole, n_split);
+        assert_eq!(whole, split);
+    }
+
+    /// The same with follow-ups from milliseconds to minutes ahead, so
+    /// entries sit on both sides of the event queue's far horizon and a
+    /// segment boundary pops from its far heap what the requeue puts
+    /// back among the imminent events.
+    #[test]
+    fn segmented_run_equals_one_shot_across_the_far_horizon() {
+        let delay = |rng: &mut crate::SimRng| {
+            if rng.range_u64(0, 2) == 0 {
+                rng.range_u64(0, 40)
+            } else {
+                rng.range_u64(0, 100_000)
+            }
+        };
+        let (whole, n_whole) = event_trace_hash_with(42, &[], delay);
+        let cuts = [
+            10, 11, 50, 9_999, 10_000, 10_001, 47_000, 300_000, 2_000_000,
+        ];
+        let (split, n_split) = event_trace_hash_with(42, &cuts, delay);
+        assert!(n_whole > 200, "fanout actually ran: {n_whole}");
         assert_eq!(n_whole, n_split);
         assert_eq!(whole, split);
     }

@@ -1,6 +1,6 @@
 //! The deterministic event queue at the heart of the DES engine.
 
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 
 /// An entry in the queue: ordered by `(time, seq)` ascending, where `seq`
 /// is a monotonically increasing insertion counter. The tiebreaker makes
@@ -247,7 +247,20 @@ impl<E> QuadHeap<E> {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
+    /// Entries due within [`FAR_HORIZON`] of the last popped time when
+    /// they were pushed: the events a dispatch loop reorders against.
     heap: QuadHeap<E>,
+    /// Entries pushed for [`FAR_HORIZON`] or more past the last popped
+    /// time (a simulated day's job ends, time limits, claim
+    /// submissions). Keeping them out of `heap` keeps its sifts as
+    /// short as the handful of imminent events it holds. Entries never
+    /// migrate: pops take the smaller of the tops, and the order is
+    /// total by `(time, seq)`, so which heap held an entry is
+    /// unobservable.
+    far: QuadHeap<E>,
+    /// Last popped time + [`FAR_HORIZON`]: pushes at or past it go to
+    /// `far`.
+    far_from: SimTime,
     /// Staging buffer for push *runs*: the first pushes after a pop go
     /// straight into the heap (the dispatch loop's one-push-per-pop
     /// steady state pays nothing), but a run that outlives the budget
@@ -283,23 +296,28 @@ const DIRECT_PUSH_BUDGET: u32 = 8;
 /// heapify otherwise).
 const BULK_BUILD_MIN: usize = 64;
 
+/// How far past the last popped time a push must lie to go to the far
+/// heap. Not a tuning knob: on the paper's fib day (3.67 M events; per
+/// pop `heap` holds ~9 entries, `far` ~590 job ends and time limits,
+/// and `sorted` the bootstrap's ~4.2 k claim submissions) the day's
+/// wall-clock is flat across 0.5 s, 2 s, 10 s and 120 s (404–447,
+/// 457–518, 437–450, 460–468 ms over three runs each, against 459–499
+/// with a single heap) — anything between the ~200 ms a request event
+/// is scheduled ahead and the minutes a timer is.
+const FAR_HORIZON: SimDuration = SimDuration::from_secs(10);
+
 impl<E> EventQueue<E> {
     /// An empty queue.
     pub fn new() -> Self {
-        EventQueue {
-            heap: QuadHeap::new(),
-            pending: Vec::new(),
-            sorted: Vec::new(),
-            push_streak: 0,
-            seq: 0,
-            popped: 0,
-        }
+        Self::with_capacity(0)
     }
 
     /// An empty queue with pre-reserved capacity.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
             heap: QuadHeap::with_capacity(cap),
+            far: QuadHeap::new(),
+            far_from: SimTime::ZERO.saturating_add(FAR_HORIZON),
             pending: Vec::new(),
             sorted: Vec::new(),
             push_streak: 0,
@@ -319,9 +337,20 @@ impl<E> EventQueue<E> {
         // bulk merge at the next pop.
         if self.push_streak < DIRECT_PUSH_BUDGET {
             self.push_streak += 1;
-            self.heap.push(entry);
+            self.place(entry);
         } else {
             self.pending.push(entry);
+        }
+    }
+
+    /// Sift one entry into the heap its distance from the last popped
+    /// time selects.
+    #[inline]
+    fn place(&mut self, entry: Entry<E>) {
+        if entry.time >= self.far_from {
+            self.far.push(entry);
+        } else {
+            self.heap.push(entry);
         }
     }
 
@@ -348,13 +377,13 @@ impl<E> EventQueue<E> {
             self.heap.v.append(&mut self.pending);
             self.heap.heapify();
         } else {
-            for e in self.pending.drain(..) {
-                self.heap.push(e);
+            while let Some(e) = self.pending.pop() {
+                self.place(e);
             }
         }
     }
 
-    /// Earliest entry across the sorted segment and the heap.
+    /// Earliest entry across the sorted segment and the two heaps.
     #[inline]
     fn pop_entry(&mut self) -> Option<Entry<E>> {
         self.flush_pending();
@@ -363,11 +392,26 @@ impl<E> EventQueue<E> {
             (Some(_), None) => true,
             (None, _) => false,
         };
-        let e = if from_sorted {
+        // With `far` empty (every event inside the horizon) this is one
+        // length test on top of the two-way choice above.
+        let near = if from_sorted {
+            self.sorted.last()
+        } else {
+            self.heap.peek()
+        };
+        let from_far = match (self.far.peek(), near) {
+            (Some(f), Some(n)) => f.key() < n.key(),
+            (Some(_), None) => true,
+            (None, _) => false,
+        };
+        let e = if from_far {
+            self.far.pop()
+        } else if from_sorted {
             self.sorted.pop()
         } else {
             self.heap.pop()
         }?;
+        self.far_from = e.time.saturating_add(FAR_HORIZON);
         self.popped += 1;
         Some(e)
     }
@@ -393,6 +437,9 @@ impl<E> EventQueue<E> {
     pub fn requeue(&mut self, time: SimTime, seq: u64, event: E) {
         debug_assert!(seq < self.seq, "requeue of a seq never handed out");
         self.popped -= 1;
+        // The entry was the queue's minimum a moment ago and is the
+        // next to pop: it belongs with the imminent events whichever
+        // heap it came from.
         self.heap.push(Entry { time, seq, event });
     }
 
@@ -400,6 +447,7 @@ impl<E> EventQueue<E> {
     pub fn peek_time(&self) -> Option<SimTime> {
         [
             self.heap.peek().map(|e| e.time),
+            self.far.peek().map(|e| e.time),
             self.sorted.last().map(|e| e.time),
             self.pending.iter().map(|e| e.time).min(),
         ]
@@ -410,12 +458,15 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.sorted.len() + self.pending.len()
+        self.heap.len() + self.far.len() + self.sorted.len() + self.pending.len()
     }
 
     /// True iff no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.sorted.is_empty() && self.pending.is_empty()
+        self.heap.is_empty()
+            && self.far.is_empty()
+            && self.sorted.is_empty()
+            && self.pending.is_empty()
     }
 
     /// Total number of events ever popped (the engine's step counter).
@@ -431,6 +482,7 @@ impl<E> EventQueue<E> {
     /// Drop every pending event.
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.far.clear();
         self.pending.clear();
         self.sorted.clear();
         self.push_streak = 0;
@@ -477,6 +529,38 @@ mod tests {
         assert!(q.is_empty());
         // Counters survive a clear.
         assert_eq!(q.total_pushed(), 2);
+    }
+
+    /// One step of `prop_far_heap_order_invariant`.
+    #[derive(Debug, Clone)]
+    enum FarOp {
+        /// Push `by` ms ahead of (or, rarely, before) the last popped
+        /// time.
+        Push {
+            ahead: bool,
+            by: u64,
+        },
+        Pop,
+        PopRequeue,
+        Clear,
+    }
+
+    fn far_op() -> impl Strategy<Value = FarOp> {
+        let h = FAR_HORIZON.as_millis();
+        let ahead = |by| FarOp::Push { ahead: true, by };
+        prop_oneof![
+            // Imminent, around the horizon to the millisecond, and far.
+            (0..h / 10).prop_map(ahead),
+            (h - 2..h + 3).prop_map(ahead),
+            (h..10 * h).prop_map(ahead),
+            (0..10 * h).prop_map(ahead),
+            (0..2 * h).prop_map(|by| FarOp::Push { ahead: false, by }),
+            Just(FarOp::Pop),
+            Just(FarOp::Pop),
+            Just(FarOp::Pop),
+            Just(FarOp::PopRequeue),
+            (0u32..40).prop_map(|x| if x == 0 { FarOp::Clear } else { FarOp::Pop }),
+        ]
     }
 
     proptest! {
@@ -556,6 +640,55 @@ mod tests {
             while let Some((t, id)) = q.pop() {
                 let min = model.pop_first().unwrap();
                 prop_assert_eq!((t.as_millis(), id), min);
+            }
+            prop_assert!(model.is_empty());
+        }
+
+        /// Pushes on both sides of the far horizon, measured from the
+        /// last popped time as the queue measures it (and a few before
+        /// it), interleaved with pops, pop-and-requeue and `clear`:
+        /// every pop is the `(time, seq)` minimum of a `BTreeSet` model,
+        /// and `peek_time`/`len`/`is_empty` agree with it after every
+        /// step — whichever of the heaps, the sorted segment or the
+        /// staging buffer holds the entries.
+        #[test]
+        fn prop_far_heap_order_invariant(ops in proptest::collection::vec(far_op(), 1..400)) {
+            let mut q = EventQueue::new();
+            let mut model = std::collections::BTreeSet::new();
+            let mut last = 0u64;
+            for op in ops {
+                match op {
+                    FarOp::Push { ahead, by } => {
+                        let t = if ahead { last + by } else { last.saturating_sub(by) };
+                        model.insert((t, q.total_pushed()));
+                        q.push(SimTime::from_millis(t), q.total_pushed());
+                    }
+                    FarOp::Pop => {
+                        let got = q.pop().map(|(t, id)| (t.as_millis(), id));
+                        prop_assert_eq!(got, model.pop_first());
+                        last = got.map_or(last, |(t, _)| t);
+                    }
+                    FarOp::PopRequeue => {
+                        let popped = q.total_popped();
+                        if let Some((t, seq, id)) = q.pop_with_seq() {
+                            prop_assert_eq!(Some(&(t.as_millis(), id)), model.first());
+                            prop_assert_eq!(seq, id);
+                            last = t.as_millis();
+                            q.requeue(t, seq, id);
+                        }
+                        prop_assert_eq!(q.total_popped(), popped);
+                    }
+                    FarOp::Clear => {
+                        q.clear();
+                        model.clear();
+                    }
+                }
+                prop_assert_eq!(q.peek_time().map(SimTime::as_millis), model.first().map(|e| e.0));
+                prop_assert_eq!(q.len(), model.len());
+                prop_assert_eq!(q.is_empty(), model.is_empty());
+            }
+            while let Some((t, id)) = q.pop() {
+                prop_assert_eq!(Some((t.as_millis(), id)), model.pop_first());
             }
             prop_assert!(model.is_empty());
         }

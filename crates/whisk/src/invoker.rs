@@ -2,10 +2,10 @@
 
 use crate::config::WhiskConfig;
 use crate::container::ContainerPool;
-use crate::ids::ActivationId;
+use crate::ids::{ActivationId, IdSet};
 use mq::TopicId;
 use simcore::{SimRng, SimTime};
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Invoker lifecycle, from the controller's point of view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,7 +74,7 @@ pub struct Invoker {
     /// protocol flushes to the fast lane, §III-C).
     pub buffer: VecDeque<ActivationId>,
     /// Activations currently executing in containers.
-    pub running: HashSet<ActivationId>,
+    pub running: IdSet<ActivationId>,
     /// The node's container pool.
     pub pool: ContainerPool,
     /// Controller-side estimate of outstanding work (routing pressure).
@@ -95,12 +95,26 @@ impl Invoker {
             state: InvokerState::Healthy,
             topic,
             buffer: VecDeque::new(),
-            running: HashSet::new(),
+            running: IdSet::default(),
             pool: ContainerPool::new(slots, cold_concurrency),
             ctrl_inflight: 0,
             poll,
             parked: false,
         }
+    }
+
+    /// Resume the poll loop if it is parked (and the invoker still
+    /// serving): returns the instant to schedule its one `InvokerPoll`
+    /// at — the first tick of the chain at or after `now`. The ticks
+    /// skipped are the ones at which there was nothing to fetch or
+    /// dispatch. A tick on the very millisecond of the produce runs
+    /// after it.
+    pub fn wake(&mut self, now: SimTime, cfg: &WhiskConfig) -> Option<SimTime> {
+        if !self.parked || self.state != InvokerState::Healthy {
+            return None;
+        }
+        self.parked = false;
+        Some(self.poll.catch_up(now, cfg))
     }
 
     /// Routable by the controller?

@@ -30,12 +30,12 @@ use crate::activation::{ActState, ActivationRecord, InvokeResult, Outcome};
 use crate::config::{DynamicsMode, WhiskConfig};
 use crate::container::Acquire;
 use crate::events::{WhiskEvent, WhiskNote};
-use crate::ids::{stable_hash, ActivationId, FunctionId, InvokerId};
+use crate::ids::{stable_hash, ActivationId, FunctionId, IdMap, InvokerId};
 use crate::invoker::{Invoker, InvokerState, PollChain};
 use metrics::StepSeries;
 use mq::{Broker, TopicId};
-use simcore::{Outbox, SimRng, SimTime};
-use std::collections::{HashMap, VecDeque};
+use simcore::{Outbox, SimDuration, SimRng, SimTime};
+use std::collections::VecDeque;
 
 /// Worker-count series (the OpenWhisk-level perspective of Tables
 /// II/III: healthy vs irresponsive workers over time).
@@ -86,14 +86,24 @@ pub struct WhiskCounters {
     pub timeout_scans: u64,
 }
 
-/// The FaaS platform state machine.
-pub struct WhiskSys {
+/// What every handler works on besides the invokers: kept apart from
+/// them so that a handler can hold the one `&mut Invoker` its event
+/// addresses — looked up once — and still start and answer activations.
+struct Shared {
     cfg: WhiskConfig,
-    broker: Broker<ActivationId>,
-    fast_lane: TopicId,
     functions: Vec<FunctionSpec>,
     records: Vec<ActivationRecord>,
-    invokers: HashMap<InvokerId, Invoker>,
+    rng: SimRng,
+    counters: WhiskCounters,
+    speed_factor: f64,
+}
+
+/// The FaaS platform state machine.
+pub struct WhiskSys {
+    shared: Shared,
+    broker: Broker<ActivationId>,
+    fast_lane: TopicId,
+    invokers: IdMap<InvokerId, Invoker>,
     routable: Vec<InvokerId>,
     deadline_queue: VecDeque<(SimTime, ActivationId)>,
     /// Origin of the timeout-scan grid (scans run at `scan_origin +
@@ -103,12 +113,108 @@ pub struct WhiskSys {
     /// is non-empty.
     scan_armed: bool,
     seed: u64,
-    rng: SimRng,
     series: WhiskSeries,
-    counters: WhiskCounters,
     n_healthy: i64,
     n_irresp: i64,
-    speed_factor: f64,
+}
+
+impl Shared {
+    /// `base` with the configured jitter, from the platform's stream.
+    fn jitter(&mut self, base: SimDuration) -> SimDuration {
+        self.cfg.jitter(base, &mut self.rng)
+    }
+
+    /// Start `inv`'s buffered activations on containers until capacity
+    /// runs out.
+    fn dispatch(
+        &mut self,
+        now: SimTime,
+        id: InvokerId,
+        inv: &mut Invoker,
+        out: &mut Outbox<WhiskEvent>,
+        notes: &mut Vec<WhiskNote>,
+    ) {
+        if !inv.alive() {
+            return;
+        }
+        loop {
+            let Some(&act) = inv.buffer.front() else {
+                return;
+            };
+            if !self.records[act.0 as usize].in_flight() {
+                // Timed out while queued; drop silently.
+                inv.buffer.pop_front();
+                inv.ctrl_inflight = inv.ctrl_inflight.saturating_sub(1);
+                continue;
+            }
+            let f = self.records[act.0 as usize].function;
+            match inv.pool.acquire(f, now) {
+                Acquire::Warm => {
+                    inv.buffer.pop_front();
+                    inv.running.insert(act);
+                    self.counters.warm_starts += 1;
+                    let service = self.functions[f.0 as usize]
+                        .exec
+                        .service_time(self.speed_factor);
+                    let d = self.jitter(self.cfg.dispatch) + service;
+                    out.after(d, WhiskEvent::ExecDone { inv: id, act });
+                }
+                Acquire::Cold => {
+                    inv.buffer.pop_front();
+                    inv.running.insert(act);
+                    self.counters.cold_starts += 1;
+                    let d = self.jitter(self.cfg.cold_start);
+                    out.after(d, WhiskEvent::ColdStartDone { inv: id, act });
+                }
+                Acquire::ColdBlocked => {
+                    // Containers are booting as fast as the node allows.
+                    // Under moderate pressure the request just waits; a
+                    // badly backed-up buffer means the node is thrashing
+                    // (the paper's container-limit failure window, §V-C)
+                    // and container creation starts failing.
+                    if inv.buffer.len() >= self.cfg.buffer_max / 2 {
+                        inv.buffer.pop_front();
+                        inv.ctrl_inflight = inv.ctrl_inflight.saturating_sub(1);
+                        self.answer(now, act, Outcome::Failed, notes);
+                    } else {
+                        return;
+                    }
+                }
+                Acquire::NoCapacity => return,
+            }
+        }
+    }
+
+    /// Mark an activation answered and emit its note.
+    fn answer(
+        &mut self,
+        now: SimTime,
+        act: ActivationId,
+        outcome: Outcome,
+        notes: &mut Vec<WhiskNote>,
+    ) {
+        let rtt = self.jitter(self.cfg.client_rtt);
+        let result_path = match outcome {
+            Outcome::Success => self.jitter(self.cfg.result_path),
+            _ => SimDuration::ZERO,
+        };
+        let r = &mut self.records[act.0 as usize];
+        debug_assert!(r.in_flight());
+        r.state = ActState::Answered(outcome);
+        match outcome {
+            Outcome::Success => self.counters.success += 1,
+            Outcome::Failed => self.counters.failed += 1,
+            Outcome::Timeout => self.counters.timeout += 1,
+        }
+        notes.push(WhiskNote::ActivationDone {
+            act,
+            function: r.function,
+            outcome,
+            submitted: r.submitted,
+            answered: now + result_path + rtt,
+            attempts: r.attempts,
+        });
+    }
 }
 
 impl WhiskSys {
@@ -117,26 +223,28 @@ impl WhiskSys {
         let mut broker = Broker::new();
         let fast_lane = broker.create_topic("fast-lane");
         WhiskSys {
-            cfg,
+            shared: Shared {
+                cfg,
+                functions: Vec::new(),
+                records: Vec::new(),
+                rng: SimRng::seed_from_u64(seed ^ 0x7768_6973_6b00),
+                counters: WhiskCounters::default(),
+                speed_factor: 1.0,
+            },
             broker,
             fast_lane,
-            functions: Vec::new(),
-            records: Vec::new(),
-            invokers: HashMap::new(),
+            invokers: IdMap::default(),
             routable: Vec::new(),
             deadline_queue: VecDeque::new(),
             scan_origin: SimTime::ZERO,
             scan_armed: false,
             seed,
-            rng: SimRng::seed_from_u64(seed ^ 0x7768_6973_6b00),
             series: WhiskSeries {
                 healthy: StepSeries::new(SimTime::ZERO, 0.0),
                 irresp: StepSeries::new(SimTime::ZERO, 0.0),
             },
-            counters: WhiskCounters::default(),
             n_healthy: 0,
             n_irresp: 0,
-            speed_factor: 1.0,
         }
     }
 
@@ -144,7 +252,7 @@ impl WhiskSys {
     /// reference HPC node; >1 = slower platform).
     pub fn with_speed_factor(mut self, f: f64) -> Self {
         assert!(f > 0.0);
-        self.speed_factor = f;
+        self.shared.speed_factor = f;
         self
     }
 
@@ -168,7 +276,7 @@ impl WhiskSys {
         let Some(&(deadline, _)) = self.deadline_queue.front() else {
             return;
         };
-        let every = self.cfg.timeout_scan_every;
+        let every = self.shared.cfg.timeout_scan_every;
         let k = (deadline - self.scan_origin)
             .as_millis()
             .div_ceil(every.as_millis().max(1))
@@ -179,14 +287,14 @@ impl WhiskSys {
 
     /// Deploy a function.
     pub fn register_function(&mut self, spec: FunctionSpec) -> FunctionId {
-        let id = FunctionId(self.functions.len() as u32);
-        self.functions.push(spec);
+        let id = FunctionId(self.shared.functions.len() as u32);
+        self.shared.functions.push(spec);
         id
     }
 
     /// Number of deployed functions.
     pub fn n_functions(&self) -> usize {
-        self.functions.len()
+        self.shared.functions.len()
     }
 
     /// Healthy invoker count.
@@ -196,7 +304,7 @@ impl WhiskSys {
 
     /// Counters.
     pub fn counters(&self) -> &WhiskCounters {
-        &self.counters
+        &self.shared.counters
     }
 
     /// Worker-count series.
@@ -206,7 +314,7 @@ impl WhiskSys {
 
     /// Controller record of an activation (tests/diagnostics).
     pub fn record(&self, act: ActivationId) -> &ActivationRecord {
-        &self.records[act.0 as usize]
+        &self.shared.records[act.0 as usize]
     }
 
     /// Depth of the fast lane (diagnostics).
@@ -233,19 +341,22 @@ impl WhiskSys {
         out: &mut Outbox<WhiskEvent>,
         notes: &mut Vec<WhiskNote>,
     ) -> InvokeResult {
-        assert!((f.0 as usize) < self.functions.len(), "unknown function");
-        self.counters.submitted += 1;
+        assert!(
+            (f.0 as usize) < self.shared.functions.len(),
+            "unknown function"
+        );
+        self.shared.counters.submitted += 1;
         let Some(inv) = self.route(f) else {
-            self.counters.rejected_503 += 1;
+            self.shared.counters.rejected_503 += 1;
             notes.push(WhiskNote::Rejected503 {
                 function: f,
                 at: now,
             });
             return InvokeResult::Rejected503;
         };
-        let act = ActivationId(self.records.len() as u64);
-        let deadline = now + self.cfg.deadline;
-        self.records.push(ActivationRecord {
+        let act = ActivationId(self.shared.records.len() as u64);
+        let deadline = now + self.shared.cfg.deadline;
+        self.shared.records.push(ActivationRecord {
             function: f,
             submitted: now,
             deadline,
@@ -258,8 +369,8 @@ impl WhiskSys {
         if let Some(i) = self.invokers.get_mut(&inv) {
             i.ctrl_inflight += 1;
         }
-        let delay = self.cfg.jitter(self.cfg.ctrl_overhead, &mut self.rng)
-            + self.cfg.jitter(self.cfg.kafka_delay, &mut self.rng);
+        let delay = self.shared.jitter(self.shared.cfg.ctrl_overhead)
+            + self.shared.jitter(self.shared.cfg.kafka_delay);
         out.after(delay, WhiskEvent::Enqueue { act, inv });
         InvokeResult::Accepted(act)
     }
@@ -302,14 +413,14 @@ impl WhiskSys {
             "invoker {id} already registered"
         );
         let topic = self.broker.create_topic(&format!("invoker-{key}"));
-        let poll = PollChain::new(self.seed, key, now, &self.cfg);
+        let poll = PollChain::new(self.seed, key, now, &self.shared.cfg);
         out.at(poll.tick(), WhiskEvent::InvokerPoll(id));
         self.invokers.insert(
             id,
             Invoker::new(
                 topic,
-                self.cfg.container_slots,
-                self.cfg.cold_concurrency,
+                self.shared.cfg.container_slots,
+                self.shared.cfg.cold_concurrency,
                 poll,
             ),
         );
@@ -329,7 +440,7 @@ impl WhiskSys {
         out: &mut Outbox<WhiskEvent>,
         notes: &mut Vec<WhiskNote>,
     ) {
-        if self.cfg.mode == DynamicsMode::Baseline {
+        if self.shared.cfg.mode == DynamicsMode::Baseline {
             // Stock OpenWhisk has no SIGTERM handling (§II): the invoker
             // keeps serving obliviously until SIGKILL; its queue is lost.
             return;
@@ -356,35 +467,35 @@ impl WhiskSys {
         let mut running: Vec<ActivationId> = inv.running.iter().copied().collect();
         running.sort_unstable();
         let moved = self.broker.move_all(topic, self.fast_lane, now);
-        self.counters.moved_to_fastlane += moved as u64;
+        self.shared.counters.moved_to_fastlane += moved as u64;
 
         // Invoker half: flush the internal buffer.
         for act in buffered {
-            if self.records[act.0 as usize].in_flight() {
-                let submitted = self.records[act.0 as usize].submitted;
-                self.records[act.0 as usize].attempts += 1;
+            if self.shared.records[act.0 as usize].in_flight() {
+                let submitted = self.shared.records[act.0 as usize].submitted;
+                self.shared.records[act.0 as usize].attempts += 1;
                 self.broker.produce(self.fast_lane, submitted, act);
-                self.counters.refired += 1;
+                self.shared.counters.refired += 1;
             }
         }
         // Interrupt running executions of interruptible functions and
         // re-route them too.
         for act in running {
-            let f = self.records[act.0 as usize].function;
-            if self.functions[f.0 as usize].interruptible {
+            let f = self.shared.records[act.0 as usize].function;
+            if self.shared.functions[f.0 as usize].interruptible {
                 let inv = self.invokers.get_mut(&id).expect("draining");
                 inv.running.remove(&act);
                 inv.pool.abandon();
-                if self.records[act.0 as usize].in_flight() {
-                    let submitted = self.records[act.0 as usize].submitted;
-                    self.records[act.0 as usize].attempts += 1;
+                if self.shared.records[act.0 as usize].in_flight() {
+                    let submitted = self.shared.records[act.0 as usize].submitted;
+                    self.shared.records[act.0 as usize].attempts += 1;
                     self.broker.produce(self.fast_lane, submitted, act);
-                    self.counters.refired += 1;
+                    self.shared.counters.refired += 1;
                 }
             }
         }
         self.wake_fast_lane(now, out);
-        let d = self.cfg.jitter(self.cfg.drain_flush, &mut self.rng);
+        let d = self.shared.jitter(self.shared.cfg.drain_flush);
         out.after(d, WhiskEvent::DrainComplete(id));
     }
 
@@ -406,15 +517,15 @@ impl WhiskSys {
                 inv.state = InvokerState::DeadUnnoticed;
                 inv.buffer.clear();
                 inv.running.clear();
-                self.counters.hard_deaths += 1;
+                self.shared.counters.hard_deaths += 1;
                 self.n_healthy -= 1;
                 self.n_irresp += 1;
                 self.push_series(now);
-                out.after(self.cfg.health_timeout, WhiskEvent::DeathNoticed(id));
+                out.after(self.shared.cfg.health_timeout, WhiskEvent::DeathNoticed(id));
             }
             InvokerState::Draining => {
                 // The controller already stopped routing; tear down now.
-                self.counters.hard_deaths += 1;
+                self.shared.counters.hard_deaths += 1;
                 self.remove_invoker(now, id, false, out, notes);
             }
             InvokerState::DeadUnnoticed => {}
@@ -444,7 +555,7 @@ impl WhiskSys {
                     .get(&id)
                     .is_some_and(|i| i.state == InvokerState::Draining)
                 {
-                    self.counters.drains_clean += 1;
+                    self.shared.counters.drains_clean += 1;
                     self.remove_invoker(now, id, true, out, notes);
                 }
             }
@@ -459,15 +570,15 @@ impl WhiskSys {
                 }
             }
             WhiskEvent::TimeoutScan => {
-                self.counters.timeout_scans += 1;
+                self.shared.counters.timeout_scans += 1;
                 self.scan_armed = false;
                 while let Some((deadline, act)) = self.deadline_queue.front().copied() {
                     if deadline > now {
                         break;
                     }
                     self.deadline_queue.pop_front();
-                    if self.records[act.0 as usize].in_flight() {
-                        self.answer(now, act, Outcome::Timeout, notes);
+                    if self.shared.records[act.0 as usize].in_flight() {
+                        self.shared.answer(now, act, Outcome::Timeout, notes);
                     }
                 }
                 self.arm_scan(out);
@@ -482,17 +593,19 @@ impl WhiskSys {
         inv: InvokerId,
         out: &mut Outbox<WhiskEvent>,
     ) {
-        if !self.records[act.0 as usize].in_flight() {
+        if !self.shared.records[act.0 as usize].in_flight() {
             return;
         }
-        let submitted = self.records[act.0 as usize].submitted;
-        match self.invokers.get(&inv) {
+        let submitted = self.shared.records[act.0 as usize].submitted;
+        match self.invokers.get_mut(&inv) {
             Some(i) => {
                 // Delivered even to a dead-unnoticed invoker's topic:
                 // the controller does not know better yet (and a corpse
                 // is not woken — the health timeout recovers the topic).
                 self.broker.produce(i.topic, submitted, act);
-                self.wake(now, inv, out);
+                if let Some(tick) = i.wake(now, &self.shared.cfg) {
+                    out.at(tick, WhiskEvent::InvokerPoll(inv));
+                }
             }
             None => {
                 // The chosen invoker de-registered in flight; the fast
@@ -503,30 +616,17 @@ impl WhiskSys {
         }
     }
 
-    /// Resume `id`'s poll loop if it is parked (and still serving): one
-    /// `InvokerPoll` at the first tick of its chain at or after `now`.
-    /// The ticks skipped are the ones at which there was nothing to
-    /// fetch or dispatch. A tick on the very millisecond of the produce
-    /// runs after it.
-    fn wake(&mut self, now: SimTime, id: InvokerId, out: &mut Outbox<WhiskEvent>) {
-        let Some(inv) = self.invokers.get_mut(&id) else {
-            return;
-        };
-        if inv.parked && inv.state == InvokerState::Healthy {
-            inv.parked = false;
-            let tick = inv.poll.catch_up(now, &self.cfg);
-            out.at(tick, WhiskEvent::InvokerPoll(id));
-        }
-    }
-
     /// After a produce into the fast lane: any healthy invoker may fetch
     /// it and the first to poll wins, so every parked one is woken.
     fn wake_fast_lane(&mut self, now: SimTime, out: &mut Outbox<WhiskEvent>) {
         if self.broker.depth(self.fast_lane) == 0 {
             return;
         }
-        for i in 0..self.routable.len() {
-            self.wake(now, self.routable[i], out);
+        for id in &self.routable {
+            let inv = self.invokers.get_mut(id).expect("routable is registered");
+            if let Some(tick) = inv.wake(now, &self.shared.cfg) {
+                out.at(tick, WhiskEvent::InvokerPoll(*id));
+            }
         }
     }
 
@@ -537,7 +637,7 @@ impl WhiskSys {
         out: &mut Outbox<WhiskEvent>,
         notes: &mut Vec<WhiskNote>,
     ) {
-        self.counters.polls += 1;
+        self.shared.counters.polls += 1;
         let Some(inv) = self.invokers.get_mut(&id) else {
             return; // gone — the poll loop dies with it
         };
@@ -548,30 +648,25 @@ impl WhiskSys {
             !inv.parked && inv.poll.tick() == now,
             "poll off {id}'s chain"
         );
-        let room = self.cfg.buffer_max.saturating_sub(inv.buffer.len());
+        let room = self.shared.cfg.buffer_max.saturating_sub(inv.buffer.len());
         if room > 0 {
-            let topic = inv.topic;
             // Fast lane first (§III-C), own topic with the remainder.
-            let fast = self.broker.fetch(self.fast_lane, room);
-            let n_fast = fast.len();
-            let own = self.broker.fetch(topic, room - n_fast);
-            let inv = self.invokers.get_mut(&id).expect("still here");
-            for m in fast {
+            let before = inv.buffer.len();
+            for m in self.broker.drain(self.fast_lane, room) {
                 inv.buffer.push_back(m.payload);
                 inv.ctrl_inflight += 1; // fast-lane work was unassigned
-                self.records[m.payload.0 as usize].assigned = Some(id);
+                self.shared.records[m.payload.0 as usize].assigned = Some(id);
             }
-            for m in own {
-                inv.buffer.push_back(m.payload);
-            }
+            let room = room - (inv.buffer.len() - before);
+            let own = self.broker.drain(inv.topic, room);
+            inv.buffer.extend(own.map(|m| m.payload));
         }
-        self.dispatch(now, id, out, notes);
+        self.shared.dispatch(now, id, inv, out, notes);
         // Re-arm only while the next tick could do something: fetch (a
         // topic it reads is non-empty) or dispatch (its buffer is; a
         // full buffer is a non-empty one). Otherwise park until a
         // produce wakes the loop.
-        let inv = self.invokers.get_mut(&id).expect("polling invoker");
-        let next = inv.poll.advance(&self.cfg);
+        let next = inv.poll.advance(&self.shared.cfg);
         if !inv.buffer.is_empty()
             || self.broker.depth(inv.topic) > 0
             || self.broker.depth(self.fast_lane) > 0
@@ -579,69 +674,7 @@ impl WhiskSys {
             out.at(next, WhiskEvent::InvokerPoll(id));
         } else {
             inv.parked = true;
-            self.counters.polls_parked += 1;
-        }
-    }
-
-    /// Start buffered activations on containers until capacity runs out.
-    fn dispatch(
-        &mut self,
-        now: SimTime,
-        id: InvokerId,
-        out: &mut Outbox<WhiskEvent>,
-        notes: &mut Vec<WhiskNote>,
-    ) {
-        loop {
-            let Some(inv) = self.invokers.get_mut(&id) else {
-                return;
-            };
-            if !inv.alive() {
-                return;
-            }
-            let Some(&act) = inv.buffer.front() else {
-                return;
-            };
-            if !self.records[act.0 as usize].in_flight() {
-                // Timed out while queued; drop silently.
-                inv.buffer.pop_front();
-                inv.ctrl_inflight = inv.ctrl_inflight.saturating_sub(1);
-                continue;
-            }
-            let f = self.records[act.0 as usize].function;
-            match inv.pool.acquire(f, now) {
-                Acquire::Warm => {
-                    inv.buffer.pop_front();
-                    inv.running.insert(act);
-                    self.counters.warm_starts += 1;
-                    let service = self.functions[f.0 as usize]
-                        .exec
-                        .service_time(self.speed_factor);
-                    let d = self.cfg.jitter(self.cfg.dispatch, &mut self.rng) + service;
-                    out.after(d, WhiskEvent::ExecDone { inv: id, act });
-                }
-                Acquire::Cold => {
-                    inv.buffer.pop_front();
-                    inv.running.insert(act);
-                    self.counters.cold_starts += 1;
-                    let d = self.cfg.jitter(self.cfg.cold_start, &mut self.rng);
-                    out.after(d, WhiskEvent::ColdStartDone { inv: id, act });
-                }
-                Acquire::ColdBlocked => {
-                    // Containers are booting as fast as the node allows.
-                    // Under moderate pressure the request just waits; a
-                    // badly backed-up buffer means the node is thrashing
-                    // (the paper's container-limit failure window, §V-C)
-                    // and container creation starts failing.
-                    if inv.buffer.len() >= self.cfg.buffer_max / 2 {
-                        inv.buffer.pop_front();
-                        inv.ctrl_inflight = inv.ctrl_inflight.saturating_sub(1);
-                        self.answer(now, act, Outcome::Failed, notes);
-                    } else {
-                        return;
-                    }
-                }
-                Acquire::NoCapacity => return,
-            }
+            self.shared.counters.polls_parked += 1;
         }
     }
 
@@ -662,11 +695,11 @@ impl WhiskSys {
         if !inv.running.contains(&act) {
             return; // aborted during drain
         }
-        let f = self.records[act.0 as usize].function;
-        let service = self.functions[f.0 as usize]
+        let f = self.shared.records[act.0 as usize].function;
+        let service = self.shared.functions[f.0 as usize]
             .exec
-            .service_time(self.speed_factor);
-        let d = self.cfg.jitter(self.cfg.dispatch, &mut self.rng) + service;
+            .service_time(self.shared.speed_factor);
+        let d = self.shared.jitter(self.shared.cfg.dispatch) + service;
         out.after(d, WhiskEvent::ExecDone { inv: id, act });
     }
 
@@ -684,45 +717,14 @@ impl WhiskSys {
         if !inv.running.remove(&act) {
             return; // re-routed or invoker died meanwhile
         }
-        let f = self.records[act.0 as usize].function;
+        let f = self.shared.records[act.0 as usize].function;
         inv.pool.release(f, now);
         inv.ctrl_inflight = inv.ctrl_inflight.saturating_sub(1);
-        if self.records[act.0 as usize].in_flight() {
-            self.answer(now, act, Outcome::Success, notes);
+        if self.shared.records[act.0 as usize].in_flight() {
+            self.shared.answer(now, act, Outcome::Success, notes);
         }
         // A slot freed: start the next buffered activation immediately.
-        self.dispatch(now, id, out, notes);
-    }
-
-    /// Mark an activation answered and emit its note.
-    fn answer(
-        &mut self,
-        now: SimTime,
-        act: ActivationId,
-        outcome: Outcome,
-        notes: &mut Vec<WhiskNote>,
-    ) {
-        let rtt = self.cfg.jitter(self.cfg.client_rtt, &mut self.rng);
-        let result_path = match outcome {
-            Outcome::Success => self.cfg.jitter(self.cfg.result_path, &mut self.rng),
-            _ => simcore::SimDuration::ZERO,
-        };
-        let r = &mut self.records[act.0 as usize];
-        debug_assert!(r.in_flight());
-        r.state = ActState::Answered(outcome);
-        match outcome {
-            Outcome::Success => self.counters.success += 1,
-            Outcome::Failed => self.counters.failed += 1,
-            Outcome::Timeout => self.counters.timeout += 1,
-        }
-        notes.push(WhiskNote::ActivationDone {
-            act,
-            function: r.function,
-            outcome,
-            submitted: r.submitted,
-            answered: now + result_path + rtt,
-            attempts: r.attempts,
-        });
+        self.shared.dispatch(now, id, inv, out, notes);
     }
 
     fn remove_invoker(
@@ -737,19 +739,19 @@ impl WhiskSys {
         // Catch stragglers delivered after the drain's move_all.
         let leftovers = self.broker.depth(inv.topic);
         if leftovers > 0 {
-            match self.cfg.mode {
+            match self.shared.cfg.mode {
                 DynamicsMode::HpcWhisk => {
                     let n = self.broker.move_all(inv.topic, self.fast_lane, now);
                     if clean {
-                        self.counters.moved_to_fastlane += n as u64;
+                        self.shared.counters.moved_to_fastlane += n as u64;
                     } else {
-                        self.counters.recovered_after_death += n as u64;
+                        self.shared.counters.recovered_after_death += n as u64;
                     }
                     self.wake_fast_lane(now, out);
                 }
                 DynamicsMode::Baseline => {
                     let orphans = self.broker.delete_topic(inv.topic);
-                    self.counters.dropped_after_death += orphans.len() as u64;
+                    self.shared.counters.dropped_after_death += orphans.len() as u64;
                 }
             }
         }

@@ -228,3 +228,45 @@ fn poll_reconstruction_roundtrips_through_facade() {
     );
     let _ = SimTime::ZERO;
 }
+
+#[test]
+fn with_load_day_matches_pinned_digest() {
+    // The judge of a change that claims to leave the simulation alone
+    // (a queue layout, a hasher, an allocation): every figure below was
+    // recorded on the commit before PR 15 and must never move unless a
+    // PR says it changes behaviour — and then it re-records them.
+    let mut r = run_day(&small_day(), DayConfig::fib_paper(5));
+    assert_eq!(
+        format!("{:?}", r.cluster_counters),
+        "Counters { hpc_started: 236, hpc_completed: 116, pilots_started: 69, \
+         pilots_preempted: 20, pilots_timed_out: 49, pilots_node_failed: 0, \
+         quick_passes: 346, quick_passes_skipped: 16, backfill_passes: 480, \
+         reservations_made: 0, demand_delay_secs: OnlineStats { n: 236, \
+         mean: 0.9225381355932206, m2: 1075.3335446567794, min: 0.0, max: 10.921 }, \
+         pilot_granted_mins: OnlineStats { n: 69, mean: 7.623188405797097, \
+         m2: 9386.202898550726, min: 0.0, max: 90.0 }, wheel_nodes_reprojected: 14339, \
+         pass_placements: 69, span_rebase_ns: 0, span_wheel_ns: 0, span_dirty_ns: 0, \
+         span_placement_ns: 0 }"
+    );
+    assert_eq!(
+        format!("{:?}", r.whisk_counters),
+        "WhiskCounters { submitted: 144000, rejected_503: 59590, success: 80975, \
+         failed: 2975, timeout: 460, refired: 694, moved_to_fastlane: 37, \
+         warm_starts: 26567, cold_starts: 54570, drains_clean: 69, hard_deaths: 0, \
+         recovered_after_death: 0, dropped_after_death: 0, polls: 60832, \
+         polls_parked: 44977, timeout_scans: 8451 }"
+    );
+    assert_eq!(r.samples.len(), 1_376);
+    assert_eq!(r.events_dispatched, 437_329);
+    // Latencies are whole milliseconds; sum them as integers off the
+    // CDF's support (one point per distinct value, cumulative share).
+    let n = r.latency_success_secs.len();
+    assert_eq!(n, 80_975);
+    let (mut seen, mut sum_ms) = (0u64, 0u64);
+    for (secs, share) in r.latency_success_secs.curve() {
+        let upto = (share * n as f64).round() as u64;
+        sum_ms += (secs * 1000.0).round() as u64 * (upto - seen);
+        seen = upto;
+    }
+    assert_eq!((seen, sum_ms), (80_975, 243_475_090));
+}
