@@ -49,7 +49,8 @@ use crate::node::{Node, NodeState};
 use crate::timeline::{FitPolicy, Timeline};
 use metrics::{OnlineStats, StepSeries};
 use simcore::{Outbox, SimDuration, SimRng, SimTime};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 /// A future-start reservation created by a backfill pass.
 #[derive(Debug, Clone)]
@@ -101,6 +102,9 @@ const PROJ_BOTH_UNTIL: u8 = 3;
 /// `wheel_pos` sentinel: node not tracked by the residue wheel.
 const WHEEL_NONE: u32 = u32::MAX;
 
+/// `park_until` sentinel: node not parked.
+const NOT_PARKED: SimTime = SimTime::MAX;
+
 /// Ground-truth state series maintained by the simulator (the poller's
 /// view in [`ClusterNote::Polled`] is the *measured* counterpart).
 #[derive(Debug, Clone)]
@@ -142,9 +146,11 @@ pub struct Counters {
     pub demand_delay_secs: OnlineStats,
     /// Granted pilot durations (minutes).
     pub pilot_granted_mins: OnlineStats,
-    /// Nodes re-masked by the residue-wheel sweep, summed over every
-    /// pass — the regression witness that the endpoint-bucket walk is
-    /// crossing-proportional (a full-bucket walk would inflate this).
+    /// Nodes re-masked by the residue-wheel sweep and by admission from
+    /// the park, summed over every pass — the regression witness that
+    /// the endpoint-bucket walk is crossing-proportional (a full-bucket
+    /// walk would inflate this) and that nodes busy past the window are
+    /// not walked at all.
     pub wheel_nodes_reprojected: u64,
     /// Placements made by passes: jobs started plus reservations
     /// created.
@@ -200,6 +206,9 @@ pub struct ClusterSim {
     cfg: SlurmConfig,
     nodes: Vec<Node>,
     jobs: Vec<Job>,
+    /// Jobs submitted and not yet seen started or cancelled, kept in
+    /// pass order ([`Self::pass_key`]); started jobs linger until the
+    /// end-of-pass compaction, so every reader filters on `is_pending`.
     pending: Vec<JobId>,
     reservations: Vec<Reservation>,
     handovers: HashMap<JobId, Handover>,
@@ -241,8 +250,9 @@ pub struct ClusterSim {
     plane_dirty: Vec<NodeId>,
     plane_dirty_bits: Vec<u64>,
     /// The busy-release residue wheel: bucket `b` holds the nodes whose
-    /// projected release time `u` has `u mod bf_resolution` in bucket
-    /// `b`'s span. A node's slot-rounded free mask changes exactly when
+    /// projected release time `u` lies inside the window and has
+    /// `u mod bf_resolution` in bucket `b`'s span (later releases wait in
+    /// `plane_park`). A node's slot-rounded free mask changes exactly when
     /// the plane anchor crosses such a residue, so a pass re-masks only
     /// the buckets its anchor moved across — every busy node is touched
     /// once per resolution period instead of once per pass. Each bucket
@@ -256,6 +266,15 @@ pub struct ClusterSim {
     /// entries whose stored residue disagrees are stale and dropped
     /// lazily on sweep.
     wheel_pos: Vec<u32>,
+    /// Busy nodes whose release lies at or past the window end: all-busy
+    /// on this lap and the next, so they wait here, earliest release
+    /// first, instead of being re-masked to the same zeros once per lap.
+    /// `prepare_plane` admits an entry to the wheel once the window has
+    /// advanced past its `until`.
+    plane_park: BinaryHeap<Reverse<(SimTime, NodeId)>>,
+    /// Per-node live park key (`NOT_PARKED` when none); entries whose
+    /// stored `until` disagrees are stale and dropped on admission.
+    park_until: Vec<SimTime>,
     /// Divide-free reciprocals for the wheel's residue arithmetic
     /// (`wheel_gran.d` is the bucket granularity in ms).
     wheel_res: Recip,
@@ -321,11 +340,19 @@ struct ProjView {
 }
 
 impl ProjView {
+    /// True iff a node busy until `t` is busy over the whole window —
+    /// the one comparison that decides an all-zero mask, a parked node
+    /// and its admission to the wheel.
+    #[inline]
+    fn past_window(&self, t: SimTime) -> bool {
+        t >= self.window_end
+    }
+
     /// Busy-until time → free mask (busy from slot 0 through the slot
     /// containing `t`, rounded up — mirrors `Timeline::block_until`).
     #[inline]
     fn until_mask(&self, t: SimTime) -> u64 {
-        if t >= self.window_end {
+        if self.past_window(t) {
             return 0;
         }
         if t <= self.origin {
@@ -395,6 +422,8 @@ impl ClusterSim {
             plane_dirty_bits: vec![0; words],
             plane_wheel: vec![Vec::new(); n_buckets],
             wheel_pos: vec![WHEEL_NONE; n_nodes],
+            plane_park: BinaryHeap::new(),
+            park_until: vec![NOT_PARKED; n_nodes],
             wheel_res: Recip::new(res_ms),
             wheel_gran: Recip::new(wheel_gran_ms),
             pinned_pending: Vec::new(),
@@ -489,24 +518,28 @@ impl ClusterSim {
             .count()
     }
 
-    /// Ids of pending jobs matching a predicate, in submission order —
-    /// what a manager needs to *shrink* its queue (pick victims, then
+    /// Ids of pending jobs matching a predicate, in submission order
+    /// (ids are assigned in submission order) — what a manager needs to
+    /// *shrink* its queue (pick victims, then
     /// [`cancel_pending`](ClusterSim::cancel_pending) each).
     pub fn pending_ids_matching(&self, pred: impl Fn(&Job) -> bool) -> Vec<JobId> {
-        self.pending
+        let mut ids: Vec<JobId> = self
+            .pending
             .iter()
             .copied()
             .filter(|id| {
                 let j = &self.jobs[id.0 as usize];
                 j.is_pending() && pred(j)
             })
-            .collect()
+            .collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// Pending *pilot* jobs per declared limit in minutes, as `(limit,
-    /// count)` pairs in order of first appearance in the queue (fib
-    /// manager). A managed queue holds a handful of distinct limits, so
-    /// the linear find beats hashing every pending job each tick.
+    /// count)` pairs (fib manager). A managed queue holds a handful of
+    /// distinct limits, so the linear find beats hashing every pending
+    /// job each tick.
     pub fn pending_pilots_by_limit(&self) -> Vec<(u64, usize)> {
         let mut counts: Vec<(u64, usize)> = Vec::new();
         for id in &self.pending {
@@ -541,7 +574,9 @@ impl ClusterSim {
             submitted: now,
             state: JobState::Pending,
         });
-        self.pending.push(id);
+        let key = self.pass_key(id);
+        let at = self.pending.partition_point(|p| self.pass_key(*p) < key);
+        self.pending.insert(at, id);
         self.epoch += 1;
         {
             let spec = &self.jobs[id.0 as usize].spec;
@@ -893,19 +928,31 @@ impl ClusterSim {
         (tl_pilot, tl_hpc)
     }
 
-    /// Track `n` in the residue wheel if it projects as busy until a
-    /// future instant (its mask changes when the plane anchor crosses
-    /// `until`'s slot residue; free/blocked masks are anchor-invariant).
-    /// Bucket entries stay sorted by (residue, node); sorted insertion
-    /// also dedups, so a node re-entering a residue it already has a
-    /// (stale) entry at never produces duplicates.
-    fn wheel_insert(&mut self, n: NodeId, now: SimTime) {
+    /// Track `n` if it projects as busy until a future instant: in the
+    /// residue wheel when that instant lies inside `pv`'s window (its
+    /// mask changes when the plane anchor crosses `until`'s slot residue;
+    /// free/blocked masks are anchor-invariant), in the park when it lies
+    /// at or past the window end (its mask stays all-busy until the
+    /// window reaches it). Bucket entries stay sorted by (residue, node);
+    /// sorted insertion also dedups, so a node re-entering a residue it
+    /// already has a (stale) entry at never produces duplicates.
+    fn wheel_insert(&mut self, n: NodeId, pv: &ProjView) {
         let i = n.0 as usize;
         let class = self.proj_class[i];
-        if class == PROJ_FREE || class == PROJ_BLOCKED || self.proj_until[i] <= now {
+        let until = self.proj_until[i];
+        if class == PROJ_FREE || class == PROJ_BLOCKED || until <= pv.origin {
             return;
         }
-        let r = self.wheel_res.rem(self.proj_until[i].as_millis()) as u32;
+        if pv.past_window(until) {
+            if self.park_until[i] != until {
+                self.park_until[i] = until;
+                self.wheel_pos[i] = WHEEL_NONE;
+                self.plane_park.push(Reverse((until, n)));
+            }
+            return;
+        }
+        self.park_until[i] = NOT_PARKED;
+        let r = self.wheel_res.rem(until.as_millis()) as u32;
         if self.wheel_pos[i] != r {
             self.wheel_pos[i] = r;
             let b = self.wheel_gran.div(r as u64) as usize;
@@ -917,14 +964,42 @@ impl ClusterSim {
         }
     }
 
-    /// Rebuild the residue wheel from scratch (fresh plane build only).
+    /// Rebuild the residue wheel and the park from scratch (fresh plane
+    /// build only).
     fn rebuild_wheel(&mut self, now: SimTime) {
         for b in &mut self.plane_wheel {
             b.clear();
         }
         self.wheel_pos.fill(WHEEL_NONE);
+        self.plane_park.clear();
+        self.park_until.fill(NOT_PARKED);
+        let pv = self.proj_view(now);
         for i in 0..self.nodes.len() {
-            self.wheel_insert(NodeId(i as u32), now);
+            self.wheel_insert(NodeId(i as u32), &pv);
+        }
+    }
+
+    /// Admit every parked node `pv`'s window has reached: its mask may
+    /// open on this lap for the first time, and from here on the wheel
+    /// tracks it.
+    fn admit_parked(&mut self, pv: &ProjView, pilot: &mut Timeline, hpc: &mut Option<Timeline>) {
+        while let Some(&Reverse((until, n))) = self.plane_park.peek() {
+            if pv.past_window(until) {
+                break;
+            }
+            self.plane_park.pop();
+            let i = n.0 as usize;
+            if self.park_until[i] != until {
+                continue; // stale (released, re-let or re-parked) entry
+            }
+            self.park_until[i] = NOT_PARKED;
+            self.counters.wheel_nodes_reprojected += 1;
+            let (pm, hm) = pv.masks(self.proj_class[i], self.proj_until[i]);
+            pilot.set_node_mask(n, pm);
+            if let Some(h) = hpc.as_mut() {
+                h.set_node_mask(n, hm);
+            }
+            self.wheel_insert(n, pv);
         }
     }
 
@@ -1055,6 +1130,7 @@ impl ClusterSim {
                         }
                         span_lap(&mut mark, &mut self.counters.span_rebase_ns);
                         self.sweep_wheel(prev, now, &pv, &mut p, &mut h);
+                        self.admit_parked(&pv, &mut p, &mut h);
                         span_lap(&mut mark, &mut self.counters.span_wheel_ns);
                     }
                     (p, h, false)
@@ -1081,7 +1157,7 @@ impl ClusterSim {
                 if let Some(h) = hpc.as_mut() {
                     h.set_node_mask(*n, hm);
                 }
-                self.wheel_insert(*n, now);
+                self.wheel_insert(*n, &pv);
             }
         }
         self.plane_dirty_bits.fill(0);
@@ -1161,7 +1237,7 @@ impl ClusterSim {
             if let Some(h) = hpc.as_mut() {
                 h.set_node_mask(*n, hm);
             }
-            self.wheel_insert(*n, now);
+            self.wheel_insert(*n, &pv);
         }
         self.plane_dirty_bits.fill(0);
         dirty.clear();
@@ -1190,35 +1266,33 @@ impl ClusterSim {
         self.finish_plane(pilot, hpc_pass, hpc_parked, painted);
     }
 
-    /// The pass queue: pending jobs ordered tier desc, priority desc,
-    /// FIFO. Pinned claims not yet due are excluded — their windows are
+    /// Where a job sorts in a pass: tier desc, priority desc, FIFO. No
+    /// field changes after `submit`, and the trailing id makes the order
+    /// strict.
+    fn pass_key(&self, id: JobId) -> (Reverse<u8>, Reverse<u64>, SimTime, JobId) {
+        let j = &self.jobs[id.0 as usize];
+        (
+            Reverse(j.spec.priority_tier),
+            Reverse(j.spec.priority),
+            j.submitted,
+            id,
+        )
+    }
+
+    /// The pass queue: pending jobs ordered by [`Self::pass_key`].
+    /// `pending` is kept in that order by `submit`, so this is a filter.
+    /// Pinned claims not yet due are excluded — their windows are
     /// already projected as reservations and their firing is scheduled
     /// separately, so they must not eat pass budget.
-    ///
-    /// Sort keys are materialized once per job instead of re-reading the
-    /// job table O(log n) times per comparison; the trailing id makes the
-    /// order strict, so the unstable sort is deterministic.
     fn pass_queue(&self, now: SimTime) -> Vec<JobId> {
-        use std::cmp::Reverse;
-        let mut queue: Vec<(Reverse<u8>, Reverse<u64>, SimTime, JobId)> = self
-            .pending
+        self.pending
             .iter()
-            .filter_map(|id| {
+            .copied()
+            .filter(|id| {
                 let j = &self.jobs[id.0 as usize];
-                if j.is_pending() && j.spec.earliest_start.is_none_or(|t| t <= now) {
-                    Some((
-                        Reverse(j.spec.priority_tier),
-                        Reverse(j.spec.priority),
-                        j.submitted,
-                        *id,
-                    ))
-                } else {
-                    None
-                }
+                j.is_pending() && j.spec.earliest_start.is_none_or(|t| t <= now)
             })
-            .collect();
-        queue.sort_unstable();
-        queue.into_iter().map(|(_, _, _, id)| id).collect()
+            .collect()
     }
 
     /// Up to `k` nodes able to start a `d`-slot HPC job now, genuinely
@@ -2076,6 +2150,162 @@ impl ClusterSim {
             SimDuration::from_millis(self.poll_rng.range_u64(11_000, 13_001))
         } else {
             SimDuration::from_millis(self.poll_rng.range_u64(14_000, 20_001))
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use simcore::Engine;
+
+    /// The pass queue as it was defined before `pending` was kept in
+    /// pass order: filter, then sort on the four-field key.
+    fn pass_queue_by_sort(sim: &ClusterSim, now: SimTime) -> Vec<JobId> {
+        let mut queue: Vec<_> = sim
+            .pending
+            .iter()
+            .filter(|id| {
+                let j = &sim.jobs[id.0 as usize];
+                j.is_pending() && j.spec.earliest_start.is_none_or(|t| t <= now)
+            })
+            .map(|id| {
+                let j = &sim.jobs[id.0 as usize];
+                (
+                    Reverse(j.spec.priority_tier),
+                    Reverse(j.spec.priority),
+                    j.submitted,
+                    *id,
+                )
+            })
+            .collect();
+        queue.sort_unstable();
+        queue.into_iter().map(|(_, _, _, id)| id).collect()
+    }
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        Submit {
+            pilot: bool,
+            tier: u8,
+            priority: u64,
+            limit_mins: u64,
+        },
+        /// A pinned claim due `due_secs - 300` seconds from now (so both
+        /// already-due and future claims occur).
+        Pinned {
+            node: u32,
+            tier: u8,
+            priority: u64,
+            due_secs: u64,
+        },
+        Cancel {
+            pick: usize,
+        },
+        /// Let time pass: passes run, jobs start and end.
+        Advance {
+            secs: u64,
+        },
+    }
+
+    fn step_strategy() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            (any::<bool>(), 0u8..3, 0u64..3, 2u64..20).prop_map(
+                |(pilot, tier, priority, limit_mins)| Step::Submit {
+                    pilot,
+                    tier,
+                    priority,
+                    limit_mins
+                }
+            ),
+            (any::<bool>(), 0u8..3, 0u64..3, 2u64..20).prop_map(
+                |(pilot, tier, priority, limit_mins)| Step::Submit {
+                    pilot,
+                    tier,
+                    priority,
+                    limit_mins
+                }
+            ),
+            (0u32..4, 0u8..3, 0u64..3, 0u64..900).prop_map(|(node, tier, priority, due_secs)| {
+                Step::Pinned {
+                    node,
+                    tier,
+                    priority,
+                    due_secs,
+                }
+            }),
+            (0usize..64).prop_map(|pick| Step::Cancel { pick }),
+            (0u64..240).prop_map(|secs| Step::Advance { secs }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `submit` keeps `pending` in pass order: through submissions
+        /// (several per instant, so submit times tie), cancellations,
+        /// passes that start jobs and the compaction behind them, the
+        /// filter-only `pass_queue` equals filter-then-sort, and
+        /// `pending_ids_matching` stays in submission order.
+        #[test]
+        fn prop_pending_stays_in_pass_order(
+            steps in proptest::collection::vec(step_strategy(), 1..80),
+        ) {
+            // Four nodes: most of the queue waits, some of it starts.
+            let mut sim = ClusterSim::new(SlurmConfig::default(), 4, 3);
+            let mut engine = Engine::new();
+            let mut t = SimTime::from_mins(10);
+            let mut out = Outbox::new(SimTime::ZERO);
+            sim.bootstrap(SimTime::ZERO, &mut out);
+            for (at, e) in out.drain() {
+                engine.schedule(at, e);
+            }
+            for step in steps {
+                let mut out = Outbox::new(t);
+                match step {
+                    Step::Submit { pilot, tier, priority, limit_mins } => {
+                        let limit = SimDuration::from_mins(limit_mins);
+                        let mut spec = if pilot {
+                            JobSpec::pilot_fixed(limit, priority)
+                        } else {
+                            JobSpec::hpc(2, limit, limit)
+                        };
+                        spec.priority_tier = tier;
+                        spec.priority = priority;
+                        sim.submit(t, spec, &mut out);
+                    }
+                    Step::Pinned { node, tier, priority, due_secs } => {
+                        let due = t + SimDuration::from_secs(due_secs)
+                            - SimDuration::from_secs(300);
+                        let limit = SimDuration::from_mins(6);
+                        let mut spec =
+                            JobSpec::pinned_demand(vec![NodeId(node)], due, due, limit, limit);
+                        spec.priority_tier = tier;
+                        spec.priority = priority;
+                        sim.submit(t, spec, &mut out);
+                    }
+                    Step::Cancel { pick } => {
+                        let ids = sim.pending_ids_matching(|_| true);
+                        if !ids.is_empty() {
+                            sim.cancel_pending(t, ids[pick % ids.len()]);
+                        }
+                    }
+                    Step::Advance { secs } => {
+                        t += SimDuration::from_secs(secs);
+                        let sim = &mut sim;
+                        engine.run_until(t, &mut |now, ev, out: &mut Outbox<ClusterEvent>| {
+                            sim.handle(now, ev, out, &mut Vec::new());
+                        });
+                    }
+                }
+                for (at, e) in out.drain() {
+                    engine.schedule(at, e);
+                }
+                prop_assert_eq!(sim.pass_queue(t), pass_queue_by_sort(&sim, t));
+                let ids = sim.pending_ids_matching(|_| true);
+                prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "not in id order: {ids:?}");
+            }
         }
     }
 }

@@ -196,6 +196,14 @@ enum SimOp {
         slack_mins: u64,
         limit_mins: u64,
     },
+    /// A pinned claim whose limit may reach past the backfill window and
+    /// whose run may end at the limit or long before it.
+    PinnedLong {
+        node: usize,
+        ahead_mins: u64,
+        limit_mins: u64,
+        actual_mins: u64,
+    },
     /// Voluntarily exit the `pick`-th currently running pilot, if any.
     PilotExit { pick: usize },
     /// Fail a currently-up node.
@@ -235,7 +243,11 @@ fn sim_op_strategy(n_nodes: usize) -> impl Strategy<Value = SimOp> {
 /// Drive one sim through the op sequence, auditing the plane after
 /// every step (and once more after a long drain).
 fn run_plane_churn(n_nodes: usize, steps: Vec<(u64, SimOp)>) {
-    let mut sim = ClusterSim::new(SlurmConfig::default(), n_nodes, 7);
+    run_plane_churn_with(SlurmConfig::default(), n_nodes, steps);
+}
+
+fn run_plane_churn_with(cfg: SlurmConfig, n_nodes: usize, steps: Vec<(u64, SimOp)>) {
+    let mut sim = ClusterSim::new(cfg, n_nodes, 7);
     let mut engine = Engine::new();
     let mut t = SimTime::ZERO;
     {
@@ -296,6 +308,22 @@ fn run_plane_churn(n_nodes: usize, steps: Vec<(u64, SimOp)>) {
                     start + SimDuration::from_mins(slack_mins),
                     SimDuration::from_mins(limit_mins),
                     SimDuration::from_mins(limit_mins.max(2) - 1),
+                );
+                sim.submit(t, spec, &mut out);
+            }
+            SimOp::PinnedLong {
+                node,
+                ahead_mins,
+                limit_mins,
+                actual_mins,
+            } => {
+                let start = t + SimDuration::from_mins(ahead_mins);
+                let spec = JobSpec::pinned_demand(
+                    vec![NodeId((node % n_nodes) as u32)],
+                    start,
+                    start,
+                    SimDuration::from_mins(limit_mins),
+                    SimDuration::from_mins(actual_mins),
                 );
                 sim.submit(t, spec, &mut out);
             }
@@ -364,6 +392,76 @@ proptest! {
             .map(|(dt, op)| (dt, clamp_sim_op(op, n_nodes)))
             .collect();
         run_plane_churn(n_nodes, steps);
+    }
+}
+
+/// Ops whose HPC and pinned limits reach far past the 120-minute window
+/// (every limit in [`sim_op_strategy`] ends inside it), with runs that
+/// end at the limit (`actual_mins` ≥ limit) or early — so nodes are
+/// parked beyond the window, admitted as it advances, and released and
+/// re-let while a parked entry still names them.
+fn long_sim_op_strategy(n_nodes: usize) -> impl Strategy<Value = SimOp> {
+    let n = n_nodes;
+    prop_oneof![
+        (1u32..4, 100u64..400, 1u64..400).prop_map(|(nodes, limit_mins, actual_mins)| {
+            SimOp::Hpc {
+                nodes,
+                limit_mins,
+                actual_mins,
+            }
+        }),
+        (1u32..4, 2u64..400).prop_map(|(nodes, limit_mins)| SimOp::Hpc {
+            nodes,
+            limit_mins,
+            actual_mins: 400
+        }),
+        (0..n, 0u64..30, 100u64..400, 1u64..400).prop_map(
+            |(node, ahead_mins, limit_mins, actual_mins)| SimOp::PinnedLong {
+                node,
+                ahead_mins,
+                limit_mins,
+                actual_mins
+            }
+        ),
+        (2u64..30).prop_map(|limit_mins| SimOp::PilotFixed { limit_mins }),
+        (4u64..60).prop_map(|max_mins| SimOp::PilotVar { max_mins }),
+        (0usize..16).prop_map(|pick| SimOp::PilotExit { pick }),
+        (0..n).prop_map(|node| SimOp::NodeDown { node }),
+        (0usize..16).prop_map(|pick| SimOp::NodeUp { pick }),
+        Just(SimOp::Wait),
+        Just(SimOp::Wait),
+    ]
+}
+
+/// Step lengths in seconds: mostly inside one slot, some of a few slots,
+/// some longer than the whole window (wheel wrap, full sweep, mass
+/// admission from the park).
+fn long_dt_strategy() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..150, 0u64..150, 180u64..600, 7_800u64..12_000]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The twin of `prop_persistent_plane_matches_fresh_build` for nodes
+    /// busy past the window. With `sparse_backfill` the 30 s backfill
+    /// chain is out of the way, so the plane anchor itself jumps by the
+    /// long steps instead of crawling through them.
+    #[test]
+    fn prop_parked_plane_matches_fresh_build(
+        n_nodes in 4usize..24,
+        sparse_backfill in any::<bool>(),
+        steps in proptest::collection::vec((long_dt_strategy(), long_sim_op_strategy(24)), 1..48),
+    ) {
+        let steps = steps
+            .into_iter()
+            .map(|(dt, op)| (dt, clamp_sim_op(op, n_nodes)))
+            .collect();
+        let mut cfg = SlurmConfig::default();
+        if sparse_backfill {
+            cfg.bf_interval = SimDuration::from_hours(6);
+        }
+        run_plane_churn_with(cfg, n_nodes, steps);
     }
 }
 
