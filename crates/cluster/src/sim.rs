@@ -213,8 +213,11 @@ pub struct ClusterSim {
     reservations: Vec<Reservation>,
     handovers: HashMap<JobId, Handover>,
     node_waiter: HashMap<NodeId, JobId>,
+    /// Instant of the last quick pass (`ZERO` before the first).
     last_quick: SimTime,
-    quick_queued: bool,
+    /// Instant of the one queued `QuickPass` event that will run a pass,
+    /// if any; every other `QuickPass` event is a request.
+    quick_at: Option<SimTime>,
     poll_rng: SimRng,
     series: ClusterSeries,
     counters: Counters,
@@ -398,7 +401,7 @@ impl ClusterSim {
             handovers: HashMap::new(),
             node_waiter: HashMap::new(),
             last_quick: SimTime::ZERO,
-            quick_queued: false,
+            quick_at: None,
             poll_rng: SimRng::seed_from_u64(seed ^ 0x706f_6c6c),
             series: ClusterSeries {
                 idle: StepSeries::new(start, n_nodes as f64),
@@ -672,29 +675,31 @@ impl ClusterSim {
     ) {
         match ev {
             ClusterEvent::QuickPass => {
-                self.quick_queued = false;
-                let earliest = self.last_quick + self.cfg.sched_min_interval;
-                if now >= earliest || self.counters.quick_passes == 0 {
-                    self.last_quick = now;
-                    self.counters.quick_passes += 1;
-                    if !self.reference_mode && self.quick_pass_is_noop(now) {
-                        // O(1) skip: no mutation since the last clean
-                        // pass and no pinned claim newly due — a full
-                        // pass would place nothing and emit nothing.
-                        self.counters.quick_passes_skipped += 1;
-                    } else {
-                        let before = self.epoch;
-                        if self.reference_mode {
-                            self.run_pass_reference(now, PassMode::Quick, out, notes);
-                        } else {
-                            self.run_pass(now, PassMode::Quick, out, notes);
-                        }
-                        self.record_quick_outcome(now, before);
+                if self.quick_at != Some(now) {
+                    // Not the queued pass but a claim's wake-up at its
+                    // `earliest_start`: a request like any other, unless
+                    // a pass has just run at this very instant.
+                    if self.last_quick != now {
+                        self.request_quick(now, out);
                     }
+                    return;
+                }
+                self.quick_at = None;
+                self.last_quick = now;
+                self.counters.quick_passes += 1;
+                if !self.reference_mode && self.quick_pass_is_noop(now) {
+                    // O(1) skip: no mutation since the last clean pass
+                    // and no pinned claim newly due — a full pass would
+                    // place nothing and emit nothing.
+                    self.counters.quick_passes_skipped += 1;
                 } else {
-                    // Rate-limited: re-arm instead of dropping the
-                    // trigger so no wakeup is ever lost.
-                    self.request_quick(now, out);
+                    let before = self.epoch;
+                    if self.reference_mode {
+                        self.run_pass_reference(now, PassMode::Quick, out, notes);
+                    } else {
+                        self.run_pass(now, PassMode::Quick, out, notes);
+                    }
+                    self.record_quick_outcome(now, before);
                 }
             }
             ClusterEvent::BackfillPass => {
@@ -979,6 +984,17 @@ impl ClusterSim {
         }
     }
 
+    /// Set `n`'s masks in both views to its cached projection under `pv`.
+    #[inline]
+    fn remask(&self, n: NodeId, pv: &ProjView, pilot: &mut Timeline, hpc: &mut Option<Timeline>) {
+        let i = n.0 as usize;
+        let (pm, hm) = pv.masks(self.proj_class[i], self.proj_until[i]);
+        pilot.set_node_mask(n, pm);
+        if let Some(h) = hpc.as_mut() {
+            h.set_node_mask(n, hm);
+        }
+    }
+
     /// Admit every parked node `pv`'s window has reached: its mask may
     /// open on this lap for the first time, and from here on the wheel
     /// tracks it.
@@ -994,11 +1010,7 @@ impl ClusterSim {
             }
             self.park_until[i] = NOT_PARKED;
             self.counters.wheel_nodes_reprojected += 1;
-            let (pm, hm) = pv.masks(self.proj_class[i], self.proj_until[i]);
-            pilot.set_node_mask(n, pm);
-            if let Some(h) = hpc.as_mut() {
-                h.set_node_mask(n, hm);
-            }
+            self.remask(n, pv, pilot, hpc);
             self.wheel_insert(n, pv);
         }
     }
@@ -1151,12 +1163,7 @@ impl ClusterSim {
         let mut dirty = std::mem::take(&mut self.plane_dirty);
         if !built_fresh {
             for n in &dirty {
-                let i = n.0 as usize;
-                let (pm, hm) = pv.masks(self.proj_class[i], self.proj_until[i]);
-                pilot.set_node_mask(*n, pm);
-                if let Some(h) = hpc.as_mut() {
-                    h.set_node_mask(*n, hm);
-                }
+                self.remask(*n, &pv, &mut pilot, &mut hpc);
                 self.wheel_insert(*n, &pv);
             }
         }
@@ -1231,12 +1238,7 @@ impl ClusterSim {
         };
         let mut dirty = std::mem::take(&mut self.plane_dirty);
         for n in painted.iter().chain(dirty.iter()) {
-            let i = n.0 as usize;
-            let (pm, hm) = pv.masks(self.proj_class[i], self.proj_until[i]);
-            pilot.set_node_mask(*n, pm);
-            if let Some(h) = hpc.as_mut() {
-                h.set_node_mask(*n, hm);
-            }
+            self.remask(*n, &pv, &mut pilot, &mut hpc);
             self.wheel_insert(*n, &pv);
         }
         self.plane_dirty_bits.fill(0);
@@ -1842,6 +1844,18 @@ impl ClusterSim {
         out: &mut Outbox<ClusterEvent>,
         notes: &mut Vec<ClusterNote>,
     ) {
+        // Pilots come straight from `find_single_now` with no node-state
+        // check: a pass on the very millisecond a holder's `until` lapses
+        // sees the node free only because the older `TimeLimit` /
+        // `GraceExpired` event wins the `(time, seq)` tie and has already
+        // released it.
+        debug_assert!(
+            nodes.iter().all(|n| {
+                let st = self.nodes[n.0 as usize].state;
+                st == NodeState::Idle || st == NodeState::Reserved(id)
+            }),
+            "starting {id} on a node that is neither idle nor reserved for it"
+        );
         // The started job is *not* removed from `pending` here — that
         // retain cost O(queue) per start. Every reader of `pending`
         // filters on `is_pending()`, and the end-of-pass retain compacts
@@ -2059,12 +2073,15 @@ impl ClusterSim {
     // Bookkeeping
     // ------------------------------------------------------------------
 
+    /// Ask for a quick pass as soon as the rate limit allows. At most
+    /// one pass-running `QuickPass` is ever queued: a request that finds
+    /// one queued at or before its own instant is already served.
     fn request_quick(&mut self, now: SimTime, out: &mut Outbox<ClusterEvent>) {
-        if self.quick_queued {
+        let at = (self.last_quick + self.cfg.sched_min_interval).max(now);
+        if self.quick_at.is_some_and(|queued| queued <= at) {
             return;
         }
-        self.quick_queued = true;
-        let at = (self.last_quick + self.cfg.sched_min_interval).max(now);
+        self.quick_at = Some(at);
         out.at(at, ClusterEvent::QuickPass);
     }
 
@@ -2160,28 +2177,19 @@ mod tests {
     use proptest::prelude::*;
     use simcore::Engine;
 
-    /// The pass queue as it was defined before `pending` was kept in
-    /// pass order: filter, then sort on the four-field key.
-    fn pass_queue_by_sort(sim: &ClusterSim, now: SimTime) -> Vec<JobId> {
-        let mut queue: Vec<_> = sim
-            .pending
-            .iter()
-            .filter(|id| {
-                let j = &sim.jobs[id.0 as usize];
-                j.is_pending() && j.spec.earliest_start.is_none_or(|t| t <= now)
-            })
-            .map(|id| {
-                let j = &sim.jobs[id.0 as usize];
-                (
-                    Reverse(j.spec.priority_tier),
-                    Reverse(j.spec.priority),
-                    j.submitted,
-                    *id,
-                )
-            })
-            .collect();
-        queue.sort_unstable();
-        queue.into_iter().map(|(_, _, _, id)| id).collect()
+    /// `queue` re-sorted the way `pass_queue` used to sort it on every
+    /// pass (the filter in front of the sort is unchanged).
+    fn sorted_as_before(sim: &ClusterSim, mut queue: Vec<JobId>) -> Vec<JobId> {
+        queue.sort_unstable_by_key(|id| {
+            let j = &sim.jobs[id.0 as usize];
+            (
+                Reverse(j.spec.priority_tier),
+                Reverse(j.spec.priority),
+                j.submitted,
+                *id,
+            )
+        });
+        queue
     }
 
     #[derive(Debug, Clone)]
@@ -2246,7 +2254,7 @@ mod tests {
         /// `submit` keeps `pending` in pass order: through submissions
         /// (several per instant, so submit times tie), cancellations,
         /// passes that start jobs and the compaction behind them, the
-        /// filter-only `pass_queue` equals filter-then-sort, and
+        /// filter-only `pass_queue` comes out as the sort left it, and
         /// `pending_ids_matching` stays in submission order.
         #[test]
         fn prop_pending_stays_in_pass_order(
@@ -2302,7 +2310,8 @@ mod tests {
                 for (at, e) in out.drain() {
                     engine.schedule(at, e);
                 }
-                prop_assert_eq!(sim.pass_queue(t), pass_queue_by_sort(&sim, t));
+                let queue = sim.pass_queue(t);
+                prop_assert_eq!(sorted_as_before(&sim, queue.clone()), queue);
                 let ids = sim.pending_ids_matching(|_| true);
                 prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "not in id order: {ids:?}");
             }

@@ -13,6 +13,8 @@ struct Harness {
     sim: ClusterSim,
     engine: Engine<ClusterEvent>,
     notes: Vec<(SimTime, ClusterNote)>,
+    /// `QuickPass` events dispatched so far.
+    quick_events: u64,
 }
 
 impl Harness {
@@ -32,6 +34,7 @@ impl Harness {
             sim,
             engine,
             notes: Vec::new(),
+            quick_events: 0,
         }
     }
 
@@ -60,9 +63,11 @@ impl Harness {
     fn run_until(&mut self, horizon: SimTime) {
         let sim = &mut self.sim;
         let notes = &mut self.notes;
+        let quick_events = &mut self.quick_events;
         self.engine.run_until(
             horizon,
             &mut |now: SimTime, ev: ClusterEvent, out: &mut Outbox<ClusterEvent>| {
+                *quick_events += u64::from(ev == ClusterEvent::QuickPass);
                 let mut local = Vec::new();
                 sim.handle(now, ev, out, &mut local);
                 notes.extend(local.into_iter().map(|n| (now, n)));
@@ -98,6 +103,10 @@ impl Harness {
 
 fn mins(m: u64) -> SimDuration {
     SimDuration::from_mins(m)
+}
+
+fn secs(s: u64) -> SimDuration {
+    SimDuration::from_secs(s)
 }
 
 fn at_min(m: u64) -> SimTime {
@@ -491,5 +500,159 @@ fn fuzz_conservation_across_seeds() {
         assert_eq!(h.sim.n_idle(), 12, "seed {seed}: nodes leaked");
         assert_eq!(h.sim.n_pilot_nodes(), 0, "seed {seed}");
         assert_eq!(h.sim.series().idle.value_at_end(), 12.0, "seed {seed}");
+    }
+}
+
+// --- One `QuickPass` in flight -------------------------------------------
+
+#[test]
+fn request_on_a_quiet_cluster_runs_its_pass_at_once() {
+    let mut h = Harness::new(2);
+    // Long after the last pass: the pass runs at the request instant.
+    let t = at_min(10) + SimDuration::from_millis(137);
+    let j = h.submit_at(t, JobSpec::hpc(1, mins(5), mins(5)));
+    h.run_until(at_min(11));
+    assert_eq!(h.started(j), Some(t));
+}
+
+#[test]
+fn requests_inside_the_rate_limit_share_one_pass() {
+    let cfg = SlurmConfig {
+        sched_min_interval: secs(10),
+        bf_interval: SimDuration::from_hours(1), // keep backfill out of it
+        ..SlurmConfig::default()
+    };
+    let mut h = Harness::with_config(cfg, 8);
+    let t = at_min(10);
+    let a = h.submit_at(t, JobSpec::hpc(1, mins(30), mins(30)));
+    h.run_until(t + secs(1));
+    assert_eq!(h.started(a), Some(t));
+    let (passes, events) = (h.sim.counters().quick_passes, h.quick_events);
+    // Three requests 3, 4 and 5 s after that pass: one pass, one event,
+    // at last + sched_min_interval.
+    let late: Vec<JobId> = (3..6)
+        .map(|s| h.submit_at(t + secs(s), JobSpec::hpc(1, mins(30), mins(30))))
+        .collect();
+    h.run_until(t + secs(9));
+    assert!(late.iter().all(|j| h.started(*j).is_none()));
+    h.run_until(t + secs(60));
+    for j in late {
+        assert_eq!(h.started(j), Some(t + secs(10)));
+    }
+    assert_eq!(h.sim.counters().quick_passes, passes + 1);
+    assert_eq!(h.quick_events, events + 1);
+}
+
+#[test]
+fn due_claim_is_examined_at_its_instant_or_at_the_rate_limit() {
+    let cfg = SlurmConfig {
+        bf_interval: SimDuration::from_hours(1),
+        ..SlurmConfig::default()
+    };
+    let mut h = Harness::with_config(cfg, 2);
+    // Quiet cluster: the wake-up at `earliest_start` gets its pass there.
+    let due = at_min(10) + SimDuration::from_millis(421);
+    let c = h.submit_at(
+        at_min(0),
+        JobSpec::pinned_demand(vec![NodeId(0)], due, due, mins(5), mins(5)),
+    );
+    h.run_until(at_min(11));
+    assert_eq!(h.started(c), Some(due));
+    // A pass 1 s before the next claim is due: the claim waits for the
+    // rate limit, not for a second wake-up.
+    let due = at_min(20);
+    let c = h.submit_at(
+        at_min(12),
+        JobSpec::pinned_demand(vec![NodeId(1)], due, due, mins(5), mins(5)),
+    );
+    let last = due - secs(1);
+    let j = h.submit_at(last, JobSpec::hpc(1, mins(1), mins(1)));
+    h.run_until(at_min(21));
+    assert_eq!(h.started(j), Some(last));
+    let min = SlurmConfig::default().sched_min_interval;
+    assert_eq!(h.started(c), Some(last + min));
+    assert_eq!(h.sim.counters().demand_delay_secs.count(), 2);
+}
+
+#[test]
+fn wakeup_behind_a_queued_pass_starts_no_second_chain() {
+    let cfg = SlurmConfig {
+        bf_interval: SimDuration::from_hours(1),
+        ..SlurmConfig::default()
+    };
+    let mut h = Harness::with_config(cfg, 4);
+    let t = at_min(10);
+    // A claim due at t + 1 s, submitted well ahead.
+    let due = t + secs(1);
+    let c = h.submit_at(
+        at_min(1),
+        JobSpec::pinned_demand(vec![NodeId(3)], due, due, mins(5), mins(5)),
+    );
+    // A pass at t; a request half a second later queues the next pass
+    // for t + 2 s; the claim's wake-up lands in between.
+    h.submit_at(t, JobSpec::hpc(1, mins(30), mins(30)));
+    let (passes, events) = (h.sim.counters().quick_passes, h.quick_events);
+    h.submit_at(
+        t + SimDuration::from_millis(500),
+        JobSpec::hpc(1, mins(30), mins(30)),
+    );
+    h.run_until(t + secs(30));
+    assert_eq!(h.started(c), Some(t + secs(2)));
+    // The pass at t, the pass at t + 2 s, and nothing after: the wake-up
+    // neither queued a second pass beside the first nor left a re-arm
+    // behind that runs a pass nobody asked for.
+    assert_eq!(h.sim.counters().quick_passes, passes + 2);
+    assert_eq!(h.quick_events, events + 3, "pass, wake-up, pass");
+}
+
+/// Over a driven day of pinned claims, pilots and plain jobs, every
+/// dispatched `QuickPass` is either the one queued pass or a claim's
+/// wake-up: no duplicate chains, no rate-limited re-arms.
+#[test]
+fn quick_pass_events_are_passes_plus_claim_wakeups() {
+    use simcore::SimRng;
+
+    for seed in 0..3u64 {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut h = Harness::new(16);
+        let mut future_claims = 0u64;
+        let mut t = SimTime::ZERO;
+        while t < SimTime::from_mins(40) {
+            t += SimDuration::from_millis(rng.range_u64(100, 1_500));
+            match rng.range_u64(0, 3) {
+                0 => {
+                    let due = t + SimDuration::from_millis(rng.range_u64(0, 600_000));
+                    future_claims += u64::from(due > t);
+                    let limit = mins(2 + rng.range_u64(0, 40));
+                    let node = NodeId(rng.range_u64(0, 16) as u32);
+                    h.submit_at(
+                        t,
+                        JobSpec::pinned_demand(vec![node], due, due + mins(3), limit, limit),
+                    );
+                }
+                1 => {
+                    h.submit_at(
+                        t,
+                        JobSpec::pilot_fixed(mins(2 + 2 * rng.range_u64(0, 20)), 1),
+                    );
+                }
+                _ => {
+                    let limit = mins(2 + rng.range_u64(0, 30));
+                    h.submit_at(
+                        t,
+                        JobSpec::hpc(1 + rng.range_u64(0, 3) as u32, limit, limit),
+                    );
+                }
+            }
+        }
+        h.run_until(SimTime::from_hours(2));
+        let c = h.sim.counters();
+        assert!(c.quick_passes > 200 && future_claims > 50, "seed {seed}");
+        assert!(
+            h.quick_events <= c.quick_passes + future_claims,
+            "seed {seed}: {} QuickPass events for {} passes and {future_claims} wake-ups",
+            h.quick_events,
+            c.quick_passes
+        );
     }
 }
