@@ -105,6 +105,8 @@ fn bench_passes(c: &mut Criterion) {
     // plane re-anchors and patches instead of rebuilding, so the
     // per-pass cost tracks events, not nodes. Reported per 60-pass
     // chain; divide by 60 to compare with the probe's per-pass figure.
+    // Every pass is a real one: a retired pilot turns its node idle,
+    // which unsettles the queue.
     g.bench_function("persistent_pass_churn_2239_nodes", |b| {
         b.iter_batched_ref(
             warmed_cluster,
@@ -137,6 +139,7 @@ fn bench_passes(c: &mut Criterion) {
                     }
                     started += notes.len();
                 }
+                assert_eq!(sim.counters().passes_skipped(), 0);
                 black_box(started)
             },
             BatchSize::LargeInput,

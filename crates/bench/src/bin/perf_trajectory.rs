@@ -551,12 +551,16 @@ fn warmed_cluster() -> WarmCluster {
 /// wheel-sweep amortization matches sustained operation. What's
 /// measured is the churn-proportional cost the tentpole targets:
 /// re-anchor + event apply + placement, never an O(nodes) rebuild.
+/// With churn every pass is a real one (a retired pilot turns its node
+/// idle, which unsettles the queue) and the routine asserts that none
+/// was skipped; without churn every pass is skipped.
 fn steady_passes(
     ev: ClusterEvent,
     churn: usize,
     steps: usize,
 ) -> impl FnMut(&mut WarmCluster) -> usize {
     move |w: &mut WarmCluster| {
+        let skipped_before = w.sim.counters().passes_skipped();
         let mut total = 0usize;
         for _ in 0..steps {
             w.t += SimDuration::from_secs(2);
@@ -586,6 +590,11 @@ fn steady_passes(
             }
             total += notes.len();
         }
+        assert_eq!(
+            w.sim.counters().passes_skipped() - skipped_before,
+            if churn > 0 { 0 } else { steps as u64 },
+            "passes skipped at churn {churn}"
+        );
         total
     }
 }
@@ -697,8 +706,11 @@ fn main() {
             steady_passes(ClusterEvent::QuickPass, 8, 60),
         ));
     }
-    // The zero-churn floor: event-free backfill passes on the warmed
-    // plane (re-anchor + wheel sweep only — nothing to place).
+    // The settled-pass floor: event-free backfill passes on the warmed
+    // cluster. The warming pass settled the queue and nothing has
+    // happened since, so each of these is counted and not run — what a
+    // `BackfillPass` event costs when there is nothing to decide (the
+    // settled check plus the simulated-cost walk of an empty queue).
     if want(&filter, "scheduler/persistent_pass_2239_nodes") {
         probes.push(probe_scaled(
             "scheduler/persistent_pass_2239_nodes",
@@ -706,23 +718,6 @@ fn main() {
             3,
             60.0,
             warmed_cluster,
-            steady_passes(ClusterEvent::BackfillPass, 0, 60),
-        ));
-    }
-    // The same zero-churn floor with per-pass span timing enabled: the
-    // observable cost of the four `Instant::now` laps per pass, and the
-    // figure the scraped span families should be read against.
-    if want(&filter, "scheduler/persistent_pass_2239_nodes_spans") {
-        probes.push(probe_scaled(
-            "scheduler/persistent_pass_2239_nodes_spans",
-            9,
-            3,
-            60.0,
-            || {
-                let mut w = warmed_cluster();
-                w.sim.enable_pass_spans();
-                w
-            },
             steady_passes(ClusterEvent::BackfillPass, 0, 60),
         ));
     }

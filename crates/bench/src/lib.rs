@@ -90,7 +90,8 @@ pub fn write_metrics_out(gw: &gateway::Gateway) {
 
 /// The DES's own work over one or more simulated days: events the
 /// engine dispatched and, of those, the platform's poll and timeout-scan
-/// events — the counts to read next to a day's wall-clock.
+/// events, and the scheduling passes run and skipped — the counts to
+/// read next to a day's wall-clock.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DesWork {
     /// `DayReport::events_dispatched`, summed.
@@ -101,6 +102,13 @@ pub struct DesWork {
     pub polls_parked: u64,
     /// `WhiskCounters::timeout_scans`, summed.
     pub timeout_scans: u64,
+    /// `Counters::quick_passes` and, of those, `quick_passes_skipped`.
+    pub quick_passes: u64,
+    pub quick_passes_skipped: u64,
+    /// `Counters::backfill_passes` and, of those,
+    /// `backfill_passes_skipped`.
+    pub backfill_passes: u64,
+    pub backfill_passes_skipped: u64,
 }
 
 impl DesWork {
@@ -110,14 +118,27 @@ impl DesWork {
         self.polls += rep.whisk_counters.polls;
         self.polls_parked += rep.whisk_counters.polls_parked;
         self.timeout_scans += rep.whisk_counters.timeout_scans;
+        let c = &rep.cluster_counters;
+        self.quick_passes += c.quick_passes;
+        self.quick_passes_skipped += c.quick_passes_skipped;
+        self.backfill_passes += c.backfill_passes;
+        self.backfill_passes_skipped += c.backfill_passes_skipped;
     }
 
     /// The one-line summary the day binaries print.
     pub fn summary(&self) -> String {
         format!(
             "DES work: {} events dispatched, of which {} invoker polls ({} parked their loop) \
-             and {} timeout scans",
-            self.events_dispatched, self.polls, self.polls_parked, self.timeout_scans
+             and {} timeout scans; quick passes {} run + {} skipped, backfill passes {} run + {} \
+             skipped",
+            self.events_dispatched,
+            self.polls,
+            self.polls_parked,
+            self.timeout_scans,
+            self.quick_passes - self.quick_passes_skipped,
+            self.quick_passes_skipped,
+            self.backfill_passes - self.backfill_passes_skipped,
+            self.backfill_passes_skipped
         )
     }
 }
@@ -152,11 +173,16 @@ pub fn scheduler_exposition(c: &cluster::Counters, des: Option<&DesWork>) -> Str
     };
     counter(
         "scheduler_passes_total",
-        "scheduling passes by mode (epoch-skipped quick passes split out)",
+        "scheduling passes due by mode; the *_skipped modes count those of them not run \
+         because the queue was settled",
         vec![
             (labels(&[("mode", "quick")]), c.quick_passes),
             (labels(&[("mode", "quick_skipped")]), c.quick_passes_skipped),
             (labels(&[("mode", "backfill")]), c.backfill_passes),
+            (
+                labels(&[("mode", "backfill_skipped")]),
+                c.backfill_passes_skipped,
+            ),
         ],
     );
     counter(

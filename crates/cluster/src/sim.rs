@@ -28,10 +28,9 @@
 //!   incrementally on node/job transitions, so building the pass
 //!   timelines is a branch-light linear sweep that never touches the
 //!   job table;
-//! * a **state epoch + clean-pass marker**: every scheduling-relevant
-//!   mutation bumps `epoch`; a rate-limited quick pass whose epoch
-//!   matches the last *mutation-free* quick pass (and with no pinned
-//!   claim newly due) is a proven no-op and returns in O(1);
+//! * the **settled-queue proof** (below): a quick *or* backfill pass
+//!   over a queue the previous pass proved unplaceable is counted and
+//!   not run;
 //! * the cluster-wide **idle bitset** intersected with the timeline's
 //!   slot-0-free bitset, so the per-job eligible/startable lookup
 //!   inspects only candidate nodes instead of scanning the cluster.
@@ -40,6 +39,38 @@
 //! (enabled via [`ClusterSim::set_reference_mode`]); a differential
 //! proptest in `tests/differential.rs` asserts both produce bit-equal
 //! schedules.
+//!
+//! # No pass without work
+//!
+//! A pass that examined its whole queue, found no unpinned HPC job in
+//! it (the only kind that is given a reservation), skipped no pilot and
+//! leaves no claim waiting on a node another job is first in line for
+//! *settles* the queue (`Settled`): every pilot still queued failed
+//! `find_single_now`, every due claim either started or holds (or heads
+//! the line for) each of its nodes. A pilot only ever starts at slot 0 of an *idle* node, and
+//! everything painted on an idle node's timeline (an announced claim
+//! window, which by `announced_start >= earliest_start` cannot end
+//! before its claim comes due) has an absolute position, so as the pass
+//! origin advances a free run from slot 0 only shrinks: time alone
+//! cannot make a queued pilot fit, and a due claim already did all it
+//! can until one of its nodes is handed to it (which starts it without a
+//! pass). The proof is therefore voided only where a node turns idle, a
+//! pending job is cancelled, a claim's handover changes other than by
+//! completing (torn down by a node failure, or partially filled — the
+//! next pass re-derives its `ready` list), or a job is submitted that
+//! could start — everything except a pilot at least as long as one that
+//! just failed, and a job not yet due, which lowers `next_due` instead;
+//! and it lapses when `now` reaches `next_due`. While it stands, a
+//! `QuickPass` or `BackfillPass` is counted (`*_passes_skipped`) and
+//! returns in O(1); a skipped backfill pass still charges the simulated
+//! cost of walking the queue to the next interval.
+//!
+//! In a debug build every skipped pass is *run anyway* — on timelines
+//! built from scratch, so the persistent plane and its work counter see
+//! the same passes as a release build — and must schedule no event, emit
+//! no note, place nothing, touch no node, waiter or handover and charge
+//! the cost the skip charged. `reference_mode` never skips, which makes
+//! `tests/differential.rs` the judge with optimizations on.
 
 use crate::config::SlurmConfig;
 use crate::events::{ClusterEvent, ClusterNote, PollSample, SigtermReason};
@@ -73,6 +104,37 @@ struct Handover {
 enum PassMode {
     Quick,
     Backfill,
+}
+
+/// What the last pass proved about the queue it left behind (module doc,
+/// "No pass without work").
+#[derive(Debug, Clone, Copy)]
+struct Settled {
+    /// Shortest fit, in slots, among the pilots that found no node
+    /// (`u32::MAX` when none was queued): a pilot submitted later that
+    /// needs at least this much cannot start either.
+    min_failed_dfit: u32,
+    /// Earliest `earliest_start` among the pending jobs not yet due; a
+    /// pass at or after it has a new job to examine.
+    next_due: Option<SimTime>,
+}
+
+/// The jobs a pass at some instant examines, in pass order.
+struct PassQueue {
+    jobs: Vec<JobId>,
+    /// True iff an unpinned HPC job is queued — the only kind that
+    /// queries the HPC view, which is not built without one.
+    need_hpc: bool,
+    /// Earliest `earliest_start` among the pending jobs left out because
+    /// they are not yet due.
+    next_due: Option<SimTime>,
+}
+
+/// Slots a pilot must find free from slot 0 to start: its minimum time
+/// when variable-length, its limit otherwise.
+fn pilot_fit_slots(cfg: &SlurmConfig, spec: &JobSpec) -> u32 {
+    cfg.slots_ceil(spec.min_time.unwrap_or(spec.time_limit))
+        .max(1)
 }
 
 /// How a node projects onto the pass timelines — a cached summary of
@@ -132,13 +194,16 @@ pub struct Counters {
     pub pilots_timed_out: u64,
     /// Pilots killed by node failures (no SIGTERM).
     pub pilots_node_failed: u64,
-    /// Quick passes executed.
+    /// Quick passes due (run or skipped).
     pub quick_passes: u64,
-    /// Quick passes proven no-ops by the epoch check and skipped in O(1)
-    /// (counted inside `quick_passes` as well).
+    /// Quick passes over a settled queue, counted and not run (counted
+    /// inside `quick_passes` as well).
     pub quick_passes_skipped: u64,
-    /// Backfill passes executed.
+    /// Backfill passes due (run or skipped).
     pub backfill_passes: u64,
+    /// Backfill passes over a settled queue, counted and not run
+    /// (counted inside `backfill_passes` as well).
+    pub backfill_passes_skipped: u64,
     /// Future-start reservations created.
     pub reservations_made: u64,
     /// Delay of pinned demand claims beyond their intended start
@@ -166,6 +231,12 @@ pub struct Counters {
 }
 
 impl Counters {
+    /// Passes of either kind that were due over a settled queue and not
+    /// run.
+    pub fn passes_skipped(&self) -> u64 {
+        self.quick_passes_skipped + self.backfill_passes_skipped
+    }
+
     /// Fold another run's counters into this one (multi-day / multi-seed
     /// aggregation for scraped reports).
     pub fn absorb(&mut self, other: &Counters) {
@@ -178,6 +249,7 @@ impl Counters {
         self.quick_passes += other.quick_passes;
         self.quick_passes_skipped += other.quick_passes_skipped;
         self.backfill_passes += other.backfill_passes;
+        self.backfill_passes_skipped += other.backfill_passes_skipped;
         self.reservations_made += other.reservations_made;
         self.demand_delay_secs.merge(&other.demand_delay_secs);
         self.pilot_granted_mins.merge(&other.pilot_granted_mins);
@@ -233,14 +305,12 @@ pub struct ClusterSim {
     /// Bit `n` set iff node `n` runs a pilot job (draining included) —
     /// with `idle_bits`, the two sets a poll sample copies.
     pilot_bits: Vec<u64>,
-    /// Bumped on every scheduling-relevant mutation.
-    epoch: u64,
-    /// Epoch recorded by the last quick pass that completed without any
-    /// mutation; a matching epoch proves the next quick pass a no-op.
-    quick_clean_epoch: Option<u64>,
-    /// Earliest future `earliest_start` among pending pinned claims at
-    /// the time `quick_clean_epoch` was recorded.
-    next_pinned_due: Option<SimTime>,
+    /// The standing proof that a pass would place nothing, if any.
+    settled: Option<Settled>,
+    /// Pending pilots per declared limit in minutes, kept at `submit`,
+    /// `start_job` and `cancel_pending`; a limit whose pilots all left
+    /// stays with count 0.
+    pilot_census: Vec<(u64, usize)>,
     /// The persistent scheduling plane: a long-lived pilot view (and a
     /// lazily materialized HPC view) re-anchored at each pass instant
     /// and mutated by the events the simulator emits instead of being
@@ -416,9 +486,8 @@ impl ClusterSim {
             proj_until: vec![SimTime::ZERO; n_nodes],
             idle_bits,
             pilot_bits: vec![0; words],
-            epoch: 0,
-            quick_clean_epoch: None,
-            next_pinned_due: None,
+            settled: None,
+            pilot_census: Vec::new(),
             plane_pilot: None,
             plane_hpc: None,
             plane_dirty: Vec::new(),
@@ -446,6 +515,8 @@ impl ClusterSim {
     #[doc(hidden)]
     pub fn set_reference_mode(&mut self, on: bool) {
         self.reference_mode = on;
+        // The reference pass never settles the queue, so it never skips.
+        self.settled = None;
         // Dirty tracking is disabled in reference mode, so any retained
         // plane would go silently stale across a mode switch.
         self.plane_pilot = None;
@@ -540,22 +611,25 @@ impl ClusterSim {
     }
 
     /// Pending *pilot* jobs per declared limit in minutes, as `(limit,
-    /// count)` pairs (fib manager). A managed queue holds a handful of
-    /// distinct limits, so the linear find beats hashing every pending
-    /// job each tick.
-    pub fn pending_pilots_by_limit(&self) -> Vec<(u64, usize)> {
-        let mut counts: Vec<(u64, usize)> = Vec::new();
-        for id in &self.pending {
-            let j = &self.jobs[id.0 as usize];
-            if j.is_pending() && j.spec.kind == JobKind::Pilot {
-                let mins = j.spec.time_limit.as_mins();
-                match counts.iter_mut().find(|(m, _)| *m == mins) {
-                    Some((_, n)) => *n += 1,
-                    None => counts.push((mins, 1)),
-                }
+    /// count)` pairs (pilot managers): a census kept as pilots are
+    /// submitted, started and cancelled, not a walk of the queue. A
+    /// limit whose pilots all left stays listed with count 0; a managed
+    /// queue holds a handful of distinct limits, so callers `find`.
+    pub fn pending_pilots_by_limit(&self) -> &[(u64, usize)] {
+        &self.pilot_census
+    }
+
+    /// The census entry for pilots of declared limit `limit`.
+    fn pilot_census_slot(&mut self, limit: SimDuration) -> &mut usize {
+        let mins = limit.as_mins();
+        let at = match self.pilot_census.iter().position(|(m, _)| *m == mins) {
+            Some(at) => at,
+            None => {
+                self.pilot_census.push((mins, 0));
+                self.pilot_census.len() - 1
             }
-        }
-        counts
+        };
+        &mut self.pilot_census[at].1
     }
 
     /// Submit a job.
@@ -580,12 +654,26 @@ impl ClusterSim {
         let key = self.pass_key(id);
         let at = self.pending.partition_point(|p| self.pass_key(*p) < key);
         self.pending.insert(at, id);
-        self.epoch += 1;
-        {
-            let spec = &self.jobs[id.0 as usize].spec;
-            if spec.pinned_nodes.is_some() && spec.earliest_start.is_some() {
-                self.pinned_pending.push(id);
+        let spec = &self.jobs[id.0 as usize].spec;
+        if spec.pinned_nodes.is_some() && spec.earliest_start.is_some() {
+            self.pinned_pending.push(id);
+        }
+        if let Some(s) = &mut self.settled {
+            match spec.earliest_start {
+                // Out of the queue until `t`; until then it only paints
+                // its window, which frees nothing.
+                Some(t) if t > now => s.next_due = Some(s.next_due.map_or(t, |d| d.min(t))),
+                // No shorter than a pilot that found no node, and runs
+                // from slot 0 have only shrunk since.
+                None if spec.kind == JobKind::Pilot
+                    && spec.pinned_nodes.is_none()
+                    && pilot_fit_slots(&self.cfg, spec) >= s.min_failed_dfit => {}
+                _ => self.settled = None,
             }
+        }
+        if spec.kind == JobKind::Pilot {
+            let limit = spec.time_limit;
+            *self.pilot_census_slot(limit) += 1;
         }
         // Pinned claims must fire close to their intended start even if
         // the cluster is otherwise quiet.
@@ -620,6 +708,10 @@ impl ClusterSim {
             );
         }
         let limit = spec.time_limit;
+        if spec.kind == JobKind::Pilot {
+            // Never queued, but `start_job` takes it out of the census.
+            *self.pilot_census_slot(limit) += 1;
+        }
         let id = JobId(self.jobs.len() as u64);
         self.jobs.push(Job {
             granted: limit,
@@ -642,7 +734,12 @@ impl ClusterSim {
             at: now,
         };
         self.pending.retain(|j| *j != id);
-        self.epoch += 1;
+        // A cancelled claim takes its painted window with it.
+        self.settled = None;
+        if job.spec.kind == JobKind::Pilot {
+            let limit = job.spec.time_limit;
+            *self.pilot_census_slot(limit) -= 1;
+        }
         true
     }
 
@@ -687,31 +784,37 @@ impl ClusterSim {
                 self.quick_at = None;
                 self.last_quick = now;
                 self.counters.quick_passes += 1;
-                if !self.reference_mode && self.quick_pass_is_noop(now) {
-                    // O(1) skip: no mutation since the last clean pass
-                    // and no pinned claim newly due — a full pass would
-                    // place nothing and emit nothing.
+                if self.queue_is_settled(now) {
                     self.counters.quick_passes_skipped += 1;
+                    #[cfg(debug_assertions)]
+                    self.run_settled_pass_anyway(now, PassMode::Quick);
+                } else if self.reference_mode {
+                    self.run_pass_reference(now, PassMode::Quick, out, notes);
                 } else {
-                    let before = self.epoch;
-                    if self.reference_mode {
-                        self.run_pass_reference(now, PassMode::Quick, out, notes);
-                    } else {
-                        self.run_pass(now, PassMode::Quick, out, notes);
-                    }
-                    self.record_quick_outcome(now, before);
+                    self.run_pass(now, PassMode::Quick, out, notes);
                 }
             }
             ClusterEvent::BackfillPass => {
                 self.counters.backfill_passes += 1;
-                let cost = if self.reference_mode {
+                let cost = if self.queue_is_settled(now) {
+                    self.counters.backfill_passes_skipped += 1;
+                    // The walk over the queue is what a pass that places
+                    // nothing charges to the next interval.
+                    let queued = self.pass_queue(now).jobs.len();
+                    let examined = queued.min(self.cfg.bf_max_job_test);
+                    let cost = self.cfg.bf_per_job_cost * examined as u64;
+                    #[cfg(debug_assertions)]
+                    assert_eq!(
+                        self.run_settled_pass_anyway(now, PassMode::Backfill),
+                        cost,
+                        "a skipped backfill pass charged another cost than the pass"
+                    );
+                    cost
+                } else if self.reference_mode {
                     self.run_pass_reference(now, PassMode::Backfill, out, notes)
                 } else {
                     self.run_pass(now, PassMode::Backfill, out, notes)
                 };
-                // Reservations were rebuilt: the next quick pass must
-                // look again.
-                self.epoch += 1;
                 let next = self.cfg.bf_interval.max(cost);
                 out.after(next, ClusterEvent::BackfillPass);
             }
@@ -750,26 +853,83 @@ impl ClusterSim {
     // Incremental pass bookkeeping
     // ------------------------------------------------------------------
 
-    /// True iff a quick pass right now is provably a no-op.
-    fn quick_pass_is_noop(&self, now: SimTime) -> bool {
-        self.quick_clean_epoch == Some(self.epoch)
-            && self.next_pinned_due.is_none_or(|due| now < due)
+    /// True iff a pass of either kind at `now` provably places nothing:
+    /// the proof stands and no job has come due since it was made.
+    fn queue_is_settled(&self, now: SimTime) -> bool {
+        self.settled
+            .is_some_and(|s| s.next_due.is_none_or(|due| now < due))
     }
 
-    /// Record whether the quick pass that just ran was mutation-free.
-    fn record_quick_outcome(&mut self, now: SimTime, epoch_before: u64) {
-        if self.epoch == epoch_before {
-            self.quick_clean_epoch = Some(self.epoch);
-            self.next_pinned_due = self
-                .pending
+    /// Every claim waiting on a handover holds, or is first in line for,
+    /// each of its nodes. A claim that found another job's waiter on a
+    /// node registers its own in the first pass after that waiter is
+    /// served, so a queue with such a claim in it is not settled.
+    fn handovers_own_their_nodes(&self) -> bool {
+        self.handovers.iter().all(|(id, h)| {
+            h.needed.iter().all(|n| {
+                self.nodes[n.0 as usize].state == NodeState::Reserved(*id)
+                    || self.node_waiter.get(n) == Some(id)
+            })
+        })
+    }
+
+    /// A skipped pass, run anyway (debug builds): it must schedule
+    /// nothing, emit nothing, place nothing and touch no node, waiter or
+    /// handover. Runs on timelines built from scratch and leaves the
+    /// persistent plane alone, so a debug build sweeps the wheel exactly
+    /// when a release build does. Returns the cost the pass charged.
+    #[cfg(debug_assertions)]
+    fn run_settled_pass_anyway(&mut self, now: SimTime, mode: PassMode) -> SimDuration {
+        let settled = self.settled;
+        let queue = self.pass_queue(now);
+        assert!(!queue.need_hpc, "settled with an unpinned HPC job queued");
+        assert!(self.reservations.is_empty(), "settled over a reservation");
+        // Everything a pass can change without emitting anything.
+        let state = |sim: &Self| {
+            let pending = |id: &&JobId| sim.jobs[id.0 as usize].is_pending();
+            let live: Vec<JobId> = sim.pending.iter().filter(pending).copied().collect();
+            let nodes: Vec<NodeState> = sim.nodes.iter().map(|n| n.state).collect();
+            let mut handovers: Vec<(JobId, NodeList)> = sim
+                .handovers
                 .iter()
-                .filter(|id| self.jobs[id.0 as usize].is_pending())
-                .filter_map(|id| self.jobs[id.0 as usize].spec.earliest_start)
-                .filter(|t| *t > now)
-                .min();
-        } else {
-            self.quick_clean_epoch = None;
-        }
+                .map(|(id, h)| (*id, h.ready.clone()))
+                .collect();
+            handovers.sort_by_key(|h| h.0);
+            (
+                live,
+                handovers,
+                sim.node_waiter.clone(),
+                nodes,
+                sim.proj_class.clone(),
+                sim.proj_until.clone(),
+                (sim.counters.pass_placements, sim.counters.reservations_made),
+            )
+        };
+        let before = state(self);
+        let (mut tl_pilot, mut tl_hpc) = self.fresh_timelines(now, mode, false);
+        let mut out = Outbox::new(now);
+        let mut notes = Vec::new();
+        let cost = self.place_queue(
+            now,
+            mode,
+            queue,
+            &mut tl_pilot,
+            &mut tl_hpc,
+            &mut Vec::new(),
+            &mut out,
+            &mut notes,
+        );
+        assert!(
+            out.is_empty() && notes.is_empty(),
+            "skipped {mode:?} pass at {now:?} schedules {} events and emits {notes:?}",
+            out.len()
+        );
+        assert!(
+            before == state(self),
+            "skipped {mode:?} pass at {now:?} changes state"
+        );
+        self.settled = settled;
+        cost
     }
 
     /// Recompute a node's cached pass projection from authoritative
@@ -1281,20 +1441,34 @@ impl ClusterSim {
         )
     }
 
-    /// The pass queue: pending jobs ordered by [`Self::pass_key`].
-    /// `pending` is kept in that order by `submit`, so this is a filter.
-    /// Pinned claims not yet due are excluded — their windows are
-    /// already projected as reservations and their firing is scheduled
-    /// separately, so they must not eat pass budget.
-    fn pass_queue(&self, now: SimTime) -> Vec<JobId> {
-        self.pending
-            .iter()
-            .copied()
-            .filter(|id| {
-                let j = &self.jobs[id.0 as usize];
-                j.is_pending() && j.spec.earliest_start.is_none_or(|t| t <= now)
-            })
-            .collect()
+    /// The pass queue at `now`: the pending jobs in pass order (`pending`
+    /// is kept in [`Self::pass_key`] order by `submit`, so this is a
+    /// filter), with what a pass needs to know about them up front. Jobs
+    /// not yet due are left out — a pinned claim's window is already
+    /// projected as a reservation and its firing is scheduled
+    /// separately, so it must not eat pass budget.
+    fn pass_queue(&self, now: SimTime) -> PassQueue {
+        let mut queue = PassQueue {
+            jobs: Vec::with_capacity(self.pending.len()),
+            need_hpc: false,
+            next_due: None,
+        };
+        for id in &self.pending {
+            let j = &self.jobs[id.0 as usize];
+            if !j.is_pending() {
+                continue; // started since the last compaction
+            }
+            match j.spec.earliest_start {
+                Some(t) if t > now => {
+                    queue.next_due = Some(queue.next_due.map_or(t, |due| due.min(t)));
+                }
+                _ => {
+                    queue.need_hpc |= j.spec.kind == JobKind::Hpc && j.spec.pinned_nodes.is_none();
+                    queue.jobs.push(*id);
+                }
+            }
+        }
+        queue
     }
 
     /// Up to `k` nodes able to start a `d`-slot HPC job now, genuinely
@@ -1335,14 +1509,8 @@ impl ClusterSim {
         out: &mut Outbox<ClusterEvent>,
         notes: &mut Vec<ClusterNote>,
     ) -> SimDuration {
-        let n_slots = self.cfg.n_slots();
         let queue = self.pass_queue(now);
-        // The HPC view is only ever *queried* for unpinned HPC jobs in
-        // this pass's queue; with none present, skip building it.
-        let need_hpc = queue.iter().any(|id| {
-            let j = &self.jobs[id.0 as usize];
-            j.spec.kind == JobKind::Hpc && j.spec.pinned_nodes.is_none()
-        });
+        let need_hpc = queue.need_hpc;
         let (mut tl_pilot, mut tl_hpc, hpc_parked, mut painted) =
             self.prepare_plane(now, mode, need_hpc);
         #[cfg(debug_assertions)]
@@ -1359,6 +1527,38 @@ impl ClusterSim {
                 tl_hpc.generation()
             );
         }
+        let cost = self.place_queue(
+            now,
+            mode,
+            queue,
+            &mut tl_pilot,
+            &mut tl_hpc,
+            &mut painted,
+            out,
+            notes,
+        );
+        self.finish_plane(tl_pilot, tl_hpc, hpc_parked, painted);
+        cost
+    }
+
+    /// The placement walk of a pass over `queue`, on pass views painted
+    /// for `now`; nodes it paints on top are appended to `painted`. Ends
+    /// by recording whether it settled the queue. Returns the simulated
+    /// pass cost (delays the next backfill pass).
+    #[allow(clippy::too_many_arguments)]
+    fn place_queue(
+        &mut self,
+        now: SimTime,
+        mode: PassMode,
+        queue: PassQueue,
+        tl_pilot: &mut Timeline,
+        tl_hpc: &mut Timeline,
+        painted: &mut Vec<NodeId>,
+        out: &mut Outbox<ClusterEvent>,
+        notes: &mut Vec<ClusterNote>,
+    ) -> SimDuration {
+        let n_slots = self.cfg.n_slots();
+        let need_hpc = queue.need_hpc;
         let limit = match mode {
             PassMode::Quick => self.cfg.sched_queue_depth,
             PassMode::Backfill => self.cfg.bf_max_job_test,
@@ -1369,18 +1569,35 @@ impl ClusterSim {
         let mut reservations_created = 0usize;
         let mut new_reservations: Vec<Reservation> = Vec::new();
         let mut mark = self.pass_spans.then(std::time::Instant::now);
+        // Provisional: it stands unless this pass cuts its queue short,
+        // skips a pilot or ends with a contested node — or a node turns
+        // idle under it, which voids the proof during a pass as it does
+        // after one.
+        self.settled = (!need_hpc).then_some(Settled {
+            min_failed_dfit: u32::MAX,
+            next_due: queue.next_due,
+        });
 
-        for id in queue {
+        for id in queue.jobs {
             if examined >= limit {
+                self.settled = None;
                 break;
             }
             examined += 1;
             let job = &self.jobs[id.0 as usize];
             if !self.handovers.is_empty() && self.handovers.contains_key(&id) {
                 // Waiting on a preemption handover; pinned claims may
-                // still be able to grab newly freed nodes.
+                // still be able to grab newly freed nodes — which the
+                // views, built before, still show free.
                 if job.spec.pinned_nodes.is_some() {
                     self.claim_pinned(now, id, out, notes);
+                    for n in self.claimed_nodes(id) {
+                        tl_pilot.block_all(n);
+                        if need_hpc {
+                            tl_hpc.block_all(n);
+                        }
+                        painted.push(n);
+                    }
                 }
                 continue;
             }
@@ -1408,7 +1625,7 @@ impl ClusterSim {
                     let limit_dur = job.spec.time_limit;
                     // Start now? The HPC view treats pilot nodes as free;
                     // prefer genuinely idle nodes over pilot-held.
-                    let startable = self.startable_for_hpc(&tl_hpc, k, d);
+                    let startable = self.startable_for_hpc(tl_hpc, k, d);
                     if startable.len() as u32 == k {
                         for n in &startable {
                             tl_hpc.block_until(*n, now + limit_dur);
@@ -1441,14 +1658,16 @@ impl ClusterSim {
                 }
                 JobKind::Pilot => {
                     if mode == PassMode::Quick && !self.cfg.quick_pass_places_pilots {
+                        self.settled = None;
                         continue;
                     }
                     let max_slots = self.cfg.slots_ceil(job.spec.time_limit).max(1);
-                    let (d_fit, is_var) = match job.spec.min_time {
-                        Some(mt) => (self.cfg.slots_ceil(mt).max(1), true),
-                        None => (max_slots, false),
-                    };
+                    let d_fit = pilot_fit_slots(&self.cfg, &job.spec);
+                    let is_var = job.spec.min_time.is_some();
                     let Some(node) = tl_pilot.find_single_now(d_fit, FitPolicy::BestFit) else {
+                        if let Some(s) = &mut self.settled {
+                            s.min_failed_dfit = s.min_failed_dfit.min(d_fit);
+                        }
                         continue;
                     };
                     let granted_slots = if is_var {
@@ -1478,9 +1697,13 @@ impl ClusterSim {
         }
         self.pending
             .retain(|id| self.jobs[id.0 as usize].is_pending());
-        self.finish_plane(tl_pilot, tl_hpc, hpc_parked, painted);
+        if !self.handovers_own_their_nodes() {
+            self.settled = None;
+        }
+        // Only an unpinned HPC job is ever given a reservation, and one
+        // of those in the queue already kept the pass from settling it.
+        debug_assert!(self.settled.is_none() || self.reservations.is_empty());
 
-        // Simulated pass cost (delays the next backfill pass).
         SimDuration::from_millis(
             self.cfg.bf_per_job_cost.as_millis() * examined as u64
                 + self.cfg.bf_var_slot_cost.as_millis() * var_slots_computed,
@@ -1565,7 +1788,7 @@ impl ClusterSim {
         }
 
         // 3. Order the queue: tier desc, priority desc, FIFO.
-        let queue = self.pass_queue(now);
+        let queue = self.pass_queue(now).jobs;
 
         let limit = match mode {
             PassMode::Quick => self.cfg.sched_queue_depth,
@@ -1586,6 +1809,10 @@ impl ClusterSim {
             if self.handovers.contains_key(&id) {
                 if job.spec.pinned_nodes.is_some() {
                     self.claim_pinned(now, id, out, notes);
+                    for n in self.claimed_nodes(id) {
+                        tl_pilot.block_all(n);
+                        tl_hpc.block_all(n);
+                    }
                 }
                 continue;
             }
@@ -1689,6 +1916,18 @@ impl ClusterSim {
         )
     }
 
+    /// The pinned nodes claim `id` holds by now, reserved or running.
+    fn claimed_nodes(&self, id: JobId) -> NodeList {
+        let pinned = self.jobs[id.0 as usize].spec.pinned_nodes.iter().flatten();
+        pinned
+            .copied()
+            .filter(|n| {
+                let st = self.nodes[n.0 as usize].state;
+                st == NodeState::Reserved(id) || st == NodeState::Busy(id)
+            })
+            .collect()
+    }
+
     /// Try to claim the pinned nodes of demand job `id`; idempotent.
     /// The pinned list is borrow-split out of the spec (and restored)
     /// instead of cloned — this runs on every pass while a claim waits
@@ -1718,7 +1957,6 @@ impl ClusterSim {
             for n in &ready {
                 if self.node_waiter.get(n) == Some(&id) {
                     self.node_waiter.remove(n);
-                    self.epoch += 1;
                 }
             }
             let limit = self.jobs[id.0 as usize].spec.time_limit;
@@ -1745,7 +1983,6 @@ impl ClusterSim {
                 continue; // already being reclaimed
             }
             self.node_waiter.insert(*n, id);
-            self.epoch += 1;
             self.refresh_node(*n);
             if let NodeState::Busy(holder) = self.nodes[n.0 as usize].state {
                 let hjob = &self.jobs[holder.0 as usize];
@@ -1803,7 +2040,6 @@ impl ClusterSim {
                 }
                 NodeState::Busy(holder) => {
                     self.node_waiter.insert(*n, id);
-                    self.epoch += 1;
                     self.refresh_node(*n);
                     let hjob = &self.jobs[holder.0 as usize];
                     if hjob.spec.preemptible && matches!(hjob.state, JobState::Running { .. }) {
@@ -1894,6 +2130,8 @@ impl ClusterSim {
             JobKind::Pilot => {
                 self.counters.pilots_started += 1;
                 self.counters.pilot_granted_mins.add(granted.as_mins_f64());
+                let limit = job.spec.time_limit;
+                *self.pilot_census_slot(limit) -= 1;
             }
         }
         notes.push(ClusterNote::JobStarted {
@@ -1925,7 +2163,6 @@ impl ClusterSim {
             nodes: nodes.clone(),
             outcome,
         };
-        self.epoch += 1;
         for n in &nodes {
             self.refresh_node(*n);
         }
@@ -1980,7 +2217,6 @@ impl ClusterSim {
         let nodes: Vec<NodeId> = job.held_nodes().to_vec();
         job.state = JobState::Done { outcome, at: now };
         let kind = job.spec.kind;
-        self.epoch += 1;
         // Emit the end note before handover starts so note order reads
         // causally (ended → successor started).
         notes.push(ClusterNote::JobEnded { job: id, outcome });
@@ -2024,6 +2260,10 @@ impl ClusterSim {
             self.handovers.remove(&waiter);
             let limit = self.jobs[waiter.0 as usize].spec.time_limit;
             self.start_job(now, waiter, nodes, limit, out, notes);
+        } else {
+            // The next pass re-derives `ready` in pinned order, and the
+            // order shows in the eventual `JobStarted`.
+            self.settled = None;
         }
     }
 
@@ -2040,14 +2280,13 @@ impl ClusterSim {
             NodeState::Busy(holder) => {
                 // Hard failure: the job dies without SIGTERM — this is
                 // the path baseline OpenWhisk handles badly (§II).
-                if self.node_waiter.remove(&n).is_some() {
-                    self.epoch += 1;
-                }
+                self.node_waiter.remove(&n);
                 self.end_job(now, holder, JobOutcome::NodeFailed, out, notes);
                 self.set_node_state(now, n, NodeState::Down);
             }
             NodeState::Reserved(waiter) => {
                 // Tear down the handover; the waiting job re-queues.
+                self.settled = None;
                 if let Some(h) = self.handovers.remove(&waiter) {
                     for rn in h.ready {
                         if rn != n && self.nodes[rn.0 as usize].state == NodeState::Reserved(waiter)
@@ -2058,7 +2297,6 @@ impl ClusterSim {
                     for wn in h.needed {
                         if self.node_waiter.get(&wn) == Some(&waiter) {
                             self.node_waiter.remove(&wn);
-                            self.epoch += 1;
                             self.refresh_node(wn);
                         }
                     }
@@ -2093,7 +2331,10 @@ impl ClusterSim {
         }
         node.state = new;
         node.since = now;
-        self.epoch += 1;
+        if new == NodeState::Idle {
+            // The one transition that lengthens a free run from slot 0.
+            self.settled = None;
+        }
         self.refresh_node(n);
         let delta = |st: NodeState, jobs: &[Job]| -> (i64, i64, i64) {
             match st {
@@ -2211,6 +2452,11 @@ mod tests {
         Cancel {
             pick: usize,
         },
+        /// Start a pilot on an idle node, past the queue.
+        ForceStart {
+            pick: usize,
+            limit_mins: u64,
+        },
         /// Let time pass: passes run, jobs start and end.
         Advance {
             secs: u64,
@@ -2244,6 +2490,8 @@ mod tests {
                 }
             }),
             (0usize..64).prop_map(|pick| Step::Cancel { pick }),
+            (0usize..64, 2u64..20)
+                .prop_map(|(pick, limit_mins)| Step::ForceStart { pick, limit_mins }),
             (0u64..240).prop_map(|secs| Step::Advance { secs }),
         ]
     }
@@ -2254,8 +2502,10 @@ mod tests {
         /// `submit` keeps `pending` in pass order: through submissions
         /// (several per instant, so submit times tie), cancellations,
         /// passes that start jobs and the compaction behind them, the
-        /// filter-only `pass_queue` comes out as the sort left it, and
-        /// `pending_ids_matching` stays in submission order.
+        /// filter-only `pass_queue` comes out as the sort left it,
+        /// `pending_ids_matching` stays in submission order, and the kept
+        /// pilot census equals a recount of the queue (pilots started by
+        /// a pass, force-started and cancelled included).
         #[test]
         fn prop_pending_stays_in_pass_order(
             steps in proptest::collection::vec(step_strategy(), 1..80),
@@ -2264,8 +2514,8 @@ mod tests {
             let mut sim = ClusterSim::new(SlurmConfig::default(), 4, 3);
             let mut engine = Engine::new();
             let mut t = SimTime::from_mins(10);
-            let mut out = Outbox::new(SimTime::ZERO);
-            sim.bootstrap(SimTime::ZERO, &mut out);
+            let mut out = Outbox::new(t);
+            sim.bootstrap(t, &mut out);
             for (at, e) in out.drain() {
                 engine.schedule(at, e);
             }
@@ -2299,6 +2549,15 @@ mod tests {
                             sim.cancel_pending(t, ids[pick % ids.len()]);
                         }
                     }
+                    Step::ForceStart { pick, limit_mins } => {
+                        let idle: Vec<u32> = (0..4).filter(|n| sim.nodes[*n as usize].is_idle()).collect();
+                        if !idle.is_empty() {
+                            let mut spec =
+                                JobSpec::pilot_fixed(SimDuration::from_mins(limit_mins), 1);
+                            spec.pinned_nodes = Some(NodeList::single(NodeId(idle[pick % idle.len()])));
+                            sim.force_start(t, spec, &mut out, &mut Vec::new());
+                        }
+                    }
                     Step::Advance { secs } => {
                         t += SimDuration::from_secs(secs);
                         let sim = &mut sim;
@@ -2310,10 +2569,18 @@ mod tests {
                 for (at, e) in out.drain() {
                     engine.schedule(at, e);
                 }
-                let queue = sim.pass_queue(t);
+                let queue = sim.pass_queue(t).jobs;
                 prop_assert_eq!(sorted_as_before(&sim, queue.clone()), queue);
                 let ids = sim.pending_ids_matching(|_| true);
                 prop_assert!(ids.windows(2).all(|w| w[0] < w[1]), "not in id order: {ids:?}");
+                let mut recount = std::collections::BTreeMap::new();
+                for j in sim.pending.iter().map(|id| &sim.jobs[id.0 as usize]) {
+                    if j.is_pending() && j.spec.kind == JobKind::Pilot {
+                        *recount.entry(j.spec.time_limit.as_mins()).or_insert(0usize) += 1;
+                    }
+                }
+                let kept = sim.pending_pilots_by_limit().iter().copied();
+                prop_assert_eq!(kept.filter(|(_, n)| *n > 0).collect::<std::collections::BTreeMap<_, _>>(), recount);
             }
         }
     }

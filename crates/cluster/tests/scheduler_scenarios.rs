@@ -6,6 +6,7 @@ use hpcwhisk_cluster::{
     ClusterEvent, ClusterNote, ClusterSim, JobId, JobKind, JobOutcome, JobSpec, JobState, NodeId,
     SigtermReason, SlurmConfig,
 };
+use proptest::prelude::*;
 use simcore::{Engine, Outbox, SimDuration, SimTime};
 
 /// Drives a [`ClusterSim`] with the DES engine, collecting notes.
@@ -15,6 +16,8 @@ struct Harness {
     notes: Vec<(SimTime, ClusterNote)>,
     /// `QuickPass` events dispatched so far.
     quick_events: u64,
+    /// `(scheduled at, due at, event)` for every event the sim emitted.
+    scheduled: Vec<(SimTime, SimTime, ClusterEvent)>,
 }
 
 impl Harness {
@@ -35,42 +38,56 @@ impl Harness {
             engine,
             notes: Vec::new(),
             quick_events: 0,
+            scheduled: Vec::new(),
         }
+    }
+
+    /// Call into the sim at `t` (the engine is already there) and feed
+    /// what it schedules and notes back.
+    fn call<R>(
+        &mut self,
+        t: SimTime,
+        f: impl FnOnce(&mut ClusterSim, &mut Outbox<ClusterEvent>, &mut Vec<ClusterNote>) -> R,
+    ) -> R {
+        let mut out = Outbox::new(t);
+        let mut notes = Vec::new();
+        let r = f(&mut self.sim, &mut out, &mut notes);
+        self.notes.extend(notes.into_iter().map(|n| (t, n)));
+        for (at, e) in out.drain() {
+            self.scheduled.push((t, at, e.clone()));
+            self.engine.schedule(at, e);
+        }
+        r
     }
 
     fn submit_at(&mut self, t: SimTime, spec: JobSpec) -> JobId {
         // Run up to the submission instant first.
         self.run_until(t);
-        let mut out = Outbox::new(t);
-        let id = self.sim.submit(t, spec, &mut out);
-        for (at, e) in out.drain() {
-            self.engine.schedule(at, e);
-        }
-        id
+        self.call(t, |sim, out, _| sim.submit(t, spec, out))
     }
 
     fn pilot_exit_at(&mut self, t: SimTime, job: JobId) {
         self.run_until(t);
-        let mut out = Outbox::new(t);
-        let mut notes = Vec::new();
-        self.sim.pilot_exited(t, job, &mut out, &mut notes);
-        self.notes.extend(notes.into_iter().map(|n| (t, n)));
-        for (at, e) in out.drain() {
-            self.engine.schedule(at, e);
-        }
+        self.call(t, |sim, out, notes| sim.pilot_exited(t, job, out, notes));
     }
 
     fn run_until(&mut self, horizon: SimTime) {
         let sim = &mut self.sim;
         let notes = &mut self.notes;
         let quick_events = &mut self.quick_events;
+        let scheduled = &mut self.scheduled;
         self.engine.run_until(
             horizon,
             &mut |now: SimTime, ev: ClusterEvent, out: &mut Outbox<ClusterEvent>| {
                 *quick_events += u64::from(ev == ClusterEvent::QuickPass);
                 let mut local = Vec::new();
-                sim.handle(now, ev, out, &mut local);
+                let mut emitted = Outbox::new(now);
+                sim.handle(now, ev, &mut emitted, &mut local);
                 notes.extend(local.into_iter().map(|n| (now, n)));
+                for (at, e) in emitted.drain() {
+                    scheduled.push((now, at, e.clone()));
+                    out.at(at, e);
+                }
             },
         );
     }
@@ -654,5 +671,380 @@ fn quick_pass_events_are_passes_plus_claim_wakeups() {
             h.quick_events,
             c.quick_passes
         );
+    }
+}
+
+// --- No pass without work: the settled-queue proof ------------------------
+
+/// Passes of either kind that were due, and how many of them ran.
+fn passes(h: &Harness) -> (u64, u64) {
+    let c = h.sim.counters();
+    let due = c.quick_passes + c.backfill_passes;
+    (due, due - c.passes_skipped())
+}
+
+/// One node whose only idle run ends at a claim announced for minute
+/// 20, and a 90-minute pilot that therefore cannot start: the queue the
+/// edge tests below settle.
+fn settled_on_a_claim() -> (Harness, JobId, JobId) {
+    let mut h = Harness::new(1);
+    let due = at_min(20);
+    let claim = JobSpec::pinned_demand(vec![NodeId(0)], due, due, mins(30), mins(30));
+    let claim = h.submit_at(at_min(1), claim);
+    let pilot = h.submit_at(at_min(1), JobSpec::pilot_fixed(mins(90), 90));
+    h.run_until(at_min(2));
+    (h, claim, pilot)
+}
+
+#[test]
+fn settled_cluster_skips_both_pass_kinds_and_counts_them() {
+    let (mut h, _, pilot) = settled_on_a_claim();
+    let (due, ran) = passes(&h);
+    let skipped = |h: &Harness| {
+        let c = h.sim.counters();
+        (c.backfill_passes_skipped, c.quick_passes_skipped)
+    };
+    let (backfill, quick) = skipped(&h);
+    // Eight minutes of backfill passes, and a quick pass asked for by a
+    // pilot as long as the one that just failed: all counted, none run.
+    h.submit_at(at_min(5), JobSpec::pilot_fixed(mins(90), 90));
+    h.run_until(at_min(10));
+    assert_eq!(passes(&h), (due + 16 + 1, ran));
+    assert_eq!(skipped(&h), (backfill + 16, quick + 1));
+    assert_eq!(h.started(pilot), None);
+}
+
+#[test]
+fn node_freed_by_job_finished_makes_the_next_pass_run_and_place() {
+    let mut h = Harness::new(1);
+    let job = h.submit_at(at_min(1), JobSpec::hpc(1, mins(60), mins(10)));
+    h.run_until(at_min(2));
+    let pilot = h.submit_at(at_min(2), JobSpec::pilot_fixed(mins(30), 30));
+    h.run_until(at_min(2) + secs(1));
+    let (due, ran) = passes(&h);
+    h.run_until(at_min(10));
+    assert_eq!(passes(&h), (due + 15, ran), "busy node, settled queue");
+    // `JobFinished` at minute 11 turns the node idle: the pass it asks
+    // for is a real one, and the pilot starts on the spot.
+    h.run_until(at_min(11) + secs(1));
+    assert_eq!(h.ended_with(job), Some(JobOutcome::Completed));
+    assert_eq!(h.started(pilot), Some(at_min(11)));
+    assert_eq!(passes(&h).1, ran + 1);
+}
+
+#[test]
+fn claim_coming_due_runs_a_pass_although_nothing_mutated() {
+    let (mut h, claim, _) = settled_on_a_claim();
+    let (due, ran) = passes(&h);
+    h.run_until(at_min(20) - secs(1));
+    assert_eq!(passes(&h), (due + 36, ran), "all skipped so far");
+    assert_eq!(h.started(claim), None);
+    // Nothing was submitted, cancelled or freed since minute 1; the pass
+    // at the claim's `earliest_start` runs because of the time alone.
+    h.run_until(at_min(20) + secs(1));
+    assert_eq!(h.started(claim), Some(at_min(20)));
+    assert_eq!(passes(&h).1, ran + 1);
+}
+
+#[test]
+fn shorter_pilot_is_examined_longer_one_is_not() {
+    let (mut h, _, _) = settled_on_a_claim();
+    // 56 min is shorter than the 90 that failed: examined (and failing
+    // too, 9 free slots before the claim); 90 again is not examined.
+    for (at, len, runs) in [(3, 56, 1), (4, 90, 0), (5, 34, 1), (6, 56, 0)] {
+        let (_, ran) = passes(&h);
+        let p = h.submit_at(at_min(at), JobSpec::pilot_fixed(mins(len), len));
+        h.run_until(at_min(at) + secs(1));
+        assert_eq!(
+            passes(&h).1 - ran,
+            runs,
+            "{len}-minute pilot at minute {at}"
+        );
+        assert_eq!(h.started(p), None);
+    }
+    // 8 minutes fit in front of the claim: examined and placed.
+    let p = h.submit_at(at_min(7), JobSpec::pilot_fixed(mins(8), 8));
+    h.run_until(at_min(7) + secs(1));
+    assert_eq!(h.started(p), Some(at_min(7)));
+}
+
+#[test]
+fn skipped_backfill_pass_rearms_where_a_run_one_does() {
+    // Three queued pilots at 20 s each: a pass costs 60 s, twice the
+    // interval, whether it walks the queue or only counts it.
+    let cfg = SlurmConfig {
+        bf_per_job_cost: secs(20),
+        ..SlurmConfig::default()
+    };
+    let backfills = |reference: bool| {
+        let mut l = Harness::with_config(cfg.clone(), 1);
+        l.sim.set_reference_mode(reference);
+        let due = at_min(30);
+        let claim = JobSpec::pinned_demand(vec![NodeId(0)], due, due, mins(30), mins(30));
+        l.submit_at(at_min(1), claim);
+        for _ in 0..3 {
+            l.submit_at(at_min(1), JobSpec::pilot_fixed(mins(90), 90));
+        }
+        l.run_until(at_min(10));
+        let at: Vec<SimTime> = l
+            .scheduled
+            .iter()
+            .filter(|(_, _, e)| *e == ClusterEvent::BackfillPass)
+            .map(|(_, at, _)| *at)
+            .collect();
+        (at, l.sim.counters().backfill_passes_skipped)
+    };
+    let ((fast, skipped), (reference, _)) = (backfills(false), backfills(true));
+    assert_eq!(fast, reference);
+    assert!(fast.windows(2).skip(3).all(|w| w[1] - w[0] == secs(60)));
+    assert!(skipped >= 8, "{skipped} backfill passes skipped");
+}
+
+/// Pending pilots per limit, zero entries dropped, sorted — the form in
+/// which a kept census and a recount can be compared.
+fn census(sim: &ClusterSim) -> Vec<(u64, usize)> {
+    let mut c: Vec<(u64, usize)> = sim
+        .pending_pilots_by_limit()
+        .iter()
+        .copied()
+        .filter(|(_, n)| *n > 0)
+        .collect();
+    c.sort_unstable();
+    c
+}
+
+/// Everything observable about a sim except the work it did to get
+/// there (`*_passes_skipped`, `wheel_nodes_reprojected`, spans).
+fn assert_same_observables(a: &Harness, b: &Harness, step: impl std::fmt::Display) {
+    assert_eq!(a.notes, b.notes, "step {step}: notes diverged");
+    assert_eq!(a.scheduled, b.scheduled, "step {step}: scheduled events");
+    let (sa, sb) = (&a.sim, &b.sim);
+    assert_eq!(sa.n_jobs(), sb.n_jobs());
+    for i in 0..sa.n_jobs() {
+        let id = JobId(i as u64);
+        assert_eq!(sa.job(id).state, sb.job(id).state, "step {step}: {id}");
+        assert_eq!(sa.job(id).granted, sb.job(id).granted, "step {step}: {id}");
+    }
+    assert_eq!(sa.reservation_snapshot(), sb.reservation_snapshot());
+    assert_eq!(
+        sa.pending_ids_matching(|_| true),
+        sb.pending_ids_matching(|_| true)
+    );
+    assert_eq!(census(sa), census(sb), "step {step}: pilot census");
+    assert_eq!(
+        (sa.n_idle(), sa.n_pilot_nodes()),
+        (sb.n_idle(), sb.n_pilot_nodes())
+    );
+    let (ca, cb) = (sa.counters(), sb.counters());
+    let counts = |c: &hpcwhisk_cluster::Counters| {
+        [
+            c.hpc_started,
+            c.hpc_completed,
+            c.pilots_started,
+            c.pilots_preempted,
+            c.pilots_timed_out,
+            c.pilots_node_failed,
+            c.quick_passes,
+            c.backfill_passes,
+            c.reservations_made,
+            c.demand_delay_secs.count(),
+            c.pilot_granted_mins.count(),
+        ]
+    };
+    assert_eq!(counts(ca), counts(cb), "step {step}: counters");
+    assert_eq!(ca.demand_delay_secs.max(), cb.demand_delay_secs.max());
+    assert_eq!(
+        (cb.quick_passes_skipped, cb.backfill_passes_skipped),
+        (0, 0),
+        "the reference never skips"
+    );
+}
+
+/// The paper's fixed pilot lengths (set A1), minutes.
+const A1: [u64; 9] = [2, 4, 6, 8, 14, 22, 34, 56, 90];
+
+/// One thing that can happen to a cluster between two passes — each
+/// cause that voids the settled-queue proof, and each that must not.
+#[derive(Debug, Clone)]
+enum Mutation {
+    PilotFixed {
+        len: usize,
+    },
+    PilotVar {
+        max_mins: u64,
+    },
+    /// A claim on `width` nodes from `node` up, due `due_secs - 120` s
+    /// from now (past, present and future), announced `slack_mins` later.
+    Claim {
+        node: u32,
+        width: u32,
+        due_secs: u64,
+        slack_mins: u64,
+    },
+    Hpc {
+        nodes: u32,
+        limit_mins: u64,
+    },
+    Cancel {
+        pick: usize,
+    },
+    PilotExit {
+        pick: usize,
+    },
+    NodeDown {
+        node: u32,
+    },
+    NodeUp {
+        node: u32,
+    },
+    QuickPass,
+    BackfillPass,
+    /// Let time pass: 0–150 s, or 2–25 min (past a whole slot, so every
+    /// busy mask moves).
+    Wait {
+        millis: u64,
+    },
+}
+
+fn mutation_strategy() -> impl Strategy<Value = Mutation> {
+    // (The shim's `prop_oneof!` is unweighted: pilots, claims and time
+    // appear twice so that queues form and settle between the rarer
+    // causes.)
+    prop_oneof![
+        (0usize..9).prop_map(|len| Mutation::PilotFixed { len }),
+        (0usize..9).prop_map(|len| Mutation::PilotFixed { len }),
+        (2u64..121).prop_map(|max_mins| Mutation::PilotVar { max_mins }),
+        (0u32..6, 1u32..4, 0u64..900, 0u64..8).prop_map(|(node, width, due_secs, slack_mins)| {
+            Mutation::Claim {
+                node,
+                width,
+                due_secs,
+                slack_mins,
+            }
+        }),
+        (0u32..6, 1u32..4, 0u64..900, 0u64..8).prop_map(|(node, width, due_secs, slack_mins)| {
+            Mutation::Claim {
+                node,
+                width,
+                due_secs,
+                slack_mins,
+            }
+        }),
+        (1u32..3, 2u64..30).prop_map(|(nodes, limit_mins)| Mutation::Hpc { nodes, limit_mins }),
+        (0usize..64).prop_map(|pick| Mutation::Cancel { pick }),
+        (0usize..64).prop_map(|pick| Mutation::PilotExit { pick }),
+        (0u32..6).prop_map(|node| Mutation::NodeDown { node }),
+        (0u32..6).prop_map(|node| Mutation::NodeUp { node }),
+        Just(Mutation::QuickPass),
+        Just(Mutation::BackfillPass),
+        (0u64..150_000).prop_map(|millis| Mutation::Wait { millis }),
+        (0u64..150_000).prop_map(|millis| Mutation::Wait { millis }),
+        (120_000u64..1_500_000).prop_map(|millis| Mutation::Wait { millis }),
+    ]
+}
+
+/// Three pass regimes: the default; pilots placed by backfill passes
+/// only, with a pass cost above the interval (the var experiment); and
+/// a quick pass cut short of a queue the backfill pass walks to the end.
+fn regime(which: u8) -> SlurmConfig {
+    match which {
+        0 => SlurmConfig::default(),
+        1 => SlurmConfig {
+            quick_pass_places_pilots: false,
+            sched_min_interval: secs(10),
+            bf_per_job_cost: SimDuration::from_millis(4_000),
+            ..SlurmConfig::default()
+        },
+        _ => SlurmConfig {
+            sched_queue_depth: 2,
+            ..SlurmConfig::default()
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A sim that skips settled passes and one that runs every pass
+    /// (`reference_mode`) see the same notes, schedule the same events
+    /// and hold the same jobs, nodes and counters after every step of a
+    /// random interleaving of everything that can void the proof and
+    /// everything that must not. (In a debug build the sim's own oracle
+    /// runs each skipped pass as well.)
+    #[test]
+    fn prop_skipping_settled_passes_changes_nothing(
+        which in 0u8..3,
+        steps in proptest::collection::vec(mutation_strategy(), 1..120),
+    ) {
+        const N: u32 = 6;
+        let mut fast = Harness::with_config(regime(which), N as usize);
+        let mut refr = Harness::with_config(regime(which), N as usize);
+        refr.sim.set_reference_mode(true);
+        let mut t = at_min(10);
+        for (i, step) in steps.into_iter().enumerate() {
+            for l in [&mut fast, &mut refr] {
+                l.run_until(t);
+                match step.clone() {
+                    Mutation::PilotFixed { len } => {
+                        let spec = JobSpec::pilot_fixed(mins(A1[len]), A1[len]);
+                        l.call(t, |s, out, _| s.submit(t, spec, out));
+                    }
+                    Mutation::PilotVar { max_mins } => {
+                        let spec = JobSpec::pilot_var(mins(2), mins(max_mins));
+                        l.call(t, |s, out, _| s.submit(t, spec, out));
+                    }
+                    Mutation::Claim { node, width, due_secs, slack_mins } => {
+                        let nodes = (0..width).map(|k| NodeId((node + k) % N)).collect();
+                        let due = t + secs(due_secs) - secs(120);
+                        let limit = mins(4 + slack_mins);
+                        let spec = JobSpec::pinned_demand(
+                            nodes, due, due + mins(slack_mins), limit, mins(3),
+                        );
+                        l.call(t, |s, out, _| s.submit(t, spec, out));
+                    }
+                    Mutation::Hpc { nodes, limit_mins } => {
+                        let spec = JobSpec::hpc(nodes, mins(limit_mins), mins(limit_mins / 2 + 1));
+                        l.call(t, |s, out, _| s.submit(t, spec, out));
+                    }
+                    Mutation::Cancel { pick } => {
+                        let ids = l.sim.pending_ids_matching(|_| true);
+                        if !ids.is_empty() {
+                            l.sim.cancel_pending(t, ids[pick % ids.len()]);
+                        }
+                    }
+                    Mutation::PilotExit { pick } => {
+                        let sim = &l.sim;
+                        let active: Vec<JobId> = (0..sim.n_jobs() as u64)
+                            .map(JobId)
+                            .filter(|j| {
+                                let job = sim.job(*j);
+                                job.spec.kind == JobKind::Pilot && job.is_active()
+                            })
+                            .collect();
+                        if !active.is_empty() {
+                            let j = active[pick % active.len()];
+                            l.call(t, |s, out, notes| s.pilot_exited(t, j, out, notes));
+                        }
+                    }
+                    Mutation::NodeDown { node } => {
+                        l.engine.schedule(t, ClusterEvent::NodeDown(NodeId(node)));
+                    }
+                    Mutation::NodeUp { node } => {
+                        l.engine.schedule(t, ClusterEvent::NodeUp(NodeId(node)));
+                    }
+                    Mutation::QuickPass => l.engine.schedule(t, ClusterEvent::QuickPass),
+                    Mutation::BackfillPass => l.engine.schedule(t, ClusterEvent::BackfillPass),
+                    Mutation::Wait { .. } => {}
+                }
+            }
+            if let Mutation::Wait { millis } = step {
+                t += SimDuration::from_millis(millis);
+            }
+            assert_same_observables(&fast, &refr, i);
+        }
+        for l in [&mut fast, &mut refr] {
+            l.run_until(t + SimDuration::from_hours(3));
+        }
+        assert_same_observables(&fast, &refr, "last");
     }
 }
