@@ -355,6 +355,13 @@ pub struct ClusterSim {
     /// Pending pinned demand claims, maintained on submit, so painting
     /// their announced windows never re-scans the whole pending queue.
     pinned_pending: Vec<JobId>,
+    /// Buffers a pass fills and hands back, so that passes (thousands a
+    /// day, most placing nothing) allocate nothing once these have
+    /// grown: the pass queue's jobs, the nodes a pass painted, and the
+    /// bucket [`Self::sweep_wheel`] rebuilds into.
+    queue_scratch: Vec<JobId>,
+    painted_scratch: Vec<NodeId>,
+    wheel_scratch: Vec<(u32, NodeId)>,
     /// Run the retained pre-optimization pass instead (differential
     /// tests only).
     reference_mode: bool,
@@ -499,6 +506,9 @@ impl ClusterSim {
             wheel_res: Recip::new(res_ms),
             wheel_gran: Recip::new(wheel_gran_ms),
             pinned_pending: Vec::new(),
+            queue_scratch: Vec::new(),
+            painted_scratch: Vec::new(),
+            wheel_scratch: Vec::new(),
             reference_mode: false,
             pass_spans: false,
         }
@@ -560,6 +570,11 @@ impl ClusterSim {
     /// Ground-truth state series.
     pub fn series(&self) -> &ClusterSeries {
         &self.series
+    }
+
+    /// The ground-truth state series, at the end of a run.
+    pub fn into_series(self) -> ClusterSeries {
+        self.series
     }
 
     /// Aggregate counters.
@@ -800,7 +815,9 @@ impl ClusterSim {
                     self.counters.backfill_passes_skipped += 1;
                     // The walk over the queue is what a pass that places
                     // nothing charges to the next interval.
-                    let queued = self.pass_queue(now).jobs.len();
+                    let queue = self.pass_queue(now);
+                    let queued = queue.jobs.len();
+                    self.queue_scratch = queue.jobs;
                     let examined = queued.min(self.cfg.bf_max_job_test);
                     let cost = self.cfg.bf_per_job_cost * examined as u64;
                     #[cfg(debug_assertions)]
@@ -1231,7 +1248,8 @@ impl ClusterSim {
             } else {
                 [(0, upto_now(&bucket)), (after_prev(&bucket), bucket.len())]
             };
-            let mut out: Vec<(u32, NodeId)> = Vec::with_capacity(bucket.len());
+            let mut out = std::mem::take(&mut self.wheel_scratch);
+            out.clear();
             let mut idx = 0usize;
             for &(lo, hi) in &ranges {
                 out.extend_from_slice(&bucket[idx..lo.max(idx)]);
@@ -1258,6 +1276,7 @@ impl ClusterSim {
             }
             out.extend_from_slice(&bucket[idx..]);
             self.plane_wheel[b] = out;
+            self.wheel_scratch = bucket;
         }
     }
 
@@ -1343,7 +1362,8 @@ impl ClusterSim {
         } else {
             (Timeline::new(now, self.cfg.bf_resolution, n_slots, 0), hpc)
         };
-        let mut painted: Vec<NodeId> = Vec::new();
+        let mut painted = std::mem::take(&mut self.painted_scratch);
+        painted.clear();
         let mut pinned = std::mem::take(&mut self.pinned_pending);
         pinned.retain(|id| self.jobs[id.0 as usize].is_pending());
         for id in &pinned {
@@ -1404,6 +1424,7 @@ impl ClusterSim {
         self.plane_dirty_bits.fill(0);
         dirty.clear();
         self.plane_dirty = dirty;
+        self.painted_scratch = painted;
         self.plane_pilot = Some(pilot);
         self.plane_hpc = hpc;
     }
@@ -1447,9 +1468,14 @@ impl ClusterSim {
     /// not yet due are left out — a pinned claim's window is already
     /// projected as a reservation and its firing is scheduled
     /// separately, so it must not eat pass budget.
-    fn pass_queue(&self, now: SimTime) -> PassQueue {
+    ///
+    /// The queue is built in `queue_scratch`: whoever is done with it
+    /// puts `jobs` back there ([`Self::place_queue`] does).
+    fn pass_queue(&mut self, now: SimTime) -> PassQueue {
+        let mut jobs = std::mem::take(&mut self.queue_scratch);
+        jobs.clear();
         let mut queue = PassQueue {
-            jobs: Vec::with_capacity(self.pending.len()),
+            jobs,
             need_hpc: false,
             next_due: None,
         };
@@ -1578,7 +1604,7 @@ impl ClusterSim {
             next_due: queue.next_due,
         });
 
-        for id in queue.jobs {
+        for &id in &queue.jobs {
             if examined >= limit {
                 self.settled = None;
                 break;
@@ -1692,6 +1718,7 @@ impl ClusterSim {
         }
 
         span_lap(&mut mark, &mut self.counters.span_placement_ns);
+        self.queue_scratch = queue.jobs;
         if mode == PassMode::Backfill {
             self.reservations = new_reservations;
         }

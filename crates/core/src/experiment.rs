@@ -450,30 +450,30 @@ impl Process<SysEvent> for DayState {
                 self.with_cluster(now, out, |c, co, cn| c.pilot_exited(now, job, co, cn));
             }
             SysEvent::Load(i) => {
-                if let Some(load) = self.load.clone() {
-                    let f = self.fns[self.rng.index(self.fns.len())];
-                    let to_cluster = match self.wrapper.as_mut() {
-                        Some(w) => w.route(now) == crate::wrapper::Target::HpcWhisk,
-                        None => true,
-                    };
-                    if to_cluster {
-                        let res = self.with_whisk(now, out, |w, wo, wn| w.invoke(now, f, wo, wn));
-                        if res == whisk::InvokeResult::Rejected503 {
-                            if let Some(w) = self.wrapper.as_mut() {
-                                // Algorithm 1: retry commercially and
-                                // start the cool-off window.
-                                let _ = w.on_503(now);
-                                self.record_commercial(now);
-                            }
+                let Some(load) = &self.load else {
+                    return;
+                };
+                let next =
+                    SimTime::from_millis(self.start.as_millis() + load.time_of(i + 1).as_millis());
+                let f = self.fns[self.rng.index(self.fns.len())];
+                let to_cluster = match self.wrapper.as_mut() {
+                    Some(w) => w.route(now) == crate::wrapper::Target::HpcWhisk,
+                    None => true,
+                };
+                if to_cluster {
+                    let res = self.with_whisk(now, out, |w, wo, wn| w.invoke(now, f, wo, wn));
+                    if res == whisk::InvokeResult::Rejected503 {
+                        if let Some(w) = self.wrapper.as_mut() {
+                            // Algorithm 1: retry commercially and
+                            // start the cool-off window.
+                            let _ = w.on_503(now);
+                            self.record_commercial(now);
                         }
-                    } else {
-                        self.record_commercial(now);
                     }
-                    let next = SimTime::from_millis(
-                        self.start.as_millis() + load.time_of(i + 1).as_millis(),
-                    );
-                    out.at(next, SysEvent::Load(i + 1));
+                } else {
+                    self.record_commercial(now);
                 }
+                out.at(next, SysEvent::Load(i + 1));
             }
         }
     }
@@ -599,19 +599,23 @@ pub fn run_day(trace: &AvailabilityTrace, cfg: DayConfig) -> DayReport {
 
     engine.run_until(trace.end, &mut state);
 
+    let cluster_counters = state.cluster.counters().clone();
+    let whisk_counters = state.whisk.counters().clone();
+    let whisk_series = state.whisk.into_series();
+    let cluster_series = state.cluster.into_series();
     DayReport {
         manager_name,
         window: (trace.start, trace.end),
         n_nodes,
         samples: state.samples,
-        cluster_counters: state.cluster.counters().clone(),
-        whisk_counters: state.whisk.counters().clone(),
-        healthy_series: state.whisk.series().healthy.clone(),
-        irresp_series: state.whisk.series().irresp.clone(),
-        warming_series: state.pilots.warming_series.clone(),
-        serve_lifetimes_mins: state.pilots.serve_lifetimes_mins.clone(),
-        idle_series: state.cluster.series().idle.clone(),
-        pilot_series: state.cluster.series().pilot.clone(),
+        cluster_counters,
+        whisk_counters,
+        healthy_series: whisk_series.healthy,
+        irresp_series: whisk_series.irresp,
+        warming_series: state.pilots.warming_series,
+        serve_lifetimes_mins: state.pilots.serve_lifetimes_mins,
+        idle_series: cluster_series.idle,
+        pilot_series: cluster_series.pilot,
         success_bins: state.success_bins,
         failed_bins: state.failed_bins,
         timeout_bins: state.timeout_bins,

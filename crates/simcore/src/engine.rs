@@ -138,9 +138,9 @@ impl<E> Engine<E> {
         }
     }
 
-    /// A fresh engine whose event queue pre-reserves `cap` entries —
-    /// avoids rehashing the binary heap during the bootstrap burst of a
-    /// large experiment.
+    /// A fresh engine whose event queue has room for a bootstrap burst
+    /// of `cap` scheduled events, so a large experiment's set-up never
+    /// reallocates mid-push.
     pub fn with_queue_capacity(cap: usize) -> Self {
         Engine {
             queue: EventQueue::with_capacity(cap),
@@ -189,7 +189,7 @@ impl<E> Engine<E> {
     /// Run until the queue empties, the step budget is exhausted, or an
     /// event at or beyond `horizon` is reached (that event stays queued).
     ///
-    /// One heap pop per dispatched event: a popped event at or past the
+    /// One queue pop per dispatched event: a popped event at or past the
     /// horizon is requeued under its original sequence number, so the
     /// FIFO order among same-timestamp events survives segmented runs
     /// (asserted by `segmented_run_equals_one_shot`).
@@ -366,9 +366,9 @@ mod tests {
     }
 
     /// The same with follow-ups from milliseconds to minutes ahead, so
-    /// entries sit on both sides of the event queue's far horizon and a
-    /// segment boundary pops from its far heap what the requeue puts
-    /// back among the imminent events.
+    /// entries sit inside and past the event queue's wheel and a segment
+    /// boundary pops from its far heap what the requeue puts back at
+    /// the front of a wheel slot.
     #[test]
     fn segmented_run_equals_one_shot_across_the_far_horizon() {
         let delay = |rng: &mut crate::SimRng| {
@@ -380,7 +380,7 @@ mod tests {
         };
         let (whole, n_whole) = event_trace_hash_with(42, &[], delay);
         let cuts = [
-            10, 11, 50, 9_999, 10_000, 10_001, 47_000, 300_000, 2_000_000,
+            10, 11, 50, 4_095, 4_096, 4_097, 10_000, 47_000, 300_000, 2_000_000,
         ];
         let (split, n_split) = event_trace_hash_with(42, &cuts, delay);
         assert!(n_whole > 200, "fanout actually ran: {n_whole}");

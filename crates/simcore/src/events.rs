@@ -1,6 +1,24 @@
 //! The deterministic event queue at the heart of the DES engine.
+//!
+//! Pop order is total by `(time, seq)`, `seq` being the push counter, so
+//! which container holds an entry is unobservable. Three hold them, each
+//! fitted to one population of a simulated day (per pop on the paper's
+//! fib day: ~9 request events due within half a second, ~590 job ends
+//! and time limits minutes to hours ahead, ~4.2 k claim submissions
+//! pushed by the bootstrap):
+//!
+//! * the [`Wheel`] — `SimTime` is whole milliseconds, so the entries due
+//!   within [`WHEEL_SPAN_MS`] of the latest popped time sit in one FIFO
+//!   slot per millisecond and are found by a bitmap scan, with no key
+//!   comparison at all;
+//! * `far` — a 4-ary heap for every other push;
+//! * `sorted` — a bulk run of `far`-bound pushes, sorted once and
+//!   drained from its tail.
+//!
+//! Entries never migrate between them: a pop takes the smallest of the
+//! three heads.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// An entry in the queue: ordered by `(time, seq)` ascending, where `seq`
 /// is a monotonically increasing insertion counter. The tiebreaker makes
@@ -20,17 +38,17 @@ impl<E> Entry<E> {
     }
 }
 
-/// A 4-ary min-heap over entries. Compared to the binary
+/// A 4-ary min-heap over entries: the queue's `far` side, holding the
+/// pushes the wheel cannot (a simulated day's job ends, time limits,
+/// claim submissions). Compared to the binary
 /// `std::collections::BinaryHeap` this halves the tree depth, so a pop
-/// touches ~half as many rows of the backing array — the dominant cost
-/// at day-scale event counts (see the `engine/ping_chain_100k` and
-/// `event_queue/push_pop_10k` probes in `BENCH_results.json`). The two
-/// std tricks that make its binary heap fast are reproduced here for
-/// arity 4: sifts move elements through a **hole** (one copy per level
-/// instead of a three-copy swap), and pop sifts the displaced tail
-/// element **down to a leaf first and then back up** (the element
-/// almost always belongs near the bottom, so this near-halves the
-/// comparisons of the classic compare-both-directions descent).
+/// touches ~half as many rows of the backing array. The two std tricks
+/// that make its binary heap fast are reproduced here for arity 4:
+/// sifts move elements through a **hole** (one copy per level instead
+/// of a three-copy swap), and pop sifts the displaced tail element
+/// **down to a leaf first and then back up** (the element almost always
+/// belongs near the bottom, so this near-halves the comparisons of the
+/// classic compare-both-directions descent).
 struct QuadHeap<E> {
     v: Vec<Entry<E>>,
 }
@@ -96,12 +114,6 @@ impl<E> QuadHeap<E> {
 
     fn new() -> Self {
         QuadHeap { v: Vec::new() }
-    }
-
-    fn with_capacity(cap: usize) -> Self {
-        QuadHeap {
-            v: Vec::with_capacity(cap),
-        }
     }
 
     fn push(&mut self, entry: Entry<E>) {
@@ -170,52 +182,6 @@ impl<E> QuadHeap<E> {
         }
     }
 
-    /// Classic downward sift with early exit — used by [`QuadHeap::heapify`]
-    /// (for pop, [`QuadHeap::sift_down_to_bottom`] is faster because the
-    /// displaced tail element almost always belongs near a leaf).
-    fn sift_down(&mut self, pos: usize) {
-        let n = self.v.len();
-        // Safety: every index handed to the hole is < n and never equals
-        // the hole's own position.
-        unsafe {
-            let mut hole = Hole::new(&mut self.v, pos);
-            loop {
-                let first = hole.pos * Self::ARITY + 1;
-                if first >= n {
-                    break;
-                }
-                let last = (first + Self::ARITY).min(n);
-                let mut best = first;
-                let mut best_key = hole.key_at(first);
-                for c in first + 1..last {
-                    let k = hole.key_at(c);
-                    if k < best_key {
-                        best = c;
-                        best_key = k;
-                    }
-                }
-                if hole.key() <= best_key {
-                    break;
-                }
-                hole.move_to(best);
-            }
-        }
-    }
-
-    /// Floyd's bottom-up heap construction: O(n) total instead of
-    /// O(n log n) sift-up pushes. Safe to call on any permutation of the
-    /// backing vector.
-    fn heapify(&mut self) {
-        let n = self.v.len();
-        if n < 2 {
-            return;
-        }
-        let last_parent = (n - 2) / Self::ARITY;
-        for i in (0..=last_parent).rev() {
-            self.sift_down(i);
-        }
-    }
-
     fn peek(&self) -> Option<&Entry<E>> {
         self.v.first()
     }
@@ -224,12 +190,223 @@ impl<E> QuadHeap<E> {
         self.v.len()
     }
 
-    fn is_empty(&self) -> bool {
-        self.v.is_empty()
-    }
-
     fn clear(&mut self) {
         self.v.clear();
+    }
+}
+
+/// Slots of the wheel, one per millisecond: entries due less than this
+/// far past the latest popped time are wheel entries, every other push
+/// goes to `far`. Not a tuning knob — it has to cover what a handler
+/// schedules "next" (a request's events are ≤ ~0.5 s ahead, a poll tick
+/// 0.2 s, a scheduling pass 15–30 s — the passes stay in `far`, ~3 k of
+/// a day's 3.7 M events) while its 8-byte slots stay L1-resident:
+/// 4,096 slots are 32 KB, and 16,384 read 2 % slower on the paper's fib
+/// day when the wheel was sized (ISSUE 20's prototype, 14 of 16
+/// alternating runs).
+const WHEEL_SPAN_MS: u64 = 4_096;
+const WHEEL_SLOTS: usize = WHEEL_SPAN_MS as usize;
+const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
+const _: () = assert!(WHEEL_WORDS == 64, "one summary word covers the bitmap");
+
+/// End of a slot's list / empty free list.
+const NIL: u32 = u32::MAX;
+
+/// One millisecond's FIFO: indices into [`Wheel::nodes`].
+#[derive(Clone, Copy)]
+struct Slot {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY_SLOT: Slot = Slot {
+    head: NIL,
+    tail: NIL,
+};
+
+/// A wheel entry, linked into its slot's list or the free list.
+struct Node<E> {
+    seq: u64,
+    next: u32,
+    /// `None` only while the node is on the free list.
+    event: Option<E>,
+}
+
+/// The imminent events: a timing wheel of [`WHEEL_SLOTS`] one-millisecond
+/// slots over the window `[base, base + WHEEL_SPAN_MS)`.
+///
+/// The window is as wide as the wheel, so a slot holds entries of one
+/// timestamp only, and a slot is appended to in push order, so its list
+/// is in `seq` order: `(time, seq)` order holds without comparing keys.
+/// `base` only ever advances to the time of a popped entry — the
+/// queue-wide minimum — so no wheel entry falls behind it.
+struct Wheel<E> {
+    slots: Box<[Slot; WHEEL_SLOTS]>,
+    /// Bit `s % 64` of word `s / 64` is set iff slot `s` is non-empty.
+    occupied: [u64; WHEEL_WORDS],
+    /// Bit `w` is set iff `occupied[w] != 0`.
+    summary: u64,
+    nodes: Vec<Node<E>>,
+    free: u32,
+    len: usize,
+    /// Start of the window, in ms: the latest time popped from the queue.
+    base: u64,
+}
+
+impl<E> Wheel<E> {
+    fn new() -> Self {
+        let slots: Box<[Slot]> = vec![EMPTY_SLOT; WHEEL_SLOTS].into_boxed_slice();
+        Wheel {
+            slots: slots.try_into().ok().expect("WHEEL_SLOTS slots"),
+            occupied: [0; WHEEL_WORDS],
+            summary: 0,
+            nodes: Vec::new(),
+            free: NIL,
+            len: 0,
+            base: 0,
+        }
+    }
+
+    /// Is `time` inside the window? (A time before `base` wraps to a
+    /// huge offset.)
+    #[inline]
+    fn covers(&self, time: SimTime) -> bool {
+        time.as_millis().wrapping_sub(self.base) < WHEEL_SPAN_MS
+    }
+
+    #[inline]
+    fn slot_of(time: SimTime) -> usize {
+        (time.as_millis() % WHEEL_SPAN_MS) as usize
+    }
+
+    /// Move the window up to a popped time.
+    #[inline]
+    fn advance(&mut self, popped: SimTime) {
+        self.base = self.base.max(popped.as_millis());
+    }
+
+    fn alloc(&mut self, seq: u64, event: E) -> u32 {
+        let node = Node {
+            seq,
+            next: NIL,
+            event: Some(event),
+        };
+        if self.free != NIL {
+            let n = self.free;
+            self.free = self.nodes[n as usize].next;
+            self.nodes[n as usize] = node;
+            n
+        } else {
+            assert!(self.nodes.len() < NIL as usize, "wheel node index fits u32");
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
+        }
+    }
+
+    #[inline]
+    fn mark_occupied(&mut self, slot: usize) {
+        self.occupied[slot / 64] |= 1 << (slot % 64);
+        self.summary |= 1 << (slot / 64);
+    }
+
+    /// Append an entry with `covers(time)`, pushed after everything in
+    /// its slot.
+    #[inline]
+    fn push_back(&mut self, time: SimTime, seq: u64, event: E) {
+        debug_assert!(self.covers(time));
+        let n = self.alloc(seq, event);
+        let slot = Self::slot_of(time);
+        let tail = self.slots[slot].tail;
+        if tail == NIL {
+            self.slots[slot].head = n;
+            self.mark_occupied(slot);
+        } else {
+            self.nodes[tail as usize].next = n;
+        }
+        self.slots[slot].tail = n;
+        self.len += 1;
+    }
+
+    /// Put back an entry with `covers(time)` that was pushed before
+    /// everything in its slot.
+    fn push_front(&mut self, time: SimTime, seq: u64, event: E) {
+        debug_assert!(self.covers(time));
+        let n = self.alloc(seq, event);
+        let slot = Self::slot_of(time);
+        let head = self.slots[slot].head;
+        if head == NIL {
+            self.slots[slot].tail = n;
+            self.mark_occupied(slot);
+        } else {
+            debug_assert!(seq < self.nodes[head as usize].seq);
+            self.nodes[n as usize].next = head;
+        }
+        self.slots[slot].head = n;
+        self.len += 1;
+    }
+
+    /// The first non-empty slot at or after `base`'s, wrapping around,
+    /// and the time its entries are due.
+    #[inline]
+    fn first_slot(&self) -> Option<(usize, SimTime)> {
+        if self.len == 0 {
+            return None;
+        }
+        let start = (self.base % WHEEL_SPAN_MS) as usize;
+        let (w0, b0) = (start / 64, start % 64);
+        let ahead = self.occupied[w0] >> b0;
+        let slot = if ahead != 0 {
+            start + ahead.trailing_zeros() as usize
+        } else {
+            // Bit `i` of the rotated summary is word `w0 + 1 + i`; the
+            // last one looked at is `w0` again, for its bits below `b0`.
+            let next = (w0 + 1) % WHEEL_WORDS;
+            let words = self.summary.rotate_right(next as u32);
+            let w = (next + words.trailing_zeros() as usize) % WHEEL_WORDS;
+            w * 64 + self.occupied[w].trailing_zeros() as usize
+        };
+        let ahead_ms = (slot + WHEEL_SLOTS - start) % WHEEL_SLOTS;
+        Some((slot, SimTime::from_millis(self.base + ahead_ms as u64)))
+    }
+
+    /// Sequence number of the first entry of non-empty `slot`.
+    #[inline]
+    fn head_seq(&self, slot: usize) -> u64 {
+        self.nodes[self.slots[slot].head as usize].seq
+    }
+
+    /// Remove the first entry of `slot`, which [`Self::first_slot`] just
+    /// returned with `time`.
+    #[inline]
+    fn pop_slot(&mut self, slot: usize, time: SimTime) -> Entry<E> {
+        let n = self.slots[slot].head;
+        let node = &mut self.nodes[n as usize];
+        let event = node.event.take().expect("linked node holds an event");
+        let seq = node.seq;
+        let next = std::mem::replace(&mut node.next, self.free);
+        self.free = n;
+        self.slots[slot].head = next;
+        if next == NIL {
+            self.slots[slot].tail = NIL;
+            self.occupied[slot / 64] &= !(1 << (slot % 64));
+            if self.occupied[slot / 64] == 0 {
+                self.summary &= !(1 << (slot / 64));
+            }
+        }
+        self.len -= 1;
+        Entry { time, seq, event }
+    }
+
+    /// Drop every entry; the window stays where it is.
+    fn clear(&mut self) {
+        if self.len > 0 {
+            self.slots.fill(EMPTY_SLOT);
+            self.occupied = [0; WHEEL_WORDS];
+            self.summary = 0;
+            self.len = 0;
+        }
+        self.nodes.clear();
+        self.free = NIL;
     }
 }
 
@@ -247,33 +424,26 @@ impl<E> QuadHeap<E> {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    /// Entries due within [`FAR_HORIZON`] of the last popped time when
-    /// they were pushed: the events a dispatch loop reorders against.
-    heap: QuadHeap<E>,
-    /// Entries pushed for [`FAR_HORIZON`] or more past the last popped
-    /// time (a simulated day's job ends, time limits, claim
-    /// submissions). Keeping them out of `heap` keeps its sifts as
-    /// short as the handful of imminent events it holds. Entries never
-    /// migrate: pops take the smaller of the tops, and the order is
-    /// total by `(time, seq)`, so which heap held an entry is
-    /// unobservable.
+    /// Entries due inside the wheel's window when they were pushed: the
+    /// events a dispatch loop reorders against.
+    wheel: Wheel<E>,
+    /// Entries pushed for [`WHEEL_SPAN_MS`] or more past the latest
+    /// popped time, or before it.
     far: QuadHeap<E>,
-    /// Last popped time + [`FAR_HORIZON`]: pushes at or past it go to
-    /// `far`.
-    far_from: SimTime,
-    /// Staging buffer for push *runs*: the first pushes after a pop go
-    /// straight into the heap (the dispatch loop's one-push-per-pop
-    /// steady state pays nothing), but a run that outlives the budget
+    /// Staging buffer for *runs* of `far`-bound pushes: the first few
+    /// after a pop sift straight into `far` (what a handler fans out
+    /// per event pays nothing), but a run that outlives the budget
     /// stages here and is merged in bulk at the next pop.
     pending: Vec<Entry<E>>,
     /// A bulk build absorbed as one descending-sorted segment: popping
     /// from its tail is O(1), so a push-then-drain burst costs one
     /// `sort_unstable` instead of n heap sifts + n heap pops. Only
-    /// formed when the heap is (nearly) empty; steady-state dispatch
-    /// never touches it.
+    /// formed while it is empty; steady-state dispatch never adds to
+    /// it.
     sorted: Vec<Entry<E>>,
-    /// Pushes since the last pop (saturating at the direct-push budget).
-    push_streak: u32,
+    /// `far`-bound pushes since the last pop (saturating at the
+    /// direct-push budget).
+    far_streak: u32,
     seq: u64,
     popped: u64,
 }
@@ -284,27 +454,15 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
-/// Pushes per run that sift straight into the heap before staging
-/// starts. Anything a dispatch handler fans out per event stays on the
-/// direct path; a bootstrap burst or bulk rebuild overflows into the
-/// staging buffer and gets one bulk merge (see
-/// [`EventQueue::flush_pending`]).
+/// `far`-bound pushes per run that sift straight into the heap before
+/// staging starts. Anything a dispatch handler fans out per event stays
+/// on the direct path; a bootstrap burst overflows into the staging
+/// buffer and gets one bulk merge (see [`EventQueue::flush_pending`]).
 const DIRECT_PUSH_BUDGET: u32 = 8;
 
-/// Staged-run length at which a merge switches from per-entry sifts to
-/// a bulk build (sort when it can become the sorted segment, Floyd
-/// heapify otherwise).
+/// Staged-run length from which a merge sorts the run into the sorted
+/// segment (when that is free) instead of sifting it entry by entry.
 const BULK_BUILD_MIN: usize = 64;
-
-/// How far past the last popped time a push must lie to go to the far
-/// heap. Not a tuning knob: on the paper's fib day (3.67 M events; per
-/// pop `heap` holds ~9 entries, `far` ~590 job ends and time limits,
-/// and `sorted` the bootstrap's ~4.2 k claim submissions) the day's
-/// wall-clock is flat across 0.5 s, 2 s, 10 s and 120 s (404–447,
-/// 457–518, 437–450, 460–468 ms over three runs each, against 459–499
-/// with a single heap) — anything between the ~200 ms a request event
-/// is scheduled ahead and the minutes a timer is.
-const FAR_HORIZON: SimDuration = SimDuration::from_secs(10);
 
 impl<E> EventQueue<E> {
     /// An empty queue.
@@ -312,15 +470,14 @@ impl<E> EventQueue<E> {
         Self::with_capacity(0)
     }
 
-    /// An empty queue with pre-reserved capacity.
+    /// An empty queue with room for a bootstrap burst of `cap` pushes.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            heap: QuadHeap::with_capacity(cap),
+            wheel: Wheel::new(),
             far: QuadHeap::new(),
-            far_from: SimTime::ZERO.saturating_add(FAR_HORIZON),
-            pending: Vec::new(),
+            pending: Vec::with_capacity(cap),
             sorted: Vec::new(),
-            push_streak: 0,
+            far_streak: 0,
             seq: 0,
             popped: 0,
         }
@@ -331,87 +488,57 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.seq;
         self.seq += 1;
-        let entry = Entry { time, seq, event };
-        // Short push runs sift directly (the dispatch loop's steady
-        // state); once a run outlives the budget, stage the rest for a
-        // bulk merge at the next pop.
-        if self.push_streak < DIRECT_PUSH_BUDGET {
-            self.push_streak += 1;
-            self.place(entry);
+        if self.wheel.covers(time) {
+            self.wheel.push_back(time, seq, event);
+        } else if self.far_streak < DIRECT_PUSH_BUDGET {
+            self.far_streak += 1;
+            self.far.push(Entry { time, seq, event });
         } else {
-            self.pending.push(entry);
-        }
-    }
-
-    /// Sift one entry into the heap its distance from the last popped
-    /// time selects.
-    #[inline]
-    fn place(&mut self, entry: Entry<E>) {
-        if entry.time >= self.far_from {
-            self.far.push(entry);
-        } else {
-            self.heap.push(entry);
+            self.pending.push(Entry { time, seq, event });
         }
     }
 
     /// Merge staged pushes. The pop order is total by `(time, seq)`, so
-    /// whether entries arrive by sift, heapify or sort is unobservable.
+    /// whether entries arrive by sift or sort is unobservable.
     #[inline]
     fn flush_pending(&mut self) {
-        self.push_streak = 0;
+        self.far_streak = 0;
         if self.pending.is_empty() {
             return;
         }
-        if self.sorted.is_empty()
-            && self.pending.len() >= BULK_BUILD_MIN
-            && self.pending.len() >= 8 * self.heap.len()
-        {
-            // A bulk build from (nearly) scratch: absorb the few
-            // direct-path entries, sort once descending, and drain from
-            // the tail in O(1) per pop.
-            self.pending.append(&mut self.heap.v);
+        if self.sorted.is_empty() && self.pending.len() >= BULK_BUILD_MIN {
+            // Sort once descending and drain from the tail in O(1) per
+            // pop.
             self.pending
                 .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
             std::mem::swap(&mut self.sorted, &mut self.pending);
-        } else if self.pending.len() >= BULK_BUILD_MIN && self.pending.len() >= self.heap.len() {
-            self.heap.v.append(&mut self.pending);
-            self.heap.heapify();
         } else {
-            while let Some(e) = self.pending.pop() {
-                self.place(e);
+            for e in self.pending.drain(..) {
+                self.far.push(e);
             }
         }
     }
 
-    /// Earliest entry across the sorted segment and the two heaps.
+    /// Earliest entry across the wheel, the sorted segment and `far`.
     #[inline]
     fn pop_entry(&mut self) -> Option<Entry<E>> {
         self.flush_pending();
-        let from_sorted = match (self.sorted.last(), self.heap.peek()) {
-            (Some(s), Some(h)) => s.key() <= h.key(),
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        // With `far` empty (every event inside the horizon) this is one
-        // length test on top of the two-way choice above.
-        let near = if from_sorted {
-            self.sorted.last()
+        // An empty container's head sorts after every entry (no entry
+        // has the last sequence number).
+        const EMPTY: (SimTime, u64) = (SimTime::MAX, u64::MAX);
+        let slot = self.wheel.first_slot();
+        let wheel = slot.map_or(EMPTY, |(slot, time)| (time, self.wheel.head_seq(slot)));
+        let far = self.far.peek().map_or(EMPTY, Entry::key);
+        let sorted = self.sorted.last().map_or(EMPTY, Entry::key);
+        let e = if wheel <= far && wheel <= sorted {
+            let (slot, time) = slot?;
+            self.wheel.pop_slot(slot, time)
+        } else if far <= sorted {
+            self.far.pop()?
         } else {
-            self.heap.peek()
+            self.sorted.pop()?
         };
-        let from_far = match (self.far.peek(), near) {
-            (Some(f), Some(n)) => f.key() < n.key(),
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        let e = if from_far {
-            self.far.pop()
-        } else if from_sorted {
-            self.sorted.pop()
-        } else {
-            self.heap.pop()
-        }?;
-        self.far_from = e.time.saturating_add(FAR_HORIZON);
+        self.wheel.advance(e.time);
         self.popped += 1;
         Some(e)
     }
@@ -425,7 +552,7 @@ impl<E> EventQueue<E> {
     /// Remove and return the earliest event together with its insertion
     /// sequence number, so it can be [`EventQueue::requeue`]d without
     /// losing its FIFO position among same-timestamp events. This is the
-    /// engine's single-heap-access dispatch path: no separate peek.
+    /// engine's single-access dispatch path: no separate peek.
     pub fn pop_with_seq(&mut self) -> Option<(SimTime, u64, E)> {
         let e = self.pop_entry()?;
         Some((e.time, e.seq, e.event))
@@ -437,16 +564,20 @@ impl<E> EventQueue<E> {
     pub fn requeue(&mut self, time: SimTime, seq: u64, event: E) {
         debug_assert!(seq < self.seq, "requeue of a seq never handed out");
         self.popped -= 1;
-        // The entry was the queue's minimum a moment ago and is the
-        // next to pop: it belongs with the imminent events whichever
-        // heap it came from.
-        self.heap.push(Entry { time, seq, event });
+        if self.wheel.covers(time) {
+            // It was the queue's minimum a moment ago, so it precedes
+            // whatever its slot holds: the front, whichever container
+            // it came from.
+            self.wheel.push_front(time, seq, event);
+        } else {
+            self.far.push(Entry { time, seq, event });
+        }
     }
 
     /// Timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         [
-            self.heap.peek().map(|e| e.time),
+            self.wheel.first_slot().map(|(_, time)| time),
             self.far.peek().map(|e| e.time),
             self.sorted.last().map(|e| e.time),
             self.pending.iter().map(|e| e.time).min(),
@@ -458,15 +589,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.far.len() + self.sorted.len() + self.pending.len()
+        self.wheel.len + self.far.len() + self.sorted.len() + self.pending.len()
     }
 
     /// True iff no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-            && self.far.is_empty()
-            && self.sorted.is_empty()
-            && self.pending.is_empty()
+        self.len() == 0
     }
 
     /// Total number of events ever popped (the engine's step counter).
@@ -481,11 +609,11 @@ impl<E> EventQueue<E> {
 
     /// Drop every pending event.
     pub fn clear(&mut self) {
-        self.heap.clear();
+        self.wheel.clear();
         self.far.clear();
         self.pending.clear();
         self.sorted.clear();
-        self.push_streak = 0;
+        self.far_streak = 0;
     }
 }
 
@@ -546,7 +674,7 @@ mod tests {
     }
 
     fn far_op() -> impl Strategy<Value = FarOp> {
-        let h = FAR_HORIZON.as_millis();
+        let h = WHEEL_SPAN_MS;
         let ahead = |by| FarOp::Push { ahead: true, by };
         prop_oneof![
             // Imminent, around the horizon to the millisecond, and far.
@@ -610,10 +738,11 @@ mod tests {
             prop_assert_eq!(q.total_popped() as usize, ops.len());
         }
 
-        /// Interleaved push runs and pops across the bulk-heapify
-        /// threshold: every pop must return exactly the (time, seq)
-        /// minimum of what is queued at that instant — the Floyd rebuild
-        /// path must be unobservable.
+        /// Interleaved push runs and pops, runs on both sides of the
+        /// bulk-build threshold and times (a 64 ms grid, most of it past
+        /// the wheel) that send them through it: every pop must return
+        /// exactly the (time, seq) minimum of what is queued at that
+        /// instant.
         #[test]
         fn prop_bulk_heapify_order_invariant(
             runs in proptest::collection::vec((proptest::collection::vec(0u64..200, 1..150), 0usize..80), 1..6)
@@ -623,6 +752,7 @@ mod tests {
             let mut next_id = 0usize;
             for (times, pops) in runs {
                 for t in times {
+                    let t = t * 64;
                     q.push(SimTime::from_millis(t), next_id);
                     model.insert((t, next_id));
                     next_id += 1;
@@ -644,13 +774,13 @@ mod tests {
             prop_assert!(model.is_empty());
         }
 
-        /// Pushes on both sides of the far horizon, measured from the
-        /// last popped time as the queue measures it (and a few before
-        /// it), interleaved with pops, pop-and-requeue and `clear`:
-        /// every pop is the `(time, seq)` minimum of a `BTreeSet` model,
-        /// and `peek_time`/`len`/`is_empty` agree with it after every
-        /// step — whichever of the heaps, the sorted segment or the
-        /// staging buffer holds the entries.
+        /// Pushes on both sides of the end of the wheel's window,
+        /// measured from the last popped time (and a few before it),
+        /// interleaved with pops, pop-and-requeue and `clear`: every
+        /// pop is the `(time, seq)` minimum of a `BTreeSet` model, and
+        /// `peek_time`/`len`/`is_empty` agree with it after every step
+        /// — whichever of the wheel, the heap, the sorted segment or
+        /// the staging buffer holds the entries.
         #[test]
         fn prop_far_heap_order_invariant(ops in proptest::collection::vec(far_op(), 1..400)) {
             let mut q = EventQueue::new();
@@ -708,6 +838,160 @@ mod tests {
             expect.sort_unstable();
             out.sort_unstable();
             prop_assert_eq!(out, expect);
+        }
+    }
+
+    /// One step of `prop_wheel_window_order_invariant`. Offsets are from
+    /// the wheel's `base` — the latest time popped.
+    #[derive(Debug, Clone)]
+    enum WheelOp {
+        /// `n` pushes for `base + by`.
+        Push {
+            by: u64,
+            n: usize,
+        },
+        /// A push for `base - by`.
+        PushBehind {
+            by: u64,
+        },
+        /// A push for the time of the `pick`-th queued entry: a
+        /// millisecond some other container may already hold.
+        PushAtQueued {
+            pick: usize,
+        },
+        /// A run of `n` pushes from `base + by` on, `step` ms apart —
+        /// past the direct-push budget, and long enough to be sorted.
+        Run {
+            by: u64,
+            step: u64,
+            n: usize,
+        },
+        Pop {
+            n: usize,
+        },
+        PopRequeue,
+        /// Pop until the time reaches `base + by`.
+        Idle {
+            by: u64,
+        },
+        Clear,
+    }
+
+    /// `(time, seq)` of everything queued.
+    type Model = std::collections::BTreeSet<(u64, u64)>;
+
+    fn wheel_op() -> impl Strategy<Value = WheelOp> {
+        let s = WHEEL_SPAN_MS;
+        let push = |by, n| WheelOp::Push { by, n };
+        prop_oneof![
+            // The window's edges to the millisecond, the first and last
+            // slots of a lap, anywhere inside, and laps ahead.
+            (s - 2..s + 2, 1usize..4).prop_map(move |(by, n)| push(by, n)),
+            (s - 2..s + 2, 1usize..4).prop_map(move |(by, n)| push(by, n)),
+            (0u64..3, 1usize..6).prop_map(move |(by, n)| push(by, n)),
+            (0..s, 1usize..3).prop_map(move |(by, n)| push(by, n)),
+            (0..s, 1usize..3).prop_map(move |(by, n)| push(by, n)),
+            (2 * s - 2..2 * s + 2, 1usize..3).prop_map(move |(by, n)| push(by, n)),
+            (s..6 * s, 1usize..3).prop_map(move |(by, n)| push(by, n)),
+            (1..2 * s).prop_map(|by| WheelOp::PushBehind { by }),
+            (0usize..64).prop_map(|pick| WheelOp::PushAtQueued { pick }),
+            (0usize..64).prop_map(|pick| WheelOp::PushAtQueued { pick }),
+            (s - 40..s + 40, 0u64..3, 60usize..90).prop_map(|(by, step, n)| WheelOp::Run {
+                by,
+                step,
+                n
+            }),
+            (1usize..6).prop_map(|n| WheelOp::Pop { n }),
+            (1usize..6).prop_map(|n| WheelOp::Pop { n }),
+            (1usize..40).prop_map(|n| WheelOp::Pop { n }),
+            Just(WheelOp::PopRequeue),
+            Just(WheelOp::PopRequeue),
+            (s - 2..3 * s).prop_map(|by| WheelOp::Idle { by }),
+            (0u32..8).prop_map(|x| if x == 0 {
+                WheelOp::Clear
+            } else {
+                WheelOp::Pop { n: 1 }
+            }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The wheel against the `BTreeSet` model: pushes on the window's
+        /// edges to the millisecond, before `base`, laps ahead (slots
+        /// reused after wrap-around, also across idle gaps longer than
+        /// the wheel), and same-millisecond bursts whose entries end up
+        /// split across wheel, `far` and `sorted`; mixed with pops,
+        /// pop-and-requeue and `clear`. Every pop is the model's
+        /// minimum, and `peek_time`/`len` agree with it after every
+        /// step.
+        #[test]
+        fn prop_wheel_window_order_invariant(ops in proptest::collection::vec(wheel_op(), 1..300)) {
+            let mut q = EventQueue::new();
+            let mut model = Model::new();
+            let mut base = 0u64;
+            let push = |q: &mut EventQueue<u64>, model: &mut Model, t: u64| {
+                model.insert((t, q.total_pushed()));
+                q.push(SimTime::from_millis(t), q.total_pushed());
+            };
+            for op in ops {
+                match op {
+                    WheelOp::Push { by, n } => {
+                        for _ in 0..n {
+                            push(&mut q, &mut model, base + by);
+                        }
+                    }
+                    WheelOp::PushBehind { by } => push(&mut q, &mut model, base.saturating_sub(by)),
+                    WheelOp::PushAtQueued { pick } => {
+                        if let Some(&(t, _)) = model.iter().nth(pick % model.len().max(1)) {
+                            push(&mut q, &mut model, t);
+                        }
+                    }
+                    WheelOp::Run { by, step, n } => {
+                        for i in 0..n as u64 {
+                            push(&mut q, &mut model, base + by + i * step);
+                        }
+                    }
+                    WheelOp::Pop { n } => {
+                        for _ in 0..n {
+                            let got = q.pop().map(|(t, id)| (t.as_millis(), id));
+                            prop_assert_eq!(got, model.pop_first());
+                            base = base.max(got.map_or(0, |(t, _)| t));
+                        }
+                    }
+                    WheelOp::PopRequeue => {
+                        let popped = q.total_popped();
+                        if let Some((t, seq, id)) = q.pop_with_seq() {
+                            prop_assert_eq!(Some(&(t.as_millis(), id)), model.first());
+                            prop_assert_eq!(seq, id);
+                            base = base.max(t.as_millis());
+                            q.requeue(t, seq, id);
+                        }
+                        prop_assert_eq!(q.total_popped(), popped);
+                    }
+                    WheelOp::Idle { by } => {
+                        let until = base + by;
+                        push(&mut q, &mut model, until);
+                        while base < until {
+                            let got = q.pop().map(|(t, id)| (t.as_millis(), id));
+                            prop_assert_eq!(got, model.pop_first());
+                            base = base.max(got.expect("the push above is queued").0);
+                        }
+                    }
+                    WheelOp::Clear => {
+                        q.clear();
+                        model.clear();
+                    }
+                }
+                prop_assert_eq!(q.peek_time().map(SimTime::as_millis), model.first().map(|e| e.0));
+                prop_assert_eq!(q.len(), model.len());
+                prop_assert_eq!(q.is_empty(), model.is_empty());
+            }
+            while let Some((t, id)) = q.pop() {
+                prop_assert_eq!(Some((t.as_millis(), id)), model.pop_first());
+            }
+            prop_assert!(model.is_empty());
         }
     }
 }

@@ -6,9 +6,10 @@
 //! The engine is deliberately minimal and allocation-conscious:
 //!
 //! * [`SimTime`] / [`SimDuration`] — millisecond-resolution virtual time.
-//! * [`EventQueue`] — a binary-heap priority queue with a monotonic
-//!   sequence tiebreaker, so event ordering is fully deterministic even
-//!   when many events share a timestamp.
+//! * [`EventQueue`] — a priority queue (a millisecond timing wheel for
+//!   the imminent events, a heap for the rest) with a monotonic sequence
+//!   tiebreaker, so event ordering is fully deterministic even when many
+//!   events share a timestamp.
 //! * [`Engine`] — the driver loop. Systems implement [`Process`] and push
 //!   follow-up events through an [`Outbox`].
 //! * [`SimRng`] — a seeded small RNG; all stochastic behaviour flows

@@ -107,7 +107,13 @@ impl SimDuration {
         if s <= 0.0 || !s.is_finite() {
             return SimDuration::ZERO;
         }
-        SimDuration((s * 1_000.0).round() as u64)
+        // `round()` without the libm call a baseline x86-64 build makes
+        // of it (every jittered latency comes through here): truncate,
+        // then add the half. `x - t` is exact below 2⁵², and zero from
+        // there on, where every `f64` is whole (`as u64` saturates).
+        let x = s * 1_000.0;
+        let t = x as u64;
+        SimDuration(t.saturating_add((x - t as f64 >= 0.5) as u64))
     }
     /// Construct from fractional minutes (see [`Self::from_secs_f64`]).
     pub fn from_mins_f64(m: f64) -> Self {
@@ -290,6 +296,77 @@ mod tests {
         assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(0.0015).as_millis(), 2);
+    }
+
+    /// Rounding half away from zero, as `f64::round` does, over the
+    /// inputs where a hand-rolled one goes wrong.
+    #[test]
+    fn from_secs_f64_rounds_as_libm_round() {
+        fn reference(s: f64) -> u64 {
+            if s <= 0.0 || !s.is_finite() {
+                return 0;
+            }
+            (s * 1_000.0).round() as u64
+        }
+        let p52 = (1u64 << 52) as f64;
+        let mut inputs = vec![
+            0.0,
+            -0.0,
+            0.0005,
+            0.0015,
+            0.0025,
+            0.49999999999999994,
+            f64::from_bits(0.0005f64.to_bits() - 1),
+            0.5,
+            1.0,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 8.0, // subnormal
+            5e-324,
+            -1.0,
+            -0.0005,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            1e17,
+            1.9e16,
+            u64::MAX as f64 / 1_000.0,
+            u64::MAX as f64,
+        ];
+        // Products on both sides of 2⁵² (where halves stop existing) and
+        // 2⁵³, and the exact halves and their neighbours below them.
+        for ms in [
+            p52 - 1.0,
+            p52 - 0.5,
+            p52,
+            p52 + 1.0,
+            2.0 * p52 - 1.0,
+            2.0 * p52 + 2.0,
+        ] {
+            inputs.push(ms / 1_000.0);
+        }
+        for k in 0..2_000u64 {
+            let half = k as f64 + 0.5;
+            for ms in [
+                half,
+                f64::from_bits(half.to_bits() - 1),
+                f64::from_bits(half.to_bits() + 1),
+            ] {
+                inputs.push(ms / 1_000.0);
+            }
+        }
+        let mut rng = crate::SimRng::seed_from_u64(52);
+        for _ in 0..20_000 {
+            inputs.push(rng.range_f64(0.0, 400.0));
+            inputs.push(f64::from_bits(rng.next_u64() >> 1)); // any non-negative pattern
+        }
+        for s in inputs {
+            assert_eq!(
+                SimDuration::from_secs_f64(s).as_millis(),
+                reference(s),
+                "{s:e}"
+            );
+        }
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Identifier newtypes for the FaaS platform.
 
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// An OpenWhisk invoker (worker). In HPC-Whisk each invoker lives inside
 /// one pilot job; callers key invokers by the pilot's job id.
@@ -42,37 +40,6 @@ impl fmt::Display for ActivationId {
 pub fn stable_hash(x: u64) -> u64 {
     x.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
-
-/// The hasher of the platform's id-keyed containers: [`stable_hash`]
-/// of the id instead of SipHash, which cost more than the handlers
-/// around it (≈ 13 lookups per simulated request). The keys are pilot
-/// job ids and activation sequence numbers — the simulation's own
-/// counters, never outside input — so no collision resistance is given
-/// up; and the hash being fixed, whatever order a container iterates in
-/// repeats from run to run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b as u64);
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.0 = stable_hash(self.0 ^ x);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A `HashMap` hashed by [`IdHasher`].
-pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
-/// A `HashSet` hashed by [`IdHasher`].
-pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 #[cfg(test)]
 mod tests {

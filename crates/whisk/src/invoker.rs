@@ -2,7 +2,7 @@
 
 use crate::config::WhiskConfig;
 use crate::container::ContainerPool;
-use crate::ids::{ActivationId, IdSet};
+use crate::ids::{ActivationId, FunctionId};
 use mq::TopicId;
 use simcore::{SimRng, SimTime};
 use std::collections::VecDeque;
@@ -73,8 +73,11 @@ pub struct Invoker {
     /// Pulled-but-unstarted activations (the "internal buffer" the drain
     /// protocol flushes to the fast lane, §III-C).
     pub buffer: VecDeque<ActivationId>,
-    /// Activations currently executing in containers.
-    pub running: IdSet<ActivationId>,
+    /// Activations currently executing in containers (at most one per
+    /// container slot, so a scan beats a hash), each with its function:
+    /// the controller may have retired the activation's record by the
+    /// time the container is released.
+    pub running: Vec<(ActivationId, FunctionId)>,
     /// The node's container pool.
     pub pool: ContainerPool,
     /// Controller-side estimate of outstanding work (routing pressure).
@@ -95,7 +98,7 @@ impl Invoker {
             state: InvokerState::Healthy,
             topic,
             buffer: VecDeque::new(),
-            running: IdSet::default(),
+            running: Vec::new(),
             pool: ContainerPool::new(slots, cold_concurrency),
             ctrl_inflight: 0,
             poll,
@@ -115,6 +118,13 @@ impl Invoker {
         }
         self.parked = false;
         Some(self.poll.catch_up(now, cfg))
+    }
+
+    /// Take `act` off the running set; its function if it was running
+    /// here.
+    pub fn finish(&mut self, act: ActivationId) -> Option<FunctionId> {
+        let pos = self.running.iter().position(|(a, _)| *a == act)?;
+        Some(self.running.swap_remove(pos).1)
     }
 
     /// Routable by the controller?

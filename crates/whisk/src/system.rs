@@ -30,12 +30,12 @@ use crate::activation::{ActState, ActivationRecord, InvokeResult, Outcome};
 use crate::config::{DynamicsMode, WhiskConfig};
 use crate::container::Acquire;
 use crate::events::{WhiskEvent, WhiskNote};
-use crate::ids::{stable_hash, ActivationId, FunctionId, IdMap, InvokerId};
+use crate::ids::{stable_hash, ActivationId, FunctionId, InvokerId};
 use crate::invoker::{Invoker, InvokerState, PollChain};
 use metrics::StepSeries;
 use mq::{Broker, TopicId};
 use simcore::{Outbox, SimDuration, SimRng, SimTime};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 /// Worker-count series (the OpenWhisk-level perspective of Tables
 /// II/III: healthy vs irresponsive workers over time).
@@ -92,10 +92,73 @@ pub struct WhiskCounters {
 struct Shared {
     cfg: WhiskConfig,
     functions: Vec<FunctionSpec>,
-    records: Vec<ActivationRecord>,
+    /// The records whose deadline no timeout scan has passed yet, in id
+    /// (= submission = deadline) order: `records[i]` is activation
+    /// `records_base + i`. A scan answers what is still in flight at
+    /// its deadline, so an id below `records_base` — *retired* — was
+    /// answered, and nothing but "not in flight" is ever asked of it
+    /// again. The window is `deadline` × request rate long (600 records
+    /// at the paper's load), not the day's 864,000.
+    records: VecDeque<ActivationRecord>,
+    records_base: u64,
     rng: SimRng,
     counters: WhiskCounters,
     speed_factor: f64,
+}
+
+/// Invoker ids below this index [`InvokerTable::dense`] directly. Callers
+/// key invokers by pilot job id, and a cluster hands job ids out densely
+/// from zero (~10⁵ a simulated day).
+const DENSE_IDS: u64 = 1 << 20;
+
+/// The registered invokers by id.
+#[derive(Default)]
+struct InvokerTable {
+    /// `dense[id]` for `id < DENSE_IDS`, grown to the largest id seen.
+    dense: Vec<Option<Box<Invoker>>>,
+    /// Every other id. Never iterated, so its order is never observed.
+    spill: HashMap<u64, Invoker>,
+}
+
+impl InvokerTable {
+    #[inline]
+    fn get(&self, id: InvokerId) -> Option<&Invoker> {
+        if id.0 < DENSE_IDS {
+            self.dense.get(id.0 as usize)?.as_deref()
+        } else {
+            self.spill.get(&id.0)
+        }
+    }
+
+    #[inline]
+    fn get_mut(&mut self, id: InvokerId) -> Option<&mut Invoker> {
+        if id.0 < DENSE_IDS {
+            self.dense.get_mut(id.0 as usize)?.as_deref_mut()
+        } else {
+            self.spill.get_mut(&id.0)
+        }
+    }
+
+    /// Register `inv` under `id` (not registered: `start_invoker` checks).
+    fn insert(&mut self, id: InvokerId, inv: Invoker) {
+        if id.0 < DENSE_IDS {
+            let i = id.0 as usize;
+            if self.dense.len() <= i {
+                self.dense.resize_with(i + 1, || None);
+            }
+            self.dense[i] = Some(Box::new(inv));
+        } else {
+            self.spill.insert(id.0, inv);
+        }
+    }
+
+    fn remove(&mut self, id: InvokerId) -> Option<Invoker> {
+        if id.0 < DENSE_IDS {
+            self.dense.get_mut(id.0 as usize)?.take().map(|b| *b)
+        } else {
+            self.spill.remove(&id.0)
+        }
+    }
 }
 
 /// The FaaS platform state machine.
@@ -103,14 +166,12 @@ pub struct WhiskSys {
     shared: Shared,
     broker: Broker<ActivationId>,
     fast_lane: TopicId,
-    invokers: IdMap<InvokerId, Invoker>,
+    invokers: InvokerTable,
     routable: Vec<InvokerId>,
-    deadline_queue: VecDeque<(SimTime, ActivationId)>,
     /// Origin of the timeout-scan grid (scans run at `scan_origin +
     /// k * timeout_scan_every`, `k >= 1`).
     scan_origin: SimTime,
-    /// A `TimeoutScan` is scheduled; true only while `deadline_queue`
-    /// is non-empty.
+    /// A `TimeoutScan` is scheduled; true only while a record is live.
     scan_armed: bool,
     seed: u64,
     series: WhiskSeries,
@@ -119,6 +180,37 @@ pub struct WhiskSys {
 }
 
 impl Shared {
+    /// The record of `act`, unless retired.
+    #[inline]
+    fn live(&self, act: ActivationId) -> Option<&ActivationRecord> {
+        let i = act.0.checked_sub(self.records_base)?;
+        self.records.get(i as usize)
+    }
+
+    /// [`Self::live`], mutably.
+    #[inline]
+    fn live_mut(&mut self, act: ActivationId) -> Option<&mut ActivationRecord> {
+        let i = act.0.checked_sub(self.records_base)?;
+        self.records.get_mut(i as usize)
+    }
+
+    /// The record of `act` if the client is still waiting for it.
+    #[inline]
+    fn in_flight(&mut self, act: ActivationId) -> Option<&mut ActivationRecord> {
+        self.live_mut(act).filter(|r| r.in_flight())
+    }
+
+    /// Count one more delivery attempt of `act` and put it on the fast
+    /// lane, if the client is still waiting for it.
+    fn refire(&mut self, act: ActivationId, broker: &mut Broker<ActivationId>, lane: TopicId) {
+        if let Some(r) = self.in_flight(act) {
+            r.attempts += 1;
+            let submitted = r.submitted;
+            broker.produce(lane, submitted, act);
+            self.counters.refired += 1;
+        }
+    }
+
     /// `base` with the configured jitter, from the platform's stream.
     fn jitter(&mut self, base: SimDuration) -> SimDuration {
         self.cfg.jitter(base, &mut self.rng)
@@ -141,17 +233,16 @@ impl Shared {
             let Some(&act) = inv.buffer.front() else {
                 return;
             };
-            if !self.records[act.0 as usize].in_flight() {
+            let Some(f) = self.in_flight(act).map(|r| r.function) else {
                 // Timed out while queued; drop silently.
                 inv.buffer.pop_front();
                 inv.ctrl_inflight = inv.ctrl_inflight.saturating_sub(1);
                 continue;
-            }
-            let f = self.records[act.0 as usize].function;
+            };
             match inv.pool.acquire(f, now) {
                 Acquire::Warm => {
                     inv.buffer.pop_front();
-                    inv.running.insert(act);
+                    inv.running.push((act, f));
                     self.counters.warm_starts += 1;
                     let service = self.functions[f.0 as usize]
                         .exec
@@ -161,7 +252,7 @@ impl Shared {
                 }
                 Acquire::Cold => {
                     inv.buffer.pop_front();
-                    inv.running.insert(act);
+                    inv.running.push((act, f));
                     self.counters.cold_starts += 1;
                     let d = self.jitter(self.cfg.cold_start);
                     out.after(d, WhiskEvent::ColdStartDone { inv: id, act });
@@ -198,9 +289,11 @@ impl Shared {
             Outcome::Success => self.jitter(self.cfg.result_path),
             _ => SimDuration::ZERO,
         };
-        let r = &mut self.records[act.0 as usize];
-        debug_assert!(r.in_flight());
+        let r = self
+            .in_flight(act)
+            .expect("answering once, before retiring");
         r.state = ActState::Answered(outcome);
+        let (function, submitted, attempts) = (r.function, r.submitted, r.attempts);
         match outcome {
             Outcome::Success => self.counters.success += 1,
             Outcome::Failed => self.counters.failed += 1,
@@ -208,11 +301,11 @@ impl Shared {
         }
         notes.push(WhiskNote::ActivationDone {
             act,
-            function: r.function,
+            function,
             outcome,
-            submitted: r.submitted,
+            submitted,
             answered: now + result_path + rtt,
-            attempts: r.attempts,
+            attempts,
         });
     }
 }
@@ -226,16 +319,16 @@ impl WhiskSys {
             shared: Shared {
                 cfg,
                 functions: Vec::new(),
-                records: Vec::new(),
+                records: VecDeque::new(),
+                records_base: 0,
                 rng: SimRng::seed_from_u64(seed ^ 0x7768_6973_6b00),
                 counters: WhiskCounters::default(),
                 speed_factor: 1.0,
             },
             broker,
             fast_lane,
-            invokers: IdMap::default(),
+            invokers: InvokerTable::default(),
             routable: Vec::new(),
-            deadline_queue: VecDeque::new(),
             scan_origin: SimTime::ZERO,
             scan_armed: false,
             seed,
@@ -266,14 +359,14 @@ impl WhiskSys {
 
     /// Schedule the timeout scan at the first grid tick at or after the
     /// earliest deadline, unless one is scheduled or nothing is waiting.
-    /// Deadlines enter the queue in time order, so every activation is
-    /// declared timed out at the first grid tick at or after its
-    /// deadline — the instant a scan at every tick would find it.
+    /// Records are in deadline order, so every activation is declared
+    /// timed out at the first grid tick at or after its deadline — the
+    /// instant a scan at every tick would find it.
     fn arm_scan(&mut self, out: &mut Outbox<WhiskEvent>) {
         if self.scan_armed {
             return;
         }
-        let Some(&(deadline, _)) = self.deadline_queue.front() else {
+        let Some(deadline) = self.shared.records.front().map(|r| r.deadline) else {
             return;
         };
         let every = self.shared.cfg.timeout_scan_every;
@@ -312,9 +405,15 @@ impl WhiskSys {
         &self.series
     }
 
-    /// Controller record of an activation (tests/diagnostics).
-    pub fn record(&self, act: ActivationId) -> &ActivationRecord {
-        &self.shared.records[act.0 as usize]
+    /// The worker-count series, at the end of a run.
+    pub fn into_series(self) -> WhiskSeries {
+        self.series
+    }
+
+    /// Controller record of an activation, kept until the timeout scan
+    /// that passes its deadline; `None` once retired (tests/diagnostics).
+    pub fn record(&self, act: ActivationId) -> Option<&ActivationRecord> {
+        self.shared.live(act)
     }
 
     /// Depth of the fast lane (diagnostics).
@@ -325,7 +424,7 @@ impl WhiskSys {
     /// Lifecycle state and own-topic depth of a registered invoker
     /// (tests/diagnostics).
     pub fn invoker_status(&self, id: InvokerId) -> Option<(InvokerState, usize)> {
-        let inv = self.invokers.get(&id)?;
+        let inv = self.invokers.get(id)?;
         Some((inv.state, self.broker.depth(inv.topic)))
     }
 
@@ -354,9 +453,9 @@ impl WhiskSys {
             });
             return InvokeResult::Rejected503;
         };
-        let act = ActivationId(self.shared.records.len() as u64);
+        let act = ActivationId(self.shared.records_base + self.shared.records.len() as u64);
         let deadline = now + self.shared.cfg.deadline;
-        self.shared.records.push(ActivationRecord {
+        self.shared.records.push_back(ActivationRecord {
             function: f,
             submitted: now,
             deadline,
@@ -364,9 +463,8 @@ impl WhiskSys {
             assigned: Some(inv),
             attempts: 1,
         });
-        self.deadline_queue.push_back((deadline, act));
         self.arm_scan(out);
-        if let Some(i) = self.invokers.get_mut(&inv) {
+        if let Some(i) = self.invokers.get_mut(inv) {
             i.ctrl_inflight += 1;
         }
         let delay = self.shared.jitter(self.shared.cfg.ctrl_overhead)
@@ -386,7 +484,7 @@ impl WhiskSys {
         let home = (stable_hash(f.0 as u64 + 1) % n as u64) as usize;
         for i in 0..n {
             let cand = self.routable[(home + i) % n];
-            let inv = &self.invokers[&cand];
+            let inv = self.invokers.get(cand).expect("routable is registered");
             if inv.ctrl_inflight < inv.pool.free_slots() + inv.pool.busy() {
                 return Some(cand);
             }
@@ -409,7 +507,7 @@ impl WhiskSys {
     ) -> InvokerId {
         let id = InvokerId(key);
         assert!(
-            !self.invokers.contains_key(&id),
+            self.invokers.get(id).is_none(),
             "invoker {id} already registered"
         );
         let topic = self.broker.create_topic(&format!("invoker-{key}"));
@@ -445,7 +543,7 @@ impl WhiskSys {
             // keeps serving obliviously until SIGKILL; its queue is lost.
             return;
         }
-        let Some(inv) = self.invokers.get_mut(&id) else {
+        let Some(inv) = self.invokers.get_mut(id) else {
             return;
         };
         if inv.state != InvokerState::Healthy {
@@ -459,41 +557,28 @@ impl WhiskSys {
         notes.push(WhiskNote::InvokerDraining(id));
 
         // Controller half: move unpulled topic messages to the fast lane.
-        let inv = self.invokers.get_mut(&id).expect("just checked");
-        let topic = inv.topic;
-        let buffered: Vec<ActivationId> = inv.buffer.drain(..).collect();
-        // Sorted: `running` is a `HashSet`, and the re-fire order below
-        // decides fast-lane offsets — it must not depend on hash seeds.
-        let mut running: Vec<ActivationId> = inv.running.iter().copied().collect();
-        running.sort_unstable();
-        let moved = self.broker.move_all(topic, self.fast_lane, now);
+        let inv = self.invokers.get_mut(id).expect("just checked");
+        let moved = self.broker.move_all(inv.topic, self.fast_lane, now);
         self.shared.counters.moved_to_fastlane += moved as u64;
 
         // Invoker half: flush the internal buffer.
-        for act in buffered {
-            if self.shared.records[act.0 as usize].in_flight() {
-                let submitted = self.shared.records[act.0 as usize].submitted;
-                self.shared.records[act.0 as usize].attempts += 1;
-                self.broker.produce(self.fast_lane, submitted, act);
-                self.shared.counters.refired += 1;
-            }
+        for act in inv.buffer.drain(..) {
+            self.shared.refire(act, &mut self.broker, self.fast_lane);
         }
         // Interrupt running executions of interruptible functions and
-        // re-route them too.
-        for act in running {
-            let f = self.shared.records[act.0 as usize].function;
-            if self.shared.functions[f.0 as usize].interruptible {
-                let inv = self.invokers.get_mut(&id).expect("draining");
-                inv.running.remove(&act);
-                inv.pool.abandon();
-                if self.shared.records[act.0 as usize].in_flight() {
-                    let submitted = self.shared.records[act.0 as usize].submitted;
-                    self.shared.records[act.0 as usize].attempts += 1;
-                    self.broker.produce(self.fast_lane, submitted, act);
-                    self.shared.counters.refired += 1;
-                }
+        // re-route them too — in id order: the re-fire order decides
+        // fast-lane offsets, and `running` is in no particular one.
+        inv.running.sort_unstable();
+        let shared = &mut self.shared;
+        let (broker, pool) = (&mut self.broker, &mut inv.pool);
+        inv.running.retain(|&(act, f)| {
+            if !shared.functions[f.0 as usize].interruptible {
+                return true;
             }
-        }
+            pool.abandon();
+            shared.refire(act, broker, self.fast_lane);
+            false
+        });
         self.wake_fast_lane(now, out);
         let d = self.shared.jitter(self.shared.cfg.drain_flush);
         out.after(d, WhiskEvent::DrainComplete(id));
@@ -509,7 +594,7 @@ impl WhiskSys {
         out: &mut Outbox<WhiskEvent>,
         notes: &mut Vec<WhiskNote>,
     ) {
-        let Some(inv) = self.invokers.get_mut(&id) else {
+        let Some(inv) = self.invokers.get_mut(id) else {
             return;
         };
         match inv.state {
@@ -552,7 +637,7 @@ impl WhiskSys {
             WhiskEvent::DrainComplete(id) => {
                 if self
                     .invokers
-                    .get(&id)
+                    .get(id)
                     .is_some_and(|i| i.state == InvokerState::Draining)
                 {
                     self.shared.counters.drains_clean += 1;
@@ -562,7 +647,7 @@ impl WhiskSys {
             WhiskEvent::DeathNoticed(id) => {
                 if self
                     .invokers
-                    .get(&id)
+                    .get(id)
                     .is_some_and(|i| i.state == InvokerState::DeadUnnoticed)
                 {
                     self.routable.retain(|x| *x != id);
@@ -572,14 +657,18 @@ impl WhiskSys {
             WhiskEvent::TimeoutScan => {
                 self.shared.counters.timeout_scans += 1;
                 self.scan_armed = false;
-                while let Some((deadline, act)) = self.deadline_queue.front().copied() {
-                    if deadline > now {
+                // Retire every record whose deadline has passed, answering
+                // the ones still in flight.
+                while let Some(r) = self.shared.records.front() {
+                    if r.deadline > now {
                         break;
                     }
-                    self.deadline_queue.pop_front();
-                    if self.shared.records[act.0 as usize].in_flight() {
+                    if r.in_flight() {
+                        let act = ActivationId(self.shared.records_base);
                         self.shared.answer(now, act, Outcome::Timeout, notes);
                     }
+                    self.shared.records.pop_front();
+                    self.shared.records_base += 1;
                 }
                 self.arm_scan(out);
             }
@@ -593,11 +682,10 @@ impl WhiskSys {
         inv: InvokerId,
         out: &mut Outbox<WhiskEvent>,
     ) {
-        if !self.shared.records[act.0 as usize].in_flight() {
+        let Some(submitted) = self.shared.in_flight(act).map(|r| r.submitted) else {
             return;
-        }
-        let submitted = self.shared.records[act.0 as usize].submitted;
-        match self.invokers.get_mut(&inv) {
+        };
+        match self.invokers.get_mut(inv) {
             Some(i) => {
                 // Delivered even to a dead-unnoticed invoker's topic:
                 // the controller does not know better yet (and a corpse
@@ -623,7 +711,7 @@ impl WhiskSys {
             return;
         }
         for id in &self.routable {
-            let inv = self.invokers.get_mut(id).expect("routable is registered");
+            let inv = self.invokers.get_mut(*id).expect("routable is registered");
             if let Some(tick) = inv.wake(now, &self.shared.cfg) {
                 out.at(tick, WhiskEvent::InvokerPoll(*id));
             }
@@ -638,7 +726,7 @@ impl WhiskSys {
         notes: &mut Vec<WhiskNote>,
     ) {
         self.shared.counters.polls += 1;
-        let Some(inv) = self.invokers.get_mut(&id) else {
+        let Some(inv) = self.invokers.get_mut(id) else {
             return; // gone — the poll loop dies with it
         };
         if inv.state != InvokerState::Healthy {
@@ -655,7 +743,9 @@ impl WhiskSys {
             for m in self.broker.drain(self.fast_lane, room) {
                 inv.buffer.push_back(m.payload);
                 inv.ctrl_inflight += 1; // fast-lane work was unassigned
-                self.shared.records[m.payload.0 as usize].assigned = Some(id);
+                if let Some(r) = self.shared.live_mut(m.payload) {
+                    r.assigned = Some(id);
+                }
             }
             let room = room - (inv.buffer.len() - before);
             let own = self.broker.drain(inv.topic, room);
@@ -685,17 +775,16 @@ impl WhiskSys {
         act: ActivationId,
         out: &mut Outbox<WhiskEvent>,
     ) {
-        let Some(inv) = self.invokers.get_mut(&id) else {
+        let Some(inv) = self.invokers.get_mut(id) else {
             return;
         };
         if !inv.alive() {
             return;
         }
         inv.pool.cold_done();
-        if !inv.running.contains(&act) {
+        let Some(&(_, f)) = inv.running.iter().find(|(a, _)| *a == act) else {
             return; // aborted during drain
-        }
-        let f = self.shared.records[act.0 as usize].function;
+        };
         let service = self.shared.functions[f.0 as usize]
             .exec
             .service_time(self.shared.speed_factor);
@@ -711,16 +800,15 @@ impl WhiskSys {
         out: &mut Outbox<WhiskEvent>,
         notes: &mut Vec<WhiskNote>,
     ) {
-        let Some(inv) = self.invokers.get_mut(&id) else {
+        let Some(inv) = self.invokers.get_mut(id) else {
             return;
         };
-        if !inv.running.remove(&act) {
+        let Some(f) = inv.finish(act) else {
             return; // re-routed or invoker died meanwhile
-        }
-        let f = self.shared.records[act.0 as usize].function;
+        };
         inv.pool.release(f, now);
         inv.ctrl_inflight = inv.ctrl_inflight.saturating_sub(1);
-        if self.shared.records[act.0 as usize].in_flight() {
+        if self.shared.in_flight(act).is_some() {
             self.shared.answer(now, act, Outcome::Success, notes);
         }
         // A slot freed: start the next buffered activation immediately.
@@ -735,7 +823,7 @@ impl WhiskSys {
         out: &mut Outbox<WhiskEvent>,
         notes: &mut Vec<WhiskNote>,
     ) {
-        let inv = self.invokers.remove(&id).expect("removing unknown invoker");
+        let inv = self.invokers.remove(id).expect("removing unknown invoker");
         // Catch stragglers delivered after the drain's move_all.
         let leftovers = self.broker.depth(inv.topic);
         if leftovers > 0 {
@@ -773,6 +861,7 @@ impl WhiskSys {
 mod tests {
     use super::*;
     use crate::action::FunctionSpec;
+    use crate::activation::InvokeResult;
     use simcore::SimDuration;
 
     fn sys() -> WhiskSys {
@@ -841,6 +930,78 @@ mod tests {
         // Second SIGTERM: no double drain.
         s.sigterm_invoker(SimTime::from_secs(2), InvokerId(1), &mut out, &mut notes);
         assert!(notes.is_empty());
+    }
+
+    /// Dispatch everything due before `until`.
+    fn run(s: &mut WhiskSys, engine: &mut simcore::Engine<WhiskEvent>, until: SimTime) {
+        engine.run_until(
+            until,
+            &mut |now: SimTime, ev: WhiskEvent, out: &mut Outbox<WhiskEvent>| {
+                s.handle(now, ev, out, &mut Vec::new());
+            },
+        );
+    }
+
+    #[test]
+    fn sigterm_frees_the_slot_of_an_execution_whose_record_is_retired() {
+        let mut s = sys();
+        let mut engine = simcore::Engine::new();
+        let slow = s.register_function(FunctionSpec::sleep("slow", SimDuration::from_secs(70)));
+        let mut out = Outbox::new(SimTime::ZERO);
+        s.start_invoker(SimTime::ZERO, 1, &mut out, &mut Vec::new());
+        let r = s.invoke(SimTime::ZERO, slow, &mut out, &mut Vec::new());
+        let InvokeResult::Accepted(act) = r else {
+            panic!("a healthy invoker is registered")
+        };
+        for (t, e) in out.drain() {
+            engine.schedule(t, e);
+        }
+        // Timed out at 60 s and retired, 10 s before the execution ends.
+        let t = SimTime::from_secs(62);
+        run(&mut s, &mut engine, t);
+        assert!(s.record(act).is_none());
+        let inv = s.invokers.get(InvokerId(1)).unwrap();
+        assert_eq!(
+            (inv.running.as_slice(), inv.pool.busy()),
+            (&[(act, slow)][..], 1)
+        );
+
+        s.sigterm_invoker(t, InvokerId(1), &mut Outbox::new(t), &mut Vec::new());
+        let inv = s.invokers.get(InvokerId(1)).unwrap();
+        assert_eq!((inv.running.as_slice(), inv.pool.busy()), (&[][..], 0));
+        assert_eq!(s.counters().refired, 0);
+        assert_eq!(s.fast_lane_depth(), 0);
+    }
+
+    #[test]
+    fn invoker_table_indexes_small_ids_and_hashes_the_rest() {
+        let mut s = sys();
+        let mut out = Outbox::new(SimTime::ZERO);
+        let mut notes = Vec::new();
+        let keys = [0, 5, DENSE_IDS - 1, DENSE_IDS, u64::MAX];
+        for k in keys {
+            s.start_invoker(SimTime::ZERO, k, &mut out, &mut notes);
+        }
+        assert_eq!(s.invokers.dense.len() as u64, DENSE_IDS);
+        assert_eq!(s.invokers.spill.len(), 2);
+        for k in keys {
+            assert!(s.invoker_status(InvokerId(k)).is_some(), "{k}");
+        }
+        assert!(s.invoker_status(InvokerId(4)).is_none());
+        assert!(s.invoker_status(InvokerId(DENSE_IDS + 1)).is_none());
+        for k in keys {
+            s.kill_invoker(SimTime::ZERO, InvokerId(k), &mut out, &mut notes);
+        }
+        for k in keys {
+            s.handle(
+                SimTime::from_secs(10),
+                WhiskEvent::DeathNoticed(InvokerId(k)),
+                &mut out,
+                &mut notes,
+            );
+            assert!(s.invoker_status(InvokerId(k)).is_none(), "{k}");
+        }
+        assert_eq!(s.n_healthy(), 0);
     }
 
     #[test]

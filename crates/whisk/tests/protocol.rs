@@ -3,11 +3,13 @@
 //! baseline-OpenWhisk ablation (requests lost), silent-death recovery,
 //! timeouts, container-pool saturation failures, and the parked poll
 //! loop (no lost wake-up, one poll outstanding, polls on the chain; the
-//! timeout scan armed only for the grid ticks a deadline waits for).
+//! timeout scan armed only for the grid ticks a deadline waits for),
+//! and what is left of an activation once that scan has retired its
+//! record (late completions, drains and fast-lane messages).
 
 use hpcwhisk_whisk::{
-    DynamicsMode, FunctionId, FunctionSpec, InvokeResult, InvokerId, InvokerState, Outcome,
-    PollChain, WhiskConfig, WhiskEvent, WhiskNote, WhiskSys,
+    ActivationId, DynamicsMode, FunctionId, FunctionSpec, InvokeResult, InvokerId, InvokerState,
+    Outcome, PollChain, WhiskConfig, WhiskEvent, WhiskNote, WhiskSys,
 };
 use proptest::prelude::*;
 use simcore::{Engine, Outbox, SimDuration, SimTime};
@@ -465,6 +467,116 @@ fn non_interruptible_execution_completes_during_drain() {
 }
 
 // ---------------------------------------------------------------------
+// Retired records
+// ---------------------------------------------------------------------
+
+/// A 70 s (interruptible) sleep under the 60 s deadline, accepted at 1 s
+/// on invoker 1 and timed out while executing: `(harness, function)`.
+fn overlong_execution() -> (Harness, FunctionId) {
+    let mut h = Harness::new(WhiskConfig::default());
+    let f = h
+        .sys
+        .register_function(FunctionSpec::sleep("slow", SimDuration::from_secs(70)));
+    h.start_invoker_at(secs(0), 1);
+    let InvokeResult::Accepted(act) = h.invoke_at(secs(1), f) else {
+        panic!("a healthy invoker is registered")
+    };
+    // Still executing when the scan at 61 s answers for it and retires
+    // the record.
+    h.run_until(secs(62));
+    assert_eq!(h.outcomes().len(), 1);
+    assert_eq!(h.outcomes()[0].0, Outcome::Timeout);
+    assert!(h.sys.record(act).is_none(), "retired by the scan");
+    (h, f)
+}
+
+#[test]
+fn late_exec_done_of_a_retired_activation_keeps_its_container_warm_and_answers_nothing() {
+    let (mut h, f) = overlong_execution();
+    // ExecDone at ~72 s: nothing left to answer, but the container it
+    // frees is one of *this* function — which only the invoker's own
+    // books still know.
+    h.run_until(secs(80));
+    assert_eq!(h.outcomes().len(), 1, "a late result answers nothing");
+    assert_eq!(h.sys.counters().success, 0);
+    assert_eq!(h.sys.counters().cold_starts, 1);
+    h.invoke_at(secs(80), f);
+    h.run_until(secs(85));
+    assert_eq!(h.sys.counters().cold_starts, 1, "no second container");
+    assert_eq!(
+        h.sys.counters().warm_starts,
+        1,
+        "the released one is reused"
+    );
+}
+
+#[test]
+fn sigterm_over_a_retired_interruptible_execution_refires_nothing() {
+    let (mut h, _) = overlong_execution();
+    // The drain aborts the execution (the unit test next to
+    // `sigterm_invoker` sees the slot freed), with no client left to
+    // re-route it for.
+    h.apply(secs(62), |sys, now, out, notes| {
+        sys.sigterm_invoker(now, InvokerId(1), out, notes)
+    });
+    assert_eq!(h.sys.counters().refired, 0);
+    assert_eq!(h.sys.fast_lane_depth(), 0);
+    // The invoker de-registers on schedule; the ExecDone at ~72 s finds
+    // nobody.
+    h.run_until(secs(120));
+    assert_eq!(h.outcomes().len(), 1, "the timeout stays the only answer");
+    assert_eq!(h.sys.counters().drains_clean, 1);
+    assert_eq!(h.sys.invoker_status(InvokerId(1)), None);
+    assert_eq!(h.engine.pending(), 0);
+}
+
+#[test]
+fn fast_lane_message_of_a_retired_activation_is_fetched_and_dropped() {
+    let mut h = Harness::new(WhiskConfig::default());
+    let f = h
+        .sys
+        .register_function(FunctionSpec::sleep("f", SimDuration::from_millis(10)));
+    h.start_invoker_at(secs(0), 1);
+    let InvokeResult::Accepted(act) = h.invoke_at(secs(1), f) else {
+        panic!("a healthy invoker is registered")
+    };
+    // Drained before the message is visible: it lands in the fast lane
+    // and nobody is left to fetch it.
+    h.apply(
+        secs(1) + SimDuration::from_millis(1),
+        |sys, now, out, notes| sys.sigterm_invoker(now, InvokerId(1), out, notes),
+    );
+    h.run_until(secs(70));
+    assert_eq!(h.outcomes().len(), 1);
+    assert_eq!(h.outcomes()[0].0, Outcome::Timeout);
+    assert!(h.sys.record(act).is_none());
+    assert_eq!(
+        h.sys.fast_lane_depth(),
+        1,
+        "the message outlives its record"
+    );
+    // The next invoker's first poll takes it off the lane and drops it:
+    // no container, no second answer, and the loop parks on an empty
+    // buffer.
+    h.start_invoker_at(secs(70), 2);
+    h.run_until(secs(80));
+    assert_eq!(h.sys.fast_lane_depth(), 0);
+    assert_eq!(h.outcomes().len(), 1);
+    assert_eq!(
+        h.sys.counters().cold_starts + h.sys.counters().warm_starts,
+        0
+    );
+    assert_eq!(h.sys.counters().polls_parked, 2, "one per invoker");
+    assert_eq!(h.engine.pending(), 0);
+    // Routing pressure went back to zero with the drop: the next request
+    // is served at once.
+    h.invoke_at(secs(80), f);
+    h.run_until(secs(90));
+    assert_eq!(h.outcomes().len(), 2);
+    assert_eq!(h.outcomes()[1].0, Outcome::Success);
+}
+
+// ---------------------------------------------------------------------
 // Parked poll loops
 // ---------------------------------------------------------------------
 
@@ -473,7 +585,7 @@ fn non_interruptible_execution_completes_during_drain() {
 fn invoke_routed_to(h: &mut Harness, t: SimTime, fns: &[FunctionId], inv: InvokerId) {
     for &f in fns {
         if let InvokeResult::Accepted(act) = h.invoke_at(t, f) {
-            if h.sys.record(act).assigned == Some(inv) {
+            if h.sys.record(act).and_then(|r| r.assigned) == Some(inv) {
                 return;
             }
         }
@@ -672,6 +784,10 @@ struct ParkAudit {
     cfg: WhiskConfig,
     outstanding: BTreeMap<InvokerId, i64>,
     chains: BTreeMap<InvokerId, PollChain>,
+    /// Every accepted activation with its deadline, in id order.
+    deadlines: Vec<(ActivationId, SimTime)>,
+    /// Instant of the latest timeout scan dispatched.
+    scanned: SimTime,
 }
 
 impl ParkAudit {
@@ -708,9 +824,14 @@ impl ParkAudit {
                 "{id} polled at {now}, off its chain"
             );
         }
+        if let WhiskEvent::TimeoutScan = ev {
+            self.scanned = now;
+        }
     }
 
-    /// (a) and (b), after every step.
+    /// (a) and (b), after every step; and (d): the controller holds the
+    /// record of exactly the activations whose deadline no scan has
+    /// passed — ids in a row, so nothing before, between or after.
     fn check(&self, sys: &WhiskSys, now: SimTime) {
         for (id, n) in &self.outstanding {
             assert!((0..=1).contains(n), "{id}: {n} polls outstanding at {now}");
@@ -726,21 +847,30 @@ impl ParkAudit {
                 );
             }
         }
+        for (k, (act, deadline)) in self.deadlines.iter().enumerate() {
+            assert_eq!(*act, ActivationId(k as u64), "ids are handed out in a row");
+            let live = sys.record(*act).is_some();
+            assert_eq!(
+                live,
+                *deadline > self.scanned,
+                "{act} (deadline {deadline}) live = {live} at {now}, last scan {}",
+                self.scanned
+            );
+        }
+        let next = ActivationId(self.deadlines.len() as u64);
+        assert!(sys.record(next).is_none(), "{next} was never accepted");
     }
 }
 
-fn run_park_audit(mode: DynamicsMode, steps: Vec<(u64, ParkOp)>) {
-    let cfg = WhiskConfig {
-        mode,
-        ..WhiskConfig::default()
-    };
+/// The audit under `cfg`, over six functions that alternately sleep
+/// `exec_ms[0]` and `exec_ms[1]`.
+fn run_park_audit(cfg: WhiskConfig, exec_ms: [u64; 2], steps: Vec<(u64, ParkOp)>) {
     let mut h = Harness::new(cfg.clone());
     let fns: Vec<FunctionId> = (0..6)
         .map(|i| {
-            // Slow enough that drains catch running executions.
             h.sys.register_function(FunctionSpec::sleep(
                 &format!("f{i}"),
-                SimDuration::from_millis(100 + 700 * (i % 2)),
+                SimDuration::from_millis(exec_ms[i % 2]),
             ))
         })
         .collect();
@@ -748,6 +878,8 @@ fn run_park_audit(mode: DynamicsMode, steps: Vec<(u64, ParkOp)>) {
         cfg,
         outstanding: BTreeMap::new(),
         chains: BTreeMap::new(),
+        deadlines: Vec::new(),
+        scanned: SimTime::ZERO,
     };
     let mut keys: Vec<u64> = Vec::new();
     let mut accepted = 0usize;
@@ -781,7 +913,10 @@ fn run_park_audit(mode: DynamicsMode, steps: Vec<(u64, ParkOp)>) {
         match op {
             ParkOp::Invoke { f } => {
                 let r = h.sys.invoke(t, fns[f], &mut out, &mut local);
-                accepted += matches!(r, InvokeResult::Accepted(_)) as usize;
+                if let InvokeResult::Accepted(act) = r {
+                    accepted += 1;
+                    audit.deadlines.push((act, t + audit.cfg.deadline));
+                }
             }
             ParkOp::Start => audit.start(&mut h.sys, t, &mut keys, &mut out, &mut local),
             ParkOp::Sigterm { pick } if !keys.is_empty() => {
@@ -814,22 +949,36 @@ fn run_park_audit(mode: DynamicsMode, steps: Vec<(u64, ParkOp)>) {
     }
     drain_to(&mut h, &mut audit, t + SimDuration::from_secs(180));
     assert_eq!(h.outcomes().len(), accepted, "an accepted request was lost");
+    let answered: std::collections::BTreeSet<ActivationId> = h
+        .notes
+        .iter()
+        .filter_map(|(_, n)| match n {
+            WhiskNote::ActivationDone { act, .. } => Some(*act),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(answered.len(), accepted, "an activation was answered twice");
     assert_eq!(h.sys.fast_lane_depth(), 0);
     // Quiescence: every loop is parked, no scan armed — nothing queued.
     assert_eq!(h.engine.pending(), 0, "events left with no work to do");
 }
+
+/// Execution times (ms) long enough that drains catch running
+/// executions, and far below the 60 s deadline.
+const DRAINS_CATCH_EXECUTIONS: [u64; 2] = [100, 800];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Random interleavings of client and lifecycle calls with event
     /// dispatch: no lost wake-up, at most one poll outstanding per
-    /// invoker, every poll on its invoker's recomputed chain.
+    /// invoker, every poll on its invoker's recomputed chain, and the
+    /// live record window exactly the ids with a pending deadline.
     #[test]
     fn prop_parked_loops_never_sleep_on_work(
         steps in proptest::collection::vec(park_op_strategy(), 1..120),
     ) {
-        run_park_audit(DynamicsMode::HpcWhisk, steps);
+        run_park_audit(WhiskConfig::default(), DRAINS_CATCH_EXECUTIONS, steps);
     }
 
     /// The same under stock-OpenWhisk dynamics (SIGTERM ignored, a
@@ -838,6 +987,32 @@ proptest! {
     fn prop_parked_loops_never_sleep_on_work_baseline(
         steps in proptest::collection::vec(park_op_strategy(), 1..120),
     ) {
-        run_park_audit(DynamicsMode::Baseline, steps);
+        let cfg = WhiskConfig {
+            mode: DynamicsMode::Baseline,
+            ..WhiskConfig::default()
+        };
+        run_park_audit(cfg, DRAINS_CATCH_EXECUTIONS, steps);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The same audit with a 3 s deadline under executions of 0.4 s and
+    /// 6 s: records are retired while their activation still waits in a
+    /// topic, the fast lane or a buffer, boots a container or executes,
+    /// so late `ColdStartDone`s and `ExecDone`s, drains over retired
+    /// executions and fetches of retired messages all happen — and
+    /// every accepted request is still answered exactly once, with the
+    /// live window exactly the ids with a pending deadline.
+    #[test]
+    fn prop_retired_records_answer_once_and_leave_nothing_behind(
+        steps in proptest::collection::vec(park_op_strategy(), 1..120),
+    ) {
+        let cfg = WhiskConfig {
+            deadline: SimDuration::from_secs(3),
+            ..WhiskConfig::default()
+        };
+        run_park_audit(cfg, [400, 6_000], steps);
     }
 }
