@@ -34,7 +34,7 @@ use gateway::{
     Gateway, GatewayConfig, HarnessConfig, LeaseEvent, LeaseEventKind, LeasePlan, LeaseStats,
     LoadReport,
 };
-use hpcwhisk_bench::{arg_value, quick_mode, section};
+use hpcwhisk_bench::{arg_value, gateway_exposition, quick_mode, section};
 use hpcwhisk_core::{DesLeaseSource, DesSourceCfg, SizerCfg};
 use simcore::SimDuration;
 use std::time::{Duration, Instant};
@@ -266,12 +266,7 @@ fn feedback_leg(sc: &Scenario, arrivals: &[Arrival]) -> (LoadReport, LeaseStats,
 
     // Scrape both planes while they are still alive: the gateway's
     // serving-plane families plus the pilot-plane families.
-    let mut exposition = String::new();
-    if let Some(t) = gw.telemetry() {
-        exposition.push_str(&metrics::telemetry::render_prometheus(
-            &t.registry().snapshot(),
-        ));
-    }
+    let mut exposition = gateway_exposition(&gw);
     exposition.push_str(&metrics::telemetry::render_prometheus(&snap));
     assert_eq!(gw.shutdown(), 0, "requests stranded at shutdown");
     (report, stats, leased, exposition)

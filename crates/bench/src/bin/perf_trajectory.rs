@@ -29,7 +29,7 @@ use cluster::{
 };
 use gateway::{
     run_load, run_load_with_controller, ActionSpec, CapacityController, ControllerConfig, Gateway,
-    GatewayConfig, HarnessConfig, LeaseEvent, LeaseEventKind, LeasePlan,
+    GatewayConfig, HarnessConfig,
 };
 use hpcwhisk_core::offline::{simulate, OfflineConfig};
 use hpcwhisk_core::{
@@ -179,136 +179,46 @@ fn probe<I, O>(
 /// are spelled to match, so keep them in sync if this ever changes.
 const GATEWAY_PROBE_INVOKERS: usize = 8;
 
-/// One serving-plane measurement: drive a live gateway flat out with
-/// SeBS no-op actions through the closed-loop harness and report the
-/// best sustained throughput (ns/op) plus that run's latency quantiles
-/// — throughput probes want the least-disturbed run of `samples`.
-fn gateway_run(
-    samples: usize,
-    drain_batch: usize,
-    submit_batch: usize,
-    telemetry: bool,
-    submitters: usize,
-) -> (f64, f64, f64) {
+/// The gateway probes' plane: default config, 16 SeBS no-op actions.
+fn probe_gateway() -> Gateway {
+    let actions = (0..16).map(|i| ActionSpec::noop(&format!("fn-{i}")));
+    Gateway::new(GatewayConfig::default(), actions.collect())
+}
+
+/// One serving-plane measurement: drive a live gateway (default
+/// config, 8 invokers) flat out with SeBS no-op actions through the
+/// closed-loop harness at `submitters` parallel submitters and report
+/// the best sustained throughput (ns/op) — throughput probes want the
+/// least-disturbed run of `samples`.
+fn gateway_run(samples: usize, submitters: usize) -> f64 {
     let mut best_ns = f64::MAX;
-    let mut best_p50 = f64::MAX;
-    let mut best_p99 = f64::MAX;
     for _ in 0..samples {
-        let gw = Gateway::new(
-            GatewayConfig {
-                drain_batch,
-                telemetry,
-                ..Default::default()
-            },
-            (0..16)
-                .map(|i| ActionSpec::noop(&format!("fn-{i}")))
-                .collect(),
-        );
+        let gw = probe_gateway();
         for _ in 0..GATEWAY_PROBE_INVOKERS {
             gw.start_invoker();
         }
         let arrivals = PoissonLoadGen::new(1_000.0, 16).arrivals(SimDuration::from_secs(200), 42);
-        let mut report = run_load(
+        let report = run_load(
             &gw,
             &arrivals,
             &HarnessConfig {
                 speedup: 0.0, // flat out: measure the plane, not the schedule
                 max_inflight: 1_024,
-                submit_batch,
                 submitters,
                 ..Default::default()
             },
         );
         assert_eq!(report.lost(), 0, "throughput probe must be lossless");
-        let ns = 1e9 / report.throughput;
-        if ns < best_ns {
-            best_ns = ns;
-            best_p50 = report.latency_quantile(0.5) * 1e9;
-            best_p99 = report.latency_quantile(0.99) * 1e9;
-        }
+        best_ns = best_ns.min(1e9 / report.throughput);
         gw.shutdown();
     }
-    (best_ns, best_p50, best_p99)
-}
-
-/// One churn measurement: the same flat-out drive as
-/// [`gateway_run`], but while a [`CapacityController`] replays a
-/// grant+revoke wave — 8 base leases, 4 more granted mid-run, the 4
-/// original leases revoked shortly after — so the probe pays for real
-/// router epoch swaps, fast-lane handoffs and completion-shard churn.
-/// Returns (ns/op, p99 ns) of the best run; every run must be lossless.
-fn gateway_churn_run(samples: usize) -> (f64, f64) {
-    let mut best_ns = f64::MAX;
-    let mut best_p99 = f64::MAX;
-    // Generated once, and before any controller epoch is taken: arrival
-    // generation must never eat into the wave's 30/60 ms schedule.
-    let arrivals = PoissonLoadGen::new(1_000.0, 16).arrivals(SimDuration::from_secs(400), 42);
-    for _ in 0..samples {
-        let gw = Gateway::new(
-            GatewayConfig::default(),
-            (0..16)
-                .map(|i| ActionSpec::noop(&format!("fn-{i}")))
-                .collect(),
-        );
-        let far = std::time::Duration::from_secs(100);
-        let at = |ms: u64| std::time::Duration::from_millis(ms);
-        let mut events: Vec<LeaseEvent> = (0..GATEWAY_PROBE_INVOKERS as u32)
-            .map(|node| LeaseEvent {
-                at: at(0),
-                node,
-                kind: LeaseEventKind::Grant { deadline: far },
-            })
-            .collect();
-        // The wave: four extra grants at 30 ms, the original four of
-        // the base eight revoked at 60 ms (ending at 8 invokers). Early
-        // enough that the wave lands inside the run even on a machine
-        // several times faster than this one.
-        for i in 0..4u32 {
-            events.push(LeaseEvent {
-                at: at(30),
-                node: GATEWAY_PROBE_INVOKERS as u32 + i,
-                kind: LeaseEventKind::Grant { deadline: far },
-            });
-            events.push(LeaseEvent {
-                at: at(60),
-                node: i,
-                kind: LeaseEventKind::Revoke,
-            });
-        }
-        events.sort_by_key(|e| e.at);
-        let plan = LeasePlan {
-            events,
-            horizon: far,
-            capped_grants: 0,
-            floor: 0,
-        };
-        let ctl = CapacityController::new(&gw, plan, ControllerConfig::default(), Instant::now());
-        let (mut report, stats) = run_load_with_controller(
-            &gw,
-            ctl,
-            &arrivals,
-            &HarnessConfig {
-                speedup: 0.0,
-                max_inflight: 1_024,
-                ..Default::default()
-            },
-        );
-        assert!(stats.revokes >= 1, "the wave must land inside the run");
-        assert_eq!(report.lost(), 0, "churn probe must be lossless");
-        let ns = 1e9 / report.throughput;
-        if ns < best_ns {
-            best_ns = ns;
-            best_p99 = report.latency_quantile(0.99) * 1e9;
-        }
-        gw.shutdown();
-    }
-    (best_ns, best_p99)
+    best_ns
 }
 
 /// One closed-loop measurement: the same flat-out drive as
-/// [`gateway_churn_run`], but the capacity controller runs a live
-/// [`DesLeaseSource`] instead of a compiled plan — the 8 base invokers
-/// are the source's pinned floor, the cluster DES steps to the wall
+/// [`gateway_run`], but under a capacity controller running a live
+/// [`DesLeaseSource`] — the 8 base invokers are the source's pinned
+/// floor, the cluster DES steps to the wall
 /// clock in the background, feedback windows flow every 20 ms, and the
 /// pilots the load-sized manager places churn grants/revokes on top.
 /// What's measured is the serving plane's throughput while paying for
@@ -317,12 +227,7 @@ fn gateway_closed_loop_run(samples: usize, submitters: usize) -> f64 {
     let mut best_ns = f64::MAX;
     let arrivals = PoissonLoadGen::new(1_000.0, 16).arrivals(SimDuration::from_secs(400), 42);
     for _ in 0..samples {
-        let gw = Gateway::new(
-            GatewayConfig::default(),
-            (0..16)
-                .map(|i| ActionSpec::noop(&format!("fn-{i}")))
-                .collect(),
-        );
+        let gw = probe_gateway();
         let src = DesLeaseSource::new(DesSourceCfg {
             n_nodes: 8,
             seed: 7,
@@ -375,93 +280,36 @@ fn gateway_closed_loop_run(samples: usize, submitters: usize) -> f64 {
     best_ns
 }
 
-/// The serving-plane probes: the historical unbatched shape (drain and
-/// submit batch 1 — comparable across PRs to the pre-batching
-/// baseline), the batched hot path bare *and* instrumented (telemetry
-/// registry on — the configuration the plane actually ships with), and
-/// the batched hot path under a lease grant+revoke wave (the elasticity
-/// baseline). The bare probes keep telemetry off so their trajectory
-/// stays comparable to the pre-telemetry baseline.
-///
-/// Returns the (bare, instrumented) batched ns/op pair for the
-/// telemetry-overhead gate. Under `--check` the pair comes from
-/// min-of-`samples` **paired** runs — bare and instrumented alternating
-/// back to back, so both minima see the same ambient noise and the ≤2%
-/// overhead bound gates stably on a shared box.
-fn gateway_probes(samples: usize, probes: &mut Vec<Probe>) -> (f64, f64) {
-    let drain_batch = GatewayConfig::default().drain_batch;
-    let submit_batch = HarnessConfig::default().submit_batch;
-    let (ns, p50, p99) = gateway_run(samples, 1, 1, false, 1);
-    let (batched_ns, instrumented_ns) = if CHECK_MODE.load(std::sync::atomic::Ordering::Relaxed) {
-        let mut bare = f64::MAX;
-        let mut inst = f64::MAX;
-        for _ in 0..samples {
-            bare = bare.min(gateway_run(1, drain_batch, submit_batch, false, 1).0);
-            inst = inst.min(gateway_run(1, drain_batch, submit_batch, true, 1).0);
-        }
-        (bare, inst)
-    } else {
-        (
-            gateway_run(samples, drain_batch, submit_batch, false, 1).0,
-            gateway_run(samples, drain_batch, submit_batch, true, 1).0,
-        )
-    };
-    let (churn_ns, churn_p99) = gateway_churn_run(samples);
-    let closed_loop_ns = gateway_closed_loop_run(samples, 1);
-    for (name, ns) in [
-        ("gateway/throughput_8inv_noop", ns),
-        ("gateway/latency_p50_8inv_noop", p50),
-        ("gateway/latency_p99_8inv_noop", p99),
-        ("gateway/throughput_batched_8inv_noop", batched_ns),
-        (
-            "gateway/throughput_batched_8inv_noop_instrumented",
-            instrumented_ns,
-        ),
-        ("gateway/throughput_churn_8inv_noop", churn_ns),
-        ("gateway/latency_p99_churn_8inv_noop", churn_p99),
-        ("gateway/throughput_closed_loop_8inv_noop", closed_loop_ns),
-    ] {
-        eprintln!("{name:<36} {:>12.0} ns/op  ({:>10.1} ops/s)", ns, 1e9 / ns);
-        probes.push(Probe {
-            name,
-            ns_per_op: ns,
-        });
-    }
-    (batched_ns, instrumented_ns)
-}
-
+/// The serving-plane probes the repo benchmark has no workload for.
 /// The gateway cores→ops/s curve (ISSUE 9): the batched flat-out shape
 /// at 1, 2 and 4 parallel submitters (the submit-bound contention
 /// probe — admission CAS lines, router shards and queue locks under
-/// real multi-thread pressure), plus the closed-loop DES-fed shape at 2
-/// submitters (both submitters also collect, so the claim-swept shard
-/// table runs contended). Each probe is gated on its **own** name, so
-/// `--filter gateway/throughput_batched_8inv_noop_` runs exactly the
-/// curve without the rest of the gateway family. On a single-CPU runner
-/// the curve is flat (the threads time-share one core); the point of
-/// tracking it is the trajectory on wider machines and catching
-/// contention regressions that make N submitters *slower* than one.
-fn gateway_submitter_probes(samples: usize, probes: &mut Vec<Probe>, filter: &Option<String>) {
-    let drain_batch = GatewayConfig::default().drain_batch;
-    let submit_batch = HarnessConfig::default().submit_batch;
-    for (n_sub, name) in [
-        (1usize, "gateway/throughput_batched_8inv_noop_1sub"),
-        (2, "gateway/throughput_batched_8inv_noop_2sub"),
-        (4, "gateway/throughput_batched_8inv_noop_4sub"),
+/// real multi-thread pressure), and the closed-loop DES-fed shape at 1
+/// and 2 submitters (at 2 both submitters also collect, so the
+/// claim-swept shard table runs contended). Each probe is gated on its
+/// **own** name, so `--filter gateway/throughput_batched_8inv_noop_`
+/// runs exactly the curve. On a single-CPU runner the curve is flat
+/// (the threads time-share one core); the point of tracking it is the
+/// trajectory on wider machines and catching contention regressions
+/// that make N submitters *slower* than one. Latency at a stated load,
+/// saturation throughput and serving through lease churn are the
+/// benchmark's `gw_open_noop`, `gw_saturate_noop` and `gw_churn_sleep`.
+fn gateway_probes(samples: usize, probes: &mut Vec<Probe>, filter: &Option<String>) {
+    for (closed_loop, n_sub, name) in [
+        (false, 1usize, "gateway/throughput_batched_8inv_noop_1sub"),
+        (false, 2, "gateway/throughput_batched_8inv_noop_2sub"),
+        (false, 4, "gateway/throughput_batched_8inv_noop_4sub"),
+        (true, 1, "gateway/throughput_closed_loop_8inv_noop"),
+        (true, 2, "gateway/throughput_closed_loop_8inv_noop_2sub"),
     ] {
         if !want(filter, name) {
             continue;
         }
-        let ns = gateway_run(samples, drain_batch, submit_batch, false, n_sub).0;
-        eprintln!("{name:<36} {:>12.0} ns/op  ({:>10.1} ops/s)", ns, 1e9 / ns);
-        probes.push(Probe {
-            name,
-            ns_per_op: ns,
-        });
-    }
-    let name = "gateway/throughput_closed_loop_8inv_noop_2sub";
-    if want(filter, name) {
-        let ns = gateway_closed_loop_run(samples, 2);
+        let ns = if closed_loop {
+            gateway_closed_loop_run(samples, n_sub)
+        } else {
+            gateway_run(samples, n_sub)
+        };
         eprintln!("{name:<36} {:>12.0} ns/op  ({:>10.1} ops/s)", ns, 1e9 / ns);
         probes.push(Probe {
             name,
@@ -850,11 +698,7 @@ fn main() {
             |_: &mut ()| simulate(&week, &OfflineConfig::table1(lengths::A1.to_vec())).n_jobs,
         ));
     }
-    let mut telem_pair: Option<(f64, f64)> = None;
-    if want(&filter, "gateway/") {
-        telem_pair = Some(gateway_probes(5, &mut probes));
-    }
-    gateway_submitter_probes(5, &mut probes, &filter);
+    gateway_probes(5, &mut probes, &filter);
     scaling_probes(3, &mut probes, &filter);
 
     if probes.is_empty() {
@@ -889,13 +733,8 @@ fn main() {
                         p.name, old, p.ns_per_op, ratio
                     );
                     // The CI gate: >25% slower than the checked-in
-                    // trajectory fails the run. Latency-quantile probes
-                    // are exempt: a p99 is a single tail observation
-                    // from the best-throughput run, and swings several
-                    // x between idle-box runs — it is trajectory data,
-                    // not a gateable contract (the throughput minima
-                    // gate the same code paths stably).
-                    if p.ns_per_op > old * 1.25 && !p.name.contains("/latency_") {
+                    // trajectory fails the run.
+                    if p.ns_per_op > old * 1.25 {
                         regressions.push((p.name, *old, p.ns_per_op));
                     }
                 }
@@ -906,19 +745,6 @@ fn main() {
         }
     }
     if check {
-        // The telemetry budget: the instrumented batched hot path must
-        // stay within 2% of the bare one (paired minima, see
-        // `gateway_probes`).
-        if let Some((bare, inst)) = telem_pair {
-            let overhead = (inst / bare - 1.0) * 100.0;
-            eprintln!("\ntelemetry overhead, batched hot path (paired minima): {overhead:+.2}%");
-            if inst > bare * 1.02 {
-                eprintln!(
-                    "telemetry overhead gate failed: instrumented {inst:.0} ns/op vs bare {bare:.0} ns/op (>2%)"
-                );
-                std::process::exit(1);
-            }
-        }
         if !regressions.is_empty() {
             eprintln!("\n{} probe(s) regressed >25%:", regressions.len());
             for (name, old, new) in &regressions {
@@ -940,7 +766,7 @@ mod tests {
     fn checked_in_trajectory_is_strict_json() {
         let text = include_str!("../../../../BENCH_results.json");
         let probes = parse_trajectory(text).expect("BENCH_results.json parses strictly");
-        assert!(probes.len() >= 20, "only {} probes", probes.len());
+        assert!(probes.len() >= 19, "only {} probes", probes.len());
         assert!(probes.iter().all(|(_, ns)| ns.is_finite() && *ns > 0.0));
     }
 

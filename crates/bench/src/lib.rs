@@ -71,6 +71,12 @@ pub fn arg_value(flag: &str) -> Option<String> {
     None
 }
 
+/// One scrape of the gateway's registry as Prometheus text.
+pub fn gateway_exposition(gw: &gateway::Gateway) -> String {
+    let telem = gw.telemetry().expect("a gateway always keeps books");
+    metrics::telemetry::render_prometheus(&telem.registry().snapshot())
+}
+
 /// Honor `--metrics-out <path>`: scrape the gateway's telemetry
 /// registry and write the Prometheus text exposition to the path.
 /// No-op when the flag is absent; call before `shutdown` teardown while
@@ -79,11 +85,7 @@ pub fn write_metrics_out(gw: &gateway::Gateway) {
     let Some(path) = arg_value("--metrics-out") else {
         return;
     };
-    let Some(telem) = gw.telemetry() else {
-        eprintln!("--metrics-out: gateway telemetry is disabled; nothing to write");
-        return;
-    };
-    let text = metrics::telemetry::render_prometheus(&telem.registry().snapshot());
+    let text = gateway_exposition(gw);
     std::fs::write(&path, text).unwrap_or_else(|e| panic!("--metrics-out {path}: {e}"));
     println!("metrics exposition written to {path}");
 }

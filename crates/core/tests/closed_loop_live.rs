@@ -167,11 +167,11 @@ fn stepped_cycle_conserves_leases_and_sizes_to_load() {
     // survives to the end, so the drain guarantee applies).
     assert!(accepted > 0, "the load phase admitted traffic");
     let deadline = Instant::now() + Duration::from_secs(10);
-    while gw.counters().outstanding() > 0 && Instant::now() < deadline {
+    while gw.totals().outstanding() > 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
     assert_eq!(
-        gw.counters().outstanding(),
+        gw.totals().outstanding(),
         0,
         "all accepted requests completed ({submitted} submitted)"
     );

@@ -175,7 +175,7 @@ impl<'g> CapacityController<'g> {
         self.active.iter().filter(|l| !l.draining).count()
     }
 
-    /// Counters so far.
+    /// Lease statistics so far.
     pub fn stats(&self) -> LeaseStats {
         self.stats
     }
@@ -194,13 +194,9 @@ impl<'g> CapacityController<'g> {
     /// Diff the gateway's cumulative request counters since the last
     /// window into a [`LoadFeedback`].
     fn collect_feedback(&mut self, offset: Duration) -> LoadFeedback {
-        // The plain counters are the registry families' own source (the
-        // telemetry vecs mirror them), so one read serves both the
-        // instrumented and the bare plane.
-        let c = self.gw.counters();
-        let accepted = c.accepted.load(Ordering::Relaxed);
+        let c = self.gw.totals();
         let sheds = c.shed_total();
-        let arrivals = accepted + sheds;
+        let arrivals = c.accepted + sheds;
         let fb = LoadFeedback {
             window: offset.saturating_sub(self.last_feedback),
             arrivals: arrivals.saturating_sub(self.prev_arrivals),
@@ -403,8 +399,8 @@ impl<'g> CapacityController<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::action::{ActionId, ActionSpec};
-    use crate::gateway::GatewayConfig;
+    use crate::action::{ActionBody, ActionId, ActionSpec};
+    use crate::gateway::{GatewayConfig, Shed};
     use crate::lease::LeasePlan;
 
     fn ms(n: u64) -> Duration {
@@ -698,5 +694,56 @@ mod tests {
         let s = ctl.stats();
         assert_eq!(s.feedbacks, 2);
         ctl.finish();
+    }
+
+    #[test]
+    fn feedback_reads_window_deltas_off_the_ledger() {
+        // One invoker on 2 ms bodies behind a queue bound of 4: a burst
+        // admits a handful and sheds the rest `QueueFull`.
+        let gw = Gateway::new(
+            GatewayConfig {
+                queue_capacity: 4,
+                ..Default::default()
+            },
+            vec![ActionSpec::noop("f").with_body(ActionBody::Sleep(ms(2)))],
+        );
+        gw.start_invoker();
+        let mut ctl = CapacityController::new(
+            &gw,
+            plan(vec![]),
+            ControllerConfig::default(),
+            Instant::now(),
+        );
+        let burst = |n: u64| {
+            let shed = |i: &u64| match gw.invoke(ActionId(0), *i) {
+                Ok(_) => false,
+                Err(Shed::QueueFull) => true,
+                Err(other) => panic!("unexpected shed {other:?}"),
+            };
+            (0..n).filter(shed).count() as u64
+        };
+        let collect = |n: u64| {
+            for _ in 0..n {
+                gw.recv_timeout(Duration::from_secs(10))
+                    .expect("completion");
+            }
+        };
+        let shed1 = burst(32);
+        assert!(shed1 > 0 && shed1 < 32, "shed {shed1} of 32");
+        let fb1 = ctl.collect_feedback(ms(10));
+        assert_eq!((fb1.window, fb1.arrivals, fb1.sheds), (ms(10), 32, shed1));
+        assert!(fb1.outstanding <= 32 - shed1);
+        collect(32 - shed1);
+        // The second window reports its own burst, not the running sum,
+        // and nothing is outstanding once everything is collected.
+        let shed2 = burst(12);
+        collect(12 - shed2);
+        let fb2 = ctl.collect_feedback(ms(30));
+        assert_eq!(
+            (fb2.window, fb2.arrivals, fb2.sheds, fb2.outstanding),
+            (ms(20), 12, shed2, 0)
+        );
+        ctl.finish();
+        assert_eq!(gw.shutdown(), 0);
     }
 }

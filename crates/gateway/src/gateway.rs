@@ -36,7 +36,7 @@ use crate::pool::{Placement, PoolStats, WarmPool};
 use crate::queue::{Envelope, Produce, ProduceBatch, Request, WorkQueue};
 use crate::ring::RingQueue;
 use crate::route::{mix64, Router};
-use crate::telem::{BurstCounts, GatewayTelemetry, SlotTelem};
+use crate::telem::{BurstCounts, GatewayTelemetry, SlotTelem, Totals};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -103,51 +103,6 @@ pub struct Completion {
     pub total: Duration,
 }
 
-/// Gateway-wide counters (all monotonic).
-#[derive(Debug, Default)]
-pub struct Counters {
-    /// Requests admitted (each completes exactly once as long as an
-    /// invoker survives to serve it).
-    pub accepted: AtomicU64,
-    /// Sheds: no routable invoker.
-    pub shed_no_invoker: AtomicU64,
-    /// Sheds: home queue at capacity.
-    pub shed_queue_full: AtomicU64,
-    /// Sheds: action at its in-flight cap.
-    pub shed_action_saturated: AtomicU64,
-    /// Sheds: token-bucket delay budget exhausted.
-    pub shed_delay_budget: AtomicU64,
-    /// Admissions the shaper charged a nonzero virtual delay (a subset
-    /// of `accepted` — the typed middle ground between admit and shed).
-    pub delayed: AtomicU64,
-    /// Requests executed.
-    pub completed: AtomicU64,
-    /// Envelopes that took the fast-lane hop during a drain (flushed by
-    /// the invoker or rerouted by a racing producer).
-    pub fastlane_moves: AtomicU64,
-}
-
-impl Counters {
-    /// Total sheds across all reasons.
-    pub fn shed_total(&self) -> u64 {
-        self.shed_no_invoker.load(Ordering::Relaxed)
-            + self.shed_queue_full.load(Ordering::Relaxed)
-            + self.shed_action_saturated.load(Ordering::Relaxed)
-            + self.shed_delay_budget.load(Ordering::Relaxed)
-    }
-
-    /// Accepted minus completed — in-flight while running, lost only if
-    /// the plane shut down with requests stranded. Saturating: a reader
-    /// can catch `completed` momentarily ahead of `accepted` (the
-    /// producer bumps `accepted` after the enqueue, and a fast invoker
-    /// can execute and count the request in between).
-    pub fn outstanding(&self) -> u64 {
-        self.accepted
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.completed.load(Ordering::Relaxed))
-    }
-}
-
 /// Tuning knobs of the serving plane.
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
@@ -172,12 +127,6 @@ pub struct GatewayConfig {
     /// behaviour) or a capacity-tracking token bucket that degrades
     /// through a bounded delay before shedding.
     pub admission: AdmissionPolicy,
-    /// Register and maintain the telemetry plane
-    /// ([`GatewayTelemetry`]): per-action request counters, merged
-    /// latency histograms, lease/pool/queue families. Costs one relaxed
-    /// atomic (or single-writer load+store) plus one array index per
-    /// event; the bare leg of the overhead probe turns it off.
-    pub telemetry: bool,
 }
 
 impl Default for GatewayConfig {
@@ -190,7 +139,6 @@ impl Default for GatewayConfig {
             sweep_every_ops: 1_024,
             drain_batch: 32,
             admission: AdmissionPolicy::HardShed,
-            telemetry: true,
         }
     }
 }
@@ -621,7 +569,6 @@ pub struct Gateway {
     /// [`try_recv`]: Gateway::try_recv
     spill: Mutex<VecDeque<Completion>>,
     spill_len: AtomicUsize,
-    counters: Arc<Counters>,
     /// The token-bucket admission shaper (inert under `HardShed`);
     /// capacity is re-fed on every router rebuild.
     shaper: AdmissionShaper,
@@ -632,9 +579,11 @@ pub struct Gateway {
     next_invoker: AtomicU64,
     /// Pool stats of reaped invokers, folded in at join time.
     retired_pools: Mutex<PoolStats>,
-    /// The metric families of this plane (None with
-    /// `cfg.telemetry == false` — the bare probe leg).
-    telem: Option<Arc<GatewayTelemetry>>,
+    /// The plane's only ledger: every request outcome, lease
+    /// transition, pool event and queue high-water is counted here and
+    /// nowhere else ([`Gateway::totals`] and the exposition both read
+    /// it).
+    pub(crate) telem: Arc<GatewayTelemetry>,
 }
 
 impl Gateway {
@@ -645,24 +594,20 @@ impl Gateway {
         let ring_full = Arc::new(Counter::new());
         let action_names: Vec<String> = actions.iter().map(|a| a.name.clone()).collect();
         let actions = ActionRegistry::new(actions);
-        let telem = cfg.telemetry.then(|| {
-            let t = Arc::new(GatewayTelemetry::new(action_names));
-            t.register_shaper(shaper.charged_counter());
-            t.register_contention(
-                shaper.cas_retry_counter(),
-                ring_full.clone(),
-                actions.clone(),
-            );
-            t
-        });
-        let fast = match &telem {
-            // The fast lane reports its high-water under the shared
-            // gauge; tag u64::MAX marks it in flight-recorder events.
-            Some(t) => {
-                WorkQueue::with_telem(t.queue_highwater.clone(), t.queue_wakes.clone(), u64::MAX)
-            }
-            None => WorkQueue::new(),
-        };
+        let telem = Arc::new(GatewayTelemetry::new(action_names));
+        telem.register_shaper(shaper.charged_counter());
+        telem.register_contention(
+            shaper.cas_retry_counter(),
+            ring_full.clone(),
+            actions.clone(),
+        );
+        // The fast lane reports its high-water under the shared gauge;
+        // tag u64::MAX marks it in flight-recorder events.
+        let fast = WorkQueue::with_telem(
+            telem.queue_highwater.clone(),
+            telem.queue_wakes.clone(),
+            u64::MAX,
+        );
         Gateway {
             cfg,
             actions,
@@ -675,7 +620,6 @@ impl Gateway {
             next_collector: AtomicU32::new(2),
             spill: Mutex::new(VecDeque::new()),
             spill_len: AtomicUsize::new(0),
-            counters: Arc::new(Counters::default()),
             shaper,
             ring_full,
             next_request: AtomicU64::new(0),
@@ -685,19 +629,22 @@ impl Gateway {
         }
     }
 
-    /// The telemetry plane, when enabled ([`GatewayConfig::telemetry`]).
+    /// The telemetry plane. Always `Some`: the `Option` survives only
+    /// because the benchmark package, which this crate may not edit,
+    /// unwraps it.
     pub fn telemetry(&self) -> Option<&Arc<GatewayTelemetry>> {
-        self.telem.as_ref()
+        Some(&self.telem)
+    }
+
+    /// The request ledger as plain values, read straight off the
+    /// telemetry atomics (no registry snapshot).
+    pub fn totals(&self) -> Totals {
+        self.telem.totals()
     }
 
     /// The action catalogue.
     pub fn actions(&self) -> &ActionRegistry {
         &self.actions
-    }
-
-    /// Gateway-wide counters.
-    pub fn counters(&self) -> &Counters {
-        &self.counters
     }
 
     /// Routing-table epoch (bumps on membership change).
@@ -737,16 +684,13 @@ impl Gateway {
     pub fn start_invoker(&self) -> InvokerToken {
         let id = self.next_invoker.fetch_add(1, Ordering::Relaxed);
         let cap = self.cfg.queue_capacity;
-        let queue = match &self.telem {
-            Some(t) => RingQueue::with_telem(
-                cap,
-                t.queue_highwater.clone(),
-                t.queue_wakes.clone(),
-                self.ring_full.clone(),
-                id,
-            ),
-            None => RingQueue::new(cap),
-        };
+        let queue = RingQueue::with_telem(
+            cap,
+            self.telem.queue_highwater.clone(),
+            self.telem.queue_wakes.clone(),
+            self.ring_full.clone(),
+            id,
+        );
         let handle = Arc::new(InvokerHandle {
             id,
             state: AtomicU8::new(STATE_HEALTHY),
@@ -778,10 +722,8 @@ impl Gateway {
         // A lease granted: the invoker lifecycle *is* the lease
         // lifecycle, so grants − revokes = live leases by construction
         // no matter which driver (controller, test, bin) starts it.
-        if let Some(t) = &self.telem {
-            t.lease_grants.inc();
-            t.leases_live.add(1);
-        }
+        self.telem.lease_grants.inc();
+        self.telem.leases_live.add(1);
         flight::record(EventKind::LeaseGrant, id, 0);
         let worker = InvokerCtx {
             handle,
@@ -789,8 +731,8 @@ impl Gateway {
             completions: shard,
             gate: self.gate.clone(),
             actions: self.actions.clone(),
-            counters: self.counters.clone(),
-            telem: self.telem.as_ref().map(|t| (t.clone(), t.new_slot())),
+            telem: self.telem.clone(),
+            slot: self.telem.new_slot(),
             pool_slots: self.cfg.pool_slots,
             park: self.cfg.park,
             sweep_every_ops: self.cfg.sweep_every_ops,
@@ -945,11 +887,7 @@ impl Gateway {
             n += shard.drain_into(out);
             shard.release_claim();
         }
-        if skipped > 0 {
-            if let Some(t) = &self.telem {
-                t.collect_claim_skips.add(skipped);
-            }
-        }
+        self.telem.collect_claim_skips.add(skipped);
         n
     }
 
@@ -1032,26 +970,16 @@ impl Gateway {
         key: u64,
         produced_at: Instant,
     ) -> Result<Admit, Shed> {
+        let telem = &*self.telem;
+        let a = action.0 as usize;
         if !self.actions.try_admit(action) {
-            self.counters
-                .shed_action_saturated
-                .fetch_add(1, Ordering::Relaxed);
-            if let Some(t) = &self.telem {
-                t.note_shed(action.0 as usize, Shed::ActionSaturated);
-            }
-            return Err(Shed::ActionSaturated);
+            return Err(telem.note_shed(a, Shed::ActionSaturated));
         }
         let (delay, charged) = match self.shaper.admit(produced_at) {
             Shape::Admit { delay, cost } => (delay, cost),
             Shape::Shed => {
                 self.actions.release(action);
-                self.counters
-                    .shed_delay_budget
-                    .fetch_add(1, Ordering::Relaxed);
-                if let Some(t) = &self.telem {
-                    t.note_shed(action.0 as usize, Shed::DelayBudget);
-                }
-                return Err(Shed::DelayBudget);
+                return Err(telem.note_shed(a, Shed::DelayBudget));
             }
         };
         // Produce under the route shard's read lock (no target clone).
@@ -1071,26 +999,14 @@ impl Gateway {
             // entered a queue.
             self.shaper.refund(charged);
             self.actions.release(action);
-            self.counters
-                .shed_no_invoker
-                .fetch_add(1, Ordering::Relaxed);
-            if let Some(t) = &self.telem {
-                t.note_shed(action.0 as usize, Shed::NoInvoker);
-            }
-            return Err(Shed::NoInvoker);
+            return Err(telem.note_shed(a, Shed::NoInvoker));
         };
         match produced {
             Produce::Ok(_) => {}
             Produce::Full(_) => {
                 self.shaper.refund(charged);
                 self.actions.release(action);
-                self.counters
-                    .shed_queue_full
-                    .fetch_add(1, Ordering::Relaxed);
-                if let Some(t) = &self.telem {
-                    t.note_shed(action.0 as usize, Shed::QueueFull);
-                }
-                return Err(Shed::QueueFull);
+                return Err(telem.note_shed(a, Shed::QueueFull));
             }
             Produce::Closed(req) => {
                 // Stale route: the target started draining after the
@@ -1105,29 +1021,14 @@ impl Gateway {
                 if self.fast.produce_moved(env).is_err() {
                     self.shaper.refund(charged);
                     self.actions.release(action);
-                    self.counters
-                        .shed_no_invoker
-                        .fetch_add(1, Ordering::Relaxed);
-                    if let Some(t) = &self.telem {
-                        t.note_shed(action.0 as usize, Shed::NoInvoker);
-                    }
-                    return Err(Shed::NoInvoker);
+                    return Err(telem.note_shed(a, Shed::NoInvoker));
                 }
-                self.counters.fastlane_moves.fetch_add(1, Ordering::Relaxed);
-                if let Some(t) = &self.telem {
-                    t.fastlane_moves.inc();
-                }
+                telem.fastlane_moves.inc();
             }
         }
-        self.counters.accepted.fetch_add(1, Ordering::Relaxed);
+        telem.accepted.inc(a);
         if !delay.is_zero() {
-            self.counters.delayed.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(t) = &self.telem {
-            t.accepted.inc(action.0 as usize);
-            if !delay.is_zero() {
-                t.delayed.inc(action.0 as usize);
-            }
+            telem.delayed.inc(a);
         }
         Ok(Admit { id, delay })
     }
@@ -1170,45 +1071,26 @@ impl Gateway {
         // outcomes. Accepted telemetry is tallied in plain per-action
         // counts and flushed once per burst (not one atomic per op).
         debug_assert_eq!(scratch.used, 0, "scratch reused before finish");
-        let telem = self.telem.as_deref();
-        if let Some(t) = telem {
-            scratch.counts.ensure(t.n_actions());
-        }
+        let telem = &*self.telem;
+        scratch.counts.ensure(telem.n_actions());
         for (i, &(action, key)) in reqs.iter().enumerate() {
+            let a = action.0 as usize;
             if !self.actions.try_admit(action) {
-                self.counters
-                    .shed_action_saturated
-                    .fetch_add(1, Ordering::Relaxed);
-                if let Some(t) = telem {
-                    t.note_shed(action.0 as usize, Shed::ActionSaturated);
-                }
-                out.push(Err(Shed::ActionSaturated));
+                out.push(Err(telem.note_shed(a, Shed::ActionSaturated)));
                 continue;
             }
             let (delay, charged) = match self.shaper.admit(produced_at) {
                 Shape::Admit { delay, cost } => (delay, cost),
                 Shape::Shed => {
                     self.actions.release(action);
-                    self.counters
-                        .shed_delay_budget
-                        .fetch_add(1, Ordering::Relaxed);
-                    if let Some(t) = telem {
-                        t.note_shed(action.0 as usize, Shed::DelayBudget);
-                    }
-                    out.push(Err(Shed::DelayBudget));
+                    out.push(Err(telem.note_shed(a, Shed::DelayBudget)));
                     continue;
                 }
             };
             let Some(target) = self.router.pick(key) else {
                 self.shaper.refund(charged);
                 self.actions.release(action);
-                self.counters
-                    .shed_no_invoker
-                    .fetch_add(1, Ordering::Relaxed);
-                if let Some(t) = telem {
-                    t.note_shed(action.0 as usize, Shed::NoInvoker);
-                }
-                out.push(Err(Shed::NoInvoker));
+                out.push(Err(telem.note_shed(a, Shed::NoInvoker)));
                 continue;
             };
             let id = self.next_request.fetch_add(1, Ordering::Relaxed);
@@ -1216,14 +1098,11 @@ impl Gateway {
             bucket.reqs.push(Request { id, action, key });
             bucket.idx.push(i);
             bucket.costs.push(charged);
-            if telem.is_some() {
-                scratch.counts.note(action.0 as usize);
-            }
+            scratch.counts.note(a);
             out.push(Ok(Admit { id, delay }));
         }
         // Pass 2: one grouped produce per target; fix up the outcomes
         // of whatever the group could not land.
-        let mut accepted = 0u64;
         let BurstScratch {
             buckets,
             used,
@@ -1233,18 +1112,12 @@ impl Gateway {
             let target = bucket.target.as_ref().expect("used bucket has a target");
             match target.queue.produce_batch(&bucket.reqs, produced_at) {
                 ProduceBatch::Admitted(n) => {
-                    accepted += n as u64;
                     for (&i, &charged) in bucket.idx[n..].iter().zip(&bucket.costs[n..]) {
+                        let action = reqs[i].0;
                         self.shaper.refund(charged);
-                        self.actions.release(reqs[i].0);
-                        self.counters
-                            .shed_queue_full
-                            .fetch_add(1, Ordering::Relaxed);
-                        if let Some(t) = telem {
-                            counts.unnote(reqs[i].0 .0 as usize);
-                            t.note_shed(reqs[i].0 .0 as usize, Shed::QueueFull);
-                        }
-                        out[base + i] = Err(Shed::QueueFull);
+                        self.actions.release(action);
+                        counts.unnote(action.0 as usize);
+                        out[base + i] = Err(telem.note_shed(action.0 as usize, Shed::QueueFull));
                     }
                 }
                 ProduceBatch::Closed => {
@@ -1259,48 +1132,27 @@ impl Gateway {
                             req: *req,
                         };
                         if self.fast.produce_moved(env).is_ok() {
-                            accepted += 1;
-                            self.counters.fastlane_moves.fetch_add(1, Ordering::Relaxed);
-                            if let Some(t) = telem {
-                                t.fastlane_moves.inc();
-                            }
+                            telem.fastlane_moves.inc();
                         } else {
+                            let a = req.action.0 as usize;
                             self.shaper.refund(charged);
                             self.actions.release(req.action);
-                            self.counters
-                                .shed_no_invoker
-                                .fetch_add(1, Ordering::Relaxed);
-                            if let Some(t) = telem {
-                                counts.unnote(req.action.0 as usize);
-                                t.note_shed(req.action.0 as usize, Shed::NoInvoker);
-                            }
-                            out[base + i] = Err(Shed::NoInvoker);
+                            counts.unnote(a);
+                            out[base + i] = Err(telem.note_shed(a, Shed::NoInvoker));
                         }
                     }
                 }
             }
         }
         scratch.finish();
-        self.counters
-            .accepted
-            .fetch_add(accepted, Ordering::Relaxed);
-        if let Some(t) = telem {
-            scratch.counts.flush(&t.accepted);
-        }
+        scratch.counts.flush(&telem.accepted);
         // Only a shaping policy can have charged delays; the default
         // hard-shed hot path skips the outcome rescan entirely.
         if self.shaper.shaping() {
-            let mut delayed = 0u64;
             for (o, &(action, _)) in out[base..].iter().zip(reqs) {
                 if o.as_ref().is_ok_and(Admit::delayed) {
-                    delayed += 1;
-                    if let Some(t) = telem {
-                        t.delayed.inc(action.0 as usize);
-                    }
+                    telem.delayed.inc(action.0 as usize);
                 }
-            }
-            if delayed > 0 {
-                self.counters.delayed.fetch_add(delayed, Ordering::Relaxed);
             }
         }
     }
@@ -1358,10 +1210,8 @@ impl Gateway {
             slot.handle = None;
             slot.generation += 1;
             self.rebuild_router(&slots);
-            if let Some(t) = &self.telem {
-                t.lease_revokes.inc();
-                t.leases_live.sub(1);
-            }
+            self.telem.lease_revokes.inc();
+            self.telem.leases_live.sub(1);
             flight::record(EventKind::LeaseRevoke, token.id, 0);
         }
     }
@@ -1406,9 +1256,7 @@ impl Gateway {
         // shaper, a revoke (or a deadline-led early drain) steepens it
         // *before* the invoker thread is even gone.
         self.shaper.set_capacity(healthy.len());
-        if let Some(t) = &self.telem {
-            t.invokers_routable.set(healthy.len() as i64);
-        }
+        self.telem.invokers_routable.set(healthy.len() as i64);
         self.router.rebuild(&healthy);
     }
 }
@@ -1420,10 +1268,10 @@ struct InvokerCtx {
     completions: Arc<CompletionShard>,
     gate: Arc<CompletionGate>,
     actions: Arc<ActionRegistry>,
-    counters: Arc<Counters>,
-    /// The plane's families plus this invoker's private single-writer
-    /// shard (None when the gateway runs bare).
-    telem: Option<(Arc<GatewayTelemetry>, Arc<SlotTelem>)>,
+    /// The plane's families.
+    telem: Arc<GatewayTelemetry>,
+    /// This invoker's private single-writer shard.
+    slot: Arc<SlotTelem>,
     pool_slots: usize,
     park: Duration,
     sweep_every_ops: u64,
@@ -1453,16 +1301,13 @@ impl InvokerCtx {
                     // move is only possible after full shutdown.
                     let _ = self.fast.produce_moved(env);
                 }
-                self.counters.fastlane_moves.fetch_add(n, Ordering::Relaxed);
+                self.telem.fastlane_moves.add(n);
                 self.handle.state.store(STATE_GONE, Ordering::Release);
                 // Retire the container population (all idle by now: the
                 // in-flight batch finished and checked back in above) —
                 // a revoked node's containers are reclaimed, not leaked.
                 pool.retire_all();
-                if let Some((t, _)) = &self.telem {
-                    t.fastlane_moves.add(n);
-                    t.publish_pool_delta(&mut last_pool, pool.stats());
-                }
+                self.telem.publish_pool_delta(&mut last_pool, pool.stats());
                 flight::record(EventKind::DrainFinish, self.handle.id, n);
                 return pool.stats();
             }
@@ -1479,9 +1324,7 @@ impl InvokerCtx {
                 // the private queue.
                 pool.sweep(Instant::now(), &self.actions);
                 ops_since_sweep = 0;
-                if let Some((t, _)) = &self.telem {
-                    t.publish_pool_delta(&mut last_pool, pool.stats());
-                }
+                self.telem.publish_pool_delta(&mut last_pool, pool.stats());
                 if let Some(env) = self.handle.queue.pop_timeout(self.park) {
                     batch.push(env);
                 }
@@ -1500,9 +1343,7 @@ impl InvokerCtx {
                 if ops_since_sweep >= self.sweep_every_ops {
                     pool.sweep(t, &self.actions);
                     ops_since_sweep = 0;
-                    if let Some((gt, _)) = &self.telem {
-                        gt.publish_pool_delta(&mut last_pool, pool.stats());
-                    }
+                    self.telem.publish_pool_delta(&mut last_pool, pool.stats());
                 }
             }
         }
@@ -1536,18 +1377,12 @@ impl InvokerCtx {
         let cold = placement == Placement::Cold;
         let queue_wait = start.saturating_duration_since(env.produced_at);
         let total = end.saturating_duration_since(env.produced_at);
-        if let Some((_, slot)) = &self.telem {
-            // Single-writer shard: plain load+store on lines only this
-            // thread dirties, two histogram records per completion.
-            let a = env.req.action.0 as usize;
-            slot.completed.add_owned(a, 1);
-            if cold {
-                slot.cold.add_owned(a, 1);
-            }
-            slot.lat_total.record_owned(total.as_nanos() as u64);
-            slot.lat_queue_wait
-                .record_owned(queue_wait.as_nanos() as u64);
-        }
+        // Single-writer shard: plain load+store on lines only this
+        // thread dirties, two histogram records per completion.
+        self.slot.lat_total.record_owned(total.as_nanos() as u64);
+        self.slot
+            .lat_queue_wait
+            .record_owned(queue_wait.as_nanos() as u64);
         flight::record(
             if cold {
                 EventKind::ColdStart
@@ -1570,17 +1405,22 @@ impl InvokerCtx {
         end
     }
 
-    /// Retire a finished batch: bump `completed` once for the whole
-    /// batch and publish every completion to this invoker's shard
-    /// under a single lock. (Admission slots were already released
+    /// Retire a finished batch: count it `completed` (and `cold`) in
+    /// this invoker's shard, then publish every completion with one
+    /// push — in that order, so a completion a collector can see is
+    /// already in the books. (Admission slots were already released
     /// per execution — caps must open the moment a request finishes.)
     fn flush(&self, done: &mut Vec<Completion>) {
         if done.is_empty() {
             return;
         }
-        self.counters
-            .completed
-            .fetch_add(done.len() as u64, Ordering::Relaxed);
+        for c in done.iter() {
+            let a = c.action.0 as usize;
+            self.slot.completed.add_owned(a, 1);
+            if c.cold {
+                self.slot.cold.add_owned(a, 1);
+            }
+        }
         self.completions.publish(done);
         // Wake parked collectors — after the publish, so a woken
         // collector's sweep finds the batch. One RMW per batch when

@@ -11,13 +11,10 @@
 //! schedule collapses and the harness drives the plane flat out (the
 //! throughput-probe mode).
 //!
-//! When the gateway records telemetry (the default), the report is
-//! built **from** two [`Registry`](telemetry::Registry) snapshots — one
-//! at the start, one at the end of the replay — so the harness numbers
-//! and the Prometheus exposition can never disagree; the loop itself
-//! does no per-request accounting at all. With telemetry off the
-//! harness falls back to counting locally (and records latencies into
-//! its own histograms), preserving the bare-plane probe.
+//! The report is built **from** two [`Registry`](telemetry::Registry)
+//! snapshots — one at the start, one at the end of the replay — so the
+//! harness numbers and the Prometheus exposition can never disagree;
+//! the loop itself does no per-request accounting at all.
 
 use crate::action::ActionId;
 use crate::controller::{CapacityController, LeaseStats};
@@ -25,7 +22,7 @@ use crate::gateway::{BurstScratch, Gateway, Shed};
 use crate::route::mix64;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
-use telemetry::{HistSnapshot, Histogram, Snapshot};
+use telemetry::{HistSnapshot, Snapshot};
 use workload::Arrival;
 
 /// How to replay an arrival stream.
@@ -50,9 +47,8 @@ pub struct HarnessConfig {
     /// per-action ordering and per-action row sums are the same at
     /// every N. Each submitter owns its own [`BurstScratch`],
     /// clock reads and [`Collector`](crate::gateway::Collector) cursor,
-    /// and doubles as a completion collector; per-thread reports are
-    /// merged at the end (or, with telemetry on, the whole run is read
-    /// from one registry-snapshot diff). The closed-loop window is a
+    /// and doubles as a completion collector; the whole run is read
+    /// from one registry-snapshot diff. The closed-loop window is a
     /// shared atomic; concurrent submitters may transiently overshoot
     /// it by at most `submitters * submit_batch`.
     pub submitters: usize,
@@ -108,18 +104,11 @@ impl ActionLoad {
             + self.shed_delay_budget
     }
 
-    /// Accepted requests that never completed.
+    /// Accepted requests that never completed. Saturating: `completed`
+    /// is a diff of the gateway's books and so includes completions of
+    /// requests admitted before the run's first snapshot.
     pub fn lost(&self) -> u64 {
-        self.accepted - self.completed
-    }
-
-    fn note_shed(&mut self, reason: Shed) {
-        match reason {
-            Shed::QueueFull => self.shed_queue_full += 1,
-            Shed::ActionSaturated => self.shed_action_saturated += 1,
-            Shed::NoInvoker => self.shed_no_invoker += 1,
-            Shed::DelayBudget => self.shed_delay_budget += 1,
-        }
+        self.accepted.saturating_sub(self.completed)
     }
 }
 
@@ -153,9 +142,10 @@ pub struct LoadReport {
 
 impl LoadReport {
     /// Accepted requests that never completed. Zero on every healthy
-    /// run — the drain protocol's whole point.
+    /// run — the drain protocol's whole point. Saturating, as in
+    /// [`ActionLoad::lost`].
     pub fn lost(&self) -> u64 {
-        self.accepted - self.completed
+        self.accepted.saturating_sub(self.completed)
     }
 
     /// Latency quantile in seconds (p in [0, 1]). `NaN` when nothing
@@ -244,44 +234,10 @@ struct Shared {
 
 /// Decrement `n` by `by`, clamping at zero — stray completions from
 /// traffic predating the run must not underflow the shared window.
-/// Returns how much was actually taken off.
-fn dec_clamped(n: &AtomicUsize, by: usize) -> usize {
-    let mut cur = n.load(Ordering::Relaxed);
-    loop {
-        match n.compare_exchange_weak(
-            cur,
-            cur.saturating_sub(by),
-            Ordering::AcqRel,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => return cur.min(by),
-            Err(seen) => cur = seen,
-        }
-    }
-}
-
-/// Fold a per-thread report into the run total: plain sums everywhere,
-/// bucket-wise merges for the histograms.
-fn merge_report(into: &mut LoadReport, part: &LoadReport) {
-    into.submitted += part.submitted;
-    into.accepted += part.accepted;
-    into.delayed += part.delayed;
-    into.shed += part.shed;
-    into.completed += part.completed;
-    into.cold_starts += part.cold_starts;
-    into.latency.merge(&part.latency);
-    into.queue_wait.merge(&part.queue_wait);
-    for (a, b) in into.per_action.iter_mut().zip(&part.per_action) {
-        a.submitted += b.submitted;
-        a.accepted += b.accepted;
-        a.delayed += b.delayed;
-        a.completed += b.completed;
-        a.cold_starts += b.cold_starts;
-        a.shed_queue_full += b.shed_queue_full;
-        a.shed_action_saturated += b.shed_action_saturated;
-        a.shed_no_invoker += b.shed_no_invoker;
-        a.shed_delay_budget += b.shed_delay_budget;
-    }
+fn dec_clamped(n: &AtomicUsize, by: usize) {
+    let _ = n.fetch_update(Ordering::AcqRel, Ordering::Relaxed, |cur| {
+        Some(cur.saturating_sub(by))
+    });
 }
 
 /// Replay `arrivals` against `gw`, mapping each arrival's function
@@ -289,18 +245,14 @@ fn merge_report(into: &mut LoadReport, part: &LoadReport) {
 /// stream is partitioned **by action hash** across
 /// [`HarnessConfig::submitters`] scoped threads, each running
 /// [`submitter_loop`] against the shared window. Any submitter may
-/// collect any completion (the shard table is claim-swept), so
-/// per-thread completion rows are partial — they only become the run's
-/// truth after [`merge_report`] (bare mode) or the registry-snapshot
-/// diff (telemetry mode).
+/// collect any completion (the shard table is claim-swept), so no
+/// thread sees the whole run — its truth is the registry-snapshot diff.
 pub fn run_load(gw: &Gateway, arrivals: &[Arrival], cfg: &HarnessConfig) -> LoadReport {
     let n_actions = gw.actions().len() as u32;
     let n_sub = cfg.submitters.max(1);
-    // Registry mode: a start-of-run snapshot; every tally comes from
-    // the end-of-run diff against it. Bare mode (telemetry off): the
-    // submitters count in the loop and record into local histograms.
-    let s0 = gw.telemetry().map(|t| t.registry().snapshot());
-    let registry_mode = s0.is_some();
+    // A start-of-run snapshot; every tally comes from the end-of-run
+    // diff against it.
+    let s0 = gw.telem.registry().snapshot();
     // All invocations of one action go through one submitter, so
     // per-action submission order does not depend on the thread count.
     let mut parts: Vec<Vec<Arrival>> = vec![Vec::new(); n_sub];
@@ -315,42 +267,23 @@ pub fn run_load(gw: &Gateway, arrivals: &[Arrival], cfg: &HarnessConfig) -> Load
         progress_ns: AtomicU64::new(0),
     };
     let t0 = Instant::now();
-    let thread_reports: Vec<LoadReport> = std::thread::scope(|scope| {
-        let handles: Vec<_> = parts
-            .iter()
-            .map(|part| {
-                let shared = &shared;
-                scope.spawn(move || {
-                    submitter_loop(gw, part, cfg, shared, t0, n_actions, registry_mode)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("submitter thread"))
-            .collect()
+    // A panicking submitter propagates when the scope joins it.
+    std::thread::scope(|scope| {
+        for part in &parts {
+            let shared = &shared;
+            scope.spawn(move || submitter_loop(gw, part, cfg, shared, t0, n_actions));
+        }
     });
     let mut report = empty_report(gw, n_actions);
     report.wall = t0.elapsed();
-    if let Some(s0) = &s0 {
-        let s1 = gw
-            .telemetry()
-            .expect("telemetry still on")
-            .registry()
-            .snapshot();
-        fill_from_registry(&mut report, s0, &s1);
-    } else {
-        for part in &thread_reports {
-            merge_report(&mut report, part);
-        }
-    }
+    fill_from_registry(&mut report, &s0, &gw.telem.registry().snapshot());
     report.throughput = report.completed as f64 / report.wall.as_secs_f64().max(1e-9);
     report
 }
 
 /// One submitter thread's loop: its own [`Collector`] cursor,
-/// [`BurstScratch`], clock reads and (bare mode) histograms, sharing
-/// only the atomic window and the stop/progress flags.
+/// [`BurstScratch`] and clock reads, sharing only the atomic window and
+/// the stop/progress flags.
 ///
 /// [`Collector`]: crate::gateway::Collector
 fn submitter_loop(
@@ -360,10 +293,7 @@ fn submitter_loop(
     shared: &Shared,
     t0: Instant,
     n_actions: u32,
-    registry_mode: bool,
-) -> LoadReport {
-    let mut report = empty_report(gw, n_actions);
-    let local_hists = (!registry_mode).then(|| (Histogram::new(), Histogram::new()));
+) {
     let mut col = gw.collector();
     let submit_batch = cfg.submit_batch.max(1);
     let mut next = 0usize;
@@ -388,13 +318,8 @@ fn submitter_loop(
             // A completion with no submission of this run outstanding is
             // a stray from traffic that predates it (the caller invoked
             // the gateway directly and did not collect); the clamp keeps
-            // it out of the window and of this run's accounting.
-            let ours = dec_clamped(&shared.inflight, collected);
-            if let Some((lat, wait)) = &local_hists {
-                for c in &buf[..ours] {
-                    record(&mut report, c, lat, wait);
-                }
-            }
+            // it out of the window.
+            dec_clamped(&shared.inflight, collected);
             progress(Instant::now());
         }
         if shared.stop.load(Ordering::Relaxed) {
@@ -435,15 +360,7 @@ fn submitter_loop(
                     progress(now);
                     shared.inflight.fetch_add(burst, Ordering::AcqRel);
                     gw.invoke_burst(&burst_reqs, now, &mut burst_out, &mut scratch);
-                    let ok = if registry_mode {
-                        burst_out.iter().filter(|o| o.is_ok()).count()
-                    } else {
-                        let mut ok = 0;
-                        for (outcome, &(action, _)) in burst_out.iter().zip(&burst_reqs) {
-                            ok += note_submission(&mut report, action, outcome);
-                        }
-                        ok
-                    };
+                    let ok = burst_out.iter().filter(|o| o.is_ok()).count();
                     if ok < burst {
                         dec_clamped(&shared.inflight, burst - ok);
                     }
@@ -492,11 +409,6 @@ fn submitter_loop(
             gw.wait_completions(epoch, park);
         }
     }
-    if let Some((lat, wait)) = &local_hists {
-        report.latency = lat.snapshot();
-        report.queue_wait = wait.snapshot();
-    }
-    report
 }
 
 /// Fill every tally of `report` from the diff of two registry
@@ -512,8 +424,6 @@ fn fill_from_registry(report: &mut LoadReport, s0: &Snapshot, s1: &Snapshot) {
             .unwrap_or(0)
             .saturating_sub(s0.counter(FAM, &lbls).unwrap_or(0))
     };
-    (report.submitted, report.accepted, report.delayed) = (0, 0, 0);
-    (report.shed, report.completed, report.cold_starts) = (0, 0, 0);
     for row in report.per_action.iter_mut() {
         let name = row.name.clone();
         row.accepted = diff(&name, "accepted");
@@ -566,51 +476,6 @@ pub fn run_load_with_controller(
         stop.store(true, Ordering::Release);
         (report, handle.join().expect("capacity controller thread"))
     })
-}
-
-/// Fold one submission outcome into the totals and its action's row;
-/// returns 1 when it joined the in-flight window.
-fn note_submission(
-    report: &mut LoadReport,
-    action: ActionId,
-    outcome: &Result<crate::gateway::Admit, Shed>,
-) -> usize {
-    report.submitted += 1;
-    let row = &mut report.per_action[action.0 as usize];
-    row.submitted += 1;
-    match outcome {
-        Ok(admit) => {
-            report.accepted += 1;
-            row.accepted += 1;
-            if admit.delayed() {
-                report.delayed += 1;
-                row.delayed += 1;
-            }
-            1
-        }
-        Err(reason) => {
-            report.shed += 1;
-            row.note_shed(*reason);
-            0
-        }
-    }
-}
-
-fn record(
-    report: &mut LoadReport,
-    c: &crate::gateway::Completion,
-    lat: &Histogram,
-    wait: &Histogram,
-) {
-    report.completed += 1;
-    let row = &mut report.per_action[c.action.0 as usize];
-    row.completed += 1;
-    if c.cold {
-        report.cold_starts += 1;
-        row.cold_starts += 1;
-    }
-    lat.record_owned(c.total.as_nanos() as u64);
-    wait.record_owned(c.queue_wait.as_nanos() as u64);
 }
 
 #[cfg(test)]
@@ -761,39 +626,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_submitter_bare_mode_merges_thread_reports() {
-        // Telemetry off: tallies come from the per-thread reports merged
-        // at the end, and must still conserve every arrival.
-        let gw = Gateway::new(
-            GatewayConfig {
-                telemetry: false,
-                ..Default::default()
-            },
-            (0..4)
-                .map(|i| ActionSpec::noop(&format!("fn-{i}")))
-                .collect(),
-        );
-        gw.start_invoker();
-        gw.start_invoker();
-        let arrivals = PoissonLoadGen::new(5_000.0, 4).arrivals(SimDuration::from_millis(120), 23);
-        let mut r = run_load(
-            &gw,
-            &arrivals,
-            &HarnessConfig {
-                speedup: 0.0,
-                submitters: 3,
-                ..Default::default()
-            },
-        );
-        assert_eq!(r.lost(), 0, "{}", r.summary());
-        assert_eq!(r.submitted, arrivals.len() as u64);
-        assert_eq!(r.completed, r.accepted);
-        // The merged histograms saw every completion.
-        assert!(r.latency_quantile(0.5) >= 0.0);
-        assert_eq!(gw.shutdown(), 0);
-    }
-
-    #[test]
     fn schedule_gap_longer_than_stall_timeout_is_not_a_stall() {
         // Two arrivals 100 ms apart, stall valve at 20 ms: with nothing
         // outstanding the quiet stretch is the schedule, not a stall,
@@ -819,6 +651,28 @@ mod tests {
             );
             assert_eq!(gw.shutdown(), 0);
         }
+    }
+
+    #[test]
+    fn stray_completion_from_before_the_run_is_not_lost_work() {
+        // A request admitted before the run's first snapshot completes
+        // inside the run: the `completed` diff counts it, the
+        // `accepted` diff does not, and `lost()` must read 0 instead of
+        // underflowing.
+        let gw = Gateway::new(
+            GatewayConfig::default(),
+            vec![ActionSpec::noop("slow")
+                .with_body(crate::action::ActionBody::Sleep(Duration::from_millis(20)))],
+        );
+        gw.start_invoker();
+        gw.invoke(ActionId(0), 0).expect("the stray is admitted");
+        let arrivals = [SimTime::ZERO; 3].map(|at| Arrival { at, function: 0 });
+        let mut r = run_load(&gw, &arrivals, &HarnessConfig::default());
+        let summary = r.summary(); // prints `lost` for the run and the row
+        assert_eq!(r.submitted, arrivals.len() as u64, "{summary}");
+        assert!(r.completed >= r.accepted, "{summary}");
+        assert_eq!((r.lost(), r.per_action[0].lost()), (0, 0), "{summary}");
+        assert_eq!(gw.shutdown(), 0);
     }
 
     #[test]

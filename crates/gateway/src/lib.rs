@@ -42,11 +42,12 @@
 //!   `crates/workload` arrival processes (Poisson, diurnal) into
 //!   log-linear latency histograms, with per-action
 //!   admitted/delayed/shed/lost accounting built *from* the telemetry
-//!   registry when the gateway records one;
-//! * [`telem`] — the gateway's telemetry plane: a
+//!   registry;
+//! * [`telem`] — the gateway's telemetry plane and only ledger: a
 //!   `telemetry::Registry` of sharded counters, gauges and latency
 //!   histograms covering every admission outcome, lease transition,
-//!   pool event and queue high-water, scrapeable as Prometheus text.
+//!   pool event and queue high-water, scrapeable as Prometheus text
+//!   and readable as plain [`Totals`].
 //!
 //! The drain guarantee, stated once and tested in
 //! `tests/drain_stress.rs` (hand-churned) and by the `elasticity`
@@ -72,8 +73,7 @@ pub use action::{ActionBody, ActionId, ActionRegistry, ActionSpec};
 pub use admission::{AdmissionPolicy, TokenBucketCfg};
 pub use controller::{CapacityController, ControllerConfig, LeaseStats};
 pub use gateway::{
-    Admit, BurstScratch, Collector, Completion, Counters, Gateway, GatewayConfig, InvokerToken,
-    Shed,
+    Admit, BurstScratch, Collector, Completion, Gateway, GatewayConfig, InvokerToken, Shed,
 };
 pub use harness::{run_load, run_load_with_controller, ActionLoad, HarnessConfig, LoadReport};
 pub use lease::{ChurnCfg, LeaseEvent, LeaseEventKind, LeasePlan};
@@ -82,4 +82,4 @@ pub use queue::{Envelope, Produce, ProduceBatch, Request, WorkQueue};
 pub use ring::RingQueue;
 pub use route::Router;
 pub use source::{LeaseSource, LoadFeedback, PlanSource};
-pub use telem::{GatewayTelemetry, SlotTelem};
+pub use telem::{GatewayTelemetry, SlotTelem, Totals};

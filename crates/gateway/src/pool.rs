@@ -22,7 +22,7 @@ pub enum Placement {
     Cold,
 }
 
-/// Counters the pool accumulates over its lifetime.
+/// Tallies the pool accumulates over its lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Placements on a warm container.

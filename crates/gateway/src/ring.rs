@@ -169,9 +169,12 @@ impl RingQueue {
             }
             let pos = head & POS;
             // `tail` only advances, so a stale read under-counts room:
-            // the bound stays exact, never over-admits.
+            // the bound stays exact, never over-admits. A `tail` past
+            // `pos` means `head` is the stale one (producers and the
+            // consumer moved on since it was read): saturate, and the
+            // CAS below fails on it and retries with a fresh `head`.
             let tail = self.tail.load(Ordering::Acquire);
-            let room = self.cap - (pos - tail).min(self.cap);
+            let room = self.cap - pos.saturating_sub(tail).min(self.cap);
             let n = want.min(room);
             if n == 0 {
                 if let Some(t) = &self.telem {

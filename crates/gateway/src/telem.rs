@@ -1,5 +1,5 @@
-//! Gateway-side telemetry: the metric families of the serving plane,
-//! wired so the hot paths never touch the registry.
+//! Gateway-side telemetry: the metric families of the serving plane —
+//! its only ledger — wired so the hot paths never touch the registry.
 //!
 //! Layout follows the sharding of the plane itself. Submit-side
 //! counters (accepted, delayed, sheds — all per action) are plain
@@ -9,14 +9,16 @@
 //! burst. Invoker-side series (completed, cold starts, the two latency
 //! histograms) live in a private [`SlotTelem`] shard per invoker
 //! thread, written with the single-writer `*_owned` load+store
-//! variants — the instrumented hot path costs one plain load+store
-//! plus one array index per event, no locked RMW, no contention.
+//! variants — the hot path costs one plain load+store plus one array
+//! index per event, no locked RMW, no contention.
 //!
 //! The [`Registry`] only sees any of this at scrape time: each family
 //! is a closure that reads the shared atomics and merges the
 //! per-invoker shards. [`LoadReport`](crate::harness::LoadReport) is
-//! built *from* these snapshots when telemetry is on, so the harness
-//! and the exposition can never disagree.
+//! built *from* these snapshots, and [`Totals`] (what the capacity
+//! controller's feedback reads) sums the same atomics without a
+//! snapshot, so the harness, the controller and the exposition can
+//! never disagree.
 
 use crate::action::ActionRegistry;
 use crate::gateway::Shed;
@@ -85,6 +87,49 @@ pub struct GatewayTelemetry {
     /// keepalive_evict, drain_retired.
     pub pool_events: Arc<CounterVec>,
     slots: Arc<Mutex<Vec<Arc<SlotTelem>>>>,
+}
+
+/// The request ledger as plain values: the same atomics the
+/// `gateway_requests_total` and `gateway_fastlane_moves_total`
+/// families expose, summed over actions and invoker shards. All
+/// monotone.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Totals {
+    /// Requests admitted (each completes exactly once as long as an
+    /// invoker survives to serve it).
+    pub accepted: u64,
+    /// Admissions the shaper charged a nonzero virtual delay (a subset
+    /// of `accepted`).
+    pub delayed: u64,
+    /// Sheds per reason, indexed by [`shed_code`].
+    pub shed: [u64; 4],
+    /// Requests executed and about to be published to a completion
+    /// shard (counted in the invoker's flush, just before the publish).
+    pub completed: u64,
+    /// Envelopes that took the fast-lane hop during a drain (flushed by
+    /// the invoker or rerouted by a racing producer).
+    pub fastlane_moves: u64,
+}
+
+impl Totals {
+    /// Sheds for one reason.
+    pub fn shed_by(&self, reason: Shed) -> u64 {
+        self.shed[shed_code(reason) as usize]
+    }
+
+    /// Total sheds across all reasons.
+    pub fn shed_total(&self) -> u64 {
+        self.shed.iter().sum()
+    }
+
+    /// Accepted minus completed — in-flight while running, lost only if
+    /// the plane shut down with requests stranded. Saturating: a reader
+    /// can catch `completed` ahead of `accepted` (the producer counts
+    /// the admission after the enqueue, and a fast invoker can execute
+    /// and count the request in between).
+    pub fn outstanding(&self) -> u64 {
+        self.accepted.saturating_sub(self.completed)
+    }
 }
 
 /// Dense indices into [`GatewayTelemetry::pool_events`].
@@ -344,9 +389,38 @@ impl GatewayTelemetry {
         slot
     }
 
-    /// Count one shed on the submit path.
+    /// The request ledger as plain values: one relaxed load per
+    /// action per submit-side vec plus one per action per invoker
+    /// shard — no closures, no label rendering, cheap enough for the
+    /// controller's feedback cadence. `accepted` is read before
+    /// `completed`, so [`Totals::outstanding`] never overstates what
+    /// was in flight at the moment `accepted` was read.
+    pub fn totals(&self) -> Totals {
+        let mut t = Totals {
+            accepted: self.accepted.total(),
+            delayed: self.delayed.total(),
+            fastlane_moves: self.fastlane_moves.get(),
+            ..Default::default()
+        };
+        for (reason, vec) in [
+            (Shed::NoInvoker, &self.shed_no_invoker),
+            (Shed::QueueFull, &self.shed_queue_full),
+            (Shed::ActionSaturated, &self.shed_action_saturated),
+            (Shed::DelayBudget, &self.shed_delay_budget),
+        ] {
+            t.shed[shed_code(reason) as usize] = vec.total();
+        }
+        // Keeps the relaxed loads above ahead of the ones below.
+        std::sync::atomic::fence(std::sync::atomic::Ordering::Acquire);
+        let shards = self.slots.lock().unwrap_or_else(|e| e.into_inner());
+        t.completed = shards.iter().map(|s| s.completed.total()).sum();
+        t
+    }
+
+    /// Count one shed on the submit path; hands the reason back so the
+    /// caller returns exactly what was counted.
     #[inline]
-    pub(crate) fn note_shed(&self, action: usize, reason: Shed) {
+    pub(crate) fn note_shed(&self, action: usize, reason: Shed) -> Shed {
         match reason {
             Shed::QueueFull => self.shed_queue_full.inc(action),
             Shed::ActionSaturated => self.shed_action_saturated.inc(action),
@@ -358,6 +432,7 @@ impl GatewayTelemetry {
             action as u64,
             shed_code(reason),
         );
+        reason
     }
 
     /// Publish the change in a pool's lifetime stats since the last
@@ -391,8 +466,8 @@ pub fn shed_code(reason: Shed) -> u64 {
 
 /// Per-burst accepted-count accumulator: plain (non-atomic) per-action
 /// tallies filled during a burst's admit pass and flushed with one
-/// atomic add per action per burst — the amortization that keeps the
-/// batched submit path inside the ≤2% instrumentation budget.
+/// atomic add per action per burst, so a burst of 64 costs the shared
+/// `accepted` lines one RMW per action, not 64.
 #[derive(Default)]
 pub(crate) struct BurstCounts {
     counts: Vec<u32>,
@@ -459,6 +534,11 @@ mod tests {
             ),
             Some(3)
         );
+        // The plain-value reader sums the same atomics.
+        let totals = t.totals();
+        assert_eq!((totals.accepted, totals.completed), (5, 3));
+        assert_eq!(totals.shed_by(Shed::QueueFull), 1);
+        assert_eq!((totals.shed_total(), totals.outstanding()), (1, 2));
         assert_eq!(snap.counter("gateway_lease_grants_total", &[]), Some(2));
         assert_eq!(snap.gauge("gateway_leases_live", &[]), Some(1));
         let h = snap

@@ -9,7 +9,6 @@ use gateway::{
     Gateway, GatewayConfig, HarnessConfig, LeasePlan, Shed, TokenBucketCfg,
 };
 use simcore::SimDuration;
-use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 use workload::{IdleModel, PoissonLoadGen};
 
@@ -260,11 +259,8 @@ fn delay_budget_shed_is_typed_and_scoped_to_the_policy() {
         max_delay_seen <= Duration::from_millis(5),
         "charged delay bounded by the budget: {max_delay_seen:?}"
     );
-    assert_eq!(
-        gw.counters().shed_delay_budget.load(Ordering::Relaxed),
-        delay_sheds
-    );
-    assert!(gw.counters().delayed.load(Ordering::Relaxed) > 0);
+    assert_eq!(gw.totals().shed_by(Shed::DelayBudget), delay_sheds);
+    assert!(gw.totals().delayed > 0);
     // Everything admitted still completes.
     let accepted = 64 - delay_sheds;
     for _ in 0..accepted {

@@ -27,7 +27,7 @@
 
 use gateway::{
     ActionBody, ActionId, ActionSpec, AdmissionPolicy, BurstScratch, CapacityController, ChurnCfg,
-    ControllerConfig, Gateway, GatewayConfig, LeasePlan, TokenBucketCfg,
+    ControllerConfig, Gateway, GatewayConfig, LeasePlan, Shed, TokenBucketCfg,
 };
 use simcore::SimRng;
 use std::collections::HashSet;
@@ -78,8 +78,8 @@ fn submitter_collector_matrix_exactly_once_under_churn() {
 /// submitters racing on its one token line while capacity changes
 /// reprice it. Asserts, on top of the matrix cell's exactly-once:
 ///
-/// - **conservation**, read from the gateway's own
-///   `gateway_requests_total`: `accepted + Σ shed_* == offered` and
+/// - **conservation**, read from the gateway's own books
+///   ([`Gateway::totals`]): `accepted + Σ shed == offered` and
 ///   `delayed ≤ accepted` — no arrival is double-counted or lost across
 ///   the admit CAS, the structural-shed refunds and the reprices;
 /// - **rate bound** — total admissions never exceed what the token line
@@ -102,33 +102,17 @@ fn token_bucket_churn_conservation() {
                     max_delay: MAX_DELAY,
                 }),
             );
-            let snap = run
-                .gw
-                .telemetry()
-                .expect("telemetry on")
-                .registry()
-                .snapshot();
-            let outcome = |o: &str| snap.counter_sum("gateway_requests_total", &[("outcome", o)]);
-            let shed: u64 = [
-                "shed_queue_full",
-                "shed_action_saturated",
-                "shed_no_invoker",
-                "shed_delay_budget",
-            ]
-            .into_iter()
-            .map(outcome)
-            .sum();
+            let t = run.gw.totals();
             assert_eq!(
-                outcome("accepted"),
-                run.accepted,
+                t.accepted, run.accepted,
                 "seed {seed} {n_sub}sub: the books disagree with the submitters"
             );
             assert_eq!(
-                run.accepted + shed,
+                run.accepted + t.shed_total(),
                 run.offered,
                 "seed {seed} {n_sub}sub: an arrival was lost or double-counted"
             );
-            assert!(outcome("delayed") <= run.accepted, "seed {seed} {n_sub}sub");
+            assert!(t.delayed <= run.accepted, "seed {seed} {n_sub}sub");
             // Even with every grant healthy for the whole window the
             // token line could issue at most (elapsed + max_delay) ×
             // max_capacity × rate admissions plus the burst — counted
@@ -141,6 +125,132 @@ fn token_bucket_churn_conservation() {
             );
         }
     }
+}
+
+/// One ledger, two readers — the plain [`Gateway::totals`] the
+/// controller's feedback uses and the registry exposition — driven
+/// through what could pull them apart: two submitters (one per submit
+/// path) shedding against a queue bound of 8 and a token bucket inside
+/// a closed window, while the main thread sigterms, reaps and regrants
+/// an invoker and samples `totals()` throughout.
+#[test]
+fn totals_and_exposition_are_one_ledger_across_a_reap() {
+    const WINDOW: usize = 64;
+    let gw = Gateway::new(
+        GatewayConfig {
+            queue_capacity: 8,
+            park: Duration::from_micros(200),
+            drain_batch: 8,
+            admission: AdmissionPolicy::TokenBucket(TokenBucketCfg {
+                rate_per_invoker: 50_000.0,
+                burst: 16.0,
+                max_delay: Duration::from_micros(500),
+            }),
+            ..Default::default()
+        },
+        vec![
+            ActionSpec::noop("noop"),
+            ActionSpec::noop("spin").with_body(ActionBody::Spin(Duration::from_micros(20))),
+        ],
+    );
+    gw.start_invoker();
+    let wave = gw.start_invoker();
+    let (stop, inflight) = (AtomicBool::new(false), AtomicUsize::new(0));
+    let deadline = Instant::now() + Duration::from_secs(30);
+
+    let offered: u64 = std::thread::scope(|s| {
+        let (gw, stop, inflight) = (&gw, &stop, &inflight);
+        // One submitter per submit path (`invoke`, `invoke_burst` of 8);
+        // each also collects, and both stay until the window is empty.
+        let subs = [1usize, 8].map(|burst| {
+            s.spawn(move || {
+                let (mut col, mut done) = (gw.collector(), Vec::new());
+                let (mut scratch, mut outcomes) = (BurstScratch::default(), Vec::new());
+                let mut offered = 0u64;
+                loop {
+                    assert!(Instant::now() < deadline, "requests lost");
+                    done.clear();
+                    let got = gw.collect_completions_with(&mut col, &mut done);
+                    inflight.fetch_sub(got, Ordering::AcqRel);
+                    if stop.load(Ordering::Acquire) {
+                        if inflight.load(Ordering::Acquire) == 0 {
+                            return offered;
+                        }
+                    } else if inflight.fetch_add(burst, Ordering::AcqRel) + burst > WINDOW {
+                        // The window is charged before the submit, as in
+                        // the harness; an overshooting charge is returned.
+                        inflight.fetch_sub(burst, Ordering::AcqRel);
+                    } else {
+                        let reqs: Vec<_> = (offered..offered + burst as u64)
+                            .map(|k| (ActionId(k as u32 % 2), k))
+                            .collect();
+                        outcomes.clear();
+                        if burst == 1 {
+                            outcomes.push(gw.invoke(reqs[0].0, reqs[0].1));
+                        } else {
+                            gw.invoke_burst(&reqs, Instant::now(), &mut outcomes, &mut scratch);
+                        }
+                        offered += burst as u64;
+                        let shed = outcomes.iter().filter(|o| o.is_err()).count();
+                        inflight.fetch_sub(shed, Ordering::AcqRel);
+                        if shed == 0 {
+                            continue;
+                        }
+                    }
+                    std::thread::yield_now();
+                }
+            })
+        });
+        // Every reading obeys both bounds, whatever the wave is doing:
+        // `completed` never steps back (telemetry shards outlive their
+        // invoker) and `outstanding()` never exceeds the window.
+        let mut last = 0u64;
+        let mut sample_for = |ms: u64| {
+            let until = Instant::now() + Duration::from_millis(ms);
+            while Instant::now() < until {
+                let t = gw.totals();
+                assert!(t.completed >= last, "completed stepped back: {t:?}");
+                assert!(t.outstanding() <= WINDOW as u64, "past the window: {t:?}");
+                last = t.completed;
+                std::thread::sleep(Duration::from_micros(100));
+            }
+        };
+        sample_for(15);
+        assert!(gw.sigterm(wave));
+        sample_for(2);
+        gw.join_invoker(wave);
+        sample_for(15);
+        gw.start_invoker();
+        sample_for(15);
+        stop.store(true, Ordering::Release);
+        subs.into_iter().map(|h| h.join().expect("submitter")).sum()
+    });
+    assert_eq!(gw.shutdown(), 0);
+
+    // After shutdown the two readers agree field by field and balance
+    // against what the submitters offered.
+    let t = gw.totals();
+    let snap = gw.telemetry().expect("always on").registry().snapshot();
+    let sum = |o: &str| snap.counter_sum("gateway_requests_total", &[("outcome", o)]);
+    assert_eq!(
+        (t.accepted, t.delayed, t.completed),
+        (sum("accepted"), sum("delayed"), sum("completed"))
+    );
+    for (reason, outcome) in [
+        (Shed::NoInvoker, "shed_no_invoker"),
+        (Shed::QueueFull, "shed_queue_full"),
+        (Shed::ActionSaturated, "shed_action_saturated"),
+        (Shed::DelayBudget, "shed_delay_budget"),
+    ] {
+        assert_eq!(t.shed_by(reason), sum(outcome), "{outcome}");
+    }
+    assert_eq!(
+        Some(t.fastlane_moves),
+        snap.counter("gateway_fastlane_moves_total", &[])
+    );
+    assert!(t.shed_total() > 0, "the config never shed: {t:?}");
+    assert_eq!(t.accepted + t.shed_total(), offered, "{t:?}");
+    assert_eq!(t.completed, t.accepted, "{t:?}");
 }
 
 /// What one matrix cell leaves behind for further assertions: the
@@ -347,7 +457,7 @@ fn run_matrix_iteration(
     );
     assert!(ctl_stats.grants >= 1, "plan granted nothing: {ctl_stats:?}");
     assert_eq!(gw.shutdown(), 0, "seed {seed} {n_sub}sub/{n_col}col");
-    assert_eq!(gw.counters().outstanding(), 0);
+    assert_eq!(gw.totals().outstanding(), 0);
     assert!(gw.try_recv().is_none(), "stray completion");
     let pools = gw.retired_pool_stats();
     assert!(pools.containers_conserved(), "container leak: {pools:?}");
@@ -479,7 +589,7 @@ fn run_iteration(seed: u64, drain_batch: usize) {
     // already completed.
     assert_eq!(gw.shutdown(), 0, "seed {seed} batch {drain_batch}");
     assert_eq!(
-        gw.counters().outstanding(),
+        gw.totals().outstanding(),
         0,
         "seed {seed} batch {drain_batch}"
     );

@@ -161,12 +161,7 @@ fn admission_sheds_on_queue_overload_and_never_loses_accepted() {
         recv(&gw);
     }
     assert_eq!(gw.shutdown(), 0);
-    assert_eq!(
-        gw.counters()
-            .shed_queue_full
-            .load(std::sync::atomic::Ordering::Relaxed),
-        shed
-    );
+    assert_eq!(gw.totals().shed_by(Shed::QueueFull), shed);
 }
 
 #[test]

@@ -27,7 +27,7 @@ fn plane(invokers: usize, actions: usize) -> Gateway {
 /// flush call, so a short grace after the count settles suffices.
 fn wait_flushed(gw: &Gateway, expect: u64) {
     let t = Instant::now();
-    while gw.counters().completed.load(Ordering::Relaxed) < expect {
+    while gw.totals().completed < expect {
         assert!(t.elapsed() < Duration::from_secs(10), "plane stalled");
         std::thread::sleep(Duration::from_millis(1));
     }
