@@ -158,6 +158,10 @@ fn bench_passes(c: &mut Criterion) {
         )
     });
     g.bench_function("poll_sample_2239_nodes", |b| {
+        // One poll on a fresh cluster: 35 XORs against the previous
+        // poll's words (none yet, so the 111 idle nodes open their
+        // intervals), two counts copied and the next `Poll` scheduled.
+        // `perf_trajectory` times the steady state (64 polls in a row).
         b.iter_batched_ref(
             loaded_cluster,
             |sim| {

@@ -72,23 +72,29 @@ fn estimate(xs: Vec<f64>) -> f64 {
 }
 
 /// Strict reader of the trajectory file: exactly the layout
-/// [`render_trajectory`] writes — one `{"name": "…", "ns_per_op": N,
-/// "ops_per_sec": N.NN}` line per probe inside `{"probes": […]}` —
-/// with plain decimal numbers and a positive `ns_per_op`. Everything
+/// [`render_trajectory`] writes — `"nproc": N` (the cores of the host
+/// the rows were read on, which the `scaling/` rows mean nothing
+/// without), then one `{"name": "…", "ns_per_op": N, "ops_per_sec":
+/// N.NN}` line per probe inside `"probes": […]` — with plain decimal
+/// numbers, a positive `nproc` and a positive `ns_per_op`. Everything
 /// it accepts is JSON any parser reads (no `inf`, no `NaN`), so it
 /// serves as the `--check` baseline reader, as the writer's gate and
 /// as the test of the checked-in file. Returns `(name, ns_per_op)`
 /// per probe. Hand-rolled: the vendored serde shim has no JSON
 /// deserializer.
 fn parse_trajectory(text: &str) -> Result<Vec<(String, f64)>, String> {
-    let body = text
-        .strip_prefix("{\n  \"probes\": [\n")
-        .and_then(|t| t.strip_suffix("  ]\n}\n"))
-        .ok_or("not a {\"probes\": [...]} document in the writer's layout")?;
     // A JSON integer: digits, no leading zero.
     let int = |t: &str| {
         !t.is_empty() && t.bytes().all(|b| b.is_ascii_digit()) && (t == "0" || !t.starts_with('0'))
     };
+    let (nproc, body) = text
+        .strip_prefix("{\n  \"nproc\": ")
+        .and_then(|t| t.strip_suffix("  ]\n}\n"))
+        .and_then(|t| t.split_once(",\n  \"probes\": [\n"))
+        .ok_or("not a {\"nproc\": N, \"probes\": [...]} document in the writer's layout")?;
+    if !int(nproc) || nproc == "0" {
+        return Err(format!("nproc `{nproc}` is not a positive integer"));
+    }
     let n = body.lines().count();
     let mut out = Vec::with_capacity(n);
     for (i, line) in body.lines().enumerate() {
@@ -117,8 +123,8 @@ fn parse_trajectory(text: &str) -> Result<Vec<(String, f64)>, String> {
 /// Render the trajectory document. Refuses (instead of printing) any
 /// probe the strict parser would not read back — a non-finite figure, or
 /// one that rounds to a zero `ns_per_op` and so an infinite `ops_per_sec`.
-fn render_trajectory(probes: &[Probe]) -> Result<String, String> {
-    let mut json = String::from("{\n  \"probes\": [\n");
+fn render_trajectory(probes: &[Probe], nproc: usize) -> Result<String, String> {
+    let mut json = format!("{{\n  \"nproc\": {nproc},\n  \"probes\": [\n");
     for (i, p) in probes.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"name\": \"{}\", \"ns_per_op\": {:.0}, \"ops_per_sec\": {:.2}}}{}\n",
@@ -447,28 +453,28 @@ fn steady_passes(
     }
 }
 
-/// The cores→ops/s scaling curve: the same batch of independent day
-/// simulations through the `run_days` rayon fan-out under a pinned
-/// worker count (1/2/4 via `RAYON_NUM_THREADS`), reported as ns per
-/// simulated day. Per-day results are bit-identical across thread
-/// counts; only wall-clock moves.
+/// The cores→ops/s scaling curve: the same batch of eight independent
+/// full-size week days (2,239 nodes, 24 h, coverage only — ~25 ms each,
+/// so the fan-out's thread spawn is noise) through the `run_days` rayon
+/// fan-out under a pinned worker count (`RAYON_NUM_THREADS`), reported
+/// as ns per simulated day. Per-day results are bit-identical across
+/// thread counts; only wall-clock moves. Two legs: read the ratio
+/// against the file's `nproc`, and on a ≥ 4-core host add the 4-worker
+/// leg before drawing the curve further.
 fn scaling_probes(samples: usize, probes: &mut Vec<Probe>, filter: &Option<String>) {
     const N_DAYS: usize = 8;
-    let mut model = IdleModel::prometheus_week();
-    model.n_nodes = 120;
-    model.target_avg_idle = 4.0;
+    let model = IdleModel::prometheus_week();
     let days: Vec<(AvailabilityTrace, DayConfig)> = (0..N_DAYS as u64)
         .map(|i| {
-            let trace = model.generate(SimDuration::from_hours(4), 17 + i);
+            let trace = model.generate(SimDuration::from_hours(24), 17 + i);
             let mut cfg = DayConfig::fib_paper(i);
             cfg.load = None;
             (trace, cfg)
         })
         .collect();
     for (threads, name) in [
-        (1usize, "scaling/run_days_8x4h_1t"),
-        (2, "scaling/run_days_8x4h_2t"),
-        (4, "scaling/run_days_8x4h_4t"),
+        (1usize, "scaling/run_days_8wk_1t"),
+        (2, "scaling/run_days_8wk_2t"),
     ] {
         if !want(filter, name) {
             continue;
@@ -570,10 +576,12 @@ fn main() {
         ));
     }
     if want(&filter, "scheduler/poll_sample_2239_nodes") {
-        // One poll is two bitset copies, ~60 ns — far too short a
-        // timed region to survive timer granularity and scheduling
-        // noise on shared runners, so run 64 per routine call and
-        // report the amortized figure.
+        // One poll is 35 XORs against the previous poll's words plus
+        // the few bits that changed (none here: nothing happens between
+        // these polls), tens of ns — far too short a timed region to
+        // survive timer granularity and scheduling noise on shared
+        // runners, so run 64 per routine call and report the amortized
+        // figure.
         probes.push(probe_scaled(
             "scheduler/poll_sample_2239_nodes",
             9,
@@ -699,7 +707,7 @@ fn main() {
         ));
     }
     gateway_probes(5, &mut probes, &filter);
-    scaling_probes(3, &mut probes, &filter);
+    scaling_probes(5, &mut probes, &filter);
 
     if probes.is_empty() {
         eprintln!("error: no probe matches the filter");
@@ -707,7 +715,7 @@ fn main() {
     }
 
     if !check {
-        let json = render_trajectory(&probes).unwrap_or_else(|e| {
+        let json = render_trajectory(&probes, hpcwhisk_bench::nproc()).unwrap_or_else(|e| {
             eprintln!("error: refusing to write {out_path}: {e}");
             std::process::exit(1);
         });
@@ -766,7 +774,8 @@ mod tests {
     fn checked_in_trajectory_is_strict_json() {
         let text = include_str!("../../../../BENCH_results.json");
         let probes = parse_trajectory(text).expect("BENCH_results.json parses strictly");
-        assert!(probes.len() >= 19, "only {} probes", probes.len());
+        assert!(probes.len() >= 18, "only {} probes", probes.len());
+        assert!(probes.iter().any(|(n, _)| n == "scaling/run_days_8wk_2t"));
         assert!(probes.iter().all(|(_, ns)| ns.is_finite() && *ns > 0.0));
     }
 
@@ -774,7 +783,7 @@ mod tests {
     fn writer_and_parser_refuse_what_json_does_not_have() {
         let doc = |ns: &str, ops: &str| {
             format!(
-                "{{\n  \"probes\": [\n    {{\"name\": \"p\", \"ns_per_op\": {ns}, \"ops_per_sec\": {ops}}}\n  ]\n}}\n"
+                "{{\n  \"nproc\": 2,\n  \"probes\": [\n    {{\"name\": \"p\", \"ns_per_op\": {ns}, \"ops_per_sec\": {ops}}}\n  ]\n}}\n"
             )
         };
         assert_eq!(
@@ -794,16 +803,20 @@ mod tests {
             assert!(parse_trajectory(&doc(ns, "1.00")).is_err(), "{ns}");
         }
         assert!(parse_trajectory(&(doc("1", "1.00") + "x")).is_err());
+        for nproc in ["0", "02", "2.0", "two", ""] {
+            let text = doc("1", "1.00").replace("\"nproc\": 2", &format!("\"nproc\": {nproc}"));
+            assert!(parse_trajectory(&text).is_err(), "nproc {nproc}");
+        }
         let probe = |ns_per_op| Probe {
             name: "p",
             ns_per_op,
         };
         assert_eq!(
-            render_trajectory(&[probe(339.4)]).as_deref(),
+            render_trajectory(&[probe(339.4)], 2).as_deref(),
             Ok(doc("339", "2946375.96").as_str())
         );
         for ns in [0.0, 0.2, f64::INFINITY, f64::NAN] {
-            assert!(render_trajectory(&[probe(ns)]).is_err(), "{ns}");
+            assert!(render_trajectory(&[probe(ns)], 2).is_err(), "{ns}");
         }
     }
 }

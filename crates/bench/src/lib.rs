@@ -55,6 +55,12 @@ impl Comparison {
     }
 }
 
+/// Cores this process may run on — printed or recorded beside every
+/// reading that depends on threads.
+pub fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// True if `--quick` was passed (scaled-down smoke run).
 pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")

@@ -14,8 +14,8 @@
 //! [`CapacityTrace`] is that causal view: a time-sorted stream of
 //! grant/extend/revoke events with per-lease deadlines, derived from
 //! any [`AvailabilityTrace`] — the Prometheus-calibrated generator in
-//! `workload`, or a trace reconstructed from poller samples
-//! ([`AvailabilityTrace::from_poll_samples`], the backfill-timeline
+//! `workload`, or the trace the simulated poller builds as it samples
+//! ([`crate::ClusterSim::into_parts`], the backfill-timeline
 //! perspective). The gateway's capacity controller replays it against
 //! the live plane; the deadlines are what make *deadline-aware* drains
 //! possible — the controller can start draining an invoker before the

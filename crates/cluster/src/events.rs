@@ -41,38 +41,30 @@ pub enum SigtermReason {
 }
 
 /// One sample of the node-state poller (§IV-A Slurm-level perspective):
-/// bit-packed sets of idle nodes and of nodes running pilot jobs.
-#[derive(Debug, Clone, PartialEq)]
+/// how many nodes were idle and how many ran pilot jobs at `t`. Which
+/// nodes they were goes into the availability trace the simulator
+/// builds as it samples ([`crate::ClusterSim::into_parts`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PollSample {
     /// Sample timestamp.
     pub t: SimTime,
-    /// Bitmap of idle nodes (bit n = node n idle).
-    pub idle: Vec<u64>,
-    /// Bitmap of nodes running HPC-Whisk pilots.
-    pub pilot: Vec<u64>,
+    /// Number of idle nodes.
+    pub idle: u32,
+    /// Number of nodes running HPC-Whisk pilots.
+    pub pilot: u32,
 }
+
+// A day keeps ~8,600 of these; two words each.
+const _: () = assert!(std::mem::size_of::<PollSample>() <= 16);
 
 impl PollSample {
     /// Number of idle nodes in the sample.
     pub fn n_idle(&self) -> u32 {
-        self.idle.iter().map(|w| w.count_ones()).sum()
+        self.idle
     }
     /// Number of pilot nodes in the sample.
     pub fn n_pilot(&self) -> u32 {
-        self.pilot.iter().map(|w| w.count_ones()).sum()
-    }
-    /// True iff node `n` is idle in this sample.
-    pub fn is_idle(&self, n: usize) -> bool {
-        self.idle[n / 64] & (1 << (n % 64)) != 0
-    }
-    /// True iff node `n` runs a pilot in this sample.
-    pub fn is_pilot(&self, n: usize) -> bool {
-        self.pilot[n / 64] & (1 << (n % 64)) != 0
-    }
-    /// True iff node `n` is available (idle or pilot) — the paper's
-    /// joined baseline for coverage analysis (§V-B).
-    pub fn is_available(&self, n: usize) -> bool {
-        self.is_idle(n) || self.is_pilot(n)
+        self.pilot
     }
 }
 
@@ -112,23 +104,54 @@ pub enum ClusterNote {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ClusterSim, JobSpec, SlurmConfig};
+    use simcore::{Engine, Outbox, SimDuration};
 
     #[test]
-    fn poll_sample_bit_accessors() {
-        let mut s = PollSample {
-            t: SimTime::ZERO,
-            idle: vec![0; 2],
-            pilot: vec![0; 2],
-        };
-        s.idle[0] |= 1 << 5;
-        s.pilot[1] |= 1 << 0; // node 64
-        assert!(s.is_idle(5));
-        assert!(!s.is_idle(6));
-        assert!(s.is_pilot(64));
-        assert!(s.is_available(5));
-        assert!(s.is_available(64));
-        assert!(!s.is_available(6));
-        assert_eq!(s.n_idle(), 1);
-        assert_eq!(s.n_pilot(), 1);
+    fn polled_counts_equal_bitset_popcounts() {
+        // 70 nodes (two bitset words), pilots and HPC jobs coming and
+        // going for half an hour: every sample's counts are the
+        // popcounts of the sets the poll read at that instant.
+        let mut sim = ClusterSim::new(SlurmConfig::default(), 70, 3);
+        let mut engine: Engine<ClusterEvent> = Engine::new();
+        let mut boot = Outbox::new(SimTime::ZERO);
+        sim.bootstrap(SimTime::ZERO, &mut boot);
+        for i in 0..40 {
+            sim.submit(
+                SimTime::ZERO,
+                JobSpec::pilot_fixed(SimDuration::from_mins(2 + i % 7), i),
+                &mut boot,
+            );
+        }
+        for i in 0..6 {
+            let limit = SimDuration::from_mins(5 + 3 * i);
+            sim.submit(SimTime::ZERO, JobSpec::hpc(8, limit, limit), &mut boot);
+        }
+        for (t, e) in boot.drain() {
+            engine.schedule(t, e);
+        }
+        let (mut polls, mut with_pilots) = (0, 0);
+        engine.run_until(SimTime::from_mins(30), &mut |now: SimTime,
+                                                       ev: ClusterEvent,
+                                                       out: &mut Outbox<
+            ClusterEvent,
+        >| {
+            let mut notes = Vec::new();
+            sim.handle(now, ev, out, &mut notes);
+            for note in notes {
+                if let ClusterNote::Polled(s) = note {
+                    let (idle, pilot) = sim.poll_bits();
+                    let ones = |bits: &[u64]| bits.iter().map(|w| w.count_ones()).sum::<u32>();
+                    assert_eq!(s.t, now);
+                    assert_eq!((s.n_idle(), s.n_pilot()), (ones(idle), ones(pilot)));
+                    polls += 1;
+                    with_pilots += u32::from(s.n_pilot() > 0);
+                }
+            }
+        });
+        assert!(
+            polls > 100 && with_pilots > 10,
+            "{polls} polls, {with_pilots} with pilots"
+        );
     }
 }

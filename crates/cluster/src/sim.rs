@@ -78,6 +78,7 @@ use crate::ids::{JobId, NodeId, NodeList};
 use crate::job::{Job, JobKind, JobOutcome, JobSpec, JobState};
 use crate::node::{Node, NodeState};
 use crate::timeline::{FitPolicy, Timeline};
+use crate::trace::{AvailabilityTrace, PollIntervals};
 use metrics::{OnlineStats, StepSeries};
 use simcore::{Outbox, SimDuration, SimRng, SimTime};
 use std::cmp::Reverse;
@@ -303,8 +304,10 @@ pub struct ClusterSim {
     /// timeline's slot-0-free set for the eligible-node lookup.
     idle_bits: Vec<u64>,
     /// Bit `n` set iff node `n` runs a pilot job (draining included) —
-    /// with `idle_bits`, the two sets a poll sample copies.
+    /// with `idle_bits`, the two sets a poll reads.
     pilot_bits: Vec<u64>,
+    /// The joined (idle ∪ pilot) availability trace, built poll by poll.
+    poll_intervals: PollIntervals,
     /// The standing proof that a pass would place nothing, if any.
     settled: Option<Settled>,
     /// Pending pilots per declared limit in minutes, kept at `submit`,
@@ -493,6 +496,7 @@ impl ClusterSim {
             proj_until: vec![SimTime::ZERO; n_nodes],
             idle_bits,
             pilot_bits: vec![0; words],
+            poll_intervals: PollIntervals::new(n_nodes),
             settled: None,
             pilot_census: Vec::new(),
             plane_pilot: None,
@@ -572,9 +576,12 @@ impl ClusterSim {
         &self.series
     }
 
-    /// The ground-truth state series, at the end of a run.
-    pub fn into_series(self) -> ClusterSeries {
-        self.series
+    /// At the end of a run: the ground-truth state series, and the
+    /// availability trace (idle ∪ pilot, §V-B) as the poller saw it —
+    /// from its first sample to its last, which counts as unavailable.
+    /// Panics unless the poller sampled at two instants.
+    pub fn into_parts(self) -> (ClusterSeries, AvailabilityTrace) {
+        (self.series, self.poll_intervals.finish())
     }
 
     /// Aggregate counters.
@@ -2387,20 +2394,30 @@ impl ClusterSim {
         self.series.down.set(now, self.n_down as f64);
     }
 
-    /// A poll sample is two word-vector copies: both sets are maintained
-    /// per transition by [`refresh_node`](Self::refresh_node).
-    fn take_poll_sample(&self, t: SimTime) -> PollSample {
+    /// A poll XORs the two maintained sets against the previous poll's
+    /// and opens or closes the availability intervals of the nodes that
+    /// changed; the sample itself is the two maintained counts.
+    fn take_poll_sample(&mut self, t: SimTime) -> PollSample {
         #[cfg(debug_assertions)]
         self.check_poll_bits();
+        self.poll_intervals
+            .sample(t, &self.idle_bits, &self.pilot_bits);
         PollSample {
             t,
-            idle: self.idle_bits.clone(),
-            pilot: self.pilot_bits.clone(),
+            idle: self.n_idle as u32,
+            pilot: self.n_pilot as u32,
         }
     }
 
+    /// Test hook: the maintained `(idle, pilot)` bitsets a poll reads.
+    #[doc(hidden)]
+    pub fn poll_bits(&self) -> (&[u64], &[u64]) {
+        (&self.idle_bits, &self.pilot_bits)
+    }
+
     /// Test hook: assert the maintained idle/pilot bitsets equal a scan
-    /// of the node table, bit for bit. Panics on divergence.
+    /// of the node table, bit for bit, and the maintained counts their
+    /// popcounts. Panics on divergence.
     #[doc(hidden)]
     pub fn check_poll_bits(&self) {
         let words = self.nodes.len().div_ceil(64);
@@ -2423,6 +2440,9 @@ impl ClusterSim {
             pilot == self.pilot_bits,
             "pilot bitset diverged from the node table"
         );
+        let ones = |bits: &[u64]| bits.iter().map(|w| w.count_ones() as i64).sum::<i64>();
+        assert_eq!(self.n_idle, ones(&idle), "idle count diverged");
+        assert_eq!(self.n_pilot, ones(&pilot), "pilot count diverged");
     }
 
     /// Poll cadence with the jitter the paper measured (§IV-A): 76.43%

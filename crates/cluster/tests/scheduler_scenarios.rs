@@ -3,9 +3,10 @@
 //! extension, pinned demand claims, node failures and the poller.
 
 use hpcwhisk_cluster::{
-    ClusterEvent, ClusterNote, ClusterSim, JobId, JobKind, JobOutcome, JobSpec, JobState, NodeId,
-    SigtermReason, SlurmConfig,
+    AvailabilityTrace, ClusterEvent, ClusterNote, ClusterSim, JobId, JobKind, JobOutcome, JobSpec,
+    JobState, NodeId, SigtermReason, SlurmConfig,
 };
+use hpcwhisk_core::{lengths, offline};
 use proptest::prelude::*;
 use simcore::{Engine, Outbox, SimDuration, SimTime};
 
@@ -18,6 +19,8 @@ struct Harness {
     quick_events: u64,
     /// `(scheduled at, due at, event)` for every event the sim emitted.
     scheduled: Vec<(SimTime, SimTime, ClusterEvent)>,
+    /// `(instant, idle bits, pilot bits)` the sim held at every poll.
+    poll_bits: Vec<(SimTime, Vec<u64>, Vec<u64>)>,
 }
 
 impl Harness {
@@ -39,6 +42,7 @@ impl Harness {
             notes: Vec::new(),
             quick_events: 0,
             scheduled: Vec::new(),
+            poll_bits: Vec::new(),
         }
     }
 
@@ -76,6 +80,7 @@ impl Harness {
         let notes = &mut self.notes;
         let quick_events = &mut self.quick_events;
         let scheduled = &mut self.scheduled;
+        let poll_bits = &mut self.poll_bits;
         self.engine.run_until(
             horizon,
             &mut |now: SimTime, ev: ClusterEvent, out: &mut Outbox<ClusterEvent>| {
@@ -83,6 +88,10 @@ impl Harness {
                 let mut local = Vec::new();
                 let mut emitted = Outbox::new(now);
                 sim.handle(now, ev, &mut emitted, &mut local);
+                if local.iter().any(|n| matches!(n, ClusterNote::Polled(_))) {
+                    let (idle, pilot) = sim.poll_bits();
+                    poll_bits.push((now, idle.to_vec(), pilot.to_vec()));
+                }
                 notes.extend(local.into_iter().map(|n| (now, n)));
                 for (at, e) in emitted.drain() {
                     scheduled.push((now, at, e.clone()));
@@ -395,7 +404,7 @@ fn poller_emits_samples_with_expected_cadence() {
         .notes
         .iter()
         .filter_map(|(_, n)| match n {
-            ClusterNote::Polled(s) => Some(s.clone()),
+            ClusterNote::Polled(s) => Some(*s),
             _ => None,
         })
         .collect();
@@ -415,6 +424,102 @@ fn poller_emits_samples_with_expected_cadence() {
     // Sample content: 7 idle + 1 pilot at the start.
     let first = &samples[0];
     assert_eq!(first.n_idle() + first.n_pilot(), 8);
+}
+
+/// The reconstruction the poller's interval builder replaced, over the
+/// bitsets snapshotted at every poll: probe each node in each sample; a
+/// node is available (idle ∪ pilot) from an available sample until the
+/// next sample where it is not, the last sample counting as unavailable.
+fn scan_poll_bits(polls: &[(SimTime, Vec<u64>, Vec<u64>)], n_nodes: usize) -> AvailabilityTrace {
+    let (start, end) = (polls[0].0, polls[polls.len() - 1].0);
+    let per_node = (0..n_nodes)
+        .map(|n| {
+            let mut gaps = Vec::new();
+            let mut open: Option<SimTime> = None;
+            for (i, (t, idle, pilot)) in polls.iter().enumerate() {
+                let avail = (idle[n / 64] | pilot[n / 64]) & (1 << (n % 64)) != 0;
+                match (avail && i + 1 < polls.len(), open) {
+                    (true, None) => open = Some(*t),
+                    (false, Some(from)) => {
+                        if *t > from {
+                            gaps.push((from, *t));
+                        }
+                        open = None;
+                    }
+                    _ => {}
+                }
+            }
+            gaps
+        })
+        .collect();
+    AvailabilityTrace::from_intervals(start, end, per_node)
+}
+
+#[test]
+fn poller_hands_over_the_trace_a_scan_of_its_samples_gives() {
+    // 70 nodes (two bitset words) under churn: HPC jobs of assorted
+    // widths come and go, pilots of six lengths fill what they leave,
+    // some are preempted, two nodes fail and one returns.
+    let mut h = Harness::new(70);
+    for (m, ev) in [
+        (100, ClusterEvent::NodeDown(NodeId(3))),
+        (100, ClusterEvent::NodeDown(NodeId(66))),
+        (115, ClusterEvent::NodeUp(NodeId(66))),
+    ] {
+        h.engine.schedule(at_min(m), ev);
+    }
+    for i in 0..48u64 {
+        let limit = mins(4 + (i * 7) % 23);
+        h.submit_at(
+            at_min(i * 5),
+            JobSpec::hpc(4 + (i % 5) as u32 * 6, limit, limit),
+        );
+        for k in 0..6 {
+            h.submit_at(at_min(i * 5 + 1), JobSpec::pilot_fixed(mins(2 + 3 * k), k));
+        }
+    }
+    h.run_until(SimTime::from_hours(5));
+
+    let samples: Vec<_> = h
+        .notes
+        .iter()
+        .filter_map(|(_, n)| match n {
+            ClusterNote::Polled(s) => Some(*s),
+            _ => None,
+        })
+        .collect();
+    // One snapshot per sample, taken at the sample's instant.
+    assert!(samples
+        .iter()
+        .map(|s| s.t)
+        .eq(h.poll_bits.iter().map(|p| p.0)));
+    let scan = scan_poll_bits(&h.poll_bits, 70);
+    // The scenario exercises the builder: many intervals, pilots among
+    // them, nodes available at the first sample and at the last.
+    assert!(scan.n_intervals() > 300, "{} intervals", scan.n_intervals());
+    assert!(samples.iter().filter(|s| s.n_pilot() > 0).count() > 500);
+    assert!(scan
+        .per_node
+        .iter()
+        .any(|iv| iv.first().is_some_and(|g| g.0 == scan.start)));
+    assert!(scan
+        .per_node
+        .iter()
+        .any(|iv| iv.last().is_some_and(|g| g.1 == scan.end)));
+    assert!(scan.per_node[3].last().is_some_and(|g| g.1 < at_min(101)));
+
+    let (_, built) = h.sim.into_parts();
+    assert_eq!(built.start, scan.start);
+    assert_eq!(built.end, scan.end);
+    assert_eq!(built.per_node, scan.per_node);
+    // And so the clairvoyant rows come out bit for bit the same.
+    for lengths in [lengths::A1.to_vec(), lengths::c2()] {
+        let cfg = offline::OfflineConfig::table1(lengths);
+        assert_eq!(
+            format!("{:?}", offline::simulate(&built, &cfg)),
+            format!("{:?}", offline::simulate(&scan, &cfg))
+        );
+    }
 }
 
 #[test]

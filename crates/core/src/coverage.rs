@@ -4,7 +4,8 @@
 //!   baseline availability (idle ∪ pilot nodes) was actually covered by
 //!   pilot jobs, and the worker-count distribution;
 //! * **Simulation** — the clairvoyant upper bound ([`crate::offline`])
-//!   run on the trace reconstructed from the same samples;
+//!   run on the availability trace the poller built as it took those
+//!   samples;
 //! * **OpenWhisk-level** — from the controller's worker-state series:
 //!   warming / healthy / irresponsive counts, no-invoker periods, and
 //!   per-invoker ready lifetimes.
@@ -129,18 +130,10 @@ mod tests {
     use super::*;
 
     fn sample(ts: u64, idle_nodes: &[usize], pilot_nodes: &[usize]) -> PollSample {
-        let mut idle = vec![0u64; 1];
-        let mut pilot = vec![0u64; 1];
-        for n in idle_nodes {
-            idle[0] |= 1 << n;
-        }
-        for n in pilot_nodes {
-            pilot[0] |= 1 << n;
-        }
         PollSample {
             t: SimTime::from_secs(ts),
-            idle,
-            pilot,
+            idle: idle_nodes.len() as u32,
+            pilot: pilot_nodes.len() as u32,
         }
     }
 

@@ -153,8 +153,12 @@ pub struct DayReport {
     pub window: (SimTime, SimTime),
     /// Cluster size.
     pub n_nodes: usize,
-    /// Poll-sample log (the Slurm-level raw data).
+    /// Poll-sample log (the Slurm-level raw data): idle and pilot node
+    /// counts per sample.
     pub samples: Vec<PollSample>,
+    /// Availability (idle ∪ pilot) per node as the poller saw it, built
+    /// by the cluster while it sampled.
+    pub availability: AvailabilityTrace,
     /// Cluster counters.
     pub cluster_counters: Counters,
     /// Platform counters.
@@ -201,8 +205,7 @@ impl DayReport {
 
     /// The clairvoyant Simulation perspective over the measured trace.
     pub fn simulation(&self, lengths_mins: Vec<u64>) -> OfflineReport {
-        let trace = AvailabilityTrace::from_poll_samples(&self.samples, self.n_nodes, true);
-        offline::simulate(&trace, &OfflineConfig::table1(lengths_mins))
+        offline::simulate(&self.availability, &OfflineConfig::table1(lengths_mins))
     }
 
     /// The OpenWhisk-level perspective.
@@ -602,12 +605,13 @@ pub fn run_day(trace: &AvailabilityTrace, cfg: DayConfig) -> DayReport {
     let cluster_counters = state.cluster.counters().clone();
     let whisk_counters = state.whisk.counters().clone();
     let whisk_series = state.whisk.into_series();
-    let cluster_series = state.cluster.into_series();
+    let (cluster_series, availability) = state.cluster.into_parts();
     DayReport {
         manager_name,
         window: (trace.start, trace.end),
         n_nodes,
         samples: state.samples,
+        availability,
         cluster_counters,
         whisk_counters,
         healthy_series: whisk_series.healthy,

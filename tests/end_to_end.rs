@@ -264,8 +264,14 @@ fn poll_reconstruction_roundtrips_through_facade() {
     let mut cfg = DayConfig::fib_paper(11);
     cfg.load = None;
     let rep = run_day(&trace, cfg);
-    let measured = AvailabilityTrace::from_poll_samples(&rep.samples, rep.n_nodes, true);
-    // The measured availability roughly matches the generating trace.
+    // The availability the poller measured roughly matches the
+    // generating trace, over the same nodes and the sampled horizon.
+    let measured = &rep.availability;
+    assert_eq!(measured.n_nodes(), rep.n_nodes);
+    assert_eq!(
+        (measured.start, measured.end),
+        (rep.samples[0].t, rep.samples[rep.samples.len() - 1].t)
+    );
     let gen_mins = trace.total_available().as_mins_f64();
     let meas_mins = measured.total_available().as_mins_f64();
     let ratio = meas_mins / gen_mins;
