@@ -1,8 +1,10 @@
-//! Microbenchmarks of the DES engine: event-queue throughput and the
-//! dispatch loop — the substrate every experiment's wall-time rests on.
+//! Microbenchmarks of the DES engine's event queue — the substrate
+//! every experiment's wall-time rests on. (Dispatch through the engine
+//! is timed by the benchmark's `simcore.ns_per_event`, on the
+//! 1,024-pending shape a simulated day has.)
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use simcore::{Engine, EventQueue, Outbox, SimDuration, SimTime};
+use simcore::{EventQueue, SimTime};
 use std::hint::black_box;
 
 fn bench_event_queue(c: &mut Criterion) {
@@ -26,31 +28,9 @@ fn bench_event_queue(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_engine_dispatch(c: &mut Criterion) {
-    let mut g = c.benchmark_group("engine");
-    g.bench_function("ping_chain_100k", |b| {
-        b.iter(|| {
-            let mut engine: Engine<u32> = Engine::new();
-            engine.schedule(SimTime::ZERO, 0u32);
-            let mut count = 0u64;
-            engine.run_until(
-                SimTime::from_secs(100_000),
-                &mut |_now: SimTime, ev: u32, out: &mut Outbox<u32>| {
-                    count += 1;
-                    if count < 100_000 {
-                        out.after(SimDuration::from_millis(1_000), ev.wrapping_add(1));
-                    }
-                },
-            );
-            black_box(count)
-        })
-    });
-    g.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_event_queue, bench_engine_dispatch
+    targets = bench_event_queue
 }
 criterion_main!(benches);

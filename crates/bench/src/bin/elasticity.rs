@@ -213,21 +213,25 @@ fn churn_iteration(seed: u64, drain_batch: usize) {
         }
     }
 
+    let (mut col, mut done) = (gw.collector(), Vec::new());
     let mut completed = HashSet::new();
     while completed.len() < accepted.len() {
-        let c = gw.recv_timeout(Duration::from_secs(10)).unwrap_or_else(|| {
+        done.clear();
+        if gw.collect_wait(&mut col, &mut done, Duration::from_secs(10)) == 0 {
             panic!(
                 "seed {seed} batch {drain_batch}: lost {} of {} ({:?})",
                 accepted.len() - completed.len(),
                 accepted.len(),
                 ctl.stats()
             )
-        });
-        assert!(
-            completed.insert(c.id),
-            "seed {seed} batch {drain_batch}: request {} executed twice",
-            c.id
-        );
+        }
+        for c in &done {
+            assert!(
+                completed.insert(c.id),
+                "seed {seed} batch {drain_batch}: request {} executed twice",
+                c.id
+            );
+        }
     }
     assert_eq!(completed, accepted, "seed {seed} batch {drain_batch}");
     ctl.finish();

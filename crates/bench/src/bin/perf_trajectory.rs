@@ -1,6 +1,6 @@
 //! Perf-trajectory probe: times the measured hot paths (scheduler
-//! passes at production scale, DES engine dispatch, event queue, broker,
-//! offline simulator, the cores→ops/s scaling curve) *without*
+//! passes at production scale, event queue, broker, offline simulator,
+//! the cores→ops/s scaling curve) *without*
 //! criterion and writes the results to `BENCH_results.json`, so
 //! successive PRs can track the performance trajectory with a single
 //! `cargo run --release -p hpcwhisk_bench --bin perf_trajectory`.
@@ -36,7 +36,7 @@ use hpcwhisk_core::{
     lengths, run_days, DayConfig, DesLeaseSource, DesSourceCfg, FibManager, PilotManager, SizerCfg,
 };
 use mq::Broker;
-use simcore::{Engine, EventQueue, Outbox, SimDuration, SimTime};
+use simcore::{EventQueue, Outbox, SimDuration, SimTime};
 use std::hint::black_box;
 use std::time::Instant;
 use workload::{IdleModel, PoissonLoadGen};
@@ -622,29 +622,6 @@ fn main() {
             },
         ));
     }
-    if want(&filter, "engine/ping_chain_100k") {
-        probes.push(probe(
-            "engine/ping_chain_100k",
-            7,
-            1,
-            || (),
-            |_: &mut ()| {
-                let mut engine: Engine<u32> = Engine::new();
-                engine.schedule(SimTime::ZERO, 0u32);
-                let mut count = 0u64;
-                engine.run_until(
-                    SimTime::from_secs(100_000),
-                    &mut |_now: SimTime, ev: u32, out: &mut Outbox<u32>| {
-                        count += 1;
-                        if count < 100_000 {
-                            out.after(SimDuration::from_millis(1_000), ev.wrapping_add(1));
-                        }
-                    },
-                );
-                count
-            },
-        ));
-    }
     if want(&filter, "event_queue/push_pop_10k") {
         probes.push(probe(
             "event_queue/push_pop_10k",
@@ -774,7 +751,7 @@ mod tests {
     fn checked_in_trajectory_is_strict_json() {
         let text = include_str!("../../../../BENCH_results.json");
         let probes = parse_trajectory(text).expect("BENCH_results.json parses strictly");
-        assert!(probes.len() >= 18, "only {} probes", probes.len());
+        assert!(probes.len() >= 17, "only {} probes", probes.len());
         assert!(probes.iter().any(|(n, _)| n == "scaling/run_days_8wk_2t"));
         assert!(probes.iter().all(|(_, ns)| ns.is_finite() && *ns > 0.0));
     }

@@ -722,10 +722,12 @@ mod tests {
             };
             (0..n).filter(shed).count() as u64
         };
-        let collect = |n: u64| {
-            for _ in 0..n {
-                gw.recv_timeout(Duration::from_secs(10))
-                    .expect("completion");
+        let mut col = gw.collector();
+        let mut collect = |n: u64| {
+            let mut done = Vec::new();
+            while (done.len() as u64) < n {
+                let got = gw.collect_wait(&mut col, &mut done, Duration::from_secs(10));
+                assert!(got > 0, "completion");
             }
         };
         let shed1 = burst(32);

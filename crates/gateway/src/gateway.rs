@@ -19,8 +19,9 @@
 //!    carrying queue-wait/service/total latencies, published batch-wise
 //!    to the invoker's **private completion shard** (exactly one
 //!    producer per shard — there is no shared multi-producer point on
-//!    the completion path). Consumers sweep the shards round-robin via
-//!    [`Gateway::collect_completions`] / [`Gateway::recv_timeout`].
+//!    the completion path). Each consumer holds a [`Collector`] and
+//!    sweeps the shards round-robin via
+//!    [`Gateway::collect_completions_with`] / [`Gateway::collect_wait`].
 //!
 //! Drain (`sigterm` → `join`): the controller atomically unroutes the
 //! invoker and flips its state; the invoker finishes the batch it has
@@ -33,11 +34,10 @@
 use crate::action::{ActionId, ActionRegistry, ActionSpec};
 use crate::admission::{AdmissionPolicy, AdmissionShaper, Shape};
 use crate::pool::{Placement, PoolStats, WarmPool};
-use crate::queue::{Envelope, Produce, ProduceBatch, Request, WorkQueue};
+use crate::queue::{Envelope, FastLane, Produce, ProduceBatch, Request};
 use crate::ring::RingQueue;
 use crate::route::{mix64, Router};
 use crate::telem::{BurstCounts, GatewayTelemetry, SlotTelem, Totals};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -118,8 +118,8 @@ pub struct GatewayConfig {
     /// Run the keep-alive sweep at least this often even under load.
     pub sweep_every_ops: u64,
     /// Max envelopes an invoker pops per pass of its loop: the fast
-    /// lane first (one lock acquisition), topped up from the home ring.
-    /// 1 reproduces the unbatched per-pop behaviour exactly; the
+    /// lane first (no lock while it is empty), topped up from the home
+    /// ring. 1 reproduces the unbatched per-pop behaviour exactly; the
     /// drain-stress matrix proves exactly-once at 1, 4 and 32.
     pub drain_batch: usize,
     /// How admissions are shaped beyond the structural bounds:
@@ -185,11 +185,6 @@ struct Segment {
     next: *mut Segment,
 }
 
-/// The claim tag used by the shared-cursor collection API
-/// ([`Gateway::collect_completions`] / the `recv` convenience calls);
-/// dedicated [`Collector`] handles get tags ≥ 2.
-const ANON_COLLECTOR: u32 = 1;
-
 /// One invoker slot's completion buffer: a **lock-free** Treiber stack
 /// of batch segments. Exactly one producer at a time (the invoker
 /// thread occupying the slot — slots are only reused after the previous
@@ -233,7 +228,9 @@ impl CompletionShard {
         }));
         let mut head = self.head.load(Ordering::Relaxed);
         loop {
-            // Safety: `seg` is not yet published, this thread owns it.
+            // SAFETY: `seg` came from `Box::into_raw` above and is not
+            // yet published (the CAS below has not succeeded), so this
+            // thread holds the only pointer to it.
             unsafe { (*seg).next = head };
             match self
                 .head
@@ -256,16 +253,25 @@ impl CompletionShard {
         // The chain is newest-first; reverse in place for FIFO.
         let mut prev: *mut Segment = std::ptr::null_mut();
         while !p.is_null() {
-            // Safety: the swap transferred ownership of the chain.
-            let next = unsafe { (*p).next };
-            unsafe { (*p).next = prev };
-            prev = p;
-            p = next;
+            // SAFETY: every node of the chain was published by
+            // `publish` (a live `Box::into_raw` allocation whose `next`
+            // was written before its Release CAS, which our Acquire
+            // swap pairs with), and the swap detached the whole chain:
+            // no producer or other collector can reach it any more, so
+            // this thread owns every node exclusively.
+            unsafe {
+                let next = (*p).next;
+                (*p).next = prev;
+                prev = p;
+                p = next;
+            }
         }
         let mut n = 0;
         let mut p = prev;
         while !p.is_null() {
-            // Safety: exclusively owned since the swap; freed here.
+            // SAFETY: `p` is a node of the exclusively owned chain
+            // reversed above, each visited once; `Box::from_raw`
+            // returns the allocation `publish` leaked and frees it here.
             let seg = unsafe { Box::from_raw(p) };
             n += seg.batch.len();
             out.extend_from_slice(&seg.batch);
@@ -291,7 +297,9 @@ impl Drop for CompletionShard {
     fn drop(&mut self) {
         let mut p = *self.head.get_mut();
         while !p.is_null() {
-            // Safety: `&mut self` — no concurrent producer/collector.
+            // SAFETY: `&mut self` excludes every producer and collector,
+            // so the chain still hanging off `head` is owned here; each
+            // node is a `publish` allocation, visited and freed once.
             let seg = unsafe { Box::from_raw(p) };
             p = seg.next;
         }
@@ -309,7 +317,7 @@ const N_CHUNKS: usize = 24;
 /// are only ever *added* (slot reuse reuses the same shard), so the
 /// table never moves an entry: readers locate a shard through one
 /// `Acquire` load of the published length plus one of the owning chunk
-/// pointer — `collect_completions` holds no lock at all. Writers
+/// pointer — a collector's sweep holds no lock at all. Writers
 /// (`Gateway::start_invoker`) are already serialized by the slots
 /// mutex; they allocate whole chunks of initialized shards and then
 /// publish the new length with a `Release` store, so any index below
@@ -362,24 +370,18 @@ impl ShardTable {
         self.len.store(n, Ordering::Release);
     }
 
-    /// The shard at `i`; caller guarantees `i < self.len()`.
+    /// The shard at `i`; callers pass `i < self.len()`.
     #[inline]
-    fn get(&self, i: usize) -> &CompletionShard {
+    fn get(&self, i: usize) -> &Arc<CompletionShard> {
         let (k, off) = Self::locate(i);
         let chunk = self.chunks[k].load(Ordering::Acquire);
-        debug_assert!(!chunk.is_null(), "index below published len");
-        // Safety: chunks are published before `len` covers them and are
-        // never freed or moved until the table drops.
-        unsafe { &*chunk.add(off) }.as_ref()
-    }
-
-    /// Arc handle to the shard at `i` (for the owning invoker thread).
-    fn get_arc(&self, i: usize) -> Arc<CompletionShard> {
-        let (k, off) = Self::locate(i);
-        let chunk = self.chunks[k].load(Ordering::Acquire);
-        debug_assert!(!chunk.is_null(), "index below published len");
-        // Safety: as in `get`.
-        unsafe { &*chunk.add(off) }.clone()
+        assert!(!chunk.is_null(), "shard {i} beyond the published table");
+        // SAFETY: a non-null chunk `k` was Release-stored by `ensure`
+        // (our Acquire load pairs with it) as a boxed slice of
+        // `CHUNK_BASE << k` shards, all initialized before the store,
+        // and `locate` puts `off` below that length. Chunks are never
+        // freed or moved until the table drops, which `&self` outlives.
+        unsafe { &*chunk.add(off) }
     }
 }
 
@@ -389,8 +391,10 @@ impl Drop for ShardTable {
             let p = *self.chunks[k].get_mut();
             if !p.is_null() {
                 let cap = CHUNK_BASE << k;
-                // Safety: reconstructs the boxed slice allocated in
-                // `ensure`; `&mut self` excludes readers.
+                // SAFETY: a non-null chunk `k` is the `Box<[_]>` of
+                // exactly `cap` shards that `ensure` leaked; rebuilding
+                // the fat pointer with that length frees it once, and
+                // `&mut self` excludes every reader.
                 unsafe {
                     drop(Box::from_raw(std::ptr::slice_from_raw_parts_mut(p, cap)));
                 }
@@ -402,10 +406,10 @@ impl Drop for ShardTable {
 /// The completion-wait gate: `seq` bumps on every shard publish and
 /// `waiters` counts parked collectors, so producers skip the condvar
 /// (and its futex) entirely while every collector is busy — the same
-/// waiter-counted-wake discipline as [`WorkQueue::pop_timeout`]. This
-/// replaces the old fixed 100 µs poll in [`Gateway::recv_timeout`] and
-/// the harness's completion-wait sleep: idle collectors park until a
-/// publish actually happens instead of burning a core each.
+/// waiter-counted-wake discipline as [`RingQueue::pop_timeout`]. Idle
+/// collectors ([`Gateway::collect_wait`], the harness's
+/// [`Gateway::wait_completions`]) park until a publish actually
+/// happens instead of polling and burning a core each.
 struct CompletionGate {
     seq: AtomicU64,
     waiters: AtomicUsize,
@@ -471,10 +475,6 @@ pub struct Collector {
     cursor: usize,
     tag: u32,
 }
-
-/// The shared round-robin cursor on its own cache line.
-#[repr(align(128))]
-struct SharedCursor(AtomicUsize);
 
 /// Caller-held scratch for [`Gateway::invoke_burst`]: the per-target
 /// buckets of a burst, kept across calls so their backing allocations
@@ -542,33 +542,17 @@ pub struct Gateway {
     actions: Arc<ActionRegistry>,
     router: Router<Arc<InvokerHandle>>,
     slots: Mutex<Vec<Slot>>,
-    fast: Arc<WorkQueue>,
+    fast: Arc<FastLane>,
     /// Per-slot completion buffers, index-aligned with `slots`: the
     /// append-only epoch-published table — collectors never take a lock
     /// (growth is serialized by the `slots` mutex).
     completion_shards: ShardTable,
-    /// Rotates the shard the *shared-cursor* collection sweep starts
-    /// at, so no invoker's completions are systematically served first.
-    /// Line-aligned: concurrent anonymous collectors bump it without
-    /// dirtying neighbouring fields. Dedicated [`Collector`] handles
-    /// carry their own cursor instead.
-    collect_cursor: SharedCursor,
     /// Completion-publish wake gate (waiter-counted; see
     /// [`CompletionGate`]). Shared with every invoker thread.
     gate: Arc<CompletionGate>,
-    /// Next tag handed to a [`Collector`] (tags ≥ 2; 1 is the
-    /// shared-cursor API, 0 means unclaimed).
+    /// Next tag handed to a [`Collector`] (tags ≥ 1; 0 means
+    /// unclaimed).
     next_collector: AtomicU32,
-    /// Overflow for the one-at-a-time [`recv_timeout`]/[`try_recv`]
-    /// convenience API (a sweep can return more than one completion).
-    /// `spill_len` mirrors the queue length so the batch collection
-    /// paths skip the mutex entirely while the spill is empty — the
-    /// common case whenever the one-at-a-time API is not in use.
-    ///
-    /// [`recv_timeout`]: Gateway::recv_timeout
-    /// [`try_recv`]: Gateway::try_recv
-    spill: Mutex<VecDeque<Completion>>,
-    spill_len: AtomicUsize,
     /// The token-bucket admission shaper (inert under `HardShed`);
     /// capacity is re-fed on every router rebuild.
     shaper: AdmissionShaper,
@@ -601,13 +585,8 @@ impl Gateway {
             ring_full.clone(),
             actions.clone(),
         );
-        // The fast lane reports its high-water under the shared gauge;
-        // tag u64::MAX marks it in flight-recorder events.
-        let fast = WorkQueue::with_telem(
-            telem.queue_highwater.clone(),
-            telem.queue_wakes.clone(),
-            u64::MAX,
-        );
+        // The fast lane reports its high-water under the shared gauge.
+        let fast = FastLane::new(telem.queue_highwater.clone());
         Gateway {
             cfg,
             actions,
@@ -615,11 +594,8 @@ impl Gateway {
             slots: Mutex::new(Vec::new()),
             fast: Arc::new(fast),
             completion_shards: ShardTable::new(),
-            collect_cursor: SharedCursor(AtomicUsize::new(0)),
             gate: Arc::new(CompletionGate::new()),
-            next_collector: AtomicU32::new(2),
-            spill: Mutex::new(VecDeque::new()),
-            spill_len: AtomicUsize::new(0),
+            next_collector: AtomicU32::new(1),
             shaper,
             ring_full,
             next_request: AtomicU64::new(0),
@@ -656,11 +632,6 @@ impl Gateway {
     /// (false under the default hard-shed policy).
     pub fn admission_shaping(&self) -> bool {
         self.shaper.shaping()
-    }
-
-    /// Pending depth of the shared fast lane.
-    pub fn fast_lane_depth(&self) -> usize {
-        self.fast.depth()
     }
 
     /// Aggregate container-pool stats: live invokers are not readable
@@ -718,7 +689,7 @@ impl Gateway {
         // Still under the slots lock, which serializes table growth;
         // collectors read the table lock-free throughout.
         self.completion_shards.ensure(index + 1);
-        let shard = self.completion_shards.get_arc(index);
+        let shard = self.completion_shards.get(index).clone();
         // A lease granted: the invoker lifecycle *is* the lease
         // lifecycle, so grants − revokes = live leases by construction
         // no matter which driver (controller, test, bin) starts it.
@@ -753,27 +724,6 @@ impl Gateway {
         token
     }
 
-    /// Sweep every completion shard once, round-robin from a rotating
-    /// start, moving everything published so far into `out`. Returns
-    /// how many completions were collected. This is the consumer half
-    /// of the sharded completion path and it holds **no mutex**: the
-    /// shard list is epoch-published, each shard is a lock-free segment
-    /// stack, and the spill buffer is skipped through an atomic length
-    /// unless the one-at-a-time API actually left something there.
-    /// Concurrent callers share one rotating cursor and skip shards a
-    /// racing collector has claimed; threads collecting continuously
-    /// should prefer a dedicated [`Collector`] handle
-    /// ([`Gateway::collector`] + [`Gateway::collect_completions_with`]).
-    pub fn collect_completions(&self, out: &mut Vec<Completion>) -> usize {
-        let n = self.drain_spill(out);
-        let len = self.completion_shards.len();
-        if len == 0 {
-            return n;
-        }
-        let start = self.collect_cursor.0.fetch_add(1, Ordering::Relaxed) % len;
-        n + self.drain_shards(out, start, ANON_COLLECTOR)
-    }
-
     /// A dedicated collector handle: its own round-robin cursor (on its
     /// own cache line) and a unique shard-claim tag.
     pub fn collector(&self) -> Collector {
@@ -784,23 +734,38 @@ impl Gateway {
         }
     }
 
-    /// [`collect_completions`](Gateway::collect_completions) through a
-    /// dedicated [`Collector`]: no shared-cursor traffic, and shards
-    /// claimed by other collectors are skipped, so N collectors split
-    /// the shard space instead of serializing on it.
+    /// Sweep every completion shard once through `col`, moving
+    /// everything published so far into `out`; returns how many. The
+    /// sweep starts one shard further round each call, so no invoker's
+    /// completions are systematically served first, and holds **no
+    /// mutex**: the shard list is epoch-published and each shard is a
+    /// lock-free segment stack. Shards claimed by another collector are
+    /// skipped — that collector takes whatever is pending there — so N
+    /// collectors split the shard space instead of serializing on it.
     pub fn collect_completions_with(
         &self,
         col: &mut Collector,
         out: &mut Vec<Completion>,
     ) -> usize {
-        let n = self.drain_spill(out);
         let len = self.completion_shards.len();
         if len == 0 {
-            return n;
+            return 0;
         }
         let start = col.cursor % len;
         col.cursor = col.cursor.wrapping_add(1);
-        n + self.drain_shards(out, start, col.tag)
+        let mut n = 0;
+        let mut skipped = 0u64;
+        for i in 0..len {
+            let shard = self.completion_shards.get((start + i) % len);
+            if !shard.try_claim(col.tag) {
+                skipped += 1;
+                continue;
+            }
+            n += shard.drain_into(out);
+            shard.release_claim();
+        }
+        self.telem.collect_claim_skips.add(skipped);
+        n
     }
 
     /// Blocking collect: sweep, and if nothing is pending park on the
@@ -851,105 +816,6 @@ impl Gateway {
     /// [`completion_epoch`](Gateway::completion_epoch).
     pub fn wait_completions(&self, seen: u64, timeout: Duration) {
         self.gate.wait(seen, timeout);
-    }
-
-    /// Drain the one-at-a-time API's spill into `out`; the atomic
-    /// length check keeps the batch paths off the mutex while the spill
-    /// is empty.
-    fn drain_spill(&self, out: &mut Vec<Completion>) -> usize {
-        if self.spill_len.load(Ordering::Acquire) == 0 {
-            return 0;
-        }
-        let mut spill = self.spill.lock().unwrap_or_else(|e| e.into_inner());
-        let n = spill.len();
-        out.extend(spill.drain(..));
-        self.spill_len.store(0, Ordering::Release);
-        n
-    }
-
-    /// One round-robin sweep over the shards only (no spill), starting
-    /// at `start`, claiming each shard under `tag`. Lock-free.
-    fn drain_shards(&self, out: &mut Vec<Completion>, start: usize, tag: u32) -> usize {
-        let len = self.completion_shards.len();
-        if len == 0 {
-            return 0;
-        }
-        let mut n = 0;
-        let mut skipped = 0u64;
-        for i in 0..len {
-            let shard = self.completion_shards.get((start + i) % len);
-            if !shard.try_claim(tag) {
-                // Another collector owns this shard right now; its
-                // sweep takes whatever is pending. Contend on nothing.
-                skipped += 1;
-                continue;
-            }
-            n += shard.drain_into(out);
-            shard.release_claim();
-        }
-        self.telem.collect_claim_skips.add(skipped);
-        n
-    }
-
-    /// Pop one completion, sweeping the shards and parking on the
-    /// completion gate in between, until `timeout` elapses. Extra
-    /// completions a sweep returns are spilled for the next call, so no
-    /// completion is ever dropped by the one-at-a-time API. A timeout
-    /// too large to represent as a deadline (e.g. `Duration::MAX`)
-    /// waits forever, matching the channel API this replaced.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<Completion> {
-        let deadline = Instant::now().checked_add(timeout);
-        let mut swept = Vec::new();
-        loop {
-            let seen = self.gate.epoch();
-            if let Some(c) = self.try_recv_swept(&mut swept) {
-                return Some(c);
-            }
-            let remaining = match deadline {
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        return None;
-                    }
-                    d - now
-                }
-                None => Duration::MAX,
-            };
-            self.gate.wait(seen, remaining);
-        }
-    }
-
-    /// Non-blocking: pop one completion if any invoker has published
-    /// one (or a previous sweep spilled one).
-    pub fn try_recv(&self) -> Option<Completion> {
-        self.try_recv_swept(&mut Vec::new())
-    }
-
-    fn try_recv_swept(&self, swept: &mut Vec<Completion>) -> Option<Completion> {
-        // Serve from the spill first — popping one element, not
-        // round-tripping the whole backlog through `swept` (sequential
-        // one-at-a-time consumption stays O(1) per pop). The spill is
-        // shared state behind a mutex, with `spill_len` maintained
-        // under that same lock, so completions one caller spilled are
-        // visible to every other collector — batch sweeps included.
-        {
-            let mut spill = self.spill.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(c) = spill.pop_front() {
-                self.spill_len.store(spill.len(), Ordering::Release);
-                return Some(c);
-            }
-        }
-        swept.clear();
-        let start = self.collect_cursor.0.fetch_add(1, Ordering::Relaxed);
-        if self.drain_shards(swept, start, ANON_COLLECTOR) == 0 {
-            return None;
-        }
-        let mut it = swept.drain(..);
-        let first = it.next();
-        let mut spill = self.spill.lock().unwrap_or_else(|e| e.into_inner());
-        spill.extend(it);
-        self.spill_len.store(spill.len(), Ordering::Release);
-        first
     }
 
     /// Submit an invocation of `action` with routing key `key`. Returns
@@ -1264,7 +1130,7 @@ impl Gateway {
 /// Everything an invoker thread needs, captured at spawn.
 struct InvokerCtx {
     handle: Arc<InvokerHandle>,
-    fast: Arc<WorkQueue>,
+    fast: Arc<FastLane>,
     completions: Arc<CompletionShard>,
     gate: Arc<CompletionGate>,
     actions: Arc<ActionRegistry>,

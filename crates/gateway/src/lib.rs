@@ -13,10 +13,11 @@
 //!   cold-start/keep-alive parameters and per-action in-flight caps;
 //! * [`route`] — a sharded, epoch-swapped routing table: the invoke hot
 //!   path takes one shard-local read lock, never a global one;
-//! * [`ring`] / [`queue`] — the per-invoker lock-free MPSC rings and
-//!   the mutex-guarded MPMC queue of the shared fast lane, both with
-//!   the offset/`produced_at` semantics of `crates/mq` (differentially
-//!   tested against it and against each other);
+//! * [`ring`] / [`queue`] — the per-invoker lock-free MPSC rings, the
+//!   message vocabulary, and the shared fast lane a draining invoker
+//!   moves its backlog to (a mutex-guarded deque behind a lock-free
+//!   empty check), both with the offset/`produced_at` semantics of
+//!   `crates/mq` (each differentially tested against `mq::Broker`);
 //! * [`pool`] — thread-private warm-container pools: cold-start
 //!   penalty, keep-alive eviction, LRU under capacity pressure;
 //! * [`admission`] — admission *shaping*: the default hard-shed policy,
@@ -56,6 +57,8 @@
 //! unstarted backlog to the fast lane with admission timestamps
 //! preserved; producers that race a drain reroute themselves.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod action;
 pub mod admission;
 pub mod controller;
@@ -78,7 +81,7 @@ pub use gateway::{
 pub use harness::{run_load, run_load_with_controller, ActionLoad, HarnessConfig, LoadReport};
 pub use lease::{ChurnCfg, LeaseEvent, LeaseEventKind, LeasePlan};
 pub use pool::{Placement, PoolStats, WarmPool};
-pub use queue::{Envelope, Produce, ProduceBatch, Request, WorkQueue};
+pub use queue::{Envelope, Produce, ProduceBatch, Request};
 pub use ring::RingQueue;
 pub use route::Router;
 pub use source::{LeaseSource, LoadFeedback, PlanSource};

@@ -1,14 +1,22 @@
 //! The live plane's message vocabulary ([`Request`], [`Envelope`],
-//! [`Produce`]) and [`WorkQueue`], the Mutex+Condvar queue behind the
-//! shared MPMC fast lane. The per-invoker home queues are the lock-free
-//! rings of [`crate::ring`]; the fast lane is off the hot path (it only
-//! carries the backlog of a draining invoker), every invoker consumes
-//! it, and a mutex is the simplest thing that is correct there.
-//! `WorkQueue` is also the oracle the ring is differentially tested
-//! against (`tests/ring_equiv.rs`, `tests/batch_equiv.rs`).
+//! [`Produce`], [`ProduceBatch`]) and the shared **fast lane**.
 //!
-//! Semantics deliberately mirror `crates/mq`'s `Broker` (the DES-plane
-//! Kafka model), so the two planes implement *one* protocol:
+//! The per-invoker home queues are the lock-free rings of
+//! [`crate::ring`]. The fast lane only carries the backlog a draining
+//! invoker moves off its ring (§III-C) and the rare request that raced
+//! that drain; every invoker pass reads it first. It is a `Mutex` over a
+//! `VecDeque` with an atomic length beside it, so a pass over the empty
+//! lane — nearly every pass — takes no lock. Nobody parks on it: an idle
+//! invoker parks on its home ring and re-polls the lane every
+//! `GatewayConfig::park`, so the lane has no condvar and no wake.
+//!
+//! It is deliberately not a ring. A bounded ring would give the drain a
+//! refusal path (a move can fail only once shutdown has closed the
+//! lane), and every invoker consuming it would need a second,
+//! multi-consumer pop protocol beside the ring's single-consumer one.
+//!
+//! Semantics mirror `crates/mq`'s `Broker` (the DES-plane Kafka model),
+//! so the two planes implement *one* protocol:
 //!
 //! * every queue assigns strictly increasing **offsets** at produce
 //!   time (`mq::Broker::produce`);
@@ -20,15 +28,17 @@
 //!   no window in which a request can vanish: a producer either lands
 //!   the message in the drained batch or gets it back and reroutes.
 //!
-//! A unit test below drives this queue and `mq::Broker` through the
-//! same operation sequence and asserts identical order/offset behaviour.
+//! A proptest below drives the lane and `mq::Broker` through the same
+//! close-and-move hops and drains and asserts identical order, offsets
+//! and stamps.
 
 use crate::action::ActionId;
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 use telemetry::flight::{self, EventKind};
-use telemetry::{Counter, Gauge};
+use telemetry::Gauge;
 
 /// One invocation request as admitted by the controller.
 #[derive(Debug, Clone, Copy)]
@@ -66,7 +76,8 @@ pub enum Produce {
     Closed(Request),
 }
 
-/// Outcome of a batched produce ([`WorkQueue::produce_batch`]).
+/// Outcome of a batched produce
+/// ([`RingQueue::produce_batch`](crate::ring::RingQueue::produce_batch)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProduceBatch {
     /// The first `n` requests of the batch were admitted under
@@ -78,182 +89,61 @@ pub enum ProduceBatch {
     Closed,
 }
 
-struct Inner {
+/// Flight-recorder tag of the fast lane's events (rings use their
+/// invoker id).
+const FAST_LANE_TAG: u64 = u64::MAX;
+
+struct Lane {
     q: VecDeque<Envelope>,
     next_offset: u64,
     closed: bool,
-    /// Consumers currently parked in [`WorkQueue::pop_timeout`].
-    /// Producers skip the condvar notify entirely when nobody is
-    /// parked — under load the consumer never blocks, so the hot path
-    /// pays zero futex wakes.
-    waiting: usize,
-    /// Deepest backlog ever observed (updated under the lock a produce
-    /// already holds: one compare per produce, no extra atomics until
-    /// a new high-water is actually set).
+    /// Deepest backlog ever observed (one compare per produce under the
+    /// lock it already holds).
     highwater: usize,
     /// Next depth at which a flight-recorder high-water event fires
-    /// (doubles from 16 so a deepening queue logs O(log depth) events).
+    /// (doubles from 16 so a deepening lane logs O(log depth) events).
     hw_report: usize,
 }
 
-/// Optional telemetry hookup of one queue: the shared plane-wide
-/// high-water gauge, the shared wake counter (each producer-issued
-/// consumer notify is a potential submitter preemption — the
-/// `queue_wake` source of `gateway_submit_contention_total`), plus the
-/// tag (invoker id; `u64::MAX` = fast lane) used in flight-recorder
-/// events.
-struct QueueTelem {
+/// The shared MPMC fast lane: unbounded, offset-stamped, closable once
+/// at shutdown.
+pub(crate) struct FastLane {
+    inner: Mutex<Lane>,
+    /// `inner.q.len()`, stored under the lock and read without it: an
+    /// invoker pass over an empty lane skips the mutex. It publishes no
+    /// data — a nonzero read only sends the reader to the lock, whose
+    /// acquire is what makes the envelopes visible — and a stale zero
+    /// only delays the pop to the invoker's next pass, at most `park`
+    /// later. (Release stores / Acquire loads all the same.)
+    len: AtomicUsize,
+    /// The plane-wide queue high-water gauge.
     gauge: Arc<Gauge>,
-    wakes: Arc<Counter>,
-    tag: u64,
 }
 
-/// An ordered, offset-stamped, closable work queue (Mutex + Condvar;
-/// MPSC for invoker queues, MPMC for the fast lane — consumers simply
-/// share the receiver side).
-pub struct WorkQueue {
-    inner: Mutex<Inner>,
-    ready: Condvar,
-    telem: Option<QueueTelem>,
-}
-
-impl Default for WorkQueue {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl WorkQueue {
-    /// An empty, open queue.
-    pub fn new() -> Self {
-        WorkQueue {
-            inner: Mutex::new(Inner {
+impl FastLane {
+    /// An empty, open lane reporting its depth high-water to `gauge`.
+    pub(crate) fn new(gauge: Arc<Gauge>) -> Self {
+        FastLane {
+            inner: Mutex::new(Lane {
                 q: VecDeque::new(),
                 next_offset: 0,
                 closed: false,
-                waiting: 0,
                 highwater: 0,
                 hw_report: 16,
             }),
-            ready: Condvar::new(),
-            telem: None,
+            len: AtomicUsize::new(0),
+            gauge,
         }
     }
 
-    /// An empty queue that reports its depth high-water to the shared
-    /// `gauge`, counts its consumer wakes on the shared `wakes`
-    /// counter, and tags its flight-recorder events with `tag`.
-    pub fn with_telem(gauge: Arc<Gauge>, wakes: Arc<Counter>, tag: u64) -> Self {
-        let mut q = Self::new();
-        q.telem = Some(QueueTelem { gauge, wakes, tag });
-        q
-    }
-
-    /// Count one producer-issued consumer wake (off the lock; only
-    /// reached when a consumer was actually parked).
-    #[inline]
-    fn note_wake(&self) {
-        if let Some(t) = &self.telem {
-            t.wakes.inc();
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Lane> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// High-water bookkeeping after a produce grew the queue: one
-    /// compare on the common path; gauge raise + flight event only when
-    /// a new per-queue maximum is set (O(log depth) over a queue's
-    /// life, not O(produces)).
-    #[inline]
-    fn note_depth(&self, g: &mut Inner) {
-        let len = g.q.len();
-        if len > g.highwater {
-            g.highwater = len;
-            if let Some(t) = &self.telem {
-                t.gauge.raise(len as i64);
-                if len >= g.hw_report {
-                    flight::record(EventKind::QueueHighWater, t.tag, len as u64);
-                    while g.hw_report <= len {
-                        g.hw_report *= 2;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Produce a fresh request, refusing beyond `capacity` pending
-    /// messages (the admission bound). `capacity` is checked and the
-    /// offset assigned under one lock, so the bound is exact.
-    pub fn produce(&self, req: Request, produced_at: Instant, capacity: usize) -> Produce {
-        let mut g = self.lock();
-        if g.closed {
-            return Produce::Closed(req);
-        }
-        if g.q.len() >= capacity {
-            return Produce::Full(req);
-        }
-        let offset = g.next_offset;
-        g.next_offset += 1;
-        g.q.push_back(Envelope {
-            offset,
-            produced_at,
-            req,
-        });
-        self.note_depth(&mut g);
-        let wake = g.waiting > 0;
-        drop(g);
-        if wake {
-            self.ready.notify_one();
-            self.note_wake();
-        }
-        Produce::Ok(offset)
-    }
-
-    /// Produce a whole burst share under **one** lock acquisition and
-    /// at most **one** consumer wake. Offsets are assigned in slice
-    /// order exactly as sequential [`produce`](WorkQueue::produce)
-    /// calls would assign them, the bound is enforced under the same
-    /// lock (admit up to the remaining room, hand the rest back via
-    /// the count), and — the part that matters on small machines — the
-    /// notify fires only after the *entire* group is visible, so a
-    /// parked consumer wakes once to the whole group instead of being
-    /// woken (and preempting the producer) per request.
-    pub fn produce_batch(
-        &self,
-        reqs: &[Request],
-        produced_at: Instant,
-        capacity: usize,
-    ) -> ProduceBatch {
-        let mut g = self.lock();
-        if g.closed {
-            return ProduceBatch::Closed;
-        }
-        let room = capacity.saturating_sub(g.q.len()).min(reqs.len());
-        for req in &reqs[..room] {
-            let offset = g.next_offset;
-            g.next_offset += 1;
-            g.q.push_back(Envelope {
-                offset,
-                produced_at,
-                req: *req,
-            });
-        }
-        self.note_depth(&mut g);
-        let wake = room > 0 && g.waiting > 0;
-        drop(g);
-        if wake {
-            self.ready.notify_one();
-            self.note_wake();
-        }
-        ProduceBatch::Admitted(room)
     }
 
     /// Re-produce an envelope moved from another queue: fresh offset
     /// here, original `produced_at` preserved (`mq::Broker::move_all`).
-    /// Errs with the envelope when this queue is closed.
-    pub fn produce_moved(&self, env: Envelope) -> Result<u64, Envelope> {
+    /// Errs with the envelope once the lane is closed (after shutdown).
+    pub(crate) fn produce_moved(&self, env: Envelope) -> Result<u64, Envelope> {
         let mut g = self.lock();
         if g.closed {
             return Err(env);
@@ -261,108 +151,53 @@ impl WorkQueue {
         let offset = g.next_offset;
         g.next_offset += 1;
         g.q.push_back(Envelope { offset, ..env });
-        self.note_depth(&mut g);
-        let wake = g.waiting > 0;
-        drop(g);
-        if wake {
-            self.ready.notify_one();
-            self.note_wake();
+        let len = g.q.len();
+        self.len.store(len, Ordering::Release);
+        if len > g.highwater {
+            g.highwater = len;
+            self.gauge.raise(len as i64);
+            if len >= g.hw_report {
+                flight::record(EventKind::QueueHighWater, FAST_LANE_TAG, len as u64);
+                while g.hw_report <= len {
+                    g.hw_report *= 2;
+                }
+            }
         }
         Ok(offset)
     }
 
-    /// Non-blocking pop of the oldest pending envelope.
-    pub fn try_pop(&self) -> Option<Envelope> {
-        self.lock().q.pop_front()
-    }
-
-    /// Batched drain: pop up to `max` of the oldest pending envelopes
-    /// into `out` under **one** lock acquisition, preserving FIFO order
-    /// and every envelope's offset and `produced_at` stamp. Returns how
-    /// many were popped. Equivalent to `max` sequential [`try_pop`]
-    /// calls (the differential proptest in `tests/batch_equiv.rs` pins
-    /// this down against both a `try_pop` loop and `mq::Broker::fetch`),
-    /// but amortizes the synchronization over the whole batch.
-    ///
-    /// [`try_pop`]: WorkQueue::try_pop
-    pub fn try_pop_batch(&self, out: &mut Vec<Envelope>, max: usize) -> usize {
-        if max == 0 {
+    /// Pop up to `max` of the oldest envelopes into `out` under one
+    /// lock, in FIFO order with offsets and stamps intact; returns how
+    /// many. Takes no lock while the lane reads empty.
+    pub(crate) fn try_pop_batch(&self, out: &mut Vec<Envelope>, max: usize) -> usize {
+        if self.len.load(Ordering::Acquire) == 0 {
             return 0;
         }
         let mut g = self.lock();
         let n = max.min(g.q.len());
         out.extend(g.q.drain(..n));
+        self.len.store(g.q.len(), Ordering::Release);
         n
     }
 
-    /// Pop, parking up to `timeout` for work to arrive.
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<Envelope> {
-        let deadline = Instant::now() + timeout;
-        let mut g = self.lock();
-        loop {
-            if let Some(env) = g.q.pop_front() {
-                return Some(env);
-            }
-            if g.closed {
-                return None;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            // Register under the same lock the producer's empty-check
-            // runs under, so no wakeup can be lost: a producer either
-            // sees `waiting > 0` and notifies, or enqueued before we
-            // re-checked `q` above.
-            g.waiting += 1;
-            let (mut guard, _) = self
-                .ready
-                .wait_timeout(g, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            guard.waiting -= 1;
-            g = guard;
-        }
-    }
-
-    /// Atomically close the queue and take every pending envelope (the
-    /// invoker's half of the drain protocol). After this returns, every
-    /// `produce` fails with [`Produce::Closed`]; no request can slip in
-    /// behind the drain. Idempotent.
-    pub fn close_and_drain(&self) -> Vec<Envelope> {
+    /// Atomically close the lane and take every pending envelope; every
+    /// later `produce_moved` errs. Idempotent.
+    pub(crate) fn close_and_drain(&self) -> Vec<Envelope> {
         let mut g = self.lock();
         g.closed = true;
-        let drained = g.q.drain(..).collect();
-        drop(g);
-        // Wake any consumer parked in pop_timeout so it observes the
-        // closure promptly.
-        self.ready.notify_all();
-        drained
-    }
-
-    /// Pending message count.
-    pub fn depth(&self) -> usize {
-        self.lock().q.len()
-    }
-
-    /// Total messages ever produced here (== next offset).
-    pub fn total_produced(&self) -> u64 {
-        self.lock().next_offset
-    }
-
-    /// True iff the queue has been closed.
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
-    }
-
-    /// Deepest backlog this queue ever held.
-    pub fn highwater(&self) -> usize {
-        self.lock().highwater
+        self.len.store(0, Ordering::Release);
+        g.q.drain(..).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ring::RingQueue;
+    use proptest::collection;
+    use proptest::prelude::*;
+    use simcore::SimTime;
+    use std::time::Duration;
 
     fn req(id: u64) -> Request {
         Request {
@@ -372,166 +207,145 @@ mod tests {
         }
     }
 
-    #[test]
-    fn offsets_fifo_and_bound() {
-        let q = WorkQueue::new();
-        let t = Instant::now();
-        assert!(matches!(q.produce(req(0), t, 2), Produce::Ok(0)));
-        assert!(matches!(q.produce(req(1), t, 2), Produce::Ok(1)));
-        match q.produce(req(2), t, 2) {
-            Produce::Full(r) => assert_eq!(r.id, 2),
-            other => panic!("expected Full, got {other:?}"),
+    fn lane() -> FastLane {
+        FastLane::new(Arc::new(Gauge::new()))
+    }
+
+    fn moved(id: u64, produced_at: Instant) -> Envelope {
+        Envelope {
+            offset: 42,
+            produced_at,
+            req: req(id),
         }
-        assert_eq!(q.try_pop().unwrap().req.id, 0);
-        assert!(matches!(q.produce(req(3), t, 2), Produce::Ok(2)));
-        assert_eq!(q.depth(), 2);
-        assert_eq!(q.total_produced(), 3);
     }
 
     #[test]
     fn batch_pop_preserves_order_offsets_and_cap() {
-        let q = WorkQueue::new();
+        let q = lane();
         let t = Instant::now();
         for id in 0..10u64 {
-            q.produce(req(id), t, usize::MAX);
+            q.produce_moved(moved(id, t)).unwrap();
         }
         let mut out = Vec::new();
         assert_eq!(q.try_pop_batch(&mut out, 0), 0, "max=0 is a no-op");
         assert_eq!(q.try_pop_batch(&mut out, 4), 4);
         assert_eq!(q.try_pop_batch(&mut out, 100), 6, "capped by depth");
-        assert_eq!(q.try_pop_batch(&mut out, 4), 0, "empty queue");
+        assert_eq!(q.try_pop_batch(&mut out, 4), 0, "empty lane");
         let got: Vec<(u64, u64)> = out.iter().map(|e| (e.offset, e.req.id)).collect();
         let want: Vec<(u64, u64)> = (0..10u64).map(|i| (i, i)).collect();
         assert_eq!(got, want);
         // A batch after a refill continues the offset sequence.
-        q.produce(req(10), t, usize::MAX);
+        q.produce_moved(moved(10, t)).unwrap();
         out.clear();
         q.try_pop_batch(&mut out, 1);
         assert_eq!((out[0].offset, out[0].req.id), (10, 10));
-    }
-
-    #[test]
-    fn produce_batch_matches_sequential_produces() {
-        let grouped = WorkQueue::new();
-        let sequential = WorkQueue::new();
-        let t = Instant::now();
-        // Capacity 5, batch of 8: the first 5 are admitted with the
-        // same offsets a produce loop assigns, the rest handed back.
-        let reqs: Vec<Request> = (0..8u64).map(req).collect();
-        match grouped.produce_batch(&reqs, t, 5) {
-            ProduceBatch::Admitted(n) => assert_eq!(n, 5),
-            other => panic!("expected Admitted, got {other:?}"),
-        }
-        let mut seq_admitted = 0;
-        for r in &reqs {
-            if matches!(sequential.produce(*r, t, 5), Produce::Ok(_)) {
-                seq_admitted += 1;
-            }
-        }
-        assert_eq!(seq_admitted, 5);
-        let a: Vec<(u64, u64)> = std::iter::from_fn(|| grouped.try_pop())
-            .map(|e| (e.offset, e.req.id))
-            .collect();
-        let b: Vec<(u64, u64)> = std::iter::from_fn(|| sequential.try_pop())
-            .map(|e| (e.offset, e.req.id))
-            .collect();
-        assert_eq!(a, b);
-        // Closed queue admits nothing.
-        grouped.close_and_drain();
-        assert_eq!(grouped.produce_batch(&reqs, t, 5), ProduceBatch::Closed);
+        assert_eq!(q.gauge.get(), 10, "high-water of the deepest backlog");
     }
 
     #[test]
     fn close_is_atomic_and_idempotent() {
-        let q = WorkQueue::new();
+        let q = lane();
         let t = Instant::now();
-        q.produce(req(0), t, 10);
-        q.produce(req(1), t, 10);
-        let drained = q.close_and_drain();
-        assert_eq!(drained.len(), 2);
+        q.produce_moved(moved(0, t)).unwrap();
+        q.produce_moved(moved(1, t)).unwrap();
+        assert_eq!(q.close_and_drain().len(), 2);
         assert!(q.close_and_drain().is_empty());
-        match q.produce(req(2), t, 10) {
-            Produce::Closed(r) => assert_eq!(r.id, 2),
-            other => panic!("expected Closed, got {other:?}"),
-        }
-        assert!(q.try_pop().is_none());
+        let refused = q.produce_moved(moved(2, t)).expect_err("closed lane");
+        assert_eq!(refused.req.id, 2, "the envelope is handed back");
+        assert_eq!(q.try_pop_batch(&mut Vec::new(), 8), 0);
     }
 
     #[test]
     fn moved_envelope_gets_fresh_offset_keeps_produced_at() {
-        let src = WorkQueue::new();
-        let dst = WorkQueue::new();
+        let q = lane();
         let t0 = Instant::now();
-        dst.produce(req(9), t0, 10); // dst offset 0 taken
-        src.produce(req(1), t0, 10);
-        let drained = src.close_and_drain();
-        let moved = drained[0];
-        let off = dst.produce_moved(moved).unwrap();
-        assert_eq!(off, 1, "fresh offset in the destination");
-        let got = dst.try_pop().unwrap();
-        assert_eq!(got.req.id, 9);
-        let got = dst.try_pop().unwrap();
-        assert_eq!(got.req.id, 1);
-        assert_eq!(got.produced_at, t0, "produced_at survives the move");
+        let stamped = t0 - Duration::from_millis(5);
+        assert_eq!(q.produce_moved(moved(9, t0)).unwrap(), 0);
+        assert_eq!(
+            q.produce_moved(moved(1, stamped)).unwrap(),
+            1,
+            "fresh offset"
+        );
+        let mut out = Vec::new();
+        q.try_pop_batch(&mut out, 2);
+        assert_eq!((out[1].offset, out[1].req.id), (1, 1));
+        assert_eq!(out[1].produced_at, stamped, "produced_at survives the move");
     }
 
-    #[test]
-    fn pop_timeout_times_out_and_wakes_on_close() {
-        let q = std::sync::Arc::new(WorkQueue::new());
-        assert!(q.pop_timeout(Duration::from_millis(5)).is_none());
-        let q2 = q.clone();
-        let h = std::thread::spawn(move || q2.pop_timeout(Duration::from_secs(10)));
-        std::thread::sleep(Duration::from_millis(10));
-        q.close_and_drain();
-        assert!(h.join().unwrap().is_none(), "closure unparks the consumer");
-    }
-
-    /// Differential check: this queue and `mq::Broker` implement the
-    /// same produce/move/fetch protocol — identical payload order and
-    /// identical offsets, including across a drain-and-move hop.
-    #[test]
-    fn differential_against_mq_broker() {
-        use simcore::SimTime;
-
-        let inv = WorkQueue::new();
-        let fast = WorkQueue::new();
+    /// One op stream through the gateway's pairing — invoker rings
+    /// draining into the lane — and through a broker: `0` produces to
+    /// the current invoker, `1` drains the lane `count` times at `k`,
+    /// `2` sigterms the invoker (close-and-move; a fresh invoker takes
+    /// over), `3` produces straight to the lane (the raced-produce
+    /// fallback). Every drain and the final close must agree on ids,
+    /// offsets and `produced_at`.
+    fn run_case(ops: &[(u8, u8)], k: usize) {
+        let fast = lane();
+        let mut ring = RingQueue::new(256);
         let mut broker: mq::Broker<u64> = mq::Broker::new();
-        let b_inv = broker.create_topic("invoker-0");
         let b_fast = broker.create_topic("fast-lane");
+        let mut b_inv = broker.create_topic("invoker-0");
+        let t0 = Instant::now();
+        let mut next_id = 0u64;
+        let mut batch = Vec::new();
+        let check = |ours: &[Envelope], theirs: Vec<mq::Message<u64>>| {
+            assert_eq!(ours.len(), theirs.len());
+            for (e, m) in ours.iter().zip(&theirs) {
+                assert_eq!((e.offset, e.req.id), (m.offset, m.payload));
+                let stamp = Duration::from_millis(m.produced_at.as_millis());
+                assert_eq!(e.produced_at - t0, stamp, "produced_at survives the hop");
+            }
+        };
+        for (i, &(op, count)) in ops.iter().enumerate() {
+            match op {
+                0 | 3 => {
+                    for _ in 0..count {
+                        let at = t0 + Duration::from_millis(next_id);
+                        let b_at = SimTime::from_millis(next_id);
+                        if op == 0 {
+                            assert!(matches!(ring.produce(req(next_id), at), Produce::Ok(_)));
+                            broker.produce(b_inv, b_at, next_id);
+                        } else {
+                            fast.produce_moved(moved(next_id, at)).unwrap();
+                            broker.produce(b_fast, b_at, next_id);
+                        }
+                        next_id += 1;
+                    }
+                }
+                1 => {
+                    for _ in 0..count {
+                        batch.clear();
+                        fast.try_pop_batch(&mut batch, k);
+                        check(&batch, broker.fetch(b_fast, k));
+                    }
+                }
+                _ => {
+                    let backlog = ring.close_and_drain();
+                    let n = broker.move_all(b_inv, b_fast, SimTime::ZERO);
+                    assert_eq!(backlog.len(), n);
+                    for env in backlog {
+                        fast.produce_moved(env).unwrap();
+                    }
+                    ring = RingQueue::new(256);
+                    b_inv = broker.create_topic(&format!("invoker-{}", i + 1));
+                }
+            }
+        }
+        check(&fast.close_and_drain(), broker.fetch(b_fast, usize::MAX));
+        assert!(fast.produce_moved(moved(next_id, t0)).is_err());
+    }
 
-        let t = Instant::now();
-        // Produce 5 to the invoker queue, 2 directly to the fast lane.
-        for id in 0..5u64 {
-            inv.produce(req(id), t, usize::MAX);
-            broker.produce(b_inv, SimTime::from_secs(id), id);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        /// The lane ≡ the broker's fast-lane topic across close-and-move
+        /// hops and batched drains at k ∈ {1, 4, 32}.
+        #[test]
+        fn differential_against_mq_broker(
+            ops in collection::vec((0u8..4, 1u8..6), 1..48),
+        ) {
+            for k in [1usize, 4, 32] {
+                run_case(&ops, k);
+            }
         }
-        for id in 100..102u64 {
-            fast.produce(req(id), t, usize::MAX);
-            broker.produce(b_fast, SimTime::from_secs(id), id);
-        }
-        // Consume one from the invoker queue, then drain the rest to the
-        // fast lane (the sigterm path).
-        let popped = inv.try_pop().unwrap();
-        let fetched = broker.fetch(b_inv, 1);
-        assert_eq!(popped.req.id, fetched[0].payload);
-        assert_eq!(popped.offset, fetched[0].offset);
-
-        let drained = inv.close_and_drain();
-        let n_moved = broker.move_all(b_inv, b_fast, SimTime::from_secs(99));
-        assert_eq!(drained.len(), n_moved);
-        for env in drained {
-            fast.produce_moved(env).unwrap();
-        }
-        // Both fast lanes must now hold the same payloads in the same
-        // order under the same offsets.
-        let ours: Vec<(u64, u64)> = std::iter::from_fn(|| fast.try_pop())
-            .map(|e| (e.offset, e.req.id))
-            .collect();
-        let theirs: Vec<(u64, u64)> = broker
-            .fetch(b_fast, usize::MAX)
-            .into_iter()
-            .map(|m| (m.offset, m.payload))
-            .collect();
-        assert_eq!(ours, theirs);
     }
 }

@@ -1,17 +1,16 @@
 //! A bounded **lock-free MPSC ring** — the per-invoker work queue for
 //! the de-serialized submit path.
 //!
-//! [`WorkQueue`](crate::queue::WorkQueue) guards every produce with a
-//! `Mutex` + `Condvar`; under N submitter threads the per-queue lock is
-//! (with the GCRA `tat` line) where the submit path serializes. Each
-//! invoker queue is structurally MPSC — many submitters, exactly one
-//! consumer (the owning invoker) — so the lock buys nothing the shape
-//! doesn't already give us. [`RingQueue`] keeps the *protocol* of
-//! `WorkQueue` (itself mirroring `mq::Broker`) and drops the lock:
+//! A mutex-guarded queue serializes N submitter threads on its lock.
+//! Each invoker queue is structurally MPSC — many
+//! submitters, exactly one consumer (the owning invoker) — so a lock
+//! buys nothing the shape doesn't already give us. [`RingQueue`] keeps
+//! the *protocol* of `mq::Broker` and has no lock on its produce or pop
+//! path:
 //!
 //! * strictly increasing **offsets** assigned at produce time — the
 //!   claimed ring position *is* the offset, so offsets are exactly the
-//!   sequence a `WorkQueue` would assign;
+//!   sequence `mq::Broker::produce` would assign;
 //! * **`produced_at` preserved** across the fast-lane hop
 //!   (`produce_moved` stamps a fresh offset, keeps the instant);
 //! * **close-and-drain atomic with produce**: closing sets a bit in
@@ -22,7 +21,7 @@
 //! * the **waiter-counted wake discipline**: producers touch the
 //!   condvar only when the consumer is actually parked, so under load
 //!   the hot path pays zero futex wakes (each wake is counted as the
-//!   `queue_wake` contention source, same as `WorkQueue`).
+//!   `queue_wake` contention source).
 //!
 //! The layout is a Vyukov-style bounded ring. `head` is the producer
 //! claim word (position + a CLOSED bit); producers CAS-claim a span of
@@ -37,10 +36,11 @@
 //! contention source: back-pressure that used to show up as lock wait
 //! now shows up as a typed, observable refusal.
 //!
-//! `tests/ring_equiv.rs` drives this ring, `WorkQueue`, and
-//! `mq::Broker` through identical schedules (batch sizes {1, 4, 32},
-//! the close-and-move hop, wraparound and full-ring interleavings) and
-//! asserts identical order/offset/outcome behaviour.
+//! `tests/ring_equiv.rs` drives this ring and `mq::Broker` through
+//! identical schedules (batch sizes {1, 4, 32}, the close-and-move hop,
+//! wraparound and full-ring interleavings; bounded, the broker produces
+//! iff its depth is below the ring's capacity) and asserts identical
+//! order/offset/outcome behaviour.
 
 use crate::queue::{Envelope, Produce, ProduceBatch, Request};
 use std::cell::UnsafeCell;
@@ -65,9 +65,9 @@ struct Slot {
     val: UnsafeCell<MaybeUninit<Envelope>>,
 }
 
-/// Telemetry hookup, mirroring `WorkQueue`'s: the shared high-water
-/// gauge, the shared `queue_wake` counter, the shared `ring_full`
-/// counter, and the flight-recorder tag (invoker id).
+/// Telemetry hookup: the shared high-water gauge, the shared
+/// `queue_wake` counter, the shared `ring_full` counter, and the
+/// flight-recorder tag (invoker id).
 struct RingTelem {
     gauge: Arc<Gauge>,
     wakes: Arc<Counter>,
@@ -96,24 +96,33 @@ pub struct RingQueue {
     /// Deepest backlog ever observed (claimed - drained).
     highwater: AtomicU64,
     /// Next depth at which a flight-recorder high-water event fires
-    /// (doubles from 16, same cadence as `WorkQueue`).
+    /// (doubles from 16, same cadence as the fast lane).
     hw_report: AtomicU64,
     telem: Option<RingTelem>,
 }
 
-// SAFETY: the `UnsafeCell` slots are published hand-over-hand through
-// the per-slot `seq` words (Release store by the claiming producer,
-// Acquire load by the single consumer); a slot is written only by the
-// producer that uniquely claimed its position via the `head` CAS, and
-// read only after its publish. `Envelope` is `Copy`, so abandoned
-// slots need no drop.
-unsafe impl Send for RingQueue {}
+// `Send` is automatic (`UnsafeCell<MaybeUninit<Envelope>>` is `Send`
+// because `Envelope` is); `Sync` is not, because of the cells.
+//
+// SAFETY: field by field. `mask`, `cap` and `telem` (shared `Arc`s of
+// atomic counters) are never written after construction, and `buf` is
+// never reallocated. `head`, `tail`, `waiting`, `highwater`,
+// `hw_report`, `park` and `ready` are atomics or `Mutex`/`Condvar`.
+// That leaves the slots: a slot's `seq` is atomic, and its `val` is
+// written only by the producer that uniquely claimed its position
+// through the `head` CAS, only once the consumer has drained the slot's
+// previous lap (the room check reads `tail` Acquire after the
+// consumer's Release advance), and read only by the consumer after it
+// observes that producer's Release store of `seq` with Acquire. This
+// relies on there being one consumer: the pop/close methods are safe
+// `fn`s (the frozen benchmark calls `try_pop`), so that is the
+// documented contract of the type, not something it enforces — in this
+// crate only the owning invoker thread pops or closes its ring.
 unsafe impl Sync for RingQueue {}
 
 impl RingQueue {
     /// An empty, open ring admitting up to `capacity` pending messages
-    /// (the same exact bound `WorkQueue::produce` enforces via its
-    /// `capacity` argument).
+    /// (an exact bound: `produce` refuses the `capacity + 1`-th).
     pub fn new(capacity: usize) -> Self {
         let cap = capacity.max(1) as u64;
         let len = cap.next_power_of_two();
@@ -194,16 +203,16 @@ impl RingQueue {
         }
     }
 
-    /// Write and publish one claimed slot.
-    ///
-    /// SAFETY (of the contained writes): `pos` was uniquely claimed by
-    /// this producer via [`claim`](Self::claim), and the capacity
-    /// check guarantees the consumer has drained the previous lap of
-    /// this slot (its advance of `tail` is Release, our room check
-    /// reads it Acquire), so no other thread touches `val` until our
-    /// Release publish of `seq` hands it to the consumer.
+    /// Write and publish one claimed slot. `pos` must come from a
+    /// successful [`claim`](Self::claim) by the calling producer.
     fn publish(&self, pos: u64, env: Envelope) {
         let slot = &self.buf[(pos & self.mask) as usize];
+        // SAFETY: `pos` was uniquely claimed by this producer through
+        // the `head` CAS, and the claim's room check guarantees the
+        // consumer has drained this slot's previous lap (its advance of
+        // `tail` is Release, the check reads it Acquire), so no other
+        // thread touches `val` until our Release store of `seq` below
+        // hands it to the consumer.
         unsafe { (*slot.val.get()).write(env) };
         slot.seq.store(pos + 1, Ordering::Release);
     }
@@ -278,7 +287,7 @@ impl RingQueue {
     /// Produce a whole burst share under **one** claim CAS and at most
     /// **one** consumer wake. Offsets are consecutive in slice order,
     /// the bound admits up to the remaining room (the caller sheds the
-    /// rest via the count), exactly like `WorkQueue::produce_batch`.
+    /// rest via the count).
     pub fn produce_batch(&self, reqs: &[Request], produced_at: Instant) -> ProduceBatch {
         match self.claim(reqs.len() as u64) {
             Err(()) => ProduceBatch::Closed,
@@ -317,12 +326,19 @@ impl RingQueue {
 
     /// Read slot `pos`, which the caller has observed as published.
     ///
-    /// SAFETY: requires `seq == pos + 1` observed with Acquire (the
-    /// payload write happens-before), and that the caller is the
-    /// single consumer (nobody else reads or reuses the slot until
-    /// `tail` advances past `pos`).
+    /// # Safety
+    ///
+    /// The caller must have observed the slot's `seq == pos + 1` with
+    /// Acquire, and must be the single consumer, which has not yet
+    /// advanced `tail` past `pos`.
     unsafe fn read(&self, pos: u64) -> Envelope {
         let slot = &self.buf[(pos & self.mask) as usize];
+        // SAFETY: the observed `seq == pos + 1` was stored Release by
+        // the producer right after its write of `val`, so the payload
+        // is initialized and visible; until `tail` passes `pos` no
+        // producer may claim this slot's next lap, and no other thread
+        // reads it (single consumer). `Envelope` is `Copy`, so reading
+        // it out leaves nothing to drop.
         unsafe { (*slot.val.get()).assume_init_read() }
     }
 
@@ -333,6 +349,8 @@ impl RingQueue {
         if slot.seq.load(Ordering::Acquire) != t + 1 {
             return None;
         }
+        // SAFETY: `seq == t + 1` was just observed with Acquire; only
+        // the single consumer calls `try_pop`, and `tail` is still `t`.
         let env = unsafe { self.read(t) };
         self.tail.store(t + 1, Ordering::Release);
         Some(env)
@@ -351,6 +369,9 @@ impl RingQueue {
             if slot.seq.load(Ordering::Acquire) != t + 1 {
                 break;
             }
+            // SAFETY: `seq == t + 1` was just observed with Acquire; we
+            // are the single consumer and publish `tail` only after the
+            // loop, so it has not passed `t`.
             out.push(unsafe { self.read(t) });
             t += 1;
         }
@@ -436,18 +457,13 @@ impl RingQueue {
                     std::hint::spin_loop();
                 }
             }
+            // SAFETY: the loop above observed `seq == pos + 1` with
+            // Acquire; the closing owner is the single consumer and
+            // stores `tail = end` only after the last read.
             drained.push(unsafe { self.read(pos) });
         }
         self.tail.store(end, Ordering::Release);
         drained
-    }
-
-    /// Pending message count (claimed and not yet drained; a producer
-    /// mid-publish counts as pending, exactly as it will be drained).
-    pub fn depth(&self) -> usize {
-        let head = self.head.load(Ordering::Relaxed) & POS;
-        let tail = self.tail.load(Ordering::Relaxed);
-        (head - tail.min(head)) as usize
     }
 
     /// Total messages ever produced here (== next offset).
@@ -463,11 +479,6 @@ impl RingQueue {
     /// Deepest backlog this ring ever held.
     pub fn highwater(&self) -> usize {
         self.highwater.load(Ordering::Relaxed) as usize
-    }
-
-    /// The configured admission bound.
-    pub fn capacity(&self) -> usize {
-        self.cap as usize
     }
 }
 

@@ -73,7 +73,7 @@ pub struct GatewayTelemetry {
     /// Work-queue depth high-water across every queue (fast lane
     /// included), raised by the queues themselves.
     pub queue_highwater: Arc<Gauge>,
-    /// Consumer wakes issued by producers across every work queue —
+    /// Consumer wakes issued by producers across every invoker ring —
     /// each one is a potential submitter preemption on an
     /// oversubscribed machine (`gateway_submit_contention_total
     /// {source="queue_wake"}`).

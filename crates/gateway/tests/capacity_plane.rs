@@ -12,6 +12,15 @@ use simcore::SimDuration;
 use std::time::{Duration, Instant};
 use workload::{IdleModel, PoissonLoadGen};
 
+/// Collect until `n` completions have arrived (each wait up to 10 s).
+fn collect(gw: &Gateway, n: usize) {
+    let (mut col, mut done) = (gw.collector(), Vec::new());
+    while done.len() < n {
+        let got = gw.collect_wait(&mut col, &mut done, Duration::from_secs(10));
+        assert!(got > 0, "completion within 10s ({}/{n})", done.len());
+    }
+}
+
 /// The paper's headline scenario, live: a day-profile availability
 /// trace (time-compressed) churns the invoker pool from a background
 /// controller thread while Poisson traffic flows — and nothing accepted
@@ -93,10 +102,7 @@ fn revoked_lease_retires_warm_containers() {
         for i in 0..8u64 {
             gw.invoke(ActionId((i % 2) as u32), i).expect("accepted");
         }
-        for _ in 0..8 {
-            gw.recv_timeout(Duration::from_secs(10))
-                .expect("completion");
-        }
+        collect(&gw, 8);
         // Containers are checked in and warm; the revoke drains the
         // invoker, which must retire them.
         ctl.poll(t0 + Duration::from_millis(10));
@@ -220,8 +226,7 @@ fn structural_sheds_do_not_accrue_bucket_debt() {
         "first real admission charged {:?} of leftover debt",
         admit.delay
     );
-    gw.recv_timeout(Duration::from_secs(10))
-        .expect("completion");
+    collect(&gw, 1);
     assert_eq!(gw.shutdown(), 0);
 }
 
@@ -263,9 +268,6 @@ fn delay_budget_shed_is_typed_and_scoped_to_the_policy() {
     assert!(gw.totals().delayed > 0);
     // Everything admitted still completes.
     let accepted = 64 - delay_sheds;
-    for _ in 0..accepted {
-        gw.recv_timeout(Duration::from_secs(10))
-            .expect("completion");
-    }
+    collect(&gw, accepted as usize);
     assert_eq!(gw.shutdown(), 0);
 }

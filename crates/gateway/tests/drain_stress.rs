@@ -27,7 +27,7 @@
 
 use gateway::{
     ActionBody, ActionId, ActionSpec, AdmissionPolicy, BurstScratch, CapacityController, ChurnCfg,
-    ControllerConfig, Gateway, GatewayConfig, LeasePlan, Shed, TokenBucketCfg,
+    Completion, ControllerConfig, Gateway, GatewayConfig, LeasePlan, Shed, TokenBucketCfg,
 };
 use simcore::SimRng;
 use std::collections::HashSet;
@@ -125,6 +125,72 @@ fn token_bucket_churn_conservation() {
             );
         }
     }
+}
+
+/// The fast lane has no wake: an idle invoker parks on its own ring and
+/// re-polls the lane every `park`. So a backlog moved there by a drain
+/// must reach a survivor that is parked at the moment of the move, with
+/// no produce on the survivor's ring to wake it. One invoker A holds
+/// eight queued 20 ms sleeps (drain batch 1, so only one is in flight);
+/// survivor B starts idle and parks; A is sigtermed mid-body. Every
+/// moved request completes exactly once on B, and B's first start comes
+/// within `park` plus slack of the move.
+#[test]
+fn drained_backlog_reaches_a_parked_survivor_without_a_wake() {
+    const N: usize = 8;
+    let park = Duration::from_micros(500);
+    let gw = Gateway::new(
+        GatewayConfig {
+            park,
+            drain_batch: 1,
+            ..Default::default()
+        },
+        vec![ActionSpec::noop("sleep").with_body(ActionBody::Sleep(Duration::from_millis(20)))],
+    );
+    let a = gw.start_invoker();
+    // One admission instant for every request, so each completion's
+    // stamps place its start and end on one clock.
+    let t0 = Instant::now();
+    let ids: HashSet<u64> = (0..N as u64)
+        .map(|k| gw.invoke_at(ActionId(0), k, t0).expect("accepted").id)
+        .collect();
+    let b = gw.start_invoker();
+    // Let B find its ring empty and park, and A enter its first body.
+    // Neither is observable from here, so the sleep only makes them
+    // likely; every assertion below holds whichever way they fell.
+    std::thread::sleep(Duration::from_millis(8));
+    let sigtermed = t0.elapsed();
+    assert!(gw.sigterm(a));
+    gw.join_invoker(a);
+
+    let (mut col, mut done) = (gw.collector(), Vec::new());
+    while done.len() < N {
+        assert!(
+            gw.collect_wait(&mut col, &mut done, Duration::from_secs(10)) > 0,
+            "moved backlog stranded: {}/{N} completed",
+            done.len()
+        );
+    }
+    let collected: HashSet<u64> = done.iter().map(|c| c.id).collect();
+    assert_eq!((done.len(), collected), (N, ids), "exactly once");
+    let (on_a, on_b): (Vec<&Completion>, Vec<_>) = done.iter().partition(|c| c.invoker == a.id);
+    assert!(on_b.iter().all(|c| c.invoker == b.id));
+    assert!(on_b.len() >= N - 2, "only {} moved to B", on_b.len());
+    assert_eq!(gw.totals().fastlane_moves, on_b.len() as u64);
+    // A moves its backlog after the sigterm and right after its last
+    // body ends: the later of the two bounds the move from below.
+    let moved_at = on_a.iter().map(|c| c.total).fold(sigtermed, Duration::max);
+    let b_first = on_b.iter().map(|c| c.queue_wait).min().expect("B ran");
+    let gap = b_first
+        .checked_sub(moved_at)
+        .expect("B started before the move");
+    assert!(
+        gap <= Duration::from_millis(100),
+        "parked survivor reached the lane {gap:?} after the move (park {park:?})"
+    );
+    assert_eq!(gw.shutdown(), 0);
+    let t = gw.totals();
+    assert_eq!((t.accepted, t.completed), (N as u64, N as u64));
 }
 
 /// One ledger, two readers — the plain [`Gateway::totals`] the
@@ -458,7 +524,8 @@ fn run_matrix_iteration(
     assert!(ctl_stats.grants >= 1, "plan granted nothing: {ctl_stats:?}");
     assert_eq!(gw.shutdown(), 0, "seed {seed} {n_sub}sub/{n_col}col");
     assert_eq!(gw.totals().outstanding(), 0);
-    assert!(gw.try_recv().is_none(), "stray completion");
+    let stray = gw.collect_completions_with(&mut gw.collector(), &mut Vec::new());
+    assert_eq!(stray, 0, "stray completion");
     let pools = gw.retired_pool_stats();
     assert!(pools.containers_conserved(), "container leak: {pools:?}");
     MatrixRun {
@@ -560,9 +627,11 @@ fn run_iteration(seed: u64, drain_batch: usize) {
 
     // Collect every completion; exactly-once means the completed set
     // equals the accepted set with no duplicates.
+    let (mut col, mut buf) = (gw.collector(), Vec::new());
     let mut completed = HashSet::new();
     while completed.len() < accepted.len() {
-        let c = gw.recv_timeout(Duration::from_secs(10)).unwrap_or_else(|| {
+        buf.clear();
+        if gw.collect_wait(&mut col, &mut buf, Duration::from_secs(10)) == 0 {
             panic!(
                 "seed {seed} batch {drain_batch}: lost {} of {} accepted requests ({} shed, {:?})",
                 accepted.len() - completed.len(),
@@ -570,17 +639,19 @@ fn run_iteration(seed: u64, drain_batch: usize) {
                 shed,
                 ctl.stats(),
             )
-        });
-        assert!(
-            completed.insert(c.id),
-            "seed {seed} batch {drain_batch}: request {} executed twice",
-            c.id
-        );
-        assert!(
-            accepted.contains(&c.id),
-            "seed {seed} batch {drain_batch}: completion for unknown request {}",
-            c.id
-        );
+        }
+        for c in &buf {
+            assert!(
+                completed.insert(c.id),
+                "seed {seed} batch {drain_batch}: request {} executed twice",
+                c.id
+            );
+            assert!(
+                accepted.contains(&c.id),
+                "seed {seed} batch {drain_batch}: completion for unknown request {}",
+                c.id
+            );
+        }
     }
     assert_eq!(completed, accepted, "seed {seed} batch {drain_batch}");
     let stats = ctl.finish();
@@ -593,8 +664,9 @@ fn run_iteration(seed: u64, drain_batch: usize) {
         0,
         "seed {seed} batch {drain_batch}"
     );
-    assert!(
-        gw.try_recv().is_none(),
+    assert_eq!(
+        gw.collect_completions_with(&mut col, &mut buf),
+        0,
         "seed {seed} batch {drain_batch}: stray completion"
     );
     // Container conservation: with every invoker joined, each container

@@ -3,7 +3,7 @@
 //! was retired onto this crate), plus the subsystems it did not have —
 //! admission control, warm pools, per-action caps, real kernels.
 
-use gateway::{ActionBody, ActionId, ActionSpec, Gateway, GatewayConfig, Shed};
+use gateway::{ActionBody, ActionId, ActionSpec, Completion, Gateway, GatewayConfig, Shed};
 use sebs::{Graph, Kernel};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -18,9 +18,22 @@ fn noop_plane(n_actions: usize) -> Gateway {
     )
 }
 
-fn recv(gw: &Gateway) -> gateway::Completion {
-    gw.recv_timeout(Duration::from_secs(10))
-        .expect("completion within 10s")
+/// Collect until at least `n` completions have arrived (each wait up
+/// to 10 s).
+fn collect(gw: &Gateway, n: usize) -> Vec<Completion> {
+    let (mut col, mut out) = (gw.collector(), Vec::new());
+    while out.len() < n {
+        let got = gw.collect_wait(&mut col, &mut out, Duration::from_secs(10));
+        assert!(got > 0, "completion within 10s ({}/{n})", out.len());
+    }
+    out
+}
+
+/// The one completion of a plane with exactly one request outstanding.
+fn recv(gw: &Gateway) -> Completion {
+    let mut got = collect(gw, 1);
+    assert_eq!(got.len(), 1, "one request outstanding");
+    got.pop().unwrap()
 }
 
 #[test]
@@ -71,8 +84,7 @@ fn drain_hands_off_backlog_no_request_lost() {
     assert!(gw.sigterm(t1));
     gw.join_invoker(t1);
     let mut done = HashSet::new();
-    while done.len() < 200 {
-        let c = recv(&gw);
+    for c in collect(&gw, 200) {
         assert!(done.insert(c.id), "duplicate execution of {}", c.id);
     }
     assert_eq!(done, ids);
@@ -90,8 +102,8 @@ fn work_spreads_over_healthy_invokers() {
         gw.invoke(ActionId((i % 4) as u32), i).unwrap();
     }
     let mut by_invoker: HashMap<u64, usize> = HashMap::new();
-    for _ in 0..400 {
-        *by_invoker.entry(recv(&gw).invoker).or_insert(0) += 1;
+    for c in collect(&gw, 400) {
+        *by_invoker.entry(c.invoker).or_insert(0) += 1;
     }
     assert_eq!(by_invoker.values().sum::<usize>(), 400);
     // Hash routing over 400 distinct keys: every invoker sees work.
@@ -112,8 +124,8 @@ fn sequential_drains_leave_last_invoker_serving() {
         gw.join_invoker(*t);
     }
     let mut done = HashSet::new();
-    while done.len() < 90 {
-        assert!(done.insert(recv(&gw).id));
+    for c in collect(&gw, 90) {
+        assert!(done.insert(c.id));
     }
     assert_eq!(done, ids);
     assert_eq!(gw.n_healthy(), 1);
@@ -157,9 +169,7 @@ fn admission_sheds_on_queue_overload_and_never_loses_accepted() {
     }
     assert!(shed > 0, "a bounded queue must shed under this burst");
     assert!(accepted >= 8, "the bound admits up to the capacity");
-    for _ in 0..accepted {
-        recv(&gw);
-    }
+    assert_eq!(collect(&gw, accepted as usize).len() as u64, accepted);
     assert_eq!(gw.shutdown(), 0);
     assert_eq!(gw.totals().shed_by(Shed::QueueFull), shed);
 }
@@ -180,8 +190,7 @@ fn per_action_inflight_cap_sheds() {
     // admitted ones are still queued or executing on the single slow
     // invoker).
     assert_eq!(gw.invoke(ActionId(0), 3), Err(Shed::ActionSaturated));
-    recv(&gw);
-    recv(&gw);
+    assert_eq!(collect(&gw, 2).len(), 2);
     // Capacity released: admissible again.
     assert!(gw.invoke(ActionId(0), 4).is_ok());
     recv(&gw);
@@ -249,10 +258,7 @@ fn sebs_kernels_serve_as_function_bodies() {
     for i in 0..30u64 {
         gw.invoke(ActionId((i % 3) as u32), i).unwrap();
     }
-    let mut values = Vec::new();
-    for _ in 0..30 {
-        values.push(recv(&gw).value);
-    }
+    let values: Vec<u64> = collect(&gw, 30).iter().map(|c| c.value).collect();
     // Real kernels return real results (BFS visits 300 vertices, MST
     // spans 299 edges, PageRank converges).
     assert!(values.iter().all(|v| *v > 0));
@@ -276,8 +282,6 @@ fn route_epoch_bumps_on_membership_changes_only() {
     // A replacement invoker serves whatever the drain moved to the fast
     // lane, so all 50 still complete.
     gw.start_invoker();
-    for _ in 0..50 {
-        recv(&gw);
-    }
+    assert_eq!(collect(&gw, 50).len(), 50);
     assert_eq!(gw.shutdown(), 0);
 }

@@ -1,23 +1,25 @@
-//! Differential proptests for the lock-free MPSC ring: the new
-//! [`RingQueue`] must be protocol-identical to the retained
-//! Mutex+Condvar [`WorkQueue`] and to `mq::Broker` (the DES-plane
-//! Kafka model all queue semantics are defined against).
+//! Differential proptests for the lock-free MPSC ring: [`RingQueue`]
+//! must be protocol-identical to `mq::Broker` (the DES-plane Kafka
+//! model all queue semantics are defined against). The broker is
+//! unbounded, so the bounded legs mirror the ring's admission bound on
+//! it: the broker produces iff its depth is below the ring's capacity,
+//! and the ring's `Ok`/`Full` must agree.
 //!
 //! Two properties:
 //!
 //! 1. **Equivalence** — for random interleavings of produces and
 //!    batched drains at batch sizes {1, 4, 32}, the ring yields the
-//!    identical envelope sequence (ids, offsets, `produced_at`
-//!    stamps, Full/Ok outcomes under the same admission bound) as the
-//!    old queue and the broker, including the close-and-move sigterm
-//!    hop onto a fast lane.
+//!    identical envelope sequence (ids, offsets, `produced_at` stamps,
+//!    `Ok`/`Full` outcomes) as the broker, including the close-and-move
+//!    sigterm hop (the lane side of the hop, with its fresh offsets, is
+//!    `queue.rs`'s `differential_against_mq_broker`).
 //! 2. **Wraparound / full-ring** — through a deliberately tiny ring
 //!    forced around its buffer many times, a producer refused with
 //!    `ring_full` that retries after a drain never loses an item and
-//!    never reorders its stream (and the `Full`/`Ok` outcomes again
-//!    match the bounded `WorkQueue` exactly).
+//!    never reorders its stream, and every drained offset is the one
+//!    the broker's fetch returns.
 
-use gateway::{ActionId, Envelope, Produce, Request, RingQueue, WorkQueue};
+use gateway::{ActionId, Envelope, Produce, Request, RingQueue};
 use proptest::collection;
 use proptest::prelude::*;
 use simcore::SimTime;
@@ -31,123 +33,91 @@ fn req(id: u64) -> Request {
     }
 }
 
-/// Drive the ring, the old queue and a broker topic through one op
-/// stream; every produce outcome and drain step must agree across all
-/// three. `cap` bounds both queues identically (the broker is
-/// unbounded, so it only participates while nothing was refused —
-/// with `cap` at `usize::MAX` it checks every step).
+/// Produce request `id`, stamped `t0 + id` ms, to the ring and — iff
+/// the broker's depth is below the admission bound `cap` — to the
+/// broker; the ring's outcome must agree. Returns whether it landed.
+fn mirror_produce(
+    ring: &RingQueue,
+    broker: &mut mq::Broker<u64>,
+    topic: mq::TopicId,
+    cap: usize,
+    id: u64,
+    t0: Instant,
+) -> bool {
+    let room = broker.depth(topic) < cap;
+    match ring.produce(req(id), t0 + Duration::from_millis(id)) {
+        Produce::Ok(offset) => {
+            assert!(room, "ring admitted {id} past the broker's bound");
+            let b_offset = broker.produce(topic, SimTime::from_millis(id), id);
+            assert_eq!(offset, b_offset, "offsets agree");
+            true
+        }
+        Produce::Full(r) => {
+            assert!(!room, "ring refused {id} below the broker's bound");
+            assert_eq!(r.id, id, "refused request handed back");
+            false
+        }
+        Produce::Closed(r) => panic!("open ring refused {} as closed", r.id),
+    }
+}
+
+/// The ring's drained batch against the broker's fetch of the same
+/// size: ids, offsets and `produced_at` stamps.
+fn assert_same(batch: &[Envelope], fetched: &[mq::Message<u64>], t0: Instant) {
+    assert_eq!(batch.len(), fetched.len());
+    for (e, m) in batch.iter().zip(fetched) {
+        assert_eq!((e.offset, e.req.id), (m.offset, m.payload));
+        assert_eq!(
+            e.produced_at - t0,
+            Duration::from_millis(m.produced_at.as_millis())
+        );
+    }
+}
+
+/// Drive the ring and a broker topic through one op stream; every
+/// produce outcome and drain step must agree.
 fn run_case(ops: &[(bool, u8)], k: usize, cap: usize) {
     let ring = RingQueue::new(cap);
-    let legacy = WorkQueue::new();
-    let unbounded = cap >= 256;
     let mut broker: mq::Broker<u64> = mq::Broker::new();
     let topic = broker.create_topic("invoker");
     let t0 = Instant::now();
     let mut next_id = 0u64;
-    let mut ring_batch: Vec<Envelope> = Vec::new();
-    let mut legacy_batch: Vec<Envelope> = Vec::new();
+    let mut batch: Vec<Envelope> = Vec::new();
 
     for &(is_produce, count) in ops {
-        let count = count as usize;
-        if is_produce {
-            for _ in 0..count {
-                let at = t0 + Duration::from_millis(next_id);
-                let r = ring.produce(req(next_id), at);
-                let l = legacy.produce(req(next_id), at, cap);
-                match (&r, &l) {
-                    (Produce::Ok(ro), Produce::Ok(lo)) => {
-                        prop_assert_eq!(ro, lo, "offsets agree");
-                        if unbounded {
-                            broker.produce(topic, SimTime::from_millis(next_id), next_id);
-                        }
-                    }
-                    (Produce::Full(rr), Produce::Full(lr)) => {
-                        prop_assert_eq!(rr.id, lr.id, "refused request handed back");
-                    }
-                    _ => prop_assert!(false, "outcomes diverge: ring {r:?} vs legacy {l:?}"),
-                }
+        for _ in 0..count {
+            if is_produce {
+                mirror_produce(&ring, &mut broker, topic, cap, next_id, t0);
                 next_id += 1;
-            }
-        } else {
-            for _ in 0..count {
-                ring_batch.clear();
-                legacy_batch.clear();
-                let rn = ring.try_pop_batch(&mut ring_batch, k);
-                let ln = legacy.try_pop_batch(&mut legacy_batch, k);
-                prop_assert_eq!(rn, ln);
-                for i in 0..rn {
-                    prop_assert_eq!(ring_batch[i].offset, legacy_batch[i].offset);
-                    prop_assert_eq!(ring_batch[i].req.id, legacy_batch[i].req.id);
-                    prop_assert_eq!(ring_batch[i].produced_at, legacy_batch[i].produced_at);
-                }
-                if unbounded {
-                    let fetched = broker.fetch(topic, k);
-                    prop_assert_eq!(rn, fetched.len());
-                    for i in 0..rn {
-                        prop_assert_eq!(ring_batch[i].offset, fetched[i].offset);
-                        prop_assert_eq!(ring_batch[i].req.id, fetched[i].payload);
-                    }
-                }
+            } else {
+                batch.clear();
+                ring.try_pop_batch(&mut batch, k);
+                assert_same(&batch, &broker.fetch(topic, k), t0);
             }
         }
     }
 
-    // Tail: the sigterm hop. Close both queues, move the leftovers to
-    // the fast lane (a `WorkQueue`, as in the gateway — the MPMC fast
-    // lane never becomes a ring), mirror with `Broker::move_all`.
-    let fast_ring_side = WorkQueue::new();
-    let fast_legacy_side = WorkQueue::new();
-    let leftover_r = ring.close_and_drain();
-    let leftover_l = legacy.close_and_drain();
-    prop_assert_eq!(leftover_r.len(), leftover_l.len());
-    prop_assert!(ring.is_closed());
-    // Closed queues refuse identically.
-    match (
-        ring.produce(req(next_id), t0),
-        legacy.produce(req(next_id), t0, cap),
-    ) {
-        (Produce::Closed(a), Produce::Closed(b)) => prop_assert_eq!(a.id, b.id),
-        other => prop_assert!(false, "closed outcomes diverge: {other:?}"),
+    // Tail: the sigterm hop. The ring's close-and-drain hands back its
+    // backlog in order with stamps intact, exactly what the broker's
+    // `move_all` moves; the closed ring refuses and hands back.
+    let fast_topic = broker.create_topic("fast-lane");
+    let leftover = ring.close_and_drain();
+    assert!(ring.is_closed());
+    assert_eq!(
+        leftover.len(),
+        broker.move_all(topic, fast_topic, SimTime::ZERO)
+    );
+    let moved = broker.fetch(fast_topic, usize::MAX);
+    for (e, m) in leftover.iter().zip(&moved) {
+        assert_eq!(e.req.id, m.payload);
+        assert_eq!(
+            e.produced_at - t0,
+            Duration::from_millis(m.produced_at.as_millis())
+        );
     }
-    if unbounded {
-        let fast_topic = broker.create_topic("fast-lane");
-        let moved = broker.move_all(topic, fast_topic, SimTime::from_secs(1_000_000));
-        prop_assert_eq!(leftover_r.len(), moved);
-        for env in &leftover_r {
-            fast_ring_side.produce_moved(*env).unwrap();
-        }
-        for env in &leftover_l {
-            fast_legacy_side.produce_moved(*env).unwrap();
-        }
-        loop {
-            ring_batch.clear();
-            legacy_batch.clear();
-            let rn = fast_ring_side.try_pop_batch(&mut ring_batch, k);
-            let ln = fast_legacy_side.try_pop_batch(&mut legacy_batch, k);
-            let fetched = broker.fetch(fast_topic, k);
-            prop_assert_eq!(rn, ln);
-            prop_assert_eq!(rn, fetched.len());
-            if rn == 0 {
-                break;
-            }
-            for i in 0..rn {
-                prop_assert_eq!(ring_batch[i].offset, legacy_batch[i].offset);
-                prop_assert_eq!(ring_batch[i].req.id, legacy_batch[i].req.id);
-                prop_assert_eq!(
-                    ring_batch[i].produced_at,
-                    legacy_batch[i].produced_at,
-                    "produced_at survives the fast-lane hop"
-                );
-                prop_assert_eq!(ring_batch[i].offset, fetched[i].offset);
-                prop_assert_eq!(ring_batch[i].req.id, fetched[i].payload);
-            }
-        }
-    } else {
-        // Bounded leg: the leftovers themselves must still agree.
-        for (a, b) in leftover_r.iter().zip(&leftover_l) {
-            prop_assert_eq!(a.offset, b.offset);
-            prop_assert_eq!(a.req.id, b.req.id);
-        }
+    match ring.produce(req(next_id), t0) {
+        Produce::Closed(r) => assert_eq!(r.id, next_id),
+        other => panic!("closed ring answered {other:?}"),
     }
 }
 
@@ -156,10 +126,12 @@ fn run_case(ops: &[(bool, u8)], k: usize, cap: usize) {
 /// refusal hands the request back; the producer holds it and re-offers
 /// the *same* request after the next drain — the blocked-producer
 /// protocol of the gateway's burst path. The consumed stream must be
-/// exactly 0..n in order, through many buffer laps.
+/// exactly 0..n in order, through many buffer laps, under the offsets
+/// the broker's fetch returns.
 fn run_wraparound(cap: usize, drains: &[u8], total: u64) {
     let ring = RingQueue::new(cap);
-    let legacy = WorkQueue::new();
+    let mut broker: mq::Broker<u64> = mq::Broker::new();
+    let topic = broker.create_topic("invoker");
     let t0 = Instant::now();
     let mut next = 0u64;
     let mut blocked: Option<u64> = None;
@@ -170,36 +142,23 @@ fn run_wraparound(cap: usize, drains: &[u8], total: u64) {
         // Produce until refused (or exhausted).
         while next < total || blocked.is_some() {
             let id = blocked.take().unwrap_or(next);
-            let r = ring.produce(req(id), t0);
-            let l = legacy.produce(req(id), t0, cap);
-            match (r, l) {
-                (Produce::Ok(ro), Produce::Ok(lo)) => {
-                    assert_eq!(ro, lo);
-                    if id == next {
-                        next += 1;
-                    }
-                }
-                (Produce::Full(rr), Produce::Full(lr)) => {
-                    assert_eq!(rr.id, id, "full refusal hands the request back");
-                    assert_eq!(lr.id, id);
-                    blocked = Some(id);
-                    break;
-                }
-                (r, l) => panic!("outcomes diverge: ring {r:?} vs legacy {l:?}"),
+            if !mirror_produce(&ring, &mut broker, topic, cap, id, t0) {
+                blocked = Some(id);
+                break;
+            }
+            if id == next {
+                next += 1;
             }
         }
         // Drain a schedule-determined batch.
-        let k = drains[di % drains.len()] as usize;
+        let k = (drains[di % drains.len()] as usize).max(1);
         di += 1;
         out.clear();
-        let rn = ring.try_pop_batch(&mut out, k.max(1));
-        let mut lref = Vec::new();
-        let ln = legacy.try_pop_batch(&mut lref, k.max(1));
-        assert_eq!(rn, ln);
-        for (env, lenv) in out.iter().zip(&lref) {
+        ring.try_pop_batch(&mut out, k);
+        assert_same(&out, &broker.fetch(topic, k), t0);
+        for env in &out {
             assert_eq!(env.req.id, consumed, "no loss, no reorder across laps");
             assert_eq!(env.offset, consumed, "offsets strictly sequential");
-            assert_eq!(env.offset, lenv.offset);
             consumed += 1;
         }
     }
@@ -210,7 +169,8 @@ fn run_wraparound(cap: usize, drains: &[u8], total: u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
     /// ops: (produce?, how many); drains pop `count` batches of size k.
-    /// Unbounded leg: ring ≡ legacy ≡ broker at every step.
+    /// Unbounded leg: ring ≡ broker at every step. (The name is kept
+    /// from the retired mutex-queue oracle; the broker is the oracle.)
     #[test]
     fn ring_equals_workqueue_and_broker(
         ops in collection::vec((any::<bool>(), 1u8..6), 1..48),
@@ -221,8 +181,9 @@ proptest! {
         }
     }
 
-    /// Bounded leg: with an admission bound the two queues' Ok/Full
-    /// outcomes and refused requests agree exactly.
+    /// Bounded leg: the broker produces iff its depth is below the
+    /// ring's capacity; the ring's `Ok`/`Full` outcomes and refused
+    /// requests agree exactly. (Named as the unbounded leg is.)
     #[test]
     fn bounded_ring_equals_bounded_workqueue(
         ops in collection::vec((any::<bool>(), 1u8..6), 1..48),

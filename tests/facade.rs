@@ -78,8 +78,9 @@ fn live_gateway_via_facade() {
     );
     ctl.poll(t0);
     let id = gw.invoke(ActionId(0), 0).unwrap().id;
-    let c = gw.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
-    assert_eq!(c.id, id);
+    let (mut col, mut done) = (gw.collector(), Vec::new());
+    gw.collect_wait(&mut col, &mut done, std::time::Duration::from_secs(5));
+    assert_eq!(done.iter().map(|c| c.id).collect::<Vec<_>>(), [id]);
     let stats = ctl.finish();
     assert!(stats.grants >= 1);
     assert_eq!(gw.shutdown(), 0);
