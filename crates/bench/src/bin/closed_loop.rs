@@ -49,7 +49,7 @@ fn run_closed_loop(
     let mut manager = FibManager::paper(lengths::A1.to_vec());
     let mut rng = SimRng::seed_from_u64(seed ^ 77);
 
-    let mut engine: Engine<Ev> = Engine::with_queue_capacity(4_096);
+    let mut engine: Engine<Ev> = Engine::new();
     {
         let mut co = Outbox::new(SimTime::ZERO);
         sim.bootstrap(SimTime::ZERO, &mut co);

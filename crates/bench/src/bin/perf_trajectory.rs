@@ -1,5 +1,5 @@
 //! Perf-trajectory probe: times the measured hot paths (scheduler
-//! passes at production scale, event queue, broker, offline simulator,
+//! passes at production scale, broker, offline simulator,
 //! the cores→ops/s scaling curve) *without*
 //! criterion and writes the results to `BENCH_results.json`, so
 //! successive PRs can track the performance trajectory with a single
@@ -36,7 +36,7 @@ use hpcwhisk_core::{
     lengths, run_days, DayConfig, DesLeaseSource, DesSourceCfg, FibManager, PilotManager, SizerCfg,
 };
 use mq::Broker;
-use simcore::{EventQueue, Outbox, SimDuration, SimTime};
+use simcore::{Outbox, SimDuration, SimTime};
 use std::hint::black_box;
 use std::time::Instant;
 use workload::{IdleModel, PoissonLoadGen};
@@ -622,24 +622,6 @@ fn main() {
             },
         ));
     }
-    if want(&filter, "event_queue/push_pop_10k") {
-        probes.push(probe(
-            "event_queue/push_pop_10k",
-            9,
-            5,
-            EventQueue::<u64>::new,
-            |q: &mut EventQueue<u64>| {
-                for i in 0..10_000u64 {
-                    q.push(SimTime::from_millis((i * 7919) % 100_000), i);
-                }
-                let mut acc = 0u64;
-                while let Some((_, e)) = q.pop() {
-                    acc = acc.wrapping_add(e);
-                }
-                acc
-            },
-        ));
-    }
     if want(&filter, "broker/produce_fetch_10k") {
         probes.push(probe(
             "broker/produce_fetch_10k",
@@ -751,7 +733,7 @@ mod tests {
     fn checked_in_trajectory_is_strict_json() {
         let text = include_str!("../../../../BENCH_results.json");
         let probes = parse_trajectory(text).expect("BENCH_results.json parses strictly");
-        assert!(probes.len() >= 17, "only {} probes", probes.len());
+        assert!(probes.len() >= 16, "only {} probes", probes.len());
         assert!(probes.iter().any(|(n, _)| n == "scaling/run_days_8wk_2t"));
         assert!(probes.iter().all(|(_, ns)| ns.is_finite() && *ns > 0.0));
     }

@@ -8,6 +8,8 @@
 //! Binaries accept `--quick` to run a scaled-down configuration (fewer
 //! nodes / shorter horizon) for smoke testing.
 
+#![forbid(unsafe_code)]
+
 use metrics::Table;
 
 /// A paper-vs-measured comparison accumulator.

@@ -24,6 +24,8 @@
 //!   *announced* (believed) vs *actual* start times, reproducing the
 //!   declared-limit slack that makes idle periods unpredictable.
 
+#![forbid(unsafe_code)]
+
 pub mod capacity;
 pub mod config;
 pub mod events;

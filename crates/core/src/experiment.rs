@@ -493,10 +493,7 @@ pub fn run_day(trace: &AvailabilityTrace, cfg: DayConfig) -> DayReport {
     let mut rng = SimRng::seed_from_u64(cfg.seed ^ 0xDA71);
 
     let claims = cfg.demand.claims_for(trace, cfg.seed);
-    // A day schedules thousands of events up front (claims, load,
-    // maintenance): pre-reserve the queue so the bootstrap burst never
-    // reallocates mid-push.
-    let mut engine: Engine<SysEvent> = Engine::with_queue_capacity(4_096);
+    let mut engine: Engine<SysEvent> = Engine::new();
 
     // Bootstrap periodic machinery.
     {

@@ -27,6 +27,8 @@
 //!   sizing (the paper's §IV cycle end-to-end);
 //! * [`report`] — paper-shaped table rendering.
 
+#![forbid(unsafe_code)]
+
 pub mod coverage;
 pub mod experiment;
 pub mod lengths;

@@ -263,7 +263,7 @@ impl DesLeaseSource {
         let hpc = cfg
             .hpc_churn
             .then(|| BacklogDriver::new(HpcWorkloadModel::prometheus(), cfg.n_nodes));
-        let mut engine: Engine<Ev> = Engine::with_queue_capacity(4_096);
+        let mut engine: Engine<Ev> = Engine::new();
         {
             let mut co = Outbox::new(SimTime::ZERO);
             sim.bootstrap(SimTime::ZERO, &mut co);

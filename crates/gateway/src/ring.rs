@@ -27,7 +27,9 @@
 //! claim word (position + a CLOSED bit); producers CAS-claim a span of
 //! positions, write their slots, then publish each slot by storing
 //! `pos + 1` into its sequence word. The single consumer owns `tail`
-//! outright: it waits for `seq == tail + 1`, reads, and advances. Slot
+//! outright: it waits for `seq == tail + 1`, reads, and advances. Each
+//! consumer method holds the ring's consumer claim for its duration, so
+//! a second thread popping at the same time panics instead of racing. Slot
 //! sequence words never need resetting — each lap publishes a distinct
 //! value — and the capacity check (`pos - tail < cap`) guarantees a
 //! producer never rewrites a slot the consumer hasn't drained.
@@ -45,7 +47,7 @@
 use crate::queue::{Envelope, Produce, ProduceBatch, Request};
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use telemetry::flight::{self, EventKind};
@@ -75,10 +77,11 @@ struct RingTelem {
     tag: u64,
 }
 
-/// Bounded lock-free MPSC work queue. Many producers; **exactly one
-/// consumer thread** may call the pop/drain side (`try_pop`,
-/// `try_pop_batch`, `pop_timeout`, `close_and_drain`) — in the gateway
-/// that is the owning invoker thread, which also performs the close.
+/// Bounded lock-free MPSC work queue. Many producers; **one consumer
+/// at a time** may be inside the pop/drain side (`try_pop`,
+/// `try_pop_batch`, `pop_timeout`, `close_and_drain`), and a call that
+/// overlaps another panics — in the gateway the consumer is the owning
+/// invoker thread, which also performs the close.
 pub struct RingQueue {
     buf: Box<[Slot]>,
     mask: u64,
@@ -89,6 +92,9 @@ pub struct RingQueue {
     /// Next position the consumer will drain. Written only by the
     /// consumer (Release); producers read it (Acquire) for the bound.
     tail: AtomicU64,
+    /// The consumer claim: `true` while a pop/drain call runs (see
+    /// [`ConsumerClaim`]).
+    consumer: AtomicBool,
     /// Consumers currently parked in [`pop_timeout`](Self::pop_timeout).
     waiting: AtomicUsize,
     park: Mutex<()>,
@@ -113,12 +119,24 @@ pub struct RingQueue {
 // through the `head` CAS, only once the consumer has drained the slot's
 // previous lap (the room check reads `tail` Acquire after the
 // consumer's Release advance), and read only by the consumer after it
-// observes that producer's Release store of `seq` with Acquire. This
-// relies on there being one consumer: the pop/close methods are safe
-// `fn`s (the frozen benchmark calls `try_pop`), so that is the
-// documented contract of the type, not something it enforces — in this
-// crate only the owning invoker thread pops or closes its ring.
+// observes that producer's Release store of `seq` with Acquire. There
+// is one consumer at a time because every method that reads a slot or
+// writes `tail` holds a `ConsumerClaim` for its whole body: taking it
+// is a `swap(true, Acquire)` on `consumer` that panics on reading
+// `true`, before touching either, and releasing it is a
+// `store(false, Release)`. So no two such calls overlap, and each one
+// starts after the previous holder's last slot read and `tail` store.
 unsafe impl Sync for RingQueue {}
+
+/// Proof of being the ring's only consumer for as long as it lives:
+/// [`RingQueue::claim_consumer`] takes it, dropping it releases it.
+struct ConsumerClaim<'a>(&'a AtomicBool);
+
+impl Drop for ConsumerClaim<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::Release);
+    }
+}
 
 impl RingQueue {
     /// An empty, open ring admitting up to `capacity` pending messages
@@ -137,6 +155,7 @@ impl RingQueue {
             cap,
             head: AtomicU64::new(0),
             tail: AtomicU64::new(0),
+            consumer: AtomicBool::new(false),
             waiting: AtomicUsize::new(0),
             park: Mutex::new(()),
             ready: Condvar::new(),
@@ -324,34 +343,53 @@ impl RingQueue {
         }
     }
 
+    /// Take the consumer claim. Uncontended on the gateway's path: the
+    /// owning invoker is the ring's only caller of the consumer side.
+    ///
+    /// # Panics
+    ///
+    /// If another call holds it — two threads popping one ring at once.
+    fn claim_consumer(&self) -> ConsumerClaim<'_> {
+        assert!(
+            !self.consumer.swap(true, Ordering::Acquire),
+            "RingQueue has one consumer: a second thread popped concurrently"
+        );
+        ConsumerClaim(&self.consumer)
+    }
+
     /// Read slot `pos`, which the caller has observed as published.
     ///
     /// # Safety
     ///
     /// The caller must have observed the slot's `seq == pos + 1` with
-    /// Acquire, and must be the single consumer, which has not yet
-    /// advanced `tail` past `pos`.
-    unsafe fn read(&self, pos: u64) -> Envelope {
+    /// Acquire, and must not yet have advanced `tail` past `pos`; the
+    /// claim makes it the only consumer.
+    unsafe fn read(&self, pos: u64, _claim: &ConsumerClaim<'_>) -> Envelope {
         let slot = &self.buf[(pos & self.mask) as usize];
         // SAFETY: the observed `seq == pos + 1` was stored Release by
         // the producer right after its write of `val`, so the payload
         // is initialized and visible; until `tail` passes `pos` no
         // producer may claim this slot's next lap, and no other thread
-        // reads it (single consumer). `Envelope` is `Copy`, so reading
-        // it out leaves nothing to drop.
+        // reads it (the caller holds the consumer claim). `Envelope` is
+        // `Copy`, so reading it out leaves nothing to drop.
         unsafe { (*slot.val.get()).assume_init_read() }
     }
 
     /// Non-blocking pop of the oldest pending envelope. Consumer-only.
     pub fn try_pop(&self) -> Option<Envelope> {
+        self.pop_claimed(&self.claim_consumer())
+    }
+
+    /// [`try_pop`](Self::try_pop) under a claim the caller holds.
+    fn pop_claimed(&self, claim: &ConsumerClaim<'_>) -> Option<Envelope> {
         let t = self.tail.load(Ordering::Relaxed);
         let slot = &self.buf[(t & self.mask) as usize];
         if slot.seq.load(Ordering::Acquire) != t + 1 {
             return None;
         }
-        // SAFETY: `seq == t + 1` was just observed with Acquire; only
-        // the single consumer calls `try_pop`, and `tail` is still `t`.
-        let env = unsafe { self.read(t) };
+        // SAFETY: `seq == t + 1` was just observed with Acquire, and
+        // `tail` is still `t`.
+        let env = unsafe { self.read(t, claim) };
         self.tail.store(t + 1, Ordering::Release);
         Some(env)
     }
@@ -362,6 +400,7 @@ impl RingQueue {
     /// whole batch. Equivalent to `max` sequential
     /// [`try_pop`](Self::try_pop) calls. Consumer-only.
     pub fn try_pop_batch(&self, out: &mut Vec<Envelope>, max: usize) -> usize {
+        let claim = self.claim_consumer();
         let start = self.tail.load(Ordering::Relaxed);
         let mut t = start;
         while t - start < max as u64 {
@@ -370,9 +409,9 @@ impl RingQueue {
                 break;
             }
             // SAFETY: `seq == t + 1` was just observed with Acquire; we
-            // are the single consumer and publish `tail` only after the
-            // loop, so it has not passed `t`.
-            out.push(unsafe { self.read(t) });
+            // publish `tail` only after the loop, so it has not passed
+            // `t`.
+            out.push(unsafe { self.read(t, &claim) });
             t += 1;
         }
         if t != start {
@@ -381,9 +420,11 @@ impl RingQueue {
         (t - start) as usize
     }
 
-    /// Pop, parking up to `timeout` for work to arrive. Consumer-only.
+    /// Pop, parking up to `timeout` for work to arrive. Consumer-only:
+    /// the claim is held across the park.
     pub fn pop_timeout(&self, timeout: Duration) -> Option<Envelope> {
-        if let Some(env) = self.try_pop() {
+        let claim = self.claim_consumer();
+        if let Some(env) = self.pop_claimed(&claim) {
             return Some(env);
         }
         let deadline = Instant::now() + timeout;
@@ -393,7 +434,7 @@ impl RingQueue {
             // `queue_wake` on the producer side).
             for _ in 0..2 {
                 std::thread::yield_now();
-                if let Some(env) = self.try_pop() {
+                if let Some(env) = self.pop_claimed(&claim) {
                     return Some(env);
                 }
             }
@@ -402,7 +443,7 @@ impl RingQueue {
             // Pair with the producer's publish-then-check fence in
             // `after_produce` — see the comment there.
             fence(Ordering::SeqCst);
-            if let Some(env) = self.try_pop() {
+            if let Some(env) = self.pop_claimed(&claim) {
                 self.waiting.fetch_sub(1, Ordering::Relaxed);
                 return Some(env);
             }
@@ -421,7 +462,7 @@ impl RingQueue {
                 .unwrap_or_else(|e| e.into_inner());
             self.waiting.fetch_sub(1, Ordering::Relaxed);
             drop(guard);
-            if let Some(env) = self.try_pop() {
+            if let Some(env) = self.pop_claimed(&claim) {
                 return Some(env);
             }
             if self.is_closed() || Instant::now() >= deadline {
@@ -438,6 +479,7 @@ impl RingQueue {
     /// [`Produce::Closed`]. Idempotent. Consumer-only: the owning
     /// invoker thread closes its own ring.
     pub fn close_and_drain(&self) -> Vec<Envelope> {
+        let claim = self.claim_consumer();
         let end = self.head.fetch_or(CLOSED, Ordering::Relaxed) & POS;
         let start = self.tail.load(Ordering::Relaxed);
         let mut drained = Vec::with_capacity((end - start) as usize);
@@ -458,9 +500,9 @@ impl RingQueue {
                 }
             }
             // SAFETY: the loop above observed `seq == pos + 1` with
-            // Acquire; the closing owner is the single consumer and
-            // stores `tail = end` only after the last read.
-            drained.push(unsafe { self.read(pos) });
+            // Acquire, and `tail = end` is stored only after the last
+            // read.
+            drained.push(unsafe { self.read(pos, &claim) });
         }
         self.tail.store(end, Ordering::Release);
         drained
@@ -616,6 +658,33 @@ mod tests {
         h.join().unwrap();
         // And times out when nothing arrives.
         assert!(q.pop_timeout(Duration::from_millis(20)).is_none());
+    }
+
+    #[test]
+    fn a_second_concurrent_consumer_panics() {
+        let q = RingQueue::new(8);
+        assert!(matches!(q.produce(req(1), Instant::now()), Produce::Ok(0)));
+        let held = q.claim_consumer();
+        let refused = |pop: &(dyn Fn(&RingQueue) + Sync)| {
+            std::thread::scope(|s| s.spawn(|| pop(&q)).join().is_err())
+        };
+        assert!(refused(&|q| {
+            q.try_pop();
+        }));
+        assert!(refused(&|q| {
+            q.try_pop_batch(&mut Vec::new(), 4);
+        }));
+        assert!(refused(&|q| {
+            q.pop_timeout(Duration::ZERO);
+        }));
+        assert!(refused(&|q| {
+            q.close_and_drain();
+        }));
+        // The refused calls took nothing and left the claim with its
+        // holder; once it lets go, the next consumer pops.
+        drop(held);
+        assert!(!q.is_closed());
+        assert_eq!(q.try_pop().map(|env| env.req.id), Some(1));
     }
 
     #[test]

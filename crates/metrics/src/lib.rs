@@ -20,6 +20,8 @@
 //! [`telemetry`] crate and is re-exported here so consumers take one
 //! metrics dependency.
 
+#![forbid(unsafe_code)]
+
 pub mod cdf;
 pub mod summary;
 pub mod table;

@@ -18,6 +18,8 @@
 //! property-tests. Network/broker latency is modelled by the caller
 //! (`whisk::latency`), keeping this crate purely about ordering.
 
+#![forbid(unsafe_code)]
+
 pub mod broker;
 
 pub use broker::{Broker, Message, TopicId, TopicStats};

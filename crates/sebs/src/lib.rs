@@ -6,6 +6,8 @@
 //! harness measures genuine CPU work — plus calibrated platform models
 //! (Prometheus node vs. AWS Lambda at various memory sizes).
 
+#![forbid(unsafe_code)]
+
 pub mod graph;
 pub mod kernels;
 pub mod platform;

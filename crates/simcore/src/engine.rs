@@ -138,17 +138,6 @@ impl<E> Engine<E> {
         }
     }
 
-    /// A fresh engine whose event queue has room for a bootstrap burst
-    /// of `cap` scheduled events, so a large experiment's set-up never
-    /// reallocates mid-push.
-    pub fn with_queue_capacity(cap: usize) -> Self {
-        Engine {
-            queue: EventQueue::with_capacity(cap),
-            now: SimTime::ZERO,
-            step_budget: u64::MAX,
-        }
-    }
-
     /// Cap the total number of events processed (runaway protection in
     /// tests and calibration loops).
     pub fn with_step_budget(mut self, budget: u64) -> Self {
@@ -309,7 +298,7 @@ mod tests {
     ) -> (u64, u64) {
         use crate::SimRng;
         let mut rng = SimRng::seed_from_u64(seed);
-        let mut engine: Engine<u64> = Engine::with_queue_capacity(256);
+        let mut engine: Engine<u64> = Engine::new();
         for i in 0..16 {
             engine.schedule(SimTime::from_millis(i * 37), i);
         }

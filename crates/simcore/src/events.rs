@@ -1,24 +1,26 @@
 //! The deterministic event queue at the heart of the DES engine.
 //!
 //! Pop order is total by `(time, seq)`, `seq` being the push counter, so
-//! which container holds an entry is unobservable. Three hold them, each
-//! fitted to one population of a simulated day (per pop on the paper's
-//! fib day: ~9 request events due within half a second, ~590 job ends
-//! and time limits minutes to hours ahead, ~4.2 k claim submissions
-//! pushed by the bootstrap):
+//! which container holds an entry is unobservable. Two hold them, one per
+//! population of a simulated day:
 //!
 //! * the [`Wheel`] — `SimTime` is whole milliseconds, so the entries due
 //!   within [`WHEEL_SPAN_MS`] of the latest popped time sit in one FIFO
 //!   slot per millisecond and are found by a bitmap scan, with no key
-//!   comparison at all;
-//! * `far` — a 4-ary heap for every other push;
-//! * `sorted` — a bulk run of `far`-bound pushes, sorted once and
-//!   drained from its tail.
+//!   comparison at all. These are a request's events, due within half a
+//!   second: 3.62 M of the paper's fib day's 3.64 M pops;
+//! * `far` — a `std` [`BinaryHeap`] for every other push: job ends and
+//!   time limits minutes to hours ahead, scheduling passes, and the
+//!   ~4.2 k claim submissions the bootstrap pushes at once. It pops the
+//!   fib day's other 22 k events, and 33 k of the 39 k of a
+//!   coverage-only week-model day, which has no requests.
 //!
-//! Entries never migrate between them: a pop takes the smallest of the
-//! three heads.
+//! Entries never migrate between them: a pop takes the smaller of the
+//! two heads.
 
 use crate::time::SimTime;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// An entry in the queue: ordered by `(time, seq)` ascending, where `seq`
 /// is a monotonically increasing insertion counter. The tiebreaker makes
@@ -31,169 +33,37 @@ struct Entry<E> {
 }
 
 impl<E> Entry<E> {
-    /// The min-heap ordering key.
+    /// The min-heap ordering key, unique per entry.
     #[inline]
     fn key(&self) -> (SimTime, u64) {
         (self.time, self.seq)
     }
 }
 
-/// A 4-ary min-heap over entries: the queue's `far` side, holding the
-/// pushes the wheel cannot (a simulated day's job ends, time limits,
-/// claim submissions). Compared to the binary
-/// `std::collections::BinaryHeap` this halves the tree depth, so a pop
-/// touches ~half as many rows of the backing array. The two std tricks
-/// that make its binary heap fast are reproduced here for arity 4:
-/// sifts move elements through a **hole** (one copy per level instead
-/// of a three-copy swap), and pop sifts the displaced tail element
-/// **down to a leaf first and then back up** (the element almost always
-/// belongs near the bottom, so this near-halves the comparisons of the
-/// classic compare-both-directions descent).
-struct QuadHeap<E> {
-    v: Vec<Entry<E>>,
-}
-
-/// A hole at `pos` in `data`: the element that lived there is held in
-/// `elt`, and `move_to` fills the hole from another slot, re-opening it
-/// there. On drop the held element is written back into the final hole
-/// position, which keeps the heap a permutation of its elements even if
-/// a key comparison panics (it cannot for `(SimTime, u64)`, but the
-/// guard costs nothing).
-struct Hole<'a, E> {
-    data: &'a mut [Entry<E>],
-    elt: std::mem::ManuallyDrop<Entry<E>>,
-    pos: usize,
-}
-
-impl<'a, E> Hole<'a, E> {
-    /// Safety: `pos` must be in bounds.
-    unsafe fn new(data: &'a mut [Entry<E>], pos: usize) -> Self {
-        debug_assert!(pos < data.len());
-        let elt = std::ptr::read(data.get_unchecked(pos));
-        Hole {
-            data,
-            elt: std::mem::ManuallyDrop::new(elt),
-            pos,
-        }
-    }
-
+/// Reversed on [`Entry::key`], so `std`'s max-heap pops the earliest
+/// entry. The key is unique, so the order is total and the pop sequence
+/// does not depend on how the heap breaks ties.
+impl<E> Ord for Entry<E> {
     #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        self.elt.key()
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key().cmp(&self.key())
     }
+}
 
-    /// Safety: `i` must be in bounds and must not be the hole.
+impl<E> PartialOrd for Entry<E> {
     #[inline]
-    unsafe fn key_at(&self, i: usize) -> (SimTime, u64) {
-        debug_assert!(i != self.pos && i < self.data.len());
-        self.data.get_unchecked(i).key()
-    }
-
-    /// Safety: `i` must be in bounds and must not be the hole.
-    #[inline]
-    unsafe fn move_to(&mut self, i: usize) {
-        debug_assert!(i != self.pos && i < self.data.len());
-        let ptr = self.data.as_mut_ptr();
-        std::ptr::copy_nonoverlapping(ptr.add(i), ptr.add(self.pos), 1);
-        self.pos = i;
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 
-impl<E> Drop for Hole<'_, E> {
-    fn drop(&mut self) {
-        // Fill the final hole with the held element.
-        unsafe {
-            let pos = self.pos;
-            std::ptr::copy_nonoverlapping(&*self.elt, self.data.get_unchecked_mut(pos), 1);
-        }
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
     }
 }
 
-impl<E> QuadHeap<E> {
-    const ARITY: usize = 4;
-
-    fn new() -> Self {
-        QuadHeap { v: Vec::new() }
-    }
-
-    fn push(&mut self, entry: Entry<E>) {
-        self.v.push(entry);
-        let pos = self.v.len() - 1;
-        if pos > 0 {
-            // Safety: pos is in bounds; the hole walks parent indices,
-            // all < pos.
-            unsafe {
-                let mut hole = Hole::new(&mut self.v, pos);
-                while hole.pos > 0 {
-                    let parent = (hole.pos - 1) / Self::ARITY;
-                    if hole.key() < hole.key_at(parent) {
-                        hole.move_to(parent);
-                    } else {
-                        break;
-                    }
-                }
-            }
-        }
-    }
-
-    fn pop(&mut self) -> Option<Entry<E>> {
-        let mut item = self.v.pop()?;
-        if let Some(root) = self.v.first_mut() {
-            std::mem::swap(&mut item, root);
-            self.sift_down_to_bottom(0);
-        }
-        Some(item)
-    }
-
-    /// Take the hole straight down along min-children to a leaf, then
-    /// sift the displaced element back up from there.
-    fn sift_down_to_bottom(&mut self, pos: usize) {
-        let n = self.v.len();
-        let start = pos;
-        // Safety: every index handled to the hole is < n and never
-        // equals the hole's own position.
-        unsafe {
-            let mut hole = Hole::new(&mut self.v, pos);
-            loop {
-                let first = hole.pos * Self::ARITY + 1;
-                if first >= n {
-                    break;
-                }
-                let last = (first + Self::ARITY).min(n);
-                let mut best = first;
-                let mut best_key = hole.key_at(first);
-                for c in first + 1..last {
-                    let k = hole.key_at(c);
-                    if k < best_key {
-                        best = c;
-                        best_key = k;
-                    }
-                }
-                hole.move_to(best);
-            }
-            // Back up towards `start` (exclusive).
-            while hole.pos > start {
-                let parent = (hole.pos - 1) / Self::ARITY;
-                if parent < start || hole.key() >= hole.key_at(parent) {
-                    break;
-                }
-                hole.move_to(parent);
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<&Entry<E>> {
-        self.v.first()
-    }
-
-    fn len(&self) -> usize {
-        self.v.len()
-    }
-
-    fn clear(&mut self) {
-        self.v.clear();
-    }
-}
+impl<E> Eq for Entry<E> {}
 
 /// Slots of the wheel, one per millisecond: entries due less than this
 /// far past the latest popped time are wheel entries, every other push
@@ -429,21 +299,7 @@ pub struct EventQueue<E> {
     wheel: Wheel<E>,
     /// Entries pushed for [`WHEEL_SPAN_MS`] or more past the latest
     /// popped time, or before it.
-    far: QuadHeap<E>,
-    /// Staging buffer for *runs* of `far`-bound pushes: the first few
-    /// after a pop sift straight into `far` (what a handler fans out
-    /// per event pays nothing), but a run that outlives the budget
-    /// stages here and is merged in bulk at the next pop.
-    pending: Vec<Entry<E>>,
-    /// A bulk build absorbed as one descending-sorted segment: popping
-    /// from its tail is O(1), so a push-then-drain burst costs one
-    /// `sort_unstable` instead of n heap sifts + n heap pops. Only
-    /// formed while it is empty; steady-state dispatch never adds to
-    /// it.
-    sorted: Vec<Entry<E>>,
-    /// `far`-bound pushes since the last pop (saturating at the
-    /// direct-push budget).
-    far_streak: u32,
+    far: BinaryHeap<Entry<E>>,
     seq: u64,
     popped: u64,
 }
@@ -454,30 +310,12 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
-/// `far`-bound pushes per run that sift straight into the heap before
-/// staging starts. Anything a dispatch handler fans out per event stays
-/// on the direct path; a bootstrap burst overflows into the staging
-/// buffer and gets one bulk merge (see [`EventQueue::flush_pending`]).
-const DIRECT_PUSH_BUDGET: u32 = 8;
-
-/// Staged-run length from which a merge sorts the run into the sorted
-/// segment (when that is free) instead of sifting it entry by entry.
-const BULK_BUILD_MIN: usize = 64;
-
 impl<E> EventQueue<E> {
     /// An empty queue.
     pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// An empty queue with room for a bootstrap burst of `cap` pushes.
-    pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
             wheel: Wheel::new(),
-            far: QuadHeap::new(),
-            pending: Vec::with_capacity(cap),
-            sorted: Vec::new(),
-            far_streak: 0,
+            far: BinaryHeap::new(),
             seq: 0,
             popped: 0,
         }
@@ -490,53 +328,21 @@ impl<E> EventQueue<E> {
         self.seq += 1;
         if self.wheel.covers(time) {
             self.wheel.push_back(time, seq, event);
-        } else if self.far_streak < DIRECT_PUSH_BUDGET {
-            self.far_streak += 1;
+        } else {
             self.far.push(Entry { time, seq, event });
-        } else {
-            self.pending.push(Entry { time, seq, event });
         }
     }
 
-    /// Merge staged pushes. The pop order is total by `(time, seq)`, so
-    /// whether entries arrive by sift or sort is unobservable.
-    #[inline]
-    fn flush_pending(&mut self) {
-        self.far_streak = 0;
-        if self.pending.is_empty() {
-            return;
-        }
-        if self.sorted.is_empty() && self.pending.len() >= BULK_BUILD_MIN {
-            // Sort once descending and drain from the tail in O(1) per
-            // pop.
-            self.pending
-                .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
-            std::mem::swap(&mut self.sorted, &mut self.pending);
-        } else {
-            for e in self.pending.drain(..) {
-                self.far.push(e);
-            }
-        }
-    }
-
-    /// Earliest entry across the wheel, the sorted segment and `far`.
+    /// Earliest entry across the wheel and `far`.
     #[inline]
     fn pop_entry(&mut self) -> Option<Entry<E>> {
-        self.flush_pending();
-        // An empty container's head sorts after every entry (no entry
-        // has the last sequence number).
-        const EMPTY: (SimTime, u64) = (SimTime::MAX, u64::MAX);
-        let slot = self.wheel.first_slot();
-        let wheel = slot.map_or(EMPTY, |(slot, time)| (time, self.wheel.head_seq(slot)));
-        let far = self.far.peek().map_or(EMPTY, Entry::key);
-        let sorted = self.sorted.last().map_or(EMPTY, Entry::key);
-        let e = if wheel <= far && wheel <= sorted {
-            let (slot, time) = slot?;
-            self.wheel.pop_slot(slot, time)
-        } else if far <= sorted {
-            self.far.pop()?
-        } else {
-            self.sorted.pop()?
+        let e = match (self.wheel.first_slot(), self.far.peek()) {
+            (Some((slot, time)), far)
+                if far.is_none_or(|f| (time, self.wheel.head_seq(slot)) < f.key()) =>
+            {
+                self.wheel.pop_slot(slot, time)
+            }
+            _ => self.far.pop()?,
         };
         self.wheel.advance(e.time);
         self.popped += 1;
@@ -576,20 +382,14 @@ impl<E> EventQueue<E> {
 
     /// Timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        [
-            self.wheel.first_slot().map(|(_, time)| time),
-            self.far.peek().map(|e| e.time),
-            self.sorted.last().map(|e| e.time),
-            self.pending.iter().map(|e| e.time).min(),
-        ]
-        .into_iter()
-        .flatten()
-        .min()
+        let wheel = self.wheel.first_slot().map(|(_, time)| time);
+        let far = self.far.peek().map(|e| e.time);
+        wheel.into_iter().chain(far).min()
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.wheel.len + self.far.len() + self.sorted.len() + self.pending.len()
+        self.wheel.len + self.far.len()
     }
 
     /// True iff no events are pending.
@@ -611,9 +411,6 @@ impl<E> EventQueue<E> {
     pub fn clear(&mut self) {
         self.wheel.clear();
         self.far.clear();
-        self.pending.clear();
-        self.sorted.clear();
-        self.far_streak = 0;
     }
 }
 
@@ -738,14 +535,14 @@ mod tests {
             prop_assert_eq!(q.total_popped() as usize, ops.len());
         }
 
-        /// Interleaved push runs and pops, runs on both sides of the
-        /// bulk-build threshold and times (a 64 ms grid, most of it past
-        /// the wheel) that send them through it: every pop must return
-        /// exactly the (time, seq) minimum of what is queued at that
-        /// instant.
+        /// Interleaved push runs and pops, half the runs longer than the
+        /// bootstrap's burst of ~4.2 k claim submissions, at times (a
+        /// 64 ms grid, most of it past the wheel, so many ties) that send
+        /// most of each run to `far`: every pop must return exactly the
+        /// (time, seq) minimum of what is queued at that instant.
         #[test]
         fn prop_bulk_heapify_order_invariant(
-            runs in proptest::collection::vec((proptest::collection::vec(0u64..200, 1..150), 0usize..80), 1..6)
+            runs in proptest::collection::vec((proptest::collection::vec(0u64..200, 1..8_192), 0usize..80), 1..6)
         ) {
             let mut q = EventQueue::new();
             let mut model = std::collections::BTreeSet::new();
@@ -779,8 +576,7 @@ mod tests {
         /// interleaved with pops, pop-and-requeue and `clear`: every
         /// pop is the `(time, seq)` minimum of a `BTreeSet` model, and
         /// `peek_time`/`len`/`is_empty` agree with it after every step
-        /// — whichever of the wheel, the heap, the sorted segment or
-        /// the staging buffer holds the entries.
+        /// — whichever of the wheel or the heap holds the entries.
         #[test]
         fn prop_far_heap_order_invariant(ops in proptest::collection::vec(far_op(), 1..400)) {
             let mut q = EventQueue::new();
@@ -859,8 +655,9 @@ mod tests {
         PushAtQueued {
             pick: usize,
         },
-        /// A run of `n` pushes from `base + by` on, `step` ms apart —
-        /// past the direct-push budget, and long enough to be sorted.
+        /// A run of `n` pushes from `base + by` on, `step` ms apart: a
+        /// burst across the window's end, part to the wheel and part to
+        /// `far`.
         Run {
             by: u64,
             step: u64,
@@ -922,7 +719,7 @@ mod tests {
         /// edges to the millisecond, before `base`, laps ahead (slots
         /// reused after wrap-around, also across idle gaps longer than
         /// the wheel), and same-millisecond bursts whose entries end up
-        /// split across wheel, `far` and `sorted`; mixed with pops,
+        /// split across the wheel and `far`; mixed with pops,
         /// pop-and-requeue and `clear`. Every pop is the model's
         /// minimum, and `peek_time`/`len` agree with it after every
         /// step.

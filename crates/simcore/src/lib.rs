@@ -7,8 +7,8 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — millisecond-resolution virtual time.
 //! * [`EventQueue`] — a priority queue (a millisecond timing wheel for
-//!   the imminent events, a heap for the rest) with a monotonic sequence
-//!   tiebreaker, so event ordering is fully deterministic even when many
+//!   the imminent events, a `std` binary heap for the rest) with a
+//!   monotonic sequence tiebreaker, so event ordering is fully deterministic even when many
 //!   events share a timestamp.
 //! * [`Engine`] — the driver loop. Systems implement [`Process`] and push
 //!   follow-up events through an [`Outbox`].
@@ -23,6 +23,8 @@
 //! own event enum; a composition layer maps between subsystem outboxes
 //! and the global queue. This keeps every subsystem unit-testable without
 //! the engine.
+
+#![forbid(unsafe_code)]
 
 pub mod dist;
 pub mod engine;

@@ -26,6 +26,8 @@
 //!   queue high-water) dumped on exactly-once violations, conservation
 //!   failures, or test panics.
 
+#![forbid(unsafe_code)]
+
 pub mod counter;
 pub mod flight;
 pub mod hist;

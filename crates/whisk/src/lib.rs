@@ -23,6 +23,8 @@
 //! generalized the thread demo that used to live here as
 //! `whisk::live`.
 
+#![forbid(unsafe_code)]
+
 pub mod action;
 pub mod activation;
 pub mod config;

@@ -22,6 +22,8 @@
 //! the calibration record — they assert the generated marginals land in
 //! tolerance bands around the published numbers.
 
+#![forbid(unsafe_code)]
+
 pub mod demand;
 pub mod faas;
 pub mod hpc;

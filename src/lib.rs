@@ -22,6 +22,8 @@
 //!   drain/handoff protocol glue, the clairvoyant offline simulator and
 //!   the end-to-end experiment harness.
 
+#![forbid(unsafe_code)]
+
 pub use cluster;
 pub use gateway;
 pub use hpcwhisk_core as core;

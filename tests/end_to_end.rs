@@ -250,6 +250,21 @@ fn coverage_only_day_accounts_for_every_event() {
     assert_eq!(rep.events_dispatched, 38_146);
     assert_eq!(c.pass_placements, 1_523);
     assert_eq!(c.quick_passes + c.backfill_passes, 7_530);
+    // Every counter of this day, recorded at the commit before PR 26:
+    // the event queue's `far` side (a `BinaryHeap` since then), not its
+    // wheel, pops 85 % of its events, so a change there must move none.
+    assert_eq!(
+        format!("{c:?}"),
+        "Counters { hpc_started: 4510, hpc_completed: 2276, pilots_started: 1523, \
+         pilots_preempted: 441, pilots_timed_out: 1077, pilots_node_failed: 0, \
+         quick_passes: 4650, quick_passes_skipped: 2192, backfill_passes: 2880, \
+         backfill_passes_skipped: 2539, reservations_made: 0, demand_delay_secs: OnlineStats { \
+         n: 4510, mean: 1.9490035476718377, m2: 38057.43438994322, min: 0.0, max: 11.662 }, \
+         pilot_granted_mins: OnlineStats { n: 1523, mean: 7.718975705843727, \
+         m2: 255511.72160210166, min: 0.0, max: 90.0 }, wheel_nodes_reprojected: 132433, \
+         pass_placements: 1523, span_rebase_ns: 0, span_wheel_ns: 0, span_dirty_ns: 0, \
+         span_placement_ns: 0 }"
+    );
     assert!(
         c.passes_skipped() >= 4_500,
         "{} quick + {} backfill passes skipped",
