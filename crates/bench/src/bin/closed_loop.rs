@@ -29,21 +29,12 @@ enum Ev {
 /// Scheduler fill-up window excluded from the reported samples.
 const WARMUP_MINS: u64 = 45;
 
-/// One closed-loop run, fully determined by `seed`. `spans` turns on
-/// per-pass phase timing (wall-clock, so only for observability runs).
-fn run_closed_loop(
-    seed: u64,
-    n_nodes: usize,
-    hours: u64,
-    spans: bool,
-) -> (Counters, Vec<PollSample>) {
+/// One closed-loop run, fully determined by `seed`.
+fn run_closed_loop(seed: u64, n_nodes: usize, hours: u64) -> (Counters, Vec<PollSample>) {
     let horizon = SimTime::from_hours(hours);
     let warmup_window = SimTime::from_mins(WARMUP_MINS);
 
     let mut sim = ClusterSim::new(SlurmConfig::default(), n_nodes, seed);
-    if spans {
-        sim.enable_pass_spans();
-    }
     let model = HpcWorkloadModel::prometheus();
     let driver = BacklogDriver::new(model, n_nodes);
     let mut manager = FibManager::paper(lengths::A1.to_vec());
@@ -74,18 +65,6 @@ fn run_closed_loop(
                     // top the backlog up to the driver's target.
                     let mut est = 0.0;
                     sim_pending_hpc(&sim, &mut est);
-                    if std::env::var("CLOSED_LOOP_DEBUG").is_ok()
-                        && (now.as_mins_f64() as u64).is_multiple_of(15)
-                    {
-                        let hpc_pending = sim.pending_matching(|j| j.spec.kind == JobKind::Hpc);
-                        eprintln!(
-                        "[{now}] idle={} pilot={} pending_hpc={} pending_nh={est:.0} started={}",
-                        sim.n_idle(),
-                        sim.n_pilot_nodes(),
-                        hpc_pending,
-                        sim.counters().hpc_started
-                    );
-                    }
                     for spec in driver.replenish(est, &mut rng) {
                         sim.submit(now, spec, &mut co);
                     }
@@ -131,14 +110,12 @@ fn main() {
     };
 
     // Independent replications across seeds, one core each (the rayon
-    // fanout leaves per-seed determinism untouched). Pass spans are
-    // timed only when the run will be scraped.
-    let spans = hpcwhisk_bench::arg_value("--metrics-out").is_some();
+    // fanout leaves per-seed determinism untouched).
     let runs: Vec<(u64, Counters, Vec<PollSample>)> = seeds
         .clone()
         .into_par_iter()
         .map(|seed| {
-            let (c, samples) = run_closed_loop(seed, n_nodes, hours, spans);
+            let (c, samples) = run_closed_loop(seed, n_nodes, hours);
             (seed, c, samples)
         })
         .collect();

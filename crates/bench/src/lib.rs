@@ -168,8 +168,7 @@ pub fn write_scheduler_metrics_out(c: &cluster::Counters, des: Option<&DesWork>)
 
 /// Render `cluster::Counters` as Prometheus text through a one-shot
 /// telemetry registry — the scheduler plane's equivalent of scraping
-/// the gateway's live registry. Span families read zero unless the run
-/// called `ClusterSim::enable_pass_spans`.
+/// the gateway's live registry.
 pub fn scheduler_exposition(c: &cluster::Counters, des: Option<&DesWork>) -> String {
     use metrics::telemetry::{labels, render_prometheus, Collected, Labels, MetricKind, Registry};
     let reg = Registry::new();
@@ -239,16 +238,6 @@ pub fn scheduler_exposition(c: &cluster::Counters, des: Option<&DesWork>) -> Str
         "scheduler_wheel_nodes_reprojected_total",
         "nodes re-masked by the residue-wheel sweep (crossing-proportional witness)",
         vec![(labels(&[]), c.wheel_nodes_reprojected)],
-    );
-    counter(
-        "scheduler_pass_span_ns_total",
-        "per-phase pass wall-clock, when pass spans are enabled",
-        vec![
-            (labels(&[("phase", "rebase")]), c.span_rebase_ns),
-            (labels(&[("phase", "wheel")]), c.span_wheel_ns),
-            (labels(&[("phase", "dirty")]), c.span_dirty_ns),
-            (labels(&[("phase", "placement")]), c.span_placement_ns),
-        ],
     );
     if let Some(d) = des {
         counter(

@@ -139,7 +139,7 @@ pub enum JobOutcome {
     /// Ran to (actual) completion.
     Completed,
     /// Reached its granted time limit and was killed (pilots exiting via
-    /// drain report `Completed` through [`crate::sim::ClusterSim::pilot_exited`]).
+    /// drain report `Completed` through [`crate::ClusterSim::pilot_exited`]).
     TimedOut,
     /// Preempted by a higher-tier job and cancelled.
     Preempted,

@@ -23,6 +23,21 @@
 //! * **trace-driven prime demand** — pinned demand claims with
 //!   *announced* (believed) vs *actual* start times, reproducing the
 //!   declared-limit slack that makes idle periods unpredictable.
+//!
+//! Module map:
+//!
+//! * `sched` — [`ClusterSim`], the scheduler, one concern a file: `pass`
+//!   (queue and placement walk), `plane` (projections, residue wheel,
+//!   park), `settled` (the skip proof), `claims` (pinned claims and
+//!   handover), `lifecycle` (start, SIGTERM, grace, end, node
+//!   transitions), `poll` (the poller) and `oracle` (the reference pass
+//!   and test hooks, off every production path);
+//! * [`timeline`] — the 60-slot bitmask timeline a pass plans on;
+//! * [`trace`] — the availability trace the poller builds;
+//! * [`config`], [`events`], [`ids`], [`job`], [`node`] — the Slurm
+//!   settings, the events and notes, and the records the scheduler keeps;
+//! * [`capacity`] — the availability trace as a stream of lease grants,
+//!   extensions and revokes, for the live plane.
 
 #![forbid(unsafe_code)]
 
@@ -32,7 +47,7 @@ pub mod events;
 pub mod ids;
 pub mod job;
 pub mod node;
-pub mod sim;
+mod sched;
 pub mod timeline;
 pub mod trace;
 
@@ -42,6 +57,6 @@ pub use events::{ClusterEvent, ClusterNote, PollSample, SigtermReason};
 pub use ids::{JobId, NodeId, NodeList};
 pub use job::{Job, JobKind, JobOutcome, JobSpec, JobState};
 pub use node::{Node, NodeState};
-pub use sim::{ClusterSeries, ClusterSim, Counters};
+pub use sched::{ClusterSeries, ClusterSim, Counters};
 pub use timeline::{FitPolicy, Timeline};
 pub use trace::AvailabilityTrace;

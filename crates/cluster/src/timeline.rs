@@ -39,6 +39,10 @@
 //!
 //! The original scan-based implementations are retained as
 //! `*_reference` methods; property tests assert bit-exact equivalence.
+//! They live here, not in the scheduler's `oracle`, because production
+//! code reaches two of them: `find_single_now` answers `d == 0` through
+//! its scan, and `find_start` falls back to its scan when the counting
+//! sweep and the collection disagree.
 
 use crate::ids::NodeId;
 use simcore::{SimDuration, SimTime};
@@ -828,8 +832,8 @@ impl Timeline {
     }
 
     // ------------------------------------------------------------------
-    // Reference implementations (pre-optimization scans), kept for the
-    // differential regression tests.
+    // Reference implementations (pre-optimization scans): the judges of
+    // the differential tests, and two fallbacks of the queries above.
     // ------------------------------------------------------------------
 
     /// Scan-based [`Timeline::find_start`] (O(slots × nodes)).

@@ -1,88 +1,21 @@
 //! Differential regression test for the scheduler-pass optimizations.
 //!
 //! Two identical clusters process an identical randomized workload —
-//! one with the optimized pass (incremental projections, epoch-based
-//! quick-pass skipping, bitset eligible lookup, bit-parallel backfill
-//! search), one with the retained pre-optimization reference pass
-//! ([`ClusterSim::set_reference_mode`]). Every observable — the full
-//! timestamped note stream, job states and granted durations, live
-//! reservations, counters and node tallies — must be **bit-identical**:
-//! the perf work must not change a single scheduling decision.
+//! one driven by [`ClusterSim::handle`] (the persistent plane, the
+//! settled-queue skip, bitset eligible lookup, bit-parallel backfill
+//! search), one by [`ClusterSim::handle_reference`], which runs the
+//! retained pre-optimization pass and never skips. Every observable —
+//! the full timestamped note stream, job states and granted durations,
+//! live reservations, counters and node tallies — must be
+//! **bit-identical**: the perf work must not change a single scheduling
+//! decision.
 
-use hpcwhisk_cluster::{
-    ClusterEvent, ClusterNote, ClusterSim, JobId, JobKind, JobSpec, NodeId, SlurmConfig,
-};
+use hpcwhisk_cluster::{ClusterEvent, JobId, JobKind, JobSpec, NodeId, SlurmConfig};
 use proptest::prelude::*;
-use simcore::{Engine, Outbox, SimDuration, SimTime};
+use simcore::{SimDuration, SimTime};
 
-/// Drives one [`ClusterSim`] with the DES engine, collecting notes.
-struct Harness {
-    sim: ClusterSim,
-    engine: Engine<ClusterEvent>,
-    notes: Vec<(SimTime, ClusterNote)>,
-}
-
-impl Harness {
-    fn new(cfg: SlurmConfig, n_nodes: usize, reference: bool) -> Self {
-        let mut sim = ClusterSim::new(cfg, n_nodes, 42);
-        sim.set_reference_mode(reference);
-        let mut engine = Engine::new();
-        let mut out = Outbox::new(SimTime::ZERO);
-        sim.bootstrap(SimTime::ZERO, &mut out);
-        for (t, e) in out.drain() {
-            engine.schedule(t, e);
-        }
-        Harness {
-            sim,
-            engine,
-            notes: Vec::new(),
-        }
-    }
-
-    fn run_until(&mut self, horizon: SimTime) {
-        let sim = &mut self.sim;
-        let notes = &mut self.notes;
-        self.engine.run_until(
-            horizon,
-            &mut |now: SimTime, ev: ClusterEvent, out: &mut Outbox<ClusterEvent>| {
-                let mut local = Vec::new();
-                sim.handle(now, ev, out, &mut local);
-                notes.extend(local.into_iter().map(|n| (now, n)));
-            },
-        );
-    }
-
-    fn submit_at(&mut self, t: SimTime, spec: JobSpec) -> JobId {
-        self.run_until(t);
-        let mut out = Outbox::new(t);
-        let id = self.sim.submit(t, spec, &mut out);
-        for (at, e) in out.drain() {
-            self.engine.schedule(at, e);
-        }
-        id
-    }
-
-    fn pilot_exit_at(&mut self, t: SimTime, job: JobId) {
-        self.run_until(t);
-        let mut out = Outbox::new(t);
-        let mut notes = Vec::new();
-        self.sim.pilot_exited(t, job, &mut out, &mut notes);
-        self.notes.extend(notes.into_iter().map(|n| (t, n)));
-        for (at, e) in out.drain() {
-            self.engine.schedule(at, e);
-        }
-    }
-
-    /// SIGTERM deadline of a job, if one was delivered.
-    fn kill_at_of(&self, job: JobId) -> Option<SimTime> {
-        self.notes.iter().find_map(|(_, n)| match n {
-            ClusterNote::JobSigterm {
-                job: j, kill_at, ..
-            } if *j == job => Some(*kill_at),
-            _ => None,
-        })
-    }
-}
+mod common;
+use common::{assert_same_observables, Harness};
 
 /// One generated submission.
 #[derive(Debug, Clone)]
@@ -162,7 +95,6 @@ fn to_spec(g: &GenJob, n_nodes: usize) -> JobSpec {
 
 /// Run the same generated scenario on both implementations and demand
 /// bit-identical observables.
-#[allow(clippy::too_many_arguments)]
 fn run_differential(
     n_nodes: usize,
     cfg: SlurmConfig,
@@ -170,8 +102,9 @@ fn run_differential(
     node_events: Vec<(usize, u64, u64)>,
     exit_lags_secs: Vec<u64>,
 ) {
-    let mut opt = Harness::new(cfg.clone(), n_nodes, false);
-    let mut refr = Harness::new(cfg, n_nodes, true);
+    let mut opt = Harness::with_config(cfg.clone(), n_nodes);
+    let mut refr = Harness::with_config(cfg, n_nodes);
+    refr.reference = true;
 
     // Node failures/repairs, scheduled up front (before the engine
     // advances past their timestamps).
@@ -212,9 +145,9 @@ fn run_differential(
         if opt.sim.job(*id).spec.kind != JobKind::Pilot {
             continue;
         }
-        let ka = opt.kill_at_of(*id);
-        assert_eq!(ka, refr.kill_at_of(*id), "sigterm divergence for {id}");
-        let Some(kill_at) = ka else { continue };
+        let ka = opt.sigterm_of(*id);
+        assert_eq!(ka, refr.sigterm_of(*id), "sigterm divergence for {id}");
+        let Some((_, kill_at)) = ka else { continue };
         let lag = exit_lags_secs[i % exit_lags_secs.len().max(1)];
         if lag == 0 {
             continue; // this pilot never exits voluntarily
@@ -236,39 +169,9 @@ fn run_differential(
     opt.run_until(end);
     refr.run_until(end);
 
-    // --- The perf work must not change schedules: everything observable
-    // must be bit-identical. ---
-    assert_eq!(opt.notes.len(), refr.notes.len(), "note count diverged");
-    for (a, b) in opt.notes.iter().zip(refr.notes.iter()) {
-        assert_eq!(a, b, "note stream diverged");
-    }
-    assert_eq!(opt.sim.n_jobs(), refr.sim.n_jobs());
-    for i in 0..opt.sim.n_jobs() {
-        let id = JobId(i as u64);
-        let (ja, jb) = (opt.sim.job(id), refr.sim.job(id));
-        assert_eq!(ja.state, jb.state, "job {id} state diverged");
-        assert_eq!(ja.granted, jb.granted, "job {id} grant diverged");
-    }
-    assert_eq!(
-        opt.sim.reservation_snapshot(),
-        refr.sim.reservation_snapshot(),
-        "reservations diverged"
-    );
-    let (ca, cb) = (opt.sim.counters(), refr.sim.counters());
-    assert_eq!(ca.hpc_started, cb.hpc_started);
-    assert_eq!(ca.hpc_completed, cb.hpc_completed);
-    assert_eq!(ca.pilots_started, cb.pilots_started);
-    assert_eq!(ca.pilots_preempted, cb.pilots_preempted);
-    assert_eq!(ca.pilots_timed_out, cb.pilots_timed_out);
-    assert_eq!(ca.pilots_node_failed, cb.pilots_node_failed);
-    assert_eq!(ca.quick_passes, cb.quick_passes);
-    assert_eq!(ca.backfill_passes, cb.backfill_passes);
-    assert_eq!(ca.reservations_made, cb.reservations_made);
-    assert_eq!(ca.demand_delay_secs.count(), cb.demand_delay_secs.count());
-    assert_eq!(ca.demand_delay_secs.max(), cb.demand_delay_secs.max());
-    assert_eq!(ca.pilot_granted_mins.count(), cb.pilot_granted_mins.count());
-    assert_eq!(opt.sim.n_idle(), refr.sim.n_idle());
-    assert_eq!(opt.sim.n_pilot_nodes(), refr.sim.n_pilot_nodes());
+    // The perf work must not change schedules: everything observable
+    // must be bit-identical.
+    assert_same_observables(&opt, &refr, "end");
 }
 
 proptest! {

@@ -15,6 +15,7 @@ use hpcwhisk_cluster::{
 };
 use proptest::prelude::*;
 use simcore::{Engine, Outbox, SimDuration, SimTime};
+use std::ops::Range;
 
 /// One generated timeline operation.
 #[derive(Debug, Clone)]
@@ -94,18 +95,20 @@ fn run_churn(n_nodes: usize, n_slots: u32, ops: Vec<Op>) {
     // Query first so the index exists and every subsequent op takes the
     // incremental-maintenance path, not a fresh build.
     assert_queries_match(&tl, n_slots);
+    // The strategies draw nodes for the widest cluster; fold them onto this one.
+    let id = |node: usize| NodeId((node % n_nodes) as u32);
     for op in ops {
         match op {
             Op::BlockSlots { node, from, len } => {
-                tl.block_slots(NodeId(node as u32), from, from.saturating_add(len));
+                tl.block_slots(id(node), from, from.saturating_add(len));
             }
-            Op::BlockAll { node } => tl.block_all(NodeId(node as u32)),
+            Op::BlockAll { node } => tl.block_all(id(node)),
             Op::BlockUntil { node, mins_ahead } => {
                 let t = tl.origin() + SimDuration::from_mins(mins_ahead);
-                tl.block_until(NodeId(node as u32), t);
+                tl.block_until(id(node), t);
             }
             Op::ReleaseSlots { node, from, len } => {
-                tl.release_slots(NodeId(node as u32), from, from.saturating_add(len));
+                tl.release_slots(id(node), from, from.saturating_add(len));
             }
             Op::Advance { slots } => tl.advance_slots(slots),
         }
@@ -122,10 +125,6 @@ proptest! {
         n_nodes in 1usize..12,
         ops in proptest::collection::vec(op_strategy(12, 60), 1..60),
     ) {
-        let ops = ops
-            .into_iter()
-            .map(|op| clamp_node(op, n_nodes))
-            .collect();
         run_churn(n_nodes, 60, ops);
     }
 
@@ -135,34 +134,7 @@ proptest! {
         n_nodes in 60usize..140,
         ops in proptest::collection::vec(op_strategy(140, 12), 1..40),
     ) {
-        let ops = ops
-            .into_iter()
-            .map(|op| clamp_node(op, n_nodes))
-            .collect();
         run_churn(n_nodes, 12, ops);
-    }
-}
-
-fn clamp_node(op: Op, n_nodes: usize) -> Op {
-    match op {
-        Op::BlockSlots { node, from, len } => Op::BlockSlots {
-            node: node % n_nodes,
-            from,
-            len,
-        },
-        Op::BlockAll { node } => Op::BlockAll {
-            node: node % n_nodes,
-        },
-        Op::BlockUntil { node, mins_ahead } => Op::BlockUntil {
-            node: node % n_nodes,
-            mins_ahead,
-        },
-        Op::ReleaseSlots { node, from, len } => Op::ReleaseSlots {
-            node: node % n_nodes,
-            from,
-            len,
-        },
-        Op::Advance { slots } => Op::Advance { slots },
     }
 }
 
@@ -243,10 +215,18 @@ fn sim_op_strategy(n_nodes: usize) -> impl Strategy<Value = SimOp> {
 /// Drive one sim through the op sequence, auditing the plane after
 /// every step (and once more after a long drain).
 fn run_plane_churn(n_nodes: usize, steps: Vec<(u64, SimOp)>) {
-    run_plane_churn_with(SlurmConfig::default(), n_nodes, steps);
+    run_plane_churn_with(SlurmConfig::default(), n_nodes, steps, 0..0);
 }
 
-fn run_plane_churn_with(cfg: SlurmConfig, n_nodes: usize, steps: Vec<(u64, SimOp)>) {
+/// The steps indexed by `reference` are driven by `handle_reference`, and
+/// the plane is audited only after the last of them: it goes stale across
+/// a run of reference passes, and the production pass must pick it up.
+fn run_plane_churn_with(
+    cfg: SlurmConfig,
+    n_nodes: usize,
+    steps: Vec<(u64, SimOp)>,
+    reference: Range<usize>,
+) {
     let mut sim = ClusterSim::new(cfg, n_nodes, 7);
     let mut engine = Engine::new();
     let mut t = SimTime::ZERO;
@@ -260,13 +240,17 @@ fn run_plane_churn_with(cfg: SlurmConfig, n_nodes: usize, steps: Vec<(u64, SimOp
     let mut pilots: Vec<JobId> = Vec::new();
     let mut down: Vec<NodeId> = Vec::new();
 
-    for (dt_secs, op) in steps {
+    for (i, (dt_secs, op)) in steps.into_iter().enumerate() {
+        let handle = if reference.contains(&i) {
+            ClusterSim::handle_reference
+        } else {
+            ClusterSim::handle
+        };
         t += SimDuration::from_secs(dt_secs);
         {
             let sim = &mut sim;
             engine.run_until(t, &mut |now, ev, out: &mut Outbox<ClusterEvent>| {
-                let mut notes = Vec::new();
-                sim.handle(now, ev, out, &mut notes);
+                handle(sim, now, ev, out, &mut Vec::new());
             });
         }
         let mut out = Outbox::new(t);
@@ -344,13 +328,13 @@ fn run_plane_churn_with(cfg: SlurmConfig, n_nodes: usize, steps: Vec<(u64, SimOp
                 let n = NodeId((node % n_nodes) as u32);
                 if !down.contains(&n) {
                     down.push(n);
-                    sim.handle(t, ClusterEvent::NodeDown(n), &mut out, &mut notes);
+                    handle(&mut sim, t, ClusterEvent::NodeDown(n), &mut out, &mut notes);
                 }
             }
             SimOp::NodeUp { pick } => {
                 if !down.is_empty() {
                     let n = down.remove(pick % down.len());
-                    sim.handle(t, ClusterEvent::NodeUp(n), &mut out, &mut notes);
+                    handle(&mut sim, t, ClusterEvent::NodeUp(n), &mut out, &mut notes);
                 }
             }
             SimOp::Wait => {}
@@ -360,7 +344,9 @@ fn run_plane_churn_with(cfg: SlurmConfig, n_nodes: usize, steps: Vec<(u64, SimOp
         }
         // The audit: persistent plane ≡ fresh rebuild, bit for bit; and
         // the poll sample's maintained bitsets ≡ a node-table scan.
-        sim.check_plane(t);
+        if !reference.contains(&i) || i + 1 == reference.end {
+            sim.check_plane(t);
+        }
         sim.check_poll_bits();
     }
 
@@ -387,10 +373,6 @@ proptest! {
         n_nodes in 4usize..24,
         steps in proptest::collection::vec((0u64..150, sim_op_strategy(24)), 1..48),
     ) {
-        let steps = steps
-            .into_iter()
-            .map(|(dt, op)| (dt, clamp_sim_op(op, n_nodes)))
-            .collect();
         run_plane_churn(n_nodes, steps);
     }
 }
@@ -453,35 +435,47 @@ proptest! {
         sparse_backfill in any::<bool>(),
         steps in proptest::collection::vec((long_dt_strategy(), long_sim_op_strategy(24)), 1..48),
     ) {
-        let steps = steps
-            .into_iter()
-            .map(|(dt, op)| (dt, clamp_sim_op(op, n_nodes)))
-            .collect();
         let mut cfg = SlurmConfig::default();
         if sparse_backfill {
             cfg.bf_interval = SimDuration::from_hours(6);
         }
-        run_plane_churn_with(cfg, n_nodes, steps);
+        run_plane_churn_with(cfg, n_nodes, steps, 0..0);
     }
 }
 
-fn clamp_sim_op(op: SimOp, n_nodes: usize) -> SimOp {
-    match op {
-        SimOp::Pinned {
-            node,
-            ahead_mins,
-            slack_mins,
-            limit_mins,
-        } => SimOp::Pinned {
-            node: node % n_nodes,
-            ahead_mins,
-            slack_mins,
-            limit_mins,
-        },
-        SimOp::NodeDown { node } => SimOp::NodeDown {
-            node: node % n_nodes,
-        },
-        other => other,
+/// What happens to nodes while the reference pass drives: pilot exits,
+/// failures, repairs, and time for passes to run.
+fn transition_strategy(n_nodes: usize) -> impl Strategy<Value = SimOp> {
+    prop_oneof![
+        (0usize..16).prop_map(|pick| SimOp::PilotExit { pick }),
+        (0..n_nodes).prop_map(|node| SimOp::NodeDown { node }),
+        (0usize..16).prop_map(|pick| SimOp::NodeUp { pick }),
+        Just(SimOp::Wait),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A sim that switches from `handle` to `handle_reference` and back
+    /// keeps its plane coherent: production passes under churn, then
+    /// reference passes while nodes fail, come back and lose their pilots
+    /// (every transition marks its node dirty, whichever pass runs), the
+    /// audit, then production passes again, audited after each.
+    #[test]
+    fn prop_plane_stays_coherent_across_reference_passes(
+        n_nodes in 4usize..24,
+        before in proptest::collection::vec((0u64..150, sim_op_strategy(24)), 1..24),
+        during in proptest::collection::vec((0u64..150, transition_strategy(24)), 2..12),
+        after in proptest::collection::vec((0u64..150, sim_op_strategy(24)), 1..24),
+    ) {
+        let reference = before.len()..before.len() + during.len();
+        let steps = before
+            .into_iter()
+            .chain(during)
+            .chain(after)
+            .collect();
+        run_plane_churn_with(SlurmConfig::default(), n_nodes, steps, reference);
     }
 }
 

@@ -3,129 +3,15 @@
 //! extension, pinned demand claims, node failures and the poller.
 
 use hpcwhisk_cluster::{
-    AvailabilityTrace, ClusterEvent, ClusterNote, ClusterSim, JobId, JobKind, JobOutcome, JobSpec,
-    JobState, NodeId, SigtermReason, SlurmConfig,
+    AvailabilityTrace, ClusterEvent, ClusterNote, JobId, JobKind, JobOutcome, JobSpec, JobState,
+    NodeId, SigtermReason, SlurmConfig,
 };
 use hpcwhisk_core::{lengths, offline};
 use proptest::prelude::*;
-use simcore::{Engine, Outbox, SimDuration, SimTime};
+use simcore::{SimDuration, SimTime};
 
-/// Drives a [`ClusterSim`] with the DES engine, collecting notes.
-struct Harness {
-    sim: ClusterSim,
-    engine: Engine<ClusterEvent>,
-    notes: Vec<(SimTime, ClusterNote)>,
-    /// `QuickPass` events dispatched so far.
-    quick_events: u64,
-    /// `(scheduled at, due at, event)` for every event the sim emitted.
-    scheduled: Vec<(SimTime, SimTime, ClusterEvent)>,
-    /// `(instant, idle bits, pilot bits)` the sim held at every poll.
-    poll_bits: Vec<(SimTime, Vec<u64>, Vec<u64>)>,
-}
-
-impl Harness {
-    fn new(n_nodes: usize) -> Self {
-        Self::with_config(SlurmConfig::default(), n_nodes)
-    }
-
-    fn with_config(cfg: SlurmConfig, n_nodes: usize) -> Self {
-        let mut sim = ClusterSim::new(cfg, n_nodes, 42);
-        let mut engine = Engine::new();
-        let mut out = Outbox::new(SimTime::ZERO);
-        sim.bootstrap(SimTime::ZERO, &mut out);
-        for (t, e) in out.drain() {
-            engine.schedule(t, e);
-        }
-        Harness {
-            sim,
-            engine,
-            notes: Vec::new(),
-            quick_events: 0,
-            scheduled: Vec::new(),
-            poll_bits: Vec::new(),
-        }
-    }
-
-    /// Call into the sim at `t` (the engine is already there) and feed
-    /// what it schedules and notes back.
-    fn call<R>(
-        &mut self,
-        t: SimTime,
-        f: impl FnOnce(&mut ClusterSim, &mut Outbox<ClusterEvent>, &mut Vec<ClusterNote>) -> R,
-    ) -> R {
-        let mut out = Outbox::new(t);
-        let mut notes = Vec::new();
-        let r = f(&mut self.sim, &mut out, &mut notes);
-        self.notes.extend(notes.into_iter().map(|n| (t, n)));
-        for (at, e) in out.drain() {
-            self.scheduled.push((t, at, e.clone()));
-            self.engine.schedule(at, e);
-        }
-        r
-    }
-
-    fn submit_at(&mut self, t: SimTime, spec: JobSpec) -> JobId {
-        // Run up to the submission instant first.
-        self.run_until(t);
-        self.call(t, |sim, out, _| sim.submit(t, spec, out))
-    }
-
-    fn pilot_exit_at(&mut self, t: SimTime, job: JobId) {
-        self.run_until(t);
-        self.call(t, |sim, out, notes| sim.pilot_exited(t, job, out, notes));
-    }
-
-    fn run_until(&mut self, horizon: SimTime) {
-        let sim = &mut self.sim;
-        let notes = &mut self.notes;
-        let quick_events = &mut self.quick_events;
-        let scheduled = &mut self.scheduled;
-        let poll_bits = &mut self.poll_bits;
-        self.engine.run_until(
-            horizon,
-            &mut |now: SimTime, ev: ClusterEvent, out: &mut Outbox<ClusterEvent>| {
-                *quick_events += u64::from(ev == ClusterEvent::QuickPass);
-                let mut local = Vec::new();
-                let mut emitted = Outbox::new(now);
-                sim.handle(now, ev, &mut emitted, &mut local);
-                if local.iter().any(|n| matches!(n, ClusterNote::Polled(_))) {
-                    let (idle, pilot) = sim.poll_bits();
-                    poll_bits.push((now, idle.to_vec(), pilot.to_vec()));
-                }
-                notes.extend(local.into_iter().map(|n| (now, n)));
-                for (at, e) in emitted.drain() {
-                    scheduled.push((now, at, e.clone()));
-                    out.at(at, e);
-                }
-            },
-        );
-    }
-
-    fn started(&self, job: JobId) -> Option<SimTime> {
-        self.notes.iter().find_map(|(t, n)| match n {
-            ClusterNote::JobStarted { job: j, .. } if *j == job => Some(*t),
-            _ => None,
-        })
-    }
-
-    fn ended_with(&self, job: JobId) -> Option<JobOutcome> {
-        self.notes.iter().find_map(|(_, n)| match n {
-            ClusterNote::JobEnded { job: j, outcome } if *j == job => Some(*outcome),
-            _ => None,
-        })
-    }
-
-    fn sigterm_of(&self, job: JobId) -> Option<(SigtermReason, SimTime)> {
-        self.notes.iter().find_map(|(_, n)| match n {
-            ClusterNote::JobSigterm {
-                job: j,
-                reason,
-                kill_at,
-            } if *j == job => Some((*reason, *kill_at)),
-            _ => None,
-        })
-    }
-}
+mod common;
+use common::{assert_same_observables, Harness};
 
 fn mins(m: u64) -> SimDuration {
     SimDuration::from_mins(m)
@@ -883,7 +769,7 @@ fn skipped_backfill_pass_rearms_where_a_run_one_does() {
     };
     let backfills = |reference: bool| {
         let mut l = Harness::with_config(cfg.clone(), 1);
-        l.sim.set_reference_mode(reference);
+        l.reference = reference;
         let due = at_min(30);
         let claim = JobSpec::pinned_demand(vec![NodeId(0)], due, due, mins(30), mins(30));
         l.submit_at(at_min(1), claim);
@@ -903,66 +789,6 @@ fn skipped_backfill_pass_rearms_where_a_run_one_does() {
     assert_eq!(fast, reference);
     assert!(fast.windows(2).skip(3).all(|w| w[1] - w[0] == secs(60)));
     assert!(skipped >= 8, "{skipped} backfill passes skipped");
-}
-
-/// Pending pilots per limit, zero entries dropped, sorted — the form in
-/// which a kept census and a recount can be compared.
-fn census(sim: &ClusterSim) -> Vec<(u64, usize)> {
-    let mut c: Vec<(u64, usize)> = sim
-        .pending_pilots_by_limit()
-        .iter()
-        .copied()
-        .filter(|(_, n)| *n > 0)
-        .collect();
-    c.sort_unstable();
-    c
-}
-
-/// Everything observable about a sim except the work it did to get
-/// there (`*_passes_skipped`, `wheel_nodes_reprojected`, spans).
-fn assert_same_observables(a: &Harness, b: &Harness, step: impl std::fmt::Display) {
-    assert_eq!(a.notes, b.notes, "step {step}: notes diverged");
-    assert_eq!(a.scheduled, b.scheduled, "step {step}: scheduled events");
-    let (sa, sb) = (&a.sim, &b.sim);
-    assert_eq!(sa.n_jobs(), sb.n_jobs());
-    for i in 0..sa.n_jobs() {
-        let id = JobId(i as u64);
-        assert_eq!(sa.job(id).state, sb.job(id).state, "step {step}: {id}");
-        assert_eq!(sa.job(id).granted, sb.job(id).granted, "step {step}: {id}");
-    }
-    assert_eq!(sa.reservation_snapshot(), sb.reservation_snapshot());
-    assert_eq!(
-        sa.pending_ids_matching(|_| true),
-        sb.pending_ids_matching(|_| true)
-    );
-    assert_eq!(census(sa), census(sb), "step {step}: pilot census");
-    assert_eq!(
-        (sa.n_idle(), sa.n_pilot_nodes()),
-        (sb.n_idle(), sb.n_pilot_nodes())
-    );
-    let (ca, cb) = (sa.counters(), sb.counters());
-    let counts = |c: &hpcwhisk_cluster::Counters| {
-        [
-            c.hpc_started,
-            c.hpc_completed,
-            c.pilots_started,
-            c.pilots_preempted,
-            c.pilots_timed_out,
-            c.pilots_node_failed,
-            c.quick_passes,
-            c.backfill_passes,
-            c.reservations_made,
-            c.demand_delay_secs.count(),
-            c.pilot_granted_mins.count(),
-        ]
-    };
-    assert_eq!(counts(ca), counts(cb), "step {step}: counters");
-    assert_eq!(ca.demand_delay_secs.max(), cb.demand_delay_secs.max());
-    assert_eq!(
-        (cb.quick_passes_skipped, cb.backfill_passes_skipped),
-        (0, 0),
-        "the reference never skips"
-    );
 }
 
 /// The paper's fixed pilot lengths (set A1), minutes.
@@ -1071,7 +897,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// A sim that skips settled passes and one that runs every pass
-    /// (`reference_mode`) see the same notes, schedule the same events
+    /// (`handle_reference`) see the same notes, schedule the same events
     /// and hold the same jobs, nodes and counters after every step of a
     /// random interleaving of everything that can void the proof and
     /// everything that must not. (In a debug build the sim's own oracle
@@ -1084,7 +910,7 @@ proptest! {
         const N: u32 = 6;
         let mut fast = Harness::with_config(regime(which), N as usize);
         let mut refr = Harness::with_config(regime(which), N as usize);
-        refr.sim.set_reference_mode(true);
+        refr.reference = true;
         let mut t = at_min(10);
         for (i, step) in steps.into_iter().enumerate() {
             for l in [&mut fast, &mut refr] {

@@ -262,8 +262,7 @@ fn coverage_only_day_accounts_for_every_event() {
          n: 4510, mean: 1.9490035476718377, m2: 38057.43438994322, min: 0.0, max: 11.662 }, \
          pilot_granted_mins: OnlineStats { n: 1523, mean: 7.718975705843727, \
          m2: 255511.72160210166, min: 0.0, max: 90.0 }, wheel_nodes_reprojected: 132433, \
-         pass_placements: 1523, span_rebase_ns: 0, span_wheel_ns: 0, span_dirty_ns: 0, \
-         span_placement_ns: 0 }"
+         pass_placements: 1523 }"
     );
     assert!(
         c.passes_skipped() >= 4_500,
@@ -328,8 +327,7 @@ fn with_load_day_matches_pinned_digest() {
          mean: 1.0172923728813559, m2: 1358.2817148262704, min: 0.0, max: 10.941 }, \
          pilot_granted_mins: OnlineStats { n: 69, mean: 7.623188405797099, \
          m2: 9386.202898550726, min: 0.0, max: 90.0 }, wheel_nodes_reprojected: 4037, \
-         pass_placements: 69, span_rebase_ns: 0, span_wheel_ns: 0, span_dirty_ns: 0, \
-         span_placement_ns: 0 }"
+         pass_placements: 69 }"
     );
     assert_eq!(
         format!("{:?}", r.whisk_counters),
