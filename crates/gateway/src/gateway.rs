@@ -12,9 +12,9 @@
 //!    the offset ([`crate::ring::RingQueue`], `mq` semantics).
 //! 4. **Execution** — the invoker thread drains a **batch** of up to
 //!    `drain_batch` envelopes per pass, shared fast lane first, topped
-//!    up from its own ring; placement goes through its
-//!    private [`crate::pool::WarmPool`] (cold-start penalty,
-//!    keep-alive, LRU eviction) and the body runs for real.
+//!    up from its own ring; placement goes through its private
+//!    [`ContainerPool`] (the DES plane's pool, under `Instant`: cold
+//!    start, keep-alive, LRU) and the body runs for real.
 //! 5. **Completion** — one [`Completion`] per executed request,
 //!    carrying queue-wait/service/total latencies, published batch-wise
 //!    to the invoker's **private completion shard** (exactly one
@@ -33,11 +33,11 @@
 
 use crate::action::{ActionId, ActionRegistry, ActionSpec};
 use crate::admission::{AdmissionPolicy, AdmissionShaper, Shape};
-use crate::pool::{Placement, PoolStats, WarmPool};
 use crate::queue::{Envelope, FastLane, Produce, ProduceBatch, Request};
 use crate::ring::RingQueue;
 use crate::route::{mix64, Router};
 use crate::telem::{BurstCounts, GatewayTelemetry, SlotTelem, Totals};
+use simcore::pool::{Acquire, ContainerPool, PoolStats};
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -110,7 +110,8 @@ pub struct GatewayConfig {
     pub shards: usize,
     /// Per-invoker queue admission bound.
     pub queue_capacity: usize,
-    /// Container slots per invoker pool.
+    /// Container slots per invoker pool (at least 1; [`Gateway::new`]
+    /// panics on 0).
     pub pool_slots: usize,
     /// How long an idle invoker parks before re-polling the fast lane
     /// and its drain flag.
@@ -573,6 +574,10 @@ pub struct Gateway {
 impl Gateway {
     /// A gateway serving `actions`, with no invokers yet.
     pub fn new(cfg: GatewayConfig, actions: Vec<ActionSpec>) -> Self {
+        assert!(
+            cfg.pool_slots >= 1,
+            "GatewayConfig::pool_slots must be at least 1"
+        );
         let shards = cfg.shards;
         let shaper = AdmissionShaper::new(&cfg.admission, Instant::now());
         let ring_full = Arc::new(Counter::new());
@@ -1127,6 +1132,13 @@ impl Gateway {
     }
 }
 
+/// An invoker thread's container pool, on the wall clock.
+type Pool = ContainerPool<ActionId, Instant>;
+
+/// Cold starts an invoker thread may have booting: it runs one body at
+/// a time.
+const COLD_LIMIT: usize = 1;
+
 /// Everything an invoker thread needs, captured at spawn.
 struct InvokerCtx {
     handle: Arc<InvokerHandle>,
@@ -1146,7 +1158,7 @@ struct InvokerCtx {
 
 impl InvokerCtx {
     fn run(self) -> PoolStats {
-        let mut pool = WarmPool::new(self.pool_slots, self.actions.len());
+        let mut pool = Pool::new(self.pool_slots, COLD_LIMIT);
         let mut ops_since_sweep = 0u64;
         let mut batch: Vec<Envelope> = Vec::with_capacity(self.drain_batch);
         let mut done: Vec<Completion> = Vec::with_capacity(self.drain_batch);
@@ -1172,7 +1184,10 @@ impl InvokerCtx {
                 // Retire the container population (all idle by now: the
                 // in-flight batch finished and checked back in above) —
                 // a revoked node's containers are reclaimed, not leaked.
-                pool.retire_all();
+                debug_assert_eq!(pool.busy(), 0, "drain with a container checked out");
+                for a in pool.retire_all() {
+                    flight::record(EventKind::Evict, a.0 as u64, 2);
+                }
                 self.telem.publish_pool_delta(&mut last_pool, pool.stats());
                 flight::record(EventKind::DrainFinish, self.handle.id, n);
                 return pool.stats();
@@ -1188,9 +1203,8 @@ impl InvokerCtx {
             if batch.is_empty() {
                 // Idle: run the keep-alive sweep, then park briefly on
                 // the private queue.
-                pool.sweep(Instant::now(), &self.actions);
+                self.sweep(&mut pool, Instant::now(), &mut last_pool);
                 ops_since_sweep = 0;
-                self.telem.publish_pool_delta(&mut last_pool, pool.stats());
                 if let Some(env) = self.handle.queue.pop_timeout(self.park) {
                     batch.push(env);
                 }
@@ -1207,12 +1221,21 @@ impl InvokerCtx {
                 }
                 self.flush(&mut done);
                 if ops_since_sweep >= self.sweep_every_ops {
-                    pool.sweep(t, &self.actions);
+                    self.sweep(&mut pool, t, &mut last_pool);
                     ops_since_sweep = 0;
-                    self.telem.publish_pool_delta(&mut last_pool, pool.stats());
                 }
             }
         }
+    }
+
+    /// Retire the containers idle past their action's keep-alive, then
+    /// publish the pool's books.
+    fn sweep(&self, pool: &mut Pool, now: Instant, last: &mut PoolStats) {
+        let keepalive = |a| self.actions.spec(a).keepalive;
+        for a in pool.retire_idle(|a, t| now.saturating_duration_since(t) > keepalive(a)) {
+            flight::record(EventKind::Evict, a.0 as u64, 1);
+        }
+        self.telem.publish_pool_delta(last, pool.stats());
     }
 
     /// Execute one envelope starting at `start`; returns the end
@@ -1221,17 +1244,28 @@ impl InvokerCtx {
         &self,
         env: Envelope,
         start: Instant,
-        pool: &mut WarmPool,
+        pool: &mut Pool,
         done: &mut Vec<Completion>,
     ) -> Instant {
         let spec = self.actions.spec(env.req.action);
-        let placement = pool.acquire(env.req.action, start);
-        if placement == Placement::Cold && !spec.cold_start.is_zero() {
-            // The cold start occupies the invoker for real.
-            while start.elapsed() < spec.cold_start {
-                std::hint::spin_loop();
+        // One body at a time, `cold_done` before it and `release` after:
+        // every acquire finds nothing booting (never `ColdBlocked`) and
+        // nothing busy (a full pool has an LRU victim, never `NoCapacity`).
+        let cold = match pool.acquire(env.req.action) {
+            Acquire::Warm => false,
+            Acquire::Cold { evicted } => {
+                if let Some(a) = evicted {
+                    flight::record(EventKind::Evict, a.0 as u64, 0);
+                }
+                // The cold start occupies the invoker for real.
+                while start.elapsed() < spec.cold_start {
+                    std::hint::spin_loop();
+                }
+                pool.cold_done();
+                true
             }
-        }
+            other => unreachable!("one body at a time cannot be refused: {other:?}"),
+        };
         let value = spec.body.run();
         let end = Instant::now();
         pool.release(env.req.action, end);
@@ -1240,7 +1274,6 @@ impl InvokerCtx {
         // in-flight caps for the rest of the batch and shed traffic
         // the unbatched plane would have admitted.
         self.actions.release(env.req.action);
-        let cold = placement == Placement::Cold;
         let queue_wait = start.saturating_duration_since(env.produced_at);
         let total = end.saturating_duration_since(env.produced_at);
         // Single-writer shard: plain load+store on lines only this

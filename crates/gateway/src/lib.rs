@@ -18,8 +18,6 @@
 //!   moves its backlog to (a mutex-guarded deque behind a lock-free
 //!   empty check), both with the offset/`produced_at` semantics of
 //!   `crates/mq` (each differentially tested against `mq::Broker`);
-//! * [`pool`] — thread-private warm-container pools: cold-start
-//!   penalty, keep-alive eviction, LRU under capacity pressure;
 //! * [`admission`] — admission *shaping*: the default hard-shed policy,
 //!   or a capacity-tracking token bucket that degrades through a typed,
 //!   bounded **delay** before shedding (a latency slope instead of a
@@ -30,7 +28,10 @@
 //!   shards** (single-producer lock-free segment stacks behind an
 //!   epoch-published shard table, swept round-robin by any number of
 //!   concurrent collectors without a mutex), and graceful sigterm/join
-//!   lifecycle;
+//!   lifecycle; each invoker thread owns a warm-container pool, the
+//!   DES plane's `simcore::pool::ContainerPool` under wall-clock time
+//!   (cold-start penalty, keep-alive eviction, LRU under capacity
+//!   pressure), and records its evictions in the flight recorder;
 //! * [`lease`] — capacity leases: wall-clock [`LeasePlan`]s compiled
 //!   from `cluster::CapacityTrace` availability streams (or generated
 //!   as seeded synthetic churn), with per-lease deadlines, a
@@ -65,7 +66,6 @@ pub mod controller;
 pub mod gateway;
 pub mod harness;
 pub mod lease;
-pub mod pool;
 pub mod queue;
 pub mod ring;
 pub mod route;
@@ -80,9 +80,9 @@ pub use gateway::{
 };
 pub use harness::{run_load, run_load_with_controller, ActionLoad, HarnessConfig, LoadReport};
 pub use lease::{ChurnCfg, LeaseEvent, LeaseEventKind, LeasePlan};
-pub use pool::{Placement, PoolStats, WarmPool};
 pub use queue::{Envelope, Produce, ProduceBatch, Request};
 pub use ring::RingQueue;
 pub use route::Router;
+pub use simcore::pool::PoolStats;
 pub use source::{LeaseSource, LoadFeedback, PlanSource};
 pub use telem::{GatewayTelemetry, SlotTelem, Totals};

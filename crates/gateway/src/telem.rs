@@ -22,7 +22,7 @@
 
 use crate::action::ActionRegistry;
 use crate::gateway::Shed;
-use crate::pool::PoolStats;
+use simcore::pool::PoolStats;
 use std::sync::{Arc, Mutex};
 use telemetry::{
     labels, Collected, Counter, CounterVec, Gauge, HistSnapshot, Histogram, MetricKind, Registry,

@@ -1,12 +1,20 @@
 //! The flight recorder end to end: with the recorder enabled, a short
-//! gateway run leaves cold-start / warm-hit / drain events in the
-//! per-thread rings, and an injected exactly-once violation dumps that
-//! ring — the black box a conservation failure is diagnosed from.
+//! gateway run leaves cold-start / warm-hit / drain / evict events in
+//! the per-thread rings, and an injected exactly-once violation dumps
+//! that ring — the black box a conservation failure is diagnosed from.
 
 use gateway::{ActionId, ActionSpec, Gateway, GatewayConfig};
 use std::collections::HashSet;
-use std::time::Duration;
-use telemetry::flight;
+use std::time::{Duration, Instant};
+use telemetry::flight::{self, EventKind};
+
+/// The rings hold a `kind` event with payload `b`, if given (an evict's
+/// `b` is its reason: 0 LRU, 1 keep-alive, 2 drain).
+fn recorded(kind: EventKind, b: Option<u64>) -> bool {
+    flight::events()
+        .iter()
+        .any(|e| e.kind == kind && b.is_none_or(|b| e.b == b))
+}
 
 /// Single test (the recorder is process-global, so phases share one fn):
 /// drive traffic, sigterm an invoker, then trip `flight::guard` on a
@@ -14,9 +22,12 @@ use telemetry::flight;
 #[test]
 fn violation_dumps_recorded_ring() {
     flight::enable();
+    // fn-1 keeps no idle container, so an idle invoker's sweep retires
+    // it; fn-0's survive until their invoker drains.
+    let fn1 = ActionSpec::noop("fn-1").with_keepalive(Duration::ZERO);
     let gw = Gateway::new(
         GatewayConfig::default(),
-        vec![ActionSpec::noop("fn-0"), ActionSpec::noop("fn-1")],
+        vec![ActionSpec::noop("fn-0"), fn1],
     );
     let t1 = gw.start_invoker();
     let _t2 = gw.start_invoker();
@@ -45,27 +56,23 @@ fn violation_dumps_recorded_ring() {
         }
     }
     assert_eq!(seen, ids);
+    // One more fn-1 on the survivor, which then idles and sweeps.
+    gw.invoke(ActionId(1), 64).expect("accepted");
+    let one = gw.collect_wait(&mut col, &mut done, Duration::from_secs(10));
+    assert_eq!(one, 1);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !recorded(EventKind::Evict, Some(1)) {
+        assert!(Instant::now() < deadline, "no keep-alive eviction in 10 s");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     assert_eq!(gw.shutdown(), 0);
 
-    let events = flight::events();
     assert!(
-        events
-            .iter()
-            .any(|e| matches!(e.kind, flight::EventKind::ColdStart)),
-        "first execution per (invoker, action) cold-starts"
+        recorded(EventKind::ColdStart, None),
+        "a first run cold-starts"
     );
-    assert!(
-        events
-            .iter()
-            .any(|e| matches!(e.kind, flight::EventKind::DrainStart)),
-        "sigterm records a drain start"
-    );
-    assert!(
-        events
-            .iter()
-            .any(|e| matches!(e.kind, flight::EventKind::DrainFinish)),
-        "drained invoker records a drain finish"
-    );
+    assert!(recorded(EventKind::DrainStart, None), "a sigterm drains");
+    assert!(recorded(EventKind::DrainFinish, None), "a drain finishes");
 
     // Inject a violation: the guard must dump the ring before panicking.
     assert!(flight::last_dump().is_none(), "clean run leaves no dump");
@@ -86,5 +93,10 @@ fn violation_dumps_recorded_ring() {
         dump.contains("cold_start") || dump.contains("warm_hit"),
         "dump shows execution events: {dump}"
     );
+    let evicts: Vec<&str> = dump.lines().filter(|l| l.contains(" evict ")).collect();
+    for tag in [1, 2] {
+        let b = format!(" b={tag}");
+        assert!(evicts.iter().any(|l| l.ends_with(&b)), "no b={tag}: {dump}");
+    }
     flight::disable();
 }

@@ -50,6 +50,17 @@ fn basic_invocation_roundtrip() {
 }
 
 #[test]
+#[should_panic(expected = "GatewayConfig::pool_slots must be at least 1")]
+fn zero_pool_slots_is_refused_at_construction() {
+    // Not in the first invoker thread, where it would strand requests.
+    let cfg = GatewayConfig {
+        pool_slots: 0,
+        ..GatewayConfig::default()
+    };
+    Gateway::new(cfg, vec![ActionSpec::noop("f")]);
+}
+
+#[test]
 fn rejects_with_no_invokers() {
     let gw = noop_plane(1);
     assert_eq!(gw.invoke(ActionId(0), 1), Err(Shed::NoInvoker));

@@ -17,6 +17,9 @@
 //! * [`dist`] — self-contained samplers (exponential, log-normal,
 //!   Weibull, Pareto, mixtures, empirical) implemented with
 //!   inverse-transform / Box–Muller so we do not need `rand_distr`.
+//! * [`pool`] — one invoker's container pool as a pure state machine,
+//!   generic over its clock: the DES drives it in [`SimTime`], the live
+//!   gateway's invoker threads in `Instant`.
 //!
 //! The design follows the "state machine + scheduler" DES pattern: each
 //! subsystem (cluster, whisk, ...) is a plain state machine handling its
@@ -29,6 +32,7 @@
 pub mod dist;
 pub mod engine;
 pub mod events;
+pub mod pool;
 pub mod rng;
 pub mod time;
 

@@ -1,9 +1,9 @@
 //! Invoker (worker) state.
 
 use crate::config::WhiskConfig;
-use crate::container::ContainerPool;
 use crate::ids::{ActivationId, FunctionId};
 use mq::TopicId;
+use simcore::pool::ContainerPool;
 use simcore::{SimRng, SimTime};
 use std::collections::VecDeque;
 
@@ -79,7 +79,7 @@ pub struct Invoker {
     /// time the container is released.
     pub running: Vec<(ActivationId, FunctionId)>,
     /// The node's container pool.
-    pub pool: ContainerPool,
+    pub pool: ContainerPool<FunctionId, SimTime>,
     /// Controller-side estimate of outstanding work (routing pressure).
     pub ctrl_inflight: usize,
     /// The poll loop's tick chain.

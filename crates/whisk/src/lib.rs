@@ -9,7 +9,8 @@
 //! controller routing by function hash over a *dynamic* invoker set,
 //! per-invoker Kafka topics (via `hpcwhisk-mq`), invoker poll loops,
 //! warm/cold container pools with LRU eviction and bounded cold-start
-//! concurrency — plus the paper's contributions:
+//! concurrency (`simcore::pool`, which the live plane drives too) — plus
+//! the paper's contributions:
 //!
 //! * dynamic registration and *graceful de-registration* of invokers,
 //! * the SIGTERM drain protocol with the global **fast-lane** topic,
@@ -28,7 +29,6 @@
 pub mod action;
 pub mod activation;
 pub mod config;
-pub mod container;
 pub mod events;
 pub mod ids;
 pub mod invoker;
@@ -37,7 +37,6 @@ pub mod system;
 pub use action::{ExecModel, FunctionSpec};
 pub use activation::{ActState, ActivationRecord, InvokeResult, Outcome};
 pub use config::{DynamicsMode, WhiskConfig};
-pub use container::{Acquire, ContainerPool};
 pub use events::{WhiskEvent, WhiskNote};
 pub use ids::{ActivationId, FunctionId, InvokerId};
 pub use invoker::{Invoker, InvokerState, PollChain};

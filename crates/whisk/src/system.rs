@@ -28,12 +28,12 @@
 use crate::action::FunctionSpec;
 use crate::activation::{ActState, ActivationRecord, InvokeResult, Outcome};
 use crate::config::{DynamicsMode, WhiskConfig};
-use crate::container::Acquire;
 use crate::events::{WhiskEvent, WhiskNote};
 use crate::ids::{stable_hash, ActivationId, FunctionId, InvokerId};
 use crate::invoker::{Invoker, InvokerState, PollChain};
 use metrics::StepSeries;
 use mq::{Broker, TopicId};
+use simcore::pool::Acquire;
 use simcore::{Outbox, SimDuration, SimRng, SimTime};
 use std::collections::{HashMap, VecDeque};
 
@@ -239,7 +239,7 @@ impl Shared {
                 inv.ctrl_inflight = inv.ctrl_inflight.saturating_sub(1);
                 continue;
             };
-            match inv.pool.acquire(f, now) {
+            match inv.pool.acquire(f) {
                 Acquire::Warm => {
                     inv.buffer.pop_front();
                     inv.running.push((act, f));
@@ -250,14 +250,14 @@ impl Shared {
                     let d = self.jitter(self.cfg.dispatch) + service;
                     out.after(d, WhiskEvent::ExecDone { inv: id, act });
                 }
-                Acquire::Cold => {
+                Acquire::Cold { .. } => {
                     inv.buffer.pop_front();
                     inv.running.push((act, f));
                     self.counters.cold_starts += 1;
                     let d = self.jitter(self.cfg.cold_start);
                     out.after(d, WhiskEvent::ColdStartDone { inv: id, act });
                 }
-                Acquire::ColdBlocked => {
+                Acquire::ColdBlocked { .. } => {
                     // Containers are booting as fast as the node allows.
                     // Under moderate pressure the request just waits; a
                     // badly backed-up buffer means the node is thrashing
@@ -485,7 +485,7 @@ impl WhiskSys {
         for i in 0..n {
             let cand = self.routable[(home + i) % n];
             let inv = self.invokers.get(cand).expect("routable is registered");
-            if inv.ctrl_inflight < inv.pool.free_slots() + inv.pool.busy() {
+            if inv.ctrl_inflight < inv.pool.slots() {
                 return Some(cand);
             }
         }
