@@ -2,66 +2,11 @@
 //! 2,239-node cluster processing a backfill pass with a 100-deep pilot
 //! queue — the operation whose cadence bounds the whole day simulation.
 
-use cluster::{
-    ClusterEvent, ClusterNote, ClusterSim, JobId, JobKind, JobSpec, SlurmConfig, Timeline,
-};
+use cluster::{ClusterEvent, SlurmConfig, Timeline};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use hpcwhisk_core::{lengths, FibManager, PilotManager};
+use hpcwhisk_bench::{loaded_cluster, steady_passes, warmed_cluster};
 use simcore::{Outbox, SimDuration, SimTime};
 use std::hint::black_box;
-
-/// A 2,239-node cluster, ~95% occupied by HPC jobs, with a full pilot
-/// queue waiting.
-fn loaded_cluster() -> ClusterSim {
-    let mut sim = ClusterSim::new(SlurmConfig::default(), 2_239, 1);
-    let mut out = Outbox::new(SimTime::ZERO);
-    let mut notes = Vec::new();
-    // Occupy most nodes with pinned demand.
-    for n in 0..2_128u32 {
-        sim.force_start(
-            SimTime::ZERO,
-            JobSpec::pinned_demand(
-                vec![cluster::NodeId(n)],
-                SimTime::ZERO,
-                SimTime::ZERO,
-                SimDuration::from_hours(8),
-                SimDuration::from_hours(7),
-            ),
-            &mut out,
-            &mut notes,
-        );
-    }
-    // Fill the pilot queue the way the fib manager would.
-    let mut mgr = FibManager::paper(lengths::A1.to_vec());
-    for spec in mgr.replenish(&sim) {
-        sim.submit(SimTime::ZERO, spec, &mut out);
-    }
-    sim
-}
-
-/// The loaded cluster with its persistent scheduling plane warmed by
-/// one full backfill pass, plus the pilots that pass started.
-fn warmed_cluster() -> (ClusterSim, Vec<JobId>, SimTime) {
-    let mut sim = loaded_cluster();
-    let mut out = Outbox::new(SimTime::ZERO);
-    let mut notes = Vec::new();
-    sim.handle(
-        SimTime::ZERO,
-        ClusterEvent::BackfillPass,
-        &mut out,
-        &mut notes,
-    );
-    let running = notes
-        .iter()
-        .filter_map(|n| match n {
-            ClusterNote::JobStarted { job, .. } if sim.job(*job).spec.kind == JobKind::Pilot => {
-                Some(*job)
-            }
-            _ => None,
-        })
-        .collect();
-    (sim, running, SimTime::ZERO)
-}
 
 fn bench_passes(c: &mut Criterion) {
     let mut g = c.benchmark_group("scheduler");
@@ -110,38 +55,7 @@ fn bench_passes(c: &mut Criterion) {
     g.bench_function("persistent_pass_churn_2239_nodes", |b| {
         b.iter_batched_ref(
             warmed_cluster,
-            |(sim, running, t)| {
-                let mut started = 0usize;
-                for _ in 0..60 {
-                    *t += SimDuration::from_secs(2);
-                    let mut out = Outbox::new(*t);
-                    let mut notes = Vec::new();
-                    for _ in 0..8 {
-                        if let Some(id) = running.pop() {
-                            sim.pilot_exited(*t, id, &mut out, &mut notes);
-                        }
-                    }
-                    for _ in 0..8 {
-                        sim.submit(
-                            *t,
-                            JobSpec::pilot_fixed(SimDuration::from_mins(30), 30),
-                            &mut out,
-                        );
-                    }
-                    notes.clear();
-                    sim.handle(*t, ClusterEvent::BackfillPass, &mut out, &mut notes);
-                    for n in &notes {
-                        if let ClusterNote::JobStarted { job, .. } = n {
-                            if sim.job(*job).spec.kind == JobKind::Pilot {
-                                running.push(*job);
-                            }
-                        }
-                    }
-                    started += notes.len();
-                }
-                assert_eq!(sim.counters().passes_skipped(), 0);
-                black_box(started)
-            },
+            |w| black_box(steady_passes(ClusterEvent::BackfillPass, 8, 60)(w)),
             BatchSize::LargeInput,
         )
     });

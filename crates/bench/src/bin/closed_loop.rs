@@ -9,96 +9,43 @@
 //! short jobs in front of blocked wide jobs, and preemption driven by
 //! genuinely unpredictable job completions.
 
-use cluster::{ClusterEvent, ClusterNote, ClusterSim, Counters, JobKind, PollSample, SlurmConfig};
-use hpcwhisk_bench::{quick_mode, section, Comparison};
-use hpcwhisk_core::coverage;
-use hpcwhisk_core::{lengths, FibManager, PilotManager, REPLENISH_EVERY};
+use cluster::{PollSample, SlurmConfig};
+use hpcwhisk_bench::{quick_mode, section, Comparison, DesWork};
+use hpcwhisk_core::{coverage, DayConfig, DayReport, Driver, IdleSource, PilotSink, SlurmLevel};
 use metrics::OnlineStats;
 use rayon::prelude::*;
-use simcore::{Engine, Outbox, SimDuration, SimRng, SimTime};
-use workload::{BacklogDriver, HpcWorkloadModel};
-
-#[derive(Debug, Clone, PartialEq)]
-enum Ev {
-    C(ClusterEvent),
-    HpcTick,
-    ManagerTick,
-    PilotExit(cluster::JobId),
-}
+use simcore::{SimDuration, SimTime};
 
 /// Scheduler fill-up window excluded from the reported samples.
 const WARMUP_MINS: u64 = 45;
 
-/// One closed-loop run, fully determined by `seed`.
-fn run_closed_loop(seed: u64, n_nodes: usize, hours: u64) -> (Counters, Vec<PollSample>) {
-    let horizon = SimTime::from_hours(hours);
-    let warmup_window = SimTime::from_mins(WARMUP_MINS);
+/// One closed-loop run, fully determined by `seed`: a generated HPC job
+/// stream on `n_nodes`, harvested by the fib manager's pilots, whose
+/// invokers warm up and drain through the DES FaaS plane (no client
+/// load).
+fn run_closed_loop(seed: u64, n_nodes: usize, hours: u64) -> DayReport {
+    let idle = IdleSource::Backlog {
+        n_nodes,
+        horizon: SimDuration::from_hours(hours),
+    };
+    let cfg = DayConfig {
+        slurm: SlurmConfig::default(),
+        load: None,
+        ..DayConfig::fib_paper(seed)
+    };
+    Driver::new(idle, cfg, PilotSink::Whisk).finish()
+}
 
-    let mut sim = ClusterSim::new(SlurmConfig::default(), n_nodes, seed);
-    let model = HpcWorkloadModel::prometheus();
-    let driver = BacklogDriver::new(model, n_nodes);
-    let mut manager = FibManager::paper(lengths::A1.to_vec());
-    let mut rng = SimRng::seed_from_u64(seed ^ 77);
-
-    let mut engine: Engine<Ev> = Engine::new();
-    {
-        let mut co = Outbox::new(SimTime::ZERO);
-        sim.bootstrap(SimTime::ZERO, &mut co);
-        for (t, e) in co.drain() {
-            engine.schedule(t, Ev::C(e));
-        }
-    }
-    engine.schedule(SimTime::ZERO, Ev::HpcTick);
-    engine.schedule(SimTime::ZERO, Ev::ManagerTick);
-
-    let mut samples: Vec<PollSample> = Vec::new();
-
-    engine.run_until(
-        horizon,
-        &mut |now: SimTime, ev: Ev, out: &mut Outbox<Ev>| {
-            let mut co = Outbox::new(now);
-            let mut notes: Vec<ClusterNote> = Vec::new();
-            match ev {
-                Ev::C(e) => sim.handle(now, e, &mut co, &mut notes),
-                Ev::HpcTick => {
-                    // Refresh the pending-work estimate from the queue and
-                    // top the backlog up to the driver's target.
-                    let mut est = 0.0;
-                    sim_pending_hpc(&sim, &mut est);
-                    for spec in driver.replenish(est, &mut rng) {
-                        sim.submit(now, spec, &mut co);
-                    }
-                    out.after(SimDuration::from_mins(1), Ev::HpcTick);
-                }
-                Ev::ManagerTick => {
-                    for spec in manager.replenish(&sim) {
-                        sim.submit(now, spec, &mut co);
-                    }
-                    out.after(REPLENISH_EVERY, Ev::ManagerTick);
-                }
-                Ev::PilotExit(j) => sim.pilot_exited(now, j, &mut co, &mut notes),
-            }
-            for (t, e) in co.drain() {
-                out.at(t, Ev::C(e));
-            }
-            for n in notes {
-                match n {
-                    ClusterNote::JobSigterm { job, .. }
-                        if sim.job(job).spec.kind == JobKind::Pilot =>
-                    {
-                        // Invoker drains in ~2 s and exits.
-                        out.after(SimDuration::from_secs(2), Ev::PilotExit(job));
-                    }
-                    ClusterNote::Polled(s) if now >= warmup_window => {
-                        samples.push(s);
-                    }
-                    _ => {}
-                }
-            }
-        },
-    );
-
-    (sim.counters().clone(), samples)
+/// The run's Slurm-level view after the scheduler's fill-up window.
+fn settled_level(rep: &DayReport) -> SlurmLevel {
+    let from = SimTime::from_mins(WARMUP_MINS);
+    let samples: Vec<PollSample> = rep
+        .samples
+        .iter()
+        .filter(|s| s.t >= from)
+        .copied()
+        .collect();
+    coverage::slurm_level(&samples)
 }
 
 fn main() {
@@ -111,15 +58,13 @@ fn main() {
 
     // Independent replications across seeds, one core each (the rayon
     // fanout leaves per-seed determinism untouched).
-    let runs: Vec<(u64, Counters, Vec<PollSample>)> = seeds
+    let runs: Vec<(u64, DayReport)> = seeds
         .clone()
         .into_par_iter()
-        .map(|seed| {
-            let (c, samples) = run_closed_loop(seed, n_nodes, hours);
-            (seed, c, samples)
-        })
+        .map(|seed| (seed, run_closed_loop(seed, n_nodes, hours)))
         .collect();
-    let (c, samples) = (&runs[0].1, &runs[0].2);
+    let rep = &runs[0].1;
+    let c = &rep.cluster_counters;
 
     section("Closed-loop harvest: emergent idleness from a generated job stream");
     println!(
@@ -135,7 +80,7 @@ fn main() {
         c.pilots_started, c.pilots_preempted, c.pilots_timed_out
     );
 
-    let sl = coverage::slurm_level(samples);
+    let sl = settled_level(rep);
     let utilization = 1.0 - sl.avg_available / n_nodes as f64;
     println!(
         "emergent utilization: {:.2}% busy; {:.2} available nodes on average",
@@ -157,8 +102,9 @@ fn main() {
         let mut util = OnlineStats::new();
         let mut cov = OnlineStats::new();
         println!("seed | utilization % | coverage % | pilots | preempted");
-        for (seed, rc, rs) in &runs {
-            let rsl = coverage::slurm_level(rs);
+        for (seed, r) in &runs {
+            let rsl = settled_level(r);
+            let rc = &r.cluster_counters;
             let ru = (1.0 - rsl.avg_available / n_nodes as f64) * 100.0;
             println!(
                 "{seed} | {ru:>13.2} | {:>10.1} | {:>6} | {:>9}",
@@ -193,20 +139,8 @@ fn main() {
     );
     println!("{}", cmp.render());
 
-    hpcwhisk_bench::write_scheduler_metrics_out(c, None);
-}
-
-/// Pending HPC work in node-hours (declared limits), for the backlog
-/// feedback loop.
-fn sim_pending_hpc(sim: &ClusterSim, est: &mut f64) {
-    let total = std::cell::Cell::new(0.0f64);
-    let _ = sim.pending_matching(|j| {
-        if j.spec.kind == JobKind::Hpc {
-            total.set(total.get() + j.spec.nodes as f64 * j.spec.time_limit.as_secs_f64() / 3600.0);
-            true
-        } else {
-            false
-        }
-    });
-    *est = total.get();
+    let mut des = DesWork::default();
+    des.absorb(rep);
+    println!("{}", des.summary());
+    hpcwhisk_bench::write_scheduler_metrics_out(c, Some(&des));
 }

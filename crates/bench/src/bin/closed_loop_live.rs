@@ -6,7 +6,7 @@
 //!
 //! * **feedback** — a [`DesLeaseSource`] steps the cluster DES to the
 //!   wall clock while the controller reports each window's observed
-//!   load back into the [`LoadSizedManager`]'s pilot sizing. Capacity
+//!   load back into a load-sized manager's pilot sizing. Capacity
 //!   follows demand: the sizer rides the diurnal swing up to its cap at
 //!   the peak and back to the floor in the trough.
 //! * **static** — the invasiveness the feedback leg actually spent
@@ -29,13 +29,14 @@
 //!
 //! Run with: `cargo run --release -p hpcwhisk_bench --bin closed_loop_live [-- flags]`
 
+use cluster::SlurmConfig;
 use gateway::{
     run_load_with_controller, ActionBody, ActionSpec, CapacityController, ControllerConfig,
     Gateway, GatewayConfig, HarnessConfig, LeaseEvent, LeaseEventKind, LeasePlan, LeaseStats,
     LoadReport,
 };
 use hpcwhisk_bench::{arg_value, gateway_exposition, quick_mode, section};
-use hpcwhisk_core::{DesLeaseSource, DesSourceCfg, SizerCfg};
+use hpcwhisk_core::{DesLeaseSource, DesSourceCfg, IdleSource, ManagerKind, SizerCfg, WarmupModel};
 use simcore::SimDuration;
 use std::time::{Duration, Instant};
 use workload::{Arrival, DiurnalLoadGen};
@@ -185,30 +186,32 @@ fn main() {
 /// and the combined gateway + pilot-plane exposition.
 fn feedback_leg(sc: &Scenario, arrivals: &[Arrival]) -> (LoadReport, LeaseStats, u64, String) {
     let src = DesLeaseSource::new(DesSourceCfg {
-        n_nodes: 16,
+        // Empty cluster: placement latency is the DES's.
+        idle: IdleSource::Empty {
+            n_nodes: 16,
+            horizon: sc.horizon,
+        },
         seed: 8,
         speedup: sc.speedup(),
-        horizon: sc.horizon,
         max_leases: 12,
         floor: 1,
-        drain: SimDuration::from_secs(2),
-        warmup: None,     // boot instantly: the comparison is about sizing
-        hpc_churn: false, // empty cluster: placement latency is the DES's
-        sizer: SizerCfg {
-            // Slightly under the ~1k req/s a 1 ms sleep invoker serves:
-            // the sizer over-provisions ~10-20%, which is the feedback
-            // leg's ramp-lag cushion.
-            rate_per_invoker: 850.0,
-            headroom: 1.1,
-            backlog_per_invoker: 32.0,
-            min_invokers: 1,
-            max_invokers: 12,
-            alpha: 0.5,
+        // Boot instantly: the comparison is about sizing.
+        warmup: WarmupModel::instant(),
+        manager: ManagerKind::LoadSized {
+            sizer: SizerCfg {
+                // Slightly under the ~1k req/s a 1 ms sleep invoker
+                // serves: the sizer over-provisions ~10-20%, which is the
+                // feedback leg's ramp-lag cushion.
+                rate_per_invoker: 850.0,
+                headroom: 1.1,
+                backlog_per_invoker: 32.0,
+                min_invokers: 1,
+                max_invokers: 12,
+                alpha: 0.5,
+            },
+            pilot_len: SimDuration::from_mins(10),
         },
-        pilot_len: SimDuration::from_mins(10),
-        pilot_priority: 10,
-        replenish_every: SimDuration::from_secs(15),
-        ..Default::default()
+        slurm: SlurmConfig::default(),
     });
     let registry = src.registry().clone();
     let gw = sc.gateway();

@@ -24,16 +24,16 @@
 //! Absolute numbers are machine-dependent; the file is a trajectory
 //! record, not a cross-machine comparison.
 
-use cluster::{
-    AvailabilityTrace, ClusterEvent, ClusterNote, ClusterSim, JobId, JobKind, JobSpec, SlurmConfig,
-};
+use cluster::{AvailabilityTrace, ClusterEvent, ClusterSim, SlurmConfig};
 use gateway::{
     run_load, run_load_with_controller, ActionSpec, CapacityController, ControllerConfig, Gateway,
     GatewayConfig, HarnessConfig,
 };
+use hpcwhisk_bench::{loaded_cluster, steady_passes, warmed_cluster};
 use hpcwhisk_core::offline::{simulate, OfflineConfig};
 use hpcwhisk_core::{
-    lengths, run_days, DayConfig, DesLeaseSource, DesSourceCfg, FibManager, PilotManager, SizerCfg,
+    lengths, run_days, DayConfig, DesLeaseSource, DesSourceCfg, IdleSource, ManagerKind, SizerCfg,
+    WarmupModel,
 };
 use mq::Broker;
 use simcore::{Outbox, SimDuration, SimTime};
@@ -235,25 +235,27 @@ fn gateway_closed_loop_run(samples: usize, submitters: usize) -> f64 {
     for _ in 0..samples {
         let gw = probe_gateway();
         let src = DesLeaseSource::new(DesSourceCfg {
-            n_nodes: 8,
+            idle: IdleSource::Empty {
+                n_nodes: 8,
+                horizon: SimDuration::from_hours(1), // 3 s wall: outlives the run
+            },
             seed: 7,
             speedup: 1_200.0,
-            horizon: SimDuration::from_hours(1), // 3 s wall: outlives the run
             max_leases: 4,
             floor: GATEWAY_PROBE_INVOKERS,
-            drain: SimDuration::from_secs(2),
-            warmup: None,
-            hpc_churn: false,
-            sizer: SizerCfg {
-                rate_per_invoker: 100_000.0,
-                headroom: 1.0,
-                backlog_per_invoker: 1e12,
-                min_invokers: 1,
-                max_invokers: 4,
-                alpha: 0.5,
+            warmup: WarmupModel::instant(),
+            manager: ManagerKind::LoadSized {
+                sizer: SizerCfg {
+                    rate_per_invoker: 100_000.0,
+                    headroom: 1.0,
+                    backlog_per_invoker: 1e12,
+                    min_invokers: 1,
+                    max_invokers: 4,
+                    alpha: 0.5,
+                },
+                pilot_len: SimDuration::from_mins(10), // 0.5 s wall: churns mid-run
             },
-            pilot_len: SimDuration::from_mins(10), // 0.5 s wall: churns mid-run
-            ..Default::default()
+            slurm: SlurmConfig::default(),
         });
         let ctl = CapacityController::from_source(
             &gw,
@@ -324,132 +326,12 @@ fn gateway_probes(samples: usize, probes: &mut Vec<Probe>, filter: &Option<Strin
     }
 }
 
-/// The scheduler bench fixture: a 2,239-node cluster, ~95% occupied by
-/// pinned demand, with a full fib pilot queue pending (mirrors
-/// `benches/scheduler.rs`).
-fn loaded_cluster() -> ClusterSim {
-    let mut sim = ClusterSim::new(SlurmConfig::default(), 2_239, 1);
-    let mut out = Outbox::new(SimTime::ZERO);
-    let mut notes = Vec::new();
-    for n in 0..2_128u32 {
-        sim.force_start(
-            SimTime::ZERO,
-            JobSpec::pinned_demand(
-                vec![cluster::NodeId(n)],
-                SimTime::ZERO,
-                SimTime::ZERO,
-                SimDuration::from_hours(8),
-                SimDuration::from_hours(7),
-            ),
-            &mut out,
-            &mut notes,
-        );
-    }
-    let mut mgr = FibManager::paper(lengths::A1.to_vec());
-    for spec in mgr.replenish(&sim) {
-        sim.submit(SimTime::ZERO, spec, &mut out);
-    }
-    sim
-}
-
 fn cluster_pass(ev: ClusterEvent) -> impl FnMut(&mut ClusterSim) -> usize {
     move |sim: &mut ClusterSim| {
         let mut out = Outbox::new(SimTime::ZERO);
         let mut notes = Vec::new();
         sim.handle(SimTime::ZERO, ev.clone(), &mut out, &mut notes);
         notes.len()
-    }
-}
-
-/// The loaded cluster after one full backfill pass: the persistent
-/// scheduling plane is materialized, the pilot queue is placed, and the
-/// started pilots are known — the steady state every subsequent pass
-/// runs from.
-struct WarmCluster {
-    sim: ClusterSim,
-    running: Vec<JobId>,
-    t: SimTime,
-}
-
-fn warmed_cluster() -> WarmCluster {
-    let mut sim = loaded_cluster();
-    let mut out = Outbox::new(SimTime::ZERO);
-    let mut notes = Vec::new();
-    sim.handle(
-        SimTime::ZERO,
-        ClusterEvent::BackfillPass,
-        &mut out,
-        &mut notes,
-    );
-    let running = notes
-        .iter()
-        .filter_map(|n| match n {
-            ClusterNote::JobStarted { job, .. } if sim.job(*job).spec.kind == JobKind::Pilot => {
-                Some(*job)
-            }
-            _ => None,
-        })
-        .collect();
-    WarmCluster {
-        sim,
-        running,
-        t: SimTime::ZERO,
-    }
-}
-
-/// `steps` consecutive steady-state passes, 2 s apart: each advances
-/// the clock past the quick-pass rate limit, retires and resubmits
-/// `churn` pilots (the inter-pass event stream a production cluster
-/// feeds the plane), then runs the pass. Reported per pass; with 60
-/// steps the chain covers one full 2-minute residue lap, so the
-/// wheel-sweep amortization matches sustained operation. What's
-/// measured is the churn-proportional cost the tentpole targets:
-/// re-anchor + event apply + placement, never an O(nodes) rebuild.
-/// With churn every pass is a real one (a retired pilot turns its node
-/// idle, which unsettles the queue) and the routine asserts that none
-/// was skipped; without churn every pass is skipped.
-fn steady_passes(
-    ev: ClusterEvent,
-    churn: usize,
-    steps: usize,
-) -> impl FnMut(&mut WarmCluster) -> usize {
-    move |w: &mut WarmCluster| {
-        let skipped_before = w.sim.counters().passes_skipped();
-        let mut total = 0usize;
-        for _ in 0..steps {
-            w.t += SimDuration::from_secs(2);
-            let t = w.t;
-            let mut out = Outbox::new(t);
-            let mut notes = Vec::new();
-            for _ in 0..churn {
-                if let Some(id) = w.running.pop() {
-                    w.sim.pilot_exited(t, id, &mut out, &mut notes);
-                }
-            }
-            for _ in 0..churn {
-                w.sim.submit(
-                    t,
-                    JobSpec::pilot_fixed(SimDuration::from_mins(30), 30),
-                    &mut out,
-                );
-            }
-            notes.clear();
-            w.sim.handle(t, ev.clone(), &mut out, &mut notes);
-            for n in &notes {
-                if let ClusterNote::JobStarted { job, .. } = n {
-                    if w.sim.job(*job).spec.kind == JobKind::Pilot {
-                        w.running.push(*job);
-                    }
-                }
-            }
-            total += notes.len();
-        }
-        assert_eq!(
-            w.sim.counters().passes_skipped() - skipped_before,
-            if churn > 0 { 0 } else { steps as u64 },
-            "passes skipped at churn {churn}"
-        );
-        total
     }
 }
 

@@ -10,7 +10,12 @@
 
 #![forbid(unsafe_code)]
 
+use cluster::{
+    ClusterEvent, ClusterNote, ClusterSim, JobId, JobKind, JobSpec, NodeId, SlurmConfig,
+};
+use hpcwhisk_core::{lengths, FibManager, PilotManager};
 use metrics::Table;
+use simcore::{Outbox, SimDuration, SimTime};
 
 /// A paper-vs-measured comparison accumulator.
 #[derive(Debug, Default)]
@@ -256,6 +261,103 @@ pub fn scheduler_exposition(c: &cluster::Counters, des: Option<&DesWork>) -> Str
         );
     }
     render_prometheus(&reg.snapshot())
+}
+
+/// The scheduler fixture the criterion bench and `perf_trajectory`
+/// share: a 2,239-node cluster, ~95% occupied by pinned demand, with a
+/// full fib pilot queue pending.
+pub fn loaded_cluster() -> ClusterSim {
+    let mut sim = ClusterSim::new(SlurmConfig::default(), 2_239, 1);
+    let mut out = Outbox::new(SimTime::ZERO);
+    let mut notes = Vec::new();
+    let (zero, hours) = (SimTime::ZERO, SimDuration::from_hours);
+    for n in 0..2_128u32 {
+        let spec = JobSpec::pinned_demand(vec![NodeId(n)], zero, zero, hours(8), hours(7));
+        sim.force_start(zero, spec, &mut out, &mut notes);
+    }
+    for spec in FibManager::paper(lengths::A1.to_vec()).plan(&sim, 0).submit {
+        sim.submit(zero, spec, &mut out);
+    }
+    sim
+}
+
+/// A cluster, the pilots it runs, and its clock.
+pub type WarmCluster = (ClusterSim, Vec<JobId>, SimTime);
+
+/// [`loaded_cluster`] after one full backfill pass — the persistent
+/// scheduling plane materialized, the pilot queue placed — and the
+/// pilots that pass started: the steady state later passes run from.
+pub fn warmed_cluster() -> WarmCluster {
+    let mut sim = loaded_cluster();
+    let mut out = Outbox::new(SimTime::ZERO);
+    let mut notes = Vec::new();
+    sim.handle(
+        SimTime::ZERO,
+        ClusterEvent::BackfillPass,
+        &mut out,
+        &mut notes,
+    );
+    let running = notes
+        .iter()
+        .filter_map(|n| match n {
+            ClusterNote::JobStarted { job, .. } if sim.job(*job).spec.kind == JobKind::Pilot => {
+                Some(*job)
+            }
+            _ => None,
+        })
+        .collect();
+    (sim, running, SimTime::ZERO)
+}
+
+/// `steps` consecutive steady-state passes, 2 s apart, each after
+/// `churn` pilots retire and as many are resubmitted — the
+/// churn-proportional cost of re-anchor, event apply and placement
+/// (60 steps make one 2-minute residue lap). With churn every pass is a
+/// real one (a retired pilot's idle node unsettles the queue); without,
+/// every pass is skipped. The routine asserts which.
+pub fn steady_passes(
+    ev: ClusterEvent,
+    churn: usize,
+    steps: usize,
+) -> impl FnMut(&mut WarmCluster) -> usize {
+    move |(sim, running, t): &mut WarmCluster| {
+        let skipped_before = sim.counters().passes_skipped();
+        let mut total = 0usize;
+        for _ in 0..steps {
+            *t += SimDuration::from_secs(2);
+            let t = *t;
+            let mut out = Outbox::new(t);
+            let mut notes = Vec::new();
+            for _ in 0..churn {
+                if let Some(id) = running.pop() {
+                    sim.pilot_exited(t, id, &mut out, &mut notes);
+                }
+            }
+            for _ in 0..churn {
+                sim.submit(
+                    t,
+                    JobSpec::pilot_fixed(SimDuration::from_mins(30), 30),
+                    &mut out,
+                );
+            }
+            notes.clear();
+            sim.handle(t, ev.clone(), &mut out, &mut notes);
+            for n in &notes {
+                if let ClusterNote::JobStarted { job, .. } = n {
+                    if sim.job(*job).spec.kind == JobKind::Pilot {
+                        running.push(*job);
+                    }
+                }
+            }
+            total += notes.len();
+        }
+        assert_eq!(
+            sim.counters().passes_skipped() - skipped_before,
+            if churn > 0 { 0 } else { steps as u64 },
+            "passes skipped at churn {churn}"
+        );
+        total
+    }
 }
 
 /// Print a section header.

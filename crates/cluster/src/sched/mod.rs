@@ -327,15 +327,16 @@ impl ClusterSim {
         &self.counters
     }
 
-    /// Pending job count matching a predicate (manager replenishment).
-    pub fn pending_matching(&self, pred: impl Fn(&Job) -> bool) -> usize {
+    /// Pending HPC work in node-hours, by declared limits, summed in
+    /// queue order — what a backlog driver tops the queue up against.
+    pub fn pending_hpc_node_hours(&self) -> f64 {
         self.pending
             .iter()
-            .filter(|id| {
-                let j = &self.jobs[id.0 as usize];
-                j.is_pending() && pred(j)
+            .map(|id| &self.jobs[id.0 as usize])
+            .filter(|j| j.is_pending() && j.spec.kind == JobKind::Hpc)
+            .fold(0.0, |sum, j| {
+                sum + j.spec.nodes as f64 * j.spec.time_limit.as_secs_f64() / 3600.0
             })
-            .count()
     }
 
     /// Ids of pending jobs matching a predicate, in submission order
@@ -611,5 +612,34 @@ impl ClusterSim {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn pending_hpc_node_hours_sums_queued_hpc_jobs_only() {
+        let mut sim = ClusterSim::new(SlurmConfig::default(), 4, 1);
+        let mut out = Outbox::new(SimTime::ZERO);
+        let mins = SimDuration::from_mins;
+        // No pass runs, so everything submitted stays queued; a pilot
+        // and a cancelled job are not pending HPC work.
+        sim.submit(SimTime::ZERO, JobSpec::hpc(2, mins(90), mins(60)), &mut out);
+        sim.submit(SimTime::ZERO, JobSpec::hpc(4, mins(15), mins(10)), &mut out);
+        let cancelled = sim.submit(SimTime::ZERO, JobSpec::hpc(1, mins(600), mins(5)), &mut out);
+        sim.submit(SimTime::ZERO, JobSpec::pilot_fixed(mins(90), 90), &mut out);
+        assert!(sim.cancel_pending(SimTime::ZERO, cancelled));
+        // 2 nodes × 1.5 h + 4 nodes × 0.25 h.
+        assert_eq!(sim.pending_hpc_node_hours(), 4.0);
+        // A pass starts the 2-node job; the 4-node one waits for it.
+        sim.handle(
+            SimTime::ZERO,
+            ClusterEvent::BackfillPass,
+            &mut out,
+            &mut Vec::new(),
+        );
+        assert_eq!(sim.pending_hpc_node_hours(), 1.0);
     }
 }

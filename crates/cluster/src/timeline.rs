@@ -766,11 +766,6 @@ impl Timeline {
         })
     }
 
-    /// Can `nodes` all run `d` slots starting at slot `s`?
-    pub fn nodes_free_range(&self, nodes: &[NodeId], s: u32, d: u32) -> bool {
-        nodes.iter().all(|n| self.is_free_range(*n, s, d))
-    }
-
     /// Number of nodes free at slot 0 for at least `d` slots — a cached
     /// suffix count over the run histogram (O(1) amortized; rebuilt in
     /// O(n_slots) after a mutation).

@@ -17,19 +17,26 @@
 //!   perspectives (§IV-A);
 //! * [`wrapper`] — Algorithm 1, the client-side 503 fallback to a
 //!   commercial cloud (§III-E);
-//! * [`experiment`] — the end-to-end day harness composing the cluster
-//!   simulator, the FaaS platform, a manager and the client load into
-//!   one deterministic run ([`experiment::run_day`]);
+//! * [`driver`] — the one DES driver: a cluster whose idleness comes
+//!   from an [`IdleSource`] (a trace, a generated HPC job stream, or
+//!   nothing), a manager behind [`PilotManager`], and a [`PilotSink`]
+//!   (the DES FaaS plane, or lease events for a live gateway), stepped
+//!   with [`Driver::step_until`] and closed into a [`DayReport`];
+//! * [`experiment`] — the day experiment's configuration and report,
+//!   [`experiment::run_day`] (one call into the driver) and the
+//!   parallel multi-day, multi-seed and week-sweep fan-outs over it;
 //! * [`live`] — the closed loop against the *real* gateway: a
-//!   [`DesLeaseSource`] steps the cluster DES to the wall clock,
-//!   streams pilot placements/evictions as live lease events, and feeds
-//!   observed gateway load back into a [`LoadSizedManager`]'s pilot
-//!   sizing (the paper's §IV cycle end-to-end);
+//!   [`DesLeaseSource`] steps the driver to the wall clock, streams
+//!   pilot placements/evictions as live lease events, and feeds
+//!   observed gateway load back into its manager (a
+//!   [`LoadSizedManager`] sizes its pilots to it — the paper's §IV
+//!   cycle end-to-end);
 //! * [`report`] — paper-shaped table rendering.
 
 #![forbid(unsafe_code)]
 
 pub mod coverage;
+pub mod driver;
 pub mod experiment;
 pub mod lengths;
 pub mod live;
@@ -40,9 +47,10 @@ pub mod report;
 pub mod wrapper;
 
 pub use coverage::{OwLevel, SlurmLevel};
+pub use driver::{Driver, IdleSource, PilotSink};
 pub use experiment::{
-    run_day, run_days, run_replications, run_week_sweep, DayConfig, DayReport, ManagerKind,
-    SweepCluster, SweepConfig, SweepDay, SysEvent,
+    run_day, run_days, run_week_sweep, DayConfig, DayReport, ManagerKind, SweepCluster,
+    SweepConfig, SweepDay,
 };
 pub use live::{DesLeaseSource, DesSourceCfg, PilotStats};
 pub use manager::{

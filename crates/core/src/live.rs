@@ -4,50 +4,36 @@
 //!
 //! [`DesLeaseSource`] implements [`gateway::LeaseSource`]. Where
 //! [`PlanSource`](gateway::PlanSource) replays a schedule compiled
-//! before the run, this source *computes* the schedule as it goes: each
-//! controller poll advances an embedded [`ClusterSim`] to the
-//! wall-clock-mapped simulation time, and whatever the backfill
-//! scheduler decided in that span — pilots placed, pilots preempted,
-//! pilots timed out — streams out as incremental lease events. The
-//! feedback leg closes the paper's §IV cycle: the controller reports
-//! each window's observed load ([`gateway::LoadFeedback`]) and a
-//! [`LoadSizedManager`] resizes the pilot supply it submits into the
-//! simulated queue, so FaaS demand steers HPC pilot placement which
-//! steers FaaS capacity.
+//! before the run, this source *computes* it as it goes: it is a
+//! wall-clock adapter over the one DES [`Driver`] with a
+//! [`PilotSink::Leases`] sink. Each controller poll steps the driver to
+//! the wall-clock-mapped simulation time (`speedup` simulation seconds
+//! per wall second), and the pilots the scheduler placed, preempted or
+//! timed out in that span stream out as lease events: a grant once a
+//! pilot's invoker has warmed up, with the granted end as deadline; a
+//! revoke at its SIGTERM; none for a pilot SIGTERMed while warming
+//! (counted — that warm-up was wasted invasiveness). The controller
+//! reports each window's observed load ([`gateway::LoadFeedback`]) into
+//! the driver's manager — any [`ManagerKind`]; a
+//! [`LoadSized`](ManagerKind::LoadSized) one resizes the pilot supply,
+//! so FaaS demand steers HPC pilot placement, which steers FaaS
+//! capacity (the paper's §IV cycle).
 //!
-//! Two clocks, one mapping: `speedup` simulation seconds pass per wall
-//! second. A 12-hour simulated day compresses into seconds of wall time
-//! while the gateway underneath serves real requests on real threads.
-//!
-//! The pilot lifecycle mirrors `experiment::run_day`:
-//!
-//! * **placed** (`JobStarted`) — the invoker boots; the grant is
-//!   emitted only after the sampled warm-up elapses (§IV-B's measured
-//!   12.48 s median), with the scheduler's granted end as deadline;
-//! * **sigterm** (`JobSigterm`) — preemption or timeout: the revoke is
-//!   emitted immediately (the §III-C drain starts) and the pilot exits
-//!   after its handoff time ([`DesSourceCfg::drain`]);
-//! * a pilot sigtermed **while still warming** never produces a grant
-//!   (counted separately — that warm-up was wasted invasiveness).
-//!
-//! Every lease transition is also recorded into a
-//! [`cluster::CapacityLog`], so a finished run yields the standard
-//! [`cluster::CapacityTrace`] for invasiveness accounting — including
-//! compiling an *equal-invasiveness static plan* for the replay leg the
-//! `closed_loop_live` bench compares against.
+//! The source adds what only a live plane has: the pinned floor
+//! invokers granted at the epoch, and the close at the horizon, which
+//! revokes every lease still live.
 
-use crate::manager::{LoadSizedManager, SizerCfg};
-use crate::pilot::WarmupModel;
-use cluster::{
-    CapacityLog, ClusterEvent, ClusterNote, ClusterSim, JobId, JobKind, SigtermReason, SlurmConfig,
-};
+use crate::driver::{Driver, IdleSource, PilotSink};
+use crate::experiment::DayConfig;
+use crate::manager::ManagerKind;
+use crate::pilot::{PilotPhase, WarmupModel};
+use cluster::{JobId, SigtermReason, SlurmConfig};
 use gateway::{LeaseEvent, LeaseEventKind, LeaseSource, LoadFeedback};
-use simcore::{Engine, Outbox, SimDuration, SimRng, SimTime};
+use simcore::{SimDuration, SimTime};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use telemetry::{one_series, Collected, Counter, Gauge, MetricKind, Registry};
-use workload::{BacklogDriver, HpcWorkloadModel};
+use telemetry::{one_series, Collected, MetricKind, Registry};
 
 /// Node-id block the pinned floor leases live in, far above any id the
 /// DES allocates (fresh ids per pilot lease, starting at zero).
@@ -55,17 +41,16 @@ const FLOOR_NODE_BASE: u32 = 1_000_000;
 
 /// Configuration for [`DesLeaseSource`].
 #[derive(Debug, Clone)]
-pub struct DesSourceCfg {
-    /// Simulated cluster size.
-    pub n_nodes: usize,
+pub struct DesSourceCfg<'a> {
+    /// The simulated cluster and where its idleness comes from (its
+    /// window is the source's horizon; the source is exhausted past it).
+    pub idle: IdleSource<'a>,
     /// Master seed (cluster, workload and warm-up sampling).
     pub seed: u64,
     /// Scheduler configuration.
     pub slurm: SlurmConfig,
     /// Simulation seconds per wall-clock second.
     pub speedup: f64,
-    /// Simulated span to run; the source is exhausted past it.
-    pub horizon: SimDuration,
     /// Cap on concurrent DES-backed invokers (grants beyond it are
     /// dropped and counted — the single-machine analogue of the lease
     /// cap in [`gateway::LeasePlan::from_capacity_trace`]).
@@ -73,70 +58,13 @@ pub struct DesSourceCfg {
     /// Pinned always-on invokers emitted at the epoch, outside the DES
     /// (the routable floor; never revoked by the source).
     pub floor: usize,
-    /// Pilot handoff time after sigterm (invoker drain + exit).
-    pub drain: SimDuration,
-    /// Warm-up model; `None` boots invokers instantly (tests).
-    pub warmup: Option<WarmupModel>,
-    /// Drive a generated background HPC job stream so idleness — and
-    /// therefore pilot capacity — *emerges* from backfill. Off, the
-    /// cluster is empty and pilots place instantly (tests).
-    pub hpc_churn: bool,
-    /// Load-sizing tuning for the pilot manager.
-    pub sizer: SizerCfg,
-    /// Declared pilot wall-time limit.
-    pub pilot_len: SimDuration,
-    /// Slurm priority for pilots.
-    pub pilot_priority: u64,
-    /// Manager replenishment cadence (simulated).
-    pub replenish_every: SimDuration,
+    /// Invoker warm-up model.
+    pub warmup: WarmupModel,
+    /// Pilot-supply strategy.
+    pub manager: ManagerKind,
 }
 
-impl Default for DesSourceCfg {
-    fn default() -> Self {
-        DesSourceCfg {
-            n_nodes: 64,
-            seed: 2022,
-            slurm: SlurmConfig::default(),
-            speedup: 3_600.0,
-            horizon: SimDuration::from_hours(12),
-            max_leases: 8,
-            floor: 1,
-            drain: SimDuration::from_secs(2),
-            warmup: Some(WarmupModel::default()),
-            hpc_churn: true,
-            sizer: SizerCfg::default(),
-            pilot_len: SimDuration::from_mins(10),
-            pilot_priority: 10,
-            replenish_every: crate::manager::REPLENISH_EVERY,
-        }
-    }
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum Ev {
-    C(ClusterEvent),
-    HpcTick,
-    ManagerTick,
-    /// Warm-up finished: the pilot's invoker is ready to serve.
-    Serving(JobId),
-    /// Handoff finished: the pilot exits voluntarily.
-    PilotExit(JobId),
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum LeaseState {
-    /// Placed, invoker booting; no grant emitted yet. Carries the
-    /// scheduler-granted end from the `JobStarted` note — the lease
-    /// deadline the eventual grant announces.
-    Warming { granted_end: SimTime },
-    /// Grant emitted on this gateway node id at this simulated instant
-    /// (the leased-node-seconds accounting anchor).
-    Serving { node: u32, since: SimTime },
-    /// Revoke emitted (or warm-up cancelled); awaiting exit.
-    Closed,
-}
-
-/// Raw pilot-plane counters, mirrored in the source's registry.
+/// Raw pilot-plane counters, exposed by the source's registry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PilotStats {
     /// Pilot jobs submitted to the simulated queue.
@@ -162,435 +90,299 @@ pub struct PilotStats {
     pub leased_node_secs: u64,
 }
 
-struct PilotTelem {
-    registry: Arc<Registry>,
-    submitted: Arc<Counter>,
-    cancelled: Arc<Counter>,
-    grants: Arc<Counter>,
-    revokes: Arc<Counter>,
-    preemptions: Arc<Counter>,
-    capped: Arc<Counter>,
-    warmup_cancelled: Arc<Counter>,
-    feedbacks: Arc<Counter>,
-    leased_secs: Arc<Counter>,
-    target: Arc<Gauge>,
-    live: Arc<Gauge>,
+/// The pilot plane's books as the registry exposes them.
+#[derive(Debug, Clone, Copy, Default)]
+struct Books {
+    stats: PilotStats,
+    /// The manager's invoker target, once it sized against load.
+    target: i64,
+    /// DES-backed leases live now.
+    live: i64,
 }
 
-impl PilotTelem {
-    fn new() -> Self {
-        let registry = Arc::new(Registry::new());
-        let counter = |name: &str, help: &str| -> Arc<Counter> {
-            let c = Arc::new(Counter::new());
-            let cc = c.clone();
-            registry.register(
-                name,
-                help,
-                MetricKind::Counter,
-                Box::new(move || one_series(Collected::Counter(cc.get()))),
-            );
-            c
+/// A registry exposing `books` as the `pilot_*` families.
+fn pilot_registry(books: &Arc<Mutex<Books>>) -> Registry {
+    use Collected::{Counter, Gauge};
+    let registry = Registry::new();
+    let family = |name: &str, help: &str, read: fn(&Books) -> Collected| {
+        let kind = match read(&Books::default()) {
+            Counter(_) => MetricKind::Counter,
+            _ => MetricKind::Gauge,
         };
-        let gauge = |name: &str, help: &str| -> Arc<Gauge> {
-            let g = Arc::new(Gauge::new());
-            let gc = g.clone();
-            registry.register(
-                name,
-                help,
-                MetricKind::Gauge,
-                Box::new(move || one_series(Collected::Gauge(gc.get()))),
-            );
-            g
-        };
-        PilotTelem {
-            submitted: counter("pilot_submitted_total", "Pilot jobs submitted to the queue"),
-            cancelled: counter("pilot_cancelled_total", "Pending pilots cancelled (shrink)"),
-            grants: counter(
-                "pilot_grants_total",
-                "Lease grants emitted (floor excluded)",
-            ),
-            revokes: counter(
-                "pilot_revokes_total",
-                "Lease revokes emitted (floor excluded)",
-            ),
-            preemptions: counter("pilot_preemptions_total", "Revokes caused by preemption"),
-            capped: counter("pilot_capped_total", "Grants dropped at the lease cap"),
-            warmup_cancelled: counter(
-                "pilot_warmup_cancelled_total",
-                "Pilots sigtermed before warm-up finished",
-            ),
-            feedbacks: counter("pilot_feedback_windows_total", "Feedback windows observed"),
-            leased_secs: counter(
-                "pilot_leased_node_secs_total",
-                "Simulated node-seconds serving (grant to revoke, floor excluded)",
-            ),
-            target: gauge("pilot_target_invokers", "Sizer's current invoker target"),
-            live: gauge("pilot_leases_live", "DES-backed leases currently live"),
-            registry,
+        let books = books.clone();
+        let collect = move || one_series(read(&books.lock().expect("pilot books")));
+        registry.register(name, help, kind, Box::new(collect));
+    };
+    let help = "Pilot jobs submitted to the queue";
+    family("pilot_submitted_total", help, |b| {
+        Counter(b.stats.submitted)
+    });
+    let help = "Pending pilots cancelled (shrink)";
+    family("pilot_cancelled_total", help, |b| {
+        Counter(b.stats.cancelled)
+    });
+    let help = "Lease grants emitted (floor excluded)";
+    family("pilot_grants_total", help, |b| Counter(b.stats.grants));
+    let help = "Lease revokes emitted (floor excluded)";
+    family("pilot_revokes_total", help, |b| Counter(b.stats.revokes));
+    let help = "Revokes caused by preemption";
+    family("pilot_preemptions_total", help, |b| {
+        Counter(b.stats.preemptions)
+    });
+    let help = "Grants dropped at the lease cap";
+    family("pilot_capped_total", help, |b| Counter(b.stats.capped));
+    let help = "Pilots sigtermed before warm-up finished";
+    family("pilot_warmup_cancelled_total", help, |b| {
+        Counter(b.stats.warmup_cancelled)
+    });
+    let help = "Feedback windows observed";
+    family("pilot_feedback_windows_total", help, |b| {
+        Counter(b.stats.feedbacks)
+    });
+    let help = "Simulated node-seconds serving (grant to revoke, floor excluded)";
+    family("pilot_leased_node_secs_total", help, |b| {
+        Counter(b.stats.leased_node_secs)
+    });
+    let help = "Sizer's current invoker target";
+    family("pilot_target_invokers", help, |b| Gauge(b.target));
+    let help = "DES-backed leases currently live";
+    family("pilot_leases_live", help, |b| Gauge(b.live));
+    registry
+}
+
+/// A lease transition in simulated time: `(at, node, Some(deadline))`
+/// for a grant, `(at, node, None)` for a revoke.
+type SimLease = (SimTime, u32, Option<SimTime>);
+
+/// The [`PilotSink::Leases`] sink of the [`Driver`]: a lease per warm
+/// pilot, buffered in simulated time until the adapter collects it.
+pub(crate) struct LeaseBuffer {
+    max_leases: usize,
+    /// Transitions not yet collected, in emission order.
+    emitted: Vec<SimLease>,
+    /// Live leases: the gateway node id and the grant instant per pilot.
+    serving: HashMap<JobId, (u32, SimTime)>,
+    next_node: u32,
+    books: Books,
+    /// What the registry reads: `books` as of the last [`publish`].
+    ///
+    /// [`publish`]: LeaseBuffer::publish
+    published: Arc<Mutex<Books>>,
+    registry: Arc<Registry>,
+}
+
+impl LeaseBuffer {
+    pub(crate) fn new(max_leases: usize) -> Self {
+        assert!(max_leases >= 1);
+        let published = Arc::default();
+        LeaseBuffer {
+            max_leases,
+            emitted: Vec::new(),
+            serving: HashMap::new(),
+            next_node: 0,
+            books: Books::default(),
+            registry: Arc::new(pilot_registry(&published)),
+            published,
         }
+    }
+
+    /// A manager round submitted and cancelled this many pilots while
+    /// sizing toward `target`.
+    pub(crate) fn planned(&mut self, submitted: usize, cancelled: usize, target: Option<usize>) {
+        self.books.stats.submitted += submitted as u64;
+        self.books.stats.cancelled += cancelled as u64;
+        self.sized(target);
+    }
+
+    /// One feedback window reached the manager, now sizing toward
+    /// `target`.
+    pub(crate) fn observed(&mut self, target: Option<usize>) {
+        self.books.stats.feedbacks += 1;
+        self.sized(target);
+    }
+
+    fn sized(&mut self, target: Option<usize>) {
+        if let Some(t) = target {
+            self.books.target = t as i64;
+        }
+    }
+
+    /// A pilot's invoker is warm: grant it a lease until `deadline`,
+    /// unless `max_leases` are live — then the pilot keeps its node (the
+    /// invasiveness is spent either way) but the gateway gets no
+    /// invoker. Returns whether it was granted.
+    pub(crate) fn grant(&mut self, now: SimTime, job: JobId, deadline: SimTime) -> bool {
+        if self.serving.len() >= self.max_leases {
+            self.books.stats.capped += 1;
+            return false;
+        }
+        let node = self.next_node;
+        self.next_node += 1;
+        self.serving.insert(job, (node, now));
+        self.emitted.push((now, node, Some(deadline)));
+        self.books.stats.grants += 1;
+        self.books.live = self.serving.len() as i64;
+        true
+    }
+
+    /// SIGTERM reached a pilot that was in `phase`.
+    pub(crate) fn sigterm(
+        &mut self,
+        now: SimTime,
+        job: JobId,
+        phase: Option<PilotPhase>,
+        reason: SigtermReason,
+    ) {
+        match phase {
+            Some(PilotPhase::Warming) => self.books.stats.warmup_cancelled += 1,
+            Some(PilotPhase::Serving) => {
+                self.revoke(now, job);
+                if reason == SigtermReason::Preempted {
+                    self.books.stats.preemptions += 1;
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Revoke the lease `job` holds, if any.
+    pub(crate) fn revoke(&mut self, now: SimTime, job: JobId) {
+        let Some((node, since)) = self.serving.remove(&job) else {
+            return;
+        };
+        self.emitted.push((now, node, None));
+        self.books.stats.revokes += 1;
+        self.books.stats.leased_node_secs += now.since(since).as_secs_f64().round() as u64;
+        self.books.live = self.serving.len() as i64;
+    }
+
+    /// The horizon: revoke every live lease at `at`, in node order.
+    fn close(&mut self, at: SimTime) {
+        let mut live: Vec<(u32, JobId)> = self.serving.iter().map(|(j, (n, _))| (*n, *j)).collect();
+        live.sort_unstable();
+        for (_, job) in live {
+            self.revoke(at, job);
+        }
+    }
+
+    /// Let the registry see the books.
+    fn publish(&self) {
+        *self.published.lock().expect("pilot books") = self.books;
     }
 }
 
 /// The live DES lease source. See the module docs.
 pub struct DesLeaseSource {
-    cfg: DesSourceCfg,
-    engine: Engine<Ev>,
-    sim: ClusterSim,
-    manager: LoadSizedManager,
-    hpc: Option<BacklogDriver>,
-    rng: SimRng,
-    /// Wall-domain events ready for the controller, FIFO.
-    buffer: Vec<LeaseEvent>,
-    leases: HashMap<JobId, LeaseState>,
-    /// Sim-domain record of every lease for invasiveness accounting.
-    log: CapacityLog,
-    next_node: u32,
-    live_leases: usize,
-    floor_emitted: bool,
-    sim_done: bool,
-    stats: PilotStats,
-    telem: PilotTelem,
+    driver: Driver,
+    speedup: f64,
+    /// The pinned floor grants, until the first poll hands them out.
+    floor: Vec<LeaseEvent>,
+    n_floor: usize,
+    done: bool,
 }
 
 impl DesLeaseSource {
-    /// Build the source: seeds the cluster, bootstraps the poller and
-    /// schedules the first manager and workload ticks.
-    pub fn new(cfg: DesSourceCfg) -> Self {
+    /// Build the source: the driver with a lease sink, its cluster,
+    /// manager and periodic ticks scheduled.
+    pub fn new(cfg: DesSourceCfg<'_>) -> Self {
         assert!(cfg.speedup > 0.0, "speedup must be positive");
-        assert!(cfg.max_leases >= 1);
-        let mut sim = ClusterSim::new(cfg.slurm.clone(), cfg.n_nodes, cfg.seed);
-        let manager = LoadSizedManager::new(cfg.sizer, cfg.pilot_len, cfg.pilot_priority);
-        let hpc = cfg
-            .hpc_churn
-            .then(|| BacklogDriver::new(HpcWorkloadModel::prometheus(), cfg.n_nodes));
-        let mut engine: Engine<Ev> = Engine::new();
-        {
-            let mut co = Outbox::new(SimTime::ZERO);
-            sim.bootstrap(SimTime::ZERO, &mut co);
-            for (t, e) in co.drain() {
-                engine.schedule(t, Ev::C(e));
-            }
-        }
-        if hpc.is_some() {
-            engine.schedule(SimTime::ZERO, Ev::HpcTick);
-        }
-        engine.schedule(SimTime::ZERO, Ev::ManagerTick);
-        DesLeaseSource {
-            rng: SimRng::seed_from_u64(cfg.seed ^ 0xc105_ed10),
-            cfg,
-            engine,
-            sim,
-            manager,
-            hpc,
-            buffer: Vec::new(),
-            leases: HashMap::new(),
-            log: CapacityLog::new(),
-            next_node: 0,
-            live_leases: 0,
-            floor_emitted: false,
-            sim_done: false,
-            stats: PilotStats::default(),
-            telem: PilotTelem::new(),
-        }
+        let day = DayConfig {
+            slurm: cfg.slurm,
+            manager: cfg.manager,
+            load: None,
+            warmup: cfg.warmup,
+            ..DayConfig::fib_paper(cfg.seed)
+        };
+        let sink = PilotSink::Leases {
+            max_leases: cfg.max_leases,
+        };
+        let mut src = DesLeaseSource {
+            driver: Driver::new(cfg.idle, day, sink),
+            speedup: cfg.speedup,
+            floor: Vec::new(),
+            n_floor: cfg.floor,
+            done: false,
+        };
+        // Pinned floor invokers, granted at the epoch with a deadline far
+        // past any horizon (the controller reaps them at finish) — same
+        // shape as a compiled plan's floor.
+        let far = src
+            .wall_of(src.driver.window().1)
+            .max(Duration::from_millis(1))
+            * 1_000;
+        src.floor = (0..cfg.floor as u32)
+            .map(|i| LeaseEvent {
+                at: Duration::ZERO,
+                node: FLOOR_NODE_BASE + i,
+                kind: LeaseEventKind::Grant { deadline: far },
+            })
+            .collect();
+        src
+    }
+
+    fn sink_mut(&mut self) -> &mut LeaseBuffer {
+        self.driver.leases_mut().expect("built with a lease sink")
+    }
+
+    fn sink(&self) -> &LeaseBuffer {
+        self.driver.leases().expect("built with a lease sink")
     }
 
     /// Pilot-plane counters so far.
     pub fn stats(&self) -> PilotStats {
-        self.stats
+        self.sink().books.stats
     }
 
     /// The pilot telemetry registry (`pilot_*` families).
     pub fn registry(&self) -> &Arc<Registry> {
-        &self.telem.registry
+        &self.sink().registry
     }
 
-    /// DES-backed leases currently live (floor excluded).
-    pub fn live_leases(&self) -> usize {
-        self.live_leases
-    }
-
-    /// The simulated cluster's aggregate counters.
-    pub fn cluster_counters(&self) -> &cluster::Counters {
-        self.sim.counters()
-    }
-
-    /// Consume the source and return the sim-domain capacity trace it
-    /// recorded (open leases closed at the horizon).
-    pub fn into_capacity_trace(self) -> cluster::CapacityTrace {
-        let end = SimTime::ZERO + self.cfg.horizon;
-        self.log.into_trace(SimTime::ZERO, end)
-    }
-
-    fn sim_of(&self, wall: Duration) -> SimTime {
-        SimTime::ZERO + SimDuration::from_secs_f64(wall.as_secs_f64() * self.cfg.speedup)
-    }
-
+    /// The wall-clock offset of simulated instant `t`.
     fn wall_of(&self, t: SimTime) -> Duration {
-        Duration::from_secs_f64(t.since(SimTime::ZERO).as_secs_f64() / self.cfg.speedup)
-    }
-
-    /// Advance the simulation to `target` and translate what happened
-    /// into buffered wall-domain lease events.
-    fn step_sim(&mut self, target: SimTime) {
-        let horizon = SimTime::ZERO + self.cfg.horizon;
-        let target = target.min(horizon);
-        // Split borrows: the engine drives a closure over the rest.
-        let DesLeaseSource {
-            cfg,
-            engine,
-            sim,
-            manager,
-            hpc,
-            rng,
-            buffer,
-            leases,
-            log,
-            next_node,
-            live_leases,
-            stats,
-            telem,
-            ..
-        } = self;
-        let speedup = cfg.speedup;
-        let wall_of =
-            |t: SimTime| Duration::from_secs_f64(t.since(SimTime::ZERO).as_secs_f64() / speedup);
-        engine.run_until(target, &mut |now: SimTime, ev: Ev, out: &mut Outbox<Ev>| {
-            let mut co = Outbox::new(now);
-            let mut notes: Vec<ClusterNote> = Vec::new();
-            match ev {
-                Ev::C(e) => sim.handle(now, e, &mut co, &mut notes),
-                Ev::HpcTick => {
-                    if let Some(driver) = hpc {
-                        // Pending HPC work in node-hours (declared
-                        // limits), for the backlog feedback loop.
-                        let total = std::cell::Cell::new(0.0f64);
-                        let _ = sim.pending_matching(|j| {
-                            if j.spec.kind == JobKind::Hpc {
-                                total.set(
-                                    total.get()
-                                        + j.spec.nodes as f64 * j.spec.time_limit.as_secs_f64()
-                                            / 3600.0,
-                                );
-                                true
-                            } else {
-                                false
-                            }
-                        });
-                        for spec in driver.replenish(total.get(), rng) {
-                            sim.submit(now, spec, &mut co);
-                        }
-                    }
-                    out.after(SimDuration::from_mins(1), Ev::HpcTick);
-                }
-                Ev::ManagerTick => {
-                    let serving = leases
-                        .values()
-                        .filter(|s| !matches!(s, LeaseState::Closed))
-                        .count();
-                    let plan = manager.plan(sim, serving);
-                    for id in &plan.cancel {
-                        if sim.cancel_pending(now, *id) {
-                            stats.cancelled += 1;
-                            telem.cancelled.inc();
-                        }
-                    }
-                    for spec in plan.submit {
-                        sim.submit(now, spec, &mut co);
-                        stats.submitted += 1;
-                        telem.submitted.inc();
-                    }
-                    telem.target.set(manager.target() as i64);
-                    out.after(cfg.replenish_every, Ev::ManagerTick);
-                }
-                Ev::Serving(job) => {
-                    // Emit the grant only if the pilot survived warm-up.
-                    if let Some(state) = leases.get_mut(&job) {
-                        if let LeaseState::Warming { granted_end } = *state {
-                            if *live_leases >= cfg.max_leases {
-                                stats.capped += 1;
-                                telem.capped.inc();
-                                // The pilot keeps its node (the
-                                // invasiveness is spent either way) but
-                                // the gateway gets no invoker; it stays
-                                // Warming so a later sigterm is still
-                                // accounted.
-                            } else {
-                                let node = *next_node;
-                                *next_node += 1;
-                                *state = LeaseState::Serving { node, since: now };
-                                *live_leases += 1;
-                                buffer.push(LeaseEvent {
-                                    at: wall_of(now),
-                                    node,
-                                    kind: LeaseEventKind::Grant {
-                                        deadline: wall_of(granted_end),
-                                    },
-                                });
-                                log.grant(now, node, granted_end);
-                                stats.grants += 1;
-                                telem.grants.inc();
-                                telem.live.set(*live_leases as i64);
-                            }
-                        }
-                    }
-                }
-                Ev::PilotExit(job) => sim.pilot_exited(now, job, &mut co, &mut notes),
-            }
-            for (t, e) in co.drain() {
-                out.at(t, Ev::C(e));
-            }
-            for n in notes {
-                match n {
-                    ClusterNote::JobStarted {
-                        job, granted_end, ..
-                    } if sim.job(job).spec.kind == JobKind::Pilot => {
-                        leases.insert(job, LeaseState::Warming { granted_end });
-                        let warm = cfg
-                            .warmup
-                            .as_ref()
-                            .map(|m| m.sample(rng))
-                            .unwrap_or(SimDuration::ZERO);
-                        out.after(warm, Ev::Serving(job));
-                    }
-                    ClusterNote::JobSigterm { job, reason, .. }
-                        if sim.job(job).spec.kind == JobKind::Pilot =>
-                    {
-                        match leases.get_mut(&job) {
-                            Some(state @ LeaseState::Warming { .. }) => {
-                                *state = LeaseState::Closed;
-                                stats.warmup_cancelled += 1;
-                                telem.warmup_cancelled.inc();
-                            }
-                            Some(state @ LeaseState::Serving { .. }) => {
-                                let LeaseState::Serving { node, since } = *state else {
-                                    unreachable!()
-                                };
-                                *state = LeaseState::Closed;
-                                *live_leases -= 1;
-                                buffer.push(LeaseEvent {
-                                    at: wall_of(now),
-                                    node,
-                                    kind: LeaseEventKind::Revoke,
-                                });
-                                log.revoke(now, node);
-                                stats.revokes += 1;
-                                telem.revokes.inc();
-                                let secs = now.since(since).as_secs_f64().round() as u64;
-                                stats.leased_node_secs += secs;
-                                telem.leased_secs.add(secs);
-                                telem.live.set(*live_leases as i64);
-                                if reason == SigtermReason::Preempted {
-                                    stats.preemptions += 1;
-                                    telem.preemptions.inc();
-                                }
-                            }
-                            _ => {}
-                        }
-                        // The invoker hands its backlog off and exits.
-                        out.after(cfg.drain, Ev::PilotExit(job));
-                    }
-                    ClusterNote::JobEnded { job, .. }
-                        if sim.job(job).spec.kind == JobKind::Pilot =>
-                    {
-                        // A pilot that ended without a sigterm we saw
-                        // (defensive): close its lease.
-                        if let Some(LeaseState::Serving { node, since }) = leases.get(&job).copied()
-                        {
-                            buffer.push(LeaseEvent {
-                                at: wall_of(now),
-                                node,
-                                kind: LeaseEventKind::Revoke,
-                            });
-                            log.revoke(now, node);
-                            *live_leases -= 1;
-                            stats.revokes += 1;
-                            telem.revokes.inc();
-                            let secs = now.since(since).as_secs_f64().round() as u64;
-                            stats.leased_node_secs += secs;
-                            telem.leased_secs.add(secs);
-                            telem.live.set(*live_leases as i64);
-                        }
-                        leases.remove(&job);
-                    }
-                    _ => {}
-                }
-            }
-        });
-        if target >= horizon && !self.sim_done {
-            // The run is over: reclaim every live lease at the horizon.
-            let at = self.wall_of(horizon);
-            let closing: Vec<(JobId, u32, SimTime)> = self
-                .leases
-                .iter()
-                .filter_map(|(j, s)| match s {
-                    LeaseState::Serving { node, since } => Some((*j, *node, *since)),
-                    _ => None,
-                })
-                .collect();
-            for (job, node, since) in closing {
-                self.buffer.push(LeaseEvent {
-                    at,
-                    node,
-                    kind: LeaseEventKind::Revoke,
-                });
-                self.leases.insert(job, LeaseState::Closed);
-                self.live_leases -= 1;
-                self.stats.revokes += 1;
-                self.telem.revokes.inc();
-                let secs = horizon.since(since).as_secs_f64().round() as u64;
-                self.stats.leased_node_secs += secs;
-                self.telem.leased_secs.add(secs);
-            }
-            self.telem.live.set(0);
-            self.sim_done = true;
-        }
+        Duration::from_secs_f64(t.since(self.driver.window().0).as_secs_f64() / self.speedup)
     }
 }
 
 impl LeaseSource for DesLeaseSource {
     fn poll(&mut self, now: Duration, out: &mut Vec<LeaseEvent>) -> Option<Duration> {
-        if !self.floor_emitted {
-            // Pinned floor invokers, granted at the epoch with a
-            // deadline far past any horizon (the controller reaps them
-            // at finish) — same shape as a compiled plan's floor.
-            let far = self
-                .wall_of(SimTime::ZERO + self.cfg.horizon)
-                .max(Duration::from_millis(1))
-                * 1_000;
-            for i in 0..self.cfg.floor as u32 {
-                self.buffer.push(LeaseEvent {
-                    at: Duration::ZERO,
-                    node: FLOOR_NODE_BASE + i,
-                    kind: LeaseEventKind::Grant { deadline: far },
-                });
+        out.append(&mut self.floor);
+        if !self.done {
+            let (start, end) = self.driver.window();
+            let target = start + SimDuration::from_secs_f64(now.as_secs_f64() * self.speedup);
+            self.driver.step_until(target);
+            if target >= end {
+                self.sink_mut().close(end);
+                self.done = true;
             }
-            self.floor_emitted = true;
+            // Everything emitted is due: it happened at simulated
+            // instants the wall clock has already passed.
+            for (at, node, grant_until) in std::mem::take(&mut self.sink_mut().emitted) {
+                let kind = grant_until.map_or(LeaseEventKind::Revoke, |t| LeaseEventKind::Grant {
+                    deadline: self.wall_of(t),
+                });
+                let at = self.wall_of(at);
+                out.push(LeaseEvent { at, node, kind });
+            }
+            self.sink_mut().publish();
         }
-        if !self.sim_done {
-            self.step_sim(self.sim_of(now));
-        }
-        // Everything buffered is due: emissions happen at simulated
-        // instants the wall clock has already passed.
-        out.append(&mut self.buffer);
-        if self.sim_done {
+        if self.done {
             None
         } else {
-            self.engine.next_event_time().map(|t| self.wall_of(t))
+            self.driver.next_event_time().map(|t| self.wall_of(t))
         }
     }
 
     fn observe(&mut self, fb: &LoadFeedback) {
-        self.manager.observe(fb);
-        self.stats.feedbacks += 1;
-        self.telem.feedbacks.inc();
-        self.telem.target.set(self.manager.target() as i64);
+        self.driver.observe(fb);
+        self.sink_mut().publish();
     }
 
     fn exhausted(&self) -> bool {
-        self.sim_done && self.buffer.is_empty()
+        self.done
     }
 
     fn floor(&self) -> usize {
-        self.cfg.floor
+        self.n_floor
     }
 }

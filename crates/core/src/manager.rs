@@ -4,6 +4,7 @@
 //! introduce a significant load on the Slurm scheduler").
 
 use cluster::{ClusterSim, JobSpec};
+use gateway::LoadFeedback;
 use simcore::SimDuration;
 
 /// Total queued pilots never exceeds this (paper §III-D).
@@ -12,12 +13,37 @@ pub const QUEUE_CAP: usize = 100;
 /// Replenishment cadence (paper: 15-second intervals).
 pub const REPLENISH_EVERY: SimDuration = SimDuration::from_secs(15);
 
-/// A pilot-supply strategy.
-pub trait PilotManager {
-    /// Inspect the queue and produce the jobs to submit now.
-    fn replenish(&mut self, cluster: &ClusterSim) -> Vec<JobSpec>;
+/// Slurm priority of a [`LoadSizedManager`]'s pilots.
+const LOAD_SIZED_PRIORITY: u64 = 10;
+
+/// A pilot-supply strategy, asked every [`REPLENISH_EVERY`] (`Send`: a
+/// live lease source runs it on the controller's thread).
+pub trait PilotManager: Send {
+    /// Inspect the queue and decide this round's submissions and
+    /// cancellations. `serving` counts the pilots holding nodes that
+    /// have not been told to leave (warming or serving).
+    fn plan(&mut self, cluster: &ClusterSim, serving: usize) -> PilotPlan;
+    /// Fold one window of observed FaaS load in. Default: ignored (a
+    /// manager that keeps a fixed bag of jobs has nothing to resize).
+    fn observe(&mut self, _fb: &LoadFeedback) {}
+    /// The invoker count the manager sizes its supply toward, if it
+    /// sizes against load.
+    fn target(&self) -> Option<usize> {
+        None
+    }
     /// Strategy name for reports.
     fn name(&self) -> &'static str;
+}
+
+/// What a [`PilotManager`] wants done with the pilot queue this round:
+/// jobs to submit, pending victims to cancel.
+#[derive(Debug, Default)]
+pub struct PilotPlan {
+    /// New pilots to submit.
+    pub submit: Vec<JobSpec>,
+    /// Pending pilots to cancel (shrink path; running pilots are left
+    /// to their deadlines — the scheduler reclaims them anyway).
+    pub cancel: Vec<cluster::JobId>,
 }
 
 /// Which pilot-supply strategy an experiment uses — the configuration
@@ -31,6 +57,14 @@ pub enum ManagerKind {
     FibUniform(Vec<u64>),
     /// Variable-length jobs (2–120 min).
     Var,
+    /// Pilots of one length, as many as the observed load asks for
+    /// ([`LoadSizedManager`]).
+    LoadSized {
+        /// Load-sizing tuning.
+        sizer: SizerCfg,
+        /// Declared pilot wall-time limit.
+        pilot_len: SimDuration,
+    },
 }
 
 impl ManagerKind {
@@ -42,6 +76,9 @@ impl ManagerKind {
                 Box::new(FibManager::uniform_priority(lengths.clone()))
             }
             ManagerKind::Var => Box::new(VarManager::paper()),
+            ManagerKind::LoadSized { sizer, pilot_len } => {
+                Box::new(LoadSizedManager::new(*sizer, *pilot_len))
+            }
         }
     }
 
@@ -51,6 +88,7 @@ impl ManagerKind {
         match self {
             ManagerKind::Fib(lengths) | ManagerKind::FibUniform(lengths) => lengths.clone(),
             ManagerKind::Var => crate::lengths::A1.to_vec(),
+            ManagerKind::LoadSized { pilot_len, .. } => vec![pilot_len.as_mins()],
         }
     }
 }
@@ -90,7 +128,7 @@ impl FibManager {
 }
 
 impl PilotManager for FibManager {
-    fn replenish(&mut self, cluster: &ClusterSim) -> Vec<JobSpec> {
+    fn plan(&mut self, cluster: &ClusterSim, _serving: usize) -> PilotPlan {
         let pending = cluster.pending_pilots_by_limit();
         let total_pending: usize = pending.iter().map(|(_, n)| n).sum();
         let mut budget = QUEUE_CAP.saturating_sub(total_pending);
@@ -110,7 +148,10 @@ impl PilotManager for FibManager {
                 break;
             }
         }
-        jobs
+        PilotPlan {
+            submit: jobs,
+            cancel: Vec::new(),
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -142,21 +183,21 @@ impl VarManager {
 }
 
 impl PilotManager for VarManager {
-    fn replenish(&mut self, cluster: &ClusterSim) -> Vec<JobSpec> {
+    fn plan(&mut self, cluster: &ClusterSim, _serving: usize) -> PilotPlan {
         let pending: usize = cluster
             .pending_pilots_by_limit()
             .iter()
             .map(|(_, n)| n)
             .sum();
         let want = self.target.min(QUEUE_CAP).saturating_sub(pending);
-        (0..want)
-            .map(|_| {
-                JobSpec::pilot_var(
-                    SimDuration::from_mins(self.min_mins),
-                    SimDuration::from_mins(self.max_mins),
-                )
-            })
-            .collect()
+        let (min, max) = (self.min_mins, self.max_mins);
+        let submit = (0..want)
+            .map(|_| JobSpec::pilot_var(SimDuration::from_mins(min), SimDuration::from_mins(max)))
+            .collect();
+        PilotPlan {
+            submit,
+            cancel: Vec::new(),
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -199,17 +240,6 @@ impl Default for SizerCfg {
     }
 }
 
-/// What a [`LoadSizedManager`] wants done with the pilot queue this
-/// replenishment: jobs to submit, pending victims to cancel.
-#[derive(Debug, Default)]
-pub struct PilotPlan {
-    /// New pilots to submit.
-    pub submit: Vec<JobSpec>,
-    /// Pending pilots to cancel (shrink path; running pilots are left
-    /// to their deadlines — the scheduler reclaims them anyway).
-    pub cancel: Vec<cluster::JobId>,
-}
-
 /// The **closed-loop** pilot manager: sizes its pilot supply against
 /// the *observed* FaaS load instead of keeping a fixed bag of jobs.
 ///
@@ -223,7 +253,7 @@ pub struct PilotPlan {
 ///                 min_invokers, max_invokers )
 /// ```
 ///
-/// [`plan`](LoadSizedManager::plan) then tops the pilot queue up to
+/// Each round's [`plan`](PilotManager::plan) tops the pilot queue up to
 /// `target − (serving + pending)` or cancels pending pilots when the
 /// target shrank — running pilots are never killed by the manager (the
 /// batch scheduler owns reclaims; shrinking by attrition keeps the
@@ -234,8 +264,6 @@ pub struct LoadSizedManager {
     pub cfg: SizerCfg,
     /// Declared pilot wall-time limit.
     pub pilot_len: SimDuration,
-    /// Slurm priority for the pilots.
-    pub priority: u64,
     ewma_rate: f64,
     outstanding: u64,
     /// Feedback windows folded in so far.
@@ -244,58 +272,39 @@ pub struct LoadSizedManager {
 
 impl LoadSizedManager {
     /// A manager starting from a zero-load estimate.
-    pub fn new(cfg: SizerCfg, pilot_len: SimDuration, priority: u64) -> Self {
+    pub fn new(cfg: SizerCfg, pilot_len: SimDuration) -> Self {
         assert!(cfg.rate_per_invoker > 0.0);
         assert!(cfg.max_invokers >= cfg.min_invokers);
         assert!(cfg.alpha > 0.0 && cfg.alpha <= 1.0);
         LoadSizedManager {
             cfg,
             pilot_len,
-            priority,
             ewma_rate: 0.0,
             outstanding: 0,
             windows: 0,
         }
     }
 
-    /// Fold one observed-load window into the rate estimate.
-    pub fn observe(&mut self, fb: &gateway::LoadFeedback) {
-        let rate = fb.arrival_rate();
-        self.ewma_rate = if self.windows == 0 {
-            rate
-        } else {
-            self.cfg.alpha * rate + (1.0 - self.cfg.alpha) * self.ewma_rate
-        };
-        self.outstanding = fb.outstanding;
-        self.windows += 1;
-    }
-
     /// The invoker target implied by the current load estimate.
-    pub fn target(&self) -> usize {
+    fn sized_target(&self) -> usize {
         let demand = (self.ewma_rate / self.cfg.rate_per_invoker * self.cfg.headroom
             + self.outstanding as f64 / self.cfg.backlog_per_invoker)
             .ceil() as usize;
         demand.clamp(self.cfg.min_invokers, self.cfg.max_invokers)
     }
+}
 
-    /// Smoothed arrival rate (requests/s).
-    pub fn ewma_rate(&self) -> f64 {
-        self.ewma_rate
-    }
-
-    /// Decide this round's submissions and cancellations. `serving` is
-    /// the number of pilots currently holding nodes (the live supply
-    /// the pending queue tops up).
-    pub fn plan(&mut self, cluster: &ClusterSim, serving: usize) -> PilotPlan {
+impl PilotManager for LoadSizedManager {
+    fn plan(&mut self, cluster: &ClusterSim, serving: usize) -> PilotPlan {
         let pending_ids = cluster.pending_ids_matching(|j| j.spec.kind == cluster::JobKind::Pilot);
         let supply = serving + pending_ids.len();
-        let target = self.target();
+        let target = self.sized_target();
         let mut plan = PilotPlan::default();
         if target > supply {
             let want = (target - supply).min(QUEUE_CAP.saturating_sub(pending_ids.len()));
             for _ in 0..want {
                 plan.submit
-                    .push(JobSpec::pilot_fixed(self.pilot_len, self.priority));
+                    .push(JobSpec::pilot_fixed(self.pilot_len, LOAD_SIZED_PRIORITY));
             }
         } else if supply > target {
             // Shrink by cancelling *pending* pilots only, newest first
@@ -306,13 +315,21 @@ impl LoadSizedManager {
         }
         plan
     }
-}
 
-impl PilotManager for LoadSizedManager {
-    fn replenish(&mut self, cluster: &ClusterSim) -> Vec<JobSpec> {
-        // Trait-shaped entry point: top-up only (the trait cannot
-        // cancel). The live DES source calls `plan` directly.
-        self.plan(cluster, cluster.n_pilot_nodes()).submit
+    /// Fold one observed-load window into the rate estimate.
+    fn observe(&mut self, fb: &LoadFeedback) {
+        let rate = fb.arrival_rate();
+        self.ewma_rate = if self.windows == 0 {
+            rate
+        } else {
+            self.cfg.alpha * rate + (1.0 - self.cfg.alpha) * self.ewma_rate
+        };
+        self.outstanding = fb.outstanding;
+        self.windows += 1;
+    }
+
+    fn target(&self) -> Option<usize> {
+        Some(self.sized_target())
     }
 
     fn name(&self) -> &'static str {
@@ -334,7 +351,7 @@ mod tests {
     #[test]
     fn fib_fills_ten_of_each_length() {
         let mut m = FibManager::paper(lengths::A1.to_vec());
-        let jobs = m.replenish(&empty_cluster());
+        let jobs = m.plan(&empty_cluster(), 0).submit;
         assert_eq!(jobs.len(), 9 * 10);
         for len in lengths::A1 {
             let n = jobs
@@ -371,7 +388,7 @@ mod tests {
             );
         }
         let mut m = FibManager::paper(lengths::A1.to_vec());
-        let jobs = m.replenish(&cluster);
+        let jobs = m.plan(&cluster, 0).submit;
         let n90 = jobs
             .iter()
             .filter(|j| j.time_limit == SimDuration::from_mins(90))
@@ -393,14 +410,14 @@ mod tests {
             );
         }
         let mut m = FibManager::paper(lengths::A1.to_vec());
-        let jobs = m.replenish(&cluster);
+        let jobs = m.plan(&cluster, 0).submit;
         assert_eq!(jobs.len(), 5);
     }
 
     #[test]
     fn var_fills_to_one_hundred() {
         let mut m = VarManager::paper();
-        let jobs = m.replenish(&empty_cluster());
+        let jobs = m.plan(&empty_cluster(), 0).submit;
         assert_eq!(jobs.len(), 100);
         for j in &jobs {
             assert_eq!(j.min_time, Some(SimDuration::from_mins(2)));
@@ -420,7 +437,7 @@ mod tests {
             );
         }
         let mut m = VarManager::paper();
-        assert_eq!(m.replenish(&cluster).len(), 40);
+        assert_eq!(m.plan(&cluster, 0).submit.len(), 40);
     }
 
     #[test]
@@ -428,13 +445,13 @@ mod tests {
         assert_eq!(FibManager::paper(vec![2]).name(), "fib");
         assert_eq!(VarManager::paper().name(), "var");
         assert_eq!(
-            LoadSizedManager::new(SizerCfg::default(), SimDuration::from_mins(10), 10).name(),
+            LoadSizedManager::new(SizerCfg::default(), SimDuration::from_mins(10)).name(),
             "load-sized"
         );
     }
 
-    fn fb(window_s: u64, arrivals: u64, outstanding: u64) -> gateway::LoadFeedback {
-        gateway::LoadFeedback {
+    fn fb(window_s: u64, arrivals: u64, outstanding: u64) -> LoadFeedback {
+        LoadFeedback {
             window: std::time::Duration::from_secs(window_s),
             arrivals,
             sheds: 0,
@@ -453,14 +470,14 @@ mod tests {
             max_invokers: 8,
             alpha: 1.0, // no smoothing: target == last window
         };
-        let mut m = LoadSizedManager::new(cfg, SimDuration::from_mins(10), 10);
-        assert_eq!(m.target(), 1, "no observations → floor");
+        let mut m = LoadSizedManager::new(cfg, SimDuration::from_mins(10));
+        assert_eq!(m.target(), Some(1), "no observations → floor");
         m.observe(&fb(1, 350, 0));
-        assert_eq!(m.target(), 4, "350 req/s at 100/invoker → 4");
+        assert_eq!(m.target(), Some(4), "350 req/s at 100/invoker → 4");
         m.observe(&fb(1, 2_000, 0));
-        assert_eq!(m.target(), 8, "capped at max_invokers");
+        assert_eq!(m.target(), Some(8), "capped at max_invokers");
         m.observe(&fb(1, 0, 0));
-        assert_eq!(m.target(), 1, "starved feedback → floor");
+        assert_eq!(m.target(), Some(1), "starved feedback → floor");
     }
 
     #[test]
@@ -473,10 +490,10 @@ mod tests {
             max_invokers: 16,
             alpha: 1.0,
         };
-        let mut m = LoadSizedManager::new(cfg, SimDuration::from_mins(10), 10);
+        let mut m = LoadSizedManager::new(cfg, SimDuration::from_mins(10));
         m.observe(&fb(1, 100, 45));
         // 1 invoker of rate + ceil(45/10) of backlog pressure.
-        assert_eq!(m.target(), 6);
+        assert_eq!(m.target(), Some(6));
     }
 
     #[test]
@@ -491,7 +508,7 @@ mod tests {
             max_invokers: 8,
             alpha: 1.0,
         };
-        let mut m = LoadSizedManager::new(cfg, SimDuration::from_mins(10), 10);
+        let mut m = LoadSizedManager::new(cfg, SimDuration::from_mins(10));
         m.observe(&fb(1, 500, 0));
         let p = m.plan(&cluster, 0);
         assert_eq!(p.submit.len(), 5);

@@ -26,21 +26,31 @@ pub enum PilotPhase {
 /// (§IV-B): median 12.48 s, 95th percentile 26.50 s.
 #[derive(Debug, Clone)]
 pub struct WarmupModel {
-    dist: LogNormal,
+    /// `None`: invokers boot instantly.
+    dist: Option<LogNormal>,
 }
 
 impl Default for WarmupModel {
     fn default() -> Self {
         WarmupModel {
-            dist: LogNormal::from_median_and_quantile(12.48, 0.95, 26.50),
+            dist: Some(LogNormal::from_median_and_quantile(12.48, 0.95, 26.50)),
         }
     }
 }
 
 impl WarmupModel {
+    /// Invokers that boot instantly, drawing nothing from the RNG — for
+    /// runs whose subject is not the warm-up.
+    pub fn instant() -> Self {
+        WarmupModel { dist: None }
+    }
+
     /// Sample one warm-up duration.
     pub fn sample(&self, rng: &mut SimRng) -> SimDuration {
-        SimDuration::from_secs_f64(self.dist.sample(rng).clamp(3.0, 120.0))
+        match &self.dist {
+            Some(d) => SimDuration::from_secs_f64(d.sample(rng).clamp(3.0, 120.0)),
+            None => SimDuration::ZERO,
+        }
     }
 }
 
@@ -54,6 +64,7 @@ pub struct PilotTable {
     /// Number of pilots in the warming phase over time.
     pub warming_series: StepSeries,
     n_warming: i64,
+    n_serving: usize,
 }
 
 impl PilotTable {
@@ -65,6 +76,7 @@ impl PilotTable {
             serve_lifetimes_mins: Cdf::new(),
             warming_series: StepSeries::new(start, 0.0),
             n_warming: 0,
+            n_serving: 0,
         }
     }
 
@@ -83,9 +95,13 @@ impl PilotTable {
 
     /// The invoker registered as healthy.
     pub fn on_serving(&mut self, now: SimTime, job: JobId) {
-        if self.phase.insert(job, PilotPhase::Serving) == Some(PilotPhase::Warming) {
+        let prev = self.phase.insert(job, PilotPhase::Serving);
+        if prev == Some(PilotPhase::Warming) {
             self.n_warming -= 1;
             self.warming_series.set(now, self.n_warming as f64);
+        }
+        if prev != Some(PilotPhase::Serving) {
+            self.n_serving += 1;
         }
         self.serve_since.insert(job, now);
     }
@@ -98,6 +114,7 @@ impl PilotTable {
                 self.warming_series.set(now, self.n_warming as f64);
             }
             Some(PilotPhase::Serving) => {
+                self.n_serving -= 1;
                 if let Some(since) = self.serve_since.remove(&job) {
                     self.serve_lifetimes_mins
                         .add(now.since(since).as_mins_f64());
@@ -115,6 +132,7 @@ impl PilotTable {
                 self.warming_series.set(now, self.n_warming as f64);
             }
             Some(PilotPhase::Serving) => {
+                self.n_serving -= 1;
                 // Hard death while serving (node failure): close the
                 // lifetime here.
                 if let Some(since) = self.serve_since.remove(&job) {
@@ -126,9 +144,10 @@ impl PilotTable {
         }
     }
 
-    /// Number of pilots currently warming.
-    pub fn n_warming(&self) -> usize {
-        self.n_warming as usize
+    /// Number of pilots warming or serving: on a node and not yet told
+    /// to leave.
+    pub fn n_live(&self) -> usize {
+        self.n_warming as usize + self.n_serving
     }
 }
 
@@ -160,10 +179,12 @@ mod tests {
         let j = JobId(1);
         t.on_started(secs(0), j);
         assert_eq!(t.phase(j), Some(PilotPhase::Warming));
-        assert_eq!(t.n_warming(), 1);
+        assert_eq!(t.n_live(), 1);
         t.on_serving(secs(12), j);
-        assert_eq!(t.n_warming(), 0);
+        assert_eq!(t.warming_series.value_at(secs(12)), 0.0);
+        assert_eq!(t.n_live(), 1);
         t.on_draining(secs(612), j);
+        assert_eq!(t.n_live(), 0);
         t.on_gone(secs(615), j);
         assert_eq!(t.phase(j), Some(PilotPhase::Gone));
         assert_eq!(t.serve_lifetimes_mins.len(), 1);
@@ -178,7 +199,7 @@ mod tests {
         t.on_draining(secs(5), j);
         t.on_gone(secs(6), j);
         assert_eq!(t.serve_lifetimes_mins.len(), 0);
-        assert_eq!(t.n_warming(), 0);
+        assert_eq!(t.n_live(), 0);
     }
 
     #[test]

@@ -13,60 +13,85 @@
 //!   shrink back, and the routable floor is respected throughout;
 //! * **nothing is lost** — every request accepted by the gateway
 //!   completes (the §III-C drain guarantee, exercised here through real
-//!   pilot churn rather than a hand-written plan).
+//!   pilot churn rather than a hand-written plan);
+//! * **the stream is pinned** — scripted polls and feedback windows,
+//!   with no gateway, yield a recorded lease sequence and books.
 
-use gateway::{ActionId, ActionSpec, CapacityController, ControllerConfig, Gateway, GatewayConfig};
-use hpcwhisk_core::{DesLeaseSource, DesSourceCfg, SizerCfg};
+use cluster::SlurmConfig;
+use gateway::{
+    ActionId, ActionSpec, CapacityController, ControllerConfig, Gateway, GatewayConfig, LeaseEvent,
+    LeaseEventKind, LeaseSource, LoadFeedback,
+};
+use hpcwhisk_core::{
+    DesLeaseSource, DesSourceCfg, IdleSource, ManagerKind, PilotStats, SizerCfg, WarmupModel,
+};
 use simcore::SimDuration;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+use telemetry::Registry;
 
 fn ms(n: u64) -> Duration {
     Duration::from_millis(n)
 }
 
-fn cfg() -> DesSourceCfg {
+fn cfg() -> DesSourceCfg<'static> {
     DesSourceCfg {
-        n_nodes: 8,
+        // Empty cluster: placement is immediate.
+        idle: IdleSource::Empty {
+            n_nodes: 8,
+            horizon: SimDuration::from_mins(20),
+        },
         seed: 42,
         speedup: 60.0, // one simulated minute per wall second
-        horizon: SimDuration::from_mins(20),
         max_leases: 4,
         floor: 1,
-        drain: SimDuration::from_secs(2),
-        warmup: None,     // deterministic: invokers boot instantly
-        hpc_churn: false, // empty cluster: placement is immediate
-        sizer: SizerCfg {
-            rate_per_invoker: 50.0,
-            headroom: 1.0,
-            backlog_per_invoker: 1e12, // rate term only: deterministic
-            min_invokers: 1,
-            max_invokers: 4,
-            alpha: 1.0,
+        warmup: WarmupModel::instant(), // deterministic
+        manager: ManagerKind::LoadSized {
+            sizer: sizer(4),
+            pilot_len: SimDuration::from_mins(5),
         },
-        pilot_len: SimDuration::from_mins(5),
-        pilot_priority: 10,
-        replenish_every: SimDuration::from_secs(15),
-        ..Default::default()
+        slurm: SlurmConfig::default(),
     }
+}
+
+/// Rate term only, no smoothing: deterministic.
+fn sizer(max_invokers: usize) -> SizerCfg {
+    SizerCfg {
+        rate_per_invoker: 50.0,
+        headroom: 1.0,
+        backlog_per_invoker: 1e12,
+        min_invokers: 1,
+        max_invokers,
+        alpha: 1.0,
+    }
+}
+
+/// A controller over a source built from `c`, with 250 ms feedback
+/// windows, and the source's pilot registry.
+fn controller<'g>(
+    gw: &'g Gateway,
+    c: DesSourceCfg<'_>,
+    t0: Instant,
+) -> (CapacityController<'g>, Arc<Registry>) {
+    let src = DesLeaseSource::new(c);
+    let registry = src.registry().clone();
+    let cfg = ControllerConfig {
+        drain_headroom: ms(5),
+        min_routable: 1,
+        poll_interval: ms(10),
+        feedback_every: Some(ms(250)),
+    };
+    (
+        CapacityController::from_source(gw, Box::new(src), cfg, t0),
+        registry,
+    )
 }
 
 #[test]
 fn stepped_cycle_conserves_leases_and_sizes_to_load() {
     let gw = Gateway::new(GatewayConfig::default(), vec![ActionSpec::noop("f")]);
-    let src = DesLeaseSource::new(cfg());
-    let registry = src.registry().clone();
     let t0 = Instant::now();
-    let mut ctl = CapacityController::from_source(
-        &gw,
-        Box::new(src),
-        ControllerConfig {
-            drain_headroom: ms(5),
-            min_routable: 1,
-            poll_interval: ms(10),
-            feedback_every: Some(ms(250)),
-        },
-        t0,
-    );
+    let (mut ctl, registry) = controller(&gw, cfg(), t0);
 
     // Load during the first virtual half: ~150 req per 250 ms window =
     // 600 req/s, which at 50 req/s/invoker asks for the 4-invoker cap.
@@ -186,25 +211,16 @@ fn starved_feedback_never_grants_above_floor() {
     // maintains stays minimal — pilot grants happen (the floor of the
     // *sizer*, min_invokers, is served by pilots) but never more than
     // the target plus placement overlap.
-    let mut c = cfg();
-    c.sizer.min_invokers = 1;
-    c.sizer.max_invokers = 4;
-    c.horizon = SimDuration::from_mins(10);
-    let gw = Gateway::new(GatewayConfig::default(), vec![ActionSpec::noop("f")]);
-    let src = DesLeaseSource::new(c);
-    let registry = src.registry().clone();
-    let t0 = Instant::now();
-    let mut ctl = CapacityController::from_source(
-        &gw,
-        Box::new(src),
-        ControllerConfig {
-            drain_headroom: ms(5),
-            min_routable: 1,
-            poll_interval: ms(10),
-            feedback_every: Some(ms(250)),
+    let c = DesSourceCfg {
+        idle: IdleSource::Empty {
+            n_nodes: 8,
+            horizon: SimDuration::from_mins(10),
         },
-        t0,
-    );
+        ..cfg()
+    };
+    let gw = Gateway::new(GatewayConfig::default(), vec![ActionSpec::noop("f")]);
+    let t0 = Instant::now();
+    let (mut ctl, registry) = controller(&gw, c, t0);
     let mut now = t0;
     let mut steps = 0u64;
     loop {
@@ -237,4 +253,149 @@ fn starved_feedback_never_grants_above_floor() {
         "the pinned routable floor held throughout"
     );
     ctl.finish();
+}
+
+/// One lease event as `(at_ns, node, Some(deadline_ns))` for a grant
+/// and `(at_ns, node, None)` for a revoke.
+type Pinned = (u64, u32, Option<u64>);
+
+/// Drive `src` on a virtual wall clock with no gateway: a poll every
+/// 250 ms, each followed by one feedback window whose arrivals ramp up
+/// to 600 req/s over the first half of the horizon and are zero after.
+/// Returns the lease stream in canonical order (time, revokes first,
+/// node: the horizon close revokes a batch at one instant) and the
+/// source's final books.
+fn scripted_stream(mut src: DesLeaseSource, horizon_wall: Duration) -> (Vec<Pinned>, PilotStats) {
+    let step = ms(250);
+    let mut events: Vec<LeaseEvent> = Vec::new();
+    let mut now = Duration::ZERO;
+    let mut window = 0u64;
+    while !src.exhausted() {
+        src.poll(now, &mut events);
+        let arrivals = if now < horizon_wall / 2 {
+            (window * 15).min(150)
+        } else {
+            0
+        };
+        src.observe(&LoadFeedback {
+            window: step,
+            arrivals,
+            ..Default::default()
+        });
+        window += 1;
+        now += step;
+        assert!(now < horizon_wall * 2, "the source never exhausted");
+    }
+    events.sort_by_key(|e| (e.at, e.kind.rank(), e.node));
+    let ns = |d: Duration| d.as_nanos() as u64;
+    let pinned = events.iter().map(|e| match e.kind {
+        LeaseEventKind::Grant { deadline } => (ns(e.at), e.node, Some(ns(deadline))),
+        _ => (ns(e.at), e.node, None),
+    });
+    (pinned.collect(), src.stats())
+}
+
+/// The callers' shape: instant warm-up, an empty 8-node cluster, at
+/// most 4 leases, and a sizer that asks for more pilots than the
+/// cluster has nodes at the peak, so grants hit the lease cap, pilots
+/// queue, and the starved half cancels them.
+fn scripted_cfg() -> DesSourceCfg<'static> {
+    DesSourceCfg {
+        manager: ManagerKind::LoadSized {
+            sizer: SizerCfg {
+                alpha: 0.5,
+                ..sizer(10)
+            },
+            pilot_len: SimDuration::from_mins(5),
+        },
+        ..cfg()
+    }
+}
+
+#[test]
+fn scripted_polls_and_feedback_pin_the_lease_stream() {
+    let (events, stats) = scripted_stream(DesLeaseSource::new(scripted_cfg()), ms(20_000));
+    // Recorded before the three DES loops became one driver.
+    let expected: Vec<Pinned> = vec![
+        (0, 1_000_000, Some(20_000_000_000_000)),
+        (33_333_333, 0, Some(6_033_333_333)),
+        (500_000_000, 1, Some(6_500_000_000)),
+        (750_000_000, 2, Some(6_750_000_000)),
+        (1_000_000_000, 3, Some(7_000_000_000)),
+        (6_033_333_333, 0, None),
+        (6_066_666_667, 4, Some(12_066_666_667)),
+        (6_500_000_000, 1, None),
+        (6_533_333_333, 5, Some(12_533_333_333)),
+        (6_750_000_000, 2, None),
+        (6_783_333_333, 6, Some(12_783_333_333)),
+        (7_000_000_000, 3, None),
+        (7_033_333_333, 7, Some(13_033_333_333)),
+        (12_066_666_667, 4, None),
+        (12_533_333_333, 5, None),
+        (12_783_333_333, 6, None),
+        (13_033_333_333, 7, None),
+        (14_000_000_000, 8, Some(20_000_000_000)),
+        (20_000_000_000, 8, None),
+    ];
+    assert_eq!(events, expected);
+    assert_eq!(
+        stats,
+        PilotStats {
+            submitted: 19,
+            cancelled: 2,
+            grants: 9,
+            revokes: 9,
+            preemptions: 0,
+            capped: 8,
+            warmup_cancelled: 8,
+            feedbacks: 81,
+            leased_node_secs: 3_240,
+        }
+    );
+
+    // The same script over a generated HPC job stream with the measured
+    // warm-up: pilots wait for backfill holes and are preempted.
+    let src = DesLeaseSource::new(DesSourceCfg {
+        idle: IdleSource::Backlog {
+            n_nodes: 8,
+            horizon: SimDuration::from_mins(20),
+        },
+        warmup: WarmupModel::default(),
+        ..scripted_cfg()
+    });
+    let (events, stats) = scripted_stream(src, ms(20_000));
+    let expected: Vec<Pinned> = vec![
+        (0, 1_000_000, Some(20_000_000_000_000)),
+        (158_400_000, 0, Some(6_033_333_333)),
+        (632_783_333, 1, Some(6_500_000_000)),
+        (1_156_850_000, 2, Some(6_750_000_000)),
+        (1_420_250_000, 3, Some(7_000_000_000)),
+        (6_033_333_333, 0, None),
+        (6_248_516_667, 4, Some(12_066_666_667)),
+        (6_500_000_000, 1, None),
+        (6_664_350_000, 5, Some(12_533_333_333)),
+        (6_750_000_000, 2, None),
+        (6_984_333_333, 6, Some(12_783_333_333)),
+        (7_000_000_000, 3, None),
+        (7_198_316_667, 7, Some(13_033_333_333)),
+        (11_000_000_000, 4, None),
+        (11_000_000_000, 5, None),
+        (11_000_000_000, 6, None),
+        (11_000_000_000, 7, None),
+    ];
+    assert_eq!(events, expected);
+    assert_eq!(
+        stats,
+        PilotStats {
+            submitted: 18,
+            cancelled: 3,
+            grants: 8,
+            revokes: 8,
+            preemptions: 4,
+            capped: 6,
+            warmup_cancelled: 6,
+            feedbacks: 81,
+            leased_node_secs: 2_389,
+        }
+    );
 }

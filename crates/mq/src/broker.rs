@@ -229,15 +229,6 @@ impl<T> Broker<T> {
         self.by_name.len()
     }
 
-    /// Sum of depths over all live topics.
-    pub fn total_depth(&self) -> usize {
-        self.topics
-            .iter()
-            .filter(|t| t.alive)
-            .map(|t| t.queue.len())
-            .sum()
-    }
-
     fn topic_mut(&mut self, id: TopicId) -> &mut Topic<T> {
         let t = self
             .topics
