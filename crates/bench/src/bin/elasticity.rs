@@ -2,7 +2,7 @@
 //! serving FaaS traffic *while* the substrate churns underneath —
 //! executed end to end in the live plane.
 //!
-//! Three sub-scenarios, all runnable in one invocation:
+//! Two sub-scenarios, both runnable in one invocation:
 //!
 //! * **day replay** (`--day`, default): a day-profile availability
 //!   trace from the Prometheus-calibrated idle model, compiled into a
@@ -11,31 +11,26 @@
 //!   the closed-loop harness. Asserts zero lost invocations and prints
 //!   the per-action admitted/delayed/shed/lost breakdown plus the
 //!   controller's grant/extend/drain/revoke counters.
-//! * **churn matrix** (`--churn-matrix [N]`): the exactly-once
-//!   acceptance matrix — N iterations (default 100) of trace-driven
-//!   grant/revoke churn with randomized trace seeds, each executed at
-//!   drain-batch sizes 1, 4 and 32, with mixed single/burst submission
-//!   and spin bodies so revocations land mid-batch. Every iteration
-//!   asserts zero lost and zero duplicated invocations by id set.
 //! * **overload** (`--overload`): the backpressure shape comparison —
 //!   the same ~2x-capacity overload run through the hard-shed baseline
 //!   and the token-bucket path; asserts the bucket sheds strictly less
 //!   and that its delays are the typed, bounded kind.
 //!
-//! `--quick` runs a scaled-down version of all three (the CI
-//! `elasticity-churn` job). With no flags, all three run at full size.
+//! `--quick` runs a scaled-down version of both (the CI
+//! `elasticity-churn` job). With no flags, both run at full size. The
+//! exactly-once matrix under trace-driven churn at drain batch {1, 4,
+//! 32} is `drain_stress`'s `trace_driven_drains_exactly_once` test.
 //! `--metrics-out <path>` writes the day-replay gateway's Prometheus
 //! exposition (CI greps it for shed/lease conservation invariants).
 //!
 //! Run with: `cargo run --release -p hpcwhisk_bench --bin elasticity [-- flags]`
 
 use gateway::{
-    run_load, run_load_with_controller, ActionBody, ActionId, ActionSpec, AdmissionPolicy,
-    BurstScratch, CapacityController, ControllerConfig, Gateway, GatewayConfig, HarnessConfig,
-    LeasePlan, TokenBucketCfg,
+    run_load, run_load_with_controller, ActionBody, ActionSpec, AdmissionPolicy,
+    CapacityController, ControllerConfig, Gateway, GatewayConfig, HarnessConfig, LeasePlan,
+    TokenBucketCfg,
 };
-use simcore::{SimDuration, SimRng};
-use std::collections::HashSet;
+use simcore::SimDuration;
 use std::time::{Duration, Instant};
 use workload::{Arrival, DiurnalLoadGen, IdleModel, PoissonLoadGen};
 
@@ -43,19 +38,10 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let want = |flag: &str| args.iter().any(|a| a == flag);
-    let all = !want("--day") && !want("--churn-matrix") && !want("--overload");
+    let all = !want("--day") && !want("--overload");
 
     if all || want("--day") {
         day_replay(quick);
-    }
-    if all || want("--churn-matrix") {
-        let n = args
-            .iter()
-            .position(|a| a == "--churn-matrix")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(if quick { 15 } else { 100 });
-        churn_matrix(n);
     }
     if all || want("--overload") {
         overload_shapes(quick);
@@ -137,109 +123,6 @@ fn day_replay(quick: bool) {
     println!(
         "[day] OK: {} completed, 0 lost, {} containers retired at drains\n",
         report.completed, pools.drain_retired
-    );
-}
-
-/// The acceptance matrix: exactly-once under trace-driven churn at
-/// every drain-batch size, with randomized trace seeds.
-fn churn_matrix(iterations: u64) {
-    for &drain_batch in &[1usize, 4, 32] {
-        for iter in 0..iterations {
-            churn_iteration(iter, drain_batch);
-        }
-        println!("[matrix] drain_batch {drain_batch}: {iterations} iterations exactly-once");
-    }
-}
-
-fn churn_iteration(seed: u64, drain_batch: usize) {
-    let mut rng = SimRng::seed_from_u64(seed ^ 0xe1a5_71c1 ^ (drain_batch as u64) << 32);
-    // A fresh 30-minute window of the calibrated week per iteration:
-    // randomized trace seeds drive genuinely different grant/revoke
-    // schedules.
-    let trace = IdleModel::prometheus_week().capacity_trace(
-        SimDuration::from_mins_f64(30.0),
-        0x5eed ^ seed.wrapping_mul(0x9e37_79b9) ^ drain_batch as u64,
-        SimDuration::from_mins_f64(5.0),
-    );
-    // Compress to ~40 ms of wall time and step it with a virtual clock.
-    let plan_wall = Duration::from_millis(40);
-    let speedup = SimDuration::from_mins_f64(30.0).as_secs_f64() / plan_wall.as_secs_f64();
-    let plan = LeasePlan::from_capacity_trace(&trace, speedup, 6, 1);
-
-    let gw = Gateway::new(
-        GatewayConfig {
-            queue_capacity: 16,
-            park: Duration::from_micros(200),
-            drain_batch,
-            ..Default::default()
-        },
-        vec![
-            ActionSpec::noop("noop"),
-            ActionSpec::noop("spin").with_body(ActionBody::Spin(Duration::from_micros(
-                20 + rng.range_u64(0, 60),
-            ))),
-        ],
-    );
-    let n_requests = 150 + rng.index(150);
-    let step = plan_wall / n_requests as u32;
-    let t0 = Instant::now();
-    let mut ctl = CapacityController::new(
-        &gw,
-        plan,
-        ControllerConfig {
-            drain_headroom: step * 2,
-            min_routable: 1,
-            ..Default::default()
-        },
-        t0,
-    );
-
-    let mut accepted = HashSet::new();
-    let mut scratch = BurstScratch::default();
-    for i in 0..n_requests {
-        ctl.poll(t0 + step * i as u32);
-        if rng.chance(0.25) {
-            let n = 2 + rng.index(10);
-            let reqs: Vec<_> = (0..n)
-                .map(|_| (ActionId(rng.index(2) as u32), rng.next_u64()))
-                .collect();
-            let mut outcomes = Vec::new();
-            gw.invoke_burst(&reqs, Instant::now(), &mut outcomes, &mut scratch);
-            for outcome in outcomes.into_iter().flatten() {
-                assert!(accepted.insert(outcome.id), "duplicate id");
-            }
-        } else if let Ok(admit) = gw.invoke(ActionId(rng.index(2) as u32), rng.next_u64()) {
-            assert!(accepted.insert(admit.id), "duplicate id");
-        }
-    }
-
-    let (mut col, mut done) = (gw.collector(), Vec::new());
-    let mut completed = HashSet::new();
-    while completed.len() < accepted.len() {
-        done.clear();
-        if gw.collect_wait(&mut col, &mut done, Duration::from_secs(10)) == 0 {
-            panic!(
-                "seed {seed} batch {drain_batch}: lost {} of {} ({:?})",
-                accepted.len() - completed.len(),
-                accepted.len(),
-                ctl.stats()
-            )
-        }
-        for c in &done {
-            assert!(
-                completed.insert(c.id),
-                "seed {seed} batch {drain_batch}: request {} executed twice",
-                c.id
-            );
-        }
-    }
-    assert_eq!(completed, accepted, "seed {seed} batch {drain_batch}");
-    ctl.finish();
-    assert_eq!(gw.shutdown(), 0, "seed {seed} batch {drain_batch}");
-    let pools = gw.retired_pool_stats();
-    assert!(
-        pools.containers_conserved(),
-        "seed {seed} batch {drain_batch}: container leak: {pools:?}"
     );
 }
 

@@ -263,8 +263,8 @@ pub fn scheduler_exposition(c: &cluster::Counters, des: Option<&DesWork>) -> Str
     render_prometheus(&reg.snapshot())
 }
 
-/// The scheduler fixture the criterion bench and `perf_trajectory`
-/// share: a 2,239-node cluster, ~95% occupied by pinned demand, with a
+/// The scheduler fixture of `perf_trajectory`'s `scheduler/` rows: a
+/// 2,239-node cluster, ~95% occupied by pinned demand, with a
 /// full fib pilot queue pending.
 pub fn loaded_cluster() -> ClusterSim {
     let mut sim = ClusterSim::new(SlurmConfig::default(), 2_239, 1);

@@ -786,12 +786,12 @@ impl Timeline {
     }
 
     /// The canonical deterministic churn workload shared by the
-    /// `scheduler/placement_churn_2239_nodes` perf probe, the criterion
-    /// bench and the `placement_churn` regression test (which pins its
-    /// final state against the reference scans): BestFit claims from an
-    /// LCG stream, releases when saturated, periodic window advances.
-    /// One definition keeps the three measurements of "the same shape"
-    /// from drifting apart. Returns the number of placements.
+    /// `scheduler/placement_churn_2239_nodes` perf probe and the
+    /// `placement_churn` regression test (which pins its final state
+    /// against the reference scans): BestFit claims from an LCG stream,
+    /// releases when saturated, periodic window advances. One definition
+    /// keeps the measured shape and the tested one from drifting apart.
+    /// Returns the number of placements.
     #[doc(hidden)]
     pub fn run_deterministic_churn(&mut self, steps: u64) -> u64 {
         self.run_deterministic_churn_with(steps, FitPolicy::BestFit)

@@ -479,7 +479,7 @@ proptest! {
     }
 }
 
-/// The exact workload the perf probe and criterion bench measure
+/// The exact workload the perf probe measures
 /// (`Timeline::run_deterministic_churn` — one shared definition, so the
 /// measured shape and the tested shape cannot drift apart), pinned here
 /// so the probe can never silently measure a panicking loop: a

@@ -35,7 +35,7 @@ use crate::action::{ActionId, ActionRegistry, ActionSpec};
 use crate::admission::{AdmissionPolicy, AdmissionShaper, Shape};
 use crate::queue::{Envelope, FastLane, Produce, ProduceBatch, Request};
 use crate::ring::RingQueue;
-use crate::route::{mix64, Router};
+use crate::route::Router;
 use crate::telem::{BurstCounts, GatewayTelemetry, SlotTelem, Totals};
 use simcore::pool::{Acquire, ContainerPool, PoolStats};
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -902,11 +902,6 @@ impl Gateway {
             telem.delayed.inc(a);
         }
         Ok(Admit { id, delay })
-    }
-
-    /// Convenience: route by an action's name hash (paper §II routing).
-    pub fn invoke_named(&self, action: ActionId) -> Result<Admit, Shed> {
-        self.invoke(action, mix64(action.0 as u64))
     }
 
     /// Submit a burst of invocations sharing one admission timestamp.

@@ -8,12 +8,12 @@
 //!
 //! Since ISSUE 4 the churn no longer hand-rolls `start_invoker` /
 //! `sigterm` / `join_invoker`: each iteration compiles a seeded
-//! synthetic [`LeasePlan`] (Poisson grants, exponential holds, early
-//! preemption-shaped revokes, renewals, a pinned routable floor) and
-//! steps a [`CapacityController`] through it on a **virtual clock**
-//! interleaved with the submissions — the same lease-driven lifecycle
-//! the production scenario uses, with deterministic event points per
-//! seed.
+//! [`LeasePlan`] — synthetic (Poisson grants, exponential holds, early
+//! preemption-shaped revokes, renewals, a pinned routable floor) or
+//! replayed from a window of the calibrated idle model — and steps a
+//! [`CapacityController`] through it on a **virtual clock** interleaved
+//! with the submissions — the same lease-driven lifecycle the
+//! production scenario uses, with deterministic event points per seed.
 //!
 //! This exercises the whole drain stack at once: the atomic queue
 //! closure, batched fast-lane/home-queue pops (including a
@@ -29,29 +29,53 @@ use gateway::{
     ActionBody, ActionId, ActionSpec, AdmissionPolicy, BurstScratch, CapacityController, ChurnCfg,
     Completion, ControllerConfig, Gateway, GatewayConfig, LeasePlan, Shed, TokenBucketCfg,
 };
-use simcore::SimRng;
+use simcore::{SimDuration, SimRng};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
+use workload::IdleModel;
 
 #[test]
 fn hundred_randomized_drains_exactly_once_batch_1() {
     for iter in 0..100u64 {
-        run_iteration(iter, 1);
+        run_iteration(iter, 1, synthetic(iter));
     }
 }
 
 #[test]
 fn hundred_randomized_drains_exactly_once_batch_4() {
     for iter in 0..100u64 {
-        run_iteration(iter, 4);
+        run_iteration(iter, 4, synthetic(iter));
     }
 }
 
 #[test]
 fn hundred_randomized_drains_exactly_once_batch_32() {
     for iter in 0..100u64 {
-        run_iteration(iter, 32);
+        run_iteration(iter, 32, synthetic(iter));
+    }
+}
+
+/// The same exactly-once guarantee under trace-driven churn: every
+/// iteration replays a fresh 30-minute window of the calibrated week
+/// model (a randomized trace seed per iteration, so genuinely different
+/// grant/revoke schedules) compressed into the iteration, at each drain
+/// batch size.
+#[test]
+fn trace_driven_drains_exactly_once() {
+    for drain_batch in [1usize, 4, 32] {
+        for iter in 0..15u64 {
+            let window = SimDuration::from_mins(30);
+            let trace = IdleModel::prometheus_week().capacity_trace(
+                window,
+                0x5eed ^ iter.wrapping_mul(0x9e37_79b9) ^ drain_batch as u64,
+                SimDuration::from_mins(5),
+            );
+            run_iteration(iter, drain_batch, |horizon| {
+                let speedup = window.as_secs_f64() / horizon.as_secs_f64();
+                LeasePlan::from_capacity_trace(&trace, speedup, 6, 1)
+            });
+        }
     }
 }
 
@@ -536,7 +560,28 @@ fn run_matrix_iteration(
     }
 }
 
-fn run_iteration(seed: u64, drain_batch: usize) {
+/// Seeded synthetic churn dense enough that several
+/// grant/extend/drain/revoke transitions land inside every iteration.
+fn synthetic(seed: u64) -> impl FnOnce(Duration) -> LeasePlan {
+    move |horizon| {
+        LeasePlan::synthetic_churn(
+            &ChurnCfg {
+                horizon,
+                mean_hold: horizon / 5,
+                target_active: 3,
+                max_active: 6,
+                min_active: 1,
+                early_revoke_frac: 0.4,
+                extend_frac: 0.3,
+            },
+            seed,
+        )
+    }
+}
+
+/// One iteration under the lease plan `plan` builds for the
+/// iteration's horizon.
+fn run_iteration(seed: u64, drain_batch: usize, plan: impl FnOnce(Duration) -> LeasePlan) {
     let mut rng = SimRng::seed_from_u64(seed ^ 0xd8a1_57e5 ^ (drain_batch as u64) << 32);
     let n_requests = 120 + rng.index(180); // 120..=299
     let gw = Gateway::new(
@@ -558,28 +603,14 @@ fn run_iteration(seed: u64, drain_batch: usize) {
             ))),
         ],
     );
-    // The lease schedule: one virtual tick per submitted request, churn
-    // dense enough that several grant/extend/drain/revoke transitions
-    // land inside every iteration. The pinned floor keeps one invoker
-    // routable at all times, so everything accepted can complete.
+    // The lease schedule: one virtual tick per submitted request. The
+    // plan's pinned floor keeps one invoker routable at all times, so
+    // everything accepted can complete.
     let step = Duration::from_micros(100);
-    let horizon = step * n_requests as u32;
-    let plan = LeasePlan::synthetic_churn(
-        &ChurnCfg {
-            horizon,
-            mean_hold: horizon / 5,
-            target_active: 3,
-            max_active: 6,
-            min_active: 1,
-            early_revoke_frac: 0.4,
-            extend_frac: 0.3,
-        },
-        seed,
-    );
     let t0 = Instant::now();
     let mut ctl = CapacityController::new(
         &gw,
-        plan,
+        plan(step * n_requests as u32),
         ControllerConfig {
             drain_headroom: step * 2,
             min_routable: 1,

@@ -122,16 +122,6 @@ impl Cdf {
         }
         pts
     }
-
-    /// A compact multi-quantile summary: (p25, p50, p75, mean).
-    pub fn quartile_summary(&mut self) -> (f64, f64, f64, f64) {
-        (
-            self.quantile(0.25),
-            self.quantile(0.5),
-            self.quantile(0.75),
-            self.mean(),
-        )
-    }
 }
 
 #[cfg(test)]

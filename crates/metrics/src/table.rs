@@ -2,46 +2,23 @@
 
 use std::fmt::Write as _;
 
-/// Column alignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Align {
-    /// Left-justified (labels).
-    Left,
-    /// Right-justified (numbers).
-    Right,
-}
-
-/// A simple text table: header row, aligned columns, optional separator
-/// rows. All the tableI/II/III harness binaries render through this so
-/// output formatting is consistent and testable.
+/// A simple text table: header row, optional separator rows, the first
+/// column left-aligned (labels) and the rest right-aligned (numbers).
+/// All the tableI/II/III harness binaries render through this so output
+/// formatting is consistent and testable.
 #[derive(Debug, Clone)]
 pub struct Table {
     header: Vec<String>,
-    aligns: Vec<Align>,
     rows: Vec<Option<Vec<String>>>, // None = separator line
 }
 
 impl Table {
-    /// Build a table with the given column headers; the first column is
-    /// left-aligned and the rest right-aligned (the common layout).
+    /// Build a table with the given column headers.
     pub fn new(header: &[&str]) -> Self {
-        let aligns = header
-            .iter()
-            .enumerate()
-            .map(|(i, _)| if i == 0 { Align::Left } else { Align::Right })
-            .collect();
         Table {
             header: header.iter().map(|s| s.to_string()).collect(),
-            aligns,
             rows: Vec::new(),
         }
-    }
-
-    /// Override column alignments (must match the header arity).
-    pub fn with_aligns(mut self, aligns: Vec<Align>) -> Self {
-        assert_eq!(aligns.len(), self.header.len());
-        self.aligns = aligns;
-        self
     }
 
     /// Append a data row; panics if the arity mismatches the header.
@@ -93,27 +70,25 @@ impl Table {
                 }
             }
         };
-        let write_row = |out: &mut String, cells: &[String], aligns: &[Align]| {
+        // The header is left-aligned throughout.
+        let write_row = |out: &mut String, cells: &[String], header: bool| {
             for (i, cell) in cells.iter().enumerate() {
                 let w = widths[i];
-                match aligns[i] {
-                    Align::Left => {
-                        let _ = write!(out, "| {cell:<w$} ");
-                    }
-                    Align::Right => {
-                        let _ = write!(out, "| {cell:>w$} ");
-                    }
+                if header || i == 0 {
+                    let _ = write!(out, "| {cell:<w$} ");
+                } else {
+                    let _ = write!(out, "| {cell:>w$} ");
                 }
             }
             out.push('|');
             out.push('\n');
         };
         sep_line(&mut out);
-        write_row(&mut out, &self.header, &vec![Align::Left; ncols]);
+        write_row(&mut out, &self.header, true);
         sep_line(&mut out);
         for row in &self.rows {
             match row {
-                Some(cells) => write_row(&mut out, cells, &self.aligns),
+                Some(cells) => write_row(&mut out, cells, false),
                 None => sep_line(&mut out),
             }
         }

@@ -3,7 +3,6 @@
 //! These run for real — Fig. 7's comparison measures genuine CPU work.
 
 use crate::graph::Graph;
-use rayon::prelude::*;
 
 /// BFS from `source`: returns `(levels, visited_count)`; unreachable
 /// vertices get `u32::MAX`.
@@ -99,16 +98,6 @@ pub fn mst(g: &Graph) -> (f64, usize) {
 /// PageRank by power iteration (damping 0.85) until the L1 change drops
 /// below `tol` or `max_iters` is hit. Returns `(ranks, iterations)`.
 pub fn pagerank(g: &Graph, tol: f64, max_iters: usize) -> (Vec<f64>, usize) {
-    pagerank_impl(g, tol, max_iters, false)
-}
-
-/// Rayon-parallel PageRank; identical result up to floating-point
-/// reduction order.
-pub fn pagerank_par(g: &Graph, tol: f64, max_iters: usize) -> (Vec<f64>, usize) {
-    pagerank_impl(g, tol, max_iters, true)
-}
-
-fn pagerank_impl(g: &Graph, tol: f64, max_iters: usize, parallel: bool) -> (Vec<f64>, usize) {
     const D: f64 = 0.85;
     let n = g.n;
     let mut rank = vec![1.0 / n as f64; n];
@@ -130,21 +119,12 @@ fn pagerank_impl(g: &Graph, tol: f64, max_iters: usize, parallel: bool) -> (Vec<
             .map(|v| rank[v])
             .sum();
         let base = (1.0 - D) / n as f64 + D * dangling / n as f64;
-        let compute = |v: usize| -> f64 {
+        for (v, slot) in next.iter_mut().enumerate() {
             let mut sum = 0.0;
             for &w in g.neighbors(v as u32) {
                 sum += rank[w as usize] * inv_deg[w as usize];
             }
-            base + D * sum
-        };
-        if parallel {
-            next.par_iter_mut()
-                .enumerate()
-                .for_each(|(v, slot)| *slot = compute(v));
-        } else {
-            for (v, slot) in next.iter_mut().enumerate() {
-                *slot = compute(v);
-            }
+            *slot = base + D * sum;
         }
         let delta: f64 = rank
             .iter()
@@ -287,16 +267,6 @@ mod tests {
         let (ranks, _) = pagerank(&g, 1e-10, 500);
         let hub = ranks[0];
         assert!(ranks[1..].iter().all(|r| *r < hub));
-    }
-
-    #[test]
-    fn pagerank_parallel_matches_sequential() {
-        let g = Graph::barabasi_albert(2_000, 3, 6);
-        let (a, _) = pagerank(&g, 1e-10, 300);
-        let (b, _) = pagerank_par(&g, 1e-10, 300);
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert!((x - y).abs() < 1e-9);
-        }
     }
 
     #[test]

@@ -14,6 +14,6 @@ pub mod platform;
 pub mod runner;
 
 pub use graph::Graph;
-pub use kernels::{bfs, mst, pagerank, pagerank_par};
+pub use kernels::{bfs, mst, pagerank};
 pub use platform::{PlatformModel, LAMBDA_BASE_FACTOR, LAMBDA_FULL_VCPU_MB};
 pub use runner::{measure, Kernel, Measurement};

@@ -67,11 +67,6 @@ impl Measurement {
         self.times_secs[self.times_secs.len() / 2]
     }
 
-    /// Mean wall time.
-    pub fn mean_secs(&self) -> f64 {
-        self.times_secs.iter().sum::<f64>() / self.times_secs.len() as f64
-    }
-
     /// Project the median onto a platform model.
     pub fn on_platform(&self, p: &PlatformModel) -> f64 {
         p.execution_secs(self.median_secs())

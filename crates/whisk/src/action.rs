@@ -10,7 +10,7 @@ pub enum ExecModel {
     /// container slot but no meaningful CPU.
     Sleep(SimDuration),
     /// Compute-bound work measured in seconds on a reference node
-    /// (the SeBS kernels, §V-D); a platform's speed factor scales it.
+    /// (the SeBS kernels, §V-D).
     Busy {
         /// Seconds of single-core work on the reference platform.
         reference_secs: f64,
@@ -18,14 +18,11 @@ pub enum ExecModel {
 }
 
 impl ExecModel {
-    /// Service time on a platform with the given speed factor
-    /// (1.0 = reference node; >1 = slower).
-    pub fn service_time(&self, speed_factor: f64) -> SimDuration {
+    /// Service time on the reference node.
+    pub fn service_time(&self) -> SimDuration {
         match self {
             ExecModel::Sleep(d) => *d,
-            ExecModel::Busy { reference_secs } => {
-                SimDuration::from_secs_f64(reference_secs * speed_factor)
-            }
+            ExecModel::Busy { reference_secs } => SimDuration::from_secs_f64(*reference_secs),
         }
     }
 }
@@ -76,17 +73,14 @@ mod tests {
     #[test]
     fn sleep_service_time_ignores_platform() {
         let e = ExecModel::Sleep(SimDuration::from_millis(10));
-        assert_eq!(e.service_time(1.0), SimDuration::from_millis(10));
-        assert_eq!(e.service_time(2.0), SimDuration::from_millis(10));
+        assert_eq!(e.service_time(), SimDuration::from_millis(10));
     }
 
     #[test]
     fn busy_service_time_scales() {
-        let e = ExecModel::Busy {
-            reference_secs: 2.0,
-        };
-        assert_eq!(e.service_time(1.0), SimDuration::from_secs(2));
-        assert_eq!(e.service_time(1.15), SimDuration::from_millis(2_300));
+        let busy = |reference_secs| ExecModel::Busy { reference_secs }.service_time();
+        assert_eq!(busy(2.0), SimDuration::from_secs(2));
+        assert_eq!(busy(2.3), SimDuration::from_millis(2_300));
     }
 
     #[test]

@@ -103,7 +103,6 @@ struct Shared {
     records_base: u64,
     rng: SimRng,
     counters: WhiskCounters,
-    speed_factor: f64,
 }
 
 /// Invoker ids below this index [`InvokerTable::dense`] directly. Callers
@@ -244,9 +243,7 @@ impl Shared {
                     inv.buffer.pop_front();
                     inv.running.push((act, f));
                     self.counters.warm_starts += 1;
-                    let service = self.functions[f.0 as usize]
-                        .exec
-                        .service_time(self.speed_factor);
+                    let service = self.functions[f.0 as usize].exec.service_time();
                     let d = self.jitter(self.cfg.dispatch) + service;
                     out.after(d, WhiskEvent::ExecDone { inv: id, act });
                 }
@@ -323,7 +320,6 @@ impl WhiskSys {
                 records_base: 0,
                 rng: SimRng::seed_from_u64(seed ^ 0x7768_6973_6b00),
                 counters: WhiskCounters::default(),
-                speed_factor: 1.0,
             },
             broker,
             fast_lane,
@@ -339,14 +335,6 @@ impl WhiskSys {
             n_healthy: 0,
             n_irresp: 0,
         }
-    }
-
-    /// Set the compute speed factor for `Busy` functions (1.0 = the
-    /// reference HPC node; >1 = slower platform).
-    pub fn with_speed_factor(mut self, f: f64) -> Self {
-        assert!(f > 0.0);
-        self.shared.speed_factor = f;
-        self
     }
 
     /// Anchor the controller's periodic work: timeout scans run on the
@@ -785,9 +773,7 @@ impl WhiskSys {
         let Some(&(_, f)) = inv.running.iter().find(|(a, _)| *a == act) else {
             return; // aborted during drain
         };
-        let service = self.shared.functions[f.0 as usize]
-            .exec
-            .service_time(self.shared.speed_factor);
+        let service = self.shared.functions[f.0 as usize].exec.service_time();
         let d = self.shared.jitter(self.shared.cfg.dispatch) + service;
         out.after(d, WhiskEvent::ExecDone { inv: id, act });
     }
