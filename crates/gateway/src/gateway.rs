@@ -33,13 +33,14 @@
 
 use crate::action::{ActionId, ActionRegistry, ActionSpec};
 use crate::admission::{AdmissionPolicy, AdmissionShaper, Shape};
+use crate::park::Park;
 use crate::queue::{Envelope, FastLane, Produce, ProduceBatch, Request};
 use crate::ring::RingQueue;
 use crate::route::Router;
 use crate::telem::{BurstCounts, GatewayTelemetry, SlotTelem, Totals};
 use simcore::pool::{Acquire, ContainerPool, PoolStats};
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use telemetry::flight::{self, EventKind};
@@ -404,62 +405,15 @@ impl Drop for ShardTable {
     }
 }
 
-/// The completion-wait gate: `seq` bumps on every shard publish and
-/// `waiters` counts parked collectors, so producers skip the condvar
-/// (and its futex) entirely while every collector is busy — the same
-/// waiter-counted-wake discipline as [`RingQueue::pop_timeout`]. Idle
-/// collectors ([`Gateway::collect_wait`], the harness's
-/// [`Gateway::wait_completions`]) park until a publish actually
-/// happens instead of polling and burning a core each.
+/// The completion-wait gate: `seq` bumps on every shard publish, and
+/// an idle collector ([`Gateway::collect_wait`], the harness's
+/// [`Gateway::wait_completions`]) parks on the gateway's one [`Park`]
+/// until it moves, instead of polling and burning a core. A publish
+/// touches the condvar only while a collector is parked; each wake is
+/// counted as the `completion_wake` contention source.
 struct CompletionGate {
     seq: AtomicU64,
-    waiters: AtomicUsize,
-    lock: Mutex<()>,
-    cv: Condvar,
-}
-
-impl CompletionGate {
-    fn new() -> Self {
-        CompletionGate {
-            seq: AtomicU64::new(0),
-            waiters: AtomicUsize::new(0),
-            lock: Mutex::new(()),
-            cv: Condvar::new(),
-        }
-    }
-
-    #[inline]
-    fn epoch(&self) -> u64 {
-        self.seq.load(Ordering::SeqCst)
-    }
-
-    /// Producer side: called after a publish. SeqCst on the bump and
-    /// the waiter check pairs with the consumer's register-then-recheck
-    /// so no wakeup is lost; the common (no waiter) case is one RMW +
-    /// one load per *batch*, never a lock.
-    #[inline]
-    fn publish_wake(&self) {
-        self.seq.fetch_add(1, Ordering::SeqCst);
-        if self.waiters.load(Ordering::SeqCst) > 0 {
-            let _g = self.lock.lock().unwrap_or_else(|e| e.into_inner());
-            self.cv.notify_all();
-        }
-    }
-
-    /// Consumer side: park until the epoch moves past `seen` or
-    /// `timeout` elapses. `seen` must have been read *before* the
-    /// caller's (empty) sweep: a publish that raced the sweep moved the
-    /// epoch, so the wait returns immediately and the caller re-sweeps.
-    fn wait(&self, seen: u64, timeout: Duration) {
-        self.waiters.fetch_add(1, Ordering::SeqCst);
-        {
-            let g = self.lock.lock().unwrap_or_else(|e| e.into_inner());
-            if self.seq.load(Ordering::SeqCst) == seen {
-                let _ = self.cv.wait_timeout(g, timeout);
-            }
-        }
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
-    }
+    park: Park,
 }
 
 /// A per-collector cursor + claim tag for the sharded completion path:
@@ -599,7 +553,10 @@ impl Gateway {
             slots: Mutex::new(Vec::new()),
             fast: Arc::new(fast),
             completion_shards: ShardTable::new(),
-            gate: Arc::new(CompletionGate::new()),
+            gate: Arc::new(CompletionGate {
+                seq: AtomicU64::new(0),
+                park: Park::new(telem.completion_wakes.clone()),
+            }),
             next_collector: AtomicU32::new(1),
             shaper,
             ring_full,
@@ -774,10 +731,9 @@ impl Gateway {
     }
 
     /// Blocking collect: sweep, and if nothing is pending park on the
-    /// completion gate (waiter-counted — a publish wakes the collector,
-    /// idle waits burn no CPU) until something lands or `timeout`
-    /// elapses. Returns how many completions were moved into `out`
-    /// (0 on timeout).
+    /// completion gate (a publish wakes the collector, idle waits burn
+    /// no CPU) until something lands or `timeout` elapses. Returns how
+    /// many completions were moved into `out` (0 on timeout).
     pub fn collect_wait(
         &self,
         col: &mut Collector,
@@ -786,7 +742,7 @@ impl Gateway {
     ) -> usize {
         let deadline = Instant::now().checked_add(timeout);
         loop {
-            let seen = self.gate.epoch();
+            let seen = self.completion_epoch();
             let n = self.collect_completions_with(col, out);
             if n > 0 {
                 return n;
@@ -801,7 +757,7 @@ impl Gateway {
                 }
                 None => Duration::MAX,
             };
-            self.gate.wait(seen, remaining);
+            self.wait_completions(seen, remaining);
         }
     }
 
@@ -812,7 +768,7 @@ impl Gateway {
     /// move — a publish racing the sweep makes the wait return
     /// immediately.
     pub fn completion_epoch(&self) -> u64 {
-        self.gate.epoch()
+        self.gate.seq.load(Ordering::Acquire)
     }
 
     /// Park until the completion epoch moves past `seen` or `timeout`
@@ -820,7 +776,8 @@ impl Gateway {
     /// nobody waits). See
     /// [`completion_epoch`](Gateway::completion_epoch).
     pub fn wait_completions(&self, seen: u64, timeout: Duration) {
-        self.gate.wait(seen, timeout);
+        let moved = || self.completion_epoch() != seen;
+        self.gate.park.park_unless(timeout, moved);
     }
 
     /// Submit an invocation of `action` with routing key `key`. Returns
@@ -1316,10 +1273,11 @@ impl InvokerCtx {
             }
         }
         self.completions.publish(done);
-        // Wake parked collectors — after the publish, so a woken
-        // collector's sweep finds the batch. One RMW per batch when
-        // nobody waits; the condvar is touched only when someone does.
-        self.gate.publish_wake();
+        // Bump the epoch and wake parked collectors after the publish,
+        // so a collector that reads the new epoch finds the batch. One
+        // RMW and one fence per batch when nobody waits.
+        self.gate.seq.fetch_add(1, Ordering::Release);
+        self.gate.park.wake();
     }
 }
 

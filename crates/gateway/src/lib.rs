@@ -18,6 +18,8 @@
 //!   moves its backlog to (a mutex-guarded deque behind a lock-free
 //!   empty check), both with the offset/`produced_at` semantics of
 //!   `crates/mq` (each differentially tested against `mq::Broker`);
+//!   an invoker parks on its empty ring, and a collector on the
+//!   completion gate, through one waiter-counted park/wake (`park`);
 //! * [`admission`] — admission *shaping*: the default hard-shed policy,
 //!   or a capacity-tracking token bucket that degrades through a typed,
 //!   bounded **delay** before shedding (a latency slope instead of a
@@ -66,6 +68,7 @@ pub mod controller;
 pub mod gateway;
 pub mod harness;
 pub mod lease;
+mod park;
 pub mod queue;
 pub mod ring;
 pub mod route;

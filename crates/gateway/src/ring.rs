@@ -18,10 +18,10 @@
 //!   either lands its message *before* the close (and the drain
 //!   returns it) or observes the closure and reroutes — no window in
 //!   which a request can vanish;
-//! * the **waiter-counted wake discipline**: producers touch the
-//!   condvar only when the consumer is actually parked, so under load
-//!   the hot path pays zero futex wakes (each wake is counted as the
-//!   `queue_wake` contention source).
+//! * the **waiter-counted wake**: a producer touches the condvar only
+//!   when the consumer is actually parked ([`Park`], the gateway's one
+//!   park/wake), so under load the hot path pays zero futex wakes
+//!   (each wake is counted as the `queue_wake` contention source).
 //!
 //! The layout is a Vyukov-style bounded ring. `head` is the producer
 //! claim word (position + a CLOSED bit); producers CAS-claim a span of
@@ -44,11 +44,12 @@
 //! iff its depth is below the ring's capacity) and asserts identical
 //! order/offset/outcome behaviour.
 
+use crate::park::Park;
 use crate::queue::{Envelope, Produce, ProduceBatch, Request};
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use telemetry::flight::{self, EventKind};
 use telemetry::{Counter, Gauge};
@@ -68,11 +69,9 @@ struct Slot {
 }
 
 /// Telemetry hookup: the shared high-water gauge, the shared
-/// `queue_wake` counter, the shared `ring_full` counter, and the
-/// flight-recorder tag (invoker id).
+/// `ring_full` counter, and the flight-recorder tag (invoker id).
 struct RingTelem {
     gauge: Arc<Gauge>,
-    wakes: Arc<Counter>,
     full: Arc<Counter>,
     tag: u64,
 }
@@ -95,10 +94,9 @@ pub struct RingQueue {
     /// The consumer claim: `true` while a pop/drain call runs (see
     /// [`ConsumerClaim`]).
     consumer: AtomicBool,
-    /// Consumers currently parked in [`pop_timeout`](Self::pop_timeout).
-    waiting: AtomicUsize,
-    park: Mutex<()>,
-    ready: Condvar,
+    /// Where the consumer parks in [`pop_timeout`](Self::pop_timeout);
+    /// counts its wakes on the shared `queue_wake` counter.
+    park: Park,
     /// Deepest backlog ever observed (claimed - drained).
     highwater: AtomicU64,
     /// Next depth at which a flight-recorder high-water event fires
@@ -112,8 +110,8 @@ pub struct RingQueue {
 //
 // SAFETY: field by field. `mask`, `cap` and `telem` (shared `Arc`s of
 // atomic counters) are never written after construction, and `buf` is
-// never reallocated. `head`, `tail`, `waiting`, `highwater`,
-// `hw_report`, `park` and `ready` are atomics or `Mutex`/`Condvar`.
+// never reallocated. `head`, `tail`, `highwater` and `hw_report` are
+// atomics, and `park` is `Sync`.
 // That leaves the slots: a slot's `seq` is atomic, and its `val` is
 // written only by the producer that uniquely claimed its position
 // through the `head` CAS, only once the consumer has drained the slot's
@@ -156,9 +154,7 @@ impl RingQueue {
             head: AtomicU64::new(0),
             tail: AtomicU64::new(0),
             consumer: AtomicBool::new(false),
-            waiting: AtomicUsize::new(0),
-            park: Mutex::new(()),
-            ready: Condvar::new(),
+            park: Park::new(Arc::default()),
             highwater: AtomicU64::new(0),
             hw_report: AtomicU64::new(16),
             telem: None,
@@ -176,12 +172,8 @@ impl RingQueue {
         tag: u64,
     ) -> Self {
         let mut q = Self::new(capacity);
-        q.telem = Some(RingTelem {
-            gauge,
-            wakes,
-            full,
-            tag,
-        });
+        q.park = Park::new(wakes);
+        q.telem = Some(RingTelem { gauge, full, tag });
         q
     }
 
@@ -236,27 +228,11 @@ impl RingQueue {
         slot.seq.store(pos + 1, Ordering::Release);
     }
 
-    /// Post-produce bookkeeping: wake a parked consumer (only if one
-    /// is actually parked — the waiter-counted discipline) and track
+    /// Post-produce bookkeeping: wake the consumer if it is parked
+    /// (the slot publishes are the stores its `ready` reads) and track
     /// the depth high-water.
     fn after_produce(&self, end_pos: u64) {
-        // Pair with the consumer's register-then-recheck in
-        // `pop_timeout`: our slot publishes (Release) happen before
-        // this fence; its `waiting` increment happens before its
-        // fence. Whichever fence is later in the total order, either
-        // we observe `waiting > 0` here or the consumer's re-check
-        // observes our published slot — a wake is never lost.
-        fence(Ordering::SeqCst);
-        if self.waiting.load(Ordering::Relaxed) > 0 {
-            // Empty critical section: serialize with the consumer's
-            // park so the notify cannot fire between its re-check and
-            // its wait.
-            drop(self.park.lock().unwrap_or_else(|e| e.into_inner()));
-            self.ready.notify_one();
-            if let Some(t) = &self.telem {
-                t.wakes.inc();
-            }
-        }
+        self.park.wake();
         let depth = end_pos - self.tail.load(Ordering::Acquire).min(end_pos);
         let old = self.highwater.fetch_max(depth, Ordering::Relaxed);
         if depth > old {
@@ -380,13 +356,20 @@ impl RingQueue {
         self.pop_claimed(&self.claim_consumer())
     }
 
-    /// [`try_pop`](Self::try_pop) under a claim the caller holds.
-    fn pop_claimed(&self, claim: &ConsumerClaim<'_>) -> Option<Envelope> {
+    /// True iff the slot at `tail` is published. The caller holds the
+    /// consumer claim, so `tail` cannot move under it.
+    fn readable(&self, _claim: &ConsumerClaim<'_>) -> bool {
         let t = self.tail.load(Ordering::Relaxed);
         let slot = &self.buf[(t & self.mask) as usize];
-        if slot.seq.load(Ordering::Acquire) != t + 1 {
+        slot.seq.load(Ordering::Acquire) == t + 1
+    }
+
+    /// [`try_pop`](Self::try_pop) under a claim the caller holds.
+    fn pop_claimed(&self, claim: &ConsumerClaim<'_>) -> Option<Envelope> {
+        if !self.readable(claim) {
             return None;
         }
+        let t = self.tail.load(Ordering::Relaxed);
         // SAFETY: `seq == t + 1` was just observed with Acquire, and
         // `tail` is still `t`.
         let env = unsafe { self.read(t, claim) };
@@ -424,50 +407,25 @@ impl RingQueue {
     /// the claim is held across the park.
     pub fn pop_timeout(&self, timeout: Duration) -> Option<Envelope> {
         let claim = self.claim_consumer();
-        if let Some(env) = self.pop_claimed(&claim) {
-            return Some(env);
-        }
         let deadline = Instant::now() + timeout;
         loop {
-            // Brief spin before parking: a producer racing right
-            // behind us saves the whole futex round-trip (and its
-            // `queue_wake` on the producer side).
+            if let Some(env) = self.pop_claimed(&claim) {
+                return Some(env);
+            }
+            // Two yields before parking: a producer racing right behind
+            // us saves the whole futex round-trip (and its `queue_wake`).
             for _ in 0..2 {
                 std::thread::yield_now();
                 if let Some(env) = self.pop_claimed(&claim) {
                     return Some(env);
                 }
             }
-            let guard = self.park.lock().unwrap_or_else(|e| e.into_inner());
-            self.waiting.fetch_add(1, Ordering::Relaxed);
-            // Pair with the producer's publish-then-check fence in
-            // `after_produce` — see the comment there.
-            fence(Ordering::SeqCst);
-            if let Some(env) = self.pop_claimed(&claim) {
-                self.waiting.fetch_sub(1, Ordering::Relaxed);
-                return Some(env);
-            }
-            if self.is_closed() {
-                self.waiting.fetch_sub(1, Ordering::Relaxed);
-                return None;
-            }
             let now = Instant::now();
-            if now >= deadline {
-                self.waiting.fetch_sub(1, Ordering::Relaxed);
+            if self.is_closed() || now >= deadline {
                 return None;
             }
-            let (guard, _) = self
-                .ready
-                .wait_timeout(guard, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            self.waiting.fetch_sub(1, Ordering::Relaxed);
-            drop(guard);
-            if let Some(env) = self.pop_claimed(&claim) {
-                return Some(env);
-            }
-            if self.is_closed() || Instant::now() >= deadline {
-                return None;
-            }
+            self.park
+                .park_unless(deadline - now, || self.readable(&claim) || self.is_closed());
         }
     }
 

@@ -78,6 +78,10 @@ pub struct GatewayTelemetry {
     /// oversubscribed machine (`gateway_submit_contention_total
     /// {source="queue_wake"}`).
     pub queue_wakes: Arc<Counter>,
+    /// Collector wakes issued by invoker publishes on the completion
+    /// gate (`source="completion_wake"`): nonzero only while a
+    /// collector parks, as on an open-loop plane between arrivals.
+    pub completion_wakes: Arc<Counter>,
     /// Shards a collection sweep skipped because another collector had
     /// them claimed (`source="collect_claim"`): nonzero only when
     /// collectors actually overlap.
@@ -169,6 +173,7 @@ impl GatewayTelemetry {
             invokers_routable: Arc::new(Gauge::new()),
             queue_highwater: Arc::new(Gauge::new()),
             queue_wakes: Arc::new(Counter::new()),
+            completion_wakes: Arc::new(Counter::new()),
             collect_claim_skips: Arc::new(Counter::new()),
             pool_events: Arc::new(CounterVec::new(POOL_EVENT_NAMES.len())),
             slots: Arc::new(Mutex::new(Vec::new())),
@@ -319,11 +324,12 @@ impl GatewayTelemetry {
     /// retries of the lock-free submit-path structures (the GCRA token
     /// line and the per-action in-flight caps), the consumer wakes
     /// producers issued on the work queues, the full-ring refusals of
-    /// the MPSC rings, and the shard-claim skips on the collect side.
-    /// Every series is zero on an idle or single-submitter plane, so a
-    /// flat spot in the cores→ops/s curve is attributable from the
-    /// exposition alone: which shared line the extra cores actually
-    /// fought over.
+    /// the MPSC rings, and, on the collect side, the collector wakes
+    /// invokers issued on the completion gate and the shard-claim skips.
+    /// Every series is zero on an idle plane, and the CAS and claim
+    /// series on a single-submitter one, so a flat spot in the
+    /// cores→ops/s curve is attributable from the exposition alone:
+    /// which shared line the extra cores actually fought over.
     pub(crate) fn register_contention(
         &self,
         shaper_cas: Arc<Counter>,
@@ -331,6 +337,7 @@ impl GatewayTelemetry {
         actions: Arc<ActionRegistry>,
     ) {
         let queue_wakes = self.queue_wakes.clone();
+        let completion_wakes = self.completion_wakes.clone();
         let claim_skips = self.collect_claim_skips.clone();
         self.registry.register(
             "gateway_submit_contention_total",
@@ -353,6 +360,10 @@ impl GatewayTelemetry {
                     (
                         labels(&[("source", "ring_full")]),
                         Collected::Counter(ring_full.get()),
+                    ),
+                    (
+                        labels(&[("source", "completion_wake")]),
+                        Collected::Counter(completion_wakes.get()),
                     ),
                     (
                         labels(&[("source", "collect_claim")]),
