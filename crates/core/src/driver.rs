@@ -21,7 +21,7 @@ use cluster::{
     AvailabilityTrace, ClusterEvent, ClusterNote, ClusterSim, JobId, JobKind, JobState, PollSample,
 };
 use gateway::LoadFeedback;
-use metrics::{Cdf, MinuteBins};
+use metrics::{MinuteBins, MsCdf};
 use simcore::{Engine, Outbox, Process, SimDuration, SimRng, SimTime};
 use whisk::{
     FunctionId, FunctionSpec, InvokeResult, InvokerId, Outcome, WhiskEvent, WhiskNote, WhiskSys,
@@ -106,13 +106,13 @@ struct DayState {
     wrapper: Option<FallbackWrapper>,
     commercial: CommercialBackend,
     commercial_bins: MinuteBins,
-    commercial_latency_secs: Cdf,
+    commercial_latency_secs: MsCdf,
     samples: Vec<PollSample>,
     success_bins: MinuteBins,
     failed_bins: MinuteBins,
     timeout_bins: MinuteBins,
     rejected_bins: MinuteBins,
-    latency_success_secs: Cdf,
+    latency_success_secs: MsCdf,
     /// Scratch outboxes and note buffers for calls into the two
     /// subsystems (see [`DayState::with_cluster`]), kept across events
     /// so dispatching one allocates nothing once they have grown.
@@ -133,7 +133,7 @@ impl DayState {
     fn record_commercial(&mut self, now: SimTime) {
         self.commercial_bins.record(now);
         self.commercial_latency_secs
-            .add(self.commercial.latency(&mut self.rng).as_secs_f64());
+            .add(self.commercial.latency(&mut self.rng));
     }
 
     /// Call into the cluster with scratch buffers, forward the events
@@ -263,8 +263,7 @@ impl DayState {
                 } => match outcome {
                     Outcome::Success => {
                         self.success_bins.record(submitted);
-                        self.latency_success_secs
-                            .add(answered.since(submitted).as_secs_f64());
+                        self.latency_success_secs.add(answered.since(submitted));
                     }
                     Outcome::Failed => self.failed_bins.record(submitted),
                     Outcome::Timeout => self.timeout_bins.record(submitted),
@@ -491,7 +490,7 @@ impl Driver {
             wrapper: cfg.wrapper_cooloff.map(FallbackWrapper::with_cooloff),
             commercial: CommercialBackend::default(),
             commercial_bins: MinuteBins::new(start, horizon_mins),
-            commercial_latency_secs: Cdf::new(),
+            commercial_latency_secs: MsCdf::new(),
             rng: rng.fork(1),
             claims,
             backlog,
@@ -505,7 +504,7 @@ impl Driver {
             failed_bins: MinuteBins::new(start, horizon_mins),
             timeout_bins: MinuteBins::new(start, horizon_mins),
             rejected_bins: MinuteBins::new(start, horizon_mins),
-            latency_success_secs: Cdf::new(),
+            latency_success_secs: MsCdf::new(),
             cluster_out: Outbox::new(start),
             cluster_notes: Vec::new(),
             whisk_out: Outbox::new(start),

@@ -15,7 +15,7 @@ use crate::driver::{Driver, IdleSource, PilotSink};
 use crate::offline::{self, OfflineConfig, OfflineReport};
 use crate::pilot::WarmupModel;
 use cluster::{AvailabilityTrace, Counters, PollSample, SlurmConfig};
-use metrics::{Cdf, MinuteBins, StepSeries};
+use metrics::{Cdf, MinuteBins, MsCdf, StepSeries};
 use simcore::{SimDuration, SimTime};
 use whisk::{WhiskConfig, WhiskCounters};
 use workload::{ConstantRateLoadGen, DemandModel};
@@ -160,15 +160,17 @@ pub struct DayReport {
     pub timeout_bins: MinuteBins,
     /// Per-minute 503 rejections.
     pub rejected_bins: MinuteBins,
-    /// Client-observed response times of successful requests (seconds).
-    pub latency_success_secs: Cdf,
+    /// Client-observed response times of successful requests (queries
+    /// answer in seconds), counted per whole millisecond.
+    pub latency_success_secs: MsCdf,
     /// Algorithm 1 accounting, when the wrapper is enabled:
     /// `(sent_to_cluster, sent_commercial, observed_503s)`.
     pub wrapper_stats: Option<(u64, u64, u64)>,
     /// Per-minute requests off-loaded to the commercial cloud.
     pub commercial_bins: MinuteBins,
-    /// Commercial-path response times (seconds).
-    pub commercial_latency_secs: Cdf,
+    /// Commercial-path response times (seconds), counted per whole
+    /// millisecond.
+    pub commercial_latency_secs: MsCdf,
     /// Events the engine dispatched over the day — the DES's unit of
     /// work, to read next to the day's wall-clock.
     pub events_dispatched: u64,

@@ -83,7 +83,7 @@ impl Cdf {
     /// Smallest observation.
     pub fn min(&mut self) -> f64 {
         self.ensure_sorted();
-        self.sorted[0]
+        *self.sorted.first().expect("min of empty Cdf")
     }
 
     /// Largest observation.
@@ -174,6 +174,12 @@ mod tests {
     #[should_panic]
     fn nan_rejected() {
         Cdf::new().add(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "min of empty Cdf")]
+    fn min_of_empty_names_the_cause() {
+        Cdf::new().min();
     }
 
     #[test]

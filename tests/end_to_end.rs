@@ -89,7 +89,7 @@ fn faas_requests_served_with_bounded_latency() {
     assert!(c.submitted >= 28_000);
     let (succ, _, _) = report.accepted_outcome_shares();
     assert!(succ > 0.9, "success of accepted = {succ:.3}");
-    let mut lat = report.latency_success_secs;
+    let lat = report.latency_success_secs;
     assert!(!lat.is_empty());
     let med = lat.median();
     // The paper's ~0.8-1.2 s ballpark for warm sleep functions.
@@ -317,7 +317,7 @@ fn with_load_day_matches_pinned_digest() {
     // `wheel_nodes_reprojected` 6659 → 4037 — fewer, longer sweeps, the
     // same in a debug build because the oracle that runs each skipped
     // pass anyway leaves the persistent plane alone. Nothing else.
-    let mut r = run_day(&small_day(), DayConfig::fib_paper(5));
+    let r = run_day(&small_day(), DayConfig::fib_paper(5));
     assert_eq!(
         format!("{:?}", r.cluster_counters),
         "Counters { hpc_started: 236, hpc_completed: 116, pilots_started: 69, \
