@@ -420,8 +420,8 @@ fn rows() -> Vec<Row> {
 /// `ns_per_op`. Everything it accepts is JSON any parser reads (no
 /// `inf`, no `NaN`), so it serves as the `--check` baseline reader, as
 /// the writer's gate and as the test of the checked-in file. Returns the
-/// name and cost per probe. Hand-rolled: the vendored serde shim has no
-/// JSON deserializer.
+/// name and cost per probe. Hand-rolled: the workspace has no JSON
+/// crate.
 fn parse_trajectory(text: &str) -> Result<Vec<(String, Cost)>, String> {
     // A JSON integer: digits, no leading zero.
     let int = |t: &str| {

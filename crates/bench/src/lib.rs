@@ -84,25 +84,6 @@ pub fn arg_value(flag: &str) -> Option<String> {
     None
 }
 
-/// One scrape of the gateway's registry as Prometheus text.
-pub fn gateway_exposition(gw: &gateway::Gateway) -> String {
-    let telem = gw.telemetry().expect("a gateway always keeps books");
-    metrics::telemetry::render_prometheus(&telem.registry().snapshot())
-}
-
-/// Honor `--metrics-out <path>`: scrape the gateway's telemetry
-/// registry and write the Prometheus text exposition to the path.
-/// No-op when the flag is absent; call before `shutdown` teardown while
-/// the gateway still owns its registry.
-pub fn write_metrics_out(gw: &gateway::Gateway) {
-    let Some(path) = arg_value("--metrics-out") else {
-        return;
-    };
-    let text = gateway_exposition(gw);
-    std::fs::write(&path, text).unwrap_or_else(|e| panic!("--metrics-out {path}: {e}"));
-    println!("metrics exposition written to {path}");
-}
-
 /// The DES's own work over one or more simulated days: events the
 /// engine dispatched and, of those, the platform's poll and timeout-scan
 /// events, and the scheduling passes run and skipped — the counts to

@@ -1,14 +1,13 @@
 //! Identifier newtypes for the cluster simulator.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A compute node. Indexes the cluster's node table densely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 /// A job (HPC or pilot). Monotonically assigned at submit time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub u64);
 
 impl fmt::Display for NodeId {

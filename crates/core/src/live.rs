@@ -28,12 +28,13 @@ use crate::experiment::DayConfig;
 use crate::manager::ManagerKind;
 use crate::pilot::{PilotPhase, WarmupModel};
 use cluster::{JobId, SigtermReason, SlurmConfig};
+use gateway::books::{self, Violation};
 use gateway::{LeaseEvent, LeaseEventKind, LeaseSource, LoadFeedback};
 use simcore::{SimDuration, SimTime};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-use telemetry::{one_series, Collected, MetricKind, Registry};
+use telemetry::{one_series, Collected, MetricKind, Registry, Snapshot};
 
 /// Node-id block the pinned floor leases live in, far above any id the
 /// DES allocates (fresh ids per pilot lease, starting at zero).
@@ -86,7 +87,7 @@ pub struct PilotStats {
     /// Simulated node-seconds spent *serving* (grant → revoke, floor
     /// and warm-up excluded) — the invasiveness actually converted into
     /// FaaS capacity, and the figure the equal-invasiveness static plan
-    /// in the `closed_loop_live` bench is built from.
+    /// of the `live` runner's `closed_loop` row is built from.
     pub leased_node_secs: u64,
 }
 
@@ -148,6 +149,30 @@ fn pilot_registry(books: &Arc<Mutex<Books>>) -> Registry {
     let help = "DES-backed leases currently live";
     family("pilot_leases_live", help, |b| Gauge(b.live));
     registry
+}
+
+/// The `pilot_*` families every pilot-plane scrape carries.
+const PILOT_FAMILIES: [&str; 7] = [
+    "pilot_submitted_total",
+    "pilot_grants_total",
+    "pilot_revokes_total",
+    "pilot_leases_live",
+    "pilot_feedback_windows_total",
+    "pilot_leased_node_secs_total",
+    "pilot_target_invokers",
+];
+
+/// The pilot plane's books on `snap`, a scrape of
+/// [`DesLeaseSource::registry`]: every family of [`PILOT_FAMILIES`] is
+/// there, and the gateway's lease rule ([`books::leases`]) holds over
+/// the pilot families.
+pub fn check_books(snap: &Snapshot) -> Result<(), Vec<Violation>> {
+    let mut found = books::missing(snap, &PILOT_FAMILIES);
+    let (grants, revokes, live) = (PILOT_FAMILIES[1], PILOT_FAMILIES[2], PILOT_FAMILIES[3]);
+    if found.is_empty() {
+        found.extend(books::leases(snap, grants, revokes, live).err());
+    }
+    found.is_empty().then_some(()).ok_or(found)
 }
 
 /// A lease transition in simulated time: `(at, node, Some(deadline))`

@@ -19,11 +19,11 @@
 
 use cluster::SlurmConfig;
 use gateway::{
-    ActionId, ActionSpec, CapacityController, ControllerConfig, Gateway, GatewayConfig, LeaseEvent,
-    LeaseEventKind, LeaseSource, LoadFeedback,
+    books, ActionId, ActionSpec, CapacityController, ControllerConfig, Gateway, GatewayConfig,
+    LeaseEvent, LeaseEventKind, LeaseSource, LoadFeedback,
 };
 use hpcwhisk_core::{
-    DesLeaseSource, DesSourceCfg, IdleSource, ManagerKind, PilotStats, SizerCfg, WarmupModel,
+    live, DesLeaseSource, DesSourceCfg, IdleSource, ManagerKind, PilotStats, SizerCfg, WarmupModel,
 };
 use simcore::SimDuration;
 use std::sync::Arc;
@@ -121,10 +121,7 @@ fn stepped_cycle_conserves_leases_and_sizes_to_load() {
             "gateway routability mirrors non-draining leases"
         );
         let snap = registry.snapshot();
-        let pg = snap.counter("pilot_grants_total", &[]).unwrap_or(0);
-        let pr = snap.counter("pilot_revokes_total", &[]).unwrap_or(0);
-        let live = snap.gauge("pilot_leases_live", &[]).unwrap_or(0);
-        assert_eq!(pg as i64 - pr as i64, live, "pilot registry conserves");
+        live::check_books(&snap).unwrap_or_else(|v| panic!("pilot books, step {steps}: {v:?}"));
         assert!(
             ctl.n_routable() >= 1 || s.grants == 1,
             "routable floor respected once the floor grant landed"
@@ -195,13 +192,9 @@ fn stepped_cycle_conserves_leases_and_sizes_to_load() {
     while gw.totals().outstanding() > 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
-    assert_eq!(
-        gw.totals().outstanding(),
-        0,
-        "all accepted requests completed ({submitted} submitted)"
-    );
     let fs = ctl.finish();
     assert_eq!(fs.reaped_at_finish, 1, "finish reaps the floor lease");
+    books::close(&gw, submitted).unwrap_or_else(|v| panic!("{submitted} submitted: {v:?}"));
 }
 
 #[test]
@@ -253,6 +246,7 @@ fn starved_feedback_never_grants_above_floor() {
         "the pinned routable floor held throughout"
     );
     ctl.finish();
+    books::close(&gw, 0).expect("gateway books");
 }
 
 /// One lease event as `(at_ns, node, Some(deadline_ns))` for a grant

@@ -148,15 +148,6 @@ impl LoadReport {
         self.accepted.saturating_sub(self.completed)
     }
 
-    /// Latency quantile in seconds (p in [0, 1]). `NaN` when nothing
-    /// completed (the empty-histogram guard lives in
-    /// [`HistSnapshot::quantile`] itself, so every quantile consumer
-    /// shares it). Kept `&mut self` for drop-in compatibility with the
-    /// old sample-sorting CDF.
-    pub fn latency_quantile(&mut self, p: f64) -> f64 {
-        self.latency.quantile(p) / 1e9
-    }
-
     /// Human summary: one totals line, then one line per action that
     /// saw traffic, breaking out ok / delayed / shed (by reason) /
     /// lost.
@@ -508,7 +499,7 @@ mod tests {
         assert_eq!(r.lost(), 0, "{}", r.summary());
         assert_eq!(r.submitted, arrivals.len() as u64);
         assert!(r.throughput > 0.0);
-        assert!(r.latency_quantile(0.5) >= 0.0);
+        assert!(r.latency.quantile(0.5) >= 0.0);
         assert_eq!(gw.shutdown(), 0);
     }
 
@@ -551,13 +542,13 @@ mod tests {
 
     #[test]
     fn empty_run_reports_nan_quantiles() {
-        // Regression: latency_quantile on a run with no completions is
-        // NaN (the guard lives in Cdf::quantile), not a panic.
+        // Regression: a latency quantile of a run with no completions is
+        // NaN (the guard lives in HistSnapshot::quantile), not a panic.
         let gw = plane(1, 1);
         let mut r = run_load(&gw, &[], &HarnessConfig::default());
         assert_eq!(r.completed, 0);
-        assert!(r.latency_quantile(0.5).is_nan());
-        assert!(r.latency_quantile(0.99).is_nan());
+        assert!(r.latency.quantile(0.5).is_nan());
+        assert!(r.latency.quantile(0.99).is_nan());
         assert!(r.summary().contains("NaN"), "{}", r.summary());
         assert_eq!(gw.shutdown(), 0);
     }

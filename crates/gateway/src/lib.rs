@@ -54,16 +54,19 @@
 //!   and readable as plain [`Totals`].
 //!
 //! The drain guarantee, stated once and tested in
-//! `tests/drain_stress.rs` (hand-churned) and by the `elasticity`
-//! scenario (trace-churned): **every admitted request is executed
-//! exactly once as long as one invoker survives** — sigterm moves
-//! unstarted backlog to the fast lane with admission timestamps
-//! preserved; producers that race a drain reroute themselves.
+//! `tests/drain_stress.rs` (hand-churned) and by the `day` row of the
+//! `live` scenario runner (trace-churned): **every admitted request is
+//! executed exactly once as long as one invoker survives** — sigterm
+//! moves unstarted backlog to the fast lane with admission timestamps
+//! preserved; producers that race a drain reroute themselves. Every
+//! such run ends on [`books::check`], the plane's books read from the
+//! scrape taken after shutdown.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod action;
 pub mod admission;
+pub mod books;
 pub mod controller;
 pub mod gateway;
 pub mod harness;

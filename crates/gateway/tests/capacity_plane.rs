@@ -5,7 +5,7 @@
 //! against the hard-shed cliff.
 
 use gateway::{
-    ActionBody, ActionId, ActionSpec, AdmissionPolicy, CapacityController, ControllerConfig,
+    books, ActionBody, ActionId, ActionSpec, AdmissionPolicy, CapacityController, ControllerConfig,
     Gateway, GatewayConfig, HarnessConfig, LeasePlan, Shed, TokenBucketCfg,
 };
 use simcore::SimDuration;
@@ -49,8 +49,7 @@ fn trace_replay_serves_traffic_through_churn() {
     assert_eq!(report.lost(), 0, "churn must not lose accepted work");
     assert!(report.completed > 0);
     assert!(stats.grants >= 1, "{stats:?}");
-    assert_eq!(gw.shutdown(), 0);
-    assert!(gw.retired_pool_stats().containers_conserved());
+    books::close(&gw, arrivals.len() as u64).expect("books");
 }
 
 /// Satellite (ISSUE 4): containers checked out at sigterm time are
@@ -121,7 +120,7 @@ fn revoked_lease_retires_warm_containers() {
         );
         assert!(pools.containers_conserved(), "{pools:?}");
     }
-    assert_eq!(gw.shutdown(), 0);
+    books::close(&gw, 16).expect("books");
 }
 
 /// Acceptance (ISSUE 4): under a sustained ~2x overload the
@@ -148,7 +147,7 @@ fn token_bucket_sheds_less_than_hard_shed_under_overload() {
         );
         gw.start_invoker();
         let r = gateway::run_load(&gw, &arrivals, &open_loop);
-        assert_eq!(gw.shutdown(), 0);
+        books::close(&gw, arrivals.len() as u64).expect("books");
         r
     };
 
@@ -227,7 +226,7 @@ fn structural_sheds_do_not_accrue_bucket_debt() {
         admit.delay
     );
     collect(&gw, 1);
-    assert_eq!(gw.shutdown(), 0);
+    books::close(&gw, 201).expect("books");
 }
 
 /// The typed delay-budget shed surfaces through the plain invoke path
@@ -269,5 +268,5 @@ fn delay_budget_shed_is_typed_and_scoped_to_the_policy() {
     // Everything admitted still completes.
     let accepted = 64 - delay_sheds;
     collect(&gw, accepted as usize);
-    assert_eq!(gw.shutdown(), 0);
+    books::close(&gw, 64).expect("books");
 }

@@ -3,7 +3,7 @@
 //! was retired onto this crate), plus the subsystems it did not have —
 //! admission control, warm pools, per-action caps, real kernels.
 
-use gateway::{ActionBody, ActionId, ActionSpec, Completion, Gateway, GatewayConfig, Shed};
+use gateway::{books, ActionBody, ActionId, ActionSpec, Completion, Gateway, GatewayConfig, Shed};
 use sebs::{Graph, Kernel};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -46,7 +46,7 @@ fn basic_invocation_roundtrip() {
     assert_eq!(c.invoker, inv.id);
     assert_eq!(c.action, ActionId(0));
     assert!(c.total >= c.queue_wait);
-    assert_eq!(gw.shutdown(), 0);
+    books::close(&gw, 1).expect("books");
 }
 
 #[test]
@@ -74,7 +74,7 @@ fn rejects_with_no_invokers() {
     // the fast lane; a late-arriving invoker picks it up.
     gw.start_invoker();
     let _ = recv(&gw);
-    assert_eq!(gw.shutdown(), 0);
+    books::close(&gw, 3).expect("books");
 }
 
 #[test]
@@ -99,7 +99,7 @@ fn drain_hands_off_backlog_no_request_lost() {
         assert!(done.insert(c.id), "duplicate execution of {}", c.id);
     }
     assert_eq!(done, ids);
-    assert_eq!(gw.shutdown(), 0);
+    books::close(&gw, 200).expect("books");
 }
 
 #[test]
@@ -119,7 +119,7 @@ fn work_spreads_over_healthy_invokers() {
     assert_eq!(by_invoker.values().sum::<usize>(), 400);
     // Hash routing over 400 distinct keys: every invoker sees work.
     assert!(by_invoker.len() >= 3, "distribution: {by_invoker:?}");
-    assert_eq!(gw.shutdown(), 0);
+    books::close(&gw, 400).expect("books");
 }
 
 #[test]
@@ -140,7 +140,7 @@ fn sequential_drains_leave_last_invoker_serving() {
     }
     assert_eq!(done, ids);
     assert_eq!(gw.n_healthy(), 1);
-    assert_eq!(gw.shutdown(), 0);
+    books::close(&gw, 90).expect("books");
 }
 
 #[test]
@@ -181,7 +181,7 @@ fn admission_sheds_on_queue_overload_and_never_loses_accepted() {
     assert!(shed > 0, "a bounded queue must shed under this burst");
     assert!(accepted >= 8, "the bound admits up to the capacity");
     assert_eq!(collect(&gw, accepted as usize).len() as u64, accepted);
-    assert_eq!(gw.shutdown(), 0);
+    books::close(&gw, 500).expect("books");
     assert_eq!(gw.totals().shed_by(Shed::QueueFull), shed);
 }
 
@@ -205,7 +205,7 @@ fn per_action_inflight_cap_sheds() {
     // Capacity released: admissible again.
     assert!(gw.invoke(ActionId(0), 4).is_ok());
     recv(&gw);
-    assert_eq!(gw.shutdown(), 0);
+    books::close(&gw, 4).expect("books");
 }
 
 #[test]
@@ -227,7 +227,7 @@ fn cold_start_then_warm_reuse_per_invoker() {
     let second = recv(&gw);
     assert!(!second.cold, "second placement reuses the warm container");
     assert!(second.service < Duration::from_millis(10));
-    assert_eq!(gw.shutdown(), 0);
+    books::close(&gw, 2).expect("books");
     let pools = gw.retired_pool_stats();
     assert_eq!(pools.cold_starts, 1);
     assert_eq!(pools.warm_hits, 1);
@@ -249,7 +249,7 @@ fn keepalive_expiry_forces_recold() {
     std::thread::sleep(Duration::from_millis(60));
     gw.invoke(ActionId(0), 1).unwrap();
     assert!(recv(&gw).cold, "keep-alive expiry evicts the container");
-    assert_eq!(gw.shutdown(), 0);
+    books::close(&gw, 2).expect("books");
     assert_eq!(gw.retired_pool_stats().keepalive_evictions, 1);
 }
 
@@ -273,7 +273,7 @@ fn sebs_kernels_serve_as_function_bodies() {
     // Real kernels return real results (BFS visits 300 vertices, MST
     // spans 299 edges, PageRank converges).
     assert!(values.iter().all(|v| *v > 0));
-    assert_eq!(gw.shutdown(), 0);
+    books::close(&gw, 30).expect("books");
 }
 
 #[test]
@@ -294,5 +294,5 @@ fn route_epoch_bumps_on_membership_changes_only() {
     // lane, so all 50 still complete.
     gw.start_invoker();
     assert_eq!(collect(&gw, 50).len(), 50);
-    assert_eq!(gw.shutdown(), 0);
+    books::close(&gw, 50).expect("books");
 }

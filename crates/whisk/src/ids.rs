@@ -1,19 +1,18 @@
 //! Identifier newtypes for the FaaS platform.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An OpenWhisk invoker (worker). In HPC-Whisk each invoker lives inside
 /// one pilot job; callers key invokers by the pilot's job id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct InvokerId(pub u64);
 
 /// A deployed function (OpenWhisk "action").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FunctionId(pub u32);
 
 /// One function invocation (OpenWhisk "activation").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ActivationId(pub u64);
 
 impl fmt::Display for InvokerId {

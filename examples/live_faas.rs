@@ -14,8 +14,8 @@
 //! Run with: `cargo run --release --example live_faas`
 
 use hpc_whisk::gateway::{
-    run_load, ActionBody, ActionId, ActionSpec, CapacityController, ControllerConfig, Gateway,
-    GatewayConfig, HarnessConfig, LeaseEvent, LeaseEventKind, LeasePlan,
+    books, run_load, ActionBody, ActionId, ActionSpec, CapacityController, ControllerConfig,
+    Gateway, GatewayConfig, HarnessConfig, LeaseEvent, LeaseEventKind, LeasePlan,
 };
 use hpc_whisk::sebs::{Graph, Kernel};
 use hpc_whisk::simcore::SimDuration;
@@ -125,11 +125,11 @@ fn main() {
         stats.deadline_drains,
         stats.reaped_at_finish
     );
-    let stranded = gw.shutdown();
-    let pools = gw.retired_pool_stats();
-    assert!(pools.containers_conserved(), "container leak: {pools:?}");
+    // Shut down and check the books on the closing scrape (gateway::books).
+    let offered = n_requests + arrivals.len() as u64;
+    books::close(&gw, offered).unwrap_or_else(|v| panic!("the books do not balance: {v:?}"));
     println!(
-        "gateway shut down cleanly ({stranded} stranded, {} containers retired at drains)",
-        pools.drain_retired
+        "gateway shut down, books balanced ({} containers retired at drains)",
+        gw.retired_pool_stats().drain_retired
     );
 }
