@@ -1,4 +1,5 @@
-//! Ablation studies for the design choices DESIGN.md §5 calls out.
+//! Ablation studies of the design choices the paper argues for but does
+//! not measure.
 //!
 //! 1. **Fast-lane handoff vs. stock OpenWhisk** — with the extension
 //!    off, a departing worker's queued requests are lost and time out.
@@ -12,7 +13,7 @@
 use cluster::AvailabilityTrace;
 use hpcwhisk_bench::section;
 use hpcwhisk_core::{run_day, DayConfig, DayReport, ManagerKind};
-use simcore::{SimDuration, SimTime};
+use simcore::SimDuration;
 use whisk::DynamicsMode;
 use workload::{ConstantRateLoadGen, IdleModel};
 
@@ -119,5 +120,4 @@ fn main() {
             rep.cluster_counters.pilot_granted_mins.mean()
         );
     }
-    let _ = SimTime::ZERO;
 }

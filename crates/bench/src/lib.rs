@@ -1,8 +1,8 @@
 //! # hpcwhisk-bench
 //!
 //! Harnesses that regenerate every table and figure of the paper's
-//! evaluation (see DESIGN.md §4 for the experiment index), plus shared
-//! reporting utilities. Each binary prints the paper-shaped artifact
+//! evaluation (the `paper` binary's rows are the experiment index), plus
+//! shared reporting utilities. Each prints the paper-shaped artifact
 //! followed by a paper-vs-measured comparison table.
 //!
 //! Binaries accept `--quick` to run a scaled-down configuration (fewer

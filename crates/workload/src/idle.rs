@@ -37,14 +37,8 @@ pub struct IdleModel {
     pub sat_duration: LogNormal,
     /// Gap-opening batch sizes with weights (k nodes freed together).
     pub batch_sizes: Vec<(f64, u32)>,
-    /// Bulk of the per-node idle-duration distribution (minutes).
-    pub gap_bulk: LogNormal,
-    /// Heavy tail of the idle-duration distribution (minutes).
-    pub gap_tail: Pareto,
-    /// Probability a gap is drawn from the tail component.
-    pub tail_weight: f64,
-    /// Hard cap on a single gap (minutes).
-    pub gap_cap_mins: f64,
+    /// Per-node idle durations (minutes).
+    pub gaps: GapDist,
     /// Minimum busy separation between consecutive gaps on one node
     /// (minutes).
     pub min_busy_mins: f64,
@@ -69,10 +63,12 @@ impl IdleModel {
             saturated_frac: 0.1011,
             sat_duration: LogNormal::new((1.0f64).ln(), 1.45),
             batch_sizes: default_batches(),
-            gap_bulk: LogNormal::from_median_and_quantile(2.0, 0.75, 3.8),
-            gap_tail: Pareto::new(12.0, 1.25),
-            tail_weight: 0.20,
-            gap_cap_mins: 240.0,
+            gaps: GapDist::new(
+                LogNormal::from_median_and_quantile(2.0, 0.75, 3.8),
+                Pareto::new(12.0, 1.25),
+                0.20,
+                240.0,
+            ),
             min_busy_mins: 1.0,
             rate_boost: 1.60,
             forced_outage: None,
@@ -96,9 +92,12 @@ impl IdleModel {
             // analysed week's (Table II reports median invoker
             // ready-lifetimes of ~11 min and a 75th percentile of ~31,
             // which needs gaps mostly in the tens of minutes).
-            gap_bulk: LogNormal::from_median_and_quantile(6.0, 0.75, 18.0),
-            gap_tail: Pareto::new(30.0, 1.30),
-            tail_weight: 0.15,
+            gaps: GapDist::new(
+                LogNormal::from_median_and_quantile(6.0, 0.75, 18.0),
+                Pareto::new(30.0, 1.30),
+                0.15,
+                240.0,
+            ),
             rate_boost: 1.09,
             ..Self::prometheus_week()
         }
@@ -140,104 +139,55 @@ impl IdleModel {
         self.batch_sizes.last().map(|(_, k)| *k).unwrap_or(1)
     }
 
-    fn sample_gap_mins(&self, rng: &mut SimRng) -> f64 {
-        let v = if rng.chance(self.tail_weight) {
-            self.gap_tail.sample(rng)
-        } else {
-            self.gap_bulk.sample(rng)
-        };
-        v.clamp(0.25, self.gap_cap_mins)
-    }
-
-    /// Numerically estimate the mean gap length (minutes) for rate
-    /// calibration; deterministic for a given model.
-    pub fn mean_gap_mins(&self) -> f64 {
-        let mut rng = SimRng::seed_from_u64(0xC0FF_EE00);
-        let n = 20_000;
-        (0..n).map(|_| self.sample_gap_mins(&mut rng)).sum::<f64>() / n as f64
-    }
-
     /// Generate a trace over `[0, horizon)`.
     pub fn generate(&self, horizon: SimDuration, seed: u64) -> AvailabilityTrace {
         let mut rng = SimRng::seed_from_u64(seed);
         let horizon_ms = horizon.as_millis();
-        let end = SimTime::from_millis(horizon_ms);
 
         // 1. Regime timeline: alternating fragmented / saturated.
         //    Fragmented durations are exponential with mean chosen so the
         //    long-run saturated share matches the target.
-        let sat_mean_mins = {
-            let mut r = rng.fork(1);
-            let n = 5_000;
-            (0..n)
-                .map(|_| self.sat_duration.sample(&mut r))
-                .sum::<f64>()
-                / n as f64
-        };
-        let frag_mean_mins = if self.saturated_frac > 0.0 {
-            sat_mean_mins * (1.0 - self.saturated_frac) / self.saturated_frac
-        } else {
-            f64::INFINITY
-        };
-        let mut sat_starts: Vec<u64> = Vec::new();
+        //    With no saturation the mean is infinite: one endless segment.
+        let mut r = rng.fork(1);
+        let sat_mean_mins = (0..5_000)
+            .map(|_| self.sat_duration.sample(&mut r))
+            .sum::<f64>()
+            / 5_000.0;
+        let frag_mean_mins = sat_mean_mins * (1.0 - self.saturated_frac) / self.saturated_frac;
         let mut sat_intervals: Vec<(u64, u64)> = Vec::new();
-        {
-            let mut t = 0.0f64; // minutes
-            let mut r = rng.fork(2);
-            loop {
-                // Fragmented segment.
-                let frag = if frag_mean_mins.is_finite() {
-                    -r.f64_open().ln() * frag_mean_mins
-                } else {
-                    f64::INFINITY
-                };
-                t += frag;
-                if t * 60_000.0 >= horizon_ms as f64 {
-                    break;
-                }
-                let s0 = (t * 60_000.0) as u64;
-                let sat = self.sat_duration.sample(&mut r).max(0.2);
-                t += sat;
-                let s1 = ((t * 60_000.0) as u64).min(horizon_ms);
-                sat_starts.push(s0);
-                sat_intervals.push((s0, s1));
-                if s1 >= horizon_ms {
-                    break;
-                }
+        let mut t = 0.0f64; // minutes
+        let mut r = rng.fork(2);
+        loop {
+            // Fragmented segment.
+            t += -r.f64_open().ln() * frag_mean_mins;
+            if t * 60_000.0 >= horizon_ms as f64 {
+                break;
             }
-            if let Some((start_min, dur_min)) = self.forced_outage {
-                let s0 = (start_min * 60_000).min(horizon_ms);
-                let s1 = ((start_min + dur_min) * 60_000).min(horizon_ms);
-                if s1 > s0 {
-                    sat_starts.push(s0);
-                    sat_intervals.push((s0, s1));
-                    sat_starts.sort_unstable();
-                    sat_intervals.sort_unstable();
-                }
+            let s0 = (t * 60_000.0) as u64;
+            t += self.sat_duration.sample(&mut r).max(0.2);
+            let s1 = ((t * 60_000.0) as u64).min(horizon_ms);
+            sat_intervals.push((s0, s1));
+            if s1 >= horizon_ms {
+                break;
+            }
+        }
+        if let Some((start_min, dur_min)) = self.forced_outage {
+            let s0 = (start_min * 60_000).min(horizon_ms);
+            let s1 = ((start_min + dur_min) * 60_000).min(horizon_ms);
+            if s1 > s0 {
+                sat_intervals.push((s0, s1));
+                sat_intervals.sort_unstable();
             }
         }
 
         // 2. Opening rate from Little's law: L = λ · E[batch] · E[gap].
-        let mean_gap = self.mean_gap_mins();
         let lambda_per_min =
-            self.rate_boost * self.target_avg_idle / (self.mean_batch() * mean_gap);
+            self.rate_boost * self.target_avg_idle / (self.mean_batch() * self.gaps.mean_mins());
 
         // 3. Walk fragmented segments, generating batch openings.
         let mut per_node: Vec<Vec<(SimTime, SimTime)>> = vec![Vec::new(); self.n_nodes];
         let mut node_free_at: Vec<u64> = vec![0; self.n_nodes]; // ms
         let min_busy_ms = (self.min_busy_mins * 60_000.0) as u64;
-        let next_sat_start = |t_ms: u64| -> u64 {
-            match sat_starts.partition_point(|s| *s <= t_ms) {
-                i if i < sat_starts.len() => sat_starts[i],
-                _ => horizon_ms,
-            }
-        };
-        let in_saturation = |t_ms: u64| -> bool {
-            let i = sat_intervals.partition_point(|(s, _)| *s <= t_ms);
-            // Intervals may overlap after a forced outage is merged in;
-            // check the last few candidates.
-            (i.saturating_sub(3)..i).any(|k| t_ms < sat_intervals[k].1)
-        };
 
         let mut t_min = 0.0f64;
         loop {
@@ -246,25 +196,25 @@ impl IdleModel {
             if t_ms >= horizon_ms {
                 break;
             }
-            if in_saturation(t_ms) {
+            // Intervals may overlap after a forced outage is merged in;
+            // check the last few that start by `t_ms`.
+            let i = sat_intervals.partition_point(|(s, _)| *s <= t_ms);
+            if (i.saturating_sub(3)..i).any(|k| t_ms < sat_intervals[k].1) {
                 continue; // the queue swallows every freed node instantly
             }
             let k = self.sample_batch(&mut rng);
-            let cut = next_sat_start(t_ms);
+            let cut = sat_intervals.get(i).map_or(horizon_ms, |(s, _)| *s);
             for _ in 0..k {
                 // Uniform node choice; skip nodes still in (or too soon
                 // after) a gap — idle fraction is ~0.5%, so retries are
                 // rare and a couple of attempts suffice.
-                let mut chosen = None;
-                for _ in 0..4 {
-                    let n = rng.index(self.n_nodes);
-                    if node_free_at[n] <= t_ms {
-                        chosen = Some(n);
-                        break;
-                    }
-                }
-                let Some(n) = chosen else { continue };
-                let dur_ms = (self.sample_gap_mins(&mut rng) * 60_000.0) as u64;
+                let Some(n) = (0..4)
+                    .map(|_| rng.index(self.n_nodes))
+                    .find(|&n| node_free_at[n] <= t_ms)
+                else {
+                    continue;
+                };
+                let dur_ms = (self.gaps.sample(&mut rng) * 60_000.0) as u64;
                 let gap_end = (t_ms + dur_ms).min(cut).min(horizon_ms);
                 if gap_end <= t_ms {
                     continue;
@@ -274,7 +224,7 @@ impl IdleModel {
             }
         }
 
-        AvailabilityTrace::from_intervals(SimTime::ZERO, end, per_node)
+        AvailabilityTrace::from_intervals(SimTime::ZERO, SimTime::from_millis(horizon_ms), per_node)
     }
 
     /// The same availability process as [`generate`](Self::generate),
@@ -291,6 +241,50 @@ impl IdleModel {
         quantum: SimDuration,
     ) -> CapacityTrace {
         CapacityTrace::from_availability(&self.generate(horizon, seed), quantum)
+    }
+}
+
+/// The per-node idle-duration distribution (minutes): a log-normal bulk
+/// or, with probability `tail_weight`, a Pareto tail, clamped to
+/// `[0.25, cap]`. Its mean sets the opening rate; `new` estimates it once,
+/// and the fields are private so that it cannot go stale.
+#[derive(Debug, Clone)]
+pub struct GapDist {
+    bulk: LogNormal,
+    tail: Pareto,
+    tail_weight: f64,
+    cap: f64,
+    mean: f64,
+}
+
+impl GapDist {
+    /// The distribution, its mean estimated with 20,000 draws at a fixed
+    /// seed (deterministic for given parameters).
+    pub fn new(bulk: LogNormal, tail: Pareto, tail_weight: f64, cap: f64) -> Self {
+        let mut gaps = GapDist {
+            bulk,
+            tail,
+            tail_weight,
+            cap,
+            mean: 0.0,
+        };
+        let mut rng = SimRng::seed_from_u64(0xC0FF_EE00);
+        gaps.mean = (0..20_000).map(|_| gaps.sample(&mut rng)).sum::<f64>() / 20_000.0;
+        gaps
+    }
+
+    fn sample(&self, rng: &mut SimRng) -> f64 {
+        let v = if rng.chance(self.tail_weight) {
+            self.tail.sample(rng)
+        } else {
+            self.bulk.sample(rng)
+        };
+        v.clamp(0.25, self.cap)
+    }
+
+    /// The mean gap, before saturation truncates gaps.
+    pub fn mean_mins(&self) -> f64 {
+        self.mean
     }
 }
 
@@ -401,7 +395,7 @@ mod tests {
         for iv in &trace.per_node {
             for (a, b) in iv {
                 let len = b.since(*a).as_mins_f64();
-                assert!(len <= m.gap_cap_mins + 1.0, "gap of {len} min");
+                assert!(len <= m.gaps.cap + 1.0, "gap of {len} min");
             }
         }
     }
@@ -444,7 +438,7 @@ mod tests {
         assert!((1.3..=3.0).contains(&mb), "mean batch {mb}");
         // Pre-truncation mean; realized (post-truncation) means land
         // near the paper's ~5 min, asserted in the week test.
-        let mg = m.mean_gap_mins();
+        let mg = m.gaps.mean_mins();
         assert!((4.0..=14.0).contains(&mg), "mean gap {mg}");
     }
 }
