@@ -7,8 +7,11 @@
 //!    checked at produce time; overload sheds with a typed reason
 //!    instead of building unbounded queues.
 //! 2. **Routing** — one shard-local read lock, no global lock
-//!    ([`crate::route::Router`]).
-//! 3. **Queueing** — the home invoker's lock-free MPSC ring assigns
+//!    ([`crate::route::Router`]). A key has two candidates, its hash
+//!    home and a second invoker; the request goes to the one with less
+//!    outstanding work (produced to its ring minus executed), home on a
+//!    tie. One routable invoker reads no load.
+//! 3. **Queueing** — the chosen invoker's lock-free MPSC ring assigns
 //!    the offset ([`crate::ring::RingQueue`], `mq` semantics).
 //! 4. **Execution** — the invoker thread drains a **batch** of up to
 //!    `drain_batch` envelopes per pass, shared fast lane first, topped
@@ -51,7 +54,7 @@ use telemetry::Counter;
 pub enum Shed {
     /// No healthy invoker is routable (503).
     NoInvoker,
-    /// The home invoker's queue is at the admission bound (429).
+    /// The chosen invoker's queue is at the admission bound (429).
     QueueFull,
     /// The action is at its gateway-wide in-flight cap (429).
     ActionSaturated,
@@ -149,17 +152,29 @@ const STATE_HEALTHY: u8 = 0;
 const STATE_DRAINING: u8 = 1;
 const STATE_GONE: u8 = 2;
 
-/// The shared handle of one invoker: its state flag and its work queue.
+/// The shared handle of one invoker: its state flag, its work queue
+/// and how far it has worked through it.
 pub struct InvokerHandle {
     /// Stable invoker id (unique per gateway, never reused).
     pub id: u64,
     state: AtomicU8,
+    /// One past the last ring offset this invoker has executed, stored
+    /// by the invoker thread once per batch after the batch runs.
+    done: AtomicU64,
     queue: RingQueue,
 }
 
 impl InvokerHandle {
     fn is_healthy(&self) -> bool {
         self.state.load(Ordering::Acquire) == STATE_HEALTHY
+    }
+
+    /// Requests produced to this invoker's ring and not yet executed:
+    /// queued plus the batch in hand. Fast-lane work belongs to no
+    /// invoker and is not counted.
+    fn outstanding(&self) -> u64 {
+        let done = self.done.load(Ordering::Relaxed);
+        self.queue.total_produced().saturating_sub(done)
     }
 }
 
@@ -441,6 +456,11 @@ pub struct Collector {
 pub struct BurstScratch {
     buckets: Vec<Bucket>,
     used: usize,
+    /// Router index → the bucket last made for the target there. An
+    /// entry is a hint: it is trusted only while that bucket is in use
+    /// and holds the same target, so neither a rebuild nor a past
+    /// burst can misdirect a request, only cost a scan.
+    by_index: Vec<usize>,
     /// Plain per-action accepted tallies, flushed to the telemetry
     /// plane with one atomic add per action per burst.
     counts: BurstCounts,
@@ -449,6 +469,9 @@ pub struct BurstScratch {
 #[derive(Default)]
 struct Bucket {
     target: Option<Arc<InvokerHandle>>,
+    /// The target's outstanding work, read once when the bucket was
+    /// made; its load adds the requests bucketed since.
+    base: u64,
     reqs: Vec<Request>,
     idx: Vec<usize>,
     /// Per-request shaper charge (index-aligned with `reqs`), so a
@@ -457,25 +480,40 @@ struct Bucket {
     costs: Vec<u64>,
 }
 
+impl Bucket {
+    fn load(&self) -> u64 {
+        self.base + self.reqs.len() as u64
+    }
+}
+
 impl BurstScratch {
-    /// The bucket for `target`, reusing a spare slot's allocations when
-    /// one exists.
-    fn bucket_for(&mut self, target: &Arc<InvokerHandle>) -> &mut Bucket {
-        if let Some(i) = (0..self.used).find(|&i| {
-            self.buckets[i]
-                .target
-                .as_ref()
-                .is_some_and(|t| Arc::ptr_eq(t, target))
-        }) {
-            return &mut self.buckets[i];
+    /// The position of the bucket for `target`, found at router index
+    /// `index`: the indexed bucket when it still holds `target`, else a
+    /// scan, else a new bucket (reusing a spare slot's allocations when
+    /// one exists) whose load is read now.
+    fn bucket_for(&mut self, index: usize, target: &Arc<InvokerHandle>) -> usize {
+        let holds = |b: &Bucket| b.target.as_ref().is_some_and(|t| Arc::ptr_eq(t, target));
+        let used = &self.buckets[..self.used];
+        if let Some(&b) = self.by_index.get(index) {
+            if used.get(b).is_some_and(holds) {
+                return b;
+            }
         }
-        if self.used == self.buckets.len() {
-            self.buckets.push(Bucket::default());
+        let b = used.iter().position(holds).unwrap_or_else(|| {
+            if self.used == self.buckets.len() {
+                self.buckets.push(Bucket::default());
+            }
+            let bucket = &mut self.buckets[self.used];
+            bucket.target = Some(target.clone());
+            bucket.base = target.outstanding();
+            self.used += 1;
+            self.used - 1
+        });
+        if index >= self.by_index.len() {
+            self.by_index.resize(index + 1, usize::MAX);
         }
-        let bucket = &mut self.buckets[self.used];
-        self.used += 1;
-        bucket.target = Some(target.clone());
-        bucket
+        self.by_index[index] = b;
+        b
     }
 
     /// Clear the used buckets (dropping target handles, keeping the
@@ -627,6 +665,7 @@ impl Gateway {
         let handle = Arc::new(InvokerHandle {
             id,
             state: AtomicU8::new(STATE_HEALTHY),
+            done: AtomicU64::new(0),
             queue,
         });
         let mut slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
@@ -810,12 +849,14 @@ impl Gateway {
                 return Err(telem.note_shed(a, Shed::DelayBudget));
             }
         };
-        // Produce under the route shard's read lock (no target clone).
-        // Close-vs-produce atomicity is the ring's own: `CLOSED` shares
-        // the word producers claim their slot on, so a produce either
-        // lands before the owner's drain or is handed back.
+        // Pick the less loaded candidate and produce under the route
+        // shard's read lock (no target clone). Close-vs-produce
+        // atomicity is the ring's own: `CLOSED` shares the word
+        // producers claim their slot on, so a produce either lands
+        // before the owner's drain or is handed back.
         let mut id = 0;
-        let produced = self.router.with_pick(key, |target| {
+        let produced = self.router.with_choices(key, |c| {
+            let target = &c.targets[c.least(|i| c.targets[i].outstanding())];
             id = self.next_request.fetch_add(1, Ordering::Relaxed);
             let req = Request { id, action, key };
             target.queue.produce(req, produced_at)
@@ -863,14 +904,16 @@ impl Gateway {
 
     /// Submit a burst of invocations sharing one admission timestamp.
     /// Each request is admission-checked, shaped and routed
-    /// individually (same shed semantics as
-    /// [`invoke_at`](Gateway::invoke_at)), but the requests bound for
-    /// one invoker are produced to its queue as a **single group** —
-    /// one slot-range claim and at most one consumer wake per target
-    /// ring per burst, instead of one per request. On an
-    /// oversubscribed machine that is the difference between a parked
-    /// invoker preempting the submitter once per request and once per
-    /// burst. Outcomes are appended to `out` in input order.
+    /// individually (same shed semantics and the same two-choice rule
+    /// as [`invoke_at`](Gateway::invoke_at); a candidate's load is read
+    /// once per burst and counts what the burst has already bucketed
+    /// for it), but the requests bound for one invoker are produced to
+    /// its queue as a **single group** — one slot-range claim and at
+    /// most one consumer wake per target ring per burst, instead of one
+    /// per request. On an oversubscribed machine that is the difference
+    /// between a parked invoker preempting the submitter once per
+    /// request and once per burst. Outcomes are appended to `out` in
+    /// input order.
     ///
     /// `scratch` holds the per-target buckets; the caller keeps it
     /// across bursts so their allocations are paid once per submitter,
@@ -910,14 +953,22 @@ impl Gateway {
                     continue;
                 }
             };
-            let Some(target) = self.router.pick(key) else {
+            let routed = self.router.with_choices(key, |c| {
+                let load = |i| {
+                    let b = scratch.bucket_for(i, &c.targets[i]);
+                    scratch.buckets[b].load()
+                };
+                let pick = c.least(load);
+                scratch.bucket_for(pick, &c.targets[pick])
+            });
+            let Some(b) = routed else {
                 self.shaper.refund(charged);
                 self.actions.release(action);
                 out.push(Err(telem.note_shed(a, Shed::NoInvoker)));
                 continue;
             };
             let id = self.next_request.fetch_add(1, Ordering::Relaxed);
-            let bucket = scratch.bucket_for(&target);
+            let bucket = &mut scratch.buckets[b];
             bucket.reqs.push(Request { id, action, key });
             bucket.idx.push(i);
             bucket.costs.push(charged);
@@ -925,13 +976,16 @@ impl Gateway {
             out.push(Ok(Admit { id, delay }));
         }
         // Pass 2: one grouped produce per target; fix up the outcomes
-        // of whatever the group could not land.
+        // of whatever the group could not land. A bucket made only to
+        // read a candidate's load stays empty and is skipped: an empty
+        // produce would count a spurious `ring_full`.
         let BurstScratch {
             buckets,
             used,
             counts,
+            ..
         } = scratch;
-        for bucket in &buckets[..*used] {
+        for bucket in buckets[..*used].iter().filter(|b| !b.reqs.is_empty()) {
             let target = bucket.target.as_ref().expect("used bucket has a target");
             match target.queue.produce_batch(&bucket.reqs, produced_at) {
                 ProduceBatch::Admitted(n) => {
@@ -1148,6 +1202,9 @@ impl InvokerCtx {
             // private queue, so handed-off work is not starved — then
             // top the batch up from the home ring.
             self.fast.try_pop_batch(&mut batch, self.drain_batch);
+            // Envelopes from here on come from the home ring, in offset
+            // order.
+            let from_ring = batch.len();
             if batch.len() < self.drain_batch {
                 let room = self.drain_batch - batch.len();
                 self.handle.queue.try_pop_batch(&mut batch, room);
@@ -1167,9 +1224,15 @@ impl InvokerCtx {
                 // is the next one's start (the batch loop has no gap
                 // between them), halving the clock traffic of the old
                 // read-start-read-end shape.
+                let ring_end = batch[from_ring..].last().map(|env| env.offset + 1);
                 let mut t = Instant::now();
                 for env in batch.drain(..) {
                     t = self.execute(env, t, &mut pool, &mut done);
+                }
+                // Before the publish, so a collector that sees these
+                // completions reads this invoker's load without them.
+                if let Some(end) = ring_end {
+                    self.handle.done.store(end, Ordering::Relaxed);
                 }
                 self.flush(&mut done);
                 if ops_since_sweep >= self.sweep_every_ops {

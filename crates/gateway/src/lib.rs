@@ -12,7 +12,8 @@
 //!   (SeBS kernels from `crates/sebs`, calibrated spins, no-ops),
 //!   cold-start/keep-alive parameters and per-action in-flight caps;
 //! * [`route`] — a sharded, epoch-swapped routing table: the invoke hot
-//!   path takes one shard-local read lock, never a global one;
+//!   path takes one shard-local read lock, never a global one, and gets
+//!   two candidates per key, sent to the less loaded;
 //! * [`ring`] / [`queue`] — the per-invoker lock-free MPSC rings, the
 //!   message vocabulary, and the shared fast lane a draining invoker
 //!   moves its backlog to (a mutex-guarded deque behind a lock-free

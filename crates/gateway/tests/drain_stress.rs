@@ -215,13 +215,17 @@ fn drained_backlog_reaches_a_parked_survivor_without_a_wake() {
 
 /// One ledger, two readers — the plain [`Gateway::totals`] the
 /// controller's feedback uses and the registry exposition — driven
-/// through what could pull them apart: two submitters (one per submit
-/// path) shedding against a queue bound of 8 and a token bucket inside
-/// a closed window, while the main thread sigterms, reaps and regrants
-/// an invoker and samples `totals()` throughout.
+/// through what could pull them apart: three submitters (`invoke`, and
+/// `invoke_burst` of 8 and of 64, the benchmark's size) shedding
+/// against a queue bound of 8 and a token bucket inside a closed
+/// window, while the main thread sigterms, reaps and regrants an
+/// invoker three times and samples `totals()` throughout. A rebuild
+/// can land mid-burst, after which a router index the burst bucketed by
+/// names another invoker (or none) and the burst falls back to its
+/// scan.
 #[test]
 fn totals_and_exposition_are_one_ledger_across_a_reap() {
-    const WINDOW: usize = 64;
+    const WINDOW: usize = 128;
     let gw = Gateway::new(
         GatewayConfig {
             queue_capacity: 8,
@@ -240,15 +244,16 @@ fn totals_and_exposition_are_one_ledger_across_a_reap() {
         ],
     );
     gw.start_invoker();
-    let wave = gw.start_invoker();
+    let mut wave = gw.start_invoker();
     let (stop, inflight) = (AtomicBool::new(false), AtomicUsize::new(0));
     let deadline = Instant::now() + Duration::from_secs(30);
 
     let offered: u64 = std::thread::scope(|s| {
         let (gw, stop, inflight) = (&gw, &stop, &inflight);
-        // One submitter per submit path (`invoke`, `invoke_burst` of 8);
-        // each also collects, and both stay until the window is empty.
-        let subs = [1usize, 8].map(|burst| {
+        // One submitter per submit path and burst size (`invoke`,
+        // `invoke_burst` of 8 and 64); each also collects, and all stay
+        // until the window is empty.
+        let subs = [1usize, 8, 64].map(|burst| {
             s.spawn(move || {
                 let (mut col, mut done) = (gw.collector(), Vec::new());
                 let (mut scratch, mut outcomes) = (BurstScratch::default(), Vec::new());
@@ -301,12 +306,14 @@ fn totals_and_exposition_are_one_ledger_across_a_reap() {
                 std::thread::sleep(Duration::from_micros(100));
             }
         };
-        sample_for(15);
-        assert!(gw.sigterm(wave));
-        sample_for(2);
-        gw.join_invoker(wave);
-        sample_for(15);
-        gw.start_invoker();
+        for _ in 0..3 {
+            sample_for(15);
+            assert!(gw.sigterm(wave));
+            sample_for(2);
+            gw.join_invoker(wave);
+            sample_for(15);
+            wave = gw.start_invoker();
+        }
         sample_for(15);
         stop.store(true, Ordering::Release);
         subs.into_iter().map(|h| h.join().expect("submitter")).sum()

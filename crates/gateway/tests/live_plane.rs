@@ -3,11 +3,13 @@
 //! was retired onto this crate), plus the subsystems it did not have —
 //! admission control, warm pools, per-action caps, real kernels.
 
-use gateway::{books, ActionBody, ActionId, ActionSpec, Completion, Gateway, GatewayConfig, Shed};
+use gateway::{
+    books, ActionBody, ActionId, ActionSpec, BurstScratch, Completion, Gateway, GatewayConfig, Shed,
+};
 use sebs::{Graph, Kernel};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn noop_plane(n_actions: usize) -> Gateway {
     Gateway::new(
@@ -120,6 +122,59 @@ fn work_spreads_over_healthy_invokers() {
     // Hash routing over 400 distinct keys: every invoker sees work.
     assert!(by_invoker.len() >= 3, "distribution: {by_invoker:?}");
     books::close(&gw, 400).expect("books");
+}
+
+/// Two choices on outstanding work: while one of two invokers is held
+/// in a 50 ms body, every no-op submitted and collected one at a time —
+/// through `invoke`, then through `invoke_burst` bursts of 1 — runs on
+/// the idle invoker, whichever of the two its key hashes to. (Key-only
+/// routing sends about half of them behind the hold.)
+#[test]
+fn requests_route_around_a_busy_invoker() {
+    let gw = Gateway::new(
+        GatewayConfig::default(),
+        vec![
+            ActionSpec::noop("noop"),
+            ActionSpec::noop("hold").with_body(ActionBody::Sleep(Duration::from_millis(50))),
+        ],
+    );
+    let invokers = [gw.start_invoker().id, gw.start_invoker().id];
+    let (mut col, mut scratch, mut outcomes) =
+        (gw.collector(), BurstScratch::default(), Vec::new());
+    for burst in [false, true] {
+        let hold = gw.invoke(ActionId(1), 0).expect("hold admitted").id;
+        let mut got: Vec<Completion> = Vec::new();
+        let mut noops = Vec::new();
+        for key in 1..=20u64 {
+            let id = if burst {
+                outcomes.clear();
+                let reqs = [(ActionId(0), key)];
+                gw.invoke_burst(&reqs, Instant::now(), &mut outcomes, &mut scratch);
+                outcomes[0].expect("no-op admitted").id
+            } else {
+                gw.invoke(ActionId(0), key).expect("no-op admitted").id
+            };
+            while !got.iter().any(|c| c.id == id) {
+                let n = gw.collect_wait(&mut col, &mut got, Duration::from_secs(10));
+                assert!(n > 0, "no-op {id} completes within 10 s");
+            }
+            noops.push(id);
+        }
+        while !got.iter().any(|c| c.id == hold) {
+            assert!(gw.collect_wait(&mut col, &mut got, Duration::from_secs(10)) > 0);
+        }
+        let busy = got.iter().find(|c| c.id == hold).unwrap().invoker;
+        let idle = invokers.into_iter().find(|&i| i != busy).unwrap();
+        for c in got.iter().filter(|c| noops.contains(&c.id)) {
+            assert_eq!(
+                c.invoker, idle,
+                "burst {burst}: no-op {} ran on the busy invoker",
+                c.id
+            );
+        }
+        assert_eq!(got.len(), 21, "burst {burst}: the hold and 20 no-ops");
+    }
+    books::close(&gw, 42).expect("books");
 }
 
 #[test]
