@@ -379,7 +379,7 @@ fn rows() -> Vec<Row> {
         // 1, 2 and 4 parallel submitters (admission CAS lines, router
         // shards and queue locks under multi-thread pressure) — and the
         // closed-loop DES-fed shape at 1 and 2 submitters (at 2 both also
-        // collect, so the claim-swept shard table runs contended). On a
+        // collect, so the shared completion buffer runs contended). On a
         // single CPU the curve is flat; it catches contention that makes
         // N submitters *slower* than one. Latency at a stated load,
         // saturation throughput and serving through lease churn are the

@@ -19,12 +19,12 @@
 //!    [`ContainerPool`] (the DES plane's pool, under `Instant`: cold
 //!    start, keep-alive, LRU) and the body runs for real.
 //! 5. **Completion** — one [`Completion`] per executed request,
-//!    carrying queue-wait/service/total latencies, published batch-wise
-//!    to the invoker's **private completion shard** (exactly one
-//!    producer per shard — there is no shared multi-producer point on
-//!    the completion path). Each consumer holds a [`Collector`] and
-//!    sweeps the shards round-robin via
-//!    [`Gateway::collect_completions_with`] / [`Gateway::collect_wait`].
+//!    carrying queue-wait/service/total latencies, appended batch-wise
+//!    to the plane's **one completion buffer** under its mutex (one
+//!    lock per batch). Each consumer holds a [`Collector`] and takes
+//!    everything pending with one swap via
+//!    [`Gateway::collect_completions_with`] / [`Gateway::collect_wait`];
+//!    a sweep over an empty buffer takes no lock.
 //!
 //! Drain (`sigterm` → `join`): the controller atomically unroutes the
 //! invoker and flips its state; the invoker finishes the batch it has
@@ -42,7 +42,7 @@ use crate::ring::RingQueue;
 use crate::route::Router;
 use crate::telem::{BurstCounts, GatewayTelemetry, SlotTelem, Totals};
 use simcore::pool::{Acquire, ContainerPool, PoolStats};
-use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -195,256 +195,63 @@ struct Slot {
     join: Option<JoinHandle<PoolStats>>,
 }
 
-/// One published batch of completions, a node in a shard's lock-free
-/// segment stack.
-struct Segment {
-    batch: Vec<Completion>,
-    next: *mut Segment,
-}
-
-/// One invoker slot's completion buffer: a **lock-free** Treiber stack
-/// of batch segments. Exactly one producer at a time (the invoker
-/// thread occupying the slot — slots are only reused after the previous
-/// thread joined) pushes whole batches; any number of collectors race
-/// to `swap` the entire chain out, so the structure is push-only and
-/// swap-all — no pop-one, hence no ABA window. The buffer outlives its
-/// invoker: completions published just before a drain remain
-/// collectible after the thread is reaped.
-///
-/// Cache-line-aligned so two collectors hammering adjacent shard heads
-/// never false-share (the expected first profile hit under multi-core
-/// collection). `claim` lets N collectors split the shard space: a
-/// sweep skips shards another collector is already draining instead of
-/// contending on their heads.
-#[repr(align(128))]
-struct CompletionShard {
-    head: AtomicPtr<Segment>,
-    claim: AtomicU32,
-}
-
-impl CompletionShard {
-    fn new() -> Self {
-        CompletionShard {
-            head: AtomicPtr::new(std::ptr::null_mut()),
-            claim: AtomicU32::new(0),
-        }
-    }
-
-    /// Publish a batch: one boxed segment pushed with a CAS (the only
-    /// contender is a collector's swap). `done` is left empty with its
-    /// capacity intact for reuse, preserving the old contract.
-    fn publish(&self, done: &mut Vec<Completion>) {
-        if done.is_empty() {
-            return;
-        }
-        let cap = done.capacity();
-        let batch = std::mem::replace(done, Vec::with_capacity(cap));
-        let seg = Box::into_raw(Box::new(Segment {
-            batch,
-            next: std::ptr::null_mut(),
-        }));
-        let mut head = self.head.load(Ordering::Relaxed);
-        loop {
-            // SAFETY: `seg` came from `Box::into_raw` above and is not
-            // yet published (the CAS below has not succeeded), so this
-            // thread holds the only pointer to it.
-            unsafe { (*seg).next = head };
-            match self
-                .head
-                .compare_exchange_weak(head, seg, Ordering::Release, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(seen) => head = seen,
-            }
-        }
-    }
-
-    /// Move everything pending into `out` (oldest batch first); returns
-    /// how many. Lock-free: one `swap` detaches the whole chain, which
-    /// this collector then owns exclusively.
-    fn drain_into(&self, out: &mut Vec<Completion>) -> usize {
-        let mut p = self.head.swap(std::ptr::null_mut(), Ordering::Acquire);
-        if p.is_null() {
-            return 0;
-        }
-        // The chain is newest-first; reverse in place for FIFO.
-        let mut prev: *mut Segment = std::ptr::null_mut();
-        while !p.is_null() {
-            // SAFETY: every node of the chain was published by
-            // `publish` (a live `Box::into_raw` allocation whose `next`
-            // was written before its Release CAS, which our Acquire
-            // swap pairs with), and the swap detached the whole chain:
-            // no producer or other collector can reach it any more, so
-            // this thread owns every node exclusively.
-            unsafe {
-                let next = (*p).next;
-                (*p).next = prev;
-                prev = p;
-                p = next;
-            }
-        }
-        let mut n = 0;
-        let mut p = prev;
-        while !p.is_null() {
-            // SAFETY: `p` is a node of the exclusively owned chain
-            // reversed above, each visited once; `Box::from_raw`
-            // returns the allocation `publish` leaked and frees it here.
-            let seg = unsafe { Box::from_raw(p) };
-            n += seg.batch.len();
-            out.extend_from_slice(&seg.batch);
-            p = seg.next;
-        }
-        n
-    }
-
-    /// Try to claim this shard for one collector's sweep; collectors
-    /// that lose skip the shard instead of contending on its head.
-    fn try_claim(&self, tag: u32) -> bool {
-        self.claim
-            .compare_exchange(0, tag, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-    }
-
-    fn release_claim(&self) {
-        self.claim.store(0, Ordering::Release);
-    }
-}
-
-impl Drop for CompletionShard {
-    fn drop(&mut self) {
-        let mut p = *self.head.get_mut();
-        while !p.is_null() {
-            // SAFETY: `&mut self` excludes every producer and collector,
-            // so the chain still hanging off `head` is owned here; each
-            // node is a `publish` allocation, visited and freed once.
-            let seg = unsafe { Box::from_raw(p) };
-            p = seg.next;
-        }
-    }
-}
-
-/// Chunk 0 of the shard table holds this many shards; chunk `k` holds
-/// `CHUNK_BASE << k`, so 24 chunks cover ~134M invoker slots without
-/// ever moving a published entry.
-const CHUNK_BASE: usize = 8;
-const N_CHUNKS: usize = 24;
-
-/// The epoch-published completion-shard list: an append-only chunked
-/// table replacing the old `Mutex<Vec<Arc<CompletionShard>>>`. Shards
-/// are only ever *added* (slot reuse reuses the same shard), so the
-/// table never moves an entry: readers locate a shard through one
-/// `Acquire` load of the published length plus one of the owning chunk
-/// pointer — a collector's sweep holds no lock at all. Writers
-/// (`Gateway::start_invoker`) are already serialized by the slots
-/// mutex; they allocate whole chunks of initialized shards and then
-/// publish the new length with a `Release` store, so any index below
-/// the length a reader observes is fully initialized.
-struct ShardTable {
+/// The plane's one completion buffer, shared by every invoker and
+/// every collector. A publish appends a batch under the mutex; a sweep
+/// swaps the whole buffer out under it, so buffers circulate and a
+/// steady-state publish allocates nothing. `seq` bumps after every
+/// publish; an idle collector parks on `park` until it moves (a wake is
+/// paid only while one is parked, and counted as `completion_wake`).
+struct Completions {
+    buf: Mutex<Vec<Completion>>,
+    /// `buf.len()`, stored under the lock and read without it, like the
+    /// fast lane's ([`crate::queue`]): an empty sweep takes no lock. A
+    /// stale zero strands nothing: the length is stored before `seq`
+    /// bumps, so a collector that read the new epoch sees it, and one
+    /// that read the old epoch is woken.
     len: AtomicUsize,
-    chunks: [AtomicPtr<Arc<CompletionShard>>; N_CHUNKS],
-}
-
-impl ShardTable {
-    fn new() -> Self {
-        ShardTable {
-            len: AtomicUsize::new(0),
-            chunks: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
-        }
-    }
-
-    /// Chunk index and offset of shard `i`.
-    #[inline]
-    fn locate(i: usize) -> (usize, usize) {
-        let k = ((i / CHUNK_BASE) + 1).ilog2() as usize;
-        (k, i - CHUNK_BASE * ((1 << k) - 1))
-    }
-
-    /// Published shard count (the list's epoch, in ArcSwap terms).
-    #[inline]
-    fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire)
-    }
-
-    /// Grow the published prefix to at least `n` shards. Callers are
-    /// serialized by the gateway's slots lock; concurrent readers stay
-    /// lock-free throughout.
-    fn ensure(&self, n: usize) {
-        if n == 0 || n <= self.len.load(Ordering::Relaxed) {
-            return;
-        }
-        let (last_k, _) = Self::locate(n - 1);
-        for k in 0..=last_k {
-            if self.chunks[k].load(Ordering::Relaxed).is_null() {
-                let cap = CHUNK_BASE << k;
-                let chunk: Box<[Arc<CompletionShard>]> =
-                    (0..cap).map(|_| Arc::new(CompletionShard::new())).collect();
-                self.chunks[k].store(
-                    Box::into_raw(chunk) as *mut Arc<CompletionShard>,
-                    Ordering::Release,
-                );
-            }
-        }
-        self.len.store(n, Ordering::Release);
-    }
-
-    /// The shard at `i`; callers pass `i < self.len()`.
-    #[inline]
-    fn get(&self, i: usize) -> &Arc<CompletionShard> {
-        let (k, off) = Self::locate(i);
-        let chunk = self.chunks[k].load(Ordering::Acquire);
-        assert!(!chunk.is_null(), "shard {i} beyond the published table");
-        // SAFETY: a non-null chunk `k` was Release-stored by `ensure`
-        // (our Acquire load pairs with it) as a boxed slice of
-        // `CHUNK_BASE << k` shards, all initialized before the store,
-        // and `locate` puts `off` below that length. Chunks are never
-        // freed or moved until the table drops, which `&self` outlives.
-        unsafe { &*chunk.add(off) }
-    }
-}
-
-impl Drop for ShardTable {
-    fn drop(&mut self) {
-        for k in 0..N_CHUNKS {
-            let p = *self.chunks[k].get_mut();
-            if !p.is_null() {
-                let cap = CHUNK_BASE << k;
-                // SAFETY: a non-null chunk `k` is the `Box<[_]>` of
-                // exactly `cap` shards that `ensure` leaked; rebuilding
-                // the fat pointer with that length frees it once, and
-                // `&mut self` excludes every reader.
-                unsafe {
-                    drop(Box::from_raw(std::ptr::slice_from_raw_parts_mut(p, cap)));
-                }
-            }
-        }
-    }
-}
-
-/// The completion-wait gate: `seq` bumps on every shard publish, and
-/// an idle collector ([`Gateway::collect_wait`], the harness's
-/// [`Gateway::wait_completions`]) parks on the gateway's one [`Park`]
-/// until it moves, instead of polling and burning a core. A publish
-/// touches the condvar only while a collector is parked; each wake is
-/// counted as the `completion_wake` contention source.
-struct CompletionGate {
     seq: AtomicU64,
     park: Park,
 }
 
-/// A per-collector cursor + claim tag for the sharded completion path:
-/// create one per collecting thread with [`Gateway::collector`] and
-/// sweep through [`Gateway::collect_completions_with`] /
-/// [`Gateway::collect_wait`]. Each collector rotates its own start
-/// shard and skips shards another collector has claimed, so N
-/// collectors split the shard space instead of serializing — and the
-/// cursor lives in the collector's own cache line (the struct is
-/// line-aligned), not on a shared one.
-#[repr(align(128))]
-#[derive(Debug)]
-pub struct Collector {
-    cursor: usize,
-    tag: u32,
+impl Completions {
+    /// Append a batch, leaving `done` empty with its capacity, then bump
+    /// the epoch and wake parked collectors.
+    fn publish(&self, done: &mut Vec<Completion>) {
+        if done.is_empty() {
+            return;
+        }
+        let mut buf = self.buf.lock().unwrap_or_else(|e| e.into_inner());
+        buf.append(done);
+        self.len.store(buf.len(), Ordering::Release);
+        drop(buf);
+        self.seq.fetch_add(1, Ordering::Release);
+        self.park.wake();
+    }
+
+    /// Move everything published into `out`, oldest first; returns how
+    /// many. An empty `out` trades places with the buffer; a non-empty
+    /// one is appended to.
+    fn drain_into(&self, out: &mut Vec<Completion>) -> usize {
+        if self.len.load(Ordering::Acquire) == 0 {
+            return 0;
+        }
+        let mut buf = self.buf.lock().unwrap_or_else(|e| e.into_inner());
+        let n = buf.len();
+        if out.is_empty() {
+            std::mem::swap(&mut *buf, out);
+        } else {
+            out.append(&mut buf);
+        }
+        self.len.store(0, Ordering::Release);
+        n
+    }
 }
+
+/// A collecting thread's handle for [`Gateway::collect_completions_with`]
+/// and [`Gateway::collect_wait`]. It holds nothing: every collector
+/// sweeps the one shared buffer.
+#[derive(Debug)]
+pub struct Collector;
 
 /// Caller-held scratch for [`Gateway::invoke_burst`]: the per-target
 /// buckets of a burst, kept across calls so their backing allocations
@@ -536,16 +343,9 @@ pub struct Gateway {
     router: Router<Arc<InvokerHandle>>,
     slots: Mutex<Vec<Slot>>,
     fast: Arc<FastLane>,
-    /// Per-slot completion buffers, index-aligned with `slots`: the
-    /// append-only epoch-published table — collectors never take a lock
-    /// (growth is serialized by the `slots` mutex).
-    completion_shards: ShardTable,
-    /// Completion-publish wake gate (waiter-counted; see
-    /// [`CompletionGate`]). Shared with every invoker thread.
-    gate: Arc<CompletionGate>,
-    /// Next tag handed to a [`Collector`] (tags ≥ 1; 0 means
-    /// unclaimed).
-    next_collector: AtomicU32,
+    /// The completion buffer and its wake gate, shared with every
+    /// invoker thread.
+    completions: Arc<Completions>,
     /// The token-bucket admission shaper (inert under `HardShed`);
     /// capacity is re-fed on every router rebuild.
     shaper: AdmissionShaper,
@@ -590,12 +390,12 @@ impl Gateway {
             router: Router::new(shards),
             slots: Mutex::new(Vec::new()),
             fast: Arc::new(fast),
-            completion_shards: ShardTable::new(),
-            gate: Arc::new(CompletionGate {
+            completions: Arc::new(Completions {
+                buf: Mutex::new(Vec::new()),
+                len: AtomicUsize::new(0),
                 seq: AtomicU64::new(0),
                 park: Park::new(telem.completion_wakes.clone()),
             }),
-            next_collector: AtomicU32::new(1),
             shaper,
             ring_full,
             next_request: AtomicU64::new(0),
@@ -669,10 +469,8 @@ impl Gateway {
             queue,
         });
         let mut slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        // Reserve the slot (and its completion shard) before spawning:
-        // the thread owns the shard for the slot's whole occupancy, and
-        // slot reuse only happens after the previous occupant joined,
-        // so every shard has exactly one producer at any time.
+        // Reserve the slot before spawning; it is reused only after
+        // its previous occupant joined.
         let index = match slots.iter().position(|s| s.handle.is_none()) {
             Some(i) => {
                 slots[i].handle = Some(handle.clone());
@@ -687,10 +485,6 @@ impl Gateway {
                 slots.len() - 1
             }
         };
-        // Still under the slots lock, which serializes table growth;
-        // collectors read the table lock-free throughout.
-        self.completion_shards.ensure(index + 1);
-        let shard = self.completion_shards.get(index).clone();
         // A lease granted: the invoker lifecycle *is* the lease
         // lifecycle, so grants − revokes = live leases by construction
         // no matter which driver (controller, test, bin) starts it.
@@ -700,8 +494,7 @@ impl Gateway {
         let worker = InvokerCtx {
             handle,
             fast: self.fast.clone(),
-            completions: shard,
-            gate: self.gate.clone(),
+            completions: self.completions.clone(),
             actions: self.actions.clone(),
             telem: self.telem.clone(),
             slot: self.telem.new_slot(),
@@ -725,48 +518,20 @@ impl Gateway {
         token
     }
 
-    /// A dedicated collector handle: its own round-robin cursor (on its
-    /// own cache line) and a unique shard-claim tag.
+    /// A collector handle. Any number of threads may collect at once;
+    /// each completion reaches exactly one of them.
     pub fn collector(&self) -> Collector {
-        let tag = self.next_collector.fetch_add(1, Ordering::Relaxed);
-        Collector {
-            cursor: tag as usize,
-            tag,
-        }
+        Collector
     }
 
-    /// Sweep every completion shard once through `col`, moving
-    /// everything published so far into `out`; returns how many. The
-    /// sweep starts one shard further round each call, so no invoker's
-    /// completions are systematically served first, and holds **no
-    /// mutex**: the shard list is epoch-published and each shard is a
-    /// lock-free segment stack. Shards claimed by another collector are
-    /// skipped — that collector takes whatever is pending there — so N
-    /// collectors split the shard space instead of serializing on it.
+    /// Move everything published so far into `out`, oldest batch
+    /// first; returns how many. One lock, none while nothing is pending.
     pub fn collect_completions_with(
         &self,
-        col: &mut Collector,
+        _col: &mut Collector,
         out: &mut Vec<Completion>,
     ) -> usize {
-        let len = self.completion_shards.len();
-        if len == 0 {
-            return 0;
-        }
-        let start = col.cursor % len;
-        col.cursor = col.cursor.wrapping_add(1);
-        let mut n = 0;
-        let mut skipped = 0u64;
-        for i in 0..len {
-            let shard = self.completion_shards.get((start + i) % len);
-            if !shard.try_claim(col.tag) {
-                skipped += 1;
-                continue;
-            }
-            n += shard.drain_into(out);
-            shard.release_claim();
-        }
-        self.telem.collect_claim_skips.add(skipped);
-        n
+        self.completions.drain_into(out)
     }
 
     /// Blocking collect: sweep, and if nothing is pending park on the
@@ -807,7 +572,7 @@ impl Gateway {
     /// move — a publish racing the sweep makes the wait return
     /// immediately.
     pub fn completion_epoch(&self) -> u64 {
-        self.gate.seq.load(Ordering::Acquire)
+        self.completions.seq.load(Ordering::Acquire)
     }
 
     /// Park until the completion epoch moves past `seen` or `timeout`
@@ -816,7 +581,7 @@ impl Gateway {
     /// [`completion_epoch`](Gateway::completion_epoch).
     pub fn wait_completions(&self, seen: u64, timeout: Duration) {
         let moved = || self.completion_epoch() != seen;
-        self.gate.park.park_unless(timeout, moved);
+        self.completions.park.park_unless(timeout, moved);
     }
 
     /// Submit an invocation of `action` with routing key `key`. Returns
@@ -1149,8 +914,7 @@ const COLD_LIMIT: usize = 1;
 struct InvokerCtx {
     handle: Arc<InvokerHandle>,
     fast: Arc<FastLane>,
-    completions: Arc<CompletionShard>,
-    gate: Arc<CompletionGate>,
+    completions: Arc<Completions>,
     actions: Arc<ActionRegistry>,
     /// The plane's families.
     telem: Arc<GatewayTelemetry>,
@@ -1321,13 +1085,10 @@ impl InvokerCtx {
 
     /// Retire a finished batch: count it `completed` (and `cold`) in
     /// this invoker's shard, then publish every completion with one
-    /// push — in that order, so a completion a collector can see is
+    /// append — in that order, so a completion a collector can see is
     /// already in the books. (Admission slots were already released
     /// per execution — caps must open the moment a request finishes.)
     fn flush(&self, done: &mut Vec<Completion>) {
-        if done.is_empty() {
-            return;
-        }
         for c in done.iter() {
             let a = c.action.0 as usize;
             self.slot.completed.add_owned(a, 1);
@@ -1336,16 +1097,114 @@ impl InvokerCtx {
             }
         }
         self.completions.publish(done);
-        // Bump the epoch and wake parked collectors after the publish,
-        // so a collector that reads the new epoch finds the batch. One
-        // RMW and one fence per batch when nobody waits.
-        self.gate.seq.fetch_add(1, Ordering::Release);
-        self.gate.park.wake();
     }
 }
 
 impl Drop for Gateway {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicBool;
+
+    fn batch(ids: &[u64]) -> Vec<Completion> {
+        let c = |id| Completion {
+            id,
+            action: ActionId(0),
+            invoker: 0,
+            value: 0,
+            cold: false,
+            queue_wait: Duration::ZERO,
+            service: Duration::ZERO,
+            total: Duration::ZERO,
+        };
+        ids.iter().map(|&id| c(id)).collect()
+    }
+
+    fn ids(v: &[Completion]) -> Vec<u64> {
+        v.iter().map(|c| c.id).collect()
+    }
+
+    #[test]
+    fn sweeps_append_to_a_full_out_and_swap_into_an_empty_one() {
+        let gw = Gateway::new(GatewayConfig::default(), vec![ActionSpec::noop("f")]);
+        let c = &gw.completions;
+        let mut out = batch(&[0]);
+        assert_eq!(c.drain_into(&mut out), 0, "an empty sweep moves nothing");
+        c.publish(&mut Vec::new());
+        assert_eq!(gw.completion_epoch(), 0, "an empty batch is not published");
+        let mut done = Vec::with_capacity(32);
+        let cap = done.capacity();
+        for ids in [[1, 2], [3, 4]] {
+            done.extend(batch(&ids));
+            c.publish(&mut done);
+            assert!(done.is_empty() && done.capacity() == cap, "done comes back");
+        }
+        assert_eq!(gw.completion_epoch(), 2);
+        assert_eq!(c.drain_into(&mut out), 4);
+        assert_eq!(ids(&out), [0, 1, 2, 3, 4], "appended, in publish order");
+        c.publish(&mut batch(&[5]));
+        let mut empty = Vec::with_capacity(64);
+        let spare = empty.as_ptr();
+        assert_eq!(c.drain_into(&mut empty), 1);
+        assert_eq!(ids(&empty), [5]);
+        let buf = c.buf.lock().unwrap();
+        assert_eq!(
+            buf.as_ptr(),
+            spare,
+            "swapped: the plane keeps out's allocation"
+        );
+    }
+
+    /// An invoker-side thread publishes one completion per round, at a
+    /// round-dependent offset from the collector's sweep; the collector
+    /// `collect_wait`s for it, into an empty `out` on odd rounds and a
+    /// non-empty one on even rounds. A round that waits out `STRANDED`
+    /// lost its batch to a stale empty check or a lost wake (the sweep
+    /// after the timeout still finds it, so the time is the symptom).
+    /// Run it in release: a debug build hides a missing fence.
+    #[test]
+    fn the_lock_free_empty_check_strands_no_batch() {
+        const STRANDED: Duration = Duration::from_secs(10);
+        const ROUNDS: u64 = 20_000;
+        let gw = Gateway::new(GatewayConfig::default(), vec![ActionSpec::noop("f")]);
+        let (collected, failed) = (AtomicU64::new(0), AtomicBool::new(false));
+        let mut bad = None;
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for r in 1..=ROUNDS {
+                    while collected.load(Ordering::Acquire) < r - 1 {
+                        if failed.load(Ordering::Relaxed) {
+                            return;
+                        }
+                        std::hint::spin_loop();
+                    }
+                    let jitter = (r * 37) % 400;
+                    (0..jitter * jitter / 400).for_each(|_| std::hint::spin_loop());
+                    gw.completions.publish(&mut batch(&[r]));
+                }
+            });
+            let mut col = gw.collector();
+            for r in 1..=ROUNDS {
+                let mut out = batch(if r % 2 == 0 { &[0] } else { &[] });
+                let start = Instant::now();
+                let n = gw.collect_wait(&mut col, &mut out, STRANDED);
+                let want = if r % 2 == 0 { vec![0, r] } else { vec![r] };
+                if start.elapsed() >= STRANDED || n != 1 || ids(&out) != want {
+                    bad = Some((r, n, ids(&out)));
+                    failed.store(true, Ordering::Relaxed);
+                    return;
+                }
+                collected.store(r, Ordering::Release);
+            }
+        });
+        assert_eq!(
+            bad, None,
+            "(round, collected, ids) of a stranded or wrong round"
+        );
     }
 }

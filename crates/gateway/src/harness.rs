@@ -236,7 +236,7 @@ fn dec_clamped(n: &AtomicUsize, by: usize) {
 /// stream is partitioned **by action hash** across
 /// [`HarnessConfig::submitters`] scoped threads, each running
 /// [`submitter_loop`] against the shared window. Any submitter may
-/// collect any completion (the shard table is claim-swept), so no
+/// collect any completion (all sweep one shared buffer), so no
 /// thread sees the whole run — its truth is the registry-snapshot diff.
 pub fn run_load(gw: &Gateway, arrivals: &[Arrival], cfg: &HarnessConfig) -> LoadReport {
     let n_actions = gw.actions().len() as u32;

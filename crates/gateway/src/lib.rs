@@ -27,12 +27,12 @@
 //!   shed cliff under overload and capacity dips);
 //! * [`gateway`] — admission control, the invoker threads with the
 //!   paper's §III-C fast-lane-first drain protocol (draining up to
-//!   `drain_batch` envelopes per pass), per-invoker **completion
-//!   shards** (single-producer lock-free segment stacks behind an
-//!   epoch-published shard table, swept round-robin by any number of
-//!   concurrent collectors without a mutex), and graceful sigterm/join
-//!   lifecycle; each invoker thread owns a warm-container pool, the
-//!   DES plane's `simcore::pool::ContainerPool` under wall-clock time
+//!   `drain_batch` envelopes per pass), one **completion buffer**
+//!   (a mutex-guarded `Vec` every invoker appends its batches to and
+//!   any number of collectors swap out whole, behind a lock-free empty
+//!   check like the fast lane's), and graceful sigterm/join lifecycle;
+//!   each invoker thread owns a warm-container pool, the DES plane's
+//!   `simcore::pool::ContainerPool` under wall-clock time
 //!   (cold-start penalty, keep-alive eviction, LRU under capacity
 //!   pressure), and records its evictions in the flight recorder;
 //! * [`lease`] — capacity leases: wall-clock [`LeasePlan`]s compiled
@@ -63,7 +63,7 @@
 //! such run ends on [`books::check`], the plane's books read from the
 //! scrape taken after shutdown.
 
-#![deny(clippy::undocumented_unsafe_blocks)]
+#![deny(unsafe_code, clippy::undocumented_unsafe_blocks)]
 
 pub mod action;
 pub mod admission;
@@ -74,6 +74,7 @@ pub mod harness;
 pub mod lease;
 mod park;
 pub mod queue;
+#[allow(unsafe_code)]
 pub mod ring;
 pub mod route;
 pub mod source;

@@ -82,10 +82,6 @@ pub struct GatewayTelemetry {
     /// gate (`source="completion_wake"`): nonzero only while a
     /// collector parks, as on an open-loop plane between arrivals.
     pub completion_wakes: Arc<Counter>,
-    /// Shards a collection sweep skipped because another collector had
-    /// them claimed (`source="collect_claim"`): nonzero only when
-    /// collectors actually overlap.
-    pub collect_claim_skips: Arc<Counter>,
     /// Container-pool lifecycle events, published as deltas at sweep /
     /// retire time (zero per-op cost): warm_hit, cold_start, lru_evict,
     /// keepalive_evict, drain_retired.
@@ -174,7 +170,6 @@ impl GatewayTelemetry {
             queue_highwater: Arc::new(Gauge::new()),
             queue_wakes: Arc::new(Counter::new()),
             completion_wakes: Arc::new(Counter::new()),
-            collect_claim_skips: Arc::new(Counter::new()),
             pool_events: Arc::new(CounterVec::new(POOL_EVENT_NAMES.len())),
             slots: Arc::new(Mutex::new(Vec::new())),
         };
@@ -325,11 +320,10 @@ impl GatewayTelemetry {
     /// line and the per-action in-flight caps), the consumer wakes
     /// producers issued on the work queues, the full-ring refusals of
     /// the MPSC rings, and, on the collect side, the collector wakes
-    /// invokers issued on the completion gate and the shard-claim skips.
-    /// Every series is zero on an idle plane, and the CAS and claim
-    /// series on a single-submitter one, so a flat spot in the
-    /// cores→ops/s curve is attributable from the exposition alone:
-    /// which shared line the extra cores actually fought over.
+    /// invokers issued on the completion gate. Every series is zero on
+    /// an idle plane, and the CAS series on a single-submitter one, so
+    /// a flat spot in the cores→ops/s curve is attributable from the
+    /// exposition alone: which shared line the extra cores fought over.
     pub(crate) fn register_contention(
         &self,
         shaper_cas: Arc<Counter>,
@@ -338,10 +332,9 @@ impl GatewayTelemetry {
     ) {
         let queue_wakes = self.queue_wakes.clone();
         let completion_wakes = self.completion_wakes.clone();
-        let claim_skips = self.collect_claim_skips.clone();
         self.registry.register(
             "gateway_submit_contention_total",
-            "Submit/collect-path contention events (CAS retries, wakes, full rings, claim skips)",
+            "Submit/collect-path contention events (CAS retries, wakes, full rings)",
             MetricKind::Counter,
             Box::new(move || {
                 vec![
@@ -364,10 +357,6 @@ impl GatewayTelemetry {
                     (
                         labels(&[("source", "completion_wake")]),
                         Collected::Counter(completion_wakes.get()),
-                    ),
-                    (
-                        labels(&[("source", "collect_claim")]),
-                        Collected::Counter(claim_skips.get()),
                     ),
                 ]
             }),

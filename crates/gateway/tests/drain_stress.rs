@@ -21,8 +21,8 @@
 //! mid-execution — in-flight work finishes, only unstarted backlog
 //! moves), the fast-lane move with preserved `produced_at` (the `mq`
 //! ordering semantics), producer-vs-drain races rerouting to the fast
-//! lane, the router's epoch swaps under membership churn, the sharded
-//! completion path under invoker death and slot reuse, and the
+//! lane, the router's epoch swaps under membership churn, the shared
+//! completion buffer under invoker death and slot reuse, and the
 //! controller's deadline-headroom drains racing live traffic.
 
 use gateway::{

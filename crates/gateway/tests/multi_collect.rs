@@ -1,7 +1,7 @@
-//! Concurrent-collector regression test for the lock-free completion
-//! plane: any number of collectors may sweep the shard table at once,
-//! and **every accepted request is observed exactly once across all of
-//! them**.
+//! Concurrent-collector regression test for the completion plane: any
+//! number of collectors may sweep the one shared completion buffer at
+//! once, each behind its own lock-free empty check, and **every
+//! accepted request is observed exactly once across all of them**.
 
 use gateway::{ActionId, ActionSpec, Completion, Gateway, GatewayConfig};
 use std::collections::HashSet;
