@@ -21,9 +21,9 @@
 use cluster::SlurmConfig;
 use gateway::books::{self, Violation};
 use gateway::{
-    run_load, run_load_with_controller, ActionBody, ActionSpec, AdmissionPolicy,
+    floor_grants, run_load, run_load_with_controller, ActionBody, ActionSpec, AdmissionPolicy,
     CapacityController, ControllerConfig, Gateway, GatewayConfig, HarnessConfig, LeaseEvent,
-    LeaseEventKind, LeasePlan, LeaseStats, LoadReport, TokenBucketCfg,
+    LeasePlan, LeaseStats, LoadReport, TokenBucketCfg,
 };
 use hpcwhisk_core::{live, DesLeaseSource, DesSourceCfg, IdleSource, ManagerKind, SizerCfg};
 use metrics::telemetry::{render_prometheus, Snapshot};
@@ -307,16 +307,15 @@ fn mixed(poisson: f64, peak: f64, secs: f64) -> Vec<Arrival> {
 /// a descheduled controller thread to poll), and node 4 replaces it.
 fn smoke(_: bool, _: &[Leg]) -> Setup {
     let ms = Duration::from_millis;
-    let grant = |t, node, until| lease(ms(t), node, Some(ms(until)));
     let events = vec![
-        grant(0, 0, 500),
-        grant(0, 1, 60_000),
-        grant(0, 2, 60_000),
-        grant(0, 3, 60_000),
-        lease(ms(580), 0, None),
-        grant(580, 4, 60_000),
+        LeaseEvent::grant(ms(0), 0, ms(500)),
+        LeaseEvent::grant(ms(0), 1, ms(60_000)),
+        LeaseEvent::grant(ms(0), 2, ms(60_000)),
+        LeaseEvent::grant(ms(0), 3, ms(60_000)),
+        LeaseEvent::revoke(ms(580), 0),
+        LeaseEvent::grant(ms(580), 4, ms(60_000)),
     ];
-    let plan = plan(events, Duration::from_secs(2), 0);
+    let plan = LeasePlan::new(events, Duration::from_secs(2));
     let cfg = ControllerConfig {
         drain_headroom: ms(5),
         ..Default::default()
@@ -450,29 +449,10 @@ fn flat(quick: bool, legs: &[Leg]) -> Setup {
     let k = ((leased as f64 / 3_600.0).round() as u32).max(1);
     println!("[static] {k} constant invokers = {leased} leased node-seconds / 3600 s");
     let wall = Duration::from_secs_f64(cycle_wall(quick) * 0.8);
-    let (zero, far) = (Duration::ZERO, wall * 1_000);
-    let mut events: Vec<_> = (0..k).map(|n| lease(zero, n, Some(wall))).collect();
-    events.push(lease(zero, 1_000_000, Some(far)));
-    events.extend((0..k).map(|n| lease(wall, n, None)));
-    let plan = plan(events, far, 1);
+    let grant = |n| LeaseEvent::grant(Duration::ZERO, n, wall);
+    let mut events: Vec<_> = (0..k).map(grant).collect();
+    events.extend(floor_grants(1_000_000, 1, wall));
+    events.extend((0..k).map(|n| LeaseEvent::revoke(wall, n)));
+    let plan = LeasePlan::new(events, wall * 1_000);
     closed_loop(quick, Source::Plan(plan, ControllerConfig::default()))
-}
-
-/// A grant with its deadline, or a revoke.
-fn lease(at: Duration, node: u32, deadline: Option<Duration>) -> LeaseEvent {
-    let kind = deadline.map_or(LeaseEventKind::Revoke, |deadline| LeaseEventKind::Grant {
-        deadline,
-    });
-    LeaseEvent { at, node, kind }
-}
-
-/// A compiled plan of `events`, in order: by instant, revokes before
-/// grants, then by node.
-fn plan(events: Vec<LeaseEvent>, horizon: Duration, floor: usize) -> LeasePlan {
-    LeasePlan {
-        events,
-        horizon,
-        capped_grants: 0,
-        floor,
-    }
 }

@@ -11,58 +11,230 @@
 //! scheduler reclaims the node (at the deadline, or *early* when a
 //! prime job preempts the pilot).
 //!
-//! [`CapacityTrace`] is that causal view: a time-sorted stream of
-//! grant/extend/revoke events with per-lease deadlines, derived from
-//! any [`AvailabilityTrace`] — the Prometheus-calibrated generator in
-//! `workload`, or the trace the simulated poller builds as it samples
-//! ([`crate::ClusterSim::into_parts`], the backfill-timeline
-//! perspective). The gateway's capacity controller replays it against
-//! the live plane; the deadlines are what make *deadline-aware* drains
-//! possible — the controller can start draining an invoker before the
-//! kill arrives, exactly the sigterm-grace protocol of §III-C.
+//! [`LeaseEvent<T>`] is that event, defined once for every clock: the
+//! simulation writes it on [`SimTime`], the gateway on wall-clock
+//! `Duration` offsets (`gateway::LeaseEvent`), and [`LeaseEvent::map`]
+//! carries a stream from one clock to the other. Every stream shares
+//! one total order ([`LeaseEvent::order_key`], [`sort`]), one causality
+//! check ([`validate`]) and one set of stats ([`n_grants`],
+//! [`n_early_revokes`], [`max_concurrent`],
+//! [`min_concurrent_after_start`]).
+//!
+//! [`CapacityTrace`] is the simulated-time stream over a horizon,
+//! derived from any [`AvailabilityTrace`] — the Prometheus-calibrated
+//! generator in `workload`, or the trace the simulated poller builds as
+//! it samples ([`crate::ClusterSim::into_parts`], the backfill-timeline
+//! perspective). The gateway compiles it into a wall-clock plan its
+//! capacity controller replays against the live plane; the deadlines
+//! are what make *deadline-aware* drains possible — the controller can
+//! start draining an invoker before the kill arrives, exactly the
+//! sigterm-grace protocol of §III-C.
 
 use crate::trace::AvailabilityTrace;
 use metrics::StepSeries;
 use simcore::{SimDuration, SimTime};
+use std::collections::BTreeMap;
+use std::fmt::Debug;
 
-/// What happened to one node's lease.
+/// What happened to one node's lease, on clock `T` (simulated
+/// [`SimTime`] here, wall-clock offsets in the gateway).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CapacityEventKind {
+pub enum LeaseEventKind<T> {
     /// A pilot job started on the node; capacity is promised until
     /// `deadline` (the declared wall-time limit).
     Grant {
         /// Announced end of the lease.
-        deadline: SimTime,
+        deadline: T,
     },
     /// The lease was renewed before its deadline (the backfill window
     /// still had room for the pilot).
     Extend {
         /// The new announced end of the lease.
-        deadline: SimTime,
+        deadline: T,
     },
     /// The node was reclaimed. At the announced deadline this is the
     /// graceful path; earlier, it models preemption by a prime job.
     Revoke,
 }
 
-/// One event in the capacity stream.
+impl<T> LeaseEventKind<T> {
+    /// Tie-break rank for events at the same instant: revokes before
+    /// extends before grants, so a reused node is freed before it is
+    /// re-granted and an extend always targets a live lease.
+    pub fn rank(&self) -> u8 {
+        match self {
+            LeaseEventKind::Revoke => 0,
+            LeaseEventKind::Extend { .. } => 1,
+            LeaseEventKind::Grant { .. } => 2,
+        }
+    }
+}
+
+/// One event of a lease stream on clock `T`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CapacityEvent {
+pub struct LeaseEvent<T> {
     /// When the event occurs.
-    pub at: SimTime,
-    /// The node the lease lives on.
+    pub at: T,
+    /// The node the lease lives on (also the invoker's identity on the
+    /// live plane, where node ids are plan-local).
     pub node: u32,
     /// Grant, extend or revoke.
-    pub kind: CapacityEventKind,
+    pub kind: LeaseEventKind<T>,
+}
+
+impl<T> LeaseEvent<T> {
+    /// A lease granted on `node` at `at`, promised until `deadline`.
+    pub fn grant(at: T, node: u32, deadline: T) -> Self {
+        let kind = LeaseEventKind::Grant { deadline };
+        LeaseEvent { at, node, kind }
+    }
+
+    /// `node`'s lease renewed at `at` until `deadline`.
+    pub fn extend(at: T, node: u32, deadline: T) -> Self {
+        let kind = LeaseEventKind::Extend { deadline };
+        LeaseEvent { at, node, kind }
+    }
+
+    /// `node` reclaimed at `at`.
+    pub fn revoke(at: T, node: u32) -> Self {
+        let kind = LeaseEventKind::Revoke;
+        LeaseEvent { at, node, kind }
+    }
+
+    /// The same event on another clock: `clock` maps the instant and
+    /// the deadline alike.
+    pub fn map<U>(self, mut clock: impl FnMut(T) -> U) -> LeaseEvent<U> {
+        let kind = match self.kind {
+            LeaseEventKind::Grant { deadline } => LeaseEventKind::Grant {
+                deadline: clock(deadline),
+            },
+            LeaseEventKind::Extend { deadline } => LeaseEventKind::Extend {
+                deadline: clock(deadline),
+            },
+            LeaseEventKind::Revoke => LeaseEventKind::Revoke,
+        };
+        LeaseEvent {
+            at: clock(self.at),
+            node: self.node,
+            kind,
+        }
+    }
+}
+
+impl<T: Copy> LeaseEvent<T> {
+    /// The one total order of a lease stream: by instant, then revoke <
+    /// extend < grant ([`LeaseEventKind::rank`]), then node, so a stream
+    /// is a deterministic function of its events.
+    pub fn order_key(&self) -> (T, u8, u32) {
+        (self.at, self.kind.rank(), self.node)
+    }
+}
+
+/// Sort `events` into the total order of [`LeaseEvent::order_key`].
+pub fn sort<T: Ord + Copy>(events: &mut [LeaseEvent<T>]) {
+    events.sort_by_key(LeaseEvent::order_key);
+}
+
+/// Check a stream's per-node causality, panicking on the first broken
+/// rule: events are in the order of [`sort`]; a grant lands on a free
+/// node, with a deadline after the grant; an extend or revoke lands on
+/// a held one; an extend never moves the deadline back. Returns the
+/// leases still held after the last event, node → deadline.
+pub fn validate<T: Ord + Copy + Debug>(events: &[LeaseEvent<T>]) -> BTreeMap<u32, T> {
+    let mut held = BTreeMap::new();
+    for w in events.windows(2) {
+        assert!(
+            w[0].order_key() <= w[1].order_key(),
+            "events out of order: {:?} then {:?}",
+            w[0],
+            w[1]
+        );
+    }
+    for e in events {
+        match e.kind {
+            LeaseEventKind::Grant { deadline } => {
+                assert!(deadline > e.at, "node {}: grant already expired", e.node);
+                let prev = held.insert(e.node, deadline);
+                assert!(prev.is_none(), "node {}: grant over live lease", e.node);
+            }
+            LeaseEventKind::Extend { deadline } => {
+                let cur = held.get_mut(&e.node);
+                let cur = cur.unwrap_or_else(|| panic!("node {}: extend without lease", e.node));
+                assert!(deadline >= *cur, "node {}: deadline moved back", e.node);
+                *cur = deadline;
+            }
+            LeaseEventKind::Revoke => {
+                let prev = held.remove(&e.node);
+                assert!(prev.is_some(), "node {}: revoke without lease", e.node);
+            }
+        }
+    }
+    held
+}
+
+/// Number of grants in the stream.
+pub fn n_grants<T>(events: &[LeaseEvent<T>]) -> usize {
+    let grant = |e: &&LeaseEvent<T>| matches!(e.kind, LeaseEventKind::Grant { .. });
+    events.iter().filter(grant).count()
+}
+
+/// Number of revokes that arrive *before* their lease's announced
+/// deadline — the preemption share of the stream.
+pub fn n_early_revokes<T: Ord + Copy>(events: &[LeaseEvent<T>]) -> usize {
+    let mut deadline = BTreeMap::new();
+    let mut early = 0;
+    for e in events {
+        match e.kind {
+            LeaseEventKind::Grant { deadline: d } | LeaseEventKind::Extend { deadline: d } => {
+                deadline.insert(e.node, d);
+            }
+            LeaseEventKind::Revoke => {
+                if deadline.remove(&e.node).is_some_and(|d| e.at < d) {
+                    early += 1;
+                }
+            }
+        }
+    }
+    early
+}
+
+/// Each event with the concurrently leased node count after it.
+fn concurrency<T>(events: &[LeaseEvent<T>]) -> impl Iterator<Item = (&LeaseEvent<T>, usize)> {
+    events.iter().scan(0usize, |cur, e| {
+        match e.kind {
+            LeaseEventKind::Grant { .. } => *cur += 1,
+            LeaseEventKind::Revoke => *cur = cur.saturating_sub(1),
+            LeaseEventKind::Extend { .. } => {}
+        }
+        Some((e, *cur))
+    })
+}
+
+/// Peak number of simultaneously leased nodes.
+pub fn max_concurrent<T>(events: &[LeaseEvent<T>]) -> usize {
+    concurrency(events).map(|(_, n)| n).max().unwrap_or(0)
+}
+
+/// Lowest concurrently leased node count over the stream's span after
+/// its first grant (a stream starts at zero by definition).
+pub fn min_concurrent_after_start<T>(events: &[LeaseEvent<T>]) -> usize {
+    let (mut min, mut last) = (usize::MAX, 0);
+    for (e, n) in concurrency(events) {
+        if matches!(e.kind, LeaseEventKind::Revoke) {
+            min = min.min(n);
+        }
+        last = n;
+    }
+    min.min(last)
 }
 
 /// A replayable, time-sorted stream of capacity events over a horizon.
 ///
 /// Invariants (checked by [`validate`](CapacityTrace::validate), which
-/// every constructor runs): events are sorted by time; each node
-/// alternates grant → (extend)* → revoke; deadlines never move
-/// backwards across an extend; every grant is eventually revoked within
-/// the horizon.
+/// every constructor runs): the stream passes the shared [`validate`]
+/// (sorted, each node alternating grant → (extend)* → revoke, deadlines
+/// never moving back), every event lies inside the horizon, and every
+/// grant is revoked within it.
 #[derive(Debug, Clone)]
 pub struct CapacityTrace {
     /// Horizon start.
@@ -71,9 +243,10 @@ pub struct CapacityTrace {
     pub end: SimTime,
     /// Number of nodes the node ids index into.
     pub n_nodes: usize,
-    /// The event stream, sorted by `at` (ties: revokes before grants,
-    /// so a same-instant reclaim-and-regrant never double-counts).
-    pub events: Vec<CapacityEvent>,
+    /// The event stream, in the total order of [`sort`] (ties: revokes
+    /// before grants, so a same-instant reclaim-and-regrant never
+    /// double-counts).
+    pub events: Vec<LeaseEvent<SimTime>>,
 }
 
 impl CapacityTrace {
@@ -103,36 +276,22 @@ impl CapacityTrace {
             .min(quantum / 2);
         let mut events = Vec::with_capacity(trace.n_intervals() * 2);
         for (node, intervals) in trace.per_node.iter().enumerate() {
+            let node = node as u32;
             for &(a, b) in intervals {
                 let mut deadline = a + quantum;
-                events.push(CapacityEvent {
-                    at: a,
-                    node: node as u32,
-                    kind: CapacityEventKind::Grant { deadline },
-                });
+                events.push(LeaseEvent::grant(a, node, deadline));
                 // Renew while the interval outlives the announced
                 // deadline; each extend fires `lead` before the
                 // deadline it replaces.
                 while deadline < b {
                     let at = deadline - lead.min(deadline.since(a));
                     deadline += quantum;
-                    events.push(CapacityEvent {
-                        at,
-                        node: node as u32,
-                        kind: CapacityEventKind::Extend { deadline },
-                    });
+                    events.push(LeaseEvent::extend(at, node, deadline));
                 }
-                events.push(CapacityEvent {
-                    at: b,
-                    node: node as u32,
-                    kind: CapacityEventKind::Revoke,
-                });
+                events.push(LeaseEvent::revoke(b, node));
             }
         }
-        // Revokes sort before grants at the same instant so a
-        // back-to-back reuse of a node is a release followed by a
-        // fresh lease, never two concurrent leases.
-        events.sort_by_key(|e| (e.at, matches!(e.kind, CapacityEventKind::Grant { .. })));
+        sort(&mut events);
         let trace = CapacityTrace {
             start: trace.start,
             end: trace.end,
@@ -143,63 +302,31 @@ impl CapacityTrace {
         trace
     }
 
-    /// Check the structural invariants; panics with the offending node
-    /// on violation. Cheap (one linear pass) — constructors call it.
+    /// Check the invariants; panics with the offending node on
+    /// violation. Cheap (one linear pass) — constructors call it.
     pub fn validate(&self) {
-        let mut leased: Vec<Option<SimTime>> = vec![None; self.n_nodes];
-        let mut prev = self.start;
-        for e in &self.events {
-            assert!(e.at >= prev, "events out of order at {:?}", e.at);
-            assert!(e.at <= self.end, "event past horizon at {:?}", e.at);
-            prev = e.at;
-            let slot = &mut leased[e.node as usize];
-            match e.kind {
-                CapacityEventKind::Grant { deadline } => {
-                    assert!(slot.is_none(), "node {}: grant over live lease", e.node);
-                    assert!(deadline > e.at, "node {}: grant already expired", e.node);
-                    *slot = Some(deadline);
-                }
-                CapacityEventKind::Extend { deadline } => {
-                    let cur = slot.expect("extend without lease");
-                    assert!(deadline >= cur, "node {}: deadline moved back", e.node);
-                    *slot = Some(deadline);
-                }
-                CapacityEventKind::Revoke => {
-                    assert!(slot.is_some(), "node {}: revoke without lease", e.node);
-                    *slot = None;
-                }
-            }
+        let open = validate(&self.events);
+        if let (Some(first), Some(last)) = (self.events.first(), self.events.last()) {
+            assert!(
+                first.at >= self.start,
+                "event before horizon at {:?}",
+                first.at
+            );
+            assert!(last.at <= self.end, "event past horizon at {:?}", last.at);
         }
-        for (n, s) in leased.iter().enumerate() {
-            assert!(s.is_none(), "node {n}: lease never revoked");
+        if let Some(node) = open.keys().next() {
+            panic!("node {node}: lease never revoked");
         }
     }
 
     /// Number of grants in the stream.
     pub fn n_grants(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e.kind, CapacityEventKind::Grant { .. }))
-            .count()
+        n_grants(&self.events)
     }
 
-    /// Number of revokes that arrive *before* their lease's announced
-    /// deadline — the preemption share of the stream.
+    /// Number of revokes that arrive before their lease's deadline.
     pub fn n_early_revokes(&self) -> usize {
-        let mut deadline: Vec<Option<SimTime>> = vec![None; self.n_nodes];
-        let mut early = 0;
-        for e in &self.events {
-            match e.kind {
-                CapacityEventKind::Grant { deadline: d }
-                | CapacityEventKind::Extend { deadline: d } => deadline[e.node as usize] = Some(d),
-                CapacityEventKind::Revoke => {
-                    if deadline[e.node as usize].take().is_some_and(|d| e.at < d) {
-                        early += 1;
-                    }
-                }
-            }
-        }
-        early
+        n_early_revokes(&self.events)
     }
 
     /// Step series of concurrently leased nodes over time (the live
@@ -212,9 +339,9 @@ impl CapacityTrace {
             let t = self.events[i].at;
             while i < self.events.len() && self.events[i].at == t {
                 match self.events[i].kind {
-                    CapacityEventKind::Grant { .. } => count += 1.0,
-                    CapacityEventKind::Revoke => count -= 1.0,
-                    CapacityEventKind::Extend { .. } => {}
+                    LeaseEventKind::Grant { .. } => count += 1.0,
+                    LeaseEventKind::Revoke => count -= 1.0,
+                    LeaseEventKind::Extend { .. } => {}
                 }
                 i += 1;
             }
@@ -225,127 +352,23 @@ impl CapacityTrace {
 
     /// Peak number of simultaneously leased nodes.
     pub fn max_concurrent(&self) -> usize {
-        let mut cur = 0usize;
-        let mut max = 0usize;
-        for e in &self.events {
-            match e.kind {
-                CapacityEventKind::Grant { .. } => {
-                    cur += 1;
-                    max = max.max(cur);
-                }
-                CapacityEventKind::Revoke => cur -= 1,
-                CapacityEventKind::Extend { .. } => {}
-            }
-        }
-        max
+        max_concurrent(&self.events)
     }
 
     /// Total leased node-seconds over the horizon — the *invasiveness*
     /// of the capacity stream (how much node time the pilots actually
-    /// occupied). Leases still open at the horizon are counted to it.
+    /// occupied).
     pub fn leased_node_secs(&self) -> f64 {
-        let mut open: Vec<Option<SimTime>> = vec![None; self.n_nodes];
+        let mut since = vec![self.start; self.n_nodes];
         let mut total = 0.0f64;
         for e in &self.events {
             match e.kind {
-                CapacityEventKind::Grant { .. } => open[e.node as usize] = Some(e.at),
-                CapacityEventKind::Extend { .. } => {}
-                CapacityEventKind::Revoke => {
-                    if let Some(a) = open[e.node as usize].take() {
-                        total += e.at.since(a).as_secs_f64();
-                    }
-                }
+                LeaseEventKind::Grant { .. } => since[e.node as usize] = e.at,
+                LeaseEventKind::Extend { .. } => {}
+                LeaseEventKind::Revoke => total += e.at.since(since[e.node as usize]).as_secs_f64(),
             }
-        }
-        for a in open.into_iter().flatten() {
-            total += self.end.since(a).as_secs_f64();
         }
         total
-    }
-}
-
-/// An **incremental** capacity recorder: where
-/// [`CapacityTrace::from_availability`] compiles a lease stream from a
-/// complete interval trace, a `CapacityLog` accumulates the stream *as
-/// it happens* — a live DES source pushes each pilot grant/extend/revoke
-/// the moment the scheduler decides it, and the finished log converts
-/// into an ordinary [`CapacityTrace`] for invasiveness accounting or
-/// offline replay of the same run.
-#[derive(Debug, Clone, Default)]
-pub struct CapacityLog {
-    events: Vec<CapacityEvent>,
-    /// Highest node id seen + 1.
-    n_nodes: usize,
-}
-
-impl CapacityLog {
-    /// An empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn push(&mut self, at: SimTime, node: u32, kind: CapacityEventKind) {
-        self.n_nodes = self.n_nodes.max(node as usize + 1);
-        self.events.push(CapacityEvent { at, node, kind });
-    }
-
-    /// Record a lease grant.
-    pub fn grant(&mut self, at: SimTime, node: u32, deadline: SimTime) {
-        self.push(at, node, CapacityEventKind::Grant { deadline });
-    }
-
-    /// Record a renewal.
-    pub fn extend(&mut self, at: SimTime, node: u32, deadline: SimTime) {
-        self.push(at, node, CapacityEventKind::Extend { deadline });
-    }
-
-    /// Record a reclaim.
-    pub fn revoke(&mut self, at: SimTime, node: u32) {
-        self.push(at, node, CapacityEventKind::Revoke);
-    }
-
-    /// Events recorded so far.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Close the log over `[start, end]` and validate the invariants.
-    /// Leases still open get a synthetic revoke at `end` (the horizon
-    /// reclaims whatever the scheduler had not), so the result always
-    /// satisfies [`CapacityTrace::validate`].
-    pub fn into_trace(mut self, start: SimTime, end: SimTime) -> CapacityTrace {
-        self.events
-            .sort_by_key(|e| (e.at, matches!(e.kind, CapacityEventKind::Grant { .. })));
-        let mut open: Vec<bool> = vec![false; self.n_nodes];
-        for e in &self.events {
-            match e.kind {
-                CapacityEventKind::Grant { .. } => open[e.node as usize] = true,
-                CapacityEventKind::Revoke => open[e.node as usize] = false,
-                CapacityEventKind::Extend { .. } => {}
-            }
-        }
-        for (node, still_open) in open.into_iter().enumerate() {
-            if still_open {
-                self.events.push(CapacityEvent {
-                    at: end,
-                    node: node as u32,
-                    kind: CapacityEventKind::Revoke,
-                });
-            }
-        }
-        let trace = CapacityTrace {
-            start,
-            end,
-            n_nodes: self.n_nodes,
-            events: self.events,
-        };
-        trace.validate();
-        trace
     }
 }
 
@@ -371,11 +394,11 @@ mod tests {
         assert_eq!(cap.n_early_revokes(), 1);
         assert_eq!(cap.events.len(), 2);
         match cap.events[0].kind {
-            CapacityEventKind::Grant { deadline } => assert_eq!(deadline, t(700)),
+            LeaseEventKind::Grant { deadline } => assert_eq!(deadline, t(700)),
             ref k => panic!("expected grant, got {k:?}"),
         }
         assert_eq!(cap.events[1].at, t(160));
-        assert_eq!(cap.events[1].kind, CapacityEventKind::Revoke);
+        assert_eq!(cap.events[1].kind, LeaseEventKind::Revoke);
     }
 
     #[test]
@@ -389,7 +412,7 @@ mod tests {
             .events
             .iter()
             .filter_map(|e| match e.kind {
-                CapacityEventKind::Extend { deadline } => Some((e.at, deadline)),
+                LeaseEventKind::Extend { deadline } => Some((e.at, deadline)),
                 _ => None,
             })
             .collect();
@@ -432,6 +455,17 @@ mod tests {
     }
 
     #[test]
+    fn leased_node_secs_sums_each_lease() {
+        // 0: 10 → 150 and 200 → 260 = 200 s; 1: 20 → 80 = 60 s.
+        let tr = avail(vec![
+            vec![(t(10), t(150)), (t(200), t(260))],
+            vec![(t(20), t(80))],
+        ]);
+        let cap = CapacityTrace::from_availability(&tr, SimDuration::from_secs(100));
+        assert!((cap.leased_node_secs() - 260.0).abs() < 1e-9);
+    }
+
+    #[test]
     fn back_to_back_intervals_release_before_regrant() {
         // min_busy separation of zero: node 0's second lease starts the
         // instant the first ends; the revoke must sort first.
@@ -440,8 +474,8 @@ mod tests {
         cap.validate();
         let at_100: Vec<_> = cap.events.iter().filter(|e| e.at == t(100)).collect();
         assert_eq!(at_100.len(), 2);
-        assert_eq!(at_100[0].kind, CapacityEventKind::Revoke);
-        assert!(matches!(at_100[1].kind, CapacityEventKind::Grant { .. }));
+        assert_eq!(at_100[0].kind, LeaseEventKind::Revoke);
+        assert!(matches!(at_100[1].kind, LeaseEventKind::Grant { .. }));
     }
 
     #[test]
@@ -449,29 +483,6 @@ mod tests {
     fn zero_quantum_rejected() {
         let tr = avail(vec![vec![(t(0), t(100))]]);
         CapacityTrace::from_availability(&tr, SimDuration::ZERO);
-    }
-
-    #[test]
-    fn capacity_log_accumulates_and_closes_open_leases() {
-        let mut log = CapacityLog::new();
-        log.grant(t(10), 0, t(100));
-        log.grant(t(20), 1, t(80));
-        log.extend(t(90), 0, t(200));
-        log.revoke(t(80), 1);
-        // Node 0 is still leased at the horizon: the close reclaims it.
-        let trace = log.into_trace(t(0), t(150));
-        assert_eq!(trace.n_grants(), 2);
-        assert_eq!(
-            trace
-                .events
-                .iter()
-                .filter(|e| matches!(e.kind, CapacityEventKind::Revoke))
-                .count(),
-            2,
-            "the open lease got a horizon revoke"
-        );
-        // 0: 10 → 150 (synthetic) = 140 s; 1: 20 → 80 = 60 s.
-        assert!((trace.leased_node_secs() - 200.0).abs() < 1e-9);
     }
 
     #[test]
@@ -487,7 +498,7 @@ mod tests {
         assert!(
             cap.events
                 .iter()
-                .any(|e| matches!(e.kind, CapacityEventKind::Extend { .. })),
+                .any(|e| matches!(e.kind, LeaseEventKind::Extend { .. })),
             "the 1 s interval must be renewed many times"
         );
     }

@@ -36,8 +36,10 @@
 //! * [`trace`] — the availability trace the poller builds;
 //! * [`config`], [`events`], [`ids`], [`job`], [`node`] — the Slurm
 //!   settings, the events and notes, and the records the scheduler keeps;
-//! * [`capacity`] — the availability trace as a stream of lease grants,
-//!   extensions and revokes, for the live plane.
+//! * [`capacity`] — the one lease vocabulary: `LeaseEvent<T>` (grant,
+//!   extend, revoke) on any clock, with one order, one causality check
+//!   and the shared stats, and `CapacityTrace`, the availability trace
+//!   as such a stream in simulated time, for the live plane.
 
 #![forbid(unsafe_code)]
 
@@ -51,7 +53,7 @@ mod sched;
 pub mod timeline;
 pub mod trace;
 
-pub use capacity::{CapacityEvent, CapacityEventKind, CapacityLog, CapacityTrace};
+pub use capacity::{CapacityTrace, LeaseEvent, LeaseEventKind};
 pub use config::SlurmConfig;
 pub use events::{ClusterEvent, ClusterNote, PollSample, SigtermReason};
 pub use ids::{JobId, NodeId, NodeList};

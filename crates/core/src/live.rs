@@ -27,9 +27,9 @@ use crate::driver::{Driver, IdleSource, PilotSink};
 use crate::experiment::DayConfig;
 use crate::manager::ManagerKind;
 use crate::pilot::{PilotPhase, WarmupModel};
-use cluster::{JobId, SigtermReason, SlurmConfig};
+use cluster::{JobId, LeaseEvent, SigtermReason, SlurmConfig};
 use gateway::books::{self, Violation};
-use gateway::{LeaseEvent, LeaseEventKind, LeaseSource, LoadFeedback};
+use gateway::{floor_grants, LeaseSource, LoadFeedback};
 use simcore::{SimDuration, SimTime};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -175,16 +175,12 @@ pub fn check_books(snap: &Snapshot) -> Result<(), Vec<Violation>> {
     found.is_empty().then_some(()).ok_or(found)
 }
 
-/// A lease transition in simulated time: `(at, node, Some(deadline))`
-/// for a grant, `(at, node, None)` for a revoke.
-type SimLease = (SimTime, u32, Option<SimTime>);
-
 /// The [`PilotSink::Leases`] sink of the [`Driver`]: a lease per warm
 /// pilot, buffered in simulated time until the adapter collects it.
 pub(crate) struct LeaseBuffer {
     max_leases: usize,
-    /// Transitions not yet collected, in emission order.
-    emitted: Vec<SimLease>,
+    /// Grants and revokes not yet collected, in emission order.
+    emitted: Vec<LeaseEvent<SimTime>>,
     /// Live leases: the gateway node id and the grant instant per pilot.
     serving: HashMap<JobId, (u32, SimTime)>,
     next_node: u32,
@@ -244,7 +240,7 @@ impl LeaseBuffer {
         let node = self.next_node;
         self.next_node += 1;
         self.serving.insert(job, (node, now));
-        self.emitted.push((now, node, Some(deadline)));
+        self.emitted.push(LeaseEvent::grant(now, node, deadline));
         self.books.stats.grants += 1;
         self.books.live = self.serving.len() as i64;
         true
@@ -275,7 +271,7 @@ impl LeaseBuffer {
         let Some((node, since)) = self.serving.remove(&job) else {
             return;
         };
-        self.emitted.push((now, node, None));
+        self.emitted.push(LeaseEvent::revoke(now, node));
         self.books.stats.revokes += 1;
         self.books.stats.leased_node_secs += now.since(since).as_secs_f64().round() as u64;
         self.books.live = self.serving.len() as i64;
@@ -301,8 +297,7 @@ pub struct DesLeaseSource {
     driver: Driver,
     speedup: f64,
     /// The pinned floor grants, until the first poll hands them out.
-    floor: Vec<LeaseEvent>,
-    n_floor: usize,
+    floor: Vec<LeaseEvent<Duration>>,
     done: bool,
 }
 
@@ -325,23 +320,12 @@ impl DesLeaseSource {
             driver: Driver::new(cfg.idle, day, sink),
             speedup: cfg.speedup,
             floor: Vec::new(),
-            n_floor: cfg.floor,
             done: false,
         };
-        // Pinned floor invokers, granted at the epoch with a deadline far
-        // past any horizon (the controller reaps them at finish) — same
-        // shape as a compiled plan's floor.
-        let far = src
-            .wall_of(src.driver.window().1)
-            .max(Duration::from_millis(1))
-            * 1_000;
-        src.floor = (0..cfg.floor as u32)
-            .map(|i| LeaseEvent {
-                at: Duration::ZERO,
-                node: FLOOR_NODE_BASE + i,
-                kind: LeaseEventKind::Grant { deadline: far },
-            })
-            .collect();
+        // Pinned floor invokers: the same shape as a compiled plan's
+        // floor, on their own node block.
+        let horizon = src.wall_of(src.driver.window().1);
+        src.floor = floor_grants(FLOOR_NODE_BASE, cfg.floor, horizon).collect();
         src
     }
 
@@ -370,7 +354,7 @@ impl DesLeaseSource {
 }
 
 impl LeaseSource for DesLeaseSource {
-    fn poll(&mut self, now: Duration, out: &mut Vec<LeaseEvent>) -> Option<Duration> {
+    fn poll(&mut self, now: Duration, out: &mut Vec<LeaseEvent<Duration>>) -> Option<Duration> {
         out.append(&mut self.floor);
         if !self.done {
             let (start, end) = self.driver.window();
@@ -382,13 +366,8 @@ impl LeaseSource for DesLeaseSource {
             }
             // Everything emitted is due: it happened at simulated
             // instants the wall clock has already passed.
-            for (at, node, grant_until) in std::mem::take(&mut self.sink_mut().emitted) {
-                let kind = grant_until.map_or(LeaseEventKind::Revoke, |t| LeaseEventKind::Grant {
-                    deadline: self.wall_of(t),
-                });
-                let at = self.wall_of(at);
-                out.push(LeaseEvent { at, node, kind });
-            }
+            let emitted = std::mem::take(&mut self.sink_mut().emitted);
+            out.extend(emitted.into_iter().map(|e| e.map(|t| self.wall_of(t))));
             self.sink_mut().publish();
         }
         if self.done {
@@ -405,9 +384,5 @@ impl LeaseSource for DesLeaseSource {
 
     fn exhausted(&self) -> bool {
         self.done
-    }
-
-    fn floor(&self) -> usize {
-        self.n_floor
     }
 }

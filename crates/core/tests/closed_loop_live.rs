@@ -280,7 +280,7 @@ fn scripted_stream(mut src: DesLeaseSource, horizon_wall: Duration) -> (Vec<Pinn
         now += step;
         assert!(now < horizon_wall * 2, "the source never exhausted");
     }
-    events.sort_by_key(|e| (e.at, e.kind.rank(), e.node));
+    cluster::capacity::sort(&mut events);
     let ns = |d: Duration| d.as_nanos() as u64;
     let pinned = events.iter().map(|e| match e.kind {
         LeaseEventKind::Grant { deadline } => (ns(e.at), e.node, Some(ns(deadline))),

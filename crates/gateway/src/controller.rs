@@ -407,33 +407,6 @@ mod tests {
         Duration::from_millis(n)
     }
 
-    fn plan(events: Vec<LeaseEvent>) -> LeasePlan {
-        LeasePlan {
-            events,
-            horizon: ms(100),
-            capped_grants: 0,
-            floor: 0,
-        }
-    }
-
-    fn grant(at: u64, node: u32, deadline: u64) -> LeaseEvent {
-        LeaseEvent {
-            at: ms(at),
-            node,
-            kind: LeaseEventKind::Grant {
-                deadline: ms(deadline),
-            },
-        }
-    }
-
-    fn revoke(at: u64, node: u32) -> LeaseEvent {
-        LeaseEvent {
-            at: ms(at),
-            node,
-            kind: LeaseEventKind::Revoke,
-        }
-    }
-
     fn gw() -> Gateway {
         Gateway::new(GatewayConfig::default(), vec![ActionSpec::noop("f")])
     }
@@ -442,15 +415,14 @@ mod tests {
     fn grant_extend_revoke_lifecycle_with_virtual_clock() {
         let gw = gw();
         let t0 = Instant::now();
-        let p = plan(vec![
-            grant(0, 0, 50),
-            LeaseEvent {
-                at: ms(30),
-                node: 0,
-                kind: LeaseEventKind::Extend { deadline: ms(90) },
-            },
-            revoke(90, 0),
-        ]);
+        let p = LeasePlan::new(
+            vec![
+                LeaseEvent::grant(ms(0), 0, ms(50)),
+                LeaseEvent::extend(ms(30), 0, ms(90)),
+                LeaseEvent::revoke(ms(90), 0),
+            ],
+            ms(100),
+        );
         let mut ctl = CapacityController::new(
             &gw,
             p,
@@ -490,7 +462,13 @@ mod tests {
     fn early_revoke_is_a_surprise_drain() {
         let gw = gw();
         let t0 = Instant::now();
-        let p = plan(vec![grant(0, 0, 80), revoke(10, 0)]);
+        let p = LeasePlan::new(
+            vec![
+                LeaseEvent::grant(ms(0), 0, ms(80)),
+                LeaseEvent::revoke(ms(10), 0),
+            ],
+            ms(100),
+        );
         let mut ctl = CapacityController::new(&gw, p, ControllerConfig::default(), t0);
         ctl.poll(t0);
         assert_eq!(gw.n_healthy(), 1);
@@ -506,7 +484,13 @@ mod tests {
     fn floor_blocks_headroom_drain_but_not_revoke() {
         let gw = gw();
         let t0 = Instant::now();
-        let p = plan(vec![grant(0, 0, 20), revoke(40, 0)]);
+        let p = LeasePlan::new(
+            vec![
+                LeaseEvent::grant(ms(0), 0, ms(20)),
+                LeaseEvent::revoke(ms(40), 0),
+            ],
+            ms(100),
+        );
         let mut ctl = CapacityController::new(
             &gw,
             p,
@@ -560,7 +544,13 @@ mod tests {
         // deadline revoke must not be a surprise.
         let gw = gw();
         let t0 = Instant::now();
-        let p = plan(vec![grant(0, 0, 1), revoke(1, 0)]);
+        let p = LeasePlan::new(
+            vec![
+                LeaseEvent::grant(ms(0), 0, ms(1)),
+                LeaseEvent::revoke(ms(1), 0),
+            ],
+            ms(100),
+        );
         let mut ctl = CapacityController::new(
             &gw,
             p,
@@ -593,7 +583,13 @@ mod tests {
         // surprise, and the episode counts once as a floor deferral.
         let gw = gw();
         let t0 = Instant::now();
-        let p = plan(vec![grant(0, 0, 1), revoke(2, 0)]);
+        let p = LeasePlan::new(
+            vec![
+                LeaseEvent::grant(ms(0), 0, ms(1)),
+                LeaseEvent::revoke(ms(2), 0),
+            ],
+            ms(100),
+        );
         let mut ctl = CapacityController::new(
             &gw,
             p,
@@ -618,16 +614,15 @@ mod tests {
     fn regrant_after_drain_replaces_the_invoker() {
         let gw = gw();
         let t0 = Instant::now();
-        let p = plan(vec![
-            grant(0, 0, 10),
-            // The renewal arrives after the deadline drain began.
-            LeaseEvent {
-                at: ms(20),
-                node: 0,
-                kind: LeaseEventKind::Extend { deadline: ms(80) },
-            },
-            revoke(80, 0),
-        ]);
+        let p = LeasePlan::new(
+            vec![
+                LeaseEvent::grant(ms(0), 0, ms(10)),
+                // The renewal arrives after the deadline drain began.
+                LeaseEvent::extend(ms(20), 0, ms(80)),
+                LeaseEvent::revoke(ms(80), 0),
+            ],
+            ms(100),
+        );
         let mut ctl = CapacityController::new(
             &gw,
             p,
@@ -710,7 +705,7 @@ mod tests {
         gw.start_invoker();
         let mut ctl = CapacityController::new(
             &gw,
-            plan(vec![]),
+            LeasePlan::new(vec![], ms(100)),
             ControllerConfig::default(),
             Instant::now(),
         );

@@ -107,11 +107,16 @@ pub struct Completion {
     pub total: Duration,
 }
 
+/// Routing-table stripes (see [`Router::new`]).
+const SHARDS: usize = 8;
+
+/// An invoker runs its keep-alive sweep at least this often (in
+/// requests executed), even under load.
+const SWEEP_EVERY_OPS: u64 = 1_024;
+
 /// Tuning knobs of the serving plane.
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
-    /// Routing-table stripes (rounded up to a power of two).
-    pub shards: usize,
     /// Per-invoker queue admission bound.
     pub queue_capacity: usize,
     /// Container slots per invoker pool (at least 1; [`Gateway::new`]
@@ -120,8 +125,6 @@ pub struct GatewayConfig {
     /// How long an idle invoker parks before re-polling the fast lane
     /// and its drain flag.
     pub park: Duration,
-    /// Run the keep-alive sweep at least this often even under load.
-    pub sweep_every_ops: u64,
     /// Max envelopes an invoker pops per pass of its loop: the fast
     /// lane first (no lock while it is empty), topped up from the home
     /// ring. 1 reproduces the unbatched per-pop behaviour exactly; the
@@ -137,11 +140,9 @@ pub struct GatewayConfig {
 impl Default for GatewayConfig {
     fn default() -> Self {
         GatewayConfig {
-            shards: 8,
             queue_capacity: 4_096,
             pool_slots: 64,
             park: Duration::from_micros(500),
-            sweep_every_ops: 1_024,
             drain_batch: 32,
             admission: AdmissionPolicy::HardShed,
         }
@@ -370,7 +371,6 @@ impl Gateway {
             cfg.pool_slots >= 1,
             "GatewayConfig::pool_slots must be at least 1"
         );
-        let shards = cfg.shards;
         let shaper = AdmissionShaper::new(&cfg.admission, Instant::now());
         let ring_full = Arc::new(Counter::new());
         let action_names: Vec<String> = actions.iter().map(|a| a.name.clone()).collect();
@@ -387,7 +387,7 @@ impl Gateway {
         Gateway {
             cfg,
             actions,
-            router: Router::new(shards),
+            router: Router::new(SHARDS),
             slots: Mutex::new(Vec::new()),
             fast: Arc::new(fast),
             completions: Arc::new(Completions {
@@ -500,7 +500,6 @@ impl Gateway {
             slot: self.telem.new_slot(),
             pool_slots: self.cfg.pool_slots,
             park: self.cfg.park,
-            sweep_every_ops: self.cfg.sweep_every_ops,
             drain_batch: self.cfg.drain_batch.max(1),
         };
         slots[index].join = Some(
@@ -922,7 +921,6 @@ struct InvokerCtx {
     slot: Arc<SlotTelem>,
     pool_slots: usize,
     park: Duration,
-    sweep_every_ops: u64,
     drain_batch: usize,
 }
 
@@ -999,7 +997,7 @@ impl InvokerCtx {
                     self.handle.done.store(end, Ordering::Relaxed);
                 }
                 self.flush(&mut done);
-                if ops_since_sweep >= self.sweep_every_ops {
+                if ops_since_sweep >= SWEEP_EVERY_OPS {
                     self.sweep(&mut pool, t, &mut last_pool);
                     ops_since_sweep = 0;
                 }

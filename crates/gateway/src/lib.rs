@@ -35,10 +35,11 @@
 //!   `simcore::pool::ContainerPool` under wall-clock time
 //!   (cold-start penalty, keep-alive eviction, LRU under capacity
 //!   pressure), and records its evictions in the flight recorder;
-//! * [`lease`] — capacity leases: wall-clock [`LeasePlan`]s compiled
-//!   from `cluster::CapacityTrace` availability streams (or generated
-//!   as seeded synthetic churn), with per-lease deadlines, a
-//!   concurrency cap and a pinned routable floor;
+//! * [`lease`] — capacity leases: [`LeaseEvent`] is `cluster`'s one
+//!   lease event on wall-clock offsets, and wall-clock [`LeasePlan`]s
+//!   are compiled from `cluster::CapacityTrace` availability streams
+//!   (or generated as seeded synthetic churn), with per-lease
+//!   deadlines, a concurrency cap and a pinned routable floor;
 //! * [`controller`] — the [`CapacityController`] that executes a plan:
 //!   grants start invokers, deadlines trigger drains *ahead* of the
 //!   revoke (§III-C's grace window), revokes reap — the lease-driven
@@ -87,7 +88,7 @@ pub use gateway::{
     Admit, BurstScratch, Collector, Completion, Gateway, GatewayConfig, InvokerToken, Shed,
 };
 pub use harness::{run_load, run_load_with_controller, ActionLoad, HarnessConfig, LoadReport};
-pub use lease::{ChurnCfg, LeaseEvent, LeaseEventKind, LeasePlan};
+pub use lease::{floor_grants, ChurnCfg, LeaseEvent, LeaseEventKind, LeasePlan};
 pub use queue::{Envelope, Produce, ProduceBatch, Request};
 pub use ring::RingQueue;
 pub use route::Router;

@@ -11,8 +11,9 @@
 //! * strictly increasing **offsets** assigned at produce time — the
 //!   claimed ring position *is* the offset, so offsets are exactly the
 //!   sequence `mq::Broker::produce` would assign;
-//! * **`produced_at` preserved** across the fast-lane hop
-//!   (`produce_moved` stamps a fresh offset, keeps the instant);
+//! * **`produced_at` preserved** across the fast-lane hop: a drain
+//!   hands back each envelope with its admission instant, which the
+//!   fast lane keeps under a fresh offset of its own;
 //! * **close-and-drain atomic with produce**: closing sets a bit in
 //!   the same word producers claim positions from, so a producer
 //!   either lands its message *before* the close (and the drain
@@ -304,21 +305,6 @@ impl RingQueue {
         }
     }
 
-    /// Re-produce an envelope moved from another queue: fresh offset
-    /// here, original `produced_at` preserved (`mq::Broker::move_all`).
-    /// Errs with the envelope when this ring is closed or full (a full
-    /// ring cannot absorb a drain hop; the caller keeps the envelope).
-    pub fn produce_moved(&self, env: Envelope) -> Result<u64, Envelope> {
-        match self.claim(1) {
-            Err(()) | Ok((_, 0)) => Err(env),
-            Ok((pos, _)) => {
-                self.publish(pos, Envelope { offset: pos, ..env });
-                self.after_produce(pos + 1);
-                Ok(pos)
-            }
-        }
-    }
-
     /// Take the consumer claim. Uncontended on the gateway's path: the
     /// owning invoker is the ring's only caller of the consumer side.
     ///
@@ -572,35 +558,8 @@ mod tests {
             q.produce_batch(&[req(1)], t),
             ProduceBatch::Closed
         ));
-        assert!(q
-            .produce_moved(Envelope {
-                offset: 0,
-                produced_at: t,
-                req: req(1),
-            })
-            .is_err());
         // Idempotent.
         assert!(q.close_and_drain().is_empty());
-    }
-
-    #[test]
-    fn moved_envelope_keeps_produced_at_gets_fresh_offset() {
-        let q = RingQueue::new(8);
-        let t0 = Instant::now();
-        assert!(matches!(q.produce(req(1), t0), Produce::Ok(0)));
-        let stamped = t0 - Duration::from_millis(5);
-        let off = q
-            .produce_moved(Envelope {
-                offset: 42,
-                produced_at: stamped,
-                req: req(2),
-            })
-            .unwrap();
-        assert_eq!(off, 1, "fresh offset here, not the old queue's");
-        q.try_pop().unwrap();
-        let env = q.try_pop().unwrap();
-        assert_eq!(env.offset, 1);
-        assert_eq!(env.produced_at, stamped, "admission stamp preserved");
     }
 
     #[test]

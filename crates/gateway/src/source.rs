@@ -85,12 +85,6 @@ pub trait LeaseSource: Send {
 
     /// True once the source will never emit another event.
     fn exhausted(&self) -> bool;
-
-    /// Pinned floor leases the source emits at the epoch (granted once,
-    /// reaped by the controller at finish) — surfaced for reports.
-    fn floor(&self) -> usize {
-        0
-    }
 }
 
 /// The one-shot replay source: a [`LeasePlan`] compiled ahead of time,
@@ -99,7 +93,6 @@ pub trait LeaseSource: Send {
 pub struct PlanSource {
     events: Vec<LeaseEvent>,
     next: usize,
-    floor: usize,
 }
 
 impl PlanSource {
@@ -108,7 +101,6 @@ impl PlanSource {
         PlanSource {
             events: plan.events,
             next: 0,
-            floor: plan.floor,
         }
     }
 }
@@ -128,37 +120,20 @@ impl LeaseSource for PlanSource {
     fn exhausted(&self) -> bool {
         self.next >= self.events.len()
     }
-
-    fn floor(&self) -> usize {
-        self.floor
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lease::LeaseEventKind;
 
     fn ms(n: u64) -> Duration {
         Duration::from_millis(n)
     }
 
-    fn grant(at: u64, node: u32) -> LeaseEvent {
-        LeaseEvent {
-            at: ms(at),
-            node,
-            kind: LeaseEventKind::Grant { deadline: ms(100) },
-        }
-    }
-
     #[test]
     fn plan_source_streams_on_schedule() {
-        let plan = LeasePlan {
-            events: vec![grant(0, 0), grant(10, 1), grant(20, 2)],
-            horizon: ms(50),
-            capped_grants: 0,
-            floor: 0,
-        };
+        let grant = |at, node| LeaseEvent::grant(ms(at), node, ms(100));
+        let plan = LeasePlan::new(vec![grant(0, 0), grant(10, 1), grant(20, 2)], ms(50));
         let mut src = PlanSource::new(plan);
         let mut out = Vec::new();
         let next = src.poll(ms(0), &mut out);

@@ -6,7 +6,7 @@
 
 use gateway::{
     books, ActionBody, ActionId, ActionSpec, AdmissionPolicy, CapacityController, ControllerConfig,
-    Gateway, GatewayConfig, HarnessConfig, LeasePlan, Shed, TokenBucketCfg,
+    Gateway, GatewayConfig, HarnessConfig, LeaseEvent, LeasePlan, Shed, TokenBucketCfg,
 };
 use simcore::SimDuration;
 use std::time::{Duration, Instant};
@@ -68,25 +68,13 @@ fn revoked_lease_retires_warm_containers() {
     for cycle in 0..2u64 {
         // Grant one lease, warm both actions' containers on it, then
         // let the deadline drain + revoke reclaim the node.
-        let plan = LeasePlan {
-            events: vec![
-                gateway::LeaseEvent {
-                    at: Duration::ZERO,
-                    node: cycle as u32,
-                    kind: gateway::LeaseEventKind::Grant {
-                        deadline: Duration::from_millis(10),
-                    },
-                },
-                gateway::LeaseEvent {
-                    at: Duration::from_millis(10),
-                    node: cycle as u32,
-                    kind: gateway::LeaseEventKind::Revoke,
-                },
-            ],
-            horizon: Duration::from_millis(10),
-            capped_grants: 0,
-            floor: 0,
-        };
+        let node = cycle as u32;
+        let ten = Duration::from_millis(10);
+        let events = vec![
+            LeaseEvent::grant(Duration::ZERO, node, ten),
+            LeaseEvent::revoke(ten, node),
+        ];
+        let plan = LeasePlan::new(events, ten);
         let mut ctl = CapacityController::new(
             &gw,
             plan,

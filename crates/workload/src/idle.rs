@@ -426,7 +426,7 @@ mod tests {
         let extends = cap
             .events
             .iter()
-            .filter(|e| matches!(e.kind, cluster::CapacityEventKind::Extend { .. }))
+            .filter(|e| matches!(e.kind, cluster::LeaseEventKind::Extend { .. }))
             .count();
         assert!(extends > 0, "no lease outlived the 10-min quantum");
     }

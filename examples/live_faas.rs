@@ -15,7 +15,7 @@
 
 use hpc_whisk::gateway::{
     books, run_load, ActionBody, ActionId, ActionSpec, CapacityController, ControllerConfig,
-    Gateway, GatewayConfig, HarnessConfig, LeaseEvent, LeaseEventKind, LeasePlan,
+    Gateway, GatewayConfig, HarnessConfig, LeaseEvent, LeasePlan,
 };
 use hpc_whisk::sebs::{Graph, Kernel};
 use hpc_whisk::simcore::SimDuration;
@@ -40,28 +40,14 @@ fn main() {
     // The capacity plan: three pilot leases granted up front; node 1's
     // lease is revoked mid-burst (a prime HPC job reclaims it), the
     // other two run long enough to serve the whole demo.
-    let grant = |node: u32, deadline_ms: u64| LeaseEvent {
-        at: Duration::ZERO,
-        node,
-        kind: LeaseEventKind::Grant {
-            deadline: Duration::from_millis(deadline_ms),
-        },
-    };
-    let plan = LeasePlan {
-        events: vec![
-            grant(0, 60_000),
-            grant(1, 60_000),
-            grant(2, 60_000),
-            LeaseEvent {
-                at: Duration::from_millis(20),
-                node: 1,
-                kind: LeaseEventKind::Revoke,
-            },
-        ],
-        horizon: Duration::from_secs(60),
-        capped_grants: 0,
-        floor: 0,
-    };
+    let minute = Duration::from_secs(60);
+    let events = vec![
+        LeaseEvent::grant(Duration::ZERO, 0, minute),
+        LeaseEvent::grant(Duration::ZERO, 1, minute),
+        LeaseEvent::grant(Duration::ZERO, 2, minute),
+        LeaseEvent::revoke(Duration::from_millis(20), 1),
+    ];
+    let plan = LeasePlan::new(events, minute);
     let t0 = Instant::now();
     let mut ctl = CapacityController::new(&gw, plan, ControllerConfig::default(), t0);
     ctl.poll(t0);
