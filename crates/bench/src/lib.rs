@@ -1,12 +1,14 @@
 //! # hpcwhisk-bench
 //!
-//! Harnesses that regenerate every table and figure of the paper's
-//! evaluation (the `paper` binary's rows are the experiment index), plus
-//! shared reporting utilities. Each prints the paper-shaped artifact
-//! followed by a paper-vs-measured comparison table.
+//! Three binaries and the utilities they share. `paper` regenerates
+//! every table and figure of the paper's evaluation and the DES studies
+//! beside it (its rows are the experiment index): each row prints the
+//! paper-shaped artifact, then a paper-vs-measured comparison whose
+//! structural checks decide the exit code. `live` runs the gateway
+//! scenarios and `perf_trajectory` the micro-probes.
 //!
-//! Binaries accept `--quick` to run a scaled-down configuration (fewer
-//! nodes / shorter horizon) for smoke testing.
+//! `paper` and `live` accept `--quick` to run a scaled-down
+//! configuration (fewer nodes / shorter horizon) for smoke testing.
 
 #![forbid(unsafe_code)]
 
@@ -68,27 +70,11 @@ pub fn nproc() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// True if `--quick` was passed (scaled-down smoke run).
-pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
-
-/// Value following `--flag` on the command line, if present.
-pub fn arg_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-    }
-    None
-}
-
 /// The DES's own work over one or more simulated days: events the
 /// engine dispatched and, of those, the platform's poll and timeout-scan
-/// events, and the scheduling passes run and skipped — the counts to
-/// read next to a day's wall-clock.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// events, beside the scheduler's counters (its passes run and skipped
+/// among them) — the counts to read next to a day's wall-clock.
+#[derive(Debug, Clone, Default)]
 pub struct DesWork {
     /// `DayReport::events_dispatched`, summed.
     pub events_dispatched: u64,
@@ -98,31 +84,35 @@ pub struct DesWork {
     pub polls_parked: u64,
     /// `WhiskCounters::timeout_scans`, summed.
     pub timeout_scans: u64,
-    /// `Counters::quick_passes` and, of those, `quick_passes_skipped`.
-    pub quick_passes: u64,
-    pub quick_passes_skipped: u64,
-    /// `Counters::backfill_passes` and, of those,
-    /// `backfill_passes_skipped`.
-    pub backfill_passes: u64,
-    pub backfill_passes_skipped: u64,
+    /// `DayReport::cluster_counters`, summed.
+    pub scheduler: cluster::Counters,
 }
 
 impl DesWork {
-    /// Fold one day's counts in.
-    pub fn absorb(&mut self, rep: &hpcwhisk_core::DayReport) {
-        self.events_dispatched += rep.events_dispatched;
-        self.polls += rep.whisk_counters.polls;
-        self.polls_parked += rep.whisk_counters.polls_parked;
-        self.timeout_scans += rep.whisk_counters.timeout_scans;
-        let c = &rep.cluster_counters;
-        self.quick_passes += c.quick_passes;
-        self.quick_passes_skipped += c.quick_passes_skipped;
-        self.backfill_passes += c.backfill_passes;
-        self.backfill_passes_skipped += c.backfill_passes_skipped;
+    /// One day's work.
+    pub fn of(rep: &hpcwhisk_core::DayReport) -> Self {
+        let w = &rep.whisk_counters;
+        DesWork {
+            events_dispatched: rep.events_dispatched,
+            polls: w.polls,
+            polls_parked: w.polls_parked,
+            timeout_scans: w.timeout_scans,
+            scheduler: rep.cluster_counters.clone(),
+        }
     }
 
-    /// The one-line summary the day binaries print.
+    /// Fold `other`'s counts in.
+    pub fn absorb(&mut self, other: &DesWork) {
+        self.events_dispatched += other.events_dispatched;
+        self.polls += other.polls;
+        self.polls_parked += other.polls_parked;
+        self.timeout_scans += other.timeout_scans;
+        self.scheduler.absorb(&other.scheduler);
+    }
+
+    /// The one-line summary the `paper` rows that run days print.
     pub fn summary(&self) -> String {
+        let c = &self.scheduler;
         format!(
             "DES work: {} events dispatched, of which {} invoker polls ({} parked their loop) \
              and {} timeout scans; quick passes {} run + {} skipped, backfill passes {} run + {} \
@@ -131,32 +121,21 @@ impl DesWork {
             self.polls,
             self.polls_parked,
             self.timeout_scans,
-            self.quick_passes - self.quick_passes_skipped,
-            self.quick_passes_skipped,
-            self.backfill_passes - self.backfill_passes_skipped,
-            self.backfill_passes_skipped
+            c.quick_passes - c.quick_passes_skipped,
+            c.quick_passes_skipped,
+            c.backfill_passes - c.backfill_passes_skipped,
+            c.backfill_passes_skipped
         )
     }
 }
 
-/// Honor `--metrics-out <path>` for scheduler-plane binaries: render
-/// the pass counters — and the DES work counters, for binaries that run
-/// whole days — as a Prometheus exposition (see
-/// [`scheduler_exposition`]) and write it to the path.
-pub fn write_scheduler_metrics_out(c: &cluster::Counters, des: Option<&DesWork>) {
-    let Some(path) = arg_value("--metrics-out") else {
-        return;
-    };
-    std::fs::write(&path, scheduler_exposition(c, des))
-        .unwrap_or_else(|e| panic!("--metrics-out {path}: {e}"));
-    println!("metrics exposition written to {path}");
-}
-
-/// Render `cluster::Counters` as Prometheus text through a one-shot
-/// telemetry registry — the scheduler plane's equivalent of scraping
-/// the gateway's live registry.
-pub fn scheduler_exposition(c: &cluster::Counters, des: Option<&DesWork>) -> String {
+/// Render `work` as Prometheus text through a one-shot telemetry
+/// registry — the scheduler plane's pass and job counters and the DES
+/// work counters, the simulator's equivalent of scraping the gateway's
+/// live registry.
+pub fn scheduler_exposition(work: &DesWork) -> String {
     use metrics::telemetry::{labels, render_prometheus, Collected, Labels, MetricKind, Registry};
+    let c = &work.scheduler;
     let reg = Registry::new();
     let counter = |name: &str, help: &str, rows: Vec<(Labels, u64)>| {
         let collect = move || {
@@ -225,22 +204,20 @@ pub fn scheduler_exposition(c: &cluster::Counters, des: Option<&DesWork>) -> Str
         "nodes re-masked by the residue-wheel sweep (crossing-proportional witness)",
         vec![(labels(&[]), c.wheel_nodes_reprojected)],
     );
-    if let Some(d) = des {
-        counter(
-            "des_events_dispatched_total",
-            "events the DES engine dispatched",
-            vec![(labels(&[]), d.events_dispatched)],
-        );
-        counter(
-            "des_whisk_events_total",
-            "platform housekeeping events executed, and poll loops parked",
-            vec![
-                (labels(&[("kind", "poll")]), d.polls),
-                (labels(&[("kind", "poll_parked")]), d.polls_parked),
-                (labels(&[("kind", "timeout_scan")]), d.timeout_scans),
-            ],
-        );
-    }
+    counter(
+        "des_events_dispatched_total",
+        "events the DES engine dispatched",
+        vec![(labels(&[]), work.events_dispatched)],
+    );
+    counter(
+        "des_whisk_events_total",
+        "platform housekeeping events executed, and poll loops parked",
+        vec![
+            (labels(&[("kind", "poll")]), work.polls),
+            (labels(&[("kind", "poll_parked")]), work.polls_parked),
+            (labels(&[("kind", "timeout_scan")]), work.timeout_scans),
+        ],
+    );
     render_prometheus(&reg.snapshot())
 }
 

@@ -16,8 +16,8 @@
 //!
 //! * [`ClusterSim::run_settled_pass_anyway`] runs every skipped pass of
 //!   every debug-built day — `tests/end_to_end.rs` and a debug
-//!   `weeklong --quick` included — and asserts that it would have done
-//!   nothing. It is compiled out of release builds.
+//!   `paper --row week --quick` included — and asserts that it would
+//!   have done nothing. It is compiled out of release builds.
 //! * [`ClusterSim::handle_reference`] drives a sim that never skips with
 //!   the reference pass; `tests/differential.rs` and
 //!   `tests/scheduler_scenarios.rs` compare it with `handle`, observable

@@ -23,7 +23,7 @@
 //!   counting sweep.
 //!
 //! Since PR 5 the "start now" queries are answered by a **run-length
-//! index** ([`RunIndex`]): per-run-length buckets (bitset of the nodes
+//! index** (`RunIndex`): per-run-length buckets (bitset of the nodes
 //! whose slot-0 free run is exactly ℓ), a run histogram with a non-empty
 //! bucket mask, and a lazily rebuilt suffix count. The index is built
 //! lazily on the first query and maintained incrementally — O(1) per

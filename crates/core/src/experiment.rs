@@ -247,9 +247,10 @@ pub struct SweepCluster {
     pub model: workload::IdleModel,
 }
 
-/// Configuration of a multi-week, multi-cluster, multi-seed sweep — the
-/// §VII extension: "evaluate and characterize the quantity of unused
-/// resources in longer periods of time".
+/// Configuration of a multi-week, multi-cluster, multi-seed sweep of
+/// fib days (set A1, no client load) — the §VII extension: "evaluate
+/// and characterize the quantity of unused resources in longer periods
+/// of time".
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
     /// Weeks simulated per cluster (each day is its own deterministic
@@ -257,33 +258,6 @@ pub struct SweepConfig {
     pub weeks: u64,
     /// Replication seeds per day (error bars).
     pub seeds: Vec<u64>,
-    /// Pilot-supply strategy.
-    pub manager: ManagerKind,
-}
-
-/// One simulated day of a sweep, flattened for aggregation.
-#[derive(Debug, Clone)]
-pub struct SweepDay {
-    /// Index into the sweep's cluster list.
-    pub cluster: usize,
-    /// Week index (0-based).
-    pub week: u64,
-    /// Day-of-week index (0-based).
-    pub day: u64,
-    /// Replication seed.
-    pub seed: u64,
-    /// Time-average available nodes (Slurm-level).
-    pub avg_available: f64,
-    /// Achieved coverage share of available time.
-    pub coverage: f64,
-    /// Clairvoyant (offline greedy) coverage bound.
-    pub clairvoyant: f64,
-    /// Pilots started.
-    pub pilots: u64,
-    /// Pilots preempted by prime demand.
-    pub preempted: u64,
-    /// Worst prime-demand delay (seconds) — the invasiveness bound.
-    pub max_demand_delay_secs: f64,
 }
 
 /// Run a full week-scale sweep through the rayon day driver: every
@@ -293,9 +267,15 @@ pub struct SweepDay {
 /// `(cluster, week, day)` trace is generated once and shared by
 /// reference across its replication seeds (which run inside one rayon
 /// task — the fan-out across unique traces saturates cores long before
-/// per-seed parallelism would matter). Results return flattened in
-/// `(cluster, week, day, seed)` order.
-pub fn run_week_sweep(clusters: &[SweepCluster], cfg: &SweepConfig) -> Vec<SweepDay> {
+/// per-seed parallelism would matter). `reduce(cluster, day_of_week,
+/// report)` keeps what the caller needs of each day inside the parallel
+/// map, so no report outlives its day. Results return in `(cluster,
+/// week, day, seed)` order.
+pub fn run_week_sweep<T: Send>(
+    clusters: &[SweepCluster],
+    cfg: &SweepConfig,
+    reduce: impl Fn(usize, u64, &DayReport) -> T + Sync,
+) -> Vec<T> {
     use rayon::prelude::*;
     let mut days = Vec::new();
     for (ci, cl) in clusters.iter().enumerate() {
@@ -305,39 +285,21 @@ pub fn run_week_sweep(clusters: &[SweepCluster], cfg: &SweepConfig) -> Vec<Sweep
                 // share the trace and vary the scheduler/poller streams.
                 let trace_seed = 0x5EED_0000 + week * 7 + day;
                 let trace = cl.model.generate(SimDuration::from_hours(24), trace_seed);
-                days.push((ci, week, day, trace_seed, trace));
+                days.push((ci, day, trace_seed, trace));
             }
         }
     }
-    let lengths = cfg.manager.clairvoyant_lengths();
-    let per_day: Vec<Vec<SweepDay>> = days
+    let per_day: Vec<Vec<T>> = days
         .par_iter()
-        .map(|(cluster, week, day, trace_seed, trace)| {
+        .map(|(cluster, day, trace_seed, trace)| {
             cfg.seeds
                 .iter()
                 .map(|&seed| {
-                    let mut day_cfg = DayConfig::fib_paper(seed ^ (trace_seed << 8));
-                    day_cfg.manager = cfg.manager.clone();
-                    day_cfg.load = None;
-                    let rep = run_day(trace, day_cfg);
-                    let slurm = rep.slurm_level();
-                    let sim = rep.simulation(lengths.clone());
-                    SweepDay {
-                        cluster: *cluster,
-                        week: *week,
-                        day: *day,
-                        seed,
-                        avg_available: slurm.avg_available,
-                        coverage: slurm.used_share,
-                        clairvoyant: sim.coverage(),
-                        pilots: rep.cluster_counters.pilots_started,
-                        preempted: rep.cluster_counters.pilots_preempted,
-                        max_demand_delay_secs: rep
-                            .cluster_counters
-                            .demand_delay_secs
-                            .max()
-                            .unwrap_or(0.0),
-                    }
+                    let day_cfg = DayConfig {
+                        load: None,
+                        ..DayConfig::fib_paper(seed ^ (trace_seed << 8))
+                    };
+                    reduce(*cluster, *day, &run_day(trace, day_cfg))
                 })
                 .collect()
         })

@@ -49,8 +49,7 @@ pub mod wrapper;
 pub use coverage::{OwLevel, SlurmLevel};
 pub use driver::{Driver, IdleSource, PilotSink};
 pub use experiment::{
-    run_day, run_days, run_week_sweep, DayConfig, DayReport, ManagerKind, SweepCluster,
-    SweepConfig, SweepDay,
+    run_day, run_days, run_week_sweep, DayConfig, DayReport, ManagerKind, SweepCluster, SweepConfig,
 };
 pub use live::{DesLeaseSource, DesSourceCfg, PilotStats};
 pub use manager::{

@@ -163,7 +163,7 @@ const PILOT_FAMILIES: [&str; 7] = [
 ];
 
 /// The pilot plane's books on `snap`, a scrape of
-/// [`DesLeaseSource::registry`]: every family of [`PILOT_FAMILIES`] is
+/// [`DesLeaseSource::registry`]: every family of `PILOT_FAMILIES` is
 /// there, and the gateway's lease rule ([`books::leases`]) holds over
 /// the pilot families.
 pub fn check_books(snap: &Snapshot) -> Result<(), Vec<Violation>> {

@@ -81,16 +81,6 @@ impl ManagerKind {
             }
         }
     }
-
-    /// The lengths the matching *clairvoyant* simulation should use for
-    /// comparison (var uses the paper's A1 yardstick).
-    pub fn clairvoyant_lengths(&self) -> Vec<u64> {
-        match self {
-            ManagerKind::Fib(lengths) | ManagerKind::FibUniform(lengths) => lengths.clone(),
-            ManagerKind::Var => crate::lengths::A1.to_vec(),
-            ManagerKind::LoadSized { pilot_len, .. } => vec![pilot_len.as_mins()],
-        }
-    }
 }
 
 /// The *fib* model: bags of fixed-length jobs, 10 of each length, with

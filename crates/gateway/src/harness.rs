@@ -1,6 +1,6 @@
 //! The closed-loop load harness: replays a `workload` arrival stream
 //! (Poisson, diurnal, or the paper's constant-rate process) against a
-//! live [`Gateway`](crate::Gateway) and folds per-request latencies
+//! live [`Gateway`] and folds per-request latencies
 //! into fixed-footprint log-linear histograms.
 //!
 //! The loop is *closed* through an in-flight window: arrivals are
@@ -235,7 +235,7 @@ fn dec_clamped(n: &AtomicUsize, by: usize) {
 /// index onto the gateway's action catalogue modulo its size. The
 /// stream is partitioned **by action hash** across
 /// [`HarnessConfig::submitters`] scoped threads, each running
-/// [`submitter_loop`] against the shared window. Any submitter may
+/// `submitter_loop` against the shared window. Any submitter may
 /// collect any completion (all sweep one shared buffer), so no
 /// thread sees the whole run — its truth is the registry-snapshot diff.
 pub fn run_load(gw: &Gateway, arrivals: &[Arrival], cfg: &HarnessConfig) -> LoadReport {

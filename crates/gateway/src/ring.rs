@@ -20,7 +20,7 @@
 //!   returns it) or observes the closure and reroutes — no window in
 //!   which a request can vanish;
 //! * the **waiter-counted wake**: a producer touches the condvar only
-//!   when the consumer is actually parked ([`Park`], the gateway's one
+//!   when the consumer is actually parked (`park::Park`, the gateway's one
 //!   park/wake), so under load the hot path pays zero futex wakes
 //!   (each wake is counted as the `queue_wake` contention source).
 //!

@@ -4,8 +4,8 @@
 //! which container holds an entry is unobservable. Two hold them, one per
 //! population of a simulated day:
 //!
-//! * the [`Wheel`] — `SimTime` is whole milliseconds, so the entries due
-//!   within [`WHEEL_SPAN_MS`] of the latest popped time sit in one FIFO
+//! * the `Wheel` — `SimTime` is whole milliseconds, so the entries due
+//!   within `WHEEL_SPAN_MS` of the latest popped time sit in one FIFO
 //!   slot per millisecond and are found by a bitmap scan, with no key
 //!   comparison at all. These are a request's events, due within half a
 //!   second: 3.62 M of the paper's fib day's 3.64 M pops;
