@@ -19,14 +19,16 @@
 //! Run with: `cargo run --release -p hpcwhisk_bench --bin live -- --quick`
 
 use cluster::SlurmConfig;
-use gateway::books::{self, Violation};
+use gateway::books;
 use gateway::{
     floor_grants, run_load, run_load_with_controller, ActionBody, ActionSpec, AdmissionPolicy,
     CapacityController, ControllerConfig, Gateway, GatewayConfig, HarnessConfig, LeaseEvent,
     LeasePlan, LeaseStats, LoadReport, TokenBucketCfg,
 };
 use hpcwhisk_core::{live, DesLeaseSource, DesSourceCfg, IdleSource, ManagerKind, SizerCfg};
+use metrics::outcome::Violation;
 use metrics::telemetry::{render_prometheus, Snapshot};
+use metrics::{Outcome, Shed};
 use simcore::SimDuration;
 use std::time::{Duration, Instant};
 use workload::{Arrival, DiurnalLoadGen, IdleModel, PoissonLoadGen};
@@ -82,7 +84,7 @@ const ROWS: &[Row] = &[
         legs: &[("smoke", smoke)],
         expect: &[
             ("lost == 0", |a, _| a.report.lost() == 0),
-            ("completed > 0", |a, _| a.report.completed > 0),
+            ("completed > 0", |a, _| a.report.tally.completed > 0),
             ("throughput > 0", |a, _| a.report.throughput > 0.0),
             ("grants == 5", |a, _| a.ctl.grants == 5),
             ("deadline_drains >= 1", |a, _| a.ctl.deadline_drains >= 1),
@@ -94,7 +96,7 @@ const ROWS: &[Row] = &[
         legs: &[("day", day)],
         expect: &[
             ("lost == 0", |a, _| a.report.lost() == 0),
-            ("completed > 0", |a, _| a.report.completed > 0),
+            ("completed > 0", |a, _| a.report.tally.completed > 0),
             ("revokes + deadline_drains > 0", |a, _| {
                 a.ctl.revokes + a.ctl.deadline_drains > 0
             }),
@@ -112,13 +114,11 @@ const ROWS: &[Row] = &[
             ("hard.lost + bucket.lost == 0", |h, b| {
                 h.report.lost() + b.report.lost() == 0
             }),
-            ("hard.shed > 0", |h, _| h.report.shed > 0),
-            ("bucket.shed < hard.shed", |h, b| {
-                b.report.shed < h.report.shed
-            }),
-            ("bucket.delayed > 0", |_, b| b.report.delayed > 0),
+            ("hard.shed > 0", |h, _| h.shed() > 0),
+            ("bucket.shed < hard.shed", |h, b| b.shed() < h.shed()),
+            ("bucket.delayed > 0", |_, b| b.report.tally.delayed > 0),
             ("bucket.shed_queue_full == 0", |_, b| {
-                b.report.per_action[0].shed_queue_full == 0
+                b.report.tally[Outcome::Shed(Shed::QueueFull)] == 0
             }),
         ],
     },
@@ -127,9 +127,11 @@ const ROWS: &[Row] = &[
         legs: &[("feedback", feedback), ("static", flat)],
         expect: &[
             ("feedback.lost == 0", |f, _| f.report.lost() == 0),
-            ("feedback.completed > 0", |f, _| f.report.completed > 0),
+            ("feedback.completed > 0", |f, _| {
+                f.report.tally.completed > 0
+            }),
             ("static.lost == 0", |_, s| s.report.lost() == 0),
-            ("static.completed > 0", |_, s| s.report.completed > 0),
+            ("static.completed > 0", |_, s| s.report.tally.completed > 0),
             ("pilot grants > 0", |f, _| f.pilot("pilot_grants_total") > 0),
             ("pilot grants == pilot revokes", |f, _| {
                 f.pilot("pilot_grants_total") == f.pilot("pilot_revokes_total")
@@ -149,10 +151,8 @@ const ROWS: &[Row] = &[
             ("pilot leased node-seconds > 0", |f, _| {
                 f.pilot("pilot_leased_node_secs_total") > 0
             }),
-            ("static.shed > 0", |_, s| s.report.shed > 0),
-            ("feedback.shed < static.shed", |f, s| {
-                f.report.shed < s.report.shed
-            }),
+            ("static.shed > 0", |_, s| s.shed() > 0),
+            ("feedback.shed < static.shed", |f, s| f.shed() < s.shed()),
         ],
     },
 ];
@@ -272,6 +272,11 @@ fn run_leg(name: &str, s: Setup) -> Leg {
 }
 
 impl Leg {
+    /// The leg's sheds, every reason.
+    fn shed(&self) -> u64 {
+        self.report.tally.shed_total()
+    }
+
     /// A family of the leg's pilot scrape, counter or gauge; -1 if absent.
     fn pilot(&self, family: &str) -> i64 {
         let read = |p: &Snapshot| {

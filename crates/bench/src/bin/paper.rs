@@ -5,9 +5,12 @@
 //! job backlog, and the §VII week-scale sweep. A row prints its
 //! paper-shaped artifact and returns its claims: each figure the paper
 //! publishes beside this run's, and each structural check the paper's
-//! artifact or argument exhibits. The runner renders a row's claims as
-//! its "Paper vs measured" block and prints one `checks` line per row;
-//! if any check fails it lists them all and exits 1.
+//! artifact or argument exhibits. A row that simulates days ends on
+//! their books ([`BOOKS`]: each day's `DayReport::books`, the request
+//! rule the live gateway's books obey too). The runner renders a row's
+//! claims as its "Paper vs measured" block and prints one `checks` line
+//! per row, naming the books check where it ran; if any check fails it
+//! lists them all and exits 1.
 //!
 //! `--quick` runs the scaled-down shapes (seconds), `--row <name>` one
 //! row, and `--metrics-out PATH` writes the scheduler and DES work
@@ -22,7 +25,7 @@ use hpcwhisk_core::{
     coverage, lengths, report, run_day, run_week_sweep, DayConfig, DayReport, Driver, IdleSource,
     ManagerKind, PilotSink, SlurmLevel, SweepCluster, SweepConfig,
 };
-use metrics::{Cdf, OnlineStats};
+use metrics::{Cdf, OnlineStats, Outcome, Shed};
 use rayon::prelude::*;
 use sebs::{measure, Graph, Kernel, PlatformModel};
 use simcore::{SimDuration, SimRng, SimTime};
@@ -61,11 +64,14 @@ impl Claims {
         self.checks.push((label.to_string(), holds));
     }
 
-    /// Count `rep`'s DES work into the row's.
+    /// Count `rep`'s DES work and books into the row's.
     fn absorb(&mut self, rep: &DayReport) {
         self.work.absorb(&DesWork::of(rep));
     }
 }
+
+/// The check a row that simulates days ends on.
+const BOOKS: &str = "request books close";
 
 const VS: &str = "Paper vs measured";
 const CHECKS: &str = "Paper vs measured (structural checks)";
@@ -144,25 +150,37 @@ fn usage() -> ! {
 /// checks, each as `row: label`.
 fn report(row: &Row, claims: &Claims) -> Vec<String> {
     section(row.heading);
+    let work = &claims.work;
+    let books = (work.days > 0).then(|| (BOOKS.to_string(), work.books.is_empty()));
+    let checks: Vec<&(String, bool)> = claims.checks.iter().chain(&books).collect();
     let mut c = Comparison::new();
     for (label, paper, measured) in &claims.figures {
         c.add(label, *paper, *measured);
     }
-    for (label, holds) in &claims.checks {
+    for (label, holds) in &checks {
         c.add_str(label, "yes", if *holds { "yes" } else { "NO" });
     }
     println!("{}", c.render());
     if let Some(note) = &claims.note {
         println!("{note}");
     }
-    let failed: Vec<String> = claims
-        .checks
+    for v in &work.books {
+        println!("books {}: {v:?}", row.name);
+    }
+    let failed: Vec<String> = checks
         .iter()
         .filter(|(_, holds)| !holds)
         .map(|(label, _)| format!("{}: {label}", row.name))
         .collect();
-    let n = claims.checks.len();
-    println!("checks {}: {} of {n} hold", row.name, n - failed.len());
+    let n = checks.len();
+    let held = format!("checks {}: {} of {n} hold", row.name, n - failed.len());
+    match books {
+        Some(_) => println!(
+            "{held}, {BOOKS} among them ({} day(s), {} in flight at the horizon)",
+            work.days, work.requests.in_flight
+        ),
+        None => println!("{held}"),
+    }
     failed
 }
 
@@ -651,10 +669,11 @@ fn day(day: &Day, quick: bool) -> Claims {
     println!("hour | success | failed | lost(timeout) | 503");
     let n_hours = ((to - from).as_mins() as usize).div_ceil(60);
     for h in 0..n_hours {
-        let range = h * 60..((h + 1) * 60).min(rep.success_bins.counts().len());
-        let sum = |bins: &metrics::MinuteBins| bins.counts()[range.clone()].iter().sum::<u64>();
-        let (s, f) = (sum(&rep.success_bins), sum(&rep.failed_bins));
-        let (l, r) = (sum(&rep.timeout_bins), sum(&rep.rejected_bins));
+        let bins = &rep.outcome_bins;
+        let range = h * 60..((h + 1) * 60).min(bins[Outcome::Completed].counts().len());
+        let sum = |o| bins[o].counts()[range.clone()].iter().sum::<u64>();
+        let (s, f) = (sum(Outcome::Completed), sum(Outcome::Failed));
+        let (l, r) = (sum(Outcome::TimedOut), sum(Outcome::Shed(Shed::NoInvoker)));
         println!("{h:>4} | {s:>7} | {f:>6} | {l:>13} | {r:>4}");
     }
 
@@ -1293,6 +1312,7 @@ fn week_sweep(quick: bool) -> Claims {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use metrics::outcome::Violation;
 
     /// Every row but `fig7` (real graph kernels, slow in a debug build)
     /// at `--quick`: each check holds and each figure is finite. A false
@@ -1306,8 +1326,21 @@ mod tests {
                 let at = format!("{} {label}: {paper} vs {measured}", row.name);
                 assert!(paper.is_finite() && measured.is_finite(), "{at}");
             }
+            // A row that simulates days ends on its books, and a rule
+            // they break fails the row by name.
+            let work = &mut claims.work;
+            assert_eq!(work.days > 0, work.events_dispatched > 0, "{}", row.name);
+            let mut planted = vec![format!("{}: planted", row.name)];
+            if work.days > 0 {
+                let (accepted, accounted) = (work.requests.accepted, work.requests.accepted + 1);
+                work.books.push(Violation::Unfinished {
+                    accepted,
+                    accounted,
+                });
+                planted.push(format!("{}: {BOOKS}", row.name));
+            }
             claims.check("planted", false);
-            assert_eq!(report(row, &claims), [format!("{}: planted", row.name)]);
+            assert_eq!(report(row, &claims), planted);
         }
     }
 

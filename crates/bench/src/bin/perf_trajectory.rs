@@ -226,7 +226,7 @@ fn gateway_run(submitters: usize, des: bool) -> Cost {
     gw.shutdown();
     Cost {
         ns: 1e9 / report.throughput,
-        allocs: allocs / report.completed as f64,
+        allocs: allocs / report.tally.completed as f64,
     }
 }
 

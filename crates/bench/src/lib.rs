@@ -16,7 +16,8 @@ use cluster::{
     ClusterEvent, ClusterNote, ClusterSim, JobId, JobKind, JobSpec, NodeId, SlurmConfig,
 };
 use hpcwhisk_core::{lengths, FibManager, PilotManager};
-use metrics::Table;
+use metrics::outcome::Violation;
+use metrics::{Outcome, Table, Tally};
 use simcore::{Outbox, SimDuration, SimTime};
 
 /// A paper-vs-measured comparison accumulator.
@@ -73,7 +74,9 @@ pub fn nproc() -> usize {
 /// The DES's own work over one or more simulated days: events the
 /// engine dispatched and, of those, the platform's poll and timeout-scan
 /// events, beside the scheduler's counters (its passes run and skipped
-/// among them) — the counts to read next to a day's wall-clock.
+/// among them) — the counts to read next to a day's wall-clock — and
+/// the requests the days served, by outcome, with what each day's
+/// books broke.
 #[derive(Debug, Clone, Default)]
 pub struct DesWork {
     /// `DayReport::events_dispatched`, summed.
@@ -84,6 +87,12 @@ pub struct DesWork {
     pub polls_parked: u64,
     /// `WhiskCounters::timeout_scans`, summed.
     pub timeout_scans: u64,
+    /// Days counted in.
+    pub days: u64,
+    /// `DayReport::tally`, summed.
+    pub requests: Tally,
+    /// What `DayReport::books` found, day by day.
+    pub books: Vec<Violation>,
     /// `DayReport::cluster_counters`, summed.
     pub scheduler: cluster::Counters,
 }
@@ -97,6 +106,9 @@ impl DesWork {
             polls: w.polls,
             polls_parked: w.polls_parked,
             timeout_scans: w.timeout_scans,
+            days: 1,
+            requests: rep.tally(),
+            books: rep.books().err().unwrap_or_default(),
             scheduler: rep.cluster_counters.clone(),
         }
     }
@@ -107,6 +119,9 @@ impl DesWork {
         self.polls += other.polls;
         self.polls_parked += other.polls_parked;
         self.timeout_scans += other.timeout_scans;
+        self.days += other.days;
+        self.requests.absorb(&other.requests);
+        self.books.extend(other.books.iter().cloned());
         self.scheduler.absorb(&other.scheduler);
     }
 
@@ -130,9 +145,10 @@ impl DesWork {
 }
 
 /// Render `work` as Prometheus text through a one-shot telemetry
-/// registry — the scheduler plane's pass and job counters and the DES
-/// work counters, the simulator's equivalent of scraping the gateway's
-/// live registry.
+/// registry — the scheduler plane's pass and job counters, the DES
+/// work counters and `des_requests_total{outcome}`, the simulator's
+/// equivalent of scraping the gateway's live registry (its
+/// `gateway_requests_total` carries the same outcome labels).
 pub fn scheduler_exposition(work: &DesWork) -> String {
     use metrics::telemetry::{labels, render_prometheus, Collected, Labels, MetricKind, Registry};
     let c = &work.scheduler;
@@ -217,6 +233,13 @@ pub fn scheduler_exposition(work: &DesWork) -> String {
             (labels(&[("kind", "poll_parked")]), work.polls_parked),
             (labels(&[("kind", "timeout_scan")]), work.timeout_scans),
         ],
+    );
+    counter(
+        "des_requests_total",
+        "client requests of the simulated days by outcome",
+        Outcome::ALL
+            .map(|o| (labels(&[("outcome", o.label())]), work.requests[o]))
+            .into(),
     );
     render_prometheus(&reg.snapshot())
 }

@@ -21,11 +21,9 @@ use cluster::{
     AvailabilityTrace, ClusterEvent, ClusterNote, ClusterSim, JobId, JobKind, JobState, PollSample,
 };
 use gateway::LoadFeedback;
-use metrics::{MinuteBins, MsCdf};
+use metrics::{MinuteBins, MsCdf, Outcome, OutcomeBins};
 use simcore::{Engine, Outbox, Process, SimDuration, SimRng, SimTime};
-use whisk::{
-    FunctionId, FunctionSpec, InvokeResult, InvokerId, Outcome, WhiskEvent, WhiskNote, WhiskSys,
-};
+use whisk::{FunctionId, FunctionSpec, InvokerId, WhiskEvent, WhiskNote, WhiskSys};
 use workload::{BacklogDriver, ConstantRateLoadGen, DemandClaim, HpcWorkloadModel};
 
 /// How long a SIGTERMed pilot of a [`PilotSink::Leases`] run takes to
@@ -60,8 +58,8 @@ pub enum IdleSource<'a> {
 #[derive(Debug, Clone, Copy)]
 pub enum PilotSink {
     /// An invoker of the DES FaaS plane, serving [`DayConfig::load`]
-    /// into the report's bins. A SIGTERM drains it; a pilot still warming
-    /// exits after [`DayConfig::warming_exit_lag`].
+    /// into the report's outcome bins. A SIGTERM drains it; a pilot
+    /// still warming exits after [`DayConfig::warming_exit_lag`].
     Whisk,
     /// A lease for a live gateway: a grant when the invoker is warm (none
     /// past `max_leases` live ones; those are counted), a revoke at
@@ -108,10 +106,7 @@ struct DayState {
     commercial_bins: MinuteBins,
     commercial_latency_secs: MsCdf,
     samples: Vec<PollSample>,
-    success_bins: MinuteBins,
-    failed_bins: MinuteBins,
-    timeout_bins: MinuteBins,
-    rejected_bins: MinuteBins,
+    outcome_bins: OutcomeBins,
     latency_success_secs: MsCdf,
     /// Scratch outboxes and note buffers for calls into the two
     /// subsystems (see [`DayState::with_cluster`]), kept across events
@@ -260,15 +255,12 @@ impl DayState {
                     submitted,
                     answered,
                     ..
-                } => match outcome {
-                    Outcome::Success => {
-                        self.success_bins.record(submitted);
+                } => {
+                    self.outcome_bins.record(outcome, submitted);
+                    if outcome == Outcome::Completed {
                         self.latency_success_secs.add(answered.since(submitted));
                     }
-                    Outcome::Failed => self.failed_bins.record(submitted),
-                    Outcome::Timeout => self.timeout_bins.record(submitted),
-                },
-                WhiskNote::Rejected503 { at, .. } => self.rejected_bins.record(at),
+                }
             }
         }
     }
@@ -354,8 +346,9 @@ impl Process<SysEvent> for DayState {
                     None => true,
                 };
                 if to_cluster {
-                    let res = self.with_whisk(now, out, |w, wo, wn| w.invoke(now, f, wo, wn));
-                    if res == InvokeResult::Rejected503 {
+                    let res = self.with_whisk(now, out, |w, wo, _| w.invoke(now, f, wo));
+                    if let Err(shed) = res {
+                        self.outcome_bins.record(Outcome::Shed(shed), now);
                         if let Some(w) = self.wrapper.as_mut() {
                             // Algorithm 1: retry commercially and
                             // start the cool-off window.
@@ -500,10 +493,7 @@ impl Driver {
             warming_exit_lag: cfg.warming_exit_lag,
             start,
             samples: Vec::new(),
-            success_bins: MinuteBins::new(start, horizon_mins),
-            failed_bins: MinuteBins::new(start, horizon_mins),
-            timeout_bins: MinuteBins::new(start, horizon_mins),
-            rejected_bins: MinuteBins::new(start, horizon_mins),
+            outcome_bins: OutcomeBins::new(start, horizon_mins),
             latency_success_secs: MsCdf::new(),
             cluster_out: Outbox::new(start),
             cluster_notes: Vec::new(),
@@ -558,6 +548,7 @@ impl Driver {
         let day = self.day;
         let cluster_counters = day.cluster.counters().clone();
         let whisk_counters = day.whisk.counters().clone();
+        let in_flight = day.whisk.in_flight();
         let whisk_series = day.whisk.into_series();
         let (cluster_series, availability) = day.cluster.into_parts();
         DayReport {
@@ -568,16 +559,14 @@ impl Driver {
             availability,
             cluster_counters,
             whisk_counters,
+            in_flight,
             healthy_series: whisk_series.healthy,
             irresp_series: whisk_series.irresp,
             warming_series: day.pilots.warming_series,
             serve_lifetimes_mins: day.pilots.serve_lifetimes_mins,
             idle_series: cluster_series.idle,
             pilot_series: cluster_series.pilot,
-            success_bins: day.success_bins,
-            failed_bins: day.failed_bins,
-            timeout_bins: day.timeout_bins,
-            rejected_bins: day.rejected_bins,
+            outcome_bins: day.outcome_bins,
             latency_success_secs: day.latency_success_secs,
             wrapper_stats: day
                 .wrapper

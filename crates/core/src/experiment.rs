@@ -8,14 +8,17 @@
 //! plane as its sink — reproduces everything a Table II/III row needs:
 //! the poll-sample log (Slurm-level perspective), the controller
 //! worker-state series (OpenWhisk-level), per-minute outcome bins
-//! (Figs. 5b/6b) and response-time distributions.
+//! (Figs. 5b/6b) and response-time distributions — and closes its
+//! books like a gateway: [`DayReport::books`] is the request rule both
+//! planes share.
 
 use crate::coverage::{self, OwLevel, SlurmLevel};
 use crate::driver::{Driver, IdleSource, PilotSink};
 use crate::offline::{self, OfflineConfig, OfflineReport};
 use crate::pilot::WarmupModel;
 use cluster::{AvailabilityTrace, Counters, PollSample, SlurmConfig};
-use metrics::{Cdf, MinuteBins, MsCdf, StepSeries};
+use metrics::outcome::{self, Violation};
+use metrics::{Cdf, MinuteBins, MsCdf, OutcomeBins, StepSeries, Tally};
 use simcore::{SimDuration, SimTime};
 use whisk::{WhiskConfig, WhiskCounters};
 use workload::{ConstantRateLoadGen, DemandModel};
@@ -140,6 +143,8 @@ pub struct DayReport {
     pub cluster_counters: Counters,
     /// Platform counters.
     pub whisk_counters: WhiskCounters,
+    /// Activations still unanswered at the horizon.
+    pub in_flight: u64,
     /// Healthy-invoker series.
     pub healthy_series: StepSeries,
     /// Irresponsive-invoker series.
@@ -152,14 +157,8 @@ pub struct DayReport {
     pub idle_series: StepSeries,
     /// Ground-truth pilot-node series.
     pub pilot_series: StepSeries,
-    /// Per-minute successful requests (Fig. 5b/6b).
-    pub success_bins: MinuteBins,
-    /// Per-minute failed requests.
-    pub failed_bins: MinuteBins,
-    /// Per-minute timed-out ("lost") requests.
-    pub timeout_bins: MinuteBins,
-    /// Per-minute 503 rejections.
-    pub rejected_bins: MinuteBins,
+    /// Per-minute requests by outcome (Fig. 5b/6b; a timeout is "lost").
+    pub outcome_bins: OutcomeBins,
     /// Client-observed response times of successful requests (queries
     /// answer in seconds), counted per whole millisecond.
     pub latency_success_secs: MsCdf,
@@ -207,6 +206,20 @@ impl DayReport {
             return 1.0;
         }
         1.0 - c.rejected_503 as f64 / c.submitted as f64
+    }
+
+    /// The day's request ledger.
+    pub fn tally(&self) -> Tally {
+        self.whisk_counters.tally(self.in_flight)
+    }
+
+    /// The request rule over [`tally`](Self::tally) for the
+    /// `submitted` arrivals the platform was offered: every one
+    /// accepted or shed with a 503, every acceptance completed, failed,
+    /// timed out or still in flight.
+    pub fn books(&self) -> Result<(), Vec<Violation>> {
+        let found = outcome::requests(&self.tally(), self.whisk_counters.submitted);
+        found.is_empty().then_some(()).ok_or(found)
     }
 
     /// Of the accepted requests: (success, failed, timeout) shares.
@@ -375,11 +388,10 @@ mod tests {
         let c = &report.whisk_counters;
         assert!(c.submitted > 6_000, "load ran: {}", c.submitted);
         assert!(c.success > 0, "some requests succeeded");
-        // Conservation: every submitted request is accounted for
-        // (allowing those still in flight at the horizon).
-        let answered = c.success + c.failed + c.timeout + c.rejected_503;
-        assert!(answered <= c.submitted);
-        assert!(c.submitted - answered < 100, "too many unaccounted");
+        // Conservation: every submitted request is accounted for, those
+        // still in flight at the horizon by name.
+        assert_eq!(report.books(), Ok(()));
+        assert_eq!(report.in_flight, 0);
         // 503s happen (node 5 never has gaps; zero-worker windows exist).
         assert!(c.rejected_503 > 0);
     }
@@ -464,11 +476,9 @@ mod tests {
         assert!(report.whisk_counters.hard_deaths > 0);
         // The platform keeps serving.
         assert!(report.whisk_counters.success > 1_000);
-        let answered = report.whisk_counters.success
-            + report.whisk_counters.failed
-            + report.whisk_counters.timeout
-            + report.whisk_counters.rejected_503;
-        assert!(report.whisk_counters.submitted - answered < 100);
+        // Every request is accounted for, hard deaths or not.
+        assert_eq!(report.books(), Ok(()));
+        assert_eq!(report.in_flight, 0);
     }
 
     #[test]

@@ -28,8 +28,8 @@ use crate::experiment::DayConfig;
 use crate::manager::ManagerKind;
 use crate::pilot::{PilotPhase, WarmupModel};
 use cluster::{JobId, LeaseEvent, SigtermReason, SlurmConfig};
-use gateway::books::{self, Violation};
 use gateway::{floor_grants, LeaseSource, LoadFeedback};
+use metrics::outcome::{self, Violation};
 use simcore::{SimDuration, SimTime};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -164,13 +164,13 @@ const PILOT_FAMILIES: [&str; 7] = [
 
 /// The pilot plane's books on `snap`, a scrape of
 /// [`DesLeaseSource::registry`]: every family of `PILOT_FAMILIES` is
-/// there, and the gateway's lease rule ([`books::leases`]) holds over
-/// the pilot families.
+/// there, and the lease rule both planes share ([`outcome::leases`])
+/// holds over the pilot families.
 pub fn check_books(snap: &Snapshot) -> Result<(), Vec<Violation>> {
-    let mut found = books::missing(snap, &PILOT_FAMILIES);
+    let mut found = outcome::missing(snap, &PILOT_FAMILIES);
     let (grants, revokes, live) = (PILOT_FAMILIES[1], PILOT_FAMILIES[2], PILOT_FAMILIES[3]);
     if found.is_empty() {
-        found.extend(books::leases(snap, grants, revokes, live).err());
+        found.extend(outcome::leases(snap, grants, revokes, live).err());
     }
     found.is_empty().then_some(()).ok_or(found)
 }

@@ -3,12 +3,14 @@
 //! so every pool is retired and published and nothing is in flight, and
 //! the scrape alone answers each rule:
 //!
-//! - `gateway_requests_total`: `completed == accepted` — every admitted
-//!   request ran exactly once (`delayed` is a subset of `accepted`);
-//! - `accepted + Σ shed_* == offered` — every arrival the caller offered
-//!   was admitted or shed with a reason, and none twice;
-//! - `grants − revokes == live` over the lease families ([`leases`],
-//!   which the pilot plane calls with its own names);
+//! - `gateway_requests_total`, read as a [`Tally`]: the request rule
+//!   both planes share ([`outcome::requests`]) — every arrival the caller
+//!   offered was admitted or shed with a reason, and none twice; every
+//!   admission completed (the live plane neither fails nor times a
+//!   request out, and nothing is in flight after shutdown);
+//! - `grants − revokes == live` over the lease families
+//!   ([`outcome::leases`], which the pilot plane calls with its own
+//!   names);
 //! - `gateway_pool_events_total`: `cold_start == lru_evict +
 //!   keepalive_evict + drain_retired` — each container started left
 //!   through exactly one retirement path.
@@ -17,7 +19,9 @@
 //! skipped rule.
 
 use crate::Gateway;
-use telemetry::{Collected, Snapshot};
+use metrics::outcome::{self, Violation};
+use metrics::Tally;
+use telemetry::Snapshot;
 
 /// The families every gateway scrape carries.
 pub const FAMILIES: [&str; 8] = [
@@ -37,51 +41,15 @@ const REVOKES: &str = "gateway_lease_revokes_total";
 const LIVE: &str = "gateway_leases_live";
 const POOL: &str = "gateway_pool_events_total";
 
-/// One rule the books break.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Violation {
-    /// A family the books need is not in the scrape.
-    Missing(String),
-    /// `completed ≠ accepted`.
-    Unfinished { accepted: u64, completed: u64 },
-    /// `accepted + shed ≠ offered`.
-    Unoffered {
-        offered: u64,
-        accepted: u64,
-        shed: u64,
-    },
-    /// `grants − revokes ≠ live` over the named grants family.
-    Leases {
-        grants_family: String,
-        grants: u64,
-        revokes: u64,
-        live: i64,
-    },
-    /// `cold_start ≠ lru_evict + keepalive_evict + drain_retired`.
-    Containers { cold_start: u64, retired: u64 },
-}
-
 /// Check every rule of the module doc on `snap`, a scrape taken after
 /// [`Gateway::shutdown`], for a run that offered `offered` arrivals.
 pub fn check(snap: &Snapshot, offered: u64) -> Result<(), Vec<Violation>> {
-    let mut found = missing(snap, &FAMILIES);
-    if let Some([accepted, completed, shed]) = requests(snap) {
-        if completed != accepted {
-            found.push(Violation::Unfinished {
-                accepted,
-                completed,
-            });
-        }
-        if accepted + shed != offered {
-            found.push(Violation::Unoffered {
-                offered,
-                accepted,
-                shed,
-            });
-        }
+    let mut found = outcome::missing(snap, &FAMILIES);
+    if let Some(t) = Tally::from_scrape(snap, REQUESTS, &[]) {
+        found.extend(outcome::requests(&t, offered));
     }
     // A missing lease family is already in `found`.
-    let lease = leases(snap, GRANTS, REVOKES, LIVE).err();
+    let lease = outcome::leases(snap, GRANTS, REVOKES, LIVE).err();
     found.extend(lease.filter(|v| !matches!(v, Violation::Missing(_))));
     let pool = |event| snap.counter(POOL, &[("event", event)]).unwrap_or(0);
     let cold_start = pool("cold_start");
@@ -93,31 +61,6 @@ pub fn check(snap: &Snapshot, offered: u64) -> Result<(), Vec<Violation>> {
         });
     }
     found.is_empty().then_some(()).ok_or(found)
-}
-
-/// The lease rule, `grants − revokes == live`, over one plane's three
-/// unlabelled families: two counters and a gauge.
-pub fn leases(snap: &Snapshot, grants: &str, revokes: &str, live: &str) -> Result<(), Violation> {
-    let missing = |f: &str| Violation::Missing(f.to_string());
-    let g = snap.counter(grants, &[]).ok_or_else(|| missing(grants))?;
-    let r = snap.counter(revokes, &[]).ok_or_else(|| missing(revokes))?;
-    let l = snap.gauge(live, &[]).ok_or_else(|| missing(live))?;
-    if g as i128 - r as i128 == l as i128 {
-        return Ok(());
-    }
-    Err(Violation::Leases {
-        grants_family: grants.to_string(),
-        grants: g,
-        revokes: r,
-        live: l,
-    })
-}
-
-/// A [`Violation::Missing`] for each of `families` not in `snap`.
-pub fn missing(snap: &Snapshot, families: &[&str]) -> Vec<Violation> {
-    let present = |f: &&&str| snap.families.iter().any(|s| s.name == **f);
-    let absent = families.iter().filter(|f| !present(f));
-    absent.map(|f| Violation::Missing(f.to_string())).collect()
 }
 
 /// Shut `gw` down and take the scrape its books are read from.
@@ -133,30 +76,14 @@ pub fn close(gw: &Gateway, offered: u64) -> Result<Snapshot, Vec<Violation>> {
     check(&snap, offered).map(|()| snap)
 }
 
-/// `[accepted, completed, Σ shed_*]` over every action.
-fn requests(snap: &Snapshot) -> Option<[u64; 3]> {
-    let fam = snap.families.iter().find(|f| f.name == REQUESTS)?;
-    let mut sums = [0u64; 3];
-    for s in &fam.series {
-        let outcome = s.labels.iter().find(|(k, _)| k == "outcome");
-        let i = match outcome.map(|(_, o)| o.as_str()) {
-            Some("accepted") => 0,
-            Some("completed") => 1,
-            Some(o) if o.starts_with("shed_") => 2,
-            _ => continue,
-        };
-        if let Collected::Counter(v) = s.value {
-            sums[i] += v;
-        }
-    }
-    Some(sums)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::telem::{self, GatewayTelemetry};
-    use telemetry::{one_series, MetricKind};
+    use metrics::{Outcome, Shed};
+    use outcome::leases;
+    use std::collections::BTreeSet;
+    use telemetry::{labels, one_series, Collected, MetricKind, SeriesSnapshot};
     use Violation::*;
 
     /// The plane's own families over two actions (the second idle),
@@ -168,9 +95,9 @@ mod tests {
         (t.registry()).register(contention, "", MetricKind::Counter, Box::new(zero));
         t.accepted.add(0, 90);
         t.delayed.add(0, 30);
-        t.shed_queue_full.add(0, 6);
-        t.shed_no_invoker.add(0, 3);
-        t.shed_delay_budget.add(0, 1);
+        t.shed[Shed::QueueFull as usize].add(0, 6);
+        t.shed[Shed::NoInvoker as usize].add(0, 3);
+        t.shed[Shed::DelayBudget as usize].add(0, 1);
         t.new_slot().completed.add_owned(0, 90);
         t.lease_grants.add(5);
         t.lease_revokes.add(5);
@@ -185,28 +112,87 @@ mod tests {
     #[test]
     fn balanced_books_pass() {
         assert_eq!(check(&scrape(|_| {}), 100), Ok(()));
+        assert_eq!(check(&des_scrape([2, 1, 3]), 106), Ok(()));
+    }
+
+    /// [`scrape`] with six more admissions, ended as only a DES day
+    /// ends them: `failed`, `timed_out` and `in_flight` series of
+    /// `ends` (`[2, 1, 3]` balances it for 106 offered).
+    fn des_scrape(ends: [u64; 3]) -> Snapshot {
+        let mut snap = scrape(|t| t.accepted.add(0, 6));
+        let fam = snap.families.iter_mut().find(|f| f.name == REQUESTS);
+        let series = &mut fam.expect("requests family").series;
+        let outcomes = [Outcome::Failed, Outcome::TimedOut, Outcome::InFlight];
+        for (o, n) in outcomes.into_iter().zip(ends) {
+            let labels = labels(&[("action", "a"), ("outcome", o.label())]);
+            let value = Collected::Counter(n);
+            series.push(SeriesSnapshot {
+                labels,
+                value,
+                delta: 0.0,
+            });
+        }
+        snap
     }
 
     #[test]
     fn accepted_past_completed_fires_alone() {
-        let v = check(&scrape(|t| t.accepted.inc(0)), 101);
-        let unfinished = Unfinished {
-            accepted: 91,
-            completed: 90,
-        };
-        assert_eq!(v, Err(vec![unfinished]));
+        // The gateway's shape; then, DES-shaped, a failure counted
+        // twice, one in flight too many and a request no outcome names.
+        let cases = [
+            (scrape(|t| t.accepted.inc(0)), 101, 91, 90),
+            (des_scrape([3, 1, 3]), 106, 96, 97),
+            (des_scrape([2, 1, 4]), 106, 96, 97),
+            (des_scrape([2, 1, 2]), 106, 96, 95),
+        ];
+        for (snap, offered, accepted, accounted) in cases {
+            let unfinished = Unfinished {
+                accepted,
+                accounted,
+            };
+            assert_eq!(check(&snap, offered), Err(vec![unfinished]));
+        }
+    }
+
+    #[test]
+    fn request_outcome_labels_are_the_historical_list() {
+        let snap = scrape(|_| {});
+        let fam = snap.families.iter().find(|f| f.name == REQUESTS);
+        let labels = fam
+            .expect("requests family")
+            .series
+            .iter()
+            .flat_map(|s| &s.labels);
+        let got: BTreeSet<&str> = labels
+            .filter(|(k, _)| k == "outcome")
+            .map(|(_, v)| v.as_str())
+            .collect();
+        let want = BTreeSet::from([
+            "accepted",
+            "delayed",
+            "shed_queue_full",
+            "shed_action_saturated",
+            "shed_no_invoker",
+            "shed_delay_budget",
+            "completed",
+            "cold",
+        ]);
+        assert_eq!(got, want);
     }
 
     #[test]
     fn offered_off_balance_fires_alone() {
-        for offered in [99, 101] {
-            let (accepted, shed) = (90, 10);
-            let unoffered = Unoffered {
-                offered,
-                accepted,
-                shed,
-            };
-            assert_eq!(check(&scrape(|_| {}), offered), Err(vec![unoffered]));
+        let shapes = [(scrape(|_| {}), 100), (des_scrape([2, 1, 3]), 106)];
+        for (snap, balanced) in shapes {
+            for offered in [balanced - 1, balanced + 1] {
+                let (accepted, shed) = (balanced - 10, 10);
+                let unoffered = Unoffered {
+                    offered,
+                    accepted,
+                    shed,
+                };
+                assert_eq!(check(&snap, offered), Err(vec![unoffered]));
+            }
         }
     }
 

@@ -195,8 +195,7 @@ impl<'g> CapacityController<'g> {
     /// window into a [`LoadFeedback`].
     fn collect_feedback(&mut self, offset: Duration) -> LoadFeedback {
         let c = self.gw.totals();
-        let sheds = c.shed_total();
-        let arrivals = c.accepted + sheds;
+        let (sheds, arrivals) = (c.shed_total(), c.arrivals());
         let fb = LoadFeedback {
             window: offset.saturating_sub(self.last_feedback),
             arrivals: arrivals.saturating_sub(self.prev_arrivals),

@@ -40,7 +40,8 @@ use crate::park::Park;
 use crate::queue::{Envelope, FastLane, Produce, ProduceBatch, Request};
 use crate::ring::RingQueue;
 use crate::route::Router;
-use crate::telem::{BurstCounts, GatewayTelemetry, SlotTelem, Totals};
+use crate::telem::{BurstCounts, GatewayTelemetry, SlotTelem};
+use metrics::Tally;
 use simcore::pool::{Acquire, ContainerPool, PoolStats};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -49,21 +50,7 @@ use std::time::{Duration, Instant};
 use telemetry::flight::{self, EventKind};
 use telemetry::Counter;
 
-/// Why a request was refused at admission (the 4xx/5xx path).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Shed {
-    /// No healthy invoker is routable (503).
-    NoInvoker,
-    /// The chosen invoker's queue is at the admission bound (429).
-    QueueFull,
-    /// The action is at its gateway-wide in-flight cap (429).
-    ActionSaturated,
-    /// The token-bucket shaper's delay budget is exhausted: admitting
-    /// would charge more virtual delay than
-    /// [`TokenBucketCfg::max_delay`](crate::admission::TokenBucketCfg)
-    /// allows (429). Only occurs under an active token-bucket policy.
-    DelayBudget,
-}
+pub use metrics::outcome::Shed;
 
 /// A successful admission: the request id plus the virtual delay the
 /// admission shaper charged. Under [`AdmissionPolicy::HardShed`] (and
@@ -414,8 +401,14 @@ impl Gateway {
 
     /// The request ledger as plain values, read straight off the
     /// telemetry atomics (no registry snapshot).
-    pub fn totals(&self) -> Totals {
+    pub fn totals(&self) -> Tally {
         self.telem.totals()
+    }
+
+    /// Envelopes that took the fast-lane hop during a drain (flushed by
+    /// the invoker or rerouted by a racing producer).
+    pub fn fastlane_moves(&self) -> u64 {
+        self.telem.fastlane_moves.get()
     }
 
     /// The action catalogue.

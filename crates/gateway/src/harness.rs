@@ -12,14 +12,18 @@
 //! throughput-probe mode).
 //!
 //! The report is built **from** two [`Registry`](telemetry::Registry)
-//! snapshots — one at the start, one at the end of the replay — so the
-//! harness numbers and the Prometheus exposition can never disagree;
-//! the loop itself does no per-request accounting at all.
+//! snapshots — one at the start, one at the end of the replay — read
+//! as [`Tally`]s, run-wide and per action, so the harness numbers and
+//! the Prometheus exposition can never disagree; the loop itself does
+//! no per-request accounting at all. Due arrivals are admitted in
+//! bursts of up to [`SUBMIT_BATCH`], each burst with **one** clock read
+//! shared as their admission timestamp.
 
 use crate::action::ActionId;
 use crate::controller::{CapacityController, LeaseStats};
 use crate::gateway::{BurstScratch, Gateway, Shed};
 use crate::route::mix64;
+use metrics::{Outcome, Tally};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use telemetry::{HistSnapshot, Snapshot};
@@ -37,10 +41,6 @@ pub struct HarnessConfig {
     /// time with no progress (only trips if the plane lost requests or
     /// has no invokers left — a healthy run never hits it).
     pub stall_timeout: Duration,
-    /// Submitter-side batching: up to this many due arrivals are
-    /// admitted per burst with **one** clock read shared as their
-    /// admission timestamp. 1 reproduces the per-arrival submit loop.
-    pub submit_batch: usize,
     /// Parallel submitter threads (0 is treated as 1). The arrival
     /// stream is partitioned **by action hash** across N scoped threads
     /// — all invocations of one action go through one submitter, so
@@ -50,7 +50,7 @@ pub struct HarnessConfig {
     /// and doubles as a completion collector; the whole run is read
     /// from one registry-snapshot diff. The closed-loop window is a
     /// shared atomic; concurrent submitters may transiently overshoot
-    /// it by at most `submitters * submit_batch`.
+    /// it by at most `submitters * SUBMIT_BATCH`.
     pub submitters: usize,
 }
 
@@ -60,72 +60,20 @@ impl Default for HarnessConfig {
             speedup: 1.0,
             max_inflight: 512,
             stall_timeout: Duration::from_secs(10),
-            submit_batch: 64,
             submitters: 1,
         }
     }
 }
 
-/// Per-action tallies of one run: the admitted / delayed / shed / lost
-/// split, per shed reason, so a scenario's outcome is diagnosable at a
-/// glance (which action saturated its cap, which one ate the delay
-/// budget, which one lost work).
-#[derive(Debug, Clone, Default)]
-pub struct ActionLoad {
-    /// Action name (from the gateway's registry).
-    pub name: String,
-    /// Arrivals submitted for this action.
-    pub submitted: u64,
-    /// Requests admitted.
-    pub accepted: u64,
-    /// Admissions the shaper charged a nonzero delay (subset of
-    /// `accepted`).
-    pub delayed: u64,
-    /// Requests completed.
-    pub completed: u64,
-    /// Completions that cold-started a container.
-    pub cold_starts: u64,
-    /// Sheds: home queue at its bound.
-    pub shed_queue_full: u64,
-    /// Sheds: per-action in-flight cap.
-    pub shed_action_saturated: u64,
-    /// Sheds: no routable invoker.
-    pub shed_no_invoker: u64,
-    /// Sheds: token-bucket delay budget exhausted.
-    pub shed_delay_budget: u64,
-}
-
-impl ActionLoad {
-    /// Total sheds across all reasons.
-    pub fn shed(&self) -> u64 {
-        self.shed_queue_full
-            + self.shed_action_saturated
-            + self.shed_no_invoker
-            + self.shed_delay_budget
-    }
-
-    /// Accepted requests that never completed. Saturating: `completed`
-    /// is a diff of the gateway's books and so includes completions of
-    /// requests admitted before the run's first snapshot.
-    pub fn lost(&self) -> u64 {
-        self.accepted.saturating_sub(self.completed)
-    }
-}
+/// Due arrivals admitted per burst.
+pub const SUBMIT_BATCH: usize = 64;
 
 /// Everything the run observed.
 pub struct LoadReport {
     /// Wall-clock span of the run.
     pub wall: Duration,
-    /// Arrivals attempted (accepted + shed).
-    pub submitted: u64,
-    /// Requests admitted by the gateway.
-    pub accepted: u64,
-    /// Admissions charged a nonzero shaper delay (subset of accepted).
-    pub delayed: u64,
-    /// Requests refused at admission.
-    pub shed: u64,
-    /// Requests that completed.
-    pub completed: u64,
+    /// The run's requests by outcome: the registry's diff across it.
+    pub tally: Tally,
     /// Completions that cold-started a container.
     pub cold_starts: u64,
     /// Completed requests per second of wall time.
@@ -133,19 +81,21 @@ pub struct LoadReport {
     /// End-to-end latency (admission → completion), **nanoseconds** —
     /// a mergeable log-linear histogram snapshot, not raw samples.
     pub latency: HistSnapshot,
-    /// Queue-wait share of the latency, nanoseconds.
-    pub queue_wait: HistSnapshot,
-    /// The same tallies broken out per action, index-aligned with the
-    /// gateway's action registry.
-    pub per_action: Vec<ActionLoad>,
+    /// The same tally per action, `(name, tally)`, index-aligned with
+    /// the gateway's action registry, so a scenario's outcome is
+    /// diagnosable at a glance (which action saturated its cap, which
+    /// one ate the delay budget, which one lost work).
+    pub per_action: Vec<(String, Tally)>,
 }
 
 impl LoadReport {
     /// Accepted requests that never completed. Zero on every healthy
-    /// run — the drain protocol's whole point. Saturating, as in
-    /// [`ActionLoad::lost`].
+    /// run — the drain protocol's whole point. Saturating:
+    /// `completed` is a diff of the gateway's books and so includes
+    /// completions of requests admitted before the run's first
+    /// snapshot.
     pub fn lost(&self) -> u64 {
-        self.accepted.saturating_sub(self.completed)
+        self.tally.outstanding()
     }
 
     /// Human summary: one totals line, then one line per action that
@@ -156,12 +106,13 @@ impl LoadReport {
             self.latency.quantile(0.5) / 1e9,
             self.latency.quantile(0.99) / 1e9,
         );
+        let t = &self.tally;
         let mut s = format!(
             "{} completed / {} accepted ({} delayed) / {} shed in {:.2?}  |  {:.0} ops/s  |  p50 {:.1} µs  p99 {:.1} µs  |  {} cold  |  lost {}",
-            self.completed,
-            self.accepted,
-            self.delayed,
-            self.shed,
+            t.completed,
+            t.accepted,
+            t.delayed,
+            t.shed_total(),
             self.wall,
             self.throughput,
             p50 * 1e6,
@@ -169,44 +120,22 @@ impl LoadReport {
             self.cold_starts,
             self.lost()
         );
-        for a in self.per_action.iter().filter(|a| a.submitted > 0) {
+        for (name, a) in self.per_action.iter().filter(|(_, a)| a.arrivals() > 0) {
+            let shed = |r: Shed| a[Outcome::Shed(r)];
             s.push_str(&format!(
-                "\n  {}: {}/{} ok, {} delayed, {} shed ({} queue, {} cap, {} route, {} budget), {} lost",
-                a.name,
+                "\n  {name}: {}/{} ok, {} delayed, {} shed ({} queue, {} cap, {} route, {} budget), {} lost",
                 a.completed,
-                a.submitted,
+                a.arrivals(),
                 a.delayed,
-                a.shed(),
-                a.shed_queue_full,
-                a.shed_action_saturated,
-                a.shed_no_invoker,
-                a.shed_delay_budget,
-                a.lost()
+                a.shed_total(),
+                shed(Shed::QueueFull),
+                shed(Shed::ActionSaturated),
+                shed(Shed::NoInvoker),
+                shed(Shed::DelayBudget),
+                a.outstanding()
             ));
         }
         s
-    }
-}
-
-/// A zeroed report with the per-action rows named from the catalogue.
-fn empty_report(gw: &Gateway, n_actions: u32) -> LoadReport {
-    LoadReport {
-        wall: Duration::ZERO,
-        submitted: 0,
-        accepted: 0,
-        delayed: 0,
-        shed: 0,
-        completed: 0,
-        cold_starts: 0,
-        throughput: 0.0,
-        latency: HistSnapshot::default(),
-        queue_wait: HistSnapshot::default(),
-        per_action: (0..n_actions)
-            .map(|i| ActionLoad {
-                name: gw.actions().spec(ActionId(i)).name.clone(),
-                ..Default::default()
-            })
-            .collect(),
     }
 }
 
@@ -265,12 +194,38 @@ pub fn run_load(gw: &Gateway, arrivals: &[Arrival], cfg: &HarnessConfig) -> Load
             scope.spawn(move || submitter_loop(gw, part, cfg, shared, t0, n_actions));
         }
     });
-    let mut report = empty_report(gw, n_actions);
-    report.wall = t0.elapsed();
-    fill_from_registry(&mut report, &s0, &gw.telem.registry().snapshot());
-    report.throughput = report.completed as f64 / report.wall.as_secs_f64().max(1e-9);
-    report
+    let wall = t0.elapsed();
+    let s1 = gw.telem.registry().snapshot();
+    // Absolute counter diffs (not the scrape-to-scrape `counter_delta`),
+    // so an interleaved scrape by another observer — a metrics exporter
+    // running mid-load — cannot steal this run's counts.
+    let tally = |filter: &[(&str, &str)]| {
+        let read = |s| Tally::from_scrape(s, REQUESTS, filter).unwrap_or_default();
+        read(&s1).since(&read(&s0))
+    };
+    let cold = |s: &Snapshot| s.counter_sum(REQUESTS, &[("outcome", "cold")]);
+    let latency = |s: &Snapshot| {
+        let total = s.histogram("gateway_latency_ns", &[("kind", "total")]);
+        total.cloned().unwrap_or_default()
+    };
+    let per_action = (0..n_actions).map(|i| {
+        let name = gw.actions().spec(ActionId(i)).name.clone();
+        let t = tally(&[("action", &name)]);
+        (name, t)
+    });
+    let t = tally(&[]);
+    LoadReport {
+        wall,
+        tally: t,
+        cold_starts: cold(&s1).saturating_sub(cold(&s0)),
+        throughput: t.completed as f64 / wall.as_secs_f64().max(1e-9),
+        latency: latency(&s1).since(&latency(&s0)),
+        per_action: per_action.collect(),
+    }
 }
+
+/// The family the run's tallies are read from.
+const REQUESTS: &str = "gateway_requests_total";
 
 /// One submitter thread's loop: its own [`Collector`] cursor,
 /// [`BurstScratch`] and clock reads, sharing only the atomic window and
@@ -286,12 +241,11 @@ fn submitter_loop(
     n_actions: u32,
 ) {
     let mut col = gw.collector();
-    let submit_batch = cfg.submit_batch.max(1);
     let mut next = 0usize;
     let mut announced_done = false;
-    let mut buf: Vec<crate::gateway::Completion> = Vec::with_capacity(submit_batch.max(64));
-    let mut burst_reqs: Vec<(ActionId, u64)> = Vec::with_capacity(submit_batch);
-    let mut burst_out: Vec<Result<crate::gateway::Admit, Shed>> = Vec::with_capacity(submit_batch);
+    let mut buf: Vec<crate::gateway::Completion> = Vec::with_capacity(SUBMIT_BATCH);
+    let mut burst_reqs: Vec<(ActionId, u64)> = Vec::with_capacity(SUBMIT_BATCH);
+    let mut burst_out: Vec<Result<crate::gateway::Admit, Shed>> = Vec::with_capacity(SUBMIT_BATCH);
     let mut scratch = BurstScratch::default();
     let progress = |at: Instant| {
         shared
@@ -331,7 +285,7 @@ fn submitter_loop(
                     let sim_now = now.duration_since(t0).as_secs_f64() * cfg.speedup;
                     part[next..].partition_point(|a| a.at.as_secs_f64() <= sim_now)
                 };
-                let burst = due.min(window).min(submit_batch);
+                let burst = due.min(window).min(SUBMIT_BATCH);
                 if burst > 0 {
                     burst_reqs.clear();
                     burst_out.clear();
@@ -402,46 +356,6 @@ fn submitter_loop(
     }
 }
 
-/// Fill every tally of `report` from the diff of two registry
-/// snapshots bracketing the run. Uses absolute counter diffs (not the
-/// scrape-to-scrape `counter_delta`) so an interleaved scrape by
-/// another observer — a metrics exporter running mid-load — cannot
-/// steal this run's counts.
-fn fill_from_registry(report: &mut LoadReport, s0: &Snapshot, s1: &Snapshot) {
-    const FAM: &str = "gateway_requests_total";
-    let diff = |action: &str, outcome: &str| -> u64 {
-        let lbls = [("action", action), ("outcome", outcome)];
-        s1.counter(FAM, &lbls)
-            .unwrap_or(0)
-            .saturating_sub(s0.counter(FAM, &lbls).unwrap_or(0))
-    };
-    for row in report.per_action.iter_mut() {
-        let name = row.name.clone();
-        row.accepted = diff(&name, "accepted");
-        row.delayed = diff(&name, "delayed");
-        row.shed_queue_full = diff(&name, "shed_queue_full");
-        row.shed_action_saturated = diff(&name, "shed_action_saturated");
-        row.shed_no_invoker = diff(&name, "shed_no_invoker");
-        row.shed_delay_budget = diff(&name, "shed_delay_budget");
-        row.completed = diff(&name, "completed");
-        row.cold_starts = diff(&name, "cold");
-        row.submitted = row.accepted + row.shed();
-        report.submitted += row.submitted;
-        report.accepted += row.accepted;
-        report.delayed += row.delayed;
-        report.shed += row.shed();
-        report.completed += row.completed;
-        report.cold_starts += row.cold_starts;
-    }
-    let hist = |s: &Snapshot, kind: &str| -> HistSnapshot {
-        s.histogram("gateway_latency_ns", &[("kind", kind)])
-            .cloned()
-            .unwrap_or_default()
-    };
-    report.latency = hist(s1, "total").since(&hist(s0, "total"));
-    report.queue_wait = hist(s1, "queue_wait").since(&hist(s0, "queue_wait"));
-}
-
 /// Drive `arrivals` through `gw` while `ctl` replays its lease plan on
 /// a scoped background thread — the canonical pairing of the load
 /// harness with a [`CapacityController`]. Plan events already due at
@@ -497,7 +411,7 @@ mod tests {
         assert!(!arrivals.is_empty());
         let mut r = run_load(&gw, &arrivals, &HarnessConfig::default());
         assert_eq!(r.lost(), 0, "{}", r.summary());
-        assert_eq!(r.submitted, arrivals.len() as u64);
+        assert_eq!(r.tally.arrivals(), arrivals.len() as u64);
         assert!(r.throughput > 0.0);
         assert!(r.latency.quantile(0.5) >= 0.0);
         assert_eq!(gw.shutdown(), 0);
@@ -517,7 +431,7 @@ mod tests {
             },
         );
         assert_eq!(r.lost(), 0, "{}", r.summary());
-        assert!(r.completed > 0);
+        assert!(r.tally.completed > 0);
     }
 
     #[test]
@@ -537,7 +451,7 @@ mod tests {
         );
         assert!(t.elapsed() < Duration::from_secs(5));
         assert_eq!(r.lost(), 0);
-        assert_eq!(r.completed, arrivals.len() as u64);
+        assert_eq!(r.tally.completed, arrivals.len() as u64);
     }
 
     #[test]
@@ -546,31 +460,10 @@ mod tests {
         // NaN (the guard lives in HistSnapshot::quantile), not a panic.
         let gw = plane(1, 1);
         let mut r = run_load(&gw, &[], &HarnessConfig::default());
-        assert_eq!(r.completed, 0);
+        assert_eq!(r.tally.completed, 0);
         assert!(r.latency.quantile(0.5).is_nan());
         assert!(r.latency.quantile(0.99).is_nan());
         assert!(r.summary().contains("NaN"), "{}", r.summary());
-        assert_eq!(gw.shutdown(), 0);
-    }
-
-    #[test]
-    fn submit_batch_one_matches_per_arrival_submission() {
-        // Bursts of one (the unbatched probe's shape): the run stays
-        // lossless and accounts every arrival.
-        let gw = plane(2, 4);
-        let arrivals = PoissonLoadGen::new(3_000.0, 4).arrivals(SimDuration::from_millis(100), 11);
-        let mut r = run_load(
-            &gw,
-            &arrivals,
-            &HarnessConfig {
-                speedup: 0.0,
-                submit_batch: 1,
-                ..Default::default()
-            },
-        );
-        assert_eq!(r.lost(), 0, "{}", r.summary());
-        assert_eq!(r.submitted, arrivals.len() as u64);
-        assert_eq!(r.accepted, r.completed);
         assert_eq!(gw.shutdown(), 0);
     }
 
@@ -606,11 +499,10 @@ mod tests {
                 },
             );
             assert_eq!(r.lost(), 0, "submitters={submitters}: {}", r.summary());
-            assert_eq!(r.submitted, arrivals.len() as u64);
-            assert_eq!(r.submitted, r.accepted + r.shed);
-            for (a, b) in r.per_action.iter().zip(&reference.per_action) {
-                assert_eq!(a.submitted, b.submitted, "row {} submitted", a.name);
-                assert_eq!(a.completed, b.completed, "row {} completed", a.name);
+            assert_eq!(r.tally.arrivals(), arrivals.len() as u64);
+            for ((name, a), (_, b)) in r.per_action.iter().zip(&reference.per_action) {
+                assert_eq!(a.arrivals(), b.arrivals(), "row {name} arrivals");
+                assert_eq!(a.completed, b.completed, "row {name} completed");
             }
             assert_eq!(gw.shutdown(), 0);
         }
@@ -636,7 +528,7 @@ mod tests {
                 },
             );
             assert_eq!(
-                (r.submitted, r.completed),
+                (r.tally.arrivals(), r.tally.completed),
                 (2, 2),
                 "submitters={submitters}"
             );
@@ -660,9 +552,10 @@ mod tests {
         let arrivals = [SimTime::ZERO; 3].map(|at| Arrival { at, function: 0 });
         let mut r = run_load(&gw, &arrivals, &HarnessConfig::default());
         let summary = r.summary(); // prints `lost` for the run and the row
-        assert_eq!(r.submitted, arrivals.len() as u64, "{summary}");
-        assert!(r.completed >= r.accepted, "{summary}");
-        assert_eq!((r.lost(), r.per_action[0].lost()), (0, 0), "{summary}");
+        assert_eq!(r.tally.arrivals(), arrivals.len() as u64, "{summary}");
+        assert!(r.tally.completed >= r.tally.accepted, "{summary}");
+        let row = r.per_action[0].1.outstanding();
+        assert_eq!((r.lost(), row), (0, 0), "{summary}");
         assert_eq!(gw.shutdown(), 0);
     }
 
@@ -691,7 +584,8 @@ mod tests {
             },
         );
         let summary = r.summary();
-        assert_eq!(r.shed, 0, "window ≤ queue bound ⇒ no sheds: {summary}");
+        let shed = r.tally.shed_total();
+        assert_eq!(shed, 0, "window ≤ queue bound ⇒ no sheds: {summary}");
         assert_eq!(r.lost(), 0);
     }
 }

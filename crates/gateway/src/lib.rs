@@ -46,14 +46,17 @@
 //!   invoker lifecycle that replaces hand-rolled start/sigterm/join;
 //! * [`harness`] — the closed-loop load harness replaying
 //!   `crates/workload` arrival processes (Poisson, diurnal) into
-//!   log-linear latency histograms, with per-action
-//!   admitted/delayed/shed/lost accounting built *from* the telemetry
-//!   registry;
+//!   log-linear latency histograms, with a run-wide and a per-action
+//!   `metrics::Tally` read *from* the telemetry registry;
 //! * [`telem`] — the gateway's telemetry plane and only ledger: a
 //!   `telemetry::Registry` of sharded counters, gauges and latency
 //!   histograms covering every admission outcome, lease transition,
 //!   pool event and queue high-water, scrapeable as Prometheus text
-//!   and readable as plain [`Totals`].
+//!   and readable as a plain `metrics::Tally`.
+//!
+//! The request vocabulary ([`Shed`], `metrics::Outcome`,
+//! `metrics::Tally`) and the rules the books check are
+//! `metrics::outcome`'s, shared with the DES plane.
 //!
 //! The drain guarantee, stated once and tested in
 //! `tests/drain_stress.rs` (hand-churned) and by the `day` row of the
@@ -87,11 +90,11 @@ pub use controller::{CapacityController, ControllerConfig, LeaseStats};
 pub use gateway::{
     Admit, BurstScratch, Collector, Completion, Gateway, GatewayConfig, InvokerToken, Shed,
 };
-pub use harness::{run_load, run_load_with_controller, ActionLoad, HarnessConfig, LoadReport};
+pub use harness::{run_load, run_load_with_controller, HarnessConfig, LoadReport};
 pub use lease::{floor_grants, ChurnCfg, LeaseEvent, LeaseEventKind, LeasePlan};
 pub use queue::{Envelope, Produce, ProduceBatch, Request};
 pub use ring::RingQueue;
 pub use route::Router;
 pub use simcore::pool::PoolStats;
 pub use source::{LeaseSource, LoadFeedback, PlanSource};
-pub use telem::{GatewayTelemetry, SlotTelem, Totals};
+pub use telem::{GatewayTelemetry, SlotTelem};

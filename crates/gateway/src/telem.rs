@@ -14,14 +14,15 @@
 //!
 //! The [`Registry`] only sees any of this at scrape time: each family
 //! is a closure that reads the shared atomics and merges the
-//! per-invoker shards. [`LoadReport`](crate::harness::LoadReport) is
-//! built *from* these snapshots, and [`Totals`] (what the capacity
-//! controller's feedback reads) sums the same atomics without a
-//! snapshot, so the harness, the controller and the exposition can
-//! never disagree.
+//! per-invoker shards. The request ledger has one shape, a
+//! [`Tally`]: [`LoadReport`](crate::harness::LoadReport) and the books
+//! read it off these snapshots ([`Tally::from_scrape`]), and
+//! [`GatewayTelemetry::totals`] (what the capacity controller's
+//! feedback reads) sums the same atomics without a snapshot, so the
+//! harness, the controller and the exposition can never disagree.
 
 use crate::action::ActionRegistry;
-use crate::gateway::Shed;
+use metrics::{Outcome, Shed, Tally};
 use simcore::pool::PoolStats;
 use std::sync::{Arc, Mutex};
 use telemetry::{
@@ -56,11 +57,8 @@ pub struct GatewayTelemetry {
     pub accepted: Arc<CounterVec>,
     /// Delay-charged admissions per action (subset of accepted).
     pub delayed: Arc<CounterVec>,
-    /// Sheds per action, one vec per [`Shed`] reason.
-    pub shed_queue_full: Arc<CounterVec>,
-    pub shed_action_saturated: Arc<CounterVec>,
-    pub shed_no_invoker: Arc<CounterVec>,
-    pub shed_delay_budget: Arc<CounterVec>,
+    /// Sheds per action, one vec per reason, indexed by [`Shed`].
+    pub shed: [Arc<CounterVec>; 4],
     /// Envelopes that took the fast-lane hop during a drain.
     pub fastlane_moves: Arc<Counter>,
     /// Capacity leases granted (invokers started) / revoked (reaped).
@@ -89,49 +87,6 @@ pub struct GatewayTelemetry {
     slots: Arc<Mutex<Vec<Arc<SlotTelem>>>>,
 }
 
-/// The request ledger as plain values: the same atomics the
-/// `gateway_requests_total` and `gateway_fastlane_moves_total`
-/// families expose, summed over actions and invoker shards. All
-/// monotone.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Totals {
-    /// Requests admitted (each completes exactly once as long as an
-    /// invoker survives to serve it).
-    pub accepted: u64,
-    /// Admissions the shaper charged a nonzero virtual delay (a subset
-    /// of `accepted`).
-    pub delayed: u64,
-    /// Sheds per reason, indexed by [`shed_code`].
-    pub shed: [u64; 4],
-    /// Requests executed and about to be published to a completion
-    /// shard (counted in the invoker's flush, just before the publish).
-    pub completed: u64,
-    /// Envelopes that took the fast-lane hop during a drain (flushed by
-    /// the invoker or rerouted by a racing producer).
-    pub fastlane_moves: u64,
-}
-
-impl Totals {
-    /// Sheds for one reason.
-    pub fn shed_by(&self, reason: Shed) -> u64 {
-        self.shed[shed_code(reason) as usize]
-    }
-
-    /// Total sheds across all reasons.
-    pub fn shed_total(&self) -> u64 {
-        self.shed.iter().sum()
-    }
-
-    /// Accepted minus completed — in-flight while running, lost only if
-    /// the plane shut down with requests stranded. Saturating: a reader
-    /// can catch `completed` ahead of `accepted` (the producer counts
-    /// the admission after the enqueue, and a fast invoker can execute
-    /// and count the request in between).
-    pub fn outstanding(&self) -> u64 {
-        self.accepted.saturating_sub(self.completed)
-    }
-}
-
 /// Dense indices into [`GatewayTelemetry::pool_events`].
 pub(crate) const POOL_WARM_HIT: usize = 0;
 pub(crate) const POOL_COLD_START: usize = 1;
@@ -158,10 +113,7 @@ impl GatewayTelemetry {
             n_actions: n,
             accepted: Arc::new(CounterVec::new(n)),
             delayed: Arc::new(CounterVec::new(n)),
-            shed_queue_full: Arc::new(CounterVec::new(n)),
-            shed_action_saturated: Arc::new(CounterVec::new(n)),
-            shed_no_invoker: Arc::new(CounterVec::new(n)),
-            shed_delay_budget: Arc::new(CounterVec::new(n)),
+            shed: std::array::from_fn(|_| Arc::new(CounterVec::new(n))),
             fastlane_moves: Arc::new(Counter::new()),
             lease_grants: Arc::new(Counter::new()),
             lease_revokes: Arc::new(Counter::new()),
@@ -176,14 +128,11 @@ impl GatewayTelemetry {
 
         // gateway_requests_total{action, outcome}: submit-side vecs
         // plus the invoker shards merged per action.
-        let submit = [
-            ("accepted", t.accepted.clone()),
-            ("delayed", t.delayed.clone()),
-            ("shed_queue_full", t.shed_queue_full.clone()),
-            ("shed_action_saturated", t.shed_action_saturated.clone()),
-            ("shed_no_invoker", t.shed_no_invoker.clone()),
-            ("shed_delay_budget", t.shed_delay_budget.clone()),
+        let mut submit = vec![
+            (Outcome::Accepted, t.accepted.clone()),
+            (Outcome::Delayed, t.delayed.clone()),
         ];
+        submit.extend(Shed::ALL.map(|s| (Outcome::Shed(s), t.shed[s as usize].clone())));
         let slots = t.slots.clone();
         let fam_names = names.clone();
         registry.register(
@@ -192,32 +141,26 @@ impl GatewayTelemetry {
             MetricKind::Counter,
             Box::new(move || {
                 let mut out = Vec::new();
+                let mut push = |a: &str, outcome: &str, v| {
+                    let l = labels(&[("action", a), ("outcome", outcome)]);
+                    out.push((l, Collected::Counter(v)));
+                };
                 for (outcome, vec) in &submit {
                     for (a, name) in fam_names.iter().enumerate() {
-                        out.push((
-                            labels(&[("action", name), ("outcome", outcome)]),
-                            Collected::Counter(vec.get(a)),
-                        ));
+                        push(name, outcome.label(), vec.get(a));
                     }
                 }
                 let shards = slots.lock().unwrap_or_else(|e| e.into_inner());
-                for (outcome, pick) in [("completed", 0usize), ("cold", 1usize)] {
-                    for (a, name) in fam_names.iter().enumerate() {
-                        let v: u64 = shards
-                            .iter()
-                            .map(|s| {
-                                if pick == 0 {
-                                    s.completed.get(a)
-                                } else {
-                                    s.cold.get(a)
-                                }
-                            })
-                            .sum();
-                        out.push((
-                            labels(&[("action", name), ("outcome", outcome)]),
-                            Collected::Counter(v),
-                        ));
-                    }
+                let merged = |a, pick: fn(&SlotTelem) -> &CounterVec| {
+                    shards.iter().map(|s| pick(s).get(a)).sum()
+                };
+                for (a, name) in fam_names.iter().enumerate() {
+                    push(
+                        name,
+                        Outcome::Completed.label(),
+                        merged(a, |s| &s.completed),
+                    );
+                    push(name, "cold", merged(a, |s| &s.cold));
                 }
                 out
             }),
@@ -393,23 +336,15 @@ impl GatewayTelemetry {
     /// action per submit-side vec plus one per action per invoker
     /// shard — no closures, no label rendering, cheap enough for the
     /// controller's feedback cadence. `accepted` is read before
-    /// `completed`, so [`Totals::outstanding`] never overstates what
+    /// `completed`, so [`Tally::outstanding`] never overstates what
     /// was in flight at the moment `accepted` was read.
-    pub fn totals(&self) -> Totals {
-        let mut t = Totals {
+    pub fn totals(&self) -> Tally {
+        let mut t = Tally {
             accepted: self.accepted.total(),
             delayed: self.delayed.total(),
-            fastlane_moves: self.fastlane_moves.get(),
+            shed: self.shed.each_ref().map(|v| v.total()),
             ..Default::default()
         };
-        for (reason, vec) in [
-            (Shed::NoInvoker, &self.shed_no_invoker),
-            (Shed::QueueFull, &self.shed_queue_full),
-            (Shed::ActionSaturated, &self.shed_action_saturated),
-            (Shed::DelayBudget, &self.shed_delay_budget),
-        ] {
-            t.shed[shed_code(reason) as usize] = vec.total();
-        }
         // Keeps the relaxed loads above ahead of the ones below.
         std::sync::atomic::fence(std::sync::atomic::Ordering::Acquire);
         let shards = self.slots.lock().unwrap_or_else(|e| e.into_inner());
@@ -421,16 +356,11 @@ impl GatewayTelemetry {
     /// caller returns exactly what was counted.
     #[inline]
     pub(crate) fn note_shed(&self, action: usize, reason: Shed) -> Shed {
-        match reason {
-            Shed::QueueFull => self.shed_queue_full.inc(action),
-            Shed::ActionSaturated => self.shed_action_saturated.inc(action),
-            Shed::NoInvoker => self.shed_no_invoker.inc(action),
-            Shed::DelayBudget => self.shed_delay_budget.inc(action),
-        }
+        self.shed[reason as usize].inc(action);
         telemetry::flight::record(
             telemetry::EventKind::AdmissionShed,
             action as u64,
-            shed_code(reason),
+            reason as u64,
         );
         reason
     }
@@ -451,16 +381,6 @@ impl GatewayTelemetry {
         self.pool_events
             .add(POOL_DRAIN_RETIRED, now.drain_retired - last.drain_retired);
         *last = now;
-    }
-}
-
-/// Stable numeric code for a shed reason (flight-recorder payloads).
-pub fn shed_code(reason: Shed) -> u64 {
-    match reason {
-        Shed::NoInvoker => 0,
-        Shed::QueueFull => 1,
-        Shed::ActionSaturated => 2,
-        Shed::DelayBudget => 3,
     }
 }
 
@@ -515,7 +435,7 @@ mod tests {
         let t = GatewayTelemetry::new(vec!["f0".into(), "f1".into()]);
         t.accepted.add(0, 3);
         t.accepted.add(1, 2);
-        t.shed_queue_full.inc(1);
+        t.shed[Shed::QueueFull as usize].inc(1);
         t.lease_grants.add(2);
         t.lease_revokes.inc();
         t.leases_live.set(1);
@@ -537,8 +457,10 @@ mod tests {
         // The plain-value reader sums the same atomics.
         let totals = t.totals();
         assert_eq!((totals.accepted, totals.completed), (5, 3));
-        assert_eq!(totals.shed_by(Shed::QueueFull), 1);
+        assert_eq!(totals[Outcome::Shed(Shed::QueueFull)], 1);
         assert_eq!((totals.shed_total(), totals.outstanding()), (1, 2));
+        let scraped = Tally::from_scrape(&snap, "gateway_requests_total", &[]);
+        assert_eq!(scraped, Some(totals));
         assert_eq!(snap.counter("gateway_lease_grants_total", &[]), Some(2));
         assert_eq!(snap.gauge("gateway_leases_live", &[]), Some(1));
         let h = snap

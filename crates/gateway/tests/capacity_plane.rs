@@ -8,6 +8,7 @@ use gateway::{
     books, ActionBody, ActionId, ActionSpec, AdmissionPolicy, CapacityController, ControllerConfig,
     Gateway, GatewayConfig, HarnessConfig, LeaseEvent, LeasePlan, Shed, TokenBucketCfg,
 };
+use metrics::Outcome;
 use simcore::SimDuration;
 use std::time::{Duration, Instant};
 use workload::{IdleModel, PoissonLoadGen};
@@ -47,7 +48,7 @@ fn trace_replay_serves_traffic_through_churn() {
     let (report, stats) =
         gateway::run_load_with_controller(&gw, ctl, &arrivals, &HarnessConfig::default());
     assert_eq!(report.lost(), 0, "churn must not lose accepted work");
-    assert!(report.completed > 0);
+    assert!(report.tally.completed > 0);
     assert!(stats.grants >= 1, "{stats:?}");
     books::close(&gw, arrivals.len() as u64).expect("books");
 }
@@ -155,31 +156,30 @@ fn token_bucket_sheds_less_than_hard_shed_under_overload() {
 
     assert_eq!(hard.lost(), 0, "{}", hard.summary());
     assert_eq!(bucket.lost(), 0, "{}", bucket.summary());
+    let (hard_shed, bucket_shed) = (hard.tally.shed_total(), bucket.tally.shed_total());
     assert!(
-        hard.shed > 0,
+        hard_shed > 0,
         "the overload must overwhelm the baseline: {}",
         hard.summary()
     );
     assert!(
-        bucket.shed < hard.shed,
-        "token bucket must shed strictly less: bucket {} vs hard {}",
-        bucket.shed,
-        hard.shed
+        bucket_shed < hard_shed,
+        "token bucket must shed strictly less: bucket {bucket_shed} vs hard {hard_shed}"
     );
     // The slope is typed: delayed admissions occurred, and the sheds
     // that remain are delay-budget sheds, not queue-full cliffs.
     let bucket_summary = bucket.summary();
-    assert!(bucket.delayed > 0, "{bucket_summary}");
-    let row = &bucket.per_action[0];
-    assert_eq!(row.shed_queue_full, 0, "{bucket_summary}");
-    if bucket.shed > 0 {
-        assert!(row.shed_delay_budget > 0, "{bucket_summary}");
+    assert!(bucket.tally.delayed > 0, "{bucket_summary}");
+    let row = &bucket.per_action[0].1;
+    assert_eq!(row[Outcome::Shed(Shed::QueueFull)], 0, "{bucket_summary}");
+    if bucket_shed > 0 {
+        assert!(
+            row[Outcome::Shed(Shed::DelayBudget)] > 0,
+            "{bucket_summary}"
+        );
     }
-    // Per-action accounting adds up.
-    assert_eq!(row.submitted, bucket.submitted);
-    assert_eq!(row.accepted, bucket.accepted);
-    assert_eq!(row.delayed, bucket.delayed);
-    assert_eq!(row.lost(), 0);
+    // The one action's row is the whole run's tally.
+    assert_eq!(*row, bucket.tally);
 }
 
 /// A structural shed (here: no routable invoker) refunds the shaper
@@ -251,7 +251,7 @@ fn delay_budget_shed_is_typed_and_scoped_to_the_policy() {
         max_delay_seen <= Duration::from_millis(5),
         "charged delay bounded by the budget: {max_delay_seen:?}"
     );
-    assert_eq!(gw.totals().shed_by(Shed::DelayBudget), delay_sheds);
+    assert_eq!(gw.totals()[Outcome::Shed(Shed::DelayBudget)], delay_sheds);
     assert!(gw.totals().delayed > 0);
     // Everything admitted still completes.
     let accepted = 64 - delay_sheds;

@@ -237,7 +237,7 @@ fn admission_sheds_on_queue_overload_and_never_loses_accepted() {
     assert!(accepted >= 8, "the bound admits up to the capacity");
     assert_eq!(collect(&gw, accepted as usize).len() as u64, accepted);
     books::close(&gw, 500).expect("books");
-    assert_eq!(gw.totals().shed_by(Shed::QueueFull), shed);
+    assert_eq!(gw.totals()[metrics::Outcome::Shed(Shed::QueueFull)], shed);
 }
 
 #[test]

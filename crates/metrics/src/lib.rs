@@ -18,6 +18,9 @@
 //!   that arithmetic;
 //! * [`MinuteBins`] — per-minute aggregation used by the responsiveness
 //!   plots (Figs. 5b, 6b);
+//! * [`outcome`] — what can happen to a request, for both planes: the
+//!   [`Outcome`] vocabulary, a [`Tally`] per outcome and the rules a
+//!   plane's books obey;
 //! * [`OnlineStats`] — streaming mean/variance/min/max;
 //! * [`Table`] — ASCII table rendering for paper-shaped reports.
 //!
@@ -30,12 +33,14 @@
 
 pub mod cdf;
 pub mod ms_cdf;
+pub mod outcome;
 pub mod summary;
 pub mod table;
 pub mod timeseries;
 
 pub use cdf::Cdf;
 pub use ms_cdf::MsCdf;
+pub use outcome::{Outcome, OutcomeBins, Shed, Tally};
 pub use summary::OnlineStats;
 pub use table::Table;
 pub use timeseries::{MinuteBins, StepSeries};

@@ -281,16 +281,6 @@ impl MinuteBins {
     pub fn total(&self) -> u64 {
         self.bins.iter().sum()
     }
-
-    /// `(minute_index, count)` pairs with nonzero counts.
-    pub fn nonzero(&self) -> Vec<(usize, u64)> {
-        self.bins
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c > 0)
-            .map(|(i, c)| (i, *c))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -397,7 +387,6 @@ mod tests {
         b.record(SimTime::from_secs(500)); // clamps into last bin
         assert_eq!(b.counts(), &[2, 1, 1]);
         assert_eq!(b.total(), 4);
-        assert_eq!(b.nonzero(), vec![(0, 2), (1, 1), (2, 1)]);
     }
 
     proptest! {

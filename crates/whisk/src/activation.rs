@@ -1,36 +1,8 @@
-//! Activation (invocation) records and outcomes.
+//! Activation (invocation) records.
 
 use crate::ids::{FunctionId, InvokerId};
+use metrics::Outcome;
 use simcore::SimTime;
-
-/// Client-visible outcome of one invocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Outcome {
-    /// Executed and answered.
-    Success,
-    /// Failed during execution (container creation refused / crashed).
-    Failed,
-    /// Never answered before the controller deadline.
-    Timeout,
-}
-
-/// Result of submitting an invocation to the controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InvokeResult {
-    /// Accepted and queued.
-    Accepted(crate::ids::ActivationId),
-    /// 503 Service Unavailable: no healthy invoker registered (§III-E).
-    Rejected503,
-}
-
-/// Controller-side lifecycle of an activation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ActState {
-    /// Queued or executing somewhere.
-    InFlight,
-    /// Answered (successfully or not); late results are ignored.
-    Answered(Outcome),
-}
 
 /// The controller's record of one activation.
 #[derive(Debug, Clone)]
@@ -41,8 +13,10 @@ pub struct ActivationRecord {
     pub submitted: SimTime,
     /// Timeout deadline.
     pub deadline: SimTime,
-    /// Lifecycle state.
-    pub state: ActState,
+    /// [`Outcome::InFlight`] until answered — [`Outcome::Completed`],
+    /// [`Outcome::Failed`] or [`Outcome::TimedOut`]; late results are
+    /// ignored.
+    pub state: Outcome,
     /// Which invoker's topic currently holds / executed it.
     pub assigned: Option<InvokerId>,
     /// Delivery attempts (> 1 after fast-lane re-routing).
@@ -52,7 +26,7 @@ pub struct ActivationRecord {
 impl ActivationRecord {
     /// True iff the client is still waiting.
     pub fn in_flight(&self) -> bool {
-        self.state == ActState::InFlight
+        self.state == Outcome::InFlight
     }
 }
 
@@ -66,12 +40,12 @@ mod tests {
             function: FunctionId(0),
             submitted: SimTime::ZERO,
             deadline: SimTime::from_secs(60),
-            state: ActState::InFlight,
+            state: Outcome::InFlight,
             assigned: None,
             attempts: 1,
         };
         assert!(r.in_flight());
-        r.state = ActState::Answered(Outcome::Success);
+        r.state = Outcome::Completed;
         assert!(!r.in_flight());
     }
 }

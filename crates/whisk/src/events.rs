@@ -1,7 +1,7 @@
 //! FaaS platform events and notes.
 
-use crate::activation::Outcome;
 use crate::ids::{ActivationId, FunctionId, InvokerId};
+use metrics::Outcome;
 use simcore::SimTime;
 
 /// Internal timing events of the FaaS platform.
@@ -42,20 +42,14 @@ pub enum WhiskEvent {
 /// Effects surfaced to the composition layer / metrics.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WhiskNote {
-    /// A request was rejected with 503 (no healthy invoker).
-    Rejected503 {
-        /// The function requested.
-        function: FunctionId,
-        /// When.
-        at: SimTime,
-    },
     /// An activation was answered (or declared timed out).
     ActivationDone {
         /// The activation.
         act: ActivationId,
         /// The function.
         function: FunctionId,
-        /// Outcome.
+        /// [`Outcome::Completed`], [`Outcome::Failed`] or
+        /// [`Outcome::TimedOut`].
         outcome: Outcome,
         /// Client submission time.
         submitted: SimTime,

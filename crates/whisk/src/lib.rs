@@ -35,7 +35,7 @@ pub mod invoker;
 pub mod system;
 
 pub use action::{ExecModel, FunctionSpec};
-pub use activation::{ActState, ActivationRecord, InvokeResult, Outcome};
+pub use activation::ActivationRecord;
 pub use config::{DynamicsMode, WhiskConfig};
 pub use events::{WhiskEvent, WhiskNote};
 pub use ids::{ActivationId, FunctionId, InvokerId};

@@ -26,12 +26,12 @@
 //!   requests time out — the stock OpenWhisk failure the paper fixes.
 
 use crate::action::FunctionSpec;
-use crate::activation::{ActState, ActivationRecord, InvokeResult, Outcome};
+use crate::activation::ActivationRecord;
 use crate::config::{DynamicsMode, WhiskConfig};
 use crate::events::{WhiskEvent, WhiskNote};
 use crate::ids::{stable_hash, ActivationId, FunctionId, InvokerId};
 use crate::invoker::{Invoker, InvokerState, PollChain};
-use metrics::StepSeries;
+use metrics::{Outcome, Shed, StepSeries, Tally};
 use mq::{Broker, TopicId};
 use simcore::pool::Acquire;
 use simcore::{Outbox, SimDuration, SimRng, SimTime};
@@ -84,6 +84,23 @@ pub struct WhiskCounters {
     pub polls_parked: u64,
     /// `TimeoutScan` events executed.
     pub timeout_scans: u64,
+}
+
+impl WhiskCounters {
+    /// The request ledger these counters keep, with `in_flight`
+    /// activations still unanswered ([`WhiskSys::in_flight`]).
+    pub fn tally(&self, in_flight: u64) -> Tally {
+        let mut t = Tally {
+            accepted: self.submitted - self.rejected_503,
+            completed: self.success,
+            failed: self.failed,
+            timed_out: self.timeout,
+            in_flight,
+            ..Tally::default()
+        };
+        t[Outcome::Shed(Shed::NoInvoker)] = self.rejected_503;
+        t
+    }
 }
 
 /// What every handler works on besides the invokers: kept apart from
@@ -283,18 +300,19 @@ impl Shared {
     ) {
         let rtt = self.jitter(self.cfg.client_rtt);
         let result_path = match outcome {
-            Outcome::Success => self.jitter(self.cfg.result_path),
+            Outcome::Completed => self.jitter(self.cfg.result_path),
             _ => SimDuration::ZERO,
         };
         let r = self
             .in_flight(act)
             .expect("answering once, before retiring");
-        r.state = ActState::Answered(outcome);
+        r.state = outcome;
         let (function, submitted, attempts) = (r.function, r.submitted, r.attempts);
         match outcome {
-            Outcome::Success => self.counters.success += 1,
+            Outcome::Completed => self.counters.success += 1,
             Outcome::Failed => self.counters.failed += 1,
-            Outcome::Timeout => self.counters.timeout += 1,
+            Outcome::TimedOut => self.counters.timeout += 1,
+            other => unreachable!("{other:?} does not answer an activation"),
         }
         notes.push(WhiskNote::ActivationDone {
             act,
@@ -398,6 +416,13 @@ impl WhiskSys {
         self.series
     }
 
+    /// Activations the controller has not answered yet: the records no
+    /// outcome has closed, as at the end of a run.
+    pub fn in_flight(&self) -> u64 {
+        let records = self.shared.records.iter();
+        records.filter(|r| r.in_flight()).count() as u64
+    }
+
     /// Controller record of an activation, kept until the timeout scan
     /// that passes its deadline; `None` once retired (tests/diagnostics).
     pub fn record(&self, act: ActivationId) -> Option<&ActivationRecord> {
@@ -420,14 +445,15 @@ impl WhiskSys {
     // Client API
     // ------------------------------------------------------------------
 
-    /// Submit an invocation at `now` (client send time).
+    /// Submit an invocation at `now` (client send time): its activation
+    /// id, or [`Shed::NoInvoker`] — the 503 — when no healthy invoker is
+    /// registered (§III-E).
     pub fn invoke(
         &mut self,
         now: SimTime,
         f: FunctionId,
         out: &mut Outbox<WhiskEvent>,
-        notes: &mut Vec<WhiskNote>,
-    ) -> InvokeResult {
+    ) -> Result<ActivationId, Shed> {
         assert!(
             (f.0 as usize) < self.shared.functions.len(),
             "unknown function"
@@ -435,11 +461,7 @@ impl WhiskSys {
         self.shared.counters.submitted += 1;
         let Some(inv) = self.route(f) else {
             self.shared.counters.rejected_503 += 1;
-            notes.push(WhiskNote::Rejected503 {
-                function: f,
-                at: now,
-            });
-            return InvokeResult::Rejected503;
+            return Err(Shed::NoInvoker);
         };
         let act = ActivationId(self.shared.records_base + self.shared.records.len() as u64);
         let deadline = now + self.shared.cfg.deadline;
@@ -447,7 +469,7 @@ impl WhiskSys {
             function: f,
             submitted: now,
             deadline,
-            state: ActState::InFlight,
+            state: Outcome::InFlight,
             assigned: Some(inv),
             attempts: 1,
         });
@@ -458,7 +480,7 @@ impl WhiskSys {
         let delay = self.shared.jitter(self.shared.cfg.ctrl_overhead)
             + self.shared.jitter(self.shared.cfg.kafka_delay);
         out.after(delay, WhiskEvent::Enqueue { act, inv });
-        InvokeResult::Accepted(act)
+        Ok(act)
     }
 
     /// OpenWhisk-style home-invoker routing: the function's hash picks a
@@ -653,7 +675,7 @@ impl WhiskSys {
                     }
                     if r.in_flight() {
                         let act = ActivationId(self.shared.records_base);
-                        self.shared.answer(now, act, Outcome::Timeout, notes);
+                        self.shared.answer(now, act, Outcome::TimedOut, notes);
                     }
                     self.shared.records.pop_front();
                     self.shared.records_base += 1;
@@ -795,7 +817,7 @@ impl WhiskSys {
         inv.pool.release(f, now);
         inv.ctrl_inflight = inv.ctrl_inflight.saturating_sub(1);
         if self.shared.in_flight(act).is_some() {
-            self.shared.answer(now, act, Outcome::Success, notes);
+            self.shared.answer(now, act, Outcome::Completed, notes);
         }
         // A slot freed: start the next buffered activation immediately.
         self.shared.dispatch(now, id, inv, out, notes);
@@ -847,7 +869,6 @@ impl WhiskSys {
 mod tests {
     use super::*;
     use crate::action::FunctionSpec;
-    use crate::activation::InvokeResult;
     use simcore::SimDuration;
 
     fn sys() -> WhiskSys {
@@ -935,8 +956,8 @@ mod tests {
         let slow = s.register_function(FunctionSpec::sleep("slow", SimDuration::from_secs(70)));
         let mut out = Outbox::new(SimTime::ZERO);
         s.start_invoker(SimTime::ZERO, 1, &mut out, &mut Vec::new());
-        let r = s.invoke(SimTime::ZERO, slow, &mut out, &mut Vec::new());
-        let InvokeResult::Accepted(act) = r else {
+        let r = s.invoke(SimTime::ZERO, slow, &mut out);
+        let Ok(act) = r else {
             panic!("a healthy invoker is registered")
         };
         for (t, e) in out.drain() {

@@ -8,9 +8,10 @@
 //! record (late completions, drains and fast-lane messages).
 
 use hpcwhisk_whisk::{
-    ActivationId, DynamicsMode, FunctionId, FunctionSpec, InvokeResult, InvokerId, InvokerState,
-    Outcome, PollChain, WhiskConfig, WhiskEvent, WhiskNote, WhiskSys,
+    ActivationId, DynamicsMode, FunctionId, FunctionSpec, InvokerId, InvokerState, PollChain,
+    WhiskConfig, WhiskEvent, WhiskNote, WhiskSys,
 };
+use metrics::{Outcome, Shed};
 use proptest::prelude::*;
 use simcore::{Engine, Outbox, SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -70,8 +71,8 @@ impl Harness {
         r
     }
 
-    fn invoke_at(&mut self, t: SimTime, f: FunctionId) -> InvokeResult {
-        self.apply(t, |sys, now, out, notes| sys.invoke(now, f, out, notes))
+    fn invoke_at(&mut self, t: SimTime, f: FunctionId) -> Result<ActivationId, Shed> {
+        self.apply(t, |sys, now, out, _| sys.invoke(now, f, out))
     }
 
     fn start_invoker_at(&mut self, t: SimTime, key: u64) -> InvokerId {
@@ -107,12 +108,9 @@ fn rejects_503_with_no_invokers() {
         .sys
         .register_function(FunctionSpec::sleep("f", SimDuration::from_millis(10)));
     let r = h.invoke_at(secs(1), f);
-    assert_eq!(r, InvokeResult::Rejected503);
+    assert_eq!(r, Err(Shed::NoInvoker));
     assert_eq!(h.sys.counters().rejected_503, 1);
-    assert!(h
-        .notes
-        .iter()
-        .any(|(_, n)| matches!(n, WhiskNote::Rejected503 { .. })));
+    assert_eq!(h.sys.in_flight(), 0);
 }
 
 #[test]
@@ -125,12 +123,12 @@ fn warm_invocation_completes_with_calibrated_latency() {
     // First call cold-starts; repeat calls should be warm.
     for i in 0..20 {
         let r = h.invoke_at(secs(2 + i), f);
-        assert!(matches!(r, InvokeResult::Accepted(_)));
+        assert!(r.is_ok());
     }
     h.run_until(secs(60));
     let outs = h.outcomes();
     assert_eq!(outs.len(), 20);
-    assert!(outs.iter().all(|(o, _, _)| *o == Outcome::Success));
+    assert!(outs.iter().all(|(o, _, _)| *o == Outcome::Completed));
     assert_eq!(h.sys.counters().cold_starts, 1);
     assert_eq!(h.sys.counters().warm_starts, 19);
     // Warm latency lands in the paper's ~0.8-1.0 s ballpark.
@@ -157,7 +155,7 @@ fn drain_reroutes_everything_no_request_lost() {
         .register_function(FunctionSpec::sleep("f", SimDuration::from_millis(10)));
     h.start_invoker_at(secs(0), 1);
     for i in 0..40 {
-        h.invoke_at(secs(2) + SimDuration::from_millis(i * 20), f);
+        let _ = h.invoke_at(secs(2) + SimDuration::from_millis(i * 20), f);
     }
     // SIGTERM arrives while much of the burst is still queued.
     h.apply(
@@ -170,7 +168,7 @@ fn drain_reroutes_everything_no_request_lost() {
     assert_eq!(outs.len(), 40, "every request answered");
     let succ = outs
         .iter()
-        .filter(|(o, _, _)| *o == Outcome::Success)
+        .filter(|(o, _, _)| *o == Outcome::Completed)
         .count();
     assert_eq!(succ, 40, "no request lost during drain");
     assert_eq!(h.sys.counters().timeout, 0);
@@ -207,7 +205,7 @@ fn baseline_mode_loses_silently_dead_invokers_queue() {
         sys.kill_invoker(now, InvokerId(1), out, notes)
     });
     for i in 0..30u64 {
-        h.invoke_at(
+        let _ = h.invoke_at(
             secs(6) + SimDuration::from_millis(i * 100),
             fns[(i % 20) as usize],
         );
@@ -217,11 +215,11 @@ fn baseline_mode_loses_silently_dead_invokers_queue() {
     assert_eq!(outs.len(), 30);
     let timeouts = outs
         .iter()
-        .filter(|(o, _, _)| *o == Outcome::Timeout)
+        .filter(|(o, _, _)| *o == Outcome::TimedOut)
         .count();
     let succ = outs
         .iter()
-        .filter(|(o, _, _)| *o == Outcome::Success)
+        .filter(|(o, _, _)| *o == Outcome::Completed)
         .count();
     // Exactly the requests routed to the dead invoker time out.
     assert!(timeouts > 0, "baseline must lose the dead invoker's queue");
@@ -247,7 +245,7 @@ fn hpcwhisk_mode_recovers_silently_dead_invokers_queue() {
         sys.kill_invoker(now, InvokerId(1), out, notes)
     });
     for i in 0..30u64 {
-        h.invoke_at(
+        let _ = h.invoke_at(
             secs(6) + SimDuration::from_millis(i * 100),
             fns[(i % 20) as usize],
         );
@@ -257,7 +255,7 @@ fn hpcwhisk_mode_recovers_silently_dead_invokers_queue() {
     assert_eq!(outs.len(), 30);
     let succ = outs
         .iter()
-        .filter(|(o, _, _)| *o == Outcome::Success)
+        .filter(|(o, _, _)| *o == Outcome::Completed)
         .count();
     // Requests that were still unpulled in the dead invoker's topic get
     // recovered to the fast lane once the death is noticed (only those
@@ -275,12 +273,12 @@ fn requests_during_zero_workers_wait_in_fast_lane_or_reject() {
         .sys
         .register_function(FunctionSpec::sleep("f", SimDuration::from_millis(10)));
     // No invokers yet: rejected.
-    assert_eq!(h.invoke_at(secs(1), f), InvokeResult::Rejected503);
+    assert_eq!(h.invoke_at(secs(1), f), Err(Shed::NoInvoker));
     // Invoker appears; accepted request during its life but enqueued to
     // it right as it drains → lands in fast lane → next invoker serves.
     h.start_invoker_at(secs(2), 1);
     let r = h.invoke_at(secs(3), f);
-    assert!(matches!(r, InvokeResult::Accepted(_)));
+    assert!(r.is_ok());
     h.apply(
         secs(3) + SimDuration::from_millis(1),
         |sys, now, out, notes| sys.sigterm_invoker(now, InvokerId(1), out, notes),
@@ -293,7 +291,7 @@ fn requests_during_zero_workers_wait_in_fast_lane_or_reject() {
     h.run_until(secs(60));
     let outs = h.outcomes();
     assert_eq!(outs.len(), 1);
-    assert_eq!(outs[0].0, Outcome::Success);
+    assert_eq!(outs[0].0, Outcome::Completed);
 }
 
 #[test]
@@ -308,9 +306,7 @@ fn unanswered_requests_time_out_at_deadline() {
         .register_function(FunctionSpec::sleep("f", SimDuration::from_millis(10)));
     h.start_invoker_at(secs(0), 1);
     let r = h.invoke_at(secs(1), f);
-    let InvokeResult::Accepted(_act) = r else {
-        panic!()
-    };
+    let Ok(_act) = r else { panic!() };
     // Invoker dies silently right away; no other invoker ever comes.
     h.apply(
         secs(1) + SimDuration::from_millis(10),
@@ -319,7 +315,7 @@ fn unanswered_requests_time_out_at_deadline() {
     h.run_until(secs(30));
     let outs = h.outcomes();
     assert_eq!(outs.len(), 1);
-    assert_eq!(outs[0].0, Outcome::Timeout);
+    assert_eq!(outs[0].0, Outcome::TimedOut);
     // Timeout declared near the 10 s deadline (within scan cadence).
     let answered = outs[0].2;
     assert!(
@@ -353,7 +349,7 @@ fn cold_start_saturation_fails_activations() {
     h.start_invoker_at(secs(0), 1);
     for i in 0..200u64 {
         let f = fns[(i % 50) as usize];
-        h.invoke_at(secs(1) + SimDuration::from_millis(i * 25), f);
+        let _ = h.invoke_at(secs(1) + SimDuration::from_millis(i * 25), f);
     }
     h.run_until(secs(180));
     let outs = h.outcomes();
@@ -364,11 +360,11 @@ fn cold_start_saturation_fails_activations() {
         .count();
     let succ = outs
         .iter()
-        .filter(|(o, _, _)| *o == Outcome::Success)
+        .filter(|(o, _, _)| *o == Outcome::Completed)
         .count();
     let timeout = outs
         .iter()
-        .filter(|(o, _, _)| *o == Outcome::Timeout)
+        .filter(|(o, _, _)| *o == Outcome::TimedOut)
         .count();
     assert!(failed > 0, "saturated cold starts must fail some requests");
     assert!(succ > 0, "the node keeps serving through the churn");
@@ -386,7 +382,7 @@ fn routing_sticks_to_home_invoker_for_warm_affinity() {
         h.start_invoker_at(secs(0), k);
     }
     for i in 0..30 {
-        h.invoke_at(secs(2 + i), f);
+        let _ = h.invoke_at(secs(2 + i), f);
     }
     h.run_until(secs(60));
     // One cold start total: every call of the same function landed on
@@ -424,7 +420,7 @@ fn interruptible_execution_rerouted_on_drain() {
         .register_function(FunctionSpec::sleep("slow", SimDuration::from_secs(20)));
     h.start_invoker_at(secs(0), 1);
     let r = h.invoke_at(secs(1), f);
-    assert!(matches!(r, InvokeResult::Accepted(_)));
+    assert!(r.is_ok());
     // Let it start executing, then SIGTERM.
     h.apply(secs(3), |sys, now, out, notes| {
         sys.sigterm_invoker(now, InvokerId(1), out, notes)
@@ -442,7 +438,7 @@ fn interruptible_execution_rerouted_on_drain() {
         })
         .collect();
     assert_eq!(done.len(), 1);
-    assert_eq!(done[0].0, Outcome::Success);
+    assert_eq!(done[0].0, Outcome::Completed);
     assert!(done[0].1 >= 2, "re-routed execution has attempts >= 2");
 }
 
@@ -453,7 +449,7 @@ fn non_interruptible_execution_completes_during_drain() {
         FunctionSpec::sleep("careful", SimDuration::from_millis(500)).non_interruptible(),
     );
     h.start_invoker_at(secs(0), 1);
-    h.invoke_at(secs(1), f);
+    let _ = h.invoke_at(secs(1), f);
     // SIGTERM while executing; the run must be allowed to finish
     // (drain_flush 1.5 s > remaining exec time).
     h.apply(secs(2), |sys, now, out, notes| {
@@ -462,7 +458,7 @@ fn non_interruptible_execution_completes_during_drain() {
     h.run_until(secs(30));
     let outs = h.outcomes();
     assert_eq!(outs.len(), 1);
-    assert_eq!(outs[0].0, Outcome::Success);
+    assert_eq!(outs[0].0, Outcome::Completed);
     assert_eq!(h.sys.counters().refired, 0);
 }
 
@@ -478,14 +474,14 @@ fn overlong_execution() -> (Harness, FunctionId) {
         .sys
         .register_function(FunctionSpec::sleep("slow", SimDuration::from_secs(70)));
     h.start_invoker_at(secs(0), 1);
-    let InvokeResult::Accepted(act) = h.invoke_at(secs(1), f) else {
+    let Ok(act) = h.invoke_at(secs(1), f) else {
         panic!("a healthy invoker is registered")
     };
     // Still executing when the scan at 61 s answers for it and retires
     // the record.
     h.run_until(secs(62));
     assert_eq!(h.outcomes().len(), 1);
-    assert_eq!(h.outcomes()[0].0, Outcome::Timeout);
+    assert_eq!(h.outcomes()[0].0, Outcome::TimedOut);
     assert!(h.sys.record(act).is_none(), "retired by the scan");
     (h, f)
 }
@@ -500,7 +496,7 @@ fn late_exec_done_of_a_retired_activation_keeps_its_container_warm_and_answers_n
     assert_eq!(h.outcomes().len(), 1, "a late result answers nothing");
     assert_eq!(h.sys.counters().success, 0);
     assert_eq!(h.sys.counters().cold_starts, 1);
-    h.invoke_at(secs(80), f);
+    let _ = h.invoke_at(secs(80), f);
     h.run_until(secs(85));
     assert_eq!(h.sys.counters().cold_starts, 1, "no second container");
     assert_eq!(
@@ -537,7 +533,7 @@ fn fast_lane_message_of_a_retired_activation_is_fetched_and_dropped() {
         .sys
         .register_function(FunctionSpec::sleep("f", SimDuration::from_millis(10)));
     h.start_invoker_at(secs(0), 1);
-    let InvokeResult::Accepted(act) = h.invoke_at(secs(1), f) else {
+    let Ok(act) = h.invoke_at(secs(1), f) else {
         panic!("a healthy invoker is registered")
     };
     // Drained before the message is visible: it lands in the fast lane
@@ -548,7 +544,7 @@ fn fast_lane_message_of_a_retired_activation_is_fetched_and_dropped() {
     );
     h.run_until(secs(70));
     assert_eq!(h.outcomes().len(), 1);
-    assert_eq!(h.outcomes()[0].0, Outcome::Timeout);
+    assert_eq!(h.outcomes()[0].0, Outcome::TimedOut);
     assert!(h.sys.record(act).is_none());
     assert_eq!(
         h.sys.fast_lane_depth(),
@@ -570,10 +566,10 @@ fn fast_lane_message_of_a_retired_activation_is_fetched_and_dropped() {
     assert_eq!(h.engine.pending(), 0);
     // Routing pressure went back to zero with the drop: the next request
     // is served at once.
-    h.invoke_at(secs(80), f);
+    let _ = h.invoke_at(secs(80), f);
     h.run_until(secs(90));
     assert_eq!(h.outcomes().len(), 2);
-    assert_eq!(h.outcomes()[1].0, Outcome::Success);
+    assert_eq!(h.outcomes()[1].0, Outcome::Completed);
 }
 
 // ---------------------------------------------------------------------
@@ -584,7 +580,7 @@ fn fast_lane_message_of_a_retired_activation_is_fetched_and_dropped() {
 /// to `inv`, found by invoking until one lands there.
 fn invoke_routed_to(h: &mut Harness, t: SimTime, fns: &[FunctionId], inv: InvokerId) {
     for &f in fns {
-        if let InvokeResult::Accepted(act) = h.invoke_at(t, f) {
+        if let Ok(act) = h.invoke_at(t, f) {
             if h.sys.record(act).and_then(|r| r.assigned) == Some(inv) {
                 return;
             }
@@ -620,11 +616,11 @@ fn idle_invokers_park_after_one_poll_and_a_produce_wakes_only_its_target() {
     assert_eq!(h.engine.steps(), 2);
 
     let r = h.invoke_at(secs(3_600), f);
-    assert!(matches!(r, InvokeResult::Accepted(_)));
+    assert!(r.is_ok());
     h.run_until(secs(3_700));
     let outs = h.outcomes();
     assert_eq!(outs.len(), 1);
-    assert_eq!(outs[0].0, Outcome::Success);
+    assert_eq!(outs[0].0, Outcome::Completed);
     // Picked up within one poll interval of becoming visible, as by a
     // loop that never stopped: ctrl + kafka ≤ 75 ms, tick gap ≤ 230 ms.
     let rtt = outs[0].2.since(outs[0].1).as_millis();
@@ -665,7 +661,7 @@ fn produce_to_a_parked_corpse_wakes_nothing_and_the_health_timeout_recovers_it()
     assert_eq!(h.sys.counters().polls, polls_before_notice + 1);
     let outs = h.outcomes();
     assert_eq!(outs.len() as u64, accepted);
-    assert!(outs.iter().all(|(o, _, _)| *o == Outcome::Success));
+    assert!(outs.iter().all(|(o, _, _)| *o == Outcome::Completed));
 }
 
 #[test]
@@ -689,7 +685,7 @@ fn baseline_mode_parks_too_ignores_sigterm_and_times_the_orphan_out() {
     h.run_until(secs(10));
     let served = h.outcomes();
     assert!(!served.is_empty());
-    assert!(served.iter().all(|(o, _, _)| *o == Outcome::Success));
+    assert!(served.iter().all(|(o, _, _)| *o == Outcome::Completed));
     // A corpse's topic is dropped at the health timeout, nothing is
     // woken for it, and the lazily armed scan declares the timeout.
     h.apply(secs(10), |sys, now, out, notes| {
@@ -703,7 +699,7 @@ fn baseline_mode_parks_too_ignores_sigterm_and_times_the_orphan_out() {
     assert_eq!(outs.len() as u64, accepted);
     let timeouts = outs
         .iter()
-        .filter(|(o, _, _)| *o == Outcome::Timeout)
+        .filter(|(o, _, _)| *o == Outcome::TimedOut)
         .count();
     assert_eq!(timeouts, 1);
 }
@@ -725,7 +721,7 @@ fn lazy_timeout_scan_answers_on_the_grid_instant_an_always_armed_scan_would() {
     // to), deadlines 62.1 s, 62.3 s and 63.0 s.
     for ms in [2_100, 2_300, 3_000] {
         let r = h.invoke_at(SimTime::from_millis(ms), f);
-        assert!(matches!(r, InvokeResult::Accepted(_)));
+        assert!(r.is_ok());
     }
     h.run_until(secs(200));
     let declared: Vec<SimTime> = h
@@ -733,7 +729,7 @@ fn lazy_timeout_scan_answers_on_the_grid_instant_an_always_armed_scan_would() {
         .iter()
         .filter_map(|(at, n)| match n {
             WhiskNote::ActivationDone {
-                outcome: Outcome::Timeout,
+                outcome: Outcome::TimedOut,
                 ..
             } => Some(*at),
             _ => None,
@@ -912,8 +908,8 @@ fn run_park_audit(cfg: WhiskConfig, exec_ms: [u64; 2], steps: Vec<(u64, ParkOp)>
         let mut local = Vec::new();
         match op {
             ParkOp::Invoke { f } => {
-                let r = h.sys.invoke(t, fns[f], &mut out, &mut local);
-                if let InvokeResult::Accepted(act) = r {
+                let r = h.sys.invoke(t, fns[f], &mut out);
+                if let Ok(act) = r {
                     accepted += 1;
                     audit.deadlines.push((act, t + audit.cfg.deadline));
                 }

@@ -10,6 +10,7 @@
 //! Run with: `cargo run --release --example failover_wrapper`
 
 use hpc_whisk::core::{run_day, CommercialBackend, DayConfig, FallbackWrapper, Target};
+use hpc_whisk::metrics::{Outcome, Shed};
 use hpc_whisk::simcore::{SimDuration, SimRng, SimTime};
 use hpc_whisk::workload::{ConstantRateLoadGen, IdleModel};
 
@@ -34,11 +35,10 @@ fn main() {
     let backend = CommercialBackend::default();
     let mut rng = SimRng::seed_from_u64(99);
     let mut commercial_latency = 0.0f64;
-    let minutes = report.rejected_bins.counts().len();
-    for m in 0..minutes {
+    let rejected = report.outcome_bins[Outcome::Shed(Shed::NoInvoker)].counts();
+    let ok = report.outcome_bins[Outcome::Completed].counts();
+    for (m, (&rejected, &ok)) in rejected.iter().zip(ok).enumerate() {
         let t = SimTime::from_mins(m as u64);
-        let rejected = report.rejected_bins.counts()[m];
-        let ok = report.success_bins.counts()[m];
         for _ in 0..ok {
             // Calls the cluster actually served.
             let _ = wrapper.route(t);

@@ -100,5 +100,5 @@ fn load_harness_via_facade() {
         },
     );
     assert_eq!(r.lost(), 0);
-    assert!(r.completed > 0);
+    assert!(r.tally.completed > 0);
 }
