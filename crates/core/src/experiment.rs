@@ -225,7 +225,7 @@ impl DayReport {
     /// Of the accepted requests: (success, failed, timeout) shares.
     pub fn accepted_outcome_shares(&self) -> (f64, f64, f64) {
         let c = &self.whisk_counters;
-        let accepted = (c.submitted - c.rejected_503).max(1) as f64;
+        let accepted = c.accepted.max(1) as f64;
         (
             c.success as f64 / accepted,
             c.failed as f64 / accepted,

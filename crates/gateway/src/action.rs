@@ -205,20 +205,10 @@ impl ActionRegistry {
 
     /// Release one admission (called by the invoker after execution).
     pub(crate) fn release(&self, id: ActionId) {
-        self.release_n(id, 1);
-    }
-
-    /// Release `n` admissions of the same action in one atomic op — the
-    /// batched-drain path groups consecutive completions of one action
-    /// so a K-deep batch costs O(runs) atomics instead of O(K).
-    pub(crate) fn release_n(&self, id: ActionId, n: usize) {
-        if n == 0 {
-            return;
-        }
         let prev = self.entries[id.0 as usize]
             .inflight
-            .fetch_sub(n, Ordering::AcqRel);
-        debug_assert!(prev >= n, "release without admit");
+            .fetch_sub(1, Ordering::AcqRel);
+        debug_assert!(prev >= 1, "release without admit");
     }
 }
 
@@ -236,21 +226,6 @@ mod tests {
         reg.release(id);
         assert!(reg.try_admit(id));
         assert_eq!(reg.inflight(id), 2);
-    }
-
-    #[test]
-    fn release_n_opens_the_cap_in_one_op() {
-        let reg = ActionRegistry::new(vec![ActionSpec::noop("f").with_max_inflight(3)]);
-        let id = ActionId(0);
-        for _ in 0..3 {
-            assert!(reg.try_admit(id));
-        }
-        assert!(!reg.try_admit(id));
-        reg.release_n(id, 0); // no-op
-        assert_eq!(reg.inflight(id), 3);
-        reg.release_n(id, 3);
-        assert_eq!(reg.inflight(id), 0);
-        assert!(reg.try_admit(id));
     }
 
     #[test]

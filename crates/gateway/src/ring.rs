@@ -389,22 +389,16 @@ impl RingQueue {
         (t - start) as usize
     }
 
-    /// Pop, parking up to `timeout` for work to arrive. Consumer-only:
-    /// the claim is held across the park.
+    /// Pop, waiting up to `timeout` for work to arrive: the park spins
+    /// first while the ring keeps delivering, so a producer publishing
+    /// within its spin costs no futex wake (and no `queue_wake`).
+    /// Consumer-only: the claim is held across the park.
     pub fn pop_timeout(&self, timeout: Duration) -> Option<Envelope> {
         let claim = self.claim_consumer();
         let deadline = Instant::now() + timeout;
         loop {
             if let Some(env) = self.pop_claimed(&claim) {
                 return Some(env);
-            }
-            // Two yields before parking: a producer racing right behind
-            // us saves the whole futex round-trip (and its `queue_wake`).
-            for _ in 0..2 {
-                std::thread::yield_now();
-                if let Some(env) = self.pop_claimed(&claim) {
-                    return Some(env);
-                }
             }
             let now = Instant::now();
             if self.is_closed() || now >= deadline {

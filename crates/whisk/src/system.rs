@@ -52,6 +52,8 @@ pub struct WhiskSeries {
 pub struct WhiskCounters {
     /// Invocations submitted by clients.
     pub submitted: u64,
+    /// Submissions [`WhiskSys::invoke`] answered with an activation id.
+    pub accepted: u64,
     /// Rejected with 503 (no healthy invoker).
     pub rejected_503: u64,
     /// Answered successfully.
@@ -91,7 +93,7 @@ impl WhiskCounters {
     /// activations still unanswered ([`WhiskSys::in_flight`]).
     pub fn tally(&self, in_flight: u64) -> Tally {
         let mut t = Tally {
-            accepted: self.submitted - self.rejected_503,
+            accepted: self.accepted,
             completed: self.success,
             failed: self.failed,
             timed_out: self.timeout,
@@ -480,6 +482,7 @@ impl WhiskSys {
         let delay = self.shared.jitter(self.shared.cfg.ctrl_overhead)
             + self.shared.jitter(self.shared.cfg.kafka_delay);
         out.after(delay, WhiskEvent::Enqueue { act, inv });
+        self.shared.counters.accepted += 1;
         Ok(act)
     }
 
@@ -920,6 +923,29 @@ mod tests {
             homes.len() >= 5,
             "64 functions spread over 8 invokers: {homes:?}"
         );
+    }
+
+    #[test]
+    fn an_arrival_neither_accepted_nor_shed_breaks_the_books() {
+        let mut s = sys();
+        let f = s.register_function(FunctionSpec::sleep("f", SimDuration::from_millis(1)));
+        let mut out = Outbox::new(SimTime::ZERO);
+        assert_eq!(s.invoke(SimTime::ZERO, f, &mut out), Err(Shed::NoInvoker));
+        s.start_invoker(SimTime::ZERO, 1, &mut out, &mut Vec::new());
+        assert!(s.invoke(SimTime::ZERO, f, &mut out).is_ok());
+        let books = |s: &WhiskSys| {
+            let c = s.counters();
+            metrics::outcome::requests(&c.tally(s.in_flight()), c.submitted)
+        };
+        assert_eq!(books(&s), vec![]);
+        // Submitted, then neither accepted nor shed: lost on the way in.
+        s.shared.counters.submitted += 1;
+        let unoffered = metrics::outcome::Violation::Unoffered {
+            offered: 3,
+            accepted: 1,
+            shed: 1,
+        };
+        assert_eq!(books(&s), vec![unoffered]);
     }
 
     #[test]

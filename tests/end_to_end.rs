@@ -317,6 +317,9 @@ fn with_load_day_matches_pinned_digest() {
     // `wheel_nodes_reprojected` 6659 → 4037 — fewer, longer sweeps, the
     // same in a debug build because the oracle that runs each skipped
     // pass anyway leaves the persistent plane alone. Nothing else.
+    // `WhiskCounters::accepted` (counted where `invoke` returns `Ok`)
+    // was added since; it reads `submitted - rejected_503`, and no other
+    // figure moved.
     let r = run_day(&small_day(), DayConfig::fib_paper(5));
     assert_eq!(
         format!("{:?}", r.cluster_counters),
@@ -331,7 +334,7 @@ fn with_load_day_matches_pinned_digest() {
     );
     assert_eq!(
         format!("{:?}", r.whisk_counters),
-        "WhiskCounters { submitted: 144000, rejected_503: 59754, success: 80831, \
+        "WhiskCounters { submitted: 144000, accepted: 84246, rejected_503: 59754, success: 80831, \
          failed: 2957, timeout: 458, refired: 687, moved_to_fastlane: 41, \
          warm_starts: 26480, cold_starts: 54522, drains_clean: 69, hard_deaths: 0, \
          recovered_after_death: 0, dropped_after_death: 0, polls: 60692, \
