@@ -25,9 +25,9 @@ use hpcwhisk_core::{
     coverage, lengths, report, run_day, run_week_sweep, DayConfig, DayReport, Driver, IdleSource,
     ManagerKind, PilotSink, SlurmLevel, SweepCluster, SweepConfig,
 };
-use metrics::{Cdf, OnlineStats, Outcome, Shed};
+use metrics::{outcome, Cdf, OnlineStats, Outcome, Shed};
 use rayon::prelude::*;
-use sebs::{measure, Graph, Kernel, PlatformModel};
+use sebs::{measure, Graph, Kernel};
 use simcore::{SimDuration, SimRng, SimTime};
 use whisk::DynamicsMode;
 use workload::{ConstantRateLoadGen, HpcWorkloadModel, IdleModel};
@@ -88,6 +88,7 @@ const ROWS: &[Row] = &[
     row("table1", CHECKS, table1),
     row("table2", VS, |quick| day(&FIB, quick)),
     row("table3", VS, |quick| day(&VAR, quick)),
+    row("wrapper", CHECKS, wrapper),
     row("drain", CHECKS, drain),
     row("priority", CHECKS, priority),
     row("grace", CHECKS, grace),
@@ -160,7 +161,9 @@ fn report(row: &Row, claims: &Claims) -> Vec<String> {
     for (label, holds) in &checks {
         c.add_str(label, "yes", if *holds { "yes" } else { "NO" });
     }
-    println!("{}", c.render());
+    if !(claims.figures.is_empty() && checks.is_empty()) {
+        println!("{}", c.render());
+    }
     if let Some(note) = &claims.note {
         println!("{note}");
     }
@@ -433,12 +436,10 @@ fn list_schedule(order: &[usize]) -> (u64, Vec<PlacedJob>) {
 }
 
 /// Fig. 7 (§V-D): single invocations of the three compute-intensive SeBS
-/// kernels (bfs, mst, pagerank) on a Prometheus node vs. AWS Lambda with
-/// 2048 MB. The kernels run for real on this machine (the "Prometheus
-/// node" reference); Lambda is the calibrated slowdown model. The
-/// paper's finding, a consistent ~15% advantage for the HPC node, is
-/// checked per kernel, plus a memory-sweep ablation of Lambda's CPU
-/// share.
+/// kernels (bfs, mst, pagerank), run for real on this machine and timed
+/// warm. The paper's other column, AWS Lambda with 2048 MB, cannot be
+/// measured from here, so its finding is stated as the paper's input
+/// beside the timings and not restated as a figure.
 fn fig7(quick: bool) -> Claims {
     // "200 invocations to focus on warm performance" (§V-D).
     let (n, m, warmup, reps) = if quick {
@@ -452,38 +453,17 @@ fn fig7(quick: bool) -> Claims {
         "graph: {} vertices, {edges} edges (Barabasi-Albert m={m})",
         g.n
     );
-    let prometheus = PlatformModel::prometheus_node();
-    let lambda = PlatformModel::aws_lambda_2048();
 
-    section("Fig 7: median execution time per kernel (ms)");
-    println!("kernel   | Prometheus node | AWS Lambda 2048MB | HPC advantage");
-    let mut c = Claims::default();
-    let mut advantages = Vec::new();
+    section("Fig 7: median execution time per kernel on this machine (ms)");
     for k in Kernel::ALL {
-        let meas = measure(k, &g, warmup, reps);
-        let p_ms = meas.on_platform(&prometheus) * 1_000.0;
-        let l_ms = meas.on_platform(&lambda) * 1_000.0;
-        let adv = (1.0 - p_ms / l_ms) * 100.0;
-        println!(
-            "{:<8} | {p_ms:>15.2} | {l_ms:>17.2} | {adv:>12.1}%",
-            k.name()
-        );
-        c.fig(&format!("{} advantage %", k.name()), 15.0, adv);
-        advantages.push(adv);
+        let median_ms = measure(k, &g, warmup, reps).median_secs() * 1_000.0;
+        println!("{:<8} | {median_ms:>8.2}", k.name());
     }
-
-    section("Ablation: Lambda memory sweep (pagerank, modeled)");
-    let meas = measure(Kernel::Pagerank, &g, warmup.min(2), reps.min(30));
-    println!("memory MB | modeled median ms");
-    for mem in [512, 1024, 1792, 2048, 3008] {
-        let p = PlatformModel::aws_lambda(mem);
-        println!("{mem:>9} | {:>16.2}", meas.on_platform(&p) * 1_000.0);
+    let lambda = "AWS Lambda 2048 MB ran every kernel ~15 % slower (x1.15): the paper's input";
+    Claims {
+        note: Some(lambda.into()),
+        ..Claims::default()
     }
-
-    let lo = advantages.iter().copied().fold(f64::INFINITY, f64::min);
-    let hi = advantages.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    c.check("advantage consistent across kernels", hi - lo <= 0.1);
-    c
 }
 
 /// Table I (§IV-B): the offline simulation comparing six candidate
@@ -626,11 +606,7 @@ const VAR: Day = Day {
 /// Run `day` and print its table, its figure's three panels and the
 /// responsiveness summary.
 fn day(day: &Day, quick: bool) -> Claims {
-    let (mut model, mut hours) = ((day.model)(), 24);
-    if quick {
-        (model.n_nodes, model.target_avg_idle, hours) = (200, day.quick_avg_idle, 3);
-    }
-    let trace = model.generate(SimDuration::from_hours(hours), day.seed);
+    let trace = day_trace(day, quick);
     eprintln!(
         "generated {}-day trace: {} nodes, {} gaps, {:.0} node-min available",
         day.manager,
@@ -756,6 +732,72 @@ fn day(day: &Day, quick: bool) -> Claims {
     let (label, holds) = day.gap;
     c.check(label, holds((slurm.used_share - sim.coverage()) * 100.0));
     c.absorb(&rep);
+    c
+}
+
+/// `day`'s trace: 24 h of the full model, or 3 h of 200 nodes at `quick`.
+fn day_trace(day: &Day, quick: bool) -> AvailabilityTrace {
+    let (mut model, mut hours) = ((day.model)(), 24);
+    if quick {
+        (model.n_nodes, model.target_avg_idle, hours) = (200, day.quick_avg_idle, 3);
+    }
+    model.generate(SimDuration::from_hours(hours), day.seed)
+}
+
+/// Algorithm 1 (§III-E) priced: Table III's var day (205 no-invoker
+/// minutes at full scale) with the client wrapper on, one leg per
+/// cool-off. The paper states the policy, not what it costs in
+/// commercial calls.
+fn wrapper(quick: bool) -> Claims {
+    let legs = wrapper_legs(quick);
+    section("Algorithm 1: the client's calls by cool-off (Table III's var day)");
+    println!("cool-off | served % | commercial % | p50 ms | p99 ms");
+    for (secs, rep) in &legs {
+        let c = &rep.client;
+        let pct = |n: u64| 100.0 * n as f64 / rep.offered.max(1) as f64;
+        let (served, commercial) = (pct(c.completed + c.offloaded), pct(c.offloaded));
+        let [p50, p99] = [0.5, 0.99].map(|p| rep.client_latency_secs.quantile(p) * 1e3);
+        println!("{secs:>7}s | {served:>8.2} | {commercial:>12.2} | {p50:>6.0} | {p99:>6.0}");
+    }
+    let mut c = wrapper_checks(&legs);
+    legs.iter().for_each(|(_, rep)| c.absorb(rep));
+    c
+}
+
+/// The `wrapper` row's cool-offs (s), shortest first.
+const COOLOFFS: [u64; 4] = [0, 10, 60, 300];
+
+/// `(cool-off s, report)` per [`COOLOFFS`].
+fn wrapper_legs(quick: bool) -> Vec<(u64, DayReport)> {
+    let trace = day_trace(&VAR, quick);
+    COOLOFFS
+        .par_iter()
+        .map(|&secs| {
+            let cfg = DayConfig {
+                wrapper_cooloff: Some(SimDuration::from_secs(secs)),
+                ..DayConfig::var_paper(VAR.seed)
+            };
+            (secs, run_day(&trace, cfg))
+        })
+        .collect()
+}
+
+/// The row's three checks, in order, over its legs.
+fn wrapper_checks(legs: &[(u64, DayReport)]) -> Claims {
+    let closes = |(_, r): &(u64, DayReport)| outcome::requests(&r.client, r.offered).is_empty();
+    let share = |r: &DayReport| r.client.offloaded as f64 / r.offered.max(1) as f64;
+    let (zero, first) = &legs[0];
+    let retried = *zero == 0 && first.client.offloaded == first.whisk_counters.rejected_503;
+    let mut c = Claims::default();
+    c.check(
+        "client books close at every cool-off",
+        legs.iter().all(closes),
+    );
+    c.check("cool-off 0: commercial calls = cluster 503s", retried);
+    c.check(
+        "commercial share does not fall as the cool-off grows",
+        legs.windows(2).all(|w| share(&w[1].1) >= share(&w[0].1)),
+    );
     c
 }
 
@@ -1365,6 +1407,34 @@ mod tests {
         legs.swap(0, 3);
         (legs[0].0, legs[3].0) = (40, 3_000);
         assert!(any_fails(backfill_checks(&legs)));
+    }
+
+    /// Each `wrapper` check fails on its planted input: a client call
+    /// the books lose, a 503 without its commercial retry at cool-off 0,
+    /// and the legs in reverse under their cool-off labels.
+    #[test]
+    fn each_wrapper_check_fails_on_its_planted_input() {
+        let holds = |legs: &[_]| -> Vec<bool> {
+            wrapper_checks(legs)
+                .checks
+                .into_iter()
+                .map(|(_, h)| h)
+                .collect()
+        };
+        let mut legs = wrapper_legs(true);
+        assert_eq!(holds(&legs), [true; 3]);
+        legs[2].1.offered += 1;
+        assert_eq!(holds(&legs), [false, true, true]);
+        legs[2].1.offered -= 1;
+        legs[0].1.whisk_counters.rejected_503 += 1;
+        assert_eq!(holds(&legs), [true, false, true]);
+        legs[0].1.whisk_counters.rejected_503 -= 1;
+        legs.reverse();
+        legs.iter_mut()
+            .zip(COOLOFFS)
+            .for_each(|(leg, secs)| leg.0 = secs);
+        // The 300 s leg now sits at cool-off 0 too.
+        assert_eq!(holds(&legs), [true, false, false]);
     }
 
     /// `--metrics-out` over the `backlog` row carries the DES work

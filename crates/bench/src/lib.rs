@@ -89,7 +89,7 @@ pub struct DesWork {
     pub timeout_scans: u64,
     /// Days counted in.
     pub days: u64,
-    /// `DayReport::tally`, summed.
+    /// `DayReport::client`, summed.
     pub requests: Tally,
     /// What `DayReport::books` found, day by day.
     pub books: Vec<Violation>,
@@ -107,7 +107,7 @@ impl DesWork {
             polls_parked: w.polls_parked,
             timeout_scans: w.timeout_scans,
             days: 1,
-            requests: rep.tally(),
+            requests: rep.client,
             books: rep.books().err().unwrap_or_default(),
             scheduler: rep.cluster_counters.clone(),
         }

@@ -339,32 +339,9 @@ impl Timeline {
 
     /// Build a timeline directly from per-node free masks (bit `s` of
     /// `masks[n]` set ⟺ node `n` free in slot `s`; bits at or above
-    /// `n_slots` must be clear). One branchless sweep derives the
-    /// slot-0-free bitset — this is how the scheduler materializes its
-    /// pass timelines without paying a per-node `block_*` call.
-    pub fn from_masks(
-        origin: SimTime,
-        resolution: SimDuration,
-        n_slots: u32,
-        masks: Vec<u64>,
-    ) -> Self {
-        let words = masks.len().div_ceil(64);
-        let mut now_free = Vec::with_capacity(words);
-        // Per-64 chunks accumulate the slot-0 bits in a register instead
-        // of read-modify-writing a memory word per node.
-        for chunk in masks.chunks(64) {
-            let mut w = 0u64;
-            for (b, m) in chunk.iter().enumerate() {
-                w |= (m & 1) << b;
-            }
-            now_free.push(w);
-        }
-        Self::from_parts(origin, resolution, n_slots, masks, now_free)
-    }
-
-    /// [`Timeline::from_masks`] with the slot-0-free words already
-    /// accumulated by the caller's sweep (the scheduler folds them into
-    /// its projection pass).
+    /// `n_slots` must be clear) and the slot-0-free words the caller's
+    /// sweep accumulated (the scheduler folds them into its projection
+    /// pass, so it pays no per-node `block_*` call).
     pub(crate) fn from_parts(
         origin: SimTime,
         resolution: SimDuration,

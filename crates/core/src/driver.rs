@@ -16,12 +16,12 @@ use crate::experiment::{DayConfig, DayReport};
 use crate::live::LeaseBuffer;
 use crate::manager::{PilotManager, REPLENISH_EVERY};
 use crate::pilot::{PilotPhase, PilotTable, WarmupModel};
-use crate::wrapper::{CommercialBackend, FallbackWrapper, Target};
+use crate::wrapper::{CommercialBackend, FallbackWrapper};
 use cluster::{
     AvailabilityTrace, ClusterEvent, ClusterNote, ClusterSim, JobId, JobKind, JobState, PollSample,
 };
 use gateway::LoadFeedback;
-use metrics::{MinuteBins, MsCdf, Outcome, OutcomeBins};
+use metrics::{MsCdf, Outcome, OutcomeBins, Tally};
 use simcore::{Engine, Outbox, Process, SimDuration, SimRng, SimTime};
 use whisk::{FunctionId, FunctionSpec, InvokerId, WhiskEvent, WhiskNote, WhiskSys};
 use workload::{BacklogDriver, ConstantRateLoadGen, DemandClaim, HpcWorkloadModel};
@@ -103,8 +103,10 @@ struct DayState {
     start: SimTime,
     wrapper: Option<FallbackWrapper>,
     commercial: CommercialBackend,
-    commercial_bins: MinuteBins,
-    commercial_latency_secs: MsCdf,
+    /// [`DayReport::offered`] and [`DayReport::client`].
+    offered: u64,
+    client: Tally,
+    client_latency_secs: MsCdf,
     samples: Vec<PollSample>,
     outcome_bins: OutcomeBins,
     latency_success_secs: MsCdf,
@@ -125,9 +127,12 @@ fn take_outbox<E>(slot: &mut Outbox<E>, now: SimTime) -> Outbox<E> {
 }
 
 impl DayState {
-    fn record_commercial(&mut self, now: SimTime) {
-        self.commercial_bins.record(now);
-        self.commercial_latency_secs
+    /// Algorithm 1 sends the call made at `now` to the commercial
+    /// cloud, which answers it.
+    fn offload(&mut self, now: SimTime) {
+        self.client.offloaded += 1;
+        self.outcome_bins.record(Outcome::Offloaded, now);
+        self.client_latency_secs
             .add(self.commercial.latency(&mut self.rng));
     }
 
@@ -257,8 +262,11 @@ impl DayState {
                     ..
                 } => {
                     self.outcome_bins.record(outcome, submitted);
+                    self.client[outcome] += 1;
                     if outcome == Outcome::Completed {
-                        self.latency_success_secs.add(answered.since(submitted));
+                        let latency = answered.since(submitted);
+                        self.latency_success_secs.add(latency);
+                        self.client_latency_secs.add(latency);
                     }
                 }
             }
@@ -341,23 +349,22 @@ impl Process<SysEvent> for DayState {
                 let next =
                     SimTime::from_millis(self.start.as_millis() + load.time_of(i + 1).as_millis());
                 let f = self.fns[self.rng.index(self.fns.len())];
-                let to_cluster = match self.wrapper.as_mut() {
-                    Some(w) => w.route(now) == Target::HpcWhisk,
-                    None => true,
-                };
-                if to_cluster {
-                    let res = self.with_whisk(now, out, |w, wo, _| w.invoke(now, f, wo));
-                    if let Err(shed) = res {
-                        self.outcome_bins.record(Outcome::Shed(shed), now);
-                        if let Some(w) = self.wrapper.as_mut() {
-                            // Algorithm 1: retry commercially and
-                            // start the cool-off window.
-                            let _ = w.on_503(now);
-                            self.record_commercial(now);
-                        }
+                self.offered += 1;
+                if self.wrapper.as_ref().is_some_and(|w| w.cooling(now)) {
+                    self.offload(now);
+                } else if let Err(shed) = self.with_whisk(now, out, |w, wo, _| w.invoke(now, f, wo))
+                {
+                    self.outcome_bins.record(Outcome::Shed(shed), now);
+                    if let Some(w) = self.wrapper.as_mut() {
+                        // Algorithm 1: start the cool-off window and
+                        // retry the call commercially.
+                        w.on_503(now);
+                        self.offload(now);
+                    } else {
+                        self.client[Outcome::Shed(shed)] += 1;
                     }
                 } else {
-                    self.record_commercial(now);
+                    self.client.accepted += 1;
                 }
                 out.at(next, SysEvent::Load(i + 1));
             }
@@ -482,8 +489,9 @@ impl Driver {
             leases,
             wrapper: cfg.wrapper_cooloff.map(FallbackWrapper::with_cooloff),
             commercial: CommercialBackend::default(),
-            commercial_bins: MinuteBins::new(start, horizon_mins),
-            commercial_latency_secs: MsCdf::new(),
+            offered: 0,
+            client: Tally::default(),
+            client_latency_secs: MsCdf::new(),
             rng: rng.fork(1),
             claims,
             backlog,
@@ -548,7 +556,8 @@ impl Driver {
         let day = self.day;
         let cluster_counters = day.cluster.counters().clone();
         let whisk_counters = day.whisk.counters().clone();
-        let in_flight = day.whisk.in_flight();
+        let mut client = day.client;
+        client.in_flight = day.whisk.in_flight();
         let whisk_series = day.whisk.into_series();
         let (cluster_series, availability) = day.cluster.into_parts();
         DayReport {
@@ -559,7 +568,6 @@ impl Driver {
             availability,
             cluster_counters,
             whisk_counters,
-            in_flight,
             healthy_series: whisk_series.healthy,
             irresp_series: whisk_series.irresp,
             warming_series: day.pilots.warming_series,
@@ -568,11 +576,9 @@ impl Driver {
             pilot_series: cluster_series.pilot,
             outcome_bins: day.outcome_bins,
             latency_success_secs: day.latency_success_secs,
-            wrapper_stats: day
-                .wrapper
-                .map(|w| (w.sent_local, w.sent_commercial, w.seen_503)),
-            commercial_bins: day.commercial_bins,
-            commercial_latency_secs: day.commercial_latency_secs,
+            offered: day.offered,
+            client,
+            client_latency_secs: day.client_latency_secs,
             events_dispatched: self.engine.steps(),
         }
     }

@@ -10,7 +10,7 @@
 //! worker-state series (OpenWhisk-level), per-minute outcome bins
 //! (Figs. 5b/6b) and response-time distributions — and closes its
 //! books like a gateway: [`DayReport::books`] is the request rule both
-//! planes share.
+//! planes share, over the cluster's ledger and the client's.
 
 use crate::coverage::{self, OwLevel, SlurmLevel};
 use crate::driver::{Driver, IdleSource, PilotSink};
@@ -18,7 +18,7 @@ use crate::offline::{self, OfflineConfig, OfflineReport};
 use crate::pilot::WarmupModel;
 use cluster::{AvailabilityTrace, Counters, PollSample, SlurmConfig};
 use metrics::outcome::{self, Violation};
-use metrics::{Cdf, MinuteBins, MsCdf, OutcomeBins, StepSeries, Tally};
+use metrics::{Cdf, MsCdf, OutcomeBins, StepSeries, Tally};
 use simcore::{SimDuration, SimTime};
 use whisk::{WhiskConfig, WhiskCounters};
 use workload::{ConstantRateLoadGen, DemandModel};
@@ -143,8 +143,6 @@ pub struct DayReport {
     pub cluster_counters: Counters,
     /// Platform counters.
     pub whisk_counters: WhiskCounters,
-    /// Activations still unanswered at the horizon.
-    pub in_flight: u64,
     /// Healthy-invoker series.
     pub healthy_series: StepSeries,
     /// Irresponsive-invoker series.
@@ -158,18 +156,25 @@ pub struct DayReport {
     /// Ground-truth pilot-node series.
     pub pilot_series: StepSeries,
     /// Per-minute requests by outcome (Fig. 5b/6b; a timeout is "lost").
+    /// A 503 that Algorithm 1 retries is binned as the cluster's shed and
+    /// as the client's offload.
     pub outcome_bins: OutcomeBins,
     /// Client-observed response times of successful requests (queries
     /// answer in seconds), counted per whole millisecond.
     pub latency_success_secs: MsCdf,
-    /// Algorithm 1 accounting, when the wrapper is enabled:
-    /// `(sent_to_cluster, sent_commercial, observed_503s)`.
-    pub wrapper_stats: Option<(u64, u64, u64)>,
-    /// Per-minute requests off-loaded to the commercial cloud.
-    pub commercial_bins: MinuteBins,
-    /// Commercial-path response times (seconds), counted per whole
-    /// millisecond.
-    pub commercial_latency_secs: MsCdf,
+    /// Client calls the load generator made, counted at each arrival
+    /// before Algorithm 1 routes it: the client rule's `offered`.
+    pub offered: u64,
+    /// The client's ledger: each call accepted by the cluster, shed, or
+    /// [`Outcome::Offloaded`](metrics::Outcome::Offloaded) by Algorithm 1
+    /// ([`DayConfig::wrapper_cooloff`]); accepted ones end as the
+    /// cluster's do, `in_flight` counting the activations still
+    /// unanswered at the horizon. Without the wrapper it equals
+    /// [`tally`](Self::tally).
+    pub client: Tally,
+    /// Response times of the calls the client was served: the cluster's
+    /// successes and the commercial answers, per whole millisecond.
+    pub client_latency_secs: MsCdf,
     /// Events the engine dispatched over the day — the DES's unit of
     /// work, to read next to the day's wall-clock.
     pub events_dispatched: u64,
@@ -208,17 +213,20 @@ impl DayReport {
         1.0 - c.rejected_503 as f64 / c.submitted as f64
     }
 
-    /// The day's request ledger.
+    /// The cluster's request ledger.
     pub fn tally(&self) -> Tally {
-        self.whisk_counters.tally(self.in_flight)
+        self.whisk_counters.tally(self.client.in_flight)
     }
 
-    /// The request rule over [`tally`](Self::tally) for the
-    /// `submitted` arrivals the platform was offered: every one
-    /// accepted or shed with a 503, every acceptance completed, failed,
-    /// timed out or still in flight.
+    /// The request rule twice: over [`tally`](Self::tally) for the
+    /// `submitted` arrivals the platform was offered (every one
+    /// accepted or shed with a 503), and over [`client`](Self::client)
+    /// for the [`offered`](Self::offered) calls (every one accepted,
+    /// shed or offloaded); every acceptance completed, failed, timed out
+    /// or still in flight.
     pub fn books(&self) -> Result<(), Vec<Violation>> {
-        let found = outcome::requests(&self.tally(), self.whisk_counters.submitted);
+        let mut found = outcome::requests(&self.tally(), self.whisk_counters.submitted);
+        found.extend(outcome::requests(&self.client, self.offered));
         found.is_empty().then_some(()).ok_or(found)
     }
 
@@ -391,7 +399,10 @@ mod tests {
         // Conservation: every submitted request is accounted for, those
         // still in flight at the horizon by name.
         assert_eq!(report.books(), Ok(()));
-        assert_eq!(report.in_flight, 0);
+        assert_eq!(report.client.in_flight, 0);
+        // Without the wrapper the client's ledger is the cluster's.
+        assert_eq!(report.client, report.tally());
+        assert_eq!(report.offered, c.submitted);
         // 503s happen (node 5 never has gaps; zero-worker windows exist).
         assert!(c.rejected_503 > 0);
     }
@@ -435,27 +446,57 @@ mod tests {
         );
     }
 
+    /// The small trace's day with Algorithm 1 on, at the paper's 60 s
+    /// cool-off.
+    fn wrapped_day() -> DayReport {
+        let mut cfg = DayConfig::fib_paper(31);
+        cfg.load = Some(light_load());
+        cfg.wrapper_cooloff = Some(SimDuration::from_secs(60));
+        run_day(&small_trace(), cfg)
+    }
+
     #[test]
     fn wrapper_in_the_loop_offloads_during_outages() {
         // Node 5 never has gaps and the early minutes have no workers:
         // the wrapper must divert those calls commercially and nothing
         // is simply dropped.
-        let trace = small_trace();
-        let mut cfg = DayConfig::fib_paper(31);
-        cfg.load = Some(light_load());
-        cfg.wrapper_cooloff = Some(SimDuration::from_secs(60));
-        let report = run_day(&trace, cfg);
-        let (local, commercial, seen_503) = report.wrapper_stats.expect("wrapper enabled");
-        assert!(commercial > 0, "outage windows must off-load");
-        assert!(local > commercial, "the cluster serves the bulk");
-        assert!(seen_503 > 0);
-        assert_eq!(report.commercial_bins.total(), commercial);
-        assert_eq!(report.commercial_latency_secs.len() as u64, commercial);
-        // With the wrapper, the *client* experiences no starvation: all
-        // wrapper-routed commercial calls succeed by construction, and
-        // cluster 503s only occur at the moment the cool-off window is
-        // (re)opened.
-        assert_eq!(report.whisk_counters.rejected_503, seen_503);
+        let r = wrapped_day();
+        let (cluster, client) = (r.tally(), r.client);
+        assert_eq!(r.books(), Ok(()));
+        assert!(0 < client.offloaded && client.offloaded < client.accepted);
+        // Every 503 is retried commercially, so the client sees no shed,
+        // and the cluster is offered what no cool-off diverted.
+        assert!(cluster.shed_total() > 0 && client.shed_total() == 0);
+        let (mut without_offloads, mut without_sheds) = (client, cluster);
+        (without_offloads.offloaded, without_sheds.shed) = (0, [0; 4]);
+        assert_eq!(without_offloads, without_sheds);
+        let direct = client.offloaded - cluster.shed_total();
+        assert_eq!(r.offered, r.whisk_counters.submitted + direct);
+        let binned = r.outcome_bins[metrics::Outcome::Offloaded].total();
+        assert_eq!(binned, client.offloaded);
+        let served = client.completed + client.offloaded;
+        assert_eq!(r.client_latency_secs.len() as u64, served);
+    }
+
+    /// `report`'s books find exactly one violation: the client's
+    /// `offered` off balance.
+    fn unoffered(report: &DayReport) -> bool {
+        let found = report.books().unwrap_err();
+        matches!(found[..], [Violation::Unoffered { .. }])
+    }
+
+    #[test]
+    fn an_offload_the_client_tally_misses_breaks_the_books() {
+        let mut report = wrapped_day();
+        report.client.offloaded -= 1;
+        assert!(unoffered(&report));
+    }
+
+    #[test]
+    fn a_call_that_reaches_neither_path_breaks_the_books() {
+        let mut report = wrapped_day();
+        report.offered += 1;
+        assert!(unoffered(&report));
     }
 
     #[test]
@@ -478,7 +519,7 @@ mod tests {
         assert!(report.whisk_counters.success > 1_000);
         // Every request is accounted for, hard deaths or not.
         assert_eq!(report.books(), Ok(()));
-        assert_eq!(report.in_flight, 0);
+        assert_eq!(report.client.in_flight, 0);
     }
 
     #[test]

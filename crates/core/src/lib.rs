@@ -58,4 +58,4 @@ pub use manager::{
 };
 pub use offline::{simulate, OfflineConfig, OfflineReport};
 pub use pilot::{PilotPhase, PilotTable, WarmupModel};
-pub use wrapper::{CommercialBackend, FallbackWrapper, Target};
+pub use wrapper::{CommercialBackend, FallbackWrapper};

@@ -5,67 +5,33 @@
 use simcore::dist::{LogNormal, Sample};
 use simcore::{SimDuration, SimRng, SimTime};
 
-/// Where the wrapper decides to send a call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Target {
-    /// The HPC-Whisk deployment on the cluster.
-    HpcWhisk,
-    /// The commercial fallback (e.g. AWS Lambda).
-    Commercial,
-}
-
-/// The Algorithm 1 state machine.
+/// The Algorithm 1 state machine: the cool-off window alone. Where its
+/// calls went is the client's tally (`DayReport::client`), as
+/// [`Outcome::Offloaded`](metrics::Outcome::Offloaded).
 #[derive(Debug, Clone)]
 pub struct FallbackWrapper {
     last_503: Option<SimTime>,
     cooloff: SimDuration,
-    /// Calls sent to the cluster.
-    pub sent_local: u64,
-    /// Calls sent to the commercial cloud.
-    pub sent_commercial: u64,
-    /// 503 responses observed (each triggers a commercial retry).
-    pub seen_503: u64,
 }
 
 impl FallbackWrapper {
-    /// The paper's configuration: a 60-second cool-off.
-    pub fn paper() -> Self {
-        Self::with_cooloff(SimDuration::from_secs(60))
-    }
-
-    /// Custom cool-off duration.
+    /// A wrapper that offloads for `cooloff` after each 503 (the paper
+    /// uses 60 s).
     pub fn with_cooloff(cooloff: SimDuration) -> Self {
         FallbackWrapper {
             last_503: None,
             cooloff,
-            sent_local: 0,
-            sent_commercial: 0,
-            seen_503: 0,
         }
     }
 
-    /// Decide where the next call goes (Algorithm 1's `if` guard).
-    pub fn route(&mut self, now: SimTime) -> Target {
-        let cooling = self.last_503.is_some_and(|t| now.since(t) <= self.cooloff);
-        if cooling {
-            self.sent_commercial += 1;
-            Target::Commercial
-        } else {
-            self.sent_local += 1;
-            Target::HpcWhisk
-        }
-    }
-
-    /// Record a 503 from the cluster; Algorithm 1 immediately retries
-    /// the same call commercially (the retry is counted here).
-    pub fn on_503(&mut self, now: SimTime) -> Target {
-        self.seen_503 += 1;
+    /// Record a 503 from the cluster and open the cool-off window;
+    /// Algorithm 1 retries the same call commercially at once.
+    pub fn on_503(&mut self, now: SimTime) {
         self.last_503 = Some(now);
-        self.sent_commercial += 1;
-        Target::Commercial
     }
 
-    /// True while the wrapper is in its commercial cool-off window.
+    /// Algorithm 1's `if` guard: a call made at `now` goes to the
+    /// commercial cloud, not the cluster.
     pub fn cooling(&self, now: SimTime) -> bool {
         self.last_503.is_some_and(|t| now.since(t) <= self.cooloff)
     }
@@ -105,47 +71,38 @@ mod tests {
 
     #[test]
     fn routes_local_until_first_503() {
-        let mut w = FallbackWrapper::paper();
-        assert_eq!(w.route(secs(0)), Target::HpcWhisk);
-        assert_eq!(w.route(secs(1)), Target::HpcWhisk);
-        assert_eq!(w.sent_local, 2);
-        assert_eq!(w.sent_commercial, 0);
+        let w = FallbackWrapper::with_cooloff(SimDuration::from_secs(60));
+        assert!(!w.cooling(secs(0)) && !w.cooling(secs(1)));
     }
 
     #[test]
     fn offloads_for_sixty_seconds_after_503() {
-        let mut w = FallbackWrapper::paper();
-        assert_eq!(w.route(secs(10)), Target::HpcWhisk);
-        // The call got a 503: retried commercially.
-        assert_eq!(w.on_503(secs(10)), Target::Commercial);
-        // Cool-off window: everything commercial.
-        assert_eq!(w.route(secs(11)), Target::Commercial);
-        assert_eq!(w.route(secs(70)), Target::Commercial); // exactly 60 s
-        assert!(w.cooling(secs(70)));
+        let mut w = FallbackWrapper::with_cooloff(SimDuration::from_secs(60));
+        assert!(!w.cooling(secs(10)));
+        // The call got a 503: retried commercially, and the cool-off
+        // window sends everything commercial, up to exactly 60 s.
+        w.on_503(secs(10));
+        assert!(w.cooling(secs(11)) && w.cooling(secs(70)));
         // After the window: back to the cluster.
-        assert_eq!(w.route(secs(71)), Target::HpcWhisk);
         assert!(!w.cooling(secs(71)));
-        assert_eq!(w.seen_503, 1);
     }
 
     #[test]
     fn repeated_503_extends_the_window() {
-        let mut w = FallbackWrapper::paper();
+        let mut w = FallbackWrapper::with_cooloff(SimDuration::from_secs(60));
         w.on_503(secs(0));
-        assert_eq!(w.route(secs(55)), Target::Commercial);
+        assert!(w.cooling(secs(55)));
         w.on_503(secs(58));
         // Window now runs until 58 + 60 = 118 s inclusive.
-        assert_eq!(w.route(secs(100)), Target::Commercial);
-        assert_eq!(w.route(secs(118)), Target::Commercial);
-        assert_eq!(w.route(secs(119)), Target::HpcWhisk);
+        assert!(w.cooling(secs(100)) && w.cooling(secs(118)));
+        assert!(!w.cooling(secs(119)));
     }
 
     #[test]
     fn custom_cooloff() {
         let mut w = FallbackWrapper::with_cooloff(SimDuration::from_secs(5));
         w.on_503(secs(0));
-        assert_eq!(w.route(secs(5)), Target::Commercial);
-        assert_eq!(w.route(secs(6)), Target::HpcWhisk);
+        assert!(w.cooling(secs(5)) && !w.cooling(secs(6)));
     }
 
     #[test]

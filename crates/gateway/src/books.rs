@@ -190,6 +190,7 @@ mod tests {
                     offered,
                     accepted,
                     shed,
+                    offloaded: 0,
                 };
                 assert_eq!(check(&snap, offered), Err(vec![unoffered]));
             }

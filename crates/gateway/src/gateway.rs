@@ -110,7 +110,11 @@ pub struct GatewayConfig {
     /// panics on 0).
     pub pool_slots: usize,
     /// How long an idle invoker parks before re-polling the fast lane
-    /// and its drain flag.
+    /// and its drain flag (a length past the clock's range parks until
+    /// its ring delivers). The re-poll is load-bearing: the 500 µs
+    /// default keeps the vCPUs of a lightly loaded plane awake, so a
+    /// sleeping body's answer is collected sooner than with a 20 ms
+    /// park.
     pub park: Duration,
     /// Max envelopes an invoker pops per pass of its loop: the fast
     /// lane first (no lock while it is empty), topped up from the home

@@ -391,21 +391,23 @@ impl RingQueue {
 
     /// Pop, waiting up to `timeout` for work to arrive: the park spins
     /// first while the ring keeps delivering, so a producer publishing
-    /// within its spin costs no futex wake (and no `queue_wake`).
+    /// within its spin costs no futex wake (and no `queue_wake`). A
+    /// `timeout` past the clock's range waits without a deadline.
     /// Consumer-only: the claim is held across the park.
     pub fn pop_timeout(&self, timeout: Duration) -> Option<Envelope> {
         let claim = self.claim_consumer();
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         loop {
             if let Some(env) = self.pop_claimed(&claim) {
                 return Some(env);
             }
             let now = Instant::now();
-            if self.is_closed() || now >= deadline {
+            let left = deadline.map_or(Duration::MAX, |d| d.saturating_duration_since(now));
+            if self.is_closed() || left.is_zero() {
                 return None;
             }
             self.park
-                .park_unless(deadline - now, || self.readable(&claim) || self.is_closed());
+                .park_unless(left, || self.readable(&claim) || self.is_closed());
         }
     }
 
@@ -564,7 +566,9 @@ mod tests {
             std::thread::sleep(Duration::from_millis(30));
             p.produce(req(7), Instant::now());
         });
-        let env = q.pop_timeout(Duration::from_secs(5)).expect("woken");
+        // No deadline: a timeout past the clock's range waits for the
+        // produce.
+        let env = q.pop_timeout(Duration::MAX).expect("woken");
         assert_eq!(env.req.id, 7);
         h.join().unwrap();
         // And times out when nothing arrives.

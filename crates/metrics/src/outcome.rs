@@ -1,7 +1,9 @@
 //! What can happen to a request, defined once for both planes: the
-//! ledger of Tables II and III (§V-B, §V-C). A request is accepted or
-//! shed with a reason (a 503 is [`Shed::NoInvoker`]); an accepted one
-//! completes, fails, times out, or is still in flight when the run ends.
+//! ledger of Tables II and III (§V-B, §V-C). A request is accepted,
+//! shed with a reason (a 503 is [`Shed::NoInvoker`]) or, by a client
+//! running Algorithm 1 (§III-E), offloaded to a commercial cloud; an
+//! accepted one completes, fails, times out, or is still in flight when
+//! the run ends.
 //! [`Tally`] counts each [`Outcome`], and the rules every plane's books
 //! obey live beside it: [`requests`], [`leases`] and [`missing`].
 
@@ -45,6 +47,9 @@ pub enum Outcome {
     Delayed,
     /// Refused at admission.
     Shed(Shed),
+    /// Sent to the commercial cloud by Algorithm 1: during a cool-off,
+    /// or as the retry of a 503. Always answered.
+    Offloaded,
     /// Executed and answered.
     Completed,
     /// Failed during execution (container creation refused).
@@ -57,7 +62,7 @@ pub enum Outcome {
 
 impl Outcome {
     /// Every outcome, in exposition order.
-    pub const ALL: [Outcome; 10] = [
+    pub const ALL: [Outcome; 11] = [
         Outcome::Accepted,
         Outcome::Delayed,
         Outcome::Shed(Shed::NoInvoker),
@@ -68,6 +73,7 @@ impl Outcome {
         Outcome::Failed,
         Outcome::TimedOut,
         Outcome::InFlight,
+        Outcome::Offloaded,
     ];
 
     /// The `outcome` label of the outcome's series.
@@ -83,6 +89,7 @@ impl Outcome {
             Outcome::Failed => "failed",
             Outcome::TimedOut => "timed_out",
             Outcome::InFlight => "in_flight",
+            Outcome::Offloaded => "offloaded",
         }
     }
 
@@ -102,6 +109,7 @@ impl Outcome {
             Outcome::Failed => 7,
             Outcome::TimedOut => 8,
             Outcome::InFlight => 9,
+            Outcome::Offloaded => 10,
         }
     }
 }
@@ -117,6 +125,7 @@ pub struct Tally {
     pub failed: u64,
     pub timed_out: u64,
     pub in_flight: u64,
+    pub offloaded: u64,
 }
 
 impl Index<Outcome> for Tally {
@@ -131,6 +140,7 @@ impl Index<Outcome> for Tally {
             Outcome::Failed => &self.failed,
             Outcome::TimedOut => &self.timed_out,
             Outcome::InFlight => &self.in_flight,
+            Outcome::Offloaded => &self.offloaded,
         }
     }
 }
@@ -145,6 +155,7 @@ impl IndexMut<Outcome> for Tally {
             Outcome::Failed => &mut self.failed,
             Outcome::TimedOut => &mut self.timed_out,
             Outcome::InFlight => &mut self.in_flight,
+            Outcome::Offloaded => &mut self.offloaded,
         }
     }
 }
@@ -155,9 +166,10 @@ impl Tally {
         self.shed.iter().sum()
     }
 
-    /// Every arrival the tally accounts for: `accepted + Σ shed`.
+    /// Every arrival the tally accounts for: `accepted + Σ shed +
+    /// offloaded`.
     pub fn arrivals(&self) -> u64 {
-        self.accepted + self.shed_total()
+        self.accepted + self.shed_total() + self.offloaded
     }
 
     /// Accepted requests no answer has closed yet: in flight while a
@@ -241,11 +253,12 @@ pub enum Violation {
     /// `completed + failed + timed_out + in_flight` (`accounted`) `≠
     /// accepted`.
     Unfinished { accepted: u64, accounted: u64 },
-    /// `accepted + shed ≠ offered`.
+    /// `accepted + shed + offloaded ≠ offered`.
     Unoffered {
         offered: u64,
         accepted: u64,
         shed: u64,
+        offloaded: u64,
     },
     /// `grants − revokes ≠ live` over the named grants family.
     Leases {
@@ -261,9 +274,9 @@ pub enum Violation {
 
 /// The request rule over `t`, for a run offered `offered` arrivals:
 /// `completed + failed + timed_out + in_flight == accepted`, and
-/// `accepted + Σ shed == offered`. Empty when both hold.
+/// `accepted + Σ shed + offloaded == offered`. Empty when both hold.
 pub fn requests(t: &Tally, offered: u64) -> Vec<Violation> {
-    let (accepted, shed) = (t.accepted, t.shed_total());
+    let (accepted, shed, offloaded) = (t.accepted, t.shed_total(), t.offloaded);
     let accounted = t.completed + t.failed + t.timed_out + t.in_flight;
     let mut found = Vec::new();
     if accounted != accepted {
@@ -272,11 +285,12 @@ pub fn requests(t: &Tally, offered: u64) -> Vec<Violation> {
             accounted,
         });
     }
-    if accepted + shed != offered {
+    if t.arrivals() != offered {
         found.push(Violation::Unoffered {
             offered,
             accepted,
             shed,
+            offloaded,
         });
     }
     found

@@ -1,9 +1,7 @@
-//! Benchmark runner: measures the kernels for real and projects the
-//! measurements onto platform models (Fig. 7).
+//! Benchmark runner: measures the kernels for real (Fig. 7).
 
 use crate::graph::Graph;
 use crate::kernels::{bfs, mst, pagerank};
-use crate::platform::PlatformModel;
 use std::time::Instant;
 
 /// Which SeBS kernel to run.
@@ -66,11 +64,6 @@ impl Measurement {
     pub fn median_secs(&self) -> f64 {
         self.times_secs[self.times_secs.len() / 2]
     }
-
-    /// Project the median onto a platform model.
-    pub fn on_platform(&self, p: &PlatformModel) -> f64 {
-        p.execution_secs(self.median_secs())
-    }
 }
 
 /// Run `kernel` on `g`, `reps` times after `warmup` discarded runs —
@@ -119,15 +112,5 @@ mod tests {
         for k in Kernel::ALL {
             assert!(k.run(&g) > 0.0, "{} returned 0", k.name());
         }
-    }
-
-    #[test]
-    fn platform_projection_ordering() {
-        let g = Graph::barabasi_albert(1_000, 3, 13);
-        let m = measure(Kernel::Pagerank, &g, 0, 3);
-        let prom = m.on_platform(&PlatformModel::prometheus_node());
-        let lambda = m.on_platform(&PlatformModel::aws_lambda_2048());
-        assert!(lambda > prom, "Lambda must be slower than the HPC node");
-        assert!((lambda / prom - 1.15).abs() < 1e-9);
     }
 }

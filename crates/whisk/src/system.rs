@@ -944,6 +944,7 @@ mod tests {
             offered: 3,
             accepted: 1,
             shed: 1,
+            offloaded: 0,
         };
         assert_eq!(books(&s), vec![unoffered]);
     }

@@ -4,7 +4,7 @@
 use hpc_whisk::gateway::{ActionId, ActionSpec, Gateway, GatewayConfig};
 use hpc_whisk::metrics::{Cdf, StepSeries};
 use hpc_whisk::mq::Broker;
-use hpc_whisk::sebs::{bfs, mst, pagerank, Graph, Kernel, PlatformModel};
+use hpc_whisk::sebs::{bfs, mst, pagerank, Graph, Kernel};
 use hpc_whisk::simcore::{Engine, Outbox, SimDuration, SimRng, SimTime};
 use hpc_whisk::workload::{AzureDurationModel, HpcWorkloadModel, PoissonLoadGen};
 
@@ -49,9 +49,9 @@ fn sebs_kernels_via_facade() {
     assert_eq!(mst(&g).1, 499);
     let (ranks, _) = pagerank(&g, 1e-8, 100);
     assert!((ranks.iter().sum::<f64>() - 1.0).abs() < 1e-6);
-    // Platform model and kernel runner cooperate.
+    // The kernel runner times through the facade.
     let m = hpc_whisk::sebs::measure(Kernel::Bfs, &g, 0, 3);
-    assert!(m.on_platform(&PlatformModel::aws_lambda_2048()) > m.median_secs() * 1.1);
+    assert_eq!(m.times_secs.len(), 3);
 }
 
 #[test]
