@@ -1,8 +1,8 @@
 //! Perf-trajectory probe: the micro-probes next to the repo benchmark.
 //! It times the hot paths the benchmark cannot see — scheduler passes
-//! at production scale, the broker, the offline simulator, the gateway's
-//! submitter and closed-loop throughput, the cores→days/s scaling of
-//! `run_days` — and the allocator calls of the two seed-7 days the
+//! at production scale, the broker, the FaaS model's latency draw, the
+//! offline simulator, the gateway's submitter and closed-loop
+//! throughput, the cores→days/s scaling of `run_days` — and the allocator calls of the two seed-7 days the
 //! benchmark runs, and records them in `BENCH_results.json`.
 //!
 //! ```text
@@ -37,11 +37,12 @@ use hpcwhisk_core::{
     SizerCfg, WarmupModel,
 };
 use mq::Broker;
-use simcore::{Outbox, SimDuration, SimTime};
+use simcore::{Outbox, SimDuration, SimRng, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
+use whisk::{Jitter, WhiskConfig};
 use workload::{IdleModel, PoissonLoadGen};
 
 /// Calls to the allocator (`alloc` and `realloc`) since the start.
@@ -371,6 +372,24 @@ fn rows() -> Vec<Row> {
                     }
                     acc
                 },
+            ),
+        ),
+        // The FaaS model's latency draw, ≈ 10 a request of a fib day:
+        // one RNG step and a lookup in the constant's table. Per draw,
+        // of `dispatch`, 1 M draws a sample. A sample is 2–3 ms, so 31
+        // of them: with 9 the minimum read 2.0–3.1 ns from run to run,
+        // past the gate of a whole-ns figure of 2.
+        row(
+            "whisk/latency_draw",
+            31,
+            timed(
+                1,
+                1e6,
+                || {
+                    let j = Jitter::new(WhiskConfig::default().dispatch);
+                    (j, SimRng::seed_from_u64(7))
+                },
+                |(j, rng)| (0..1_000_000).map(|_| j.draw(rng).as_millis()).sum::<u64>(),
             ),
         ),
         row("offline/simulate_A1_day", 7, offline(24)),

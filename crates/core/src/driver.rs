@@ -8,9 +8,9 @@
 //! against a wall clock.
 //!
 //! A run is a function of `(source, config, sink)` alone. The RNG stream
-//! `seed ^ 0xDA71` forks the maintenance draws (2), then the warm-up,
-//! load and commercial draws (1); a generated HPC job stream draws from
-//! `seed ^ 77`.
+//! `seed ^ 0xDA71` forks the maintenance draws (2), then the warm-up and
+//! load draws (1), then Algorithm 1's commercial draws (3), which move
+//! no other draw; a generated HPC job stream draws from `seed ^ 77`.
 
 use crate::experiment::{DayConfig, DayReport};
 use crate::live::LeaseBuffer;
@@ -85,6 +85,12 @@ enum SysEvent {
     Load(u64),
 }
 
+impl From<WhiskEvent> for SysEvent {
+    fn from(e: WhiskEvent) -> Self {
+        SysEvent::Whisk(e)
+    }
+}
+
 struct DayState {
     cluster: ClusterSim,
     whisk: WhiskSys,
@@ -103,6 +109,8 @@ struct DayState {
     start: SimTime,
     wrapper: Option<FallbackWrapper>,
     commercial: CommercialBackend,
+    /// The commercial cloud's latency draws, apart from `rng`.
+    commercial_rng: SimRng,
     /// [`DayReport::offered`] and [`DayReport::client`].
     offered: u64,
     client: Tally,
@@ -110,12 +118,12 @@ struct DayState {
     samples: Vec<PollSample>,
     outcome_bins: OutcomeBins,
     latency_success_secs: MsCdf,
-    /// Scratch outboxes and note buffers for calls into the two
+    /// Scratch outbox and note buffers for calls into the two
     /// subsystems (see [`DayState::with_cluster`]), kept across events
-    /// so dispatching one allocates nothing once they have grown.
+    /// so dispatching one allocates nothing once they have grown. The
+    /// platform schedules straight into the engine's outbox.
     cluster_out: Outbox<ClusterEvent>,
     cluster_notes: Vec<ClusterNote>,
-    whisk_out: Outbox<WhiskEvent>,
     whisk_notes: Vec<WhiskNote>,
 }
 
@@ -133,7 +141,7 @@ impl DayState {
         self.client.offloaded += 1;
         self.outcome_bins.record(Outcome::Offloaded, now);
         self.client_latency_secs
-            .add(self.commercial.latency(&mut self.rng));
+            .add(self.commercial.latency(&mut self.commercial_rng));
     }
 
     /// Call into the cluster with scratch buffers, forward the events
@@ -158,21 +166,17 @@ impl DayState {
         r
     }
 
-    /// [`with_cluster`](Self::with_cluster), for the FaaS platform.
+    /// [`with_cluster`](Self::with_cluster), for the FaaS platform,
+    /// which schedules into `out` itself.
     fn with_whisk<R>(
         &mut self,
         now: SimTime,
         out: &mut Outbox<SysEvent>,
-        call: impl FnOnce(&mut WhiskSys, &mut Outbox<WhiskEvent>, &mut Vec<WhiskNote>) -> R,
+        call: impl FnOnce(&mut WhiskSys, &mut Outbox<SysEvent>, &mut Vec<WhiskNote>) -> R,
     ) -> R {
-        let mut wo = take_outbox(&mut self.whisk_out, now);
         let mut wn = std::mem::take(&mut self.whisk_notes);
-        let r = call(&mut self.whisk, &mut wo, &mut wn);
-        for (t, e) in wo.drain() {
-            out.at(t, SysEvent::Whisk(e));
-        }
+        let r = call(&mut self.whisk, out, &mut wn);
         self.react_whisk(now, &mut wn, out);
-        self.whisk_out = wo;
         self.whisk_notes = wn;
         r
     }
@@ -348,7 +352,7 @@ impl Process<SysEvent> for DayState {
                 };
                 let next =
                     SimTime::from_millis(self.start.as_millis() + load.time_of(i + 1).as_millis());
-                let f = self.fns[self.rng.index(self.fns.len())];
+                let f = self.fns[load.function_for(&mut self.rng)];
                 self.offered += 1;
                 if self.wrapper.as_ref().is_some_and(|w| w.cooling(now)) {
                     self.offload(now);
@@ -413,10 +417,10 @@ impl Driver {
         }
         let leases = match sink {
             PilotSink::Whisk => {
-                let mut wo = Outbox::new(start);
+                let mut wo = Outbox::<SysEvent>::new(start);
                 whisk.bootstrap(start, &mut wo);
                 for (t, e) in wo.drain() {
-                    engine.schedule(t, SysEvent::Whisk(e));
+                    engine.schedule(t, e);
                 }
                 None
             }
@@ -481,6 +485,9 @@ impl Driver {
         // generates does not move with the maintenance or warm-up draws.
         let backlog = backlog.map(|driver| (driver, SimRng::seed_from_u64(cfg.seed ^ 77)));
 
+        // The commercial stream forks last, so no other stream moves.
+        let day_rng = rng.fork(1);
+        let commercial_rng = rng.fork(3);
         let day = DayState {
             cluster,
             whisk,
@@ -489,10 +496,11 @@ impl Driver {
             leases,
             wrapper: cfg.wrapper_cooloff.map(FallbackWrapper::with_cooloff),
             commercial: CommercialBackend::default(),
+            commercial_rng,
             offered: 0,
             client: Tally::default(),
             client_latency_secs: MsCdf::new(),
-            rng: rng.fork(1),
+            rng: day_rng,
             claims,
             backlog,
             fns,
@@ -505,7 +513,6 @@ impl Driver {
             latency_success_secs: MsCdf::new(),
             cluster_out: Outbox::new(start),
             cluster_notes: Vec::new(),
-            whisk_out: Outbox::new(start),
             whisk_notes: Vec::new(),
         };
         Driver {
@@ -581,5 +588,27 @@ impl Driver {
             client_latency_secs: day.client_latency_secs,
             events_dispatched: self.engine.steps(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_offload_leaves_the_day_stream_alone() {
+        let mut cfg = DayConfig::fib_paper(5);
+        cfg.wrapper_cooloff = Some(SimDuration::from_secs(10));
+        let idle = IdleSource::Empty {
+            n_nodes: 4,
+            horizon: SimDuration::from_mins(5),
+        };
+        let mut driver = Driver::new(idle, cfg, PilotSink::Whisk);
+        let day = &mut driver.day;
+        let (mut untouched, mut commercial) = (day.rng.clone(), day.commercial_rng.clone());
+        day.offload(SimTime::ZERO);
+        assert_eq!(day.client.offloaded, 1);
+        assert_eq!(day.rng.next_u64(), untouched.next_u64());
+        assert_ne!(day.commercial_rng.next_u64(), commercial.next_u64());
     }
 }

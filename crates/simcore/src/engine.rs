@@ -29,19 +29,21 @@ impl<E> Outbox<E> {
         self.now
     }
 
-    /// Schedule `event` at absolute time `at` (clamped to `now`).
-    pub fn at(&mut self, at: SimTime, event: E) {
+    /// Schedule `event` at absolute time `at` (clamped to `now`). A
+    /// subsystem generic over `E: From<Sub>` schedules its own events
+    /// straight into a composite outbox.
+    pub fn at(&mut self, at: SimTime, event: impl Into<E>) {
         debug_assert!(
             at >= self.now,
             "event scheduled in the past: {at} < {}",
             self.now
         );
-        self.staged.push((at.max(self.now), event));
+        self.staged.push((at.max(self.now), event.into()));
     }
 
     /// Schedule `event` after a relative delay.
-    pub fn after(&mut self, delay: SimDuration, event: E) {
-        self.staged.push((self.now + delay, event));
+    pub fn after(&mut self, delay: SimDuration, event: impl Into<E>) {
+        self.staged.push((self.now + delay, event.into()));
     }
 
     /// Schedule `event` at the current instant (processed after all

@@ -9,6 +9,18 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
+/// `x.round() as u64` (half away from zero; NaN and negatives read 0,
+/// `as u64` saturates) without the libm call a baseline x86-64 build
+/// makes of `round()`: truncate, then add the half. `x - t` is exact
+/// below 2⁵², and zero from there on, where every `f64` is whole. The
+/// one rounding of every fractional millisecond count: jittered
+/// latencies and the load clock.
+#[inline]
+pub fn round_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add((x - t as f64 >= 0.5) as u64)
+}
+
 /// An instant of virtual time, in milliseconds since the simulation epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
@@ -42,7 +54,7 @@ impl SimTime {
     /// Construct from fractional seconds since epoch, rounding to the
     /// nearest millisecond; negative inputs clamp to the epoch.
     pub fn from_secs_f64(s: f64) -> Self {
-        SimTime((s * 1_000.0).round().max(0.0) as u64)
+        SimTime(round_u64(s * 1_000.0))
     }
 
     /// Milliseconds since the epoch.
@@ -102,13 +114,7 @@ impl SimDuration {
         if s <= 0.0 || !s.is_finite() {
             return SimDuration::ZERO;
         }
-        // `round()` without the libm call a baseline x86-64 build makes
-        // of it (every jittered latency comes through here): truncate,
-        // then add the half. `x - t` is exact below 2⁵², and zero from
-        // there on, where every `f64` is whole (`as u64` saturates).
-        let x = s * 1_000.0;
-        let t = x as u64;
-        SimDuration(t.saturating_add((x - t as f64 >= 0.5) as u64))
+        SimDuration(round_u64(s * 1_000.0))
     }
     /// Construct from fractional minutes (see [`Self::from_secs_f64`]).
     pub fn from_mins_f64(m: f64) -> Self {
@@ -361,6 +367,9 @@ mod tests {
                 reference(s),
                 "{s:e}"
             );
+            // Infinities, NaN and negatives included, where
+            // `from_secs_f64` returns zero before rounding.
+            assert_eq!(round_u64(s), s.round() as u64, "{s:e}");
         }
     }
 

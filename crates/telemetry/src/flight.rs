@@ -8,10 +8,10 @@
 //! **off by default** (a single relaxed load + branch per call site);
 //! stress tests and churn binaries switch it on.
 //!
-//! On an exactly-once violation, a conservation failure, or a test
-//! panic (via [`install_panic_hook`]), [`dump`] merges every thread's
-//! ring into one time-sorted table of the last events before the
-//! failure — the black box you read *after* the crash.
+//! On an exactly-once violation or a conservation failure ([`guard`]),
+//! [`dump`] merges every thread's ring into one time-sorted table of
+//! the last events before the failure — the black box you read *after*
+//! the crash.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -265,22 +265,6 @@ pub fn guard(condition: bool, context: &str) {
         note_violation(context);
         panic!("invariant violated: {context} (flight recorder dumped above)");
     }
-}
-
-/// Chain a panic hook that dumps the flight recorder before the
-/// default handler runs (idempotent).
-pub fn install_panic_hook() {
-    static INSTALLED: AtomicBool = AtomicBool::new(false);
-    if INSTALLED.swap(true, Ordering::SeqCst) {
-        return;
-    }
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        if enabled() {
-            eprintln!("{}", dump());
-        }
-        prev(info);
-    }));
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Invoker (worker) state.
 
-use crate::config::WhiskConfig;
+use crate::config::Jitter;
 use crate::ids::{ActivationId, FunctionId};
 use mq::TopicId;
 use simcore::pool::ContainerPool;
@@ -20,10 +20,12 @@ pub enum InvokerState {
 }
 
 /// An invoker's poll schedule: the jittered tick chain `t0 = start +
-/// jitter(poll_interval)`, `t(k+1) = t(k) + jitter(poll_interval)`.
+/// jitter(poll_interval)`, `t(k+1) = t(k) + jitter(poll_interval)`,
+/// drawn from `poll`, the table of `poll_interval`.
 ///
-/// The jitters come from a stream of the invoker's own, derived from
-/// `(whisk seed, invoker key)` and nothing else, so the chain is a pure
+/// The jitters come from a stream of the invoker's own,
+/// [`PollChain::stream`] of `(whisk seed, invoker key)` and nothing
+/// else, so the chain is a pure
 /// function of `(seed, key, start)`: a parked loop can skip any number
 /// of ticks and resume on exactly the tick an always-armed loop would
 /// have reached, whatever the rest of the system drew meanwhile.
@@ -34,11 +36,16 @@ pub struct PollChain {
 }
 
 impl PollChain {
+    /// The stream the chain of invoker `key` draws its ticks from.
+    pub fn stream(seed: u64, key: u64) -> SimRng {
+        SimRng::seed_from_u64(seed ^ 0x706f_6c6c_6572).fork(key)
+    }
+
     /// The chain of invoker `key` registered at `start`, at its first
     /// tick.
-    pub fn new(seed: u64, key: u64, start: SimTime, cfg: &WhiskConfig) -> Self {
-        let mut rng = SimRng::seed_from_u64(seed ^ 0x706f_6c6c_6572).fork(key);
-        let next = start + cfg.jitter(cfg.poll_interval, &mut rng);
+    pub fn new(seed: u64, key: u64, start: SimTime, poll: &Jitter) -> Self {
+        let mut rng = Self::stream(seed, key);
+        let next = start + poll.draw(&mut rng);
         PollChain { rng, next }
     }
 
@@ -48,16 +55,16 @@ impl PollChain {
     }
 
     /// Step to the following tick and return it.
-    pub fn advance(&mut self, cfg: &WhiskConfig) -> SimTime {
-        self.next += cfg.jitter(cfg.poll_interval, &mut self.rng);
+    pub fn advance(&mut self, poll: &Jitter) -> SimTime {
+        self.next += poll.draw(&mut self.rng);
         self.next
     }
 
     /// Step past every tick before `now`; returns the first tick at or
     /// after it.
-    pub fn catch_up(&mut self, now: SimTime, cfg: &WhiskConfig) -> SimTime {
+    pub fn catch_up(&mut self, now: SimTime, poll: &Jitter) -> SimTime {
         while self.next < now {
-            self.advance(cfg);
+            self.advance(poll);
         }
         self.next
     }
@@ -112,12 +119,12 @@ impl Invoker {
     /// skipped are the ones at which there was nothing to fetch or
     /// dispatch. A tick on the very millisecond of the produce runs
     /// after it.
-    pub fn wake(&mut self, now: SimTime, cfg: &WhiskConfig) -> Option<SimTime> {
+    pub fn wake(&mut self, now: SimTime, poll: &Jitter) -> Option<SimTime> {
         if !self.parked || self.state != InvokerState::Healthy {
             return None;
         }
         self.parked = false;
-        Some(self.poll.catch_up(now, cfg))
+        Some(self.poll.catch_up(now, poll))
     }
 
     /// Take `act` off the running set; its function if it was running
@@ -145,14 +152,18 @@ impl Invoker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::WhiskConfig;
     use mq::Broker;
+
+    fn poll() -> Jitter {
+        Jitter::new(WhiskConfig::default().poll_interval)
+    }
 
     #[test]
     fn state_predicates() {
         let mut b: Broker<ActivationId> = Broker::new();
         let t = b.create_topic("inv-0");
-        let cfg = WhiskConfig::default();
-        let mut inv = Invoker::new(t, 4, 2, PollChain::new(1, 0, SimTime::ZERO, &cfg));
+        let mut inv = Invoker::new(t, 4, 2, PollChain::new(1, 0, SimTime::ZERO, &poll()));
         assert!(inv.routable() && inv.alive());
         inv.state = InvokerState::Draining;
         assert!(!inv.routable() && inv.alive());
@@ -162,35 +173,35 @@ mod tests {
 
     #[test]
     fn chain_is_a_function_of_seed_key_and_start() {
-        let cfg = WhiskConfig::default();
+        let poll = poll();
         let start = SimTime::from_secs(3);
-        let mut a = PollChain::new(9, 4, start, &cfg);
-        let mut b = PollChain::new(9, 4, start, &cfg);
-        let mut other_key = PollChain::new(9, 5, start, &cfg);
+        let mut a = PollChain::new(9, 4, start, &poll);
+        let mut b = PollChain::new(9, 4, start, &poll);
+        let mut other_key = PollChain::new(9, 5, start, &poll);
         let mut same = 0;
         for _ in 0..200 {
             let before = a.tick();
-            let t = a.advance(&cfg);
-            assert_eq!(b.advance(&cfg), t);
+            let t = a.advance(&poll);
+            assert_eq!(b.advance(&poll), t);
             let step = (t - before).as_millis();
             assert!((170..=230).contains(&step), "tick gap {step} ms");
-            same += (other_key.advance(&cfg) == t) as u32;
+            same += (other_key.advance(&poll) == t) as u32;
         }
         assert!(same < 20, "keys share a stream: {same}/200 ticks equal");
     }
 
     #[test]
     fn catch_up_lands_on_the_tick_stepping_would_reach() {
-        let cfg = WhiskConfig::default();
-        let mut stepped = PollChain::new(3, 8, SimTime::ZERO, &cfg);
+        let poll = poll();
+        let mut stepped = PollChain::new(3, 8, SimTime::ZERO, &poll);
         let mut jumped = stepped.clone();
         let now = SimTime::from_secs(60);
         while stepped.tick() < now {
-            stepped.advance(&cfg);
+            stepped.advance(&poll);
         }
-        assert_eq!(jumped.catch_up(now, &cfg), stepped.tick());
+        assert_eq!(jumped.catch_up(now, &poll), stepped.tick());
         // Already at or past `now`: stays put.
-        assert_eq!(jumped.catch_up(now, &cfg), stepped.tick());
-        assert_eq!(jumped.advance(&cfg), stepped.advance(&cfg));
+        assert_eq!(jumped.catch_up(now, &poll), stepped.tick());
+        assert_eq!(jumped.advance(&poll), stepped.advance(&poll));
     }
 }

@@ -36,7 +36,7 @@ pub mod system;
 
 pub use action::{ExecModel, FunctionSpec};
 pub use activation::ActivationRecord;
-pub use config::{DynamicsMode, WhiskConfig};
+pub use config::{DynamicsMode, Jitter, WhiskConfig};
 pub use events::{WhiskEvent, WhiskNote};
 pub use ids::{ActivationId, FunctionId, InvokerId};
 pub use invoker::{Invoker, InvokerState, PollChain};

@@ -27,7 +27,7 @@
 
 use crate::action::FunctionSpec;
 use crate::activation::ActivationRecord;
-use crate::config::{DynamicsMode, WhiskConfig};
+use crate::config::{DynamicsMode, Latencies, WhiskConfig};
 use crate::events::{WhiskEvent, WhiskNote};
 use crate::ids::{stable_hash, ActivationId, FunctionId, InvokerId};
 use crate::invoker::{Invoker, InvokerState, PollChain};
@@ -120,6 +120,9 @@ struct Shared {
     /// at the paper's load), not the day's 864,000.
     records: VecDeque<ActivationRecord>,
     records_base: u64,
+    /// One table per jittered constant of `cfg`; every latency is a
+    /// draw from one of them on `rng`, the platform's stream.
+    lat: Latencies,
     rng: SimRng,
     counters: WhiskCounters,
 }
@@ -180,6 +183,10 @@ impl InvokerTable {
 }
 
 /// The FaaS platform state machine.
+///
+/// Whatever schedules takes an `Outbox<E>` for any `E:
+/// From<WhiskEvent>`, so a composition layer hands in its own outbox and
+/// each event is written once, already wrapped.
 pub struct WhiskSys {
     shared: Shared,
     broker: Broker<ActivationId>,
@@ -229,19 +236,14 @@ impl Shared {
         }
     }
 
-    /// `base` with the configured jitter, from the platform's stream.
-    fn jitter(&mut self, base: SimDuration) -> SimDuration {
-        self.cfg.jitter(base, &mut self.rng)
-    }
-
     /// Start `inv`'s buffered activations on containers until capacity
     /// runs out.
-    fn dispatch(
+    fn dispatch<E: From<WhiskEvent>>(
         &mut self,
         now: SimTime,
         id: InvokerId,
         inv: &mut Invoker,
-        out: &mut Outbox<WhiskEvent>,
+        out: &mut Outbox<E>,
         notes: &mut Vec<WhiskNote>,
     ) {
         if !inv.alive() {
@@ -263,14 +265,14 @@ impl Shared {
                     inv.running.push((act, f));
                     self.counters.warm_starts += 1;
                     let service = self.functions[f.0 as usize].exec.service_time();
-                    let d = self.jitter(self.cfg.dispatch) + service;
+                    let d = self.lat.dispatch.draw(&mut self.rng) + service;
                     out.after(d, WhiskEvent::ExecDone { inv: id, act });
                 }
                 Acquire::Cold { .. } => {
                     inv.buffer.pop_front();
                     inv.running.push((act, f));
                     self.counters.cold_starts += 1;
-                    let d = self.jitter(self.cfg.cold_start);
+                    let d = self.lat.cold_start.draw(&mut self.rng);
                     out.after(d, WhiskEvent::ColdStartDone { inv: id, act });
                 }
                 Acquire::ColdBlocked { .. } => {
@@ -300,9 +302,9 @@ impl Shared {
         outcome: Outcome,
         notes: &mut Vec<WhiskNote>,
     ) {
-        let rtt = self.jitter(self.cfg.client_rtt);
+        let rtt = self.lat.client_rtt.draw(&mut self.rng);
         let result_path = match outcome {
-            Outcome::Completed => self.jitter(self.cfg.result_path),
+            Outcome::Completed => self.lat.result_path.draw(&mut self.rng),
             _ => SimDuration::ZERO,
         };
         let r = self
@@ -334,6 +336,7 @@ impl WhiskSys {
         let fast_lane = broker.create_topic("fast-lane");
         WhiskSys {
             shared: Shared {
+                lat: cfg.latencies(),
                 cfg,
                 functions: Vec::new(),
                 records: VecDeque::new(),
@@ -360,7 +363,7 @@ impl WhiskSys {
     /// Anchor the controller's periodic work: timeout scans run on the
     /// grid `now + k * timeout_scan_every`, and only at the ticks some
     /// deadline is waiting for.
-    pub fn bootstrap(&mut self, now: SimTime, out: &mut Outbox<WhiskEvent>) {
+    pub fn bootstrap<E: From<WhiskEvent>>(&mut self, now: SimTime, out: &mut Outbox<E>) {
         self.scan_origin = now;
         self.arm_scan(out);
     }
@@ -370,7 +373,7 @@ impl WhiskSys {
     /// Records are in deadline order, so every activation is declared
     /// timed out at the first grid tick at or after its deadline — the
     /// instant a scan at every tick would find it.
-    fn arm_scan(&mut self, out: &mut Outbox<WhiskEvent>) {
+    fn arm_scan<E: From<WhiskEvent>>(&mut self, out: &mut Outbox<E>) {
         if self.scan_armed {
             return;
         }
@@ -450,11 +453,11 @@ impl WhiskSys {
     /// Submit an invocation at `now` (client send time): its activation
     /// id, or [`Shed::NoInvoker`] — the 503 — when no healthy invoker is
     /// registered (§III-E).
-    pub fn invoke(
+    pub fn invoke<E: From<WhiskEvent>>(
         &mut self,
         now: SimTime,
         f: FunctionId,
-        out: &mut Outbox<WhiskEvent>,
+        out: &mut Outbox<E>,
     ) -> Result<ActivationId, Shed> {
         assert!(
             (f.0 as usize) < self.shared.functions.len(),
@@ -479,8 +482,8 @@ impl WhiskSys {
         if let Some(i) = self.invokers.get_mut(inv) {
             i.ctrl_inflight += 1;
         }
-        let delay = self.shared.jitter(self.shared.cfg.ctrl_overhead)
-            + self.shared.jitter(self.shared.cfg.kafka_delay);
+        let delay = self.shared.lat.ctrl_overhead.draw(&mut self.shared.rng)
+            + self.shared.lat.kafka_delay.draw(&mut self.shared.rng);
         out.after(delay, WhiskEvent::Enqueue { act, inv });
         self.shared.counters.accepted += 1;
         Ok(act)
@@ -511,11 +514,11 @@ impl WhiskSys {
 
     /// A warmed-up pilot registers its invoker; it becomes routable
     /// immediately.
-    pub fn start_invoker(
+    pub fn start_invoker<E: From<WhiskEvent>>(
         &mut self,
         now: SimTime,
         key: u64,
-        out: &mut Outbox<WhiskEvent>,
+        out: &mut Outbox<E>,
         notes: &mut Vec<WhiskNote>,
     ) -> InvokerId {
         let id = InvokerId(key);
@@ -524,7 +527,7 @@ impl WhiskSys {
             "invoker {id} already registered"
         );
         let topic = self.broker.create_topic(&format!("invoker-{key}"));
-        let poll = PollChain::new(self.seed, key, now, &self.shared.cfg);
+        let poll = PollChain::new(self.seed, key, now, &self.shared.lat.poll_interval);
         out.at(poll.tick(), WhiskEvent::InvokerPoll(id));
         self.invokers.insert(
             id,
@@ -544,11 +547,11 @@ impl WhiskSys {
     }
 
     /// SIGTERM: begin the drain protocol (§III-C).
-    pub fn sigterm_invoker(
+    pub fn sigterm_invoker<E: From<WhiskEvent>>(
         &mut self,
         now: SimTime,
         id: InvokerId,
-        out: &mut Outbox<WhiskEvent>,
+        out: &mut Outbox<E>,
         notes: &mut Vec<WhiskNote>,
     ) {
         if self.shared.cfg.mode == DynamicsMode::Baseline {
@@ -593,18 +596,18 @@ impl WhiskSys {
             false
         });
         self.wake_fast_lane(now, out);
-        let d = self.shared.jitter(self.shared.cfg.drain_flush);
+        let d = self.shared.lat.drain_flush.draw(&mut self.shared.rng);
         out.after(d, WhiskEvent::DrainComplete(id));
     }
 
     /// Hard death: SIGKILL or node failure, no drain. In-buffer and
     /// running work is lost; the controller keeps routing to the corpse
     /// until the health timeout.
-    pub fn kill_invoker(
+    pub fn kill_invoker<E: From<WhiskEvent>>(
         &mut self,
         now: SimTime,
         id: InvokerId,
-        out: &mut Outbox<WhiskEvent>,
+        out: &mut Outbox<E>,
         notes: &mut Vec<WhiskNote>,
     ) {
         let Some(inv) = self.invokers.get_mut(id) else {
@@ -635,11 +638,11 @@ impl WhiskSys {
     // ------------------------------------------------------------------
 
     /// Main event dispatch.
-    pub fn handle(
+    pub fn handle<E: From<WhiskEvent>>(
         &mut self,
         now: SimTime,
         ev: WhiskEvent,
-        out: &mut Outbox<WhiskEvent>,
+        out: &mut Outbox<E>,
         notes: &mut Vec<WhiskNote>,
     ) {
         match ev {
@@ -688,12 +691,12 @@ impl WhiskSys {
         }
     }
 
-    fn on_enqueue(
+    fn on_enqueue<E: From<WhiskEvent>>(
         &mut self,
         now: SimTime,
         act: ActivationId,
         inv: InvokerId,
-        out: &mut Outbox<WhiskEvent>,
+        out: &mut Outbox<E>,
     ) {
         let Some(submitted) = self.shared.in_flight(act).map(|r| r.submitted) else {
             return;
@@ -704,7 +707,7 @@ impl WhiskSys {
                 // the controller does not know better yet (and a corpse
                 // is not woken — the health timeout recovers the topic).
                 self.broker.produce(i.topic, submitted, act);
-                if let Some(tick) = i.wake(now, &self.shared.cfg) {
+                if let Some(tick) = i.wake(now, &self.shared.lat.poll_interval) {
                     out.at(tick, WhiskEvent::InvokerPoll(inv));
                 }
             }
@@ -719,23 +722,23 @@ impl WhiskSys {
 
     /// After a produce into the fast lane: any healthy invoker may fetch
     /// it and the first to poll wins, so every parked one is woken.
-    fn wake_fast_lane(&mut self, now: SimTime, out: &mut Outbox<WhiskEvent>) {
+    fn wake_fast_lane<E: From<WhiskEvent>>(&mut self, now: SimTime, out: &mut Outbox<E>) {
         if self.broker.depth(self.fast_lane) == 0 {
             return;
         }
         for id in &self.routable {
             let inv = self.invokers.get_mut(*id).expect("routable is registered");
-            if let Some(tick) = inv.wake(now, &self.shared.cfg) {
+            if let Some(tick) = inv.wake(now, &self.shared.lat.poll_interval) {
                 out.at(tick, WhiskEvent::InvokerPoll(*id));
             }
         }
     }
 
-    fn on_poll(
+    fn on_poll<E: From<WhiskEvent>>(
         &mut self,
         now: SimTime,
         id: InvokerId,
-        out: &mut Outbox<WhiskEvent>,
+        out: &mut Outbox<E>,
         notes: &mut Vec<WhiskNote>,
     ) {
         self.shared.counters.polls += 1;
@@ -769,7 +772,7 @@ impl WhiskSys {
         // topic it reads is non-empty) or dispatch (its buffer is; a
         // full buffer is a non-empty one). Otherwise park until a
         // produce wakes the loop.
-        let next = inv.poll.advance(&self.shared.cfg);
+        let next = inv.poll.advance(&self.shared.lat.poll_interval);
         if !inv.buffer.is_empty()
             || self.broker.depth(inv.topic) > 0
             || self.broker.depth(self.fast_lane) > 0
@@ -781,12 +784,12 @@ impl WhiskSys {
         }
     }
 
-    fn on_cold_done(
+    fn on_cold_done<E: From<WhiskEvent>>(
         &mut self,
         _now: SimTime,
         id: InvokerId,
         act: ActivationId,
-        out: &mut Outbox<WhiskEvent>,
+        out: &mut Outbox<E>,
     ) {
         let Some(inv) = self.invokers.get_mut(id) else {
             return;
@@ -799,16 +802,16 @@ impl WhiskSys {
             return; // aborted during drain
         };
         let service = self.shared.functions[f.0 as usize].exec.service_time();
-        let d = self.shared.jitter(self.shared.cfg.dispatch) + service;
+        let d = self.shared.lat.dispatch.draw(&mut self.shared.rng) + service;
         out.after(d, WhiskEvent::ExecDone { inv: id, act });
     }
 
-    fn on_exec_done(
+    fn on_exec_done<E: From<WhiskEvent>>(
         &mut self,
         now: SimTime,
         id: InvokerId,
         act: ActivationId,
-        out: &mut Outbox<WhiskEvent>,
+        out: &mut Outbox<E>,
         notes: &mut Vec<WhiskNote>,
     ) {
         let Some(inv) = self.invokers.get_mut(id) else {
@@ -826,12 +829,12 @@ impl WhiskSys {
         self.shared.dispatch(now, id, inv, out, notes);
     }
 
-    fn remove_invoker(
+    fn remove_invoker<E: From<WhiskEvent>>(
         &mut self,
         now: SimTime,
         id: InvokerId,
         clean: bool,
-        out: &mut Outbox<WhiskEvent>,
+        out: &mut Outbox<E>,
         notes: &mut Vec<WhiskNote>,
     ) {
         let inv = self.invokers.remove(id).expect("removing unknown invoker");
@@ -892,7 +895,7 @@ mod tests {
     fn routing_is_stable_for_a_fixed_healthy_set() {
         let mut s = sys();
         let f = s.register_function(FunctionSpec::sleep("f", SimDuration::from_millis(1)));
-        let mut out = Outbox::new(SimTime::ZERO);
+        let mut out = Outbox::<WhiskEvent>::new(SimTime::ZERO);
         let mut notes = Vec::new();
         for k in 0..5 {
             s.start_invoker(SimTime::ZERO, k, &mut out, &mut notes);
@@ -906,7 +909,7 @@ mod tests {
     #[test]
     fn routing_spreads_distinct_functions() {
         let mut s = sys();
-        let mut out = Outbox::new(SimTime::ZERO);
+        let mut out = Outbox::<WhiskEvent>::new(SimTime::ZERO);
         let mut notes = Vec::new();
         for k in 0..8 {
             s.start_invoker(SimTime::ZERO, k, &mut out, &mut notes);
@@ -929,7 +932,7 @@ mod tests {
     fn an_arrival_neither_accepted_nor_shed_breaks_the_books() {
         let mut s = sys();
         let f = s.register_function(FunctionSpec::sleep("f", SimDuration::from_millis(1)));
-        let mut out = Outbox::new(SimTime::ZERO);
+        let mut out = Outbox::<WhiskEvent>::new(SimTime::ZERO);
         assert_eq!(s.invoke(SimTime::ZERO, f, &mut out), Err(Shed::NoInvoker));
         s.start_invoker(SimTime::ZERO, 1, &mut out, &mut Vec::new());
         assert!(s.invoke(SimTime::ZERO, f, &mut out).is_ok());
@@ -952,7 +955,7 @@ mod tests {
     #[test]
     fn sigterm_unknown_or_double_is_harmless() {
         let mut s = sys();
-        let mut out = Outbox::new(SimTime::ZERO);
+        let mut out = Outbox::<WhiskEvent>::new(SimTime::ZERO);
         let mut notes = Vec::new();
         s.sigterm_invoker(SimTime::ZERO, InvokerId(9), &mut out, &mut notes);
         assert!(notes.is_empty());
@@ -981,7 +984,7 @@ mod tests {
         let mut s = sys();
         let mut engine = simcore::Engine::new();
         let slow = s.register_function(FunctionSpec::sleep("slow", SimDuration::from_secs(70)));
-        let mut out = Outbox::new(SimTime::ZERO);
+        let mut out = Outbox::<WhiskEvent>::new(SimTime::ZERO);
         s.start_invoker(SimTime::ZERO, 1, &mut out, &mut Vec::new());
         let r = s.invoke(SimTime::ZERO, slow, &mut out);
         let Ok(act) = r else {
@@ -1000,7 +1003,8 @@ mod tests {
             (&[(act, slow)][..], 1)
         );
 
-        s.sigterm_invoker(t, InvokerId(1), &mut Outbox::new(t), &mut Vec::new());
+        let mut out = Outbox::<WhiskEvent>::new(t);
+        s.sigterm_invoker(t, InvokerId(1), &mut out, &mut Vec::new());
         let inv = s.invokers.get(InvokerId(1)).unwrap();
         assert_eq!((inv.running.as_slice(), inv.pool.busy()), (&[][..], 0));
         assert_eq!(s.counters().refired, 0);
@@ -1010,7 +1014,7 @@ mod tests {
     #[test]
     fn invoker_table_indexes_small_ids_and_hashes_the_rest() {
         let mut s = sys();
-        let mut out = Outbox::new(SimTime::ZERO);
+        let mut out = Outbox::<WhiskEvent>::new(SimTime::ZERO);
         let mut notes = Vec::new();
         let keys = [0, 5, DENSE_IDS - 1, DENSE_IDS, u64::MAX];
         for k in keys {
@@ -1042,7 +1046,7 @@ mod tests {
     #[should_panic]
     fn duplicate_invoker_key_rejected() {
         let mut s = sys();
-        let mut out = Outbox::new(SimTime::ZERO);
+        let mut out = Outbox::<WhiskEvent>::new(SimTime::ZERO);
         let mut notes = Vec::new();
         s.start_invoker(SimTime::ZERO, 1, &mut out, &mut notes);
         s.start_invoker(SimTime::ZERO, 1, &mut out, &mut notes);
@@ -1051,7 +1055,7 @@ mod tests {
     #[test]
     fn kill_while_draining_tears_down_immediately() {
         let mut s = sys();
-        let mut out = Outbox::new(SimTime::ZERO);
+        let mut out = Outbox::<WhiskEvent>::new(SimTime::ZERO);
         let mut notes = Vec::new();
         s.start_invoker(SimTime::ZERO, 1, &mut out, &mut notes);
         s.sigterm_invoker(SimTime::from_secs(1), InvokerId(1), &mut out, &mut notes);

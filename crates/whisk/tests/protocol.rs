@@ -13,7 +13,7 @@ use hpcwhisk_whisk::{
 };
 use metrics::{Outcome, Shed};
 use proptest::prelude::*;
-use simcore::{Engine, Outbox, SimDuration, SimTime};
+use simcore::{Engine, Outbox, SimDuration, SimRng, SimTime};
 use std::collections::BTreeMap;
 
 struct Harness {
@@ -775,11 +775,13 @@ fn park_op_strategy() -> impl Strategy<Value = (u64, ParkOp)> {
 const AUDIT_SEED: u64 = 7; // the seed `Harness` gives `WhiskSys`
 
 /// The audit's own books: what it saw scheduled and dispatched, and each
-/// invoker's tick chain rebuilt from `(seed, key, start)` alone.
+/// invoker's tick chain rebuilt from `(seed, key, start)` alone, through
+/// the float path ([`WhiskConfig::jitter`]) and not the platform's
+/// tables: the next tick and the chain's stream.
 struct ParkAudit {
     cfg: WhiskConfig,
     outstanding: BTreeMap<InvokerId, i64>,
-    chains: BTreeMap<InvokerId, PollChain>,
+    chains: BTreeMap<InvokerId, (SimTime, SimRng)>,
     /// Every accepted activation with its deadline, in id order.
     deadlines: Vec<(ActivationId, SimTime)>,
     /// Instant of the latest timeout scan dispatched.
@@ -805,20 +807,20 @@ impl ParkAudit {
         let key = keys.len() as u64 + 1;
         keys.push(key);
         sys.start_invoker(t, key, out, notes);
-        let chain = PollChain::new(AUDIT_SEED, key, t, &self.cfg);
-        self.chains.insert(InvokerId(key), chain);
+        let mut rng = PollChain::stream(AUDIT_SEED, key);
+        let first = t + self.cfg.jitter(self.cfg.poll_interval, &mut rng);
+        self.chains.insert(InvokerId(key), (first, rng));
     }
 
     /// (c): an executing poll sits on its invoker's chain.
     fn dispatching(&mut self, now: SimTime, ev: &WhiskEvent) {
         if let WhiskEvent::InvokerPoll(id) = ev {
             *self.outstanding.get_mut(id).expect("poll never scheduled") -= 1;
-            let chain = self.chains.get_mut(id).expect("poll for unknown invoker");
-            assert_eq!(
-                chain.catch_up(now, &self.cfg),
-                now,
-                "{id} polled at {now}, off its chain"
-            );
+            let (next, rng) = self.chains.get_mut(id).expect("poll for unknown invoker");
+            while *next < now {
+                *next += self.cfg.jitter(self.cfg.poll_interval, rng);
+            }
+            assert_eq!(*next, now, "{id} polled at {now}, off its chain");
         }
         if let WhiskEvent::TimeoutScan = ev {
             self.scanned = now;

@@ -16,6 +16,7 @@
 //!   complete in < 3 s, 90% in < 1 min), for the workload examples.
 
 use simcore::dist::{LogNormal, Sample};
+use simcore::time::round_u64;
 use simcore::{SimDuration, SimRng, SimTime};
 
 /// One generated request arrival: a timestamp and the index of the
@@ -46,26 +47,15 @@ impl ConstantRateLoadGen {
         }
     }
 
-    /// Fixed spacing between consecutive requests.
-    pub fn spacing(&self) -> SimDuration {
-        SimDuration::from_secs_f64(1.0 / self.qps)
-    }
-
-    /// Total requests over a horizon.
-    pub fn total_requests(&self, horizon: SimDuration) -> u64 {
-        (horizon.as_secs_f64() * self.qps).round() as u64
-    }
-
-    /// The function index for the `i`-th request (uniform random but
+    /// The function index of the next request (uniform random but
     /// deterministic per seed).
-    pub fn function_for(&self, i: u64, rng: &mut SimRng) -> usize {
-        let _ = i;
+    pub fn function_for(&self, rng: &mut SimRng) -> usize {
         rng.index(self.n_functions)
     }
 
-    /// Timestamp of the `i`-th request.
+    /// Timestamp of the `i`-th request: `i·1000/qps` ms, rounded.
     pub fn time_of(&self, i: u64) -> SimTime {
-        SimTime::from_millis((i as f64 * 1_000.0 / self.qps).round() as u64)
+        SimTime::from_millis(round_u64(i as f64 * 1_000.0 / self.qps))
     }
 }
 
@@ -202,8 +192,12 @@ mod tests {
     #[test]
     fn paper_loadgen_produces_864k_requests_per_day() {
         let g = ConstantRateLoadGen::paper();
-        assert_eq!(g.total_requests(SimDuration::from_hours(24)), 864_000);
-        assert_eq!(g.spacing(), SimDuration::from_millis(100));
+        // 100 ms apart, so request 864,000 is the first past the day.
+        assert_eq!(g.time_of(864_000), SimTime::from_hours(24));
+        let gap = SimDuration::from_millis(100);
+        for i in (0..864_000).step_by(997) {
+            assert_eq!(g.time_of(i + 1).since(g.time_of(i)), gap);
+        }
     }
 
     #[test]
@@ -212,6 +206,13 @@ mod tests {
         assert_eq!(g.time_of(0), SimTime::ZERO);
         assert_eq!(g.time_of(10), SimTime::from_secs(1));
         assert_eq!(g.time_of(35), SimTime::from_millis(3_500));
+        // A rate that does not divide a second: rounded half up.
+        let g = ConstantRateLoadGen {
+            qps: 3.0,
+            n_functions: 1,
+        };
+        let ms: Vec<u64> = (0..4).map(|i| g.time_of(i).as_millis()).collect();
+        assert_eq!(ms, [0, 333, 667, 1_000]);
     }
 
     #[test]
@@ -219,8 +220,8 @@ mod tests {
         let g = ConstantRateLoadGen::paper();
         let mut rng = SimRng::seed_from_u64(1);
         let mut seen = vec![false; g.n_functions];
-        for i in 0..5_000 {
-            seen[g.function_for(i, &mut rng)] = true;
+        for _ in 0..5_000 {
+            seen[g.function_for(&mut rng)] = true;
         }
         assert!(seen.iter().all(|s| *s), "all 100 functions exercised");
     }

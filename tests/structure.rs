@@ -2,8 +2,10 @@
 //! alone may hold. So a fourth bench binary (every DES study is a row
 //! of `paper`, every gateway scenario one of `live`, every micro-probe
 //! one of `perf_trajectory`), a second DES driver, lease vocabulary or
-//! outcome vocabulary, or a test-oracle reference scan on the
-//! scheduler's production path fails `cargo test` by file and line.
+//! outcome vocabulary, a latency jitter drawn anywhere but the one
+//! definition the FaaS model's tables are built from, or a test-oracle
+//! reference scan on the scheduler's production path fails `cargo test`
+//! by file and line.
 
 use std::path::Path;
 
@@ -17,6 +19,7 @@ Three bench binaries ; crates/bench/src/bin ; - ; crates/bench/src/bin/paper.rs|
 One DES driver ; crates/core/src|crates/bench/src ; Engine< ; crates/core/src/driver.rs
 One lease vocabulary ; crates|src|tests|examples ; enum CapacityEventKind|enum LeaseEventKind|type SimLease|struct CapacityLog ; crates/cluster/src/capacity.rs
 One outcome vocabulary ; crates|src|tests|examples ; enum Outcome\b|enum Shed\b|enum InvokeResult\b|fn shed_code|struct Totals ; crates/metrics/src/outcome.rs
+One latency jitter ; crates|src|tests|examples ; range_f64(0.85, 1.15) ; crates/whisk/src/config.rs
 Oracle stays off the production path ; crates/cluster/src/sched ; _reference(|handle_reference|reference_mode ; crates/cluster/src/sched/oracle.rs
 ";
 
@@ -113,6 +116,13 @@ fn a_second_outcome_fires() {
     let fires = |line| fires("One outcome vocabulary", "src/lib.rs", line);
     assert!(fires("pub enum Shed {") && fires("enum Outcome<T> {"));
     assert!(!fires("enum OutcomeKind {"));
+}
+
+#[test]
+fn a_second_latency_jitter_fires() {
+    let line = "let f = rng.range_f64(0.85, 1.15);";
+    let fires = |path| fires("One latency jitter", path, line);
+    assert!(fires("crates/whisk/src/system.rs") && !fires("crates/whisk/src/config.rs"));
 }
 
 #[test]
