@@ -18,7 +18,6 @@
 //!
 //! Run with: `cargo run --release -p hpcwhisk_bench --bin live -- --quick`
 
-use cluster::SlurmConfig;
 use gateway::books;
 use gateway::{
     floor_grants, run_load, run_load_with_controller, ActionBody, ActionSpec, AdmissionPolicy,
@@ -236,7 +235,7 @@ fn run_leg(name: &str, s: Setup) -> Leg {
         stall_timeout: Duration::from_secs(30),
         ..Default::default()
     };
-    let (mut report, ctl, pilots) = match s.source {
+    let (report, ctl, pilots) = match s.source {
         Source::One => {
             gw.start_invoker();
             (run_load(gw, arrivals, harness), LeaseStats::default(), None)
@@ -437,7 +436,6 @@ fn feedback(quick: bool, _: &[Leg]) -> Setup {
             },
             pilot_len: SimDuration::from_mins(10),
         },
-        slurm: SlurmConfig::default(),
     });
     let cfg = ControllerConfig {
         feedback_every: Some(Duration::from_millis(40)),

@@ -25,7 +25,7 @@
 //! machine-dependent; the file is a trajectory read on a host with the
 //! `nproc` it records.
 
-use cluster::{ClusterEvent, ClusterSim, SlurmConfig};
+use cluster::{ClusterEvent, ClusterSim};
 use gateway::{
     run_load, run_load_with_controller, ActionSpec, CapacityController, ControllerConfig, Gateway,
     GatewayConfig, HarnessConfig,
@@ -197,7 +197,6 @@ fn gateway_run(submitters: usize, des: bool) -> Cost {
                 },
                 pilot_len: SimDuration::from_mins(10), // 0.5 s wall: churns mid-run
             },
-            slurm: SlurmConfig::default(),
         });
         let cfg = ControllerConfig {
             feedback_every: Some(std::time::Duration::from_millis(20)),

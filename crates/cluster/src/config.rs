@@ -44,11 +44,9 @@ pub struct SlurmConfig {
     /// time.
     pub var_extension_budget_slots: u32,
     /// Whether quick passes may start pilot jobs at all (backfill-only
-    /// placement when false).
+    /// placement when false). A quick pass grants a var-length pilot
+    /// only its minimum time: extension is a backfill-pass computation.
     pub quick_pass_places_pilots: bool,
-    /// Whether quick passes grant var-length pilots only their minimum
-    /// time (extension being a backfill-pass computation).
-    pub quick_var_min_only: bool,
     /// Simulated cost of examining one pending job in a backfill pass;
     /// the pass finishes at `start + per_job_cost * examined`, delaying
     /// the next pass. Models the paper's observation that Slurm took up
@@ -73,7 +71,6 @@ impl Default for SlurmConfig {
             kill_wait: SimDuration::from_secs(30),
             var_extension_budget_slots: 120,
             quick_pass_places_pilots: true,
-            quick_var_min_only: true,
             bf_per_job_cost: SimDuration::from_millis(40),
             bf_var_slot_cost: SimDuration::from_millis(15),
         }

@@ -233,18 +233,18 @@ impl ClusterSim {
                     else {
                         continue;
                     };
-                    let granted_slots = if is_var {
-                        if mode == PassMode::Quick && self.cfg.quick_var_min_only {
-                            d_fit
-                        } else {
+                    // A var pilot extends in backfill passes only; a
+                    // quick pass grants it its minimum time.
+                    let granted_slots = match (is_var, mode) {
+                        (false, _) => max_slots,
+                        (true, PassMode::Quick) => d_fit,
+                        (true, PassMode::Backfill) => {
                             let run = tl_pilot.free_run_from(node, 0).min(max_slots);
                             let ext = (run - d_fit).min(var_budget);
                             var_budget -= ext;
                             var_slots_computed += ext as u64;
                             d_fit + ext
                         }
-                    } else {
-                        max_slots
                     };
                     let granted = self.cfg.slots_to_duration(granted_slots);
                     tl_pilot.block_until(node, now + granted);

@@ -192,7 +192,6 @@ fn var_pilot_extension_limited_by_reservation() {
 fn var_pilot_quick_pass_gets_minimum_only() {
     let cfg = SlurmConfig {
         quick_pass_places_pilots: true,
-        quick_var_min_only: true,
         // Keep backfill far away so the quick pass places the pilot.
         bf_interval: SimDuration::from_mins(30),
         ..SlurmConfig::default()

@@ -24,11 +24,15 @@ use gateway::LoadFeedback;
 use metrics::{MsCdf, Outcome, OutcomeBins, Tally};
 use simcore::{Engine, Outbox, Process, SimDuration, SimRng, SimTime};
 use whisk::{FunctionId, FunctionSpec, InvokerId, WhiskEvent, WhiskNote, WhiskSys};
-use workload::{BacklogDriver, ConstantRateLoadGen, DemandClaim, HpcWorkloadModel};
+use workload::{BacklogDriver, ConstantRateLoadGen, DemandClaim, DemandModel, HpcWorkloadModel};
 
 /// How long a SIGTERMed pilot of a [`PilotSink::Leases`] run takes to
 /// hand its backlog off and exit.
 pub(crate) const LEASE_DRAIN: SimDuration = SimDuration::from_secs(2);
+
+/// How long after SIGTERM a still-warming pilot of a [`PilotSink::Whisk`]
+/// run takes to exit: it never registered, so it just tears down.
+const WARMING_EXIT_LAG: SimDuration = SimDuration::from_millis(800);
 
 /// How often the generated HPC job stream is topped up.
 const BACKLOG_EVERY: SimDuration = SimDuration::from_mins(1);
@@ -37,7 +41,7 @@ const BACKLOG_EVERY: SimDuration = SimDuration::from_mins(1);
 #[derive(Debug, Clone, Copy)]
 pub enum IdleSource<'a> {
     /// An availability trace: its busy time becomes prime-demand claims
-    /// under [`DayConfig::demand`]. The day is the trace's window.
+    /// under the default [`DemandModel`]. The day is the trace's window.
     Trace(&'a AvailabilityTrace),
     /// A generated HPC job stream (Fig. 2) that a [`BacklogDriver`] tops
     /// up every minute: idleness emerges from EASY backfill. The day is
@@ -59,7 +63,7 @@ pub enum IdleSource<'a> {
 pub enum PilotSink {
     /// An invoker of the DES FaaS plane, serving [`DayConfig::load`]
     /// into the report's outcome bins. A SIGTERM drains it; a pilot
-    /// still warming exits after [`DayConfig::warming_exit_lag`].
+    /// still warming exits 800 ms later.
     Whisk,
     /// A lease for a live gateway: a grant when the invoker is warm (none
     /// past `max_leases` live ones; those are counted), a revoke at
@@ -105,7 +109,6 @@ struct DayState {
     fns: Vec<FunctionId>,
     load: Option<ConstantRateLoadGen>,
     warmup: WarmupModel,
-    warming_exit_lag: SimDuration,
     start: SimTime,
     wrapper: Option<FallbackWrapper>,
     commercial: CommercialBackend,
@@ -211,7 +214,7 @@ impl DayState {
                     } else if phase == Some(PilotPhase::Warming) {
                         // Never registered: the pilot process just tears
                         // down and exits.
-                        out.at(now + self.warming_exit_lag, SysEvent::PilotExit(job));
+                        out.at(now + WARMING_EXIT_LAG, SysEvent::PilotExit(job));
                     } else if phase == Some(PilotPhase::Serving) {
                         self.with_whisk(now, out, |w, wo, wn| {
                             w.sigterm_invoker(now, InvokerId(job.0), wo, wn)
@@ -404,7 +407,7 @@ impl Driver {
         let mut rng = SimRng::seed_from_u64(cfg.seed ^ 0xDA71);
 
         let claims = match idle {
-            IdleSource::Trace(trace) => cfg.demand.claims_for(trace, cfg.seed),
+            IdleSource::Trace(trace) => DemandModel::default().claims_for(trace, cfg.seed),
             IdleSource::Backlog { .. } | IdleSource::Empty { .. } => Vec::new(),
         };
         let mut engine = Engine::new();
@@ -506,7 +509,6 @@ impl Driver {
             fns,
             load: cfg.load,
             warmup: cfg.warmup,
-            warming_exit_lag: cfg.warming_exit_lag,
             start,
             samples: Vec::new(),
             outcome_bins: OutcomeBins::new(start, horizon_mins),

@@ -21,7 +21,7 @@ use metrics::outcome::{self, Violation};
 use metrics::{Cdf, MsCdf, OutcomeBins, StepSeries, Tally};
 use simcore::{SimDuration, SimTime};
 use whisk::{WhiskConfig, WhiskCounters};
-use workload::{ConstantRateLoadGen, DemandModel};
+use workload::ConstantRateLoadGen;
 
 pub use crate::manager::ManagerKind;
 
@@ -36,12 +36,8 @@ pub struct DayConfig {
     pub manager: ManagerKind,
     /// Client load (None = coverage-only experiment).
     pub load: Option<ConstantRateLoadGen>,
-    /// Demand announcement-noise model.
-    pub demand: DemandModel,
     /// Invoker warm-up model.
     pub warmup: WarmupModel,
-    /// How long after SIGTERM a still-warming pilot takes to exit.
-    pub warming_exit_lag: SimDuration,
     /// Run the client load through Algorithm 1 (§III-E): after a 503,
     /// off-load to the commercial cloud for this cool-off period.
     pub wrapper_cooloff: Option<SimDuration>,
@@ -88,9 +84,7 @@ impl DayConfig {
             whisk: WhiskConfig::default(),
             manager: ManagerKind::Fib(crate::lengths::A1.to_vec()),
             load: Some(ConstantRateLoadGen::paper()),
-            demand: DemandModel::default(),
             warmup: WarmupModel::default(),
-            warming_exit_lag: SimDuration::from_millis(800),
             wrapper_cooloff: None,
             maintenance: None,
             seed,

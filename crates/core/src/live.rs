@@ -48,8 +48,6 @@ pub struct DesSourceCfg<'a> {
     pub idle: IdleSource<'a>,
     /// Master seed (cluster, workload and warm-up sampling).
     pub seed: u64,
-    /// Scheduler configuration.
-    pub slurm: SlurmConfig,
     /// Simulation seconds per wall-clock second.
     pub speedup: f64,
     /// Cap on concurrent DES-backed invokers (grants beyond it are
@@ -307,7 +305,9 @@ impl DesLeaseSource {
     pub fn new(cfg: DesSourceCfg<'_>) -> Self {
         assert!(cfg.speedup > 0.0, "speedup must be positive");
         let day = DayConfig {
-            slurm: cfg.slurm,
+            // Slurm's default quick-pass spacing (2 s), not the fib
+            // day's 10 s.
+            slurm: SlurmConfig::default(),
             manager: cfg.manager,
             load: None,
             warmup: cfg.warmup,

@@ -17,7 +17,6 @@
 //! * **the stream is pinned** — scripted polls and feedback windows,
 //!   with no gateway, yield a recorded lease sequence and books.
 
-use cluster::SlurmConfig;
 use gateway::{
     books, ActionId, ActionSpec, CapacityController, ControllerConfig, Gateway, GatewayConfig,
     LeaseEvent, LeaseEventKind, LeaseSource, LoadFeedback,
@@ -50,7 +49,6 @@ fn cfg() -> DesSourceCfg<'static> {
             sizer: sizer(4),
             pilot_len: SimDuration::from_mins(5),
         },
-        slurm: SlurmConfig::default(),
     }
 }
 
@@ -77,8 +75,6 @@ fn controller<'g>(
     let registry = src.registry().clone();
     let cfg = ControllerConfig {
         drain_headroom: ms(5),
-        min_routable: 1,
-        poll_interval: ms(10),
         feedback_every: Some(ms(250)),
     };
     (

@@ -29,7 +29,7 @@
 //! checked, never panicking on the `Instant` underflow). An early
 //! revoke (preemption) still works: it is simply a drain with no
 //! headroom. A routable floor is respected: the controller never
-//! headroom-drains the plane below `min_routable`; only an explicit
+//! headroom-drains the plane's last routable invoker; only an explicit
 //! revoke (the batch scheduler reclaiming the node) can do that.
 //!
 //! [`poll`]: CapacityController::poll
@@ -42,17 +42,23 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 use telemetry::flight::{self, EventKind};
 
+/// Never headroom-drain below this many routable invokers; explicit
+/// revokes still execute (the scheduler owns the node).
+const MIN_ROUTABLE: usize = 1;
+
+/// Upper bound on the background loop's sleep between polls.
+const POLL_INTERVAL: Duration = Duration::from_millis(1);
+
+/// Lower bound on that sleep, so a due transition does not degenerate
+/// into a pure spin.
+const POLL_FLOOR: Duration = Duration::from_micros(50);
+
 /// Controller tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct ControllerConfig {
     /// How long before a lease's deadline the drain starts (the §III-C
     /// grace window the controller grants itself).
     pub drain_headroom: Duration,
-    /// Never headroom-drain below this many routable invokers; explicit
-    /// revokes still execute (the scheduler owns the node).
-    pub min_routable: usize,
-    /// Upper bound on the background loop's sleep between polls.
-    pub poll_interval: Duration,
     /// How often observed load is diffed into a [`LoadFeedback`] and
     /// fed to the source (the live analogue of the scheduler's
     /// `bf_interval`). `None` disables the feedback channel — the
@@ -64,8 +70,6 @@ impl Default for ControllerConfig {
     fn default() -> Self {
         ControllerConfig {
             drain_headroom: Duration::from_millis(2),
-            min_routable: 1,
-            poll_interval: Duration::from_millis(1),
             feedback_every: None,
         }
     }
@@ -246,7 +250,7 @@ impl<'g> CapacityController<'g> {
                 .filter(|l| !l.draining && l.deadline <= now + self.cfg.drain_headroom)
                 .min_by_key(|l| l.deadline);
             let Some(lease) = due else { break };
-            if routable <= self.cfg.min_routable {
+            if routable <= MIN_ROUTABLE {
                 // Count the episode once, not once per poll.
                 if !lease.deferred {
                     lease.deferred = true;
@@ -359,21 +363,14 @@ impl<'g> CapacityController<'g> {
     }
 
     /// Drive the source against the real clock until `stop` is set.
-    /// Sleeps until the next scheduled transition, capped by
-    /// `poll_interval` so a raised `stop` is noticed promptly.
+    /// Sleeps until the next scheduled transition, capped at 1 ms so a
+    /// raised `stop` is noticed promptly.
     pub fn run(&mut self, stop: &AtomicBool) {
         while !stop.load(Ordering::Acquire) {
             let now = Instant::now();
             let next = self.poll(now);
-            let until_next = next
-                .map(|t| t.saturating_duration_since(now))
-                .unwrap_or(self.cfg.poll_interval);
-            // Sleep floor keeps a due transition from degenerating into
-            // a pure spin; it yields to a sub-50 µs `poll_interval`
-            // rather than violating the caller's cap (Ord::clamp
-            // panics when min > max).
-            let floor = Duration::from_micros(50).min(self.cfg.poll_interval);
-            std::thread::sleep(until_next.clamp(floor, self.cfg.poll_interval.max(floor)));
+            let until_next = next.map_or(POLL_INTERVAL, |t| t.saturating_duration_since(now));
+            std::thread::sleep(until_next.clamp(POLL_FLOOR, POLL_INTERVAL));
         }
     }
 
@@ -400,10 +397,17 @@ mod tests {
     use super::*;
     use crate::action::{ActionBody, ActionId, ActionSpec};
     use crate::gateway::{GatewayConfig, Shed};
-    use crate::lease::LeasePlan;
+    use crate::lease::{floor_grants, LeasePlan};
 
     fn ms(n: u64) -> Duration {
         Duration::from_millis(n)
+    }
+
+    /// A plan of `events` on node 0 plus one pinned floor lease on node
+    /// 1, so the lease under test is never the last routable one.
+    fn floored(mut events: Vec<LeaseEvent>) -> LeasePlan {
+        events.extend(floor_grants(1, 1, ms(100)));
+        LeasePlan::new(events, ms(100))
     }
 
     fn gw() -> Gateway {
@@ -414,47 +418,44 @@ mod tests {
     fn grant_extend_revoke_lifecycle_with_virtual_clock() {
         let gw = gw();
         let t0 = Instant::now();
-        let p = LeasePlan::new(
-            vec![
-                LeaseEvent::grant(ms(0), 0, ms(50)),
-                LeaseEvent::extend(ms(30), 0, ms(90)),
-                LeaseEvent::revoke(ms(90), 0),
-            ],
-            ms(100),
-        );
+        let p = floored(vec![
+            LeaseEvent::grant(ms(0), 0, ms(50)),
+            LeaseEvent::extend(ms(30), 0, ms(90)),
+            LeaseEvent::revoke(ms(90), 0),
+        ]);
         let mut ctl = CapacityController::new(
             &gw,
             p,
             ControllerConfig {
                 drain_headroom: ms(5),
-                min_routable: 0,
                 ..Default::default()
             },
             t0,
         );
+        // Every count below includes the floor lease.
         ctl.poll(t0);
-        assert_eq!(ctl.n_routable(), 1);
-        assert_eq!(gw.n_healthy(), 1);
+        assert_eq!(ctl.n_routable(), 2);
+        assert_eq!(gw.n_healthy(), 2);
         // Without the extend, t0+46ms would be inside the headroom
         // window; the extend at 30 ms pushes the deadline to 90 ms.
         ctl.poll(t0 + ms(46));
-        assert_eq!(ctl.n_routable(), 1, "extend deferred the drain");
+        assert_eq!(ctl.n_routable(), 2, "extend deferred the drain");
         // Headroom before the new deadline: drain starts, invoker
         // unrouted, lease still held.
         ctl.poll(t0 + ms(86));
-        assert_eq!(ctl.n_routable(), 0);
-        assert_eq!(ctl.n_active(), 1);
-        assert_eq!(gw.n_healthy(), 0, "unrouted ahead of the revoke");
+        assert_eq!(ctl.n_routable(), 1);
+        assert_eq!(ctl.n_active(), 2);
+        assert_eq!(gw.n_healthy(), 1, "unrouted ahead of the revoke");
         // The revoke reaps it.
         ctl.poll(t0 + ms(90));
-        assert_eq!(ctl.n_active(), 0);
+        assert_eq!(ctl.n_active(), 1);
         let s = ctl.finish();
-        assert_eq!(s.grants, 1);
+        assert_eq!(s.grants, 2);
         assert_eq!(s.extends, 1);
         assert_eq!(s.deadline_drains, 1);
         assert_eq!(s.revokes, 1);
         assert_eq!(s.surprise_revokes, 0);
-        assert_eq!(s.reaped_at_finish, 0);
+        assert_eq!(s.reaped_at_finish, 1, "the floor");
     }
 
     #[test]
@@ -495,7 +496,6 @@ mod tests {
             p,
             ControllerConfig {
                 drain_headroom: ms(5),
-                min_routable: 1,
                 ..Default::default()
             },
             t0,
@@ -543,32 +543,29 @@ mod tests {
         // deadline revoke must not be a surprise.
         let gw = gw();
         let t0 = Instant::now();
-        let p = LeasePlan::new(
-            vec![
-                LeaseEvent::grant(ms(0), 0, ms(1)),
-                LeaseEvent::revoke(ms(1), 0),
-            ],
-            ms(100),
-        );
+        let p = floored(vec![
+            LeaseEvent::grant(ms(0), 0, ms(1)),
+            LeaseEvent::revoke(ms(1), 0),
+        ]);
         let mut ctl = CapacityController::new(
             &gw,
             p,
             ControllerConfig {
                 drain_headroom: ms(50),
-                min_routable: 0,
                 ..Default::default()
             },
             t0,
         );
+        // The counts include the floor lease.
         let wake = ctl.poll(t0);
-        assert_eq!(ctl.n_active(), 1);
-        assert_eq!(ctl.n_routable(), 0, "drained in the granting poll");
+        assert_eq!(ctl.n_active(), 2);
+        assert_eq!(ctl.n_routable(), 1, "drained in the granting poll");
         assert_eq!(ctl.stats().deadline_drains, 1);
         if let Some(t) = wake {
             assert!(t > t0, "no past wake from the drained lease");
         }
         ctl.poll(t0 + ms(1));
-        assert_eq!(ctl.n_active(), 0);
+        assert_eq!(ctl.n_active(), 1);
         let s = ctl.finish();
         assert_eq!(s.deadline_drains, 1, "counted once");
         assert_eq!(s.surprise_revokes, 0, "the deadline was announced");
@@ -594,7 +591,6 @@ mod tests {
             p,
             ControllerConfig {
                 drain_headroom: ms(50),
-                min_routable: 1,
                 ..Default::default()
             },
             t0,
@@ -613,34 +609,31 @@ mod tests {
     fn regrant_after_drain_replaces_the_invoker() {
         let gw = gw();
         let t0 = Instant::now();
-        let p = LeasePlan::new(
-            vec![
-                LeaseEvent::grant(ms(0), 0, ms(10)),
-                // The renewal arrives after the deadline drain began.
-                LeaseEvent::extend(ms(20), 0, ms(80)),
-                LeaseEvent::revoke(ms(80), 0),
-            ],
-            ms(100),
-        );
+        let p = floored(vec![
+            LeaseEvent::grant(ms(0), 0, ms(10)),
+            // The renewal arrives after the deadline drain began.
+            LeaseEvent::extend(ms(20), 0, ms(80)),
+            LeaseEvent::revoke(ms(80), 0),
+        ]);
         let mut ctl = CapacityController::new(
             &gw,
             p,
             ControllerConfig {
                 drain_headroom: ms(2),
-                min_routable: 0,
                 ..Default::default()
             },
             t0,
         );
+        // The counts include the floor lease.
         ctl.poll(t0);
         ctl.poll(t0 + ms(12));
-        assert_eq!(ctl.n_routable(), 0, "drained at the deadline");
+        assert_eq!(ctl.n_routable(), 1, "drained at the deadline");
         ctl.poll(t0 + ms(20));
-        assert_eq!(ctl.n_routable(), 1, "regranted on the same node");
-        assert_eq!(gw.n_healthy(), 1);
+        assert_eq!(ctl.n_routable(), 2, "regranted on the same node");
+        assert_eq!(gw.n_healthy(), 2);
         let s = ctl.finish();
         assert_eq!(s.regrants_after_drain, 1);
-        assert_eq!(s.grants, 1, "a regrant is not a plan grant");
+        assert_eq!(s.grants, 2, "a regrant is not a plan grant");
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! 3. **Queueing** — the chosen invoker's lock-free MPSC ring assigns
 //!    the offset ([`crate::ring::RingQueue`], `mq` semantics).
 //! 4. **Execution** — the invoker thread drains a **batch** of up to
-//!    `drain_batch` envelopes per pass, shared fast lane first, topped
-//!    up from its own ring; placement goes through its private
+//!    32 envelopes per pass, shared fast lane first, topped up from
+//!    its own ring; placement goes through its private
 //!    [`ContainerPool`] (the DES plane's pool, under `Instant`: cold
 //!    start, keep-alive, LRU) and the body runs for real.
 //! 5. **Completion** — one [`Completion`] per executed request,
@@ -101,6 +101,16 @@ const SHARDS: usize = 8;
 /// requests executed), even under load.
 const SWEEP_EVERY_OPS: u64 = 1_024;
 
+/// How long an idle invoker parks before re-polling the fast lane and
+/// its drain flag. The re-poll is load-bearing: 500 µs keeps the vCPUs
+/// of a lightly loaded plane awake, so a sleeping body's answer is
+/// collected sooner than with a 20 ms park.
+const PARK: Duration = Duration::from_micros(500);
+
+/// Max envelopes an invoker pops per pass of its loop: the fast lane
+/// first (no lock while it is empty), topped up from the home ring.
+const DRAIN_BATCH: usize = 32;
+
 /// Tuning knobs of the serving plane.
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
@@ -109,18 +119,6 @@ pub struct GatewayConfig {
     /// Container slots per invoker pool (at least 1; [`Gateway::new`]
     /// panics on 0).
     pub pool_slots: usize,
-    /// How long an idle invoker parks before re-polling the fast lane
-    /// and its drain flag (a length past the clock's range parks until
-    /// its ring delivers). The re-poll is load-bearing: the 500 µs
-    /// default keeps the vCPUs of a lightly loaded plane awake, so a
-    /// sleeping body's answer is collected sooner than with a 20 ms
-    /// park.
-    pub park: Duration,
-    /// Max envelopes an invoker pops per pass of its loop: the fast
-    /// lane first (no lock while it is empty), topped up from the home
-    /// ring. 1 reproduces the unbatched per-pop behaviour exactly; the
-    /// drain-stress matrix proves exactly-once at 1, 4 and 32.
-    pub drain_batch: usize,
     /// How admissions are shaped beyond the structural bounds:
     /// [`AdmissionPolicy::HardShed`] (default, the historical
     /// behaviour) or a capacity-tracking token bucket that degrades
@@ -133,8 +131,6 @@ impl Default for GatewayConfig {
         GatewayConfig {
             queue_capacity: 4_096,
             pool_slots: 64,
-            park: Duration::from_micros(500),
-            drain_batch: 32,
             admission: AdmissionPolicy::HardShed,
         }
     }
@@ -496,8 +492,6 @@ impl Gateway {
             telem: self.telem.clone(),
             slot: self.telem.new_slot(),
             pool_slots: self.cfg.pool_slots,
-            park: self.cfg.park,
-            drain_batch: self.cfg.drain_batch.max(1),
         };
         slots[index].join = Some(
             std::thread::Builder::new()
@@ -917,16 +911,14 @@ struct InvokerCtx {
     /// This invoker's private single-writer shard.
     slot: Arc<SlotTelem>,
     pool_slots: usize,
-    park: Duration,
-    drain_batch: usize,
 }
 
 impl InvokerCtx {
     fn run(self) -> PoolStats {
         let mut pool = Pool::new(self.pool_slots, COLD_LIMIT);
         let mut ops_since_sweep = 0u64;
-        let mut batch: Vec<Envelope> = Vec::with_capacity(self.drain_batch);
-        let mut done: Vec<Completion> = Vec::with_capacity(self.drain_batch);
+        let mut batch: Vec<Envelope> = Vec::with_capacity(DRAIN_BATCH);
+        let mut done: Vec<Completion> = Vec::with_capacity(DRAIN_BATCH);
         // Pool telemetry is folded at sweep/retire time as the delta of
         // the pool's lifetime stats — zero per-op publishing cost.
         let mut last_pool = PoolStats::default();
@@ -960,12 +952,12 @@ impl InvokerCtx {
             // §III-C ordering: drain the shared fast lane before the
             // private queue, so handed-off work is not starved — then
             // top the batch up from the home ring.
-            self.fast.try_pop_batch(&mut batch, self.drain_batch);
+            self.fast.try_pop_batch(&mut batch, DRAIN_BATCH);
             // Envelopes from here on come from the home ring, in offset
             // order.
             let from_ring = batch.len();
-            if batch.len() < self.drain_batch {
-                let room = self.drain_batch - batch.len();
+            if batch.len() < DRAIN_BATCH {
+                let room = DRAIN_BATCH - batch.len();
                 self.handle.queue.try_pop_batch(&mut batch, room);
             }
             if batch.is_empty() {
@@ -973,7 +965,7 @@ impl InvokerCtx {
                 // the private queue.
                 self.sweep(&mut pool, Instant::now(), &mut last_pool);
                 ops_since_sweep = 0;
-                if let Some(env) = self.handle.queue.pop_timeout(self.park) {
+                if let Some(env) = self.handle.queue.pop_timeout(PARK) {
                     batch.push(env);
                 }
             }

@@ -101,7 +101,7 @@ impl LoadReport {
     /// Human summary: one totals line, then one line per action that
     /// saw traffic, breaking out ok / delayed / shed (by reason) /
     /// lost.
-    pub fn summary(&mut self) -> String {
+    pub fn summary(&self) -> String {
         let (p50, p99) = (
             self.latency.quantile(0.5) / 1e9,
             self.latency.quantile(0.99) / 1e9,
@@ -409,7 +409,7 @@ mod tests {
         let gw = plane(2, 8);
         let arrivals = PoissonLoadGen::new(4_000.0, 8).arrivals(SimDuration::from_millis(250), 3);
         assert!(!arrivals.is_empty());
-        let mut r = run_load(&gw, &arrivals, &HarnessConfig::default());
+        let r = run_load(&gw, &arrivals, &HarnessConfig::default());
         assert_eq!(r.lost(), 0, "{}", r.summary());
         assert_eq!(r.tally.arrivals(), arrivals.len() as u64);
         assert!(r.throughput > 0.0);
@@ -422,7 +422,7 @@ mod tests {
         let gw = plane(2, 4);
         let arrivals = DiurnalLoadGen::new(500.0, 8_000.0, SimDuration::from_millis(200), 4)
             .arrivals(SimDuration::from_millis(200), 5);
-        let mut r = run_load(
+        let r = run_load(
             &gw,
             &arrivals,
             &HarnessConfig {
@@ -459,7 +459,7 @@ mod tests {
         // Regression: a latency quantile of a run with no completions is
         // NaN (the guard lives in HistSnapshot::quantile), not a panic.
         let gw = plane(1, 1);
-        let mut r = run_load(&gw, &[], &HarnessConfig::default());
+        let r = run_load(&gw, &[], &HarnessConfig::default());
         assert_eq!(r.tally.completed, 0);
         assert!(r.latency.quantile(0.5).is_nan());
         assert!(r.latency.quantile(0.99).is_nan());
@@ -489,7 +489,7 @@ mod tests {
         };
         for submitters in [2usize, 4] {
             let gw = plane(2, 8);
-            let mut r = run_load(
+            let r = run_load(
                 &gw,
                 &arrivals,
                 &HarnessConfig {
@@ -550,7 +550,7 @@ mod tests {
         gw.start_invoker();
         gw.invoke(ActionId(0), 0).expect("the stray is admitted");
         let arrivals = [SimTime::ZERO; 3].map(|at| Arrival { at, function: 0 });
-        let mut r = run_load(&gw, &arrivals, &HarnessConfig::default());
+        let r = run_load(&gw, &arrivals, &HarnessConfig::default());
         let summary = r.summary(); // prints `lost` for the run and the row
         assert_eq!(r.tally.arrivals(), arrivals.len() as u64, "{summary}");
         assert!(r.tally.completed >= r.tally.accepted, "{summary}");
@@ -574,7 +574,7 @@ mod tests {
         );
         gw.start_invoker();
         let arrivals = PoissonLoadGen::new(50_000.0, 1).arrivals(SimDuration::from_millis(20), 1);
-        let mut r = run_load(
+        let r = run_load(
             &gw,
             &arrivals,
             &HarnessConfig {

@@ -14,14 +14,11 @@
 //! outage instead — accepted work then waits in the fast lane for the
 //! next grant).
 //!
-//! Plans can also be generated directly ([`LeasePlan::synthetic_churn`])
-//! for stress tests that want seeded, randomized churn without building
-//! an availability trace first: a Poisson lease process with
-//! exponential holds, a tunable share of early (preemption-shaped)
-//! revokes and of renewals.
+//! [`LeasePlan::from_capacity_trace`] is the one compiler of a plan; a
+//! test that wants a particular event shape writes it out with
+//! [`LeasePlan::new`].
 
 use cluster::capacity::{self, CapacityTrace};
-use simcore::SimRng;
 use std::time::Duration;
 
 /// Minimum wall-clock separation enforced between one node's events
@@ -65,41 +62,6 @@ pub struct LeasePlan {
     /// Pinned floor leases added at compile time (granted at the epoch,
     /// never revoked by the plan; the controller reaps them at finish).
     pub floor: usize,
-}
-
-/// Tuning for [`LeasePlan::synthetic_churn`].
-#[derive(Debug, Clone, Copy)]
-pub struct ChurnCfg {
-    /// Wall-clock span grants may arrive in.
-    pub horizon: Duration,
-    /// Mean lease hold time (exponential).
-    pub mean_hold: Duration,
-    /// Target average number of concurrently leased nodes (sets the
-    /// grant rate by Little's law).
-    pub target_active: usize,
-    /// Hard cap on concurrently leased nodes.
-    pub max_active: usize,
-    /// Pinned always-on leases guaranteeing a routable floor.
-    pub min_active: usize,
-    /// Share of leases revoked before their announced deadline (the
-    /// preemption shape).
-    pub early_revoke_frac: f64,
-    /// Share of leases renewed once before ending.
-    pub extend_frac: f64,
-}
-
-impl Default for ChurnCfg {
-    fn default() -> Self {
-        ChurnCfg {
-            horizon: Duration::from_millis(50),
-            mean_hold: Duration::from_millis(10),
-            target_active: 3,
-            max_active: 6,
-            min_active: 1,
-            early_revoke_frac: 0.4,
-            extend_frac: 0.3,
-        }
-    }
 }
 
 impl LeasePlan {
@@ -188,97 +150,9 @@ impl LeasePlan {
             }
             events.push(e);
         }
+        // The floor leases live on the nodes after the trace's own.
         let horizon = scale(trace.end);
-        Self::assemble(
-            events,
-            horizon,
-            capped_grants,
-            trace.n_nodes as u32,
-            min_active,
-        )
-    }
-
-    /// A seeded random churn plan (no trace needed): Poisson grants at
-    /// the rate implied by `target_active` and `mean_hold`, exponential
-    /// holds, early revokes and renewals per the configured shares.
-    /// Every lease gets a fresh node id, so plans never reuse a node.
-    pub fn synthetic_churn(cfg: &ChurnCfg, seed: u64) -> Self {
-        assert!(cfg.max_active >= 1);
-        assert!(cfg.target_active >= 1);
-        let mut rng = SimRng::seed_from_u64(seed ^ 0x1ea5_e91a);
-        let horizon_s = cfg.horizon.as_secs_f64();
-        let mean_hold_s = cfg.mean_hold.as_secs_f64().max(1e-6);
-        let rate = cfg.target_active as f64 / mean_hold_s;
-        let secs = Duration::from_secs_f64;
-        let mut events = Vec::new();
-        let mut active: Vec<(u32, f64)> = Vec::new(); // (node, end time)
-        let mut next_node = 0u32;
-        let mut capped_grants = 0usize;
-        let mut t = 0.0f64;
-        loop {
-            t += -rng.f64_open().ln() / rate;
-            if t >= horizon_s {
-                break;
-            }
-            // Leases whose end has passed stop counting against the cap.
-            active.retain(|&(_, end)| end > t);
-            if active.len() >= cfg.max_active {
-                capped_grants += 1;
-                continue;
-            }
-            let node = next_node;
-            next_node += 1;
-            let hold = (-rng.f64_open().ln() * mean_hold_s).max(mean_hold_s * 0.05);
-            let mut deadline = t + hold;
-            let extend_at = rng
-                .chance(cfg.extend_frac)
-                .then_some(deadline - hold * 0.25);
-            if extend_at.is_some() {
-                deadline += hold;
-            }
-            let revoke_at = if rng.chance(cfg.early_revoke_frac) {
-                // Preemption: the node is reclaimed well before the
-                // announced deadline.
-                t + (deadline - t) * (0.3 + 0.65 * rng.f64())
-            } else {
-                deadline
-            };
-            // Causality is decided on the *converted* wall-clock
-            // offsets, not the f64 draws: nanosecond rounding can land
-            // two distinct draws on the same Duration, and the
-            // kind-ranked tie sort would then put the revoke ahead of
-            // this lease's own grant or extend.
-            let grant_dur = secs(t);
-            let mut revoke_dur = secs(revoke_at).max(grant_dur + NODE_TICK);
-            // The grant announces the pre-extend deadline; the extend
-            // (if scheduled) raises it later.
-            events.push(LeaseEvent::grant(grant_dur, node, secs(t + hold)));
-            // An early revoke can land before the renewal would have
-            // fired; the renewal is then moot and is not scheduled.
-            if let Some(at) = extend_at {
-                let at = secs(at).max(grant_dur + NODE_TICK);
-                if at < revoke_dur {
-                    events.push(LeaseEvent::extend(at, node, secs(deadline)));
-                    revoke_dur = revoke_dur.max(at + NODE_TICK);
-                }
-            }
-            events.push(LeaseEvent::revoke(revoke_dur, node));
-            active.push((node, revoke_dur.as_secs_f64()));
-        }
-        let horizon = cfg.horizon;
-        Self::assemble(events, horizon, capped_grants, next_node, cfg.min_active)
-    }
-
-    /// Pin the floor leases on the nodes after the plan's own and
-    /// finalize through [`LeasePlan::new`].
-    fn assemble(
-        mut events: Vec<LeaseEvent>,
-        horizon: Duration,
-        capped_grants: usize,
-        first_free_node: u32,
-        min_active: usize,
-    ) -> Self {
-        events.extend(floor_grants(first_free_node, min_active, horizon));
+        events.extend(floor_grants(trace.n_nodes as u32, min_active, horizon));
         LeasePlan {
             capped_grants,
             floor: min_active,
@@ -373,88 +247,6 @@ mod tests {
         match plan.events[0].kind {
             LeaseEventKind::Grant { deadline } => assert!(deadline > plan.horizon * 100),
             ref k => panic!("expected grant, got {k:?}"),
-        }
-    }
-
-    #[test]
-    fn synthetic_churn_is_seeded_and_bounded() {
-        let cfg = ChurnCfg {
-            target_active: 4,
-            max_active: 5,
-            min_active: 1,
-            ..Default::default()
-        };
-        let a = LeasePlan::synthetic_churn(&cfg, 7);
-        let b = LeasePlan::synthetic_churn(&cfg, 7);
-        assert_eq!(a.events, b.events, "same seed, same plan");
-        let c = LeasePlan::synthetic_churn(&cfg, 8);
-        assert_ne!(a.events, c.events, "different seed, different plan");
-        assert!(a.n_grants() > 3, "plan has churn: {} grants", a.n_grants());
-        assert!(a.max_concurrent() <= 5 + 1, "cap + floor respected");
-        assert!(a.min_concurrent_after_start() >= 1, "floor holds");
-        for w in a.events.windows(2) {
-            assert!(w[0].at <= w[1].at, "sorted");
-        }
-    }
-
-    #[test]
-    fn synthetic_churn_mixes_revoke_shapes() {
-        let cfg = ChurnCfg {
-            horizon: Duration::from_millis(200),
-            target_active: 6,
-            max_active: 10,
-            early_revoke_frac: 0.5,
-            extend_frac: 0.5,
-            ..Default::default()
-        };
-        let plan = LeasePlan::synthetic_churn(&cfg, 3);
-        let extends = plan
-            .events
-            .iter()
-            .filter(|e| matches!(e.kind, LeaseEventKind::Extend { .. }))
-            .count();
-        assert!(extends > 0, "plan has renewals");
-        // Some revokes land before their lease's final deadline, some at
-        // it: track per node.
-        let mut deadline: std::collections::HashMap<u32, Duration> = Default::default();
-        let (mut early, mut graceful) = (0, 0);
-        for e in &plan.events {
-            match e.kind {
-                LeaseEventKind::Grant { deadline: d } | LeaseEventKind::Extend { deadline: d } => {
-                    deadline.insert(e.node, d);
-                }
-                LeaseEventKind::Revoke => {
-                    if e.at < deadline[&e.node] {
-                        early += 1;
-                    } else {
-                        graceful += 1;
-                    }
-                }
-            }
-        }
-        assert!(early > 0, "preemption-shaped revokes present");
-        assert!(graceful > 0, "deadline revokes present");
-    }
-
-    #[test]
-    fn synthetic_churn_is_causally_valid_over_many_seeds() {
-        // Property test: whatever the seed, the compiled plan obeys the
-        // controller's apply rules — including when f64 draws round to
-        // the same nanosecond and the kind-ranked tie sort kicks in.
-        // Tight holds + heavy extend/early-revoke traffic maximize tie
-        // pressure.
-        let cfg = ChurnCfg {
-            horizon: Duration::from_millis(80),
-            mean_hold: Duration::from_micros(300),
-            target_active: 8,
-            max_active: 12,
-            min_active: 2,
-            early_revoke_frac: 0.6,
-            extend_frac: 0.6,
-        };
-        for seed in 0..200u64 {
-            let plan = LeasePlan::synthetic_churn(&cfg, seed);
-            capacity::validate(&plan.events);
         }
     }
 

@@ -26,24 +26,26 @@
 //!   bounded **delay** before shedding (a latency slope instead of a
 //!   shed cliff under overload and capacity dips);
 //! * [`gateway`] — admission control, the invoker threads with the
-//!   paper's §III-C fast-lane-first drain protocol (draining up to
-//!   `drain_batch` envelopes per pass), one **completion buffer**
-//!   (a mutex-guarded `Vec` every invoker appends its batches to and
-//!   any number of collectors swap out whole, behind a lock-free empty
-//!   check like the fast lane's), and graceful sigterm/join lifecycle;
+//!   paper's §III-C fast-lane-first drain protocol (draining up to 32
+//!   envelopes per pass, parking 500 µs when idle), one **completion
+//!   buffer** (a mutex-guarded `Vec` every invoker appends its batches
+//!   to and any number of collectors swap out whole, behind a lock-free
+//!   empty check like the fast lane's), and graceful sigterm/join
+//!   lifecycle;
 //!   each invoker thread owns a warm-container pool, the DES plane's
 //!   `simcore::pool::ContainerPool` under wall-clock time
 //!   (cold-start penalty, keep-alive eviction, LRU under capacity
 //!   pressure), and records its evictions in the flight recorder;
 //! * [`lease`] — capacity leases: [`LeaseEvent`] is `cluster`'s one
-//!   lease event on wall-clock offsets, and wall-clock [`LeasePlan`]s
-//!   are compiled from `cluster::CapacityTrace` availability streams
-//!   (or generated as seeded synthetic churn), with per-lease
+//!   lease event on wall-clock offsets, and a wall-clock [`LeasePlan`]
+//!   has one compiler, [`LeasePlan::from_capacity_trace`] over a
+//!   `cluster::CapacityTrace` availability stream, with per-lease
 //!   deadlines, a concurrency cap and a pinned routable floor;
 //! * [`controller`] — the [`CapacityController`] that executes a plan:
 //!   grants start invokers, deadlines trigger drains *ahead* of the
-//!   revoke (§III-C's grace window), revokes reap — the lease-driven
-//!   invoker lifecycle that replaces hand-rolled start/sigterm/join;
+//!   revoke (§III-C's grace window) but never the last routable
+//!   invoker, revokes reap — the lease-driven invoker lifecycle that
+//!   replaces hand-rolled start/sigterm/join;
 //! * [`harness`] — the closed-loop load harness replaying
 //!   `crates/workload` arrival processes (Poisson, diurnal) into
 //!   log-linear latency histograms, with a run-wide and a per-action
@@ -59,8 +61,8 @@
 //! `metrics::outcome`'s, shared with the DES plane.
 //!
 //! The drain guarantee, stated once and tested in
-//! `tests/drain_stress.rs` (hand-churned) and by the `day` row of the
-//! `live` scenario runner (trace-churned): **every admitted request is
+//! `tests/drain_stress.rs` and by the `day` row of the `live` scenario
+//! runner, both replaying calibrated idle traces: **every admitted request is
 //! executed exactly once as long as one invoker survives** — sigterm
 //! moves unstarted backlog to the fast lane with admission timestamps
 //! preserved; producers that race a drain reroute themselves. Every
@@ -91,7 +93,7 @@ pub use gateway::{
     Admit, BurstScratch, Collector, Completion, Gateway, GatewayConfig, InvokerToken, Shed,
 };
 pub use harness::{run_load, run_load_with_controller, HarnessConfig, LoadReport};
-pub use lease::{floor_grants, ChurnCfg, LeaseEvent, LeaseEventKind, LeasePlan};
+pub use lease::{floor_grants, LeaseEvent, LeaseEventKind, LeasePlan};
 pub use queue::{Envelope, Produce, ProduceBatch, Request};
 pub use ring::RingQueue;
 pub use route::Router;

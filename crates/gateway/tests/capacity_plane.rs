@@ -68,11 +68,14 @@ fn revoked_lease_retires_warm_containers() {
     let t0 = Instant::now();
     for cycle in 0..2u64 {
         // Grant one lease, warm both actions' containers on it, then
-        // let the deadline drain + revoke reclaim the node.
+        // let the deadline drain + revoke reclaim the node. A pinned
+        // floor lease on node 100, granted once the traffic is done,
+        // keeps the plane routable through the revoke and runs nothing.
         let node = cycle as u32;
         let ten = Duration::from_millis(10);
         let events = vec![
             LeaseEvent::grant(Duration::ZERO, node, ten),
+            LeaseEvent::grant(ten / 2, 100, ten * 1_000),
             LeaseEvent::revoke(ten, node),
         ];
         let plan = LeasePlan::new(events, ten);
@@ -81,7 +84,6 @@ fn revoked_lease_retires_warm_containers() {
             plan,
             ControllerConfig {
                 drain_headroom: Duration::from_millis(1),
-                min_routable: 0,
                 ..Default::default()
             },
             t0,
@@ -94,9 +96,10 @@ fn revoked_lease_retires_warm_containers() {
         // Containers are checked in and warm; the revoke drains the
         // invoker, which must retire them.
         ctl.poll(t0 + Duration::from_millis(10));
-        assert_eq!(ctl.n_active(), 0);
+        assert_eq!(ctl.n_active(), 1, "the floor");
         let s = ctl.finish();
         assert_eq!(s.revokes, 1);
+        assert_eq!(s.reaped_at_finish, 1, "the floor");
 
         let pools = gw.retired_pool_stats();
         let cycles = cycle + 1;
@@ -142,10 +145,10 @@ fn token_bucket_sheds_less_than_hard_shed_under_overload() {
 
     // Baseline: the historical hard shed at a tight queue bound — the
     // cliff.
-    let mut hard = run(AdmissionPolicy::HardShed, 32);
+    let hard = run(AdmissionPolicy::HardShed, 32);
     // The lease-plane shape: rate tied to capacity, bounded delay
     // budget, the queue bound relaxed to a backstop.
-    let mut bucket = run(
+    let bucket = run(
         AdmissionPolicy::TokenBucket(TokenBucketCfg {
             rate_per_invoker: 5_000.0,
             burst: 32.0,

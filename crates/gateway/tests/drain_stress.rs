@@ -1,19 +1,16 @@
-//! Drain-without-loss stress matrix (ISSUE 2 acceptance criterion,
-//! extended by ISSUEs 3 and 4): 100 seeded iterations of randomized
-//! churn — invoker leases granted, extended, drained at deadlines and
-//! revoked at arbitrary points while a request stream flows — executed
-//! at **drain batch sizes 1, 4 and 32**, and after every iteration,
-//! **every accepted request completed exactly once**: no losses, no
-//! duplicates, in every cell of the matrix.
+//! Drain-without-loss stress matrix: seeded iterations of lease churn
+//! — invoker leases granted, extended, drained at deadlines and
+//! revoked at arbitrary points while a request stream flows — and
+//! after every iteration, **every accepted request completed exactly
+//! once**: no losses, no duplicates.
 //!
-//! Since ISSUE 4 the churn no longer hand-rolls `start_invoker` /
-//! `sigterm` / `join_invoker`: each iteration compiles a seeded
-//! [`LeasePlan`] — synthetic (Poisson grants, exponential holds, early
-//! preemption-shaped revokes, renewals, a pinned routable floor) or
-//! replayed from a window of the calibrated idle model — and steps a
-//! [`CapacityController`] through it on a **virtual clock** interleaved
-//! with the submissions — the same lease-driven lifecycle the
-//! production scenario uses, with deterministic event points per seed.
+//! Each iteration compiles its [`LeasePlan`] the way production does,
+//! with [`LeasePlan::from_capacity_trace`] over a fresh window of the
+//! calibrated idle model (renewals, early preemption-shaped revokes, a
+//! pinned routable floor), and steps a [`CapacityController`] through
+//! it — on a **virtual clock** interleaved with the submissions, or on
+//! its own thread against the wall clock while submitters and
+//! collectors race it.
 //!
 //! This exercises the whole drain stack at once: the atomic queue
 //! closure, batched fast-lane/home-queue pops (including a
@@ -25,9 +22,11 @@
 //! completion buffer under invoker death and slot reuse, and the
 //! controller's deadline-headroom drains racing live traffic.
 
+use cluster::capacity;
 use gateway::{
     books, ActionBody, ActionId, ActionSpec, AdmissionPolicy, BurstScratch, CapacityController,
-    ChurnCfg, Completion, ControllerConfig, Gateway, GatewayConfig, LeasePlan, TokenBucketCfg,
+    Completion, ControllerConfig, Gateway, GatewayConfig, LeaseEventKind, LeasePlan,
+    TokenBucketCfg,
 };
 use metrics::Tally;
 use simcore::{SimDuration, SimRng};
@@ -36,47 +35,12 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use workload::IdleModel;
 
-#[test]
-fn hundred_randomized_drains_exactly_once_batch_1() {
-    for iter in 0..100u64 {
-        run_iteration(iter, 1, synthetic(iter));
-    }
-}
-
-#[test]
-fn hundred_randomized_drains_exactly_once_batch_4() {
-    for iter in 0..100u64 {
-        run_iteration(iter, 4, synthetic(iter));
-    }
-}
-
-#[test]
-fn hundred_randomized_drains_exactly_once_batch_32() {
-    for iter in 0..100u64 {
-        run_iteration(iter, 32, synthetic(iter));
-    }
-}
-
-/// The same exactly-once guarantee under trace-driven churn: every
-/// iteration replays a fresh 30-minute window of the calibrated week
-/// model (a randomized trace seed per iteration, so genuinely different
-/// grant/revoke schedules) compressed into the iteration, at each drain
-/// batch size.
+/// Exactly-once under trace-driven churn, 120 iterations on the virtual
+/// clock, each replaying its own window of the week model.
 #[test]
 fn trace_driven_drains_exactly_once() {
-    for drain_batch in [1usize, 4, 32] {
-        for iter in 0..15u64 {
-            let window = SimDuration::from_mins(30);
-            let trace = IdleModel::prometheus_week().capacity_trace(
-                window,
-                0x5eed ^ iter.wrapping_mul(0x9e37_79b9) ^ drain_batch as u64,
-                SimDuration::from_mins(5),
-            );
-            run_iteration(iter, drain_batch, |horizon| {
-                let speedup = window.as_secs_f64() / horizon.as_secs_f64();
-                LeasePlan::from_capacity_trace(&trace, speedup, 6, 1)
-            });
-        }
+    for iter in 0..120u64 {
+        run_iteration(iter);
     }
 }
 
@@ -148,36 +112,34 @@ fn token_bucket_churn_conservation() {
 }
 
 /// The fast lane has no wake: an idle invoker parks on its own ring and
-/// re-polls the lane every `park`. So a backlog moved there by a drain
+/// re-polls the lane every 500 µs. So a backlog moved there by a drain
 /// must reach a survivor that is parked at the moment of the move, with
-/// no produce on the survivor's ring to wake it. One invoker A holds
-/// eight queued 20 ms sleeps (drain batch 1, so only one is in flight);
-/// survivor B starts idle and parks; A is sigtermed mid-body. Every
-/// moved request completes exactly once on B, and B's first start comes
-/// within `park` plus slack of the move.
+/// no produce on the survivor's ring to wake it. One invoker A is woken
+/// by one 20 ms sleep, which it runs alone, and seven more queue
+/// behind it; survivor B starts idle and parks; A is sigtermed
+/// mid-body. Every moved request completes exactly once on B, and B's
+/// first start comes within the park plus slack of the move.
 #[test]
 fn drained_backlog_reaches_a_parked_survivor_without_a_wake() {
     const N: usize = 8;
-    let park = Duration::from_micros(500);
     let gw = Gateway::new(
-        GatewayConfig {
-            park,
-            drain_batch: 1,
-            ..Default::default()
-        },
+        GatewayConfig::default(),
         vec![ActionSpec::noop("sleep").with_body(ActionBody::Sleep(Duration::from_millis(20)))],
     );
     let a = gw.start_invoker();
     // One admission instant for every request, so each completion's
     // stamps place its start and end on one clock.
     let t0 = Instant::now();
-    let ids: HashSet<u64> = (0..N as u64)
-        .map(|k| gw.invoke_at(ActionId(0), k, t0).expect("accepted").id)
-        .collect();
-    let b = gw.start_invoker();
-    // Let B find its ring empty and park, and A enter its first body.
-    // Neither is observable from here, so the sleep only makes them
+    let invoke = |k: u64| gw.invoke_at(ActionId(0), k, t0).expect("accepted").id;
+    // Let A park, so the first request wakes it alone and the rest
+    // queue behind its body; then let B find its ring empty and park.
+    // None of this is observable from here, so the sleeps only make it
     // likely; every assertion below holds whichever way they fell.
+    std::thread::sleep(Duration::from_millis(2));
+    let mut ids = HashSet::from([invoke(0)]);
+    std::thread::sleep(Duration::from_millis(2));
+    ids.extend((1..N as u64).map(invoke));
+    let b = gw.start_invoker();
     std::thread::sleep(Duration::from_millis(8));
     let sigtermed = t0.elapsed();
     assert!(gw.sigterm(a));
@@ -206,7 +168,7 @@ fn drained_backlog_reaches_a_parked_survivor_without_a_wake() {
         .expect("B started before the move");
     assert!(
         gap <= Duration::from_millis(100),
-        "parked survivor reached the lane {gap:?} after the move (park {park:?})"
+        "parked survivor reached the lane {gap:?} after the move"
     );
     books::close(&gw, N as u64).expect("books");
     let t = gw.totals();
@@ -229,8 +191,6 @@ fn totals_and_exposition_are_one_ledger_across_a_reap() {
     let gw = Gateway::new(
         GatewayConfig {
             queue_capacity: 8,
-            park: Duration::from_micros(200),
-            drain_batch: 8,
             admission: AdmissionPolicy::TokenBucket(TokenBucketCfg {
                 rate_per_invoker: 50_000.0,
                 burst: 16.0,
@@ -352,8 +312,6 @@ fn run_matrix_iteration(
     let gw = Gateway::new(
         GatewayConfig {
             queue_capacity: 16,
-            park: Duration::from_micros(200),
-            drain_batch: 8,
             admission,
             ..Default::default()
         },
@@ -368,26 +326,13 @@ fn run_matrix_iteration(
     // its own thread while submitters and collectors run flat out, so
     // grants/drains/revokes land at genuinely arbitrary points in the
     // submit and sweep races.
-    let horizon = Duration::from_millis(40);
-    let plan = LeasePlan::synthetic_churn(
-        &ChurnCfg {
-            horizon,
-            mean_hold: horizon / 5,
-            target_active: 3,
-            max_active: 6,
-            min_active: 1,
-            early_revoke_frac: 0.4,
-            extend_frac: 0.3,
-        },
-        seed,
-    );
+    let plan = trace_plan(seed ^ (cell << 40), Duration::from_millis(40));
     let t0 = Instant::now();
     let mut ctl = CapacityController::new(
         &gw,
         plan,
         ControllerConfig {
             drain_headroom: Duration::from_millis(2),
-            min_routable: 1,
             ..Default::default()
         },
         t0,
@@ -544,44 +489,52 @@ fn run_matrix_iteration(
     }
 }
 
-/// Seeded synthetic churn dense enough that several
-/// grant/extend/drain/revoke transitions land inside every iteration.
-fn synthetic(seed: u64) -> impl FnOnce(Duration) -> LeasePlan {
-    move |horizon| {
-        LeasePlan::synthetic_churn(
-            &ChurnCfg {
-                horizon,
-                mean_hold: horizon / 5,
-                target_active: 3,
-                max_active: 6,
-                min_active: 1,
-                early_revoke_frac: 0.4,
-                extend_frac: 0.3,
-            },
-            seed,
-        )
-    }
+/// A plan replaying a fresh 30-minute window of the calibrated week
+/// model in 2-minute lease quanta, Slurm's backfill slot (the trace
+/// seed moves with `seed`, so every iteration gets its own
+/// grant/extend/revoke schedule), compressed into `horizon`, capped at
+/// six leases over a pinned floor of one that keeps the plane routable. Panics unless the plan renews a lease and revokes one
+/// before its deadline, the two shapes a drain must survive besides the
+/// plain deadline revoke.
+fn trace_plan(seed: u64, horizon: Duration) -> LeasePlan {
+    let window = SimDuration::from_mins(30);
+    let trace = IdleModel::prometheus_week().capacity_trace(
+        window,
+        0x5eed ^ seed.wrapping_mul(0x9e37_79b9),
+        SimDuration::from_mins(2),
+    );
+    let speedup = window.as_secs_f64() / horizon.as_secs_f64();
+    let plan = LeasePlan::from_capacity_trace(&trace, speedup, 6, 1);
+    let extends = plan
+        .events
+        .iter()
+        .filter(|e| matches!(e.kind, LeaseEventKind::Extend { .. }))
+        .count();
+    let early = capacity::n_early_revokes(&plan.events);
+    assert!(
+        extends >= 1 && early >= 1,
+        "seed {seed}: {extends} extends, {early} early revokes"
+    );
+    plan
 }
 
-/// One iteration under the lease plan `plan` builds for the
-/// iteration's horizon.
-fn run_iteration(seed: u64, drain_batch: usize, plan: impl FnOnce(Duration) -> LeasePlan) {
-    let mut rng = SimRng::seed_from_u64(seed ^ 0xd8a1_57e5 ^ (drain_batch as u64) << 32);
+/// One iteration on the virtual clock: a trace plan stepped once per
+/// submitted request.
+fn run_iteration(seed: u64) {
+    let mut rng = SimRng::seed_from_u64(seed ^ 0xd8a1_57e5);
     let n_requests = 120 + rng.index(180); // 120..=299
     let gw = Gateway::new(
         GatewayConfig {
             // Small queues make producer-vs-drain races and fast-lane
-            // fallbacks far more likely — and with drain_batch above
-            // the queue bound, whole backlogs pop as one batch.
+            // fallbacks far more likely — and with the drain batch (32)
+            // above the queue bound, whole backlogs pop as one batch.
             queue_capacity: 16,
-            park: Duration::from_micros(200),
-            drain_batch,
             ..Default::default()
         },
         vec![
             ActionSpec::noop("noop"),
             // A touch of real work so backlogs build and drains land
-            // mid-burst (and, at batch sizes > 1, mid-batch).
+            // mid-burst and mid-batch.
             ActionSpec::noop("spin").with_body(ActionBody::Spin(Duration::from_micros(
                 20 + rng.range_u64(0, 60),
             ))),
@@ -594,10 +547,9 @@ fn run_iteration(seed: u64, drain_batch: usize, plan: impl FnOnce(Duration) -> L
     let t0 = Instant::now();
     let mut ctl = CapacityController::new(
         &gw,
-        plan(step * n_requests as u32),
+        trace_plan(seed, step * n_requests as u32),
         ControllerConfig {
             drain_headroom: step * 2,
-            min_routable: 1,
             ..Default::default()
         },
         t0,
@@ -650,7 +602,7 @@ fn run_iteration(seed: u64, drain_batch: usize, plan: impl FnOnce(Duration) -> L
         buf.clear();
         if gw.collect_wait(&mut col, &mut buf, Duration::from_secs(10)) == 0 {
             panic!(
-                "seed {seed} batch {drain_batch}: lost {} of {} accepted requests ({} shed, {:?})",
+                "seed {seed}: lost {} of {} accepted requests ({} shed, {:?})",
                 accepted.len() - completed.len(),
                 accepted.len(),
                 shed,
@@ -660,27 +612,27 @@ fn run_iteration(seed: u64, drain_batch: usize, plan: impl FnOnce(Duration) -> L
         for c in &buf {
             assert!(
                 completed.insert(c.id),
-                "seed {seed} batch {drain_batch}: request {} executed twice",
+                "seed {seed}: request {} executed twice",
                 c.id
             );
             assert!(
                 accepted.contains(&c.id),
-                "seed {seed} batch {drain_batch}: completion for unknown request {}",
+                "seed {seed}: completion for unknown request {}",
                 c.id
             );
         }
     }
-    assert_eq!(completed, accepted, "seed {seed} batch {drain_batch}");
+    assert_eq!(completed, accepted, "seed {seed}");
     let stats = ctl.finish();
     assert!(stats.grants >= 1, "plan granted nothing: {stats:?}");
     // Graceful shutdown afterwards strands nothing, and with every
     // invoker joined the books balance: everything offered accepted or
     // shed, everything accepted completed, leases and containers
     // conserved.
-    books::close(&gw, offered).unwrap_or_else(|v| panic!("seed {seed} batch {drain_batch}: {v:?}"));
+    books::close(&gw, offered).unwrap_or_else(|v| panic!("seed {seed}: {v:?}"));
     assert_eq!(
         gw.collect_completions_with(&mut col, &mut buf),
         0,
-        "seed {seed} batch {drain_batch}: stray completion"
+        "seed {seed}: stray completion"
     );
 }

@@ -11,11 +11,7 @@
 //!   follows a day/night cosine profile (thinning sampler), modelling
 //!   the interactive-traffic swing the paper's production platform
 //!   would see.
-//! * [`AzureDurationModel`] — a duration mix shaped like the Azure
-//!   Functions characterization the paper cites (§I: 50% of functions
-//!   complete in < 3 s, 90% in < 1 min), for the workload examples.
 
-use simcore::dist::{LogNormal, Sample};
 use simcore::time::round_u64;
 use simcore::{SimDuration, SimRng, SimTime};
 
@@ -157,34 +153,6 @@ impl DiurnalLoadGen {
     }
 }
 
-/// Azure-like function-duration mix.
-#[derive(Debug, Clone)]
-pub struct AzureDurationModel {
-    dist: LogNormal,
-    bounds_secs: (f64, f64),
-}
-
-impl Default for AzureDurationModel {
-    fn default() -> Self {
-        // Median 3 s; P(d < 60 s) = 90%  →  sigma = ln(20)/1.2816.
-        AzureDurationModel {
-            dist: LogNormal::from_median_and_quantile(3.0, 0.90, 60.0),
-            bounds_secs: (0.01, 540.0),
-        }
-    }
-}
-
-impl AzureDurationModel {
-    /// Sample one function duration.
-    pub fn sample(&self, rng: &mut SimRng) -> SimDuration {
-        let s = self
-            .dist
-            .sample(rng)
-            .clamp(self.bounds_secs.0, self.bounds_secs.1);
-        SimDuration::from_secs_f64(s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,19 +250,5 @@ mod tests {
         assert!((g.rate_at(0.0) - 10.0).abs() < 1e-9);
         assert!((g.rate_at(12.0 * 3600.0) - 100.0).abs() < 1e-9);
         assert!((g.rate_at(24.0 * 3600.0) - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn azure_durations_match_cited_marginals() {
-        let m = AzureDurationModel::default();
-        let mut rng = SimRng::seed_from_u64(2);
-        let mut d: Vec<f64> = (0..30_000)
-            .map(|_| m.sample(&mut rng).as_secs_f64())
-            .collect();
-        d.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let med = d[d.len() / 2];
-        assert!((2.2..=3.8).contains(&med), "median = {med} s");
-        let p90 = d[d.len() * 9 / 10];
-        assert!((40.0..=80.0).contains(&p90), "p90 = {p90} s");
     }
 }

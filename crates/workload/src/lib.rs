@@ -9,14 +9,15 @@
 //!   the analysed week and the two experiment days;
 //! * [`demand::DemandModel`] — converts an idle trace into the pinned
 //!   prime-demand claim stream that drives the cluster simulator, with
-//!   announced-vs-actual start noise modelling declared-limit slack;
+//!   announced-vs-actual start noise modelling declared-limit slack
+//!   (every DES day draws its claims from the default model);
 //! * [`hpc::HpcWorkloadModel`] — Fig. 2 job distributions (declared
 //!   limits, runtimes, slack, sizes) plus the closed-loop backlog driver
 //!   for >99% utilization;
 //! * [`faas::ConstantRateLoadGen`] — the 10 QPS / 100-function
-//!   responsiveness workload (§V-C) and an Azure-like duration mix,
-//!   plus Poisson and diurnal (non-homogeneous Poisson) request
-//!   processes for driving the live gateway.
+//!   responsiveness workload (§V-C), plus Poisson and diurnal
+//!   (non-homogeneous Poisson) request processes for driving the live
+//!   gateway.
 //!
 //! Every constant is documented at its definition; the module tests are
 //! the calibration record — they assert the generated marginals land in
@@ -30,6 +31,6 @@ pub mod hpc;
 pub mod idle;
 
 pub use demand::{DemandClaim, DemandModel};
-pub use faas::{Arrival, AzureDurationModel, ConstantRateLoadGen, DiurnalLoadGen, PoissonLoadGen};
+pub use faas::{Arrival, ConstantRateLoadGen, DiurnalLoadGen, PoissonLoadGen};
 pub use hpc::{BacklogDriver, HpcWorkloadModel};
 pub use idle::IdleModel;

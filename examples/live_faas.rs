@@ -98,7 +98,7 @@ fn main() {
         "replaying a diurnal process: {} arrivals over 4 s (trough 50 qps, peak 400 qps)",
         arrivals.len()
     );
-    let mut report = run_load(&gw, &arrivals, &HarnessConfig::default());
+    let report = run_load(&gw, &arrivals, &HarnessConfig::default());
     println!("harness: {}", report.summary());
     assert_eq!(report.lost(), 0, "accepted requests are never lost");
 

@@ -5,7 +5,7 @@
 use hpc_whisk::cluster::AvailabilityTrace;
 use hpc_whisk::core::{lengths, run_day, DayConfig, ManagerKind, REPLENISH_EVERY};
 use hpc_whisk::simcore::{SimDuration, SimTime};
-use hpc_whisk::workload::{ConstantRateLoadGen, IdleModel};
+use hpc_whisk::workload::{ConstantRateLoadGen, DemandModel, IdleModel};
 
 fn small_day() -> AvailabilityTrace {
     let mut m = IdleModel::prometheus_week();
@@ -222,7 +222,7 @@ fn coverage_only_day_accounts_for_every_event() {
     let trace = IdleModel::prometheus_week().generate(SimDuration::from_hours(24), 7);
     let mut cfg = DayConfig::fib_paper(7);
     cfg.load = None;
-    let claims = cfg.demand.claims_for(&trace, cfg.seed);
+    let claims = DemandModel::default().claims_for(&trace, cfg.seed);
     let submitted = claims.iter().filter(|c| c.start > trace.start).count() as u64;
     let wakeups = claims.iter().filter(|c| c.start > c.submit_at).count() as u64;
     let rep = run_day(&trace, cfg);

@@ -6,7 +6,7 @@ use hpc_whisk::metrics::{Cdf, StepSeries};
 use hpc_whisk::mq::Broker;
 use hpc_whisk::sebs::{bfs, mst, pagerank, Graph, Kernel};
 use hpc_whisk::simcore::{Engine, Outbox, SimDuration, SimRng, SimTime};
-use hpc_whisk::workload::{AzureDurationModel, HpcWorkloadModel, PoissonLoadGen};
+use hpc_whisk::workload::{HpcWorkloadModel, IdleModel, PoissonLoadGen};
 
 #[test]
 fn simcore_engine_via_facade() {
@@ -59,20 +59,24 @@ fn workload_models_via_facade() {
     let mut rng = SimRng::seed_from_u64(1);
     let j = HpcWorkloadModel::prometheus().sample_job(&mut rng);
     assert!(j.nodes >= 1);
-    let d = AzureDurationModel::default().sample(&mut rng);
-    assert!(d > SimDuration::ZERO);
 }
 
 #[test]
 fn live_gateway_via_facade() {
     // Invoker lifecycle through the capacity-lease API: the floor lease
-    // of a synthetic churn plan brings the plane up.
-    use hpc_whisk::gateway::{CapacityController, ChurnCfg, ControllerConfig, LeasePlan};
+    // of a plan compiled from an hour of the fib-day idle trace brings
+    // the plane up.
+    use hpc_whisk::gateway::{CapacityController, ControllerConfig, LeasePlan};
+    let trace = IdleModel::fib_day().capacity_trace(
+        SimDuration::from_hours(1),
+        IdleModel::FIB_DAY_SEED,
+        SimDuration::from_mins(10),
+    );
     let gw = Gateway::new(GatewayConfig::default(), vec![ActionSpec::noop("f")]);
     let t0 = std::time::Instant::now();
     let mut ctl = CapacityController::new(
         &gw,
-        LeasePlan::synthetic_churn(&ChurnCfg::default(), 1),
+        LeasePlan::from_capacity_trace(&trace, 3_600.0, 6, 1),
         ControllerConfig::default(),
         t0,
     );

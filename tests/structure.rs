@@ -2,10 +2,10 @@
 //! alone may hold. So a fourth bench binary (every DES study is a row
 //! of `paper`, every gateway scenario one of `live`, every micro-probe
 //! one of `perf_trajectory`), a second DES driver, lease vocabulary or
-//! outcome vocabulary, a latency jitter drawn anywhere but the one
-//! definition the FaaS model's tables are built from, or a test-oracle
-//! reference scan on the scheduler's production path fails `cargo test`
-//! by file and line.
+//! outcome vocabulary, a second lease-plan compiler, a latency jitter
+//! drawn anywhere but the one definition the FaaS model's tables are
+//! built from, or a test-oracle reference scan on the scheduler's
+//! production path fails `cargo test` by file and line.
 
 use std::path::Path;
 
@@ -19,6 +19,7 @@ Three bench binaries ; crates/bench/src/bin ; - ; crates/bench/src/bin/paper.rs|
 One DES driver ; crates/core/src|crates/bench/src ; Engine< ; crates/core/src/driver.rs
 One lease vocabulary ; crates|src|tests|examples ; enum CapacityEventKind|enum LeaseEventKind|type SimLease|struct CapacityLog ; crates/cluster/src/capacity.rs
 One outcome vocabulary ; crates|src|tests|examples ; enum Outcome\b|enum Shed\b|enum InvokeResult\b|fn shed_code|struct Totals ; crates/metrics/src/outcome.rs
+One lease-plan compiler ; crates|src|tests|examples ; fn synthetic_churn|struct ChurnCfg|capped_grants: ; crates/gateway/src/lease.rs
 One latency jitter ; crates|src|tests|examples ; range_f64(0.85, 1.15) ; crates/whisk/src/config.rs
 Oracle stays off the production path ; crates/cluster/src/sched ; _reference(|handle_reference|reference_mode ; crates/cluster/src/sched/oracle.rs
 ";
@@ -116,6 +117,16 @@ fn a_second_outcome_fires() {
     let fires = |line| fires("One outcome vocabulary", "src/lib.rs", line);
     assert!(fires("pub enum Shed {") && fires("enum Outcome<T> {"));
     assert!(!fires("enum OutcomeKind {"));
+}
+
+#[test]
+fn a_second_plan_compiler_fires() {
+    let rule = "One lease-plan compiler";
+    let fires_in = |path| fires(rule, path, "pub struct ChurnCfg {");
+    assert!(fires_in("crates/gateway/tests/x.rs") && !fires_in("crates/gateway/src/lease.rs"));
+    let fires = |line| fires(rule, "crates/bench/src/bin/live.rs", line);
+    assert!(fires("pub fn synthetic_churn(c: &Cfg) -> LeasePlan {"));
+    assert!(fires("LeasePlan { capped_grants: 0, ..plan }"));
 }
 
 #[test]
