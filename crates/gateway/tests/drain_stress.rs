@@ -36,11 +36,40 @@ use std::time::{Duration, Instant};
 use workload::IdleModel;
 
 /// Exactly-once under trace-driven churn, 120 iterations on the virtual
-/// clock, each replaying its own window of the week model.
+/// clock, each replaying its own window of the week model. The queue
+/// bound (16) is below the drain batch (32), so a pop takes a whole
+/// backlog at once.
 #[test]
 fn trace_driven_drains_exactly_once() {
     for iter in 0..120u64 {
-        run_iteration(iter);
+        run_iteration(iter, 16);
+    }
+}
+
+// A pop takes at most the queue bound from the home ring, so a bound
+// of 1, 4 or 32 makes each ring pop hold at most that many bodies: one
+// body in flight at a time, a small batch, and a full `DRAIN_BATCH`.
+// A drain then lands between single bodies, inside a small batch, or
+// behind a full one. 100 iterations each on their own trace seeds.
+
+#[test]
+fn hundred_randomized_drains_exactly_once_batch_1() {
+    for iter in 0..100u64 {
+        run_iteration(iter ^ (1 << 32), 1);
+    }
+}
+
+#[test]
+fn hundred_randomized_drains_exactly_once_batch_4() {
+    for iter in 0..100u64 {
+        run_iteration(iter ^ (4 << 32), 4);
+    }
+}
+
+#[test]
+fn hundred_randomized_drains_exactly_once_batch_32() {
+    for iter in 0..100u64 {
+        run_iteration(iter ^ (32 << 32), 32);
     }
 }
 
@@ -493,42 +522,47 @@ fn run_matrix_iteration(
 /// model in 2-minute lease quanta, Slurm's backfill slot (the trace
 /// seed moves with `seed`, so every iteration gets its own
 /// grant/extend/revoke schedule), compressed into `horizon`, capped at
-/// six leases over a pinned floor of one that keeps the plane routable. Panics unless the plan renews a lease and revokes one
-/// before its deadline, the two shapes a drain must survive besides the
-/// plain deadline revoke.
+/// six leases over a pinned floor of one that keeps the plane routable.
+/// Every plan renews a lease and revokes one before its deadline, the
+/// two shapes a drain must survive besides the plain deadline revoke: a
+/// window without both (one of the 300 first windows the batch tests
+/// draw) is passed over for the next one of the same seed, and the
+/// helper panics if eight in a row lack them.
 fn trace_plan(seed: u64, horizon: Duration) -> LeasePlan {
     let window = SimDuration::from_mins(30);
-    let trace = IdleModel::prometheus_week().capacity_trace(
-        window,
-        0x5eed ^ seed.wrapping_mul(0x9e37_79b9),
-        SimDuration::from_mins(2),
-    );
     let speedup = window.as_secs_f64() / horizon.as_secs_f64();
-    let plan = LeasePlan::from_capacity_trace(&trace, speedup, 6, 1);
-    let extends = plan
-        .events
-        .iter()
-        .filter(|e| matches!(e.kind, LeaseEventKind::Extend { .. }))
-        .count();
-    let early = capacity::n_early_revokes(&plan.events);
-    assert!(
-        extends >= 1 && early >= 1,
-        "seed {seed}: {extends} extends, {early} early revokes"
-    );
-    plan
+    let mut shapes = Vec::new();
+    for next in 0..8u64 {
+        let trace = IdleModel::prometheus_week().capacity_trace(
+            window,
+            0x5eed ^ seed.wrapping_mul(0x9e37_79b9) ^ next.wrapping_mul(0xa076_1d64_78bd_642f),
+            SimDuration::from_mins(2),
+        );
+        let plan = LeasePlan::from_capacity_trace(&trace, speedup, 6, 1);
+        let extends = plan
+            .events
+            .iter()
+            .filter(|e| matches!(e.kind, LeaseEventKind::Extend { .. }))
+            .count();
+        let early = capacity::n_early_revokes(&plan.events);
+        if extends >= 1 && early >= 1 {
+            return plan;
+        }
+        shapes.push((extends, early));
+    }
+    panic!("seed {seed}: no window renews and revokes early: (extends, early revokes) {shapes:?}");
 }
 
 /// One iteration on the virtual clock: a trace plan stepped once per
-/// submitted request.
-fn run_iteration(seed: u64) {
+/// submitted request, on invokers whose queues hold `queue_capacity`.
+fn run_iteration(seed: u64, queue_capacity: usize) {
     let mut rng = SimRng::seed_from_u64(seed ^ 0xd8a1_57e5);
     let n_requests = 120 + rng.index(180); // 120..=299
     let gw = Gateway::new(
         GatewayConfig {
             // Small queues make producer-vs-drain races and fast-lane
-            // fallbacks far more likely — and with the drain batch (32)
-            // above the queue bound, whole backlogs pop as one batch.
-            queue_capacity: 16,
+            // fallbacks far more likely.
+            queue_capacity,
             ..Default::default()
         },
         vec![
