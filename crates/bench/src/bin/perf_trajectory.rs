@@ -1,6 +1,6 @@
 //! Perf-trajectory probe: the micro-probes next to the repo benchmark.
 //! It times the hot paths the benchmark cannot see — scheduler passes
-//! at production scale, the broker, the FaaS model's latency draw, the
+//! at production scale, the `mq` topic, the FaaS model's latency draw, the
 //! offline simulator, the gateway's submitter and closed-loop
 //! throughput, the cores→days/s scaling of `run_days` — and the allocator calls of the two seed-7 days the
 //! benchmark runs, and records them in `BENCH_results.json`.
@@ -36,7 +36,7 @@ use hpcwhisk_core::{
     lengths, run_day, run_days, DayConfig, DesLeaseSource, DesSourceCfg, IdleSource, ManagerKind,
     SizerCfg, WarmupModel,
 };
-use mq::Broker;
+use mq::Topic;
 use simcore::{Outbox, SimDuration, SimRng, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -351,27 +351,18 @@ fn rows() -> Vec<Row> {
             churn(cluster::FitPolicy::FirstFit),
         ),
         row(
-            "broker/produce_fetch_10k",
+            "mq/produce_drain_10k",
             9,
-            timed(
-                5,
-                1.0,
-                || {
-                    let mut br: Broker<u64> = Broker::new();
-                    let t = br.create_topic("t");
-                    (br, t)
-                },
-                |(br, t)| {
-                    for i in 0..10_000u64 {
-                        br.produce(*t, SimTime::ZERO, i);
-                    }
-                    let mut acc = 0u64;
-                    while !br.fetch(*t, 64).is_empty() {
-                        acc += 1;
-                    }
-                    acc
-                },
-            ),
+            timed(5, 1.0, Topic::<u64>::new, |t| {
+                for i in 0..10_000u64 {
+                    t.produce(SimTime::ZERO, i);
+                }
+                let mut acc = 0u64;
+                while !t.is_empty() {
+                    acc += t.drain(64).map(|m| m.payload).sum::<u64>();
+                }
+                acc
+            }),
         ),
         // The FaaS model's latency draw, ≈ 10 a request of a fib day:
         // one RNG step and a lookup in the constant's table. Per draw,
@@ -525,7 +516,7 @@ fn main() {
     }
     // The rows run before anything that differs between writing and
     // checking. A row that allocates reads up to 3× faster or slower
-    // depending on what the heap held before it (the broker's 10 k-record
+    // depending on what the heap held before it (the topic's 10 k-record
     // log, when freeing it returns the pages to the kernel), so both
     // modes reach the rows with the same heap.
     let results: Vec<(&str, Cost)> = rows()

@@ -207,14 +207,6 @@ impl Job {
         }
     }
 
-    /// Start time, if the job has started.
-    pub fn start_time(&self) -> Option<SimTime> {
-        match &self.state {
-            JobState::Running { start, .. } | JobState::Draining { start, .. } => Some(*start),
-            _ => None,
-        }
-    }
-
     /// True while the job occupies nodes.
     pub fn is_active(&self) -> bool {
         matches!(
@@ -283,6 +275,5 @@ mod tests {
         };
         assert!(j.is_active());
         assert_eq!(j.held_nodes(), &[NodeId(3)]);
-        assert_eq!(j.start_time(), Some(SimTime::from_secs(5)));
     }
 }

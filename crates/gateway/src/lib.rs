@@ -18,7 +18,7 @@
 //!   message vocabulary, and the shared fast lane a draining invoker
 //!   moves its backlog to (a mutex-guarded deque behind a lock-free
 //!   empty check), both with the offset/`produced_at` semantics of
-//!   `crates/mq` (each differentially tested against `mq::Broker`);
+//!   `crates/mq` (each differentially tested against `mq::Topic`);
 //!   an invoker parks on its empty ring, and a collector on the
 //!   completion gate, through one waiter-counted park/wake (`park`);
 //! * [`admission`] — admission *shaping*: the default hard-shed policy,

@@ -15,20 +15,20 @@
 //! lane), and every invoker consuming it would need a second,
 //! multi-consumer pop protocol beside the ring's single-consumer one.
 //!
-//! Semantics mirror `crates/mq`'s `Broker` (the DES-plane Kafka model),
+//! Semantics mirror `crates/mq`'s `Topic` (the DES-plane Kafka model),
 //! so the two planes implement *one* protocol:
 //!
 //! * every queue assigns strictly increasing **offsets** at produce
-//!   time (`mq::Broker::produce`);
+//!   time (`mq::Topic::produce`);
 //! * a message moved to another queue during a drain gets a **fresh
 //!   offset** there while its **`produced_at` is preserved**
-//!   (`mq::Broker::move_all`) — end-to-end latency accounting survives
+//!   (`mq::Topic::move_all_to`) — end-to-end latency accounting survives
 //!   the fast-lane hop;
 //! * close-and-drain is atomic with produce, so the drain protocol has
 //!   no window in which a request can vanish: a producer either lands
 //!   the message in the drained batch or gets it back and reroutes.
 //!
-//! A proptest below drives the lane and `mq::Broker` through the same
+//! A proptest below drives the lane and `mq::Topic` through the same
 //! close-and-move hops and drains and asserts identical order, offsets
 //! and stamps.
 
@@ -141,7 +141,7 @@ impl FastLane {
     }
 
     /// Re-produce an envelope moved from another queue: fresh offset
-    /// here, original `produced_at` preserved (`mq::Broker::move_all`).
+    /// here, original `produced_at` preserved (`mq::Topic::move_all_to`).
     /// Errs with the envelope once the lane is closed (after shutdown).
     pub(crate) fn produce_moved(&self, env: Envelope) -> Result<u64, Envelope> {
         let mut g = self.lock();
@@ -273,7 +273,7 @@ mod tests {
     }
 
     /// One op stream through the gateway's pairing — invoker rings
-    /// draining into the lane — and through a broker: `0` produces to
+    /// draining into the lane — and through `mq` topics: `0` produces to
     /// the current invoker, `1` drains the lane `count` times at `k`,
     /// `2` sigterms the invoker (close-and-move; a fresh invoker takes
     /// over), `3` produces straight to the lane (the raced-produce
@@ -282,9 +282,8 @@ mod tests {
     fn run_case(ops: &[(u8, u8)], k: usize) {
         let fast = lane();
         let mut ring = RingQueue::new(256);
-        let mut broker: mq::Broker<u64> = mq::Broker::new();
-        let b_fast = broker.create_topic("fast-lane");
-        let mut b_inv = broker.create_topic("invoker-0");
+        let mut b_fast: mq::Topic<u64> = mq::Topic::new();
+        let mut b_inv = mq::Topic::new();
         let t0 = Instant::now();
         let mut next_id = 0u64;
         let mut batch = Vec::new();
@@ -296,7 +295,7 @@ mod tests {
                 assert_eq!(e.produced_at - t0, stamp, "produced_at survives the hop");
             }
         };
-        for (i, &(op, count)) in ops.iter().enumerate() {
+        for &(op, count) in ops {
             match op {
                 0 | 3 => {
                     for _ in 0..count {
@@ -304,10 +303,10 @@ mod tests {
                         let b_at = SimTime::from_millis(next_id);
                         if op == 0 {
                             assert!(matches!(ring.produce(req(next_id), at), Produce::Ok(_)));
-                            broker.produce(b_inv, b_at, next_id);
+                            b_inv.produce(b_at, next_id);
                         } else {
                             fast.produce_moved(moved(next_id, at)).unwrap();
-                            broker.produce(b_fast, b_at, next_id);
+                            b_fast.produce(b_at, next_id);
                         }
                         next_id += 1;
                     }
@@ -316,28 +315,28 @@ mod tests {
                     for _ in 0..count {
                         batch.clear();
                         fast.try_pop_batch(&mut batch, k);
-                        check(&batch, broker.fetch(b_fast, k));
+                        check(&batch, b_fast.drain(k).collect());
                     }
                 }
                 _ => {
                     let backlog = ring.close_and_drain();
-                    let n = broker.move_all(b_inv, b_fast, SimTime::ZERO);
+                    let n = b_inv.move_all_to(&mut b_fast);
                     assert_eq!(backlog.len(), n);
                     for env in backlog {
                         fast.produce_moved(env).unwrap();
                     }
                     ring = RingQueue::new(256);
-                    b_inv = broker.create_topic(&format!("invoker-{}", i + 1));
+                    b_inv = mq::Topic::new();
                 }
             }
         }
-        check(&fast.close_and_drain(), broker.fetch(b_fast, usize::MAX));
+        check(&fast.close_and_drain(), b_fast.drain(usize::MAX).collect());
         assert!(fast.produce_moved(moved(next_id, t0)).is_err());
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
-        /// The lane ≡ the broker's fast-lane topic across close-and-move
+        /// The lane ≡ the `mq` fast-lane topic across close-and-move
         /// hops and batched drains at k ∈ {1, 4, 32}.
         #[test]
         fn differential_against_mq_broker(

@@ -5,12 +5,12 @@
 //! Each invoker queue is structurally MPSC — many
 //! submitters, exactly one consumer (the owning invoker) — so a lock
 //! buys nothing the shape doesn't already give us. [`RingQueue`] keeps
-//! the *protocol* of `mq::Broker` and has no lock on its produce or pop
+//! the *protocol* of `mq::Topic` and has no lock on its produce or pop
 //! path:
 //!
 //! * strictly increasing **offsets** assigned at produce time — the
 //!   claimed ring position *is* the offset, so offsets are exactly the
-//!   sequence `mq::Broker::produce` would assign;
+//!   sequence `mq::Topic::produce` would assign;
 //! * **`produced_at` preserved** across the fast-lane hop: a drain
 //!   hands back each envelope with its admission instant, which the
 //!   fast lane keeps under a fresh offset of its own;
@@ -39,10 +39,10 @@
 //! contention source: back-pressure that used to show up as lock wait
 //! now shows up as a typed, observable refusal.
 //!
-//! `tests/ring_equiv.rs` drives this ring and `mq::Broker` through
+//! `tests/ring_equiv.rs` drives this ring and `mq::Topic` through
 //! identical schedules (batch sizes {1, 4, 32}, the close-and-move hop,
-//! wraparound and full-ring interleavings; bounded, the broker produces
-//! iff its depth is below the ring's capacity) and asserts identical
+//! wraparound and full-ring interleavings; bounded, the topic takes a
+//! produce iff its depth is below the ring's capacity) and asserts identical
 //! order/offset/outcome behaviour.
 
 use crate::park::Park;

@@ -91,7 +91,8 @@ impl<T: Clone> Router<T> {
         }
     }
 
-    /// Number of shards.
+    /// Number of shards (the tests' oracle).
+    #[cfg(test)]
     pub fn n_shards(&self) -> usize {
         self.shards.len()
     }

@@ -52,16 +52,6 @@ impl LoadFeedback {
             0.0
         }
     }
-
-    /// Sheds per second over the window.
-    pub fn shed_rate(&self) -> f64 {
-        let s = self.window.as_secs_f64();
-        if s > 0.0 {
-            self.sheds as f64 / s
-        } else {
-            0.0
-        }
-    }
 }
 
 /// An incremental stream of lease events, polled by the controller.
@@ -159,7 +149,6 @@ mod tests {
             routable: 3,
         };
         assert!((fb.arrival_rate() - 50.0).abs() < 1e-9);
-        assert!((fb.shed_rate() - 5.0).abs() < 1e-9);
         assert_eq!(LoadFeedback::default().arrival_rate(), 0.0);
     }
 }

@@ -34,7 +34,8 @@ impl Table {
         self
     }
 
-    /// Append a row of string slices.
+    /// Append a row of string slices (the tests' shorthand).
+    #[cfg(test)]
     pub fn row_strs(&mut self, cells: &[&str]) -> &mut Self {
         let owned: Vec<String> = cells.iter().map(|s| s.to_string()).collect();
         self.row(&owned)
@@ -46,7 +47,8 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
+    /// Number of data rows (the tests' oracle).
+    #[cfg(test)]
     pub fn n_rows(&self) -> usize {
         self.rows.iter().filter(|r| r.is_some()).count()
     }

@@ -87,32 +87,11 @@ impl StepSeries {
         self.integral_secs(from, to) / span
     }
 
-    /// Time-weighted quantile over `[from, to)`: the smallest value `v`
-    /// such that the series is `<= v` for at least fraction `p` of the
-    /// window.
-    pub fn time_quantile(&self, from: SimTime, to: SimTime, p: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&p));
-        let mut segs: Vec<(f64, f64)> = self
-            .iter_segments(from, to)
-            .map(|s| (s.value, s.len.as_secs_f64()))
-            .collect();
-        assert!(!segs.is_empty(), "empty quantile window");
-        segs.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        let total: f64 = segs.iter().map(|(_, w)| *w).sum();
-        let target = p * total;
-        let mut acc = 0.0;
-        for (v, w) in &segs {
-            acc += w;
-            if acc >= target {
-                return *v;
-            }
-        }
-        segs.last().unwrap().0
-    }
-
-    /// Several time-weighted quantiles in one pass: the segment list is
-    /// collected and sorted once instead of once per quantile. `ps` must
-    /// be sorted ascending; the result is one value per entry of `ps`.
+    /// Time-weighted quantiles over `[from, to)`, one per entry of `ps`:
+    /// for each `p`, the smallest value `v` such that the series is
+    /// `<= v` for at least fraction `p` of the window. One pass: the
+    /// segment list is collected and sorted once. `ps` must be sorted
+    /// ascending.
     pub fn time_quantiles(&self, from: SimTime, to: SimTime, ps: &[f64]) -> Vec<f64> {
         assert!(ps.windows(2).all(|w| w[0] <= w[1]), "ps must be ascending");
         assert!(ps.iter().all(|p| (0.0..=1.0).contains(p)));
@@ -318,9 +297,10 @@ mod tests {
     fn time_quantile_weights_by_duration() {
         let mut s = StepSeries::new(t(0), 0.0);
         s.set(t(90), 10.0); // 90 s at 0, 10 s at 10.
-        assert_eq!(s.time_quantile(t(0), t(100), 0.5), 0.0);
-        assert_eq!(s.time_quantile(t(0), t(100), 0.89), 0.0);
-        assert_eq!(s.time_quantile(t(0), t(100), 0.95), 10.0);
+        assert_eq!(
+            s.time_quantiles(t(0), t(100), &[0.5, 0.89, 0.95]),
+            [0.0, 0.0, 10.0]
+        );
     }
 
     #[test]
@@ -434,7 +414,43 @@ mod tests {
                 s.set(SimTime::from_secs(ts), v);
             }
             let (lo, hi) = if p1 <= p2 { (p1, p2) } else { (p2, p1) };
-            prop_assert!(s.time_quantile(t(0), t(500), lo) <= s.time_quantile(t(0), t(500), hi));
+            let q = s.time_quantiles(t(0), t(500), &[lo, hi]);
+            prop_assert!(q[0] <= q[1]);
+        }
+
+        /// The one-pass quantiles equal a brute force that, for each `p`
+        /// alone, sorts the series' `(value, seconds)` segments by value
+        /// and accumulates their durations until `p` of the window is
+        /// covered. Whole-second segments keep every sum exact.
+        #[test]
+        fn prop_time_quantiles_match_sort_and_accumulate(
+            segs in proptest::collection::vec((1u64..50, 0u8..20), 1..30),
+            percents in proptest::collection::vec(0u32..101, 1..8),
+        ) {
+            let mut s = StepSeries::new(t(0), segs[0].1 as f64);
+            let mut at = 0;
+            for &(secs, v) in &segs {
+                s.set(t(at), v as f64);
+                at += secs;
+            }
+            let mut sorted: Vec<(f64, f64)> =
+                segs.iter().map(|&(secs, v)| (v as f64, secs as f64)).collect();
+            sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let total: f64 = sorted.iter().map(|(_, w)| w).sum();
+            let brute = |p: f64| {
+                let mut acc = 0.0;
+                for &(v, w) in &sorted {
+                    acc += w;
+                    if acc >= p * total {
+                        return v;
+                    }
+                }
+                sorted.last().unwrap().0
+            };
+            let mut ps: Vec<f64> = percents.iter().map(|&k| k as f64 / 100.0).collect();
+            ps.sort_by(f64::total_cmp);
+            let want: Vec<f64> = ps.iter().map(|&p| brute(p)).collect();
+            prop_assert_eq!(s.time_quantiles(t(0), t(at), &ps), want);
         }
     }
 }

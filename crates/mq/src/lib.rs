@@ -1,6 +1,6 @@
 //! # hpcwhisk-mq
 //!
-//! A Kafka-like ordered-log broker substrate.
+//! A Kafka-like ordered-log topic.
 //!
 //! OpenWhisk uses Apache Kafka as its invocation transport: the
 //! controller appends activation requests to a *per-invoker topic*; each
@@ -12,14 +12,17 @@
 //! before their own topic, so re-routed requests run with the highest
 //! priority (paper §III-C).
 //!
-//! The semantics that matter for the handoff protocol's correctness —
-//! FIFO per topic, strictly increasing offsets, lossless atomic *move*
-//! between topics — are exactly what this crate implements and
-//! property-tests. Network/broker latency is modelled by the caller
-//! (`whisk::latency`), keeping this crate purely about ordering.
+//! Each [`Topic`] is owned by whoever reads it — an invoker its own, the
+//! platform the fast lane — so no registry sits between them and no
+//! stale handle can exist. The semantics that matter for the handoff
+//! protocol's correctness — FIFO per topic, strictly increasing offsets,
+//! lossless atomic *move* between topics — are exactly what this crate
+//! implements and property-tests. Network/broker latency is modelled by
+//! the caller (`whisk::latency`), keeping this crate purely about
+//! ordering.
 
 #![forbid(unsafe_code)]
 
-pub mod broker;
+pub mod topic;
 
-pub use broker::{Broker, Message, TopicId, TopicStats};
+pub use topic::{Message, Topic};

@@ -72,64 +72,6 @@ pub trait Sample {
     fn sample(&self, rng: &mut SimRng) -> f64;
 }
 
-/// A fixed constant (degenerate distribution).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Constant(pub f64);
-
-impl Sample for Constant {
-    fn sample(&self, _rng: &mut SimRng) -> f64 {
-        self.0
-    }
-}
-
-/// Uniform on `[lo, hi)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Uniform {
-    /// Lower bound (inclusive).
-    pub lo: f64,
-    /// Upper bound (exclusive).
-    pub hi: f64,
-}
-
-impl Uniform {
-    /// Construct, asserting `lo <= hi`.
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(lo <= hi, "Uniform: lo {lo} > hi {hi}");
-        Uniform { lo, hi }
-    }
-}
-
-impl Sample for Uniform {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        rng.range_f64(self.lo, self.hi)
-    }
-}
-
-/// Exponential with rate `lambda` (mean `1/lambda`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Exp {
-    /// Rate parameter (> 0).
-    pub lambda: f64,
-}
-
-impl Exp {
-    /// Construct from the rate.
-    pub fn new(lambda: f64) -> Self {
-        assert!(lambda > 0.0, "Exp: lambda must be > 0");
-        Exp { lambda }
-    }
-    /// Construct from the mean.
-    pub fn from_mean(mean: f64) -> Self {
-        Self::new(1.0 / mean)
-    }
-}
-
-impl Sample for Exp {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        -rng.f64_open().ln() / self.lambda
-    }
-}
-
 /// Log-normal: `exp(mu + sigma * Z)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogNormal {
@@ -183,29 +125,6 @@ impl Sample for LogNormal {
     }
 }
 
-/// Weibull with shape `k` and scale `lambda`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Weibull {
-    /// Shape (> 0): k < 1 gives a heavy tail, k = 1 is exponential.
-    pub k: f64,
-    /// Scale (> 0).
-    pub lambda: f64,
-}
-
-impl Weibull {
-    /// Construct from shape and scale.
-    pub fn new(k: f64, lambda: f64) -> Self {
-        assert!(k > 0.0 && lambda > 0.0);
-        Weibull { k, lambda }
-    }
-}
-
-impl Sample for Weibull {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.lambda * (-rng.f64_open().ln()).powf(1.0 / self.k)
-    }
-}
-
 /// Pareto (Type I) with minimum `x_min` and tail index `alpha`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pareto {
@@ -226,116 +145,6 @@ impl Pareto {
 impl Sample for Pareto {
     fn sample(&self, rng: &mut SimRng) -> f64 {
         self.x_min / rng.f64_open().powf(1.0 / self.alpha)
-    }
-}
-
-/// A boxed distribution, for heterogeneous composition.
-pub type DynDist = Box<dyn Sample + Send + Sync>;
-
-/// Finite mixture: picks component `i` with probability `weights[i]`.
-pub struct Mixture {
-    components: Vec<(f64, DynDist)>,
-    total_weight: f64,
-}
-
-impl Mixture {
-    /// Build from `(weight, distribution)` pairs; weights need not sum
-    /// to 1 (they are normalized).
-    pub fn new(components: Vec<(f64, DynDist)>) -> Self {
-        assert!(!components.is_empty(), "Mixture: no components");
-        let total_weight: f64 = components.iter().map(|(w, _)| *w).sum();
-        assert!(total_weight > 0.0, "Mixture: weights sum to zero");
-        Mixture {
-            components,
-            total_weight,
-        }
-    }
-}
-
-impl Sample for Mixture {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        let mut pick = rng.f64() * self.total_weight;
-        for (w, d) in &self.components {
-            if pick < *w {
-                return d.sample(rng);
-            }
-            pick -= w;
-        }
-        // Floating-point slack: fall back to the last component.
-        self.components.last().unwrap().1.sample(rng)
-    }
-}
-
-/// Resamples an explicit set of observations (with replacement).
-#[derive(Debug, Clone)]
-pub struct Empirical {
-    values: Vec<f64>,
-}
-
-impl Empirical {
-    /// Build from raw observations.
-    pub fn new(values: Vec<f64>) -> Self {
-        assert!(!values.is_empty(), "Empirical: no observations");
-        Empirical { values }
-    }
-}
-
-impl Sample for Empirical {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        *rng.choose(&self.values)
-    }
-}
-
-/// Clamp another distribution into `[lo, hi]` by truncation-resampling
-/// (up to a bounded number of attempts, then clamping).
-pub struct Clamped<D: Sample> {
-    inner: D,
-    lo: f64,
-    hi: f64,
-}
-
-impl<D: Sample> Clamped<D> {
-    /// Wrap `inner`, constraining samples to `[lo, hi]`.
-    pub fn new(inner: D, lo: f64, hi: f64) -> Self {
-        assert!(lo <= hi);
-        Clamped { inner, lo, hi }
-    }
-}
-
-impl<D: Sample> Sample for Clamped<D> {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        for _ in 0..16 {
-            let v = self.inner.sample(rng);
-            if v >= self.lo && v <= self.hi {
-                return v;
-            }
-        }
-        self.inner.sample(rng).clamp(self.lo, self.hi)
-    }
-}
-
-/// Shift another distribution by a constant offset.
-pub struct Shifted<D: Sample> {
-    inner: D,
-    offset: f64,
-}
-
-impl<D: Sample> Shifted<D> {
-    /// Wrap `inner`, adding `offset` to every sample.
-    pub fn new(inner: D, offset: f64) -> Self {
-        Shifted { inner, offset }
-    }
-}
-
-impl<D: Sample> Sample for Shifted<D> {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.inner.sample(rng) + self.offset
-    }
-}
-
-impl Sample for DynDist {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.as_ref().sample(rng)
     }
 }
 
@@ -366,16 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn exp_mean_matches() {
-        let d = Exp::from_mean(5.0);
-        let s = draw_sorted(&d, 50_000, 1);
-        let mean = s.iter().sum::<f64>() / s.len() as f64;
-        assert!((mean - 5.0).abs() < 0.15, "mean={mean}");
-        // Median of Exp(λ) is ln2/λ.
-        assert!((quantile(&s, 0.5) - 5.0 * 2f64.ln()).abs() < 0.15);
-    }
-
-    #[test]
     fn lognormal_quantile_calibration() {
         // The paper's idle-period marginals: median 2 (min), p75 = 4.
         let d = LogNormal::from_median_and_quantile(2.0, 0.75, 4.0);
@@ -393,15 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn weibull_median() {
-        // Median of Weibull(k, λ) is λ (ln 2)^{1/k}.
-        let d = Weibull::new(0.8, 3.0);
-        let s = draw_sorted(&d, 50_000, 3);
-        let expect = 3.0 * (2f64.ln()).powf(1.0 / 0.8);
-        assert!((quantile(&s, 0.5) - expect).abs() < 0.1 * expect);
-    }
-
-    #[test]
     fn pareto_min_and_tail() {
         let d = Pareto::new(2.0, 1.5);
         let s = draw_sorted(&d, 50_000, 4);
@@ -411,44 +201,5 @@ mod tests {
         assert!((quantile(&s, 0.5) - expect).abs() < 0.1 * expect);
         // The tail should be heavy: p99 well above the median.
         assert!(quantile(&s, 0.99) > 4.0 * expect);
-    }
-
-    #[test]
-    fn mixture_weights_respected() {
-        let m = Mixture::new(vec![
-            (0.9, Box::new(Constant(1.0)) as DynDist),
-            (0.1, Box::new(Constant(100.0)) as DynDist),
-        ]);
-        let s = draw_sorted(&m, 20_000, 5);
-        let big = s.iter().filter(|v| **v > 50.0).count() as f64 / s.len() as f64;
-        assert!((big - 0.1).abs() < 0.02, "big share={big}");
-    }
-
-    #[test]
-    fn empirical_resamples_support() {
-        let e = Empirical::new(vec![1.0, 2.0, 3.0]);
-        let s = draw_sorted(&e, 3_000, 6);
-        assert!(s.iter().all(|v| [1.0, 2.0, 3.0].contains(v)));
-        assert!(s.contains(&1.0) && s.contains(&2.0) && s.contains(&3.0));
-    }
-
-    #[test]
-    fn clamped_respects_bounds() {
-        let c = Clamped::new(LogNormal::new(0.0, 3.0), 0.5, 2.0);
-        let s = draw_sorted(&c, 5_000, 7);
-        assert!(s[0] >= 0.5 && *s.last().unwrap() <= 2.0);
-    }
-
-    #[test]
-    fn shifted_offsets() {
-        let sh = Shifted::new(Constant(1.0), 4.0);
-        let mut rng = SimRng::seed_from_u64(8);
-        assert_eq!(sh.sample(&mut rng), 5.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn mixture_rejects_empty() {
-        let _ = Mixture::new(vec![]);
     }
 }

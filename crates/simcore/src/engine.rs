@@ -46,12 +46,6 @@ impl<E> Outbox<E> {
         self.staged.push((self.now + delay, event.into()));
     }
 
-    /// Schedule `event` at the current instant (processed after all
-    /// already-queued events for this instant).
-    pub fn now_event(&mut self, event: E) {
-        self.staged.push((self.now, event));
-    }
-
     /// Number of staged events.
     pub fn len(&self) -> usize {
         self.staged.len()
@@ -96,8 +90,6 @@ pub enum StopCondition {
     /// The configured horizon was reached; events at or beyond the
     /// horizon remain queued.
     HorizonReached,
-    /// The configured step budget was exhausted (runaway protection).
-    StepBudgetExhausted,
 }
 
 /// The simulation driver.
@@ -121,7 +113,6 @@ pub enum StopCondition {
 pub struct Engine<E> {
     queue: EventQueue<E>,
     now: SimTime,
-    step_budget: u64,
 }
 
 impl<E> Default for Engine<E> {
@@ -131,20 +122,12 @@ impl<E> Default for Engine<E> {
 }
 
 impl<E> Engine<E> {
-    /// A fresh engine at t = 0 with a very large step budget.
+    /// A fresh engine at t = 0.
     pub fn new() -> Self {
         Engine {
             queue: EventQueue::new(),
             now: SimTime::ZERO,
-            step_budget: u64::MAX,
         }
-    }
-
-    /// Cap the total number of events processed (runaway protection in
-    /// tests and calibration loops).
-    pub fn with_step_budget(mut self, budget: u64) -> Self {
-        self.step_budget = budget;
-        self
     }
 
     /// Current simulation time (the timestamp of the last processed
@@ -177,8 +160,8 @@ impl<E> Engine<E> {
         self.queue.total_popped()
     }
 
-    /// Run until the queue empties, the step budget is exhausted, or an
-    /// event at or beyond `horizon` is reached (that event stays queued).
+    /// Run until the queue empties or an event at or beyond `horizon` is
+    /// reached (that event stays queued).
     ///
     /// One queue pop per dispatched event: a popped event at or past the
     /// horizon is requeued under its original sequence number, so the
@@ -187,9 +170,6 @@ impl<E> Engine<E> {
     pub fn run_until<P: Process<E>>(&mut self, horizon: SimTime, process: &mut P) -> StopCondition {
         let mut out = Outbox::new(self.now);
         loop {
-            if self.queue.total_popped() >= self.step_budget {
-                return StopCondition::StepBudgetExhausted;
-            }
             let Some((t, seq, ev)) = self.queue.pop_with_seq() else {
                 return StopCondition::QueueEmpty;
             };
@@ -207,7 +187,7 @@ impl<E> Engine<E> {
         }
     }
 
-    /// Run until the queue empties (or the step budget trips).
+    /// Run until the queue empties.
     pub fn run_to_completion<P: Process<E>>(&mut self, process: &mut P) -> StopCondition {
         self.run_until(SimTime::MAX, process)
     }
@@ -256,17 +236,6 @@ mod tests {
         assert_eq!(count, 1);
         assert_eq!(engine.pending(), 1);
         assert_eq!(engine.now(), SimTime::from_secs(3));
-    }
-
-    #[test]
-    fn step_budget_trips() {
-        let mut engine = Engine::new().with_step_budget(10);
-        engine.schedule(SimTime::ZERO, Ev::Ping(0));
-        let cond = engine.run_to_completion(&mut |_: SimTime, _: Ev, out: &mut Outbox<Ev>| {
-            out.after(SimDuration::from_millis(1), Ev::Ping(0));
-        });
-        assert_eq!(cond, StopCondition::StepBudgetExhausted);
-        assert_eq!(engine.steps(), 10);
     }
 
     #[test]
@@ -400,7 +369,7 @@ mod tests {
         engine.run_to_completion(&mut |now: SimTime, ev: Ev, out: &mut Outbox<Ev>| {
             times.push(now);
             if ev == Ev::Ping(0) && times.len() == 1 {
-                out.now_event(Ev::Ping(1));
+                out.at(now, Ev::Ping(1));
             }
         });
         assert_eq!(times, vec![SimTime::from_secs(2), SimTime::from_secs(2)]);

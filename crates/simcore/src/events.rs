@@ -402,7 +402,8 @@ impl<E> EventQueue<E> {
         self.popped
     }
 
-    /// Total number of events ever pushed.
+    /// Total number of events ever pushed (the tests' oracle).
+    #[cfg(test)]
     pub fn total_pushed(&self) -> u64 {
         self.seq
     }

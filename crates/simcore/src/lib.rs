@@ -14,9 +14,9 @@
 //!   follow-up events through an [`Outbox`].
 //! * [`SimRng`] — a seeded small RNG; all stochastic behaviour flows
 //!   through it so any experiment is reproducible from `(config, seed)`.
-//! * [`dist`] — self-contained samplers (exponential, log-normal,
-//!   Weibull, Pareto, mixtures, empirical) implemented with
-//!   inverse-transform / Box–Muller so we do not need `rand_distr`.
+//! * [`dist`] — the two samplers the workload models draw from
+//!   (log-normal, Pareto), implemented with inverse-transform /
+//!   Box–Muller so we do not need `rand_distr`.
 //! * [`pool`] — one invoker's container pool as a pure state machine,
 //!   generic over its clock: the DES drives it in [`SimTime`], the live
 //!   gateway's invoker threads in `Instant`.

@@ -73,14 +73,6 @@ impl SimRng {
         &items[self.index(items.len())]
     }
 
-    /// Fisher–Yates shuffle in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.index(i + 1);
-            items.swap(i, j);
-        }
-    }
-
     /// A raw 64-bit draw (used by forks and hashing helpers).
     pub fn next_u64(&mut self) -> u64 {
         self.inner.next_u64()
@@ -145,17 +137,6 @@ mod tests {
             let i = rng.index(7);
             assert!(i < 7);
         }
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = SimRng::seed_from_u64(5);
-        let mut v: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(v, (0..100).collect::<Vec<_>>());
     }
 
     #[test]

@@ -26,12 +26,6 @@ impl Counter {
         }
     }
 
-    /// Single-writer increment: plain load+store, no locked RMW.
-    #[inline(always)]
-    pub fn inc_owned(&self) {
-        self.0.store(self.0.load(Relaxed) + 1, Relaxed);
-    }
-
     /// Single-writer add: plain load+store, no locked RMW.
     #[inline(always)]
     pub fn add_owned(&self, n: u64) {
@@ -153,8 +147,7 @@ mod tests {
         let c = Counter::new();
         c.inc();
         c.add(4);
-        c.inc_owned();
-        c.add_owned(5);
+        c.add_owned(6);
         assert_eq!(c.get(), 11);
     }
 

@@ -112,16 +112,6 @@ impl Histogram {
         self.buckets.iter().map(|b| b.load(Relaxed)).sum()
     }
 
-    /// Fold another histogram into this one (bucket-wise add).
-    pub fn merge_from(&self, other: &Histogram) {
-        for (dst, src) in self.buckets.iter().zip(other.buckets.iter()) {
-            let v = src.load(Relaxed);
-            if v != 0 {
-                dst.fetch_add(v, Relaxed);
-            }
-        }
-    }
-
     /// Nearest-rank quantile (same convention as `metrics::Cdf`):
     /// the ceil(p·n)-th smallest sample's bucket midpoint. `NaN` when
     /// empty. `p` is clamped to `[0, 1]`.
@@ -147,16 +137,6 @@ impl Histogram {
             count,
             sum,
         }
-    }
-
-    /// Rebuild a histogram from a snapshot (used by the harness to hand
-    /// callers a quantile-capable delta).
-    pub fn from_snapshot(s: &HistSnapshot) -> Self {
-        let h = Self::new();
-        for &(i, c) in &s.buckets {
-            h.buckets[i as usize].store(c, Relaxed);
-        }
-        h
     }
 }
 
@@ -313,17 +293,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_counts() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        a.record(100);
-        b.record(100);
-        b.record(1_000_000);
-        a.merge_from(&b);
-        assert_eq!(a.count(), 3);
-    }
-
-    #[test]
     fn snapshot_roundtrip_and_since() {
         let h = Histogram::new();
         for v in [5u64, 500, 50_000] {
@@ -336,7 +305,7 @@ mod tests {
         let s1 = h.snapshot();
         let d = s1.since(&s0);
         assert_eq!(d.count, 2);
-        let rebuilt = Histogram::from_snapshot(&d);
-        assert_eq!(rebuilt.count(), 2);
+        assert_eq!(s1.count, h.count());
+        assert_eq!(d.quantile(1.0), h.quantile(1.0));
     }
 }

@@ -198,7 +198,9 @@ impl Snapshot {
         }
     }
 
-    /// Counter delta-since-last-scrape for an exact label match.
+    /// Counter delta-since-last-scrape for an exact label match (the
+    /// tests' oracle of `delta`).
+    #[cfg(test)]
     pub fn counter_delta(&self, family: &str, lbls: &[(&str, &str)]) -> Option<u64> {
         match self.find(family, lbls)?.value {
             Collected::Counter(_) => Some(self.find(family, lbls)?.delta.max(0.0) as u64),

@@ -2,7 +2,7 @@
 
 use crate::config::Jitter;
 use crate::ids::{ActivationId, FunctionId};
-use mq::TopicId;
+use mq::Topic;
 use simcore::pool::ContainerPool;
 use simcore::{SimRng, SimTime};
 use std::collections::VecDeque;
@@ -75,8 +75,8 @@ impl PollChain {
 pub struct Invoker {
     /// Lifecycle state.
     pub state: InvokerState,
-    /// Its private Kafka topic.
-    pub topic: TopicId,
+    /// Its private Kafka topic: dropped with the invoker.
+    pub topic: Topic<ActivationId>,
     /// Pulled-but-unstarted activations (the "internal buffer" the drain
     /// protocol flushes to the fast lane, §III-C).
     pub buffer: VecDeque<ActivationId>,
@@ -99,11 +99,12 @@ pub struct Invoker {
 }
 
 impl Invoker {
-    /// A fresh healthy invoker whose first poll is due at `poll.tick()`.
-    pub fn new(topic: TopicId, slots: usize, cold_concurrency: usize, poll: PollChain) -> Self {
+    /// A fresh healthy invoker, its topic empty, whose first poll is due
+    /// at `poll.tick()`.
+    pub fn new(slots: usize, cold_concurrency: usize, poll: PollChain) -> Self {
         Invoker {
             state: InvokerState::Healthy,
-            topic,
+            topic: Topic::new(),
             buffer: VecDeque::new(),
             running: Vec::new(),
             pool: ContainerPool::new(slots, cold_concurrency),
@@ -153,7 +154,6 @@ impl Invoker {
 mod tests {
     use super::*;
     use crate::config::WhiskConfig;
-    use mq::Broker;
 
     fn poll() -> Jitter {
         Jitter::new(WhiskConfig::default().poll_interval)
@@ -161,9 +161,7 @@ mod tests {
 
     #[test]
     fn state_predicates() {
-        let mut b: Broker<ActivationId> = Broker::new();
-        let t = b.create_topic("inv-0");
-        let mut inv = Invoker::new(t, 4, 2, PollChain::new(1, 0, SimTime::ZERO, &poll()));
+        let mut inv = Invoker::new(4, 2, PollChain::new(1, 0, SimTime::ZERO, &poll()));
         assert!(inv.routable() && inv.alive());
         inv.state = InvokerState::Draining;
         assert!(!inv.routable() && inv.alive());

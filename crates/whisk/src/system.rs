@@ -32,7 +32,7 @@ use crate::events::{WhiskEvent, WhiskNote};
 use crate::ids::{stable_hash, ActivationId, FunctionId, InvokerId};
 use crate::invoker::{Invoker, InvokerState, PollChain};
 use metrics::{Outcome, Shed, StepSeries, Tally};
-use mq::{Broker, TopicId};
+use mq::Topic;
 use simcore::pool::Acquire;
 use simcore::{Outbox, SimDuration, SimRng, SimTime};
 use std::collections::{HashMap, VecDeque};
@@ -189,8 +189,9 @@ impl InvokerTable {
 /// each event is written once, already wrapped.
 pub struct WhiskSys {
     shared: Shared,
-    broker: Broker<ActivationId>,
-    fast_lane: TopicId,
+    /// The global fast lane every healthy invoker pulls before its own
+    /// topic (§III-C).
+    fast_lane: Topic<ActivationId>,
     invokers: InvokerTable,
     routable: Vec<InvokerId>,
     /// Origin of the timeout-scan grid (scans run at `scan_origin +
@@ -227,11 +228,11 @@ impl Shared {
 
     /// Count one more delivery attempt of `act` and put it on the fast
     /// lane, if the client is still waiting for it.
-    fn refire(&mut self, act: ActivationId, broker: &mut Broker<ActivationId>, lane: TopicId) {
+    fn refire(&mut self, act: ActivationId, lane: &mut Topic<ActivationId>) {
         if let Some(r) = self.in_flight(act) {
             r.attempts += 1;
             let submitted = r.submitted;
-            broker.produce(lane, submitted, act);
+            lane.produce(submitted, act);
             self.counters.refired += 1;
         }
     }
@@ -332,8 +333,6 @@ impl Shared {
 impl WhiskSys {
     /// A fresh platform with no functions or invokers.
     pub fn new(cfg: WhiskConfig, seed: u64) -> Self {
-        let mut broker = Broker::new();
-        let fast_lane = broker.create_topic("fast-lane");
         WhiskSys {
             shared: Shared {
                 lat: cfg.latencies(),
@@ -344,8 +343,7 @@ impl WhiskSys {
                 rng: SimRng::seed_from_u64(seed ^ 0x7768_6973_6b00),
                 counters: WhiskCounters::default(),
             },
-            broker,
-            fast_lane,
+            fast_lane: Topic::new(),
             invokers: InvokerTable::default(),
             routable: Vec::new(),
             scan_origin: SimTime::ZERO,
@@ -436,14 +434,14 @@ impl WhiskSys {
 
     /// Depth of the fast lane (diagnostics).
     pub fn fast_lane_depth(&self) -> usize {
-        self.broker.depth(self.fast_lane)
+        self.fast_lane.len()
     }
 
     /// Lifecycle state and own-topic depth of a registered invoker
     /// (tests/diagnostics).
     pub fn invoker_status(&self, id: InvokerId) -> Option<(InvokerState, usize)> {
         let inv = self.invokers.get(id)?;
-        Some((inv.state, self.broker.depth(inv.topic)))
+        Some((inv.state, inv.topic.len()))
     }
 
     // ------------------------------------------------------------------
@@ -526,13 +524,11 @@ impl WhiskSys {
             self.invokers.get(id).is_none(),
             "invoker {id} already registered"
         );
-        let topic = self.broker.create_topic(&format!("invoker-{key}"));
         let poll = PollChain::new(self.seed, key, now, &self.shared.lat.poll_interval);
         out.at(poll.tick(), WhiskEvent::InvokerPoll(id));
         self.invokers.insert(
             id,
             Invoker::new(
-                topic,
                 self.shared.cfg.container_slots,
                 self.shared.cfg.cold_concurrency,
                 poll,
@@ -574,25 +570,24 @@ impl WhiskSys {
 
         // Controller half: move unpulled topic messages to the fast lane.
         let inv = self.invokers.get_mut(id).expect("just checked");
-        let moved = self.broker.move_all(inv.topic, self.fast_lane, now);
+        let moved = inv.topic.move_all_to(&mut self.fast_lane);
         self.shared.counters.moved_to_fastlane += moved as u64;
 
         // Invoker half: flush the internal buffer.
         for act in inv.buffer.drain(..) {
-            self.shared.refire(act, &mut self.broker, self.fast_lane);
+            self.shared.refire(act, &mut self.fast_lane);
         }
         // Interrupt running executions of interruptible functions and
         // re-route them too — in id order: the re-fire order decides
         // fast-lane offsets, and `running` is in no particular one.
         inv.running.sort_unstable();
-        let shared = &mut self.shared;
-        let (broker, pool) = (&mut self.broker, &mut inv.pool);
+        let (shared, lane, pool) = (&mut self.shared, &mut self.fast_lane, &mut inv.pool);
         inv.running.retain(|&(act, f)| {
             if !shared.functions[f.0 as usize].interruptible {
                 return true;
             }
             pool.abandon();
-            shared.refire(act, broker, self.fast_lane);
+            shared.refire(act, lane);
             false
         });
         self.wake_fast_lane(now, out);
@@ -706,7 +701,7 @@ impl WhiskSys {
                 // Delivered even to a dead-unnoticed invoker's topic:
                 // the controller does not know better yet (and a corpse
                 // is not woken — the health timeout recovers the topic).
-                self.broker.produce(i.topic, submitted, act);
+                i.topic.produce(submitted, act);
                 if let Some(tick) = i.wake(now, &self.shared.lat.poll_interval) {
                     out.at(tick, WhiskEvent::InvokerPoll(inv));
                 }
@@ -714,7 +709,7 @@ impl WhiskSys {
             None => {
                 // The chosen invoker de-registered in flight; the fast
                 // lane guarantees any surviving invoker picks it up.
-                self.broker.produce(self.fast_lane, submitted, act);
+                self.fast_lane.produce(submitted, act);
                 self.wake_fast_lane(now, out);
             }
         }
@@ -723,7 +718,7 @@ impl WhiskSys {
     /// After a produce into the fast lane: any healthy invoker may fetch
     /// it and the first to poll wins, so every parked one is woken.
     fn wake_fast_lane<E: From<WhiskEvent>>(&mut self, now: SimTime, out: &mut Outbox<E>) {
-        if self.broker.depth(self.fast_lane) == 0 {
+        if self.fast_lane.is_empty() {
             return;
         }
         for id in &self.routable {
@@ -756,7 +751,7 @@ impl WhiskSys {
         if room > 0 {
             // Fast lane first (§III-C), own topic with the remainder.
             let before = inv.buffer.len();
-            for m in self.broker.drain(self.fast_lane, room) {
+            for m in self.fast_lane.drain(room) {
                 inv.buffer.push_back(m.payload);
                 inv.ctrl_inflight += 1; // fast-lane work was unassigned
                 if let Some(r) = self.shared.live_mut(m.payload) {
@@ -764,8 +759,7 @@ impl WhiskSys {
                 }
             }
             let room = room - (inv.buffer.len() - before);
-            let own = self.broker.drain(inv.topic, room);
-            inv.buffer.extend(own.map(|m| m.payload));
+            inv.buffer.extend(inv.topic.drain(room).map(|m| m.payload));
         }
         self.shared.dispatch(now, id, inv, out, notes);
         // Re-arm only while the next tick could do something: fetch (a
@@ -773,10 +767,7 @@ impl WhiskSys {
         // full buffer is a non-empty one). Otherwise park until a
         // produce wakes the loop.
         let next = inv.poll.advance(&self.shared.lat.poll_interval);
-        if !inv.buffer.is_empty()
-            || self.broker.depth(inv.topic) > 0
-            || self.broker.depth(self.fast_lane) > 0
-        {
+        if !inv.buffer.is_empty() || !inv.topic.is_empty() || !self.fast_lane.is_empty() {
             out.at(next, WhiskEvent::InvokerPoll(id));
         } else {
             inv.parked = true;
@@ -837,13 +828,13 @@ impl WhiskSys {
         out: &mut Outbox<E>,
         notes: &mut Vec<WhiskNote>,
     ) {
-        let inv = self.invokers.remove(id).expect("removing unknown invoker");
-        // Catch stragglers delivered after the drain's move_all.
-        let leftovers = self.broker.depth(inv.topic);
-        if leftovers > 0 {
+        let mut inv = self.invokers.remove(id).expect("removing unknown invoker");
+        // Catch stragglers delivered after the drain's move; the topic
+        // is dropped with the invoker.
+        if !inv.topic.is_empty() {
             match self.shared.cfg.mode {
                 DynamicsMode::HpcWhisk => {
-                    let n = self.broker.move_all(inv.topic, self.fast_lane, now);
+                    let n = inv.topic.move_all_to(&mut self.fast_lane);
                     if clean {
                         self.shared.counters.moved_to_fastlane += n as u64;
                     } else {
@@ -852,13 +843,9 @@ impl WhiskSys {
                     self.wake_fast_lane(now, out);
                 }
                 DynamicsMode::Baseline => {
-                    let orphans = self.broker.delete_topic(inv.topic);
-                    self.shared.counters.dropped_after_death += orphans.len() as u64;
+                    self.shared.counters.dropped_after_death += inv.topic.len() as u64;
                 }
             }
-        }
-        if self.broker.is_live(inv.topic) {
-            self.broker.delete_topic(inv.topic);
         }
         self.n_irresp -= 1;
         self.push_series(now);

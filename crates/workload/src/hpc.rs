@@ -82,7 +82,8 @@ impl HpcWorkloadModel {
         self.sizes.last().map(|(_, k)| *k).unwrap_or(1)
     }
 
-    /// Mean job size in nodes.
+    /// Mean job size in nodes (the tests' oracle).
+    #[cfg(test)]
     pub fn mean_size(&self) -> f64 {
         let tot: f64 = self.sizes.iter().map(|(w, _)| w).sum();
         self.sizes.iter().map(|(w, k)| w * *k as f64).sum::<f64>() / tot

@@ -8,7 +8,7 @@
 //!
 //! * [`simcore`] — deterministic discrete-event engine;
 //! * [`metrics`] — CDFs, time-weighted series, table rendering;
-//! * [`mq`] — Kafka-like ordered-log broker substrate;
+//! * [`mq`] — Kafka-like ordered-log topics (`mq::Topic`);
 //! * [`cluster`] — Slurm-like workload manager (backfill, preemption);
 //! * [`whisk`] — OpenWhisk-like FaaS platform with the HPC-Whisk
 //!   dynamic-invoker extensions (the DES plane);

@@ -3,7 +3,7 @@
 
 use hpc_whisk::gateway::{ActionId, ActionSpec, Gateway, GatewayConfig};
 use hpc_whisk::metrics::{Cdf, StepSeries};
-use hpc_whisk::mq::Broker;
+use hpc_whisk::mq::Topic;
 use hpc_whisk::sebs::{bfs, mst, pagerank, Graph, Kernel};
 use hpc_whisk::simcore::{Engine, Outbox, SimDuration, SimRng, SimTime};
 use hpc_whisk::workload::{HpcWorkloadModel, IdleModel, PoissonLoadGen};
@@ -35,11 +35,11 @@ fn metrics_via_facade() {
 }
 
 #[test]
-fn broker_via_facade() {
-    let mut b: Broker<u32> = Broker::new();
-    let t = b.create_topic("x");
-    b.produce(t, SimTime::ZERO, 7);
-    assert_eq!(b.fetch(t, 10)[0].payload, 7);
+fn topic_via_facade() {
+    let mut t: Topic<u32> = Topic::new();
+    t.produce(SimTime::ZERO, 7);
+    assert_eq!(t.drain(10).next().map(|m| m.payload), Some(7));
+    assert!(t.is_empty());
 }
 
 #[test]
