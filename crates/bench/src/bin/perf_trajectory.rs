@@ -365,16 +365,17 @@ fn rows() -> Vec<Row> {
             }),
         ),
         // The FaaS model's latency draw, ≈ 10 a request of a fib day:
-        // one RNG step and a lookup in the constant's table. Per draw,
-        // of `dispatch`, 1 M draws a sample. A sample is 2–3 ms, so 31
-        // of them: with 9 the minimum read 2.0–3.1 ns from run to run,
-        // past the gate of a whole-ns figure of 2.
+        // one RNG step and a lookup in the constant's table. Per block
+        // of 1,000 draws of `dispatch` (≈ 2 µs), 1 M draws a sample: per
+        // draw the row read a whole-ns 2, which the gate's 25 % cannot
+        // tell from a rounding step. A sample is 2–3 ms, so 31 of them:
+        // with 9 the minimum read 2.0–3.1 ns a draw from run to run.
         row(
             "whisk/latency_draw",
             31,
             timed(
                 1,
-                1e6,
+                1e3,
                 || {
                     let j = Jitter::new(WhiskConfig::default().dispatch);
                     (j, SimRng::seed_from_u64(7))

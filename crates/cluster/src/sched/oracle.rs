@@ -324,14 +324,16 @@ impl ClusterSim {
         cost
     }
 
-    /// A from-scratch build of both pass views exactly as a pass at `now`
-    /// would see them: node projections plus the window paint (pinned
-    /// pending claims always; live unpinned reservations only on quick
-    /// passes, since a backfill pass re-derives its reservations). Pure —
-    /// no retain/clear side effects. This is the independent authority
-    /// the persistent plane is differentially checked against, so it
-    /// deliberately re-scans `self.pending` for pinned claims rather than
-    /// trusting the maintained `pinned_pending` list.
+    /// A from-scratch build of both pass views with every window a pass
+    /// at `now` could paint: node projections plus the window paint
+    /// (pinned pending claims always; live unpinned reservations only on
+    /// quick passes, since a backfill pass re-derives its reservations),
+    /// on every node — also where the pass itself leaves a pilot-view
+    /// window out. Pure — no retain/clear side effects. This is the
+    /// independent authority the persistent plane is differentially
+    /// checked against, so it deliberately re-scans `self.pending` for
+    /// pinned claims rather than trusting the maintained `pinned_pending`
+    /// list.
     fn fresh_timelines(
         &self,
         now: SimTime,
@@ -371,8 +373,9 @@ impl ClusterSim {
         (tl_pilot, tl_hpc)
     }
 
-    /// Assert the pass views a pass at `now` holds equal a from-scratch
-    /// build, bit for bit (the HPC view only when the pass needs one).
+    /// Assert the pass views a pass at `now` holds agree with a
+    /// from-scratch build: the pilot view within [`pilot_view_agrees`],
+    /// the HPC view (only when the pass needs one) bit for bit.
     pub(super) fn assert_views_fresh(
         &self,
         now: SimTime,
@@ -382,11 +385,12 @@ impl ClusterSim {
         hpc: &Timeline,
     ) {
         let (fp, fh) = self.fresh_timelines(now, mode, need_hpc);
-        assert!(
-            pilot.same_occupancy(&fp),
-            "pilot plane diverged from fresh build (generation {})",
-            pilot.generation()
-        );
+        if let Err(e) = pilot_view_agrees(&fp, pilot) {
+            panic!(
+                "pilot plane diverged from fresh build (generation {}): {e}",
+                pilot.generation()
+            );
+        }
         assert!(
             !need_hpc || hpc.same_occupancy(&fh),
             "hpc plane diverged from fresh build (generation {})",
@@ -395,8 +399,9 @@ impl ClusterSim {
     }
 
     /// Test hook: bring the persistent plane to `now` exactly as a pass
-    /// would, assert both views match a from-scratch rebuild bit for bit,
-    /// and restore the between-pass invariant. Panics on divergence.
+    /// would, assert both views agree with a from-scratch rebuild (as
+    /// [`Self::assert_views_fresh`] does), and restore the between-pass
+    /// invariant. Panics on divergence.
     #[doc(hidden)]
     pub fn check_plane(&mut self, now: SimTime) {
         let (pilot, hpc_pass, hpc_parked, painted) = self.prepare_plane(now, PassMode::Quick, true);
@@ -452,5 +457,72 @@ impl ClusterSim {
         let ones = |bits: &[u64]| bits.iter().map(|w| w.count_ones() as i64).sum::<i64>();
         assert_eq!(self.n_idle, ones(&idle), "idle count diverged");
         assert_eq!(self.n_pilot, ones(&pilot), "pilot count diverged");
+    }
+}
+
+/// The relation a pass's pilot view keeps to the full-paint `fresh`
+/// build: the same origin and slot-0 set, bit-identical masks on every
+/// node whose slot 0 is free in `fresh`, and slot 0 busy in both on every
+/// other node — there a window may be missing, because a pass paints
+/// none on a node it cannot start a pilot on. Names the first node that
+/// breaks it.
+fn pilot_view_agrees(fresh: &Timeline, view: &Timeline) -> Result<(), String> {
+    if view.origin() != fresh.origin() || view.n_nodes() != fresh.n_nodes() {
+        return Err(format!(
+            "{} nodes at {:?}, fresh {} at {:?}",
+            view.n_nodes(),
+            view.origin(),
+            fresh.n_nodes(),
+            fresh.origin()
+        ));
+    }
+    for i in 0..fresh.n_nodes() {
+        let n = NodeId(i as u32);
+        let (v, f) = (view.mask(n), fresh.mask(n));
+        let agrees = if f & 1 != 0 { v == f } else { v & 1 == 0 };
+        if !agrees {
+            return Err(format!("node {i}: mask {v:#x}, fresh {f:#x}"));
+        }
+    }
+    if view.now_free_words() != fresh.now_free_words() {
+        return Err("slot-0 bitset differs from the fresh build's".into());
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Node 0 idle, node 1 busy until minute 10; a claim window over
+    /// minutes 40–60 on both, painted on both (`fresh`) or, as a pass
+    /// paints it, on the slot-0-free node alone.
+    #[test]
+    fn pilot_view_may_lack_a_window_only_where_slot_0_is_busy() {
+        let base = || {
+            let mut tl = Timeline::new(SimTime::ZERO, SimDuration::from_mins(2), 60, 2);
+            tl.block_until(NodeId(1), SimTime::from_mins(10));
+            tl
+        };
+        let claim = |tl: &mut Timeline, n| {
+            tl.block_interval(NodeId(n), SimTime::from_mins(40), SimTime::from_mins(60))
+        };
+        let mut fresh = base();
+        claim(&mut fresh, 0);
+        claim(&mut fresh, 1);
+        assert_eq!(pilot_view_agrees(&fresh, &fresh), Ok(()));
+
+        let mut busy_bare = base();
+        claim(&mut busy_bare, 0);
+        assert_eq!(pilot_view_agrees(&fresh, &busy_bare), Ok(()));
+
+        let mut free_bare = base();
+        claim(&mut free_bare, 1);
+        assert!(pilot_view_agrees(&fresh, &free_bare).is_err_and(|e| e.starts_with("node 0:")));
+
+        // Slot 0 free in the view where the build has it busy.
+        let mut opened = busy_bare.clone();
+        opened.set_node_mask(NodeId(1), fresh.mask(NodeId(0)));
+        assert!(pilot_view_agrees(&fresh, &opened).is_err_and(|e| e.starts_with("node 1:")));
     }
 }

@@ -10,9 +10,20 @@
 //! node busy until a future instant is tracked exactly once, in the
 //! residue wheel when the release lies inside the window and in the park
 //! when it lies at or past the window end, so a pass brought to `now`
-//! equals a from-scratch build bit for bit (`check_plane`, and in a
-//! debug build every pass, compare them). So a pass costs the nodes that
-//! changed and the slot boundaries its anchor crossed, never the cluster.
+//! holds the projections of a from-scratch build bit for bit.
+//!
+//! A pass paints a window onto the pilot view only on a node whose slot
+//! 0 is free there: the pilot view is read only from slot 0
+//! (`find_single_now`, then `free_run_from(node, 0)` on the node it
+//! returned) and only loses free bits within a pass, so a window behind
+//! a busy slot 0 could never be read — and on a coverage-only week day
+//! most windows lie behind one. The HPC view takes every window, since
+//! `find_start` reads future slots. So the pilot view
+//! equals a full-paint build on every node whose slot 0 is free and is
+//! busy at slot 0 wherever the build is; the HPC view equals it bit for
+//! bit (`check_plane`, and in a debug build every pass, check both). So
+//! a pass costs the nodes that changed and the slot boundaries its anchor
+//! crossed, never the cluster.
 
 use super::pass::PassMode;
 use super::ClusterSim;
@@ -411,7 +422,9 @@ impl ClusterSim {
     /// 2. re-mask the dirty-listed nodes — the ones `refresh_node`
     ///    touched since the last pass;
     /// 3. paint pending pinned-claim windows and (on quick passes) the
-    ///    live reservations, recording every painted node so
+    ///    live reservations — onto the HPC view whenever the pass needs
+    ///    it, onto the pilot view only where the node's slot 0 is free
+    ///    after steps 1–2 — recording every painted node so
     ///    [`Self::finish_plane`] can restore the proj-only invariant.
     ///
     /// Returns `(pilot view, hpc view for this pass, parked hpc view,
@@ -478,6 +491,20 @@ impl ClusterSim {
         };
         let mut painted = std::mem::take(&mut self.painted_scratch);
         painted.clear();
+        // A pilot-view window behind a busy slot 0 is never read (module
+        // doc); the HPC view's `find_start` reads future slots.
+        let mut paint = |n: NodeId, from: SimTime, to: SimTime| {
+            let on_pilot = pilot.is_free_range(n, 0, 1);
+            if on_pilot {
+                pilot.block_interval(n, from, to);
+            }
+            if need_hpc {
+                hpc_pass.block_interval(n, from, to);
+            }
+            if on_pilot || need_hpc {
+                painted.push(n);
+            }
+        };
         let mut pinned = std::mem::take(&mut self.pinned_pending);
         pinned.retain(|id| self.jobs[id.0 as usize].is_pending());
         for id in &pinned {
@@ -486,11 +513,7 @@ impl ClusterSim {
             let ann = job.spec.announced_start.unwrap();
             let end = ann + job.spec.time_limit;
             for n in nodes {
-                pilot.block_interval(*n, ann, end);
-                if need_hpc {
-                    hpc_pass.block_interval(*n, ann, end);
-                }
-                painted.push(*n);
+                paint(*n, ann, end);
             }
         }
         self.pinned_pending = pinned;
@@ -501,11 +524,7 @@ impl ClusterSim {
                 .retain(|r| self.jobs[r.job.0 as usize].is_pending());
             for r in &self.reservations {
                 for n in &r.nodes {
-                    pilot.block_interval(*n, r.start, r.end);
-                    if need_hpc {
-                        hpc_pass.block_interval(*n, r.start, r.end);
-                    }
-                    painted.push(*n);
+                    paint(*n, r.start, r.end);
                 }
             }
         }

@@ -146,7 +146,9 @@ proptest! {
 // rebuilding. After every simulator step — submission (claim sources),
 // pilot exit (release), node down/up (trace event), elapsed passes
 // (advance + reservation diff) — [`ClusterSim::check_plane`] must find
-// the persistent views bit-identical to a from-scratch rebuild.
+// the persistent views in agreement with a from-scratch rebuild: the HPC
+// view bit for bit, the pilot view bit for bit wherever its slot 0 is
+// free (a pass leaves out the windows behind a busy slot 0).
 
 /// One generated simulator step, applied after advancing `dt_secs`.
 #[derive(Debug, Clone)]
@@ -342,7 +344,7 @@ fn run_plane_churn_with(
         for (at, e) in out.drain() {
             engine.schedule(at, e);
         }
-        // The audit: persistent plane ≡ fresh rebuild, bit for bit; and
+        // The audit: persistent plane ≡ fresh rebuild (`check_plane`); and
         // the poll sample's maintained bitsets ≡ a node-table scan.
         if !reference.contains(&i) || i + 1 == reference.end {
             sim.check_plane(t);

@@ -265,6 +265,36 @@ fn pilot_does_not_fit_inside_announced_window() {
 }
 
 #[test]
+fn pilot_fits_against_a_claim_on_a_node_freed_since_the_last_pass() {
+    // A pilot granted three hours holds the only node until it exits at
+    // minute 10; a claim on that node is announced for minute 40. A pass
+    // paints a claim's window only where the pilot view's slot 0 is free,
+    // and the plane re-anchored at minute 10 still shows the node busy
+    // past its window (parked) until the exit is patched in. So the
+    // minute-10 pass must test slot 0 after the patch: then a 60-minute
+    // pilot overlaps the window and must not start, and a 20-minute one
+    // ends in front of it and must.
+    let mut h = Harness::new(1);
+    let holder = h.submit_at(at_min(0), JobSpec::pilot_fixed(mins(180), 180));
+    h.submit_at(
+        at_min(1),
+        JobSpec::pinned_demand(vec![NodeId(0)], at_min(40), at_min(40), mins(20), mins(20)),
+    );
+    let long = h.submit_at(at_min(2), JobSpec::pilot_fixed(mins(60), 60));
+    let short = h.submit_at(at_min(2), JobSpec::pilot_fixed(mins(20), 20));
+    h.run_until(at_min(9));
+    assert!(h.started(holder).is_some_and(|s| s < at_min(1)));
+    assert_eq!((h.started(long), h.started(short)), (None, None));
+    h.pilot_exit_at(at_min(10), holder);
+    h.run_until(at_min(11));
+    assert_eq!(h.started(long), None, "60-min pilot must not fit");
+    let s = h
+        .started(short)
+        .expect("20-min pilot fits before the claim");
+    assert!(s >= at_min(10), "started at {s}");
+}
+
+#[test]
 fn node_failure_kills_pilot_without_sigterm() {
     let mut h = Harness::new(1);
     let p = h.submit_at(at_min(0), JobSpec::pilot_fixed(mins(90), 90));
